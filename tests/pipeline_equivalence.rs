@@ -12,13 +12,18 @@ use bisect_bench::runner::run_best_of_sides;
 use bisect_bench::Suite;
 use bisect_core::bisector::Bisector;
 use bisect_core::kl::KernighanLin;
-use bisect_core::pipeline::Pipeline;
+use bisect_core::netlist::{recursive_placement_counted, NetlistPipeline, ParallelNetlistFm};
+use bisect_core::partition::Side;
+use bisect_core::pipeline::{CoarsenDepth, Pipeline, DEFAULT_COARSEST_SIZE};
 use bisect_core::sa::SimulatedAnnealing;
+use bisect_core::workspace::Workspace;
 use bisect_gen::gbreg::{self, GbregParams};
 use bisect_gen::gnp::{self, GnpParams};
+use bisect_gen::netlist::{self, RentNetlistParams};
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::special;
-use bisect_graph::Graph;
+use bisect_graph::hypergraph::Netlist;
+use bisect_graph::{Graph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -173,6 +178,130 @@ fn golden_recursive_partition_on_grid8() {
         h = h.wrapping_mul(0x100000001b3);
     }
     assert_eq!(h, 0x189326d85ea1b885);
+}
+
+// ---------------------------------------------------------------------
+// Netlist golden pins: absolute values captured from the netlist engine
+// while it still carried its non-projected refinement branch and its
+// cells-sized fixed-side ladder. The single-protocol engine must keep
+// reproducing them bit for bit.
+// ---------------------------------------------------------------------
+
+/// A seeded Rent netlist: 3/2 nets per cell, nets of 2-4 pins, γ 1.8,
+/// pins drawn from a 10% window.
+fn rent_netlist(cells: usize, seed: u64) -> Netlist {
+    let nets = (3 * cells).div_ceil(2);
+    let params =
+        RentNetlistParams::new(cells, nets, 4.min(cells), 1.8, 0.1).expect("feasible parameters");
+    netlist::sample(&mut LaggedFibonacci::seed_from_u64(seed), &params)
+}
+
+/// `(pipeline, cells, fixed cells, cut, work, side fingerprint)`.
+type NetlistPin = (&'static str, usize, usize, u64, u64, u64);
+
+#[rustfmt::skip]
+const NETLIST_PINS: &[NetlistPin] = &[
+    ("flat", 2, 0, 3, 0, 0x82f2407b4e8902a),
+    ("compacted", 2, 0, 3, 0, 0x8395307b4f1348c),
+    ("multilevel", 2, 0, 3, 0, 0x82f2407b4e8902a),
+    ("parallel", 2, 0, 3, 0, 0x82f2407b4e8902a),
+    ("flat", 2, 2, 3, 0, 0x82f2407b4e8902a),
+    ("compacted", 2, 2, 3, 0, 0x82f2407b4e8902a),
+    ("multilevel", 2, 2, 3, 0, 0x82f2407b4e8902a),
+    ("parallel", 2, 2, 3, 0, 0x82f2407b4e8902a),
+    ("flat", 3, 0, 3, 0, 0xd0aa6418672cf911),
+    ("compacted", 3, 0, 3, 0, 0xea9ca41875dc4d4a),
+    ("multilevel", 3, 0, 3, 0, 0xd0aa6418672cf911),
+    ("parallel", 3, 0, 3, 0, 0xd0aa6418672cf911),
+    ("flat", 3, 2, 4, 0, 0xd0a6fb18672a10cf),
+    ("compacted", 3, 2, 4, 0, 0xd0a6fb18672a10cf),
+    ("multilevel", 3, 2, 4, 0, 0xd0a6fb18672a10cf),
+    ("parallel", 3, 2, 4, 0, 0xd0a6fb18672a10cf),
+    ("flat", 600, 0, 50, 5, 0x1b5db8e97956196b),
+    ("compacted", 600, 0, 21, 4, 0x4d7755ab277daa23),
+    ("multilevel", 600, 0, 22, 3, 0x759329a489edfedb),
+    ("parallel", 600, 0, 76, 5, 0x9091ad15d4844e5),
+    ("flat", 600, 2, 20, 6, 0x67e8250df2c569d),
+    ("compacted", 600, 2, 22, 4, 0x7c26487b86c5923),
+    ("multilevel", 600, 2, 21, 7, 0xda0ff9512b38754b),
+    ("parallel", 600, 2, 24, 7, 0x35e8780274b87b5d),
+    ("flat", 5000, 0, 656, 4, 0x544760b15f9e7a6d),
+    ("compacted", 5000, 0, 227, 11, 0x33a00e5ec7e6cf91),
+    ("multilevel", 5000, 0, 220, 11, 0xdc84c8d2d45c1815),
+    ("parallel", 5000, 0, 237, 24, 0xbaca1d8e78b6c469),
+    ("flat", 5000, 2, 405, 6, 0xbb41ae076022067),
+    ("compacted", 5000, 2, 222, 7, 0x222a62ff9ec92a9b),
+    ("multilevel", 5000, 2, 232, 12, 0x79127687321f3507),
+    ("parallel", 5000, 2, 243, 22, 0x55293d8bc331f4d),
+];
+
+#[test]
+fn golden_netlist_pipelines_on_rent_netlists() {
+    let pipelines = [
+        ("flat", NetlistPipeline::flat_fm()),
+        ("compacted", NetlistPipeline::compacted_fm()),
+        ("multilevel", NetlistPipeline::multilevel_fm()),
+        (
+            "parallel",
+            NetlistPipeline::new(
+                CoarsenDepth::ToSize(DEFAULT_COARSEST_SIZE),
+                ParallelNetlistFm::new().with_threads(2),
+                "PNetMLFM",
+            )
+            .expect("default coarsest size is valid"),
+        ),
+    ];
+    let mut actual: Vec<NetlistPin> = Vec::new();
+    for cells in [2usize, 3, 600, 5_000] {
+        let nl = rent_netlist(cells, 0x4E7 + cells as u64);
+        let last = (cells - 1) as VertexId;
+        for fixed in [&[][..], &[(0, Side::A), (last, Side::B)][..]] {
+            for (name, p) in &pipelines {
+                let mut rng = StdRng::seed_from_u64(cells as u64);
+                let (b, work) = p.bisect_fixed_counted(&nl, fixed, &mut rng, &mut Workspace::new());
+                assert!(b.is_balanced(&nl), "{} on {cells} cells", p.name());
+                assert_eq!(b.cut(), b.recompute_cut(&nl), "{}", p.name());
+                for &(c, s) in fixed {
+                    assert_eq!(b.side(c), s, "{} moved fixed cell {c}", p.name());
+                }
+                actual.push((
+                    *name,
+                    cells,
+                    fixed.len(),
+                    b.cut(),
+                    work,
+                    sides_fingerprint(b.sides()),
+                ));
+            }
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(n, c, f, cut, w, fp)| format!("    ({n:?}, {c}, {f}, {cut}, {w}, {fp:#x}),\n"))
+        .collect();
+    assert_eq!(actual, NETLIST_PINS, "actual pins:\n{table}");
+}
+
+#[test]
+fn golden_recursive_placement_on_rent5000() {
+    let nl = rent_netlist(5_000, 0x91AC);
+    let (placement, work) = recursive_placement_counted(
+        &NetlistPipeline::multilevel_fm(),
+        &nl,
+        16,
+        &mut StdRng::seed_from_u64(16),
+        &mut Workspace::new(),
+    )
+    .expect("16 is a power of two");
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &l in placement.labels() {
+        h ^= l as u64 + 1;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    assert_eq!(
+        (placement.net_cut(&nl), work, h),
+        (2851, 171, 0xa0a35577f1ea274b)
+    );
 }
 
 #[test]
