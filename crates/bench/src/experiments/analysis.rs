@@ -155,9 +155,7 @@ pub fn klpasses(profile: &Profile) -> Result<ExperimentResult, BenchError> {
 /// Currently infallible (the synthesized netlist is valid by
 /// construction); the `Result` keeps the signature uniform.
 pub fn netlist(profile: &Profile) -> Result<ExperimentResult, BenchError> {
-    use bisect_core::netlist::{
-        CompactedNetlistFm, MultilevelNetlistFm, NetlistBisection, NetlistFm,
-    };
+    use bisect_core::netlist::{NetlistBisection, NetlistFm, NetlistPipeline};
     use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
     use rand::seq::SliceRandom;
     use rand::Rng;
@@ -220,7 +218,7 @@ pub fn netlist(profile: &Profile) -> Result<ExperimentResult, BenchError> {
 
     // Native hypergraph FM and compacted FM (best of starts).
     let fm = NetlistFm::new();
-    let cfm = CompactedNetlistFm::new();
+    let cfm = NetlistPipeline::compacted_fm();
     let t = Instant::now();
     let native = (0..profile.starts)
         .map(|_| fm.bisect(&nl, &mut rng))
@@ -241,7 +239,7 @@ pub fn netlist(profile: &Profile) -> Result<ExperimentResult, BenchError> {
         compacted.cut().to_string(),
         crate::table::fmt_duration(t.elapsed()),
     ]);
-    let mlfm = MultilevelNetlistFm::new();
+    let mlfm = NetlistPipeline::multilevel_fm();
     let t = Instant::now();
     let multilevel = (0..profile.starts)
         .map(|_| mlfm.bisect(&nl, &mut rng))

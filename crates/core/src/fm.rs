@@ -710,7 +710,7 @@ mod tests {
             let mut ws_a = Workspace::new();
             let (plain, passes_a) = bfm.refine_counted(&g, init.clone(), &mut rng, &mut ws_a);
             let mut ws_b = Workspace::new();
-            ws_b.prepare_gain_cache(&g, &init);
+            ws_b.gain_cache.init(&g, &init);
             let (projected, passes_b) = bfm.refine_projected_counted(&g, init, &mut rng, &mut ws_b);
             assert_eq!(plain, projected, "seed {seed}");
             assert_eq!(passes_a, passes_b, "seed {seed}");

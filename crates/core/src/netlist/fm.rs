@@ -8,19 +8,14 @@
 //! `≤ 0`, and can only become worth moving after a net-mate moves — at
 //! which point the update loop inserts it lazily. A pass costs
 //! `O(boundary + touched pins)` instead of `O(cells + pins)`.
-//!
-//! [`CompactedNetlistFm`] and [`MultilevelNetlistFm`] are thin presets
-//! over [`super::NetlistPipeline`] (one compaction level / a full
-//! V-cycle), kept as named types for the benchmark tables.
 
 use bisect_graph::hypergraph::Netlist;
 use rand::RngCore;
 
 use crate::partition::Side;
-use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistPipeline, NetlistRefiner};
+use super::{gain_term, NetlistBisection, NetlistRefiner};
 
 /// Fiduccia-Mattheyses on netlists.
 ///
@@ -362,25 +357,6 @@ impl NetlistRefiner for NetlistFm {
         "NetFM".into()
     }
 
-    fn refine_counted(
-        &self,
-        nl: &Netlist,
-        fixed: &[bool],
-        mut init: NetlistBisection,
-        _rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (NetlistBisection, u64) {
-        if nl.num_cells() >= 2 {
-            ws.netlist_cache.init(nl, &init);
-        }
-        let passes = self.refine_with_cache(nl, fixed, &mut init, ws);
-        (init, passes)
-    }
-
-    fn wants_projected_cache(&self) -> bool {
-        true
-    }
-
     fn refine_projected_counted(
         &self,
         nl: &Netlist,
@@ -391,119 +367,6 @@ impl NetlistRefiner for NetlistFm {
     ) -> (NetlistBisection, u64) {
         let passes = self.refine_with_cache(nl, fixed, &mut init, ws);
         (init, passes)
-    }
-}
-
-/// The compaction heuristic (§V) in its netlist form: match cells along
-/// nets, contract once, run [`NetlistFm`] on the coarse netlist,
-/// project, rebalance, and refine — the paper's contribution
-/// transplanted to the hypergraph objective. A named preset over
-/// [`NetlistPipeline`] with [`CoarsenDepth::Levels`]`(1)`.
-///
-/// # Example
-///
-/// ```
-/// use bisect_core::netlist::CompactedNetlistFm;
-/// use bisect_graph::hypergraph::NetlistBuilder;
-/// use rand::SeedableRng;
-///
-/// let mut b = NetlistBuilder::new(6);
-/// for pins in [[0u32, 1, 2].as_slice(), &[3, 4, 5], &[2, 3]] {
-///     b.add_net(pins).unwrap();
-/// }
-/// let nl = b.build();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let p = CompactedNetlistFm::new().bisect(&nl, &mut rng);
-/// assert_eq!(p.cut(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CompactedNetlistFm {
-    inner: NetlistFm,
-}
-
-impl CompactedNetlistFm {
-    /// One level of netlist compaction around [`NetlistFm`].
-    pub fn new() -> CompactedNetlistFm {
-        CompactedNetlistFm {
-            inner: NetlistFm::new(),
-        }
-    }
-
-    /// Bisects `nl` by compaction.
-    pub fn bisect(&self, nl: &Netlist, rng: &mut dyn RngCore) -> NetlistBisection {
-        NetlistPipeline::new(CoarsenDepth::Levels(1), self.inner.clone(), "NetCFM")
-            // lint: allow(no-panic) — Levels(1) always validates
-            .expect("Levels(1) is a valid depth")
-            .bisect(nl, rng)
-    }
-}
-
-/// Multilevel netlist bisection: coarsen by repeated cell matchings,
-/// bisect the coarsest netlist, then project and FM-refine level by
-/// level — hMETIS avant la lettre, completing the parallel with the
-/// graph-side multilevel pipeline. A named preset over
-/// [`NetlistPipeline`] with [`CoarsenDepth::ToSize`].
-///
-/// # Example
-///
-/// ```
-/// use bisect_core::netlist::MultilevelNetlistFm;
-/// use bisect_graph::hypergraph::NetlistBuilder;
-/// use rand::SeedableRng;
-///
-/// let mut b = NetlistBuilder::new(8);
-/// for pins in [[0u32, 1, 2, 3].as_slice(), &[4, 5, 6, 7], &[3, 4]] {
-///     b.add_net(pins).unwrap();
-/// }
-/// let nl = b.build();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let ml = MultilevelNetlistFm::new().with_coarsest_size(4);
-/// let p = ml.bisect(&nl, &mut rng);
-/// assert_eq!(p.cut(), 1); // the clusters contract; only the bridge is cut
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultilevelNetlistFm {
-    inner: NetlistFm,
-    coarsest_size: usize,
-}
-
-impl Default for MultilevelNetlistFm {
-    fn default() -> MultilevelNetlistFm {
-        MultilevelNetlistFm::new()
-    }
-}
-
-impl MultilevelNetlistFm {
-    /// Multilevel FM coarsening down to at most
-    /// [`DEFAULT_COARSEST_SIZE`] cells.
-    pub fn new() -> MultilevelNetlistFm {
-        MultilevelNetlistFm {
-            inner: NetlistFm::new(),
-            coarsest_size: DEFAULT_COARSEST_SIZE,
-        }
-    }
-
-    /// Sets the size at which coarsening stops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coarsest_size < 2`.
-    pub fn with_coarsest_size(mut self, coarsest_size: usize) -> MultilevelNetlistFm {
-        assert!(coarsest_size >= 2, "coarsest size must be at least 2");
-        self.coarsest_size = coarsest_size;
-        self
-    }
-
-    /// Bisects `nl` with a full V-cycle.
-    pub fn bisect(&self, nl: &Netlist, rng: &mut dyn RngCore) -> NetlistBisection {
-        NetlistPipeline::new(
-            CoarsenDepth::ToSize(self.coarsest_size),
-            self.inner.clone(),
-            "NetMLFM",
-        )
-        // lint: allow(no-panic) — coarsest_size ≥ 2 is enforced at construction
-        .expect("coarsest size validated at construction")
-        .bisect(nl, rng)
     }
 }
 
@@ -666,112 +529,5 @@ mod tests {
     #[should_panic(expected = "at least one pass")]
     fn zero_passes_rejected() {
         let _ = NetlistFm::new().with_max_passes(0);
-    }
-
-    #[test]
-    fn compacted_fm_finds_the_bridge() {
-        let nl = two_clusters();
-        let mut rng = StdRng::seed_from_u64(4);
-        let p = CompactedNetlistFm::new().bisect(&nl, &mut rng);
-        assert_eq!(p.cut(), 1);
-        assert!(p.is_balanced(&nl));
-    }
-
-    #[test]
-    fn compacted_fm_on_netless_cells() {
-        let nl = NetlistBuilder::new(8).build();
-        let mut rng = StdRng::seed_from_u64(4);
-        let p = CompactedNetlistFm::new().bisect(&nl, &mut rng);
-        assert_eq!(p.cut(), 0);
-        assert!(p.is_balanced(&nl));
-    }
-
-    #[test]
-    fn compacted_fm_never_beats_brute_force() {
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..10 {
-            let mut b = NetlistBuilder::new(10);
-            for _ in 0..8 {
-                let size = rng.gen_range(2..=4usize);
-                let mut pins: Vec<u32> = (0..10).collect();
-                pins.shuffle(&mut rng);
-                b.add_net(&pins[..size]).unwrap();
-            }
-            let nl = b.build();
-            let optimal = brute_force_cut(&nl);
-            let p = CompactedNetlistFm::new().bisect(&nl, &mut StdRng::seed_from_u64(1));
-            assert!(p.cut() >= optimal);
-            assert!(p.is_balanced(&nl));
-        }
-    }
-
-    #[test]
-    fn multilevel_fm_finds_the_bridge() {
-        let nl = two_clusters();
-        let mut rng = StdRng::seed_from_u64(5);
-        let p = MultilevelNetlistFm::new()
-            .with_coarsest_size(3)
-            .bisect(&nl, &mut rng);
-        assert_eq!(p.cut(), 1);
-        assert!(p.is_balanced(&nl));
-    }
-
-    #[test]
-    fn multilevel_fm_valid_on_random_netlists() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..5 {
-            let mut b = NetlistBuilder::new(60);
-            for _ in 0..80 {
-                let size = rng.gen_range(2..=5usize);
-                let mut pins: Vec<u32> = (0..60).collect();
-                pins.shuffle(&mut rng);
-                b.add_net(&pins[..size]).unwrap();
-            }
-            let nl = b.build();
-            let p = MultilevelNetlistFm::new().bisect(&nl, &mut StdRng::seed_from_u64(3));
-            assert!(p.is_balanced(&nl));
-            assert_eq!(p.cut(), p.recompute_cut(&nl));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn multilevel_rejects_tiny_coarsest() {
-        let _ = MultilevelNetlistFm::new().with_coarsest_size(1);
-    }
-
-    #[test]
-    fn compacted_fm_competitive_on_clusters() {
-        // Larger clustered netlist: compacted FM should match plain FM
-        // or better on most seeds.
-        let mut b = NetlistBuilder::new(40);
-        let mut rng = StdRng::seed_from_u64(8);
-        for cluster in 0..4 {
-            let base = cluster * 10;
-            for _ in 0..12 {
-                let size = rng.gen_range(2..=4usize);
-                let mut pins: Vec<u32> = (base..base + 10).collect();
-                pins.shuffle(&mut rng);
-                b.add_net(&pins[..size]).unwrap();
-            }
-        }
-        b.add_net(&[9, 10]).unwrap();
-        b.add_net(&[19, 20]).unwrap();
-        b.add_net(&[29, 30]).unwrap();
-        let nl = b.build();
-        let mut fm_total = 0u64;
-        let mut cfm_total = 0u64;
-        for seed in 0..5 {
-            fm_total += NetlistFm::new()
-                .bisect(&nl, &mut StdRng::seed_from_u64(seed))
-                .cut();
-            cfm_total += CompactedNetlistFm::new()
-                .bisect(&nl, &mut StdRng::seed_from_u64(seed))
-                .cut();
-        }
-        assert!(
-            cfm_total <= fm_total + 2,
-            "compacted FM ({cfm_total}) should be competitive with FM ({fm_total})"
-        );
     }
 }

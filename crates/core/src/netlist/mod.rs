@@ -18,8 +18,9 @@
 //!   tolerance, best balanced prefix per pass), behind the
 //!   [`NetlistRefiner`] trait;
 //! * [`NetlistPipeline`] — coarsen→partition→refine on netlists, with
-//!   [`CompactedNetlistFm`] and [`MultilevelNetlistFm`] as its classic
-//!   one-level / full-V-cycle presets;
+//!   the paper's one-level compaction and a full V-cycle as its
+//!   [`NetlistPipeline::compacted_fm`] / [`NetlistPipeline::multilevel_fm`]
+//!   constructors;
 //! * [`recursive_placement`] — recursive k-way bisection with terminal
 //!   propagation, scoring [`NetlistPlacement`]s by net cut and HPWL.
 //!
@@ -43,7 +44,7 @@ mod par_fm;
 mod pipeline;
 
 pub use coarsen::ParallelCellMatching;
-pub use fm::{CompactedNetlistFm, MultilevelNetlistFm, NetlistFm};
+pub use fm::NetlistFm;
 pub use gain_cache::NetlistGainCache;
 pub use kway::{
     part_regions, recursive_placement, recursive_placement_counted, NetlistPlacement, Rect,
@@ -296,13 +297,20 @@ impl NetlistBisection {
 /// [`NetlistPipeline`] engine can drive any implementation through its
 /// uncoarsening ladder. `fixed` flags cells that must never move
 /// (terminal-propagation anchors); an empty slice fixes nothing.
+///
+/// Every refiner reads its gains from the workspace
+/// [`NetlistGainCache`], which the engine builds once at the coarsest
+/// level and projects down the ladder, so the one required method is
+/// [`NetlistRefiner::refine_projected_counted`].
 pub trait NetlistRefiner {
     /// Human-readable name for reports.
     fn name(&self) -> String;
 
     /// Improves `init`, drawing every scratch buffer from `ws`; returns
     /// the refined bisection and the number of productive passes. Cells
-    /// flagged in `fixed` stay on their side.
+    /// flagged in `fixed` stay on their side. Builds the workspace gain
+    /// cache for `(nl, init)`, then refines as
+    /// [`NetlistRefiner::refine_projected_counted`].
     fn refine_counted(
         &self,
         nl: &Netlist,
@@ -310,20 +318,18 @@ pub trait NetlistRefiner {
         init: NetlistBisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
-    ) -> (NetlistBisection, u64);
-
-    /// Whether this refiner consumes a workspace gain cache projected
-    /// across uncoarsening steps (see
-    /// [`NetlistRefiner::refine_projected_counted`]).
-    fn wants_projected_cache(&self) -> bool {
-        false
+    ) -> (NetlistBisection, u64) {
+        if nl.num_cells() >= 2 {
+            ws.netlist_cache.init(nl, &init);
+        }
+        self.refine_projected_counted(nl, fixed, init, rng, ws)
     }
 
     /// As [`NetlistRefiner::refine_counted`], but the workspace gain
     /// cache is already exact for `(nl, init)` — projected from the
     /// previous (coarser) level — and must be left exact for the
-    /// returned bisection. Default: ignore the cache and refine
-    /// normally.
+    /// returned bisection. Netlists with fewer than 2 cells come back
+    /// unchanged, without reading the cache.
     fn refine_projected_counted(
         &self,
         nl: &Netlist,
@@ -331,9 +337,7 @@ pub trait NetlistRefiner {
         init: NetlistBisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
-    ) -> (NetlistBisection, u64) {
-        self.refine_counted(nl, fixed, init, rng, ws)
-    }
+    ) -> (NetlistBisection, u64);
 }
 
 /// Moves minimum-damage cells from the heavier side until the
@@ -408,28 +412,25 @@ pub(crate) fn weight_balanced_random<R: Rng + ?Sized>(
     weight_balanced_random_fixed(nl, &[], rng)
 }
 
-/// As [`weight_balanced_random`], but cells with a `Some(side)` entry
-/// in `fixed` are pinned to that side (and counted toward its weight)
-/// before the movable cells are greedily assigned. An empty slice fixes
-/// nothing; a short slice treats missing entries as movable.
+/// As [`weight_balanced_random`], but each `(cell, side)` in `fixed` is
+/// pinned to its side (and counted toward its weight) before the
+/// movable cells are greedily assigned. Duplicate pairs count once.
 pub(crate) fn weight_balanced_random_fixed<R: Rng + ?Sized>(
     nl: &Netlist,
-    fixed: &[Option<Side>],
+    fixed: &[(VertexId, Side)],
     rng: &mut R,
 ) -> NetlistBisection {
     let n = nl.num_cells();
     let mut side = vec![false; n];
+    let mut pinned = vec![false; n];
     let mut weights = [0u64; 2];
-    let mut movable: Vec<VertexId> = Vec::with_capacity(n);
-    for c in nl.cells() {
-        match fixed.get(c as usize).copied().flatten() {
-            Some(s) => {
-                side[c as usize] = s == Side::B;
-                weights[s.index()] += nl.cell_weight(c);
-            }
-            None => movable.push(c),
+    for &(c, s) in fixed {
+        if !std::mem::replace(&mut pinned[c as usize], true) {
+            side[c as usize] = s == Side::B;
+            weights[s.index()] += nl.cell_weight(c);
         }
     }
+    let mut movable: Vec<VertexId> = nl.cells().filter(|&c| !pinned[c as usize]).collect();
     movable.shuffle(rng);
     for &c in &movable {
         let target = usize::from(weights[1] < weights[0]);
@@ -604,7 +605,7 @@ mod tests {
     #[test]
     fn weight_balanced_random_fixed_pins_sides() {
         let nl = two_clusters();
-        let fixed = vec![Some(Side::B), None, None, Some(Side::A), None, None];
+        let fixed = [(0, Side::B), (3, Side::A)];
         for seed in 0..8 {
             let p = weight_balanced_random_fixed(&nl, &fixed, &mut StdRng::seed_from_u64(seed));
             assert_eq!(p.side(0), Side::B, "seed {seed}");

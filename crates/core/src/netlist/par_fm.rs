@@ -323,27 +323,6 @@ impl NetlistRefiner for ParallelNetlistFm {
         "PNetFM".into()
     }
 
-    fn refine_counted(
-        &self,
-        nl: &Netlist,
-        fixed: &[bool],
-        mut init: NetlistBisection,
-        _rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (NetlistBisection, u64) {
-        if nl.num_cells() < 2 {
-            return (init, 0);
-        }
-        ws.netlist_cache.init(nl, &init);
-        let threads = self.threads();
-        let rounds = self.refine_rounds(nl, fixed, &mut init, ws, threads);
-        (init, rounds)
-    }
-
-    fn wants_projected_cache(&self) -> bool {
-        true
-    }
-
     fn refine_projected_counted(
         &self,
         nl: &Netlist,
@@ -449,14 +428,13 @@ mod tests {
     fn projected_entry_matches_plain_refine() {
         let nl = random_netlist(40, 60, 5);
         let pfm = ParallelNetlistFm::new().with_threads(2);
-        assert!(pfm.wants_projected_cache());
         for seed in 0..5 {
             let mut rng = StdRng::seed_from_u64(seed);
             let init = NetlistBisection::random_balanced(&nl, &mut rng);
             let mut ws_a = Workspace::new();
             let (plain, _) = pfm.refine_counted(&nl, &[], init.clone(), &mut rng, &mut ws_a);
             let mut ws_b = Workspace::new();
-            ws_b.prepare_netlist_cache(&nl, &init);
+            ws_b.netlist_cache.init(&nl, &init);
             let (projected, _) = pfm.refine_projected_counted(&nl, &[], init, &mut rng, &mut ws_b);
             assert_eq!(plain, projected, "seed {seed}");
         }

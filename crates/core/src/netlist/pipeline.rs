@@ -6,8 +6,8 @@
 //! pin-connectivity scores, see
 //! [`bisect_graph::hypergraph::random_cell_matching`]); the coarsest
 //! netlist gets a weight-balanced random bisection; refinement walks
-//! the ladder back up, projecting sides — and, for refiners that opt
-//! in, the [`super::NetlistGainCache`] — level by level.
+//! the ladder back up, projecting sides and the
+//! [`super::NetlistGainCache`] level by level.
 //!
 //! The engine additionally supports *fixed cells*: cells pinned to a
 //! side that never match, never move, and survive every coarsening
@@ -175,10 +175,10 @@ impl NetlistPipeline {
 /// coarsening progress and nothing fixed, the legacy fallback of a
 /// plain random start); (3) one refinement per level, coarsest first,
 /// each from the projected and rebalanced bisection of the level below,
-/// with the gain cache projected alongside for refiners that opt in.
+/// with the gain cache built once at the coarsest level and projected
+/// alongside.
 // lint: allow(no-panic) — V-cycle shape invariants: fixed_ladder has one
-// entry per level, the ladder is non-empty when indexed, and
-// project_sides returns one entry per fine cell.
+// entry per level, and project_sides returns one entry per fine cell.
 fn run(
     depth: CoarsenDepth,
     refiner: &(dyn NetlistRefiner + Send + Sync),
@@ -188,90 +188,70 @@ fn run(
     ws: &mut Workspace,
 ) -> (NetlistBisection, u64) {
     let n = nl.num_cells();
-    let has_fixed = !fixed_pairs.is_empty();
-    let mut fixed0: Vec<Option<Side>> = vec![None; if has_fixed { n } else { 0 }];
-    for &(c, s) in fixed_pairs {
+    let mut fixed = fixed_pairs.to_vec();
+    fixed.sort_unstable_by_key(|&(c, _)| c);
+    fixed.dedup();
+    if let Some(&(c, _)) = fixed.last() {
         assert!(
             (c as usize) < n,
             "fixed cell {c} out of range for {n} cells"
         );
-        let slot = &mut fixed0[c as usize];
-        assert!(
-            slot.is_none() || *slot == Some(s),
-            "cell {c} fixed to both sides"
-        );
-        *slot = Some(s);
+    }
+    for pair in fixed.windows(2) {
+        let c = pair[0].0;
+        assert!(c != pair[1].0, "cell {c} fixed to both sides");
     }
 
-    // Coarsening ladder, finest first; `fixed_ladder[i]` holds the
-    // per-cell side pins of level `i`'s netlist (level 0 = input).
-    // Fixed cells are skipped by the matcher, so each survives as a
+    // Coarsening ladder, finest first; `fixed_ladder[i]` lists the
+    // pinned cells of level `i`'s netlist (level 0 = input). Fixed
+    // cells are skipped by the matcher, so each survives as a
     // singleton coarse cell and its pin maps through unambiguously.
     let mut ladder: Vec<NetlistContraction> = Vec::new();
-    let mut fixed_ladder: Vec<Vec<Option<Side>>> = vec![fixed0];
-    let mut skip: Vec<bool> = Vec::new();
+    let mut fixed_ladder: Vec<Vec<(VertexId, Side)>> = vec![fixed];
+    let mut flags: Vec<bool> = Vec::new();
     loop {
-        let contraction = {
-            let cur: &Netlist = ladder.last().map_or(nl, |c| c.coarse());
-            if !depth.wants_more(ladder.len(), cur.num_cells()) {
-                break;
-            }
-            if has_fixed {
-                let cur_fixed = fixed_ladder.last().expect("one entry per level");
-                skip.clear();
-                skip.extend(cur_fixed.iter().map(Option::is_some));
-            }
-            let skip_slice: &[bool] = if has_fixed { &skip } else { &[] };
-            let pairs = random_cell_matching_with_skip(cur, skip_slice, rng);
-            if pairs.is_empty() {
-                break;
-            }
-            contract_cells(cur, &pairs)
-        };
-        let next_fixed = if has_fixed {
-            let cur_fixed = fixed_ladder.last().expect("one entry per level");
-            let mut next: Vec<Option<Side>> = vec![None; contraction.coarse().num_cells()];
-            for (c, s) in cur_fixed.iter().enumerate() {
-                if let Some(side) = s {
-                    next[contraction.map(c as VertexId) as usize] = Some(*side);
-                }
-            }
-            next
-        } else {
-            Vec::new()
-        };
-        fixed_ladder.push(next_fixed);
+        let cur: &Netlist = ladder.last().map_or(nl, |c| c.coarse());
+        if !depth.wants_more(ladder.len(), cur.num_cells()) {
+            break;
+        }
+        let cur_fixed = fixed_ladder.last().expect("one entry per level");
+        fixed_flags(&mut flags, cur.num_cells(), cur_fixed);
+        let pairs = random_cell_matching_with_skip(cur, &flags, rng);
+        if pairs.is_empty() {
+            break;
+        }
+        let contraction = contract_cells(cur, &pairs);
+        let next = cur_fixed
+            .iter()
+            .map(|&(c, s)| (contraction.map(c), s))
+            .collect();
+        fixed_ladder.push(next);
         ladder.push(contraction);
     }
 
     // Initial bisection of the coarsest netlist.
-    let mut flags: Vec<bool> = Vec::new();
-    let coarsest_idx = ladder.len();
-    let (mut current, mut work) =
-        if ladder.is_empty() && matches!(depth, CoarsenDepth::Levels(_)) && !has_fixed {
-            // Legacy §V fallback: the matcher made no progress on the
-            // input itself, so compaction degenerates to the plain
-            // heuristic from its own random start.
-            let init = NetlistBisection::random_balanced(nl, rng);
-            refiner.refine_counted(nl, &[], init, rng, ws)
-        } else {
-            let coarsest: &Netlist = ladder.last().map_or(nl, |c| c.coarse());
-            let init = weight_balanced_random_fixed(coarsest, &fixed_ladder[coarsest_idx], rng);
-            flags.clear();
-            flags.extend(fixed_ladder[coarsest_idx].iter().map(Option::is_some));
-            refiner.refine_counted(coarsest, &flags, init, rng, ws)
-        };
+    let coarsest: &Netlist = ladder.last().map_or(nl, |c| c.coarse());
+    let coarsest_fixed = fixed_ladder.last().expect("one entry per level");
+    let (mut current, mut work) = if ladder.is_empty()
+        && matches!(depth, CoarsenDepth::Levels(_))
+        && coarsest_fixed.is_empty()
+    {
+        // Legacy §V fallback: the matcher made no progress on the
+        // input itself, so compaction degenerates to the plain
+        // heuristic from its own random start.
+        let init = NetlistBisection::random_balanced(nl, rng);
+        refiner.refine_counted(nl, &[], init, rng, ws)
+    } else {
+        let init = weight_balanced_random_fixed(coarsest, coarsest_fixed, rng);
+        fixed_flags(&mut flags, coarsest.num_cells(), coarsest_fixed);
+        refiner.refine_counted(coarsest, &flags, init, rng, ws)
+    };
 
-    // Uncoarsening: project and refine level by level. Boundary-seeded
-    // refiners opt into the projected-cache protocol — the cache is
-    // built once on the (small) coarsest netlist and projected through
-    // each step, so no level pays an O(cells + pins) rebuild;
+    // Uncoarsening: project and refine level by level. The gain cache
+    // is built once on the (small) coarsest netlist and projected
+    // through each step, so no level pays an O(cells + pins) rebuild;
     // rebalancing rides the same cache.
-    let coarsest_cells = ladder.last().map_or(nl, |c| c.coarse()).num_cells();
-    let projected_cache =
-        refiner.wants_projected_cache() && !ladder.is_empty() && coarsest_cells >= 2;
-    if projected_cache {
-        let coarsest: &Netlist = ladder.last().map(|c| c.coarse()).expect("nonempty ladder");
+    if !ladder.is_empty() {
         ws.netlist_cache.init(coarsest, &current);
     }
     for i in (0..ladder.len()).rev() {
@@ -279,31 +259,36 @@ fn run(
         let sides = ladder[i].project_sides(current.sides());
         let mut projected =
             NetlistBisection::from_sides(fine, sides).expect("projection covers every fine cell");
-        flags.clear();
-        flags.extend(fixed_ladder[i].iter().map(Option::is_some));
-        let (refined, stage) = if projected_cache {
-            ws.netlist_cache
-                .project(fine, &projected, ladder[i].fine_to_coarse());
-            rebalance_with_cache(fine, &mut projected, &flags, &mut ws.netlist_cache);
-            refiner.refine_projected_counted(fine, &flags, projected, rng, ws)
-        } else {
-            rebalance_fixed(fine, &mut projected, &flags);
-            refiner.refine_counted(fine, &flags, projected, rng, ws)
-        };
+        ws.netlist_cache
+            .project(fine, &projected, ladder[i].fine_to_coarse());
+        fixed_flags(&mut flags, fine.num_cells(), &fixed_ladder[i]);
+        rebalance_with_cache(fine, &mut projected, &flags, &mut ws.netlist_cache);
+        let (refined, stage) = refiner.refine_projected_counted(fine, &flags, projected, rng, ws);
         current = refined;
         work += stage;
     }
     if !current.is_balanced(nl) {
-        flags.clear();
-        flags.extend(fixed_ladder[0].iter().map(Option::is_some));
+        fixed_flags(&mut flags, n, &fixed_ladder[0]);
         rebalance_fixed(nl, &mut current, &flags);
     }
     (current, work)
 }
 
+/// Rebuilds `flags` as the per-cell "fixed" flags of a `cells`-cell
+/// level, leaving it empty (fixing nothing) when nothing is pinned.
+fn fixed_flags(flags: &mut Vec<bool>, cells: usize, fixed: &[(VertexId, Side)]) {
+    flags.clear();
+    if !fixed.is_empty() {
+        flags.resize(cells, false);
+        for &(c, _) in fixed {
+            flags[c as usize] = true;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::two_clusters;
+    use super::super::testutil::{brute_force_cut, two_clusters};
     use super::*;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::rngs::StdRng;
@@ -311,12 +296,21 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn random_netlist(cells: usize, nets: usize, seed: u64) -> Netlist {
-        let mut rng = StdRng::seed_from_u64(seed);
+        random_netlist_with(&mut StdRng::seed_from_u64(seed), cells, nets, 5)
+    }
+
+    /// `nets` random nets of 2 to `max_size` pins over `cells` cells.
+    fn random_netlist_with(
+        rng: &mut StdRng,
+        cells: usize,
+        nets: usize,
+        max_size: usize,
+    ) -> Netlist {
         let mut b = NetlistBuilder::new(cells);
         for _ in 0..nets {
-            let size = rng.gen_range(2..=5usize);
+            let size = rng.gen_range(2..=max_size);
             let mut pins: Vec<u32> = (0..cells as u32).collect();
-            pins.shuffle(&mut rng);
+            pins.shuffle(rng);
             b.add_net(&pins[..size]).unwrap();
         }
         b.build()
@@ -338,13 +332,63 @@ mod tests {
     }
 
     #[test]
-    fn multilevel_finds_the_bridge() {
+    fn compacted_and_multilevel_find_the_bridge() {
         let nl = two_clusters();
-        let mut rng = StdRng::seed_from_u64(5);
-        let p = NetlistPipeline::multilevel_fm_to(3)
-            .unwrap()
-            .bisect(&nl, &mut rng);
-        assert_eq!(p.cut(), 1);
+        for (p, seed) in [
+            (NetlistPipeline::compacted_fm(), 4),
+            (NetlistPipeline::multilevel_fm_to(3).unwrap(), 5),
+        ] {
+            let b = p.bisect(&nl, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(b.cut(), 1, "{}", p.name());
+            assert!(b.is_balanced(&nl), "{}", p.name());
+        }
+    }
+
+    #[test]
+    fn compacted_never_beats_brute_force() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..10 {
+            let nl = random_netlist_with(&mut rng, 10, 8, 4);
+            let optimal = brute_force_cut(&nl);
+            let p = NetlistPipeline::compacted_fm().bisect(&nl, &mut StdRng::seed_from_u64(1));
+            assert!(p.cut() >= optimal);
+            assert!(p.is_balanced(&nl));
+        }
+    }
+
+    #[test]
+    fn compacted_competitive_on_clusters() {
+        // Four 10-cell clusters chained by single bridges: compaction
+        // should match plain FM or better on most seeds.
+        let mut b = NetlistBuilder::new(40);
+        let mut rng = StdRng::seed_from_u64(8);
+        for cluster in 0..4 {
+            let base = cluster * 10;
+            for _ in 0..12 {
+                let size = rng.gen_range(2..=4usize);
+                let mut pins: Vec<u32> = (base..base + 10).collect();
+                pins.shuffle(&mut rng);
+                b.add_net(&pins[..size]).unwrap();
+            }
+        }
+        b.add_net(&[9, 10]).unwrap();
+        b.add_net(&[19, 20]).unwrap();
+        b.add_net(&[29, 30]).unwrap();
+        let nl = b.build();
+        let mut fm_total = 0u64;
+        let mut cfm_total = 0u64;
+        for seed in 0..5 {
+            fm_total += NetlistFm::new()
+                .bisect(&nl, &mut StdRng::seed_from_u64(seed))
+                .cut();
+            cfm_total += NetlistPipeline::compacted_fm()
+                .bisect(&nl, &mut StdRng::seed_from_u64(seed))
+                .cut();
+        }
+        assert!(
+            cfm_total <= fm_total + 2,
+            "compacted FM ({cfm_total}) should be competitive with FM ({fm_total})"
+        );
     }
 
     #[test]
@@ -453,7 +497,9 @@ mod tests {
 
     #[test]
     fn tiny_netlists_across_depths() {
-        for n in 0..4usize {
+        // Netless cells, including the compaction fallback on 8 cells
+        // the matcher cannot pair.
+        for n in [0usize, 1, 2, 3, 8] {
             let nl = NetlistBuilder::new(n).build();
             for p in [
                 NetlistPipeline::flat_fm(),
@@ -463,6 +509,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(1);
                 let b = p.bisect(&nl, &mut rng);
                 assert_eq!(b.cut(), 0, "{} on {n} cells", p.name());
+                assert!(b.is_balanced(&nl), "{} on {n} cells", p.name());
             }
         }
     }

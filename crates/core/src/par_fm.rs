@@ -699,7 +699,7 @@ mod tests {
             let mut ws_a = Workspace::new();
             let (plain, _) = pfm.refine_counted(&g, init.clone(), &mut rng, &mut ws_a);
             let mut ws_b = Workspace::new();
-            ws_b.prepare_gain_cache(&g, &init);
+            ws_b.gain_cache.init(&g, &init);
             let (projected, _) = pfm.refine_projected_counted(&g, init, &mut rng, &mut ws_b);
             assert_eq!(plain, projected, "seed {seed}");
         }

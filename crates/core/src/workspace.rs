@@ -92,16 +92,6 @@ impl Workspace {
         self.proposals = self.proposals.saturating_add(n);
     }
 
-    /// (Re)initializes the workspace gain cache for `(g, p)` in
-    /// O(V + E). Drivers that manage a refinement ladder by hand (the
-    /// `huge` experiment) call this once at the coarsest level, then
-    /// keep the cache current with [`Workspace::project_gain_cache`]
-    /// and the refiners' projected-cache entry points instead of
-    /// rebuilding per level.
-    pub fn prepare_gain_cache(&mut self, g: &Graph, p: &Bisection) {
-        self.gain_cache.init(g, p);
-    }
-
     /// Projects the workspace gain cache through one uncoarsening step;
     /// see [`GainCache::project`] for the contract.
     pub fn project_gain_cache(&mut self, g: &Graph, p: &Bisection, fine_to_coarse: &[VertexId]) {
@@ -109,9 +99,8 @@ impl Workspace {
     }
 
     /// Read access to the workspace gain cache, valid after
-    /// [`Workspace::prepare_gain_cache`] /
-    /// [`Workspace::project_gain_cache`] or a refiner's projected-cache
-    /// run (which leave it exact for the partition they returned).
+    /// [`Workspace::project_gain_cache`] or a projected-cache refiner
+    /// run (which leaves it exact for the partition it returned).
     pub fn gain_cache(&self) -> &GainCache {
         &self.gain_cache
     }
@@ -121,21 +110,6 @@ impl Workspace {
     /// `rebalance_with_cache`) and must keep the cache exact.
     pub fn gain_cache_mut(&mut self) -> &mut GainCache {
         &mut self.gain_cache
-    }
-
-    /// (Re)initializes the workspace *netlist* gain cache for
-    /// `(nl, p)` in O(cells + pins) — the hypergraph analogue of
-    /// [`Workspace::prepare_gain_cache`], used by drivers that manage a
-    /// netlist refinement ladder by hand (the `huge-netlist`
-    /// experiment): call once at the coarsest level, then keep the
-    /// cache current with [`Workspace::project_netlist_cache`] and the
-    /// refiners' projected-cache entry points.
-    pub fn prepare_netlist_cache(
-        &mut self,
-        nl: &bisect_graph::hypergraph::Netlist,
-        p: &NetlistBisection,
-    ) {
-        self.netlist_cache.init(nl, p);
     }
 
     /// Projects the workspace netlist gain cache through one
@@ -151,10 +125,8 @@ impl Workspace {
     }
 
     /// Read access to the workspace netlist gain cache, valid after
-    /// [`Workspace::prepare_netlist_cache`] /
-    /// [`Workspace::project_netlist_cache`] or a netlist refiner's
-    /// projected-cache run (which leave it exact for the bisection they
-    /// returned).
+    /// [`Workspace::project_netlist_cache`] or a netlist refiner run
+    /// (which leaves it exact for the bisection it returned).
     pub fn netlist_cache(&self) -> &NetlistGainCache {
         &self.netlist_cache
     }

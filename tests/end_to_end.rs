@@ -204,13 +204,13 @@ fn degree2_solver_is_lower_bound_for_heuristics() {
 
 #[test]
 fn hgr_file_to_netlist_bisection_pipeline() {
-    use bisect_core::netlist::{CompactedNetlistFm, NetlistBisection};
+    use bisect_core::netlist::{NetlistBisection, NetlistPipeline};
     // A netlist in hMETIS format: two 3-cell clusters and a bridge net.
     let hgr = "5 6\n1 2 3\n1 2\n4 5 6\n5 6\n3 4\n";
     let nl = bisect_graph::io::read_hgr(hgr.as_bytes()).unwrap();
     assert_eq!(nl.num_cells(), 6);
     let mut rng = LaggedFibonacci::seed_from_u64(2);
-    let p = CompactedNetlistFm::new().bisect(&nl, &mut rng);
+    let p = NetlistPipeline::compacted_fm().bisect(&nl, &mut rng);
     assert_eq!(p.cut(), 1);
     // Round-trip and bisect again: identical netlist, identical result.
     let mut buf = Vec::new();
