@@ -146,29 +146,6 @@ pub fn contract_matching(g: &Graph, m: &Matching) -> Contraction {
     }
 }
 
-/// Repeatedly contracts random maximal matchings until the graph has at
-/// most `target_vertices` vertices or a matching makes no progress.
-/// Returns the ladder of contractions, finest first. Used by the
-/// multilevel extension.
-pub fn coarsen_to<R: rand::Rng + ?Sized>(
-    g: &Graph,
-    target_vertices: usize,
-    rng: &mut R,
-) -> Vec<Contraction> {
-    let mut ladder = Vec::new();
-    let mut current = g.clone();
-    while current.num_vertices() > target_vertices {
-        let m = crate::matching::random_maximal(&current, rng);
-        if m.is_empty() {
-            break;
-        }
-        let c = contract_matching(&current, &m);
-        current = c.coarse().clone();
-        ladder.push(c);
-    }
-    ladder
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,32 +256,6 @@ mod tests {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
         let c = contract_matching(&g, &Matching::empty(2));
         let _ = c.project_sides(&[true]);
-    }
-
-    #[test]
-    fn coarsen_to_reduces_size() {
-        let n = 64;
-        let edges: Vec<_> = (0..n - 1)
-            .map(|i| (i as VertexId, (i + 1) as VertexId))
-            .collect();
-        let g = Graph::from_edges(n, &edges).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let ladder = coarsen_to(&g, 10, &mut rng);
-        assert!(!ladder.is_empty());
-        let last = ladder.last().unwrap().coarse();
-        assert!(last.num_vertices() <= g.num_vertices() / 2 + 1);
-        // Total vertex weight is invariant through the whole ladder.
-        for c in &ladder {
-            assert_eq!(c.coarse().total_vertex_weight(), n as u64);
-        }
-    }
-
-    #[test]
-    fn coarsen_stops_on_edgeless_graph() {
-        let g = Graph::empty(8);
-        let mut rng = StdRng::seed_from_u64(5);
-        let ladder = coarsen_to(&g, 2, &mut rng);
-        assert!(ladder.is_empty());
     }
 
     #[test]

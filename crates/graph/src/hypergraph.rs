@@ -620,29 +620,6 @@ pub fn random_cell_matching_with_skip<R: rand::Rng + ?Sized>(
     pairs
 }
 
-/// Repeatedly contracts random cell matchings until the netlist has at
-/// most `target_cells` cells or a matching makes no progress. Returns
-/// the ladder of contractions, finest first — the netlist analogue of
-/// [`crate::contraction::coarsen_to`].
-pub fn coarsen_to<R: rand::Rng + ?Sized>(
-    nl: &Netlist,
-    target_cells: usize,
-    rng: &mut R,
-) -> Vec<NetlistContraction> {
-    let mut ladder = Vec::new();
-    let mut current = nl.clone();
-    while current.num_cells() > target_cells {
-        let pairs = random_cell_matching(&current, rng);
-        if pairs.is_empty() {
-            break;
-        }
-        let c = contract_cells(&current, &pairs);
-        current = c.coarse().clone();
-        ladder.push(c);
-    }
-    ladder
-}
-
 /// Incremental construction of a [`Netlist`].
 #[derive(Debug, Clone)]
 pub struct NetlistBuilder {
@@ -1433,13 +1410,16 @@ mod tests {
         let nl = wide_netlist();
         let run = || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-            let ladder = coarsen_to(&nl, 8, &mut rng);
-            let mut fine_cells = nl.num_cells();
+            let mut current = nl.clone();
             let mut levels = Vec::new();
-            for c in ladder {
-                let map: Vec<VertexId> = (0..fine_cells as VertexId).map(|v| c.map(v)).collect();
-                fine_cells = c.coarse().num_cells();
-                levels.push((c.coarse().clone(), map));
+            while current.num_cells() > 8 {
+                let pairs = random_cell_matching(&current, &mut rng);
+                if pairs.is_empty() {
+                    break;
+                }
+                let c = contract_cells(&current, &pairs);
+                levels.push((c.coarse().clone(), c.fine_to_coarse().to_vec()));
+                current = c.coarse().clone();
             }
             levels
         };
