@@ -2,8 +2,8 @@
 //!
 //! * `matching/*` — random maximal vs heavy-edge vs edge-order matching
 //!   inside CKL.
-//! * `klpair/*` — sorted-pruning vs exhaustive pair selection in KL
-//!   (identical outputs, different asymptotics).
+//! * `klpair/*` — incremental (pruned bucket scan) vs exhaustive pair
+//!   selection in KL (identical outputs, different asymptotics).
 //! * `samove/*` — swap moves vs single-flip-with-penalty SA.
 //! * `multilevel/*` — one compaction level (the paper) vs a full
 //!   multilevel V-cycle.
@@ -58,7 +58,7 @@ fn bench_kl_pair_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("klpair");
     group.sample_size(10);
     for (name, selection) in [
-        ("sorted-pruning", PairSelection::SortedPruning),
+        ("incremental", PairSelection::Incremental),
         ("exhaustive", PairSelection::Exhaustive),
     ] {
         let algo = KernighanLin::new().with_pair_selection(selection);

@@ -139,11 +139,11 @@ impl GainBuckets {
 /// Ordered bucket array behind Kernighan-Lin's incremental pair
 /// selection: one bucket per gain value, each bucket kept sorted by
 /// vertex id. [`SortedBuckets::iter_desc`] therefore yields candidates
-/// in strictly descending `(gain, vertex)` order — the exact order the
-/// `BTreeSet`-based sorted-pruning scan visits them — so the
-/// incremental strategy makes bit-identical selections while
-/// insert/remove touch only one bucket (a binary search plus a small
-/// `memmove`) instead of rebuilding or rescanning anything.
+/// in strictly descending `(gain, vertex)` order — the tie-breaking
+/// order of the exhaustive Figure-2 scan — so the incremental strategy
+/// makes bit-identical selections while insert/remove touch only one
+/// bucket (a binary search plus a small `memmove`) instead of
+/// rebuilding or rescanning anything.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SortedBuckets {
     offset: i64,

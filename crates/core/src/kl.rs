@@ -15,9 +15,10 @@
 //! pass limit is hit). One pass never increases the cut, and side sizes
 //! are preserved exactly — swaps are balanced by construction.
 //!
-//! Pair selection is the expensive step. All three strategies make
+//! Pair selection is the expensive step. Both strategies make
 //! **identical selections** (ties broken the same way), so they produce
-//! identical cut trajectories; they differ only in cost:
+//! identical cut trajectories; they differ only in cost, which the
+//! `klpair` ablation bench compares:
 //!
 //! * [`PairSelection::Incremental`] (default) keeps per-side gain
 //!   *buckets* ([`SortedBuckets`]) in a reusable
@@ -25,13 +26,8 @@
 //!   with the exact `g_ab ≤ g_a + g_b` prune, and after locking a pair
 //!   updates only the buckets of the pair's *neighbors* — no per-swap
 //!   rescans and no steady-state allocation.
-//! * [`PairSelection::SortedPruning`] is the earlier
-//!   `BTreeSet<(gain, vertex)>` form of the same pruned scan, kept for
-//!   the `ablate-klpair` benchmark.
 //! * [`PairSelection::Exhaustive`] is the literal `O(|A|·|B|)` scan of
-//!   Figure 2, retained as the reference the others are tested against.
-
-use std::collections::BTreeSet;
+//!   Figure 2, retained as the reference the default is tested against.
 
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
@@ -50,8 +46,6 @@ pub enum PairSelection {
     /// allocation-free once the workspace is warm).
     #[default]
     Incremental,
-    /// The pruned descending scan over `BTreeSet` gain orders.
-    SortedPruning,
     /// Evaluate every unlocked pair, as written in Figure 2.
     Exhaustive,
 }
@@ -85,7 +79,7 @@ impl Default for KernighanLin {
 
 impl KernighanLin {
     /// KL with the default configuration: run passes to a fixpoint
-    /// (bounded by a generous safety cap) using sorted-pruning pair
+    /// (bounded by a generous safety cap) using incremental pair
     /// selection.
     pub fn new() -> KernighanLin {
         KernighanLin {
@@ -124,9 +118,7 @@ impl KernighanLin {
 
     /// As [`KernighanLin::pass`], drawing every scratch array from `ws`:
     /// once the workspace has warmed up to the graph's size, the pass
-    /// performs no heap allocations (with the default
-    /// [`PairSelection::Incremental`]; the two reference strategies
-    /// still build their own candidate structures).
+    /// performs no heap allocations.
     pub fn pass_in(&self, g: &Graph, p: &mut Bisection, ws: &mut Workspace) -> u64 {
         let n = g.num_vertices();
         let k_max = p.count(Side::A).min(p.count(Side::B));
@@ -142,30 +134,21 @@ impl KernighanLin {
         let gains = ws.gain_cache.gains_mut();
         ws.locked.clear();
         ws.locked.resize(n, false);
-        // Ordered candidate sets per side. Incremental uses the
-        // workspace buckets; SortedPruning its own BTreeSets.
-        let mut sets: [BTreeSet<(i64, VertexId)>; 2] = [BTreeSet::new(), BTreeSet::new()];
-        match self.pair_selection {
-            PairSelection::Incremental => {
-                let max_wdeg = g
-                    .vertices()
-                    .map(|v| g.weighted_degree(v))
-                    .max()
-                    .unwrap_or(0)
-                    .min(i64::MAX as u64) as i64;
-                for side in &mut ws.kl_sides {
-                    side.reset(max_wdeg);
-                }
-                for v in g.vertices() {
-                    ws.kl_sides[p.side(v).index()].insert(v, gains[v as usize]);
-                }
+        // Incremental selection keeps per-side candidate buckets in the
+        // workspace.
+        if self.pair_selection == PairSelection::Incremental {
+            let max_wdeg = g
+                .vertices()
+                .map(|v| g.weighted_degree(v))
+                .max()
+                .unwrap_or(0)
+                .min(i64::MAX as u64) as i64;
+            for side in &mut ws.kl_sides {
+                side.reset(max_wdeg);
             }
-            PairSelection::SortedPruning => {
-                for v in g.vertices() {
-                    sets[p.side(v).index()].insert((gains[v as usize], v));
-                }
+            for v in g.vertices() {
+                ws.kl_sides[p.side(v).index()].insert(v, gains[v as usize]);
             }
-            PairSelection::Exhaustive => {}
         }
 
         ws.sequence.clear();
@@ -179,7 +162,6 @@ impl KernighanLin {
         for _ in 0..k_max {
             let chosen = match self.pair_selection {
                 PairSelection::Incremental => best_pair_buckets(g, &ws.kl_sides, &mut evals),
-                PairSelection::SortedPruning => best_pair_sorted(g, &sets, &mut evals),
                 PairSelection::Exhaustive => {
                     best_pair_exhaustive(g, p, gains, &ws.locked, &mut evals)
                 }
@@ -189,14 +171,8 @@ impl KernighanLin {
             // Lock the pair.
             for v in [a, b] {
                 ws.locked[v as usize] = true;
-                match self.pair_selection {
-                    PairSelection::Incremental => {
-                        ws.kl_sides[p.side(v).index()].remove(v, gains[v as usize]);
-                    }
-                    PairSelection::SortedPruning => {
-                        sets[p.side(v).index()].remove(&(gains[v as usize], v));
-                    }
-                    PairSelection::Exhaustive => {}
+                if self.pair_selection == PairSelection::Incremental {
+                    ws.kl_sides[p.side(v).index()].remove(v, gains[v as usize]);
                 }
             }
             running += gain_ab;
@@ -225,12 +201,6 @@ impl KernighanLin {
                             side.remove(x, gains[x as usize]);
                             gains[x as usize] += delta;
                             side.insert(x, gains[x as usize]);
-                        }
-                        PairSelection::SortedPruning => {
-                            let set = &mut sets[p.side(x).index()];
-                            set.remove(&(gains[x as usize], x));
-                            gains[x as usize] += delta;
-                            set.insert((gains[x as usize], x));
                         }
                         PairSelection::Exhaustive => gains[x as usize] += delta,
                     }
@@ -264,9 +234,8 @@ impl KernighanLin {
 
 /// Exact best pair via descending `(g_a + g_b)` scan with pruning over
 /// the workspace-resident buckets. [`SortedBuckets::iter_desc`] visits
-/// candidates in the same descending `(gain, vertex)` order as the
-/// `BTreeSet` scan, so this selects bit-identically to
-/// [`best_pair_sorted`] (and hence to [`best_pair_exhaustive`]).
+/// candidates in descending `(gain, vertex)` order, so this selects
+/// bit-identically to [`best_pair_exhaustive`].
 fn best_pair_buckets(
     g: &Graph,
     sides: &[SortedBuckets; 2],
@@ -297,39 +266,8 @@ fn best_pair_buckets(
     best
 }
 
-/// Exact best pair via descending `(g_a + g_b)` scan with pruning.
-fn best_pair_sorted(
-    g: &Graph,
-    sets: &[BTreeSet<(i64, VertexId)>; 2],
-    evals: &mut u64,
-) -> Option<(i64, VertexId, VertexId)> {
-    let (set_a, set_b) = (&sets[0], &sets[1]);
-    let &(gb_max, _) = set_b.iter().next_back()?;
-    let mut best: Option<(i64, VertexId, VertexId)> = None;
-    for &(ga, a) in set_a.iter().rev() {
-        if let Some((bg, _, _)) = best {
-            if ga + gb_max <= bg {
-                break;
-            }
-        }
-        for &(gb, b) in set_b.iter().rev() {
-            if let Some((bg, _, _)) = best {
-                if ga + gb <= bg {
-                    break;
-                }
-            }
-            *evals += 1;
-            let actual = ga + gb - 2 * g.edge_weight(a, b).unwrap_or(0) as i64;
-            if best.is_none_or(|(bg, _, _)| actual > bg) {
-                best = Some((actual, a, b));
-            }
-        }
-    }
-    best
-}
-
 /// Literal Figure 2 pair selection: evaluate every unlocked pair. Ties
-/// are broken exactly as the sorted scan breaks them (largest
+/// are broken exactly as the pruned bucket scan breaks them (largest
 /// `(g_a, a)`, then largest `(g_b, b)`), so the two strategies make
 /// identical selections.
 fn best_pair_exhaustive(
@@ -498,7 +436,6 @@ mod tests {
     fn all_pair_selections_match() {
         let incremental = KernighanLin::new();
         assert_eq!(incremental.pair_selection, PairSelection::Incremental);
-        let sorted = KernighanLin::new().with_pair_selection(PairSelection::SortedPruning);
         let exhaustive = KernighanLin::new().with_pair_selection(PairSelection::Exhaustive);
         // One shared workspace across every pass exercises arena reuse
         // across graphs of different sizes.
@@ -508,18 +445,14 @@ mod tests {
             for seed in 0..5 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let init = seed::random_balanced(&g, &mut rng);
-                let mut a = init.clone();
                 let mut b = init.clone();
                 let mut c = init;
-                let ga = sorted.pass(&g, &mut a);
                 let gb = exhaustive.pass(&g, &mut b);
                 let gc = incremental.pass_in(&g, &mut c, &mut ws);
-                assert_eq!(ga, gb, "grid {rows}x{cols} seed {seed}");
-                assert_eq!(ga, gc, "grid {rows}x{cols} seed {seed}");
-                assert_eq!(a.cut(), b.cut());
+                assert_eq!(gb, gc, "grid {rows}x{cols} seed {seed}");
                 // The incremental strategy must make the *same
                 // selections*, not just reach an equal cut.
-                assert_eq!(a, c, "grid {rows}x{cols} seed {seed}");
+                assert_eq!(b, c, "grid {rows}x{cols} seed {seed}");
             }
         }
     }
@@ -528,17 +461,12 @@ mod tests {
     fn full_refinement_identical_across_strategies() {
         let g = special::ladder(32);
         let mut results = Vec::new();
-        for strategy in [
-            PairSelection::Incremental,
-            PairSelection::SortedPruning,
-            PairSelection::Exhaustive,
-        ] {
+        for strategy in [PairSelection::Incremental, PairSelection::Exhaustive] {
             let mut rng = StdRng::seed_from_u64(42);
             let kl = KernighanLin::new().with_pair_selection(strategy);
             results.push(kl.bisect(&g, &mut rng));
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
     }
 
     #[test]
@@ -659,11 +587,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let init = seed::random_balanced(&g, &mut rng);
         let mut counts = Vec::new();
-        for strategy in [
-            PairSelection::Incremental,
-            PairSelection::SortedPruning,
-            PairSelection::Exhaustive,
-        ] {
+        for strategy in [PairSelection::Incremental, PairSelection::Exhaustive] {
             let kl = KernighanLin::new().with_pair_selection(strategy);
             let mut ws = Workspace::new();
             let mut p = init.clone();
@@ -672,10 +596,9 @@ mod tests {
             assert!(evals > 0, "{strategy:?} evaluated no pairs");
             counts.push(evals);
         }
-        // The bucket and BTreeSet scans prune identically, and neither
-        // can evaluate more pairs than the exhaustive reference.
-        assert_eq!(counts[0], counts[1]);
-        assert!(counts[0] <= counts[2]);
+        // The pruned bucket scan never evaluates more pairs than the
+        // exhaustive reference.
+        assert!(counts[0] <= counts[1]);
         // A second pass from the refined state accumulates on top of
         // the drained counter.
         let kl = KernighanLin::new();
