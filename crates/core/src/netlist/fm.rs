@@ -15,7 +15,7 @@ use rand::RngCore;
 use crate::partition::Side;
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistRefiner};
+use super::{balance_tolerance, gain_term, NetlistBisection, NetlistRefiner};
 
 /// Fiduccia-Mattheyses on netlists.
 ///
@@ -314,12 +314,7 @@ impl NetlistFm {
 fn prepare(nl: &Netlist, p: &NetlistBisection, ws: &mut Workspace) -> (u64, u64) {
     let n = nl.num_cells();
     let max_weight = nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(1);
-    let unit = nl.cells().all(|c| nl.cell_weight(c) == 1);
-    let base_tol = if unit {
-        nl.total_cell_weight() % 2
-    } else {
-        max_weight
-    };
+    let base_tol = balance_tolerance(nl);
     // During the pass a single move may overshoot balance by one cell:
     // moving weight w changes the side *difference* by 2w, so the
     // classic FM criterion allows a difference up to twice the largest

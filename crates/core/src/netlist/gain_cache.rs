@@ -12,6 +12,9 @@
 //! an uncoarsening step without an O(cells + pins) rebuild for interior
 //! cells, mirroring the graph-side projection contract.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use bisect_graph::hypergraph::Netlist;
 use bisect_graph::VertexId;
 
@@ -35,6 +38,9 @@ pub struct NetlistGainCache {
     /// Scratch for [`NetlistGainCache::project`]: which *coarse* cells
     /// were boundary before the projection.
     coarse_boundary: Vec<bool>,
+    /// Scratch for [`super::rebalance_with_cache`]: its lazy max-heap
+    /// of `(gain, Reverse(cell))` candidates.
+    pub(super) rebalance_heap: BinaryHeap<(i64, Reverse<VertexId>)>,
 }
 
 impl NetlistGainCache {

@@ -12,12 +12,13 @@
 //! with [`super::NetlistFm`] — guarantees every round ends balanced
 //! with a cut no larger than it started.
 //!
-//! Workers never touch the live bisection: each keeps a private
-//! overlay of per-net pin counts for its own virtual moves, so gain
-//! deltas use the same [`super::gain_term`] algebra as the serial pass
-//! while reading everything else from the frozen snapshot. Starting
-//! gains come straight from the exact cache — a round costs
-//! `O(boundary · pins)` rather than `O(cells + pins)`.
+//! Workers never touch the live bisection: each keeps a private,
+//! epoch-stamped overlay of per-net pin counts for its own virtual
+//! moves in a [`Workspace`] arena slot, so gain deltas use the same
+//! [`super::gain_term`] algebra as the serial pass while reading
+//! everything else from the frozen snapshot. Starting gains come
+//! straight from the exact cache — a round costs `O(boundary · pins)`
+//! rather than `O(cells + pins)`, and allocates nothing once warm.
 //!
 //! # Determinism contract
 //!
@@ -31,7 +32,7 @@
 //! golden-pinned serial netlist paths are unaffected.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use bisect_graph::hypergraph::{NetId, Netlist};
 use bisect_graph::VertexId;
@@ -40,7 +41,7 @@ use rand::RngCore;
 use crate::partition::Side;
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner};
+use super::{balance_tolerance, gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner};
 
 /// Boundary-chunked parallel Fiduccia–Mattheyses on netlists.
 ///
@@ -104,15 +105,17 @@ impl ParallelNetlistFm {
     }
 
     /// One propose/resolve round. `cache` must be exact for `(nl, p)`
-    /// on entry and is exact for the updated `p` on exit. Returns
-    /// `(cut improvement, gain evaluations)`; an improvement of zero
-    /// means the round applied nothing and the refiner is done.
+    /// on entry and is exact for the updated `p` on exit; every buffer
+    /// comes from `scratch`. Returns `(cut improvement, gain
+    /// evaluations)`; an improvement of zero means the round applied
+    /// nothing and the refiner is done.
     fn round_boundary(
-        &self,
         nl: &Netlist,
         fixed: &[bool],
         p: &mut NetlistBisection,
         cache: &mut NetlistGainCache,
+        scratch: &mut ParallelNetlistScratch,
+        tol: Tolerance,
         threads: usize,
     ) -> (u64, u64) {
         // Chunk the boundary list by *position* — no copy, no sort,
@@ -127,43 +130,53 @@ impl ParallelNetlistFm {
         let t = threads.max(1).min(m);
         let chunk = m.div_ceil(t);
         let ranges = m.div_ceil(chunk);
+        if scratch.chunks.len() < ranges {
+            scratch.chunks.resize_with(ranges, ChunkScratch::default);
+        }
 
         let frozen: &NetlistBisection = p;
         let shared: &NetlistGainCache = cache;
-        let results = bisect_par::par_map_with(t, ranges, |k| {
+        bisect_par::par_for_each_mut(t, &mut scratch.chunks[..ranges], |k, worker| {
             let lo = k * chunk;
             let hi = ((k + 1) * chunk).min(m);
-            propose_chunk(nl, frozen, shared, fixed, lo, hi)
+            worker.propose(nl, frozen, shared, fixed, lo, hi);
         });
 
         let mut evals: u64 = 0;
-        let mut all: Vec<(i64, VertexId)> = Vec::new();
-        for (proposals, e) in results {
-            evals += e;
-            all.extend(proposals);
+        scratch.all.clear();
+        for worker in &scratch.chunks[..ranges] {
+            evals += worker.evals;
+            scratch.all.extend_from_slice(&worker.proposals);
         }
         // Total merge order: best estimated gain first, cell id as the
         // deterministic tie-break.
-        all.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        scratch
+            .all
+            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let (improvement, resolved) =
+            ParallelNetlistFm::resolve(nl, p, cache, &scratch.all, &mut scratch.applied, tol);
+        (improvement, evals + resolved)
+    }
 
-        // Serial resolve: same tolerances as the serial netlist FM
-        // pass; the live re-validation is a cached O(1) lookup, and
-        // every applied (or rolled-back) move is recorded so the cache
-        // stays exact round to round.
-        let max_weight = nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(1);
-        let unit = nl.cells().all(|c| nl.cell_weight(c) == 1);
-        let base_tol = if unit {
-            nl.total_cell_weight() % 2
-        } else {
-            max_weight
-        };
-        let pass_tol = base_tol.max(2 * max_weight);
-
+    /// Serial resolve of the merged proposals: same tolerances as the
+    /// serial netlist FM pass; the live re-validation is a cached O(1)
+    /// lookup, and every applied (or rolled-back) move is recorded so
+    /// the cache stays exact round to round. Returns `(cut improvement,
+    /// gain evaluations)`.
+    fn resolve(
+        nl: &Netlist,
+        p: &mut NetlistBisection,
+        cache: &mut NetlistGainCache,
+        proposals: &[(i64, VertexId)],
+        applied: &mut Vec<VertexId>,
+        tol: Tolerance,
+    ) -> (u64, u64) {
         let start_cut = p.cut();
         let mut best_cut = start_cut;
         let mut best_prefix = 0usize;
-        let mut applied: Vec<VertexId> = Vec::new();
-        for &(_, c) in &all {
+        let mut evals: u64 = 0;
+        applied.clear();
+        for &(_, c) in proposals {
             let live = cache.gain(c);
             evals += 1;
             if live <= 0 {
@@ -176,13 +189,13 @@ impl ParallelNetlistFm {
             } else {
                 imb + 2 * w
             };
-            if new_imb.unsigned_abs() > pass_tol {
+            if new_imb.unsigned_abs() > tol.pass {
                 continue;
             }
             cache.record_move(nl, p, c);
             p.move_cell(nl, c);
             applied.push(c);
-            if p.weight_imbalance() <= base_tol && p.cut() < best_cut {
+            if p.weight_imbalance() <= tol.base && p.cut() < best_cut {
                 best_prefix = applied.len();
                 best_cut = p.cut();
             }
@@ -208,10 +221,23 @@ impl ParallelNetlistFm {
         ws: &mut Workspace,
         threads: usize,
     ) -> u64 {
+        let max_weight = nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(1);
+        let base = balance_tolerance(nl);
+        let tol = Tolerance {
+            base,
+            pass: base.max(2 * max_weight),
+        };
         let mut productive = 0u64;
         for _ in 0..self.max_rounds {
-            let (improvement, evals) =
-                self.round_boundary(nl, fixed, init, &mut ws.netlist_cache, threads);
+            let (improvement, evals) = ParallelNetlistFm::round_boundary(
+                nl,
+                fixed,
+                init,
+                &mut ws.netlist_cache,
+                &mut ws.pnfm,
+                tol,
+                threads,
+            );
             ws.add_proposals(evals);
             if improvement == 0 {
                 break;
@@ -222,100 +248,195 @@ impl ParallelNetlistFm {
     }
 }
 
-/// Greedy positive-gain sweep over the boundary-list positions
-/// `lo..hi` against the frozen bisection, with starting gains served
-/// straight from the exact cache. The worker's own virtual moves are
-/// tracked in a private per-net pin-count overlay (`BTreeMap`, so
-/// nothing depends on hasher state); in-chunk net-mate gains are
-/// maintained with the same [`gain_term`] delta algebra as the serial
-/// pass, while out-of-chunk pins stay frozen at their snapshot sides.
-/// Every cell moves at most once. Returns the moves in the order they
-/// were made, each with its local gain estimate, plus the number of
-/// gain evaluations performed.
-fn propose_chunk(
-    nl: &Netlist,
-    frozen: &NetlistBisection,
-    cache: &NetlistGainCache,
-    fixed: &[bool],
-    lo: usize,
-    hi: usize,
-) -> (Vec<(i64, VertexId)>, u64) {
-    let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
-    let cells = &cache.boundary()[lo..hi];
-    let len = cells.len();
-    let mut gains: Vec<i64> = Vec::with_capacity(len);
-    let mut locked = vec![false; len];
-    let mut heap: BinaryHeap<(i64, Reverse<VertexId>)> = BinaryHeap::new();
-    for (i, &c) in cells.iter().enumerate() {
-        let gain = cache.gain(c);
-        gains.push(gain);
-        if is_fixed(c) {
-            // Fixed cells never move and never receive delta updates.
-            locked[i] = true;
-        } else if gain > 0 {
-            heap.push((gain, Reverse(c)));
+/// Balance tolerances of one refine call: a resolved move may leave
+/// the sides `pass` apart, a best prefix must end within `base`.
+#[derive(Debug, Clone, Copy)]
+struct Tolerance {
+    base: u64,
+    pass: u64,
+}
+
+/// [`ParallelNetlistFm`]'s workspace arena: one [`ChunkScratch`] per
+/// worker plus the serial merge buffers, all reused round to round and
+/// call to call, so a warmed-up round allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ParallelNetlistScratch {
+    /// Per-chunk worker scratch; slot `k` serves chunk `k`.
+    chunks: Vec<ChunkScratch>,
+    /// Every chunk's proposals, merged into resolve order.
+    all: Vec<(i64, VertexId)>,
+    /// The moves the resolve applied, for the best-prefix rollback.
+    applied: Vec<VertexId>,
+}
+
+#[cfg(test)]
+impl ParallelNetlistScratch {
+    /// Sets every worker's overlay epoch, so a test can force the
+    /// wrap-around (and its stamp reset) within a few rounds.
+    pub(crate) fn force_epoch(&mut self, epoch: u32) {
+        for worker in &mut self.chunks {
+            worker.overlay.epoch = epoch;
         }
     }
-    let mut evals = len as u64;
-    // Virtual pin counts of nets the worker's own moves touched;
-    // everything else reads the frozen bisection.
-    let mut overlay: BTreeMap<NetId, [u32; 2]> = BTreeMap::new();
-    let mut proposals: Vec<(i64, VertexId)> = Vec::new();
-    while let Some((gain, Reverse(c))) = heap.pop() {
-        let i = match cache.boundary_index(c) {
-            Some(b) if b >= lo && b < hi => b - lo,
-            _ => {
-                debug_assert!(false, "heap entries always come from the chunk");
-                continue;
-            }
-        };
-        // Lazy deletion: stale entries (locked, or superseded by a
-        // fresher gain) are skipped.
-        if locked[i] || gains[i] != gain {
-            continue;
+}
+
+/// A worker's private per-net pin counts for its own virtual moves: a
+/// dense array read only where `stamp[net] == epoch`, everything else
+/// falling through to the frozen bisection. Starting a chunk bumps the
+/// epoch, invalidating every entry in O(1); the stamps are cleared only
+/// when the epoch wraps.
+#[derive(Debug, Default)]
+struct NetOverlay {
+    counts: Vec<[u32; 2]>,
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl NetOverlay {
+    /// Empties the overlay for a netlist with `nets` nets.
+    fn begin(&mut self, nets: usize) {
+        if self.stamp.len() < nets {
+            self.stamp.resize(nets, 0);
+            self.counts.resize(nets, [0; 2]);
         }
-        locked[i] = true;
-        proposals.push((gain, c));
-        // Unmoved cells sit on their snapshot sides (each cell moves at
-        // most once and locks), so the pre-move pin counts of every net
-        // of `c` are the frozen counts plus this worker's overlay.
-        let s = frozen.side(c).index();
-        for &net in nl.nets_of(c) {
-            let mut counts = *overlay.get(&net).unwrap_or(&frozen.pins_on(net));
-            let (my, other) = (counts[s], counts[1 - s]);
-            let w = nl.net_weight(net) as i64;
-            counts[s] -= 1;
-            counts[1 - s] += 1;
-            overlay.insert(net, counts);
-            let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
-            let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
-            if ds == 0 && dt == 0 {
-                continue;
-            }
-            for &q in nl.pins(net) {
-                if q == c {
-                    continue;
-                }
-                let j = match cache.boundary_index(q) {
-                    Some(b) if b >= lo && b < hi => b - lo,
-                    _ => continue,
-                };
-                if locked[j] {
-                    continue;
-                }
-                let delta = if frozen.side(q).index() == s { ds } else { dt };
-                if delta == 0 {
-                    continue;
-                }
-                gains[j] += delta;
-                evals += 1;
-                if gains[j] > 0 {
-                    heap.push((gains[j], Reverse(q)));
-                }
-            }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
         }
     }
-    (proposals, evals)
+
+    /// The virtual pin counts of `net`.
+    #[inline]
+    fn get(&self, net: NetId, frozen: &NetlistBisection) -> [u32; 2] {
+        let n = net as usize;
+        if self.stamp[n] == self.epoch {
+            self.counts[n]
+        } else {
+            frozen.pins_on(net)
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, net: NetId, counts: [u32; 2]) {
+        let n = net as usize;
+        self.counts[n] = counts;
+        self.stamp[n] = self.epoch;
+    }
+}
+
+/// One propose worker's scratch, reused chunk to chunk.
+#[derive(Debug, Default)]
+struct ChunkScratch {
+    overlay: NetOverlay,
+    /// Local gain estimate per chunk position.
+    gains: Vec<i64>,
+    /// Whether the chunk position is fixed or already moved.
+    locked: Vec<bool>,
+    heap: BinaryHeap<(i64, Reverse<VertexId>)>,
+    /// The chunk's moves in the order they were made, each with its
+    /// local gain estimate.
+    proposals: Vec<(i64, VertexId)>,
+    /// Gain evaluations of the last [`ChunkScratch::propose`].
+    evals: u64,
+}
+
+impl ChunkScratch {
+    /// Greedy positive-gain sweep over the boundary-list positions
+    /// `lo..hi` against the frozen bisection, with starting gains
+    /// served straight from the exact cache. The worker's own virtual
+    /// moves are tracked in its epoch-stamped [`NetOverlay`]; in-chunk
+    /// net-mate gains are maintained with the same [`gain_term`] delta
+    /// algebra as the serial pass, while out-of-chunk pins stay frozen
+    /// at their snapshot sides. Every cell moves at most once. Leaves
+    /// the moves in `proposals` and the gain evaluations performed in
+    /// `evals`.
+    fn propose(
+        &mut self,
+        nl: &Netlist,
+        frozen: &NetlistBisection,
+        cache: &NetlistGainCache,
+        fixed: &[bool],
+        lo: usize,
+        hi: usize,
+    ) {
+        let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
+        let cells = &cache.boundary()[lo..hi];
+        let len = cells.len();
+        self.overlay.begin(nl.num_nets());
+        self.gains.clear();
+        self.locked.clear();
+        self.locked.resize(len, false);
+        self.heap.clear();
+        self.proposals.clear();
+        for (i, &c) in cells.iter().enumerate() {
+            let gain = cache.gain(c);
+            self.gains.push(gain);
+            if is_fixed(c) {
+                // Fixed cells never move and never receive delta updates.
+                self.locked[i] = true;
+            } else if gain > 0 {
+                self.heap.push((gain, Reverse(c)));
+            }
+        }
+        let mut evals = len as u64;
+        while let Some((gain, Reverse(c))) = self.heap.pop() {
+            let i = match cache.boundary_index(c) {
+                Some(b) if b >= lo && b < hi => b - lo,
+                _ => {
+                    debug_assert!(false, "heap entries always come from the chunk");
+                    continue;
+                }
+            };
+            // Lazy deletion: stale entries (locked, or superseded by a
+            // fresher gain) are skipped.
+            if self.locked[i] || self.gains[i] != gain {
+                continue;
+            }
+            self.locked[i] = true;
+            self.proposals.push((gain, c));
+            // Unmoved cells sit on their snapshot sides (each cell moves
+            // at most once and locks), so the pre-move pin counts of
+            // every net of `c` are the frozen counts plus this worker's
+            // overlay.
+            let s = frozen.side(c).index();
+            for &net in nl.nets_of(c) {
+                let mut counts = self.overlay.get(net, frozen);
+                let (my, other) = (counts[s], counts[1 - s]);
+                let w = nl.net_weight(net) as i64;
+                counts[s] -= 1;
+                counts[1 - s] += 1;
+                self.overlay.set(net, counts);
+                let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
+                let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
+                if ds == 0 && dt == 0 {
+                    continue;
+                }
+                for &q in nl.pins(net) {
+                    if q == c {
+                        continue;
+                    }
+                    let j = match cache.boundary_index(q) {
+                        Some(b) if b >= lo && b < hi => b - lo,
+                        _ => continue,
+                    };
+                    if self.locked[j] {
+                        continue;
+                    }
+                    let delta = if frozen.side(q).index() == s { ds } else { dt };
+                    if delta == 0 {
+                        continue;
+                    }
+                    self.gains[j] += delta;
+                    evals += 1;
+                    if self.gains[j] > 0 {
+                        self.heap.push((self.gains[j], Reverse(q)));
+                    }
+                }
+            }
+        }
+        self.evals = evals;
+    }
 }
 
 impl NetlistRefiner for ParallelNetlistFm {
@@ -452,6 +573,48 @@ mod tests {
             for c in nl.cells() {
                 assert_eq!(ws.netlist_cache().gain(c), p.gain(&nl, c), "seed {seed}");
             }
+        }
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_runs() {
+        let large = random_netlist(600, 900, 21);
+        let small = random_netlist(40, 60, 22);
+        for threads in [1usize, 2, 4] {
+            let pfm = ParallelNetlistFm::new().with_threads(threads);
+            let mut ws = Workspace::new();
+            for (step, nl) in [&large, &small, &large].into_iter().enumerate() {
+                let init =
+                    NetlistBisection::random_balanced(nl, &mut StdRng::seed_from_u64(step as u64));
+                let fresh = refine(&pfm, nl, init.clone());
+                let mut dummy = StdRng::seed_from_u64(0);
+                let reused = pfm.refine_counted(nl, &[], init, &mut dummy, &mut ws);
+                assert_eq!(reused, fresh, "threads {threads}, step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_keeps_results() {
+        let nl = random_netlist(300, 450, 23);
+        for threads in [1usize, 2, 4] {
+            let pfm = ParallelNetlistFm::new().with_threads(threads);
+            let mut dummy = StdRng::seed_from_u64(0);
+            let mut ws = Workspace::new();
+            // A warm-up refine leaves stamps carrying small epochs.
+            let warm = NetlistBisection::random_balanced(&nl, &mut StdRng::seed_from_u64(1));
+            let _ = pfm.refine_counted(&nl, &[], warm, &mut dummy, &mut ws);
+            ws.pnfm.force_epoch(u32::MAX - 1);
+            // The next chunk runs at epoch u32::MAX, the one after wraps
+            // to the small epochs the warm-up stamped.
+            let init = NetlistBisection::random_balanced(&nl, &mut StdRng::seed_from_u64(2));
+            let fresh = refine(&pfm, &nl, init.clone());
+            let wrapped = pfm.refine_counted(&nl, &[], init, &mut dummy, &mut ws);
+            assert!(
+                wrapped.1 >= 1,
+                "threads {threads}: needs a second round to wrap"
+            );
+            assert_eq!(wrapped, fresh, "threads {threads}");
         }
     }
 

@@ -23,7 +23,7 @@ use bisect_graph::{Graph, VertexId};
 
 use crate::gain::{GainBuckets, SortedBuckets};
 use crate::gain_cache::GainCache;
-use crate::netlist::{NetlistBisection, NetlistGainCache};
+use crate::netlist::{NetlistBisection, NetlistGainCache, ParallelNetlistScratch};
 use crate::partition::Bisection;
 
 /// Scratch arenas shared by the KL, FM, and SA hot paths. See the
@@ -58,6 +58,9 @@ pub struct Workspace {
     /// moves and projected through uncoarsening by the netlist
     /// pipeline, used as the per-pass gain arena by netlist FM.
     pub(crate) netlist_cache: NetlistGainCache,
+    /// [`crate::netlist::ParallelNetlistFm`]'s per-chunk worker
+    /// scratch and merge buffers.
+    pub(crate) pnfm: ParallelNetlistScratch,
     /// Netlist FM's virtually-moved working bisection.
     pub(crate) netlist_work: Option<NetlistBisection>,
     /// Per-side member lists for SA's unbalanced-swap fallback.

@@ -8,6 +8,10 @@
 //! (see `bisect_gen::rng::SeedSequence`), the returned vector is
 //! bit-identical at any thread count, including 1.
 //!
+//! [`par_for_each_mut`] is the in-place twin for callers that keep
+//! per-worker scratch between calls: index `k` gets `&mut` to slot `k`
+//! of a caller-owned slice, so nothing is allocated per item.
+//!
 //! The thread count comes from, in order of precedence:
 //!
 //! 1. a process-wide override set by [`set_thread_override`] (the
@@ -115,6 +119,50 @@ where
     indexed.into_iter().map(|(_, value)| value).collect()
 }
 
+/// Runs `f(k, &mut slots[k])` for every slot on up to `threads`
+/// threads — the fan-out for per-worker scratch arenas that outlive
+/// the call. Index `k` gets exclusive access to slot `k` only, so as
+/// long as `f(k, …)` depends only on `k`, that slot and shared
+/// immutable state, every slot ends bit-identical at any thread count.
+///
+/// With `threads <= 1` (or at most one slot) this is a plain loop;
+/// otherwise the slice is split into contiguous groups, one scoped
+/// thread each. A panic in any `f` is propagated to the caller after
+/// the remaining groups finish.
+pub fn par_for_each_mut<S, F>(threads: usize, slots: &mut [S], f: F)
+where
+    S: Send,
+    F: Fn(usize, &mut S) + Sync,
+{
+    let workers = threads.max(1).min(slots.len());
+    if workers <= 1 {
+        for (k, slot) in slots.iter_mut().enumerate() {
+            f(k, slot);
+        }
+        return;
+    }
+    let per = slots.len().div_ceil(workers);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = slots
+            .chunks_mut(per)
+            .enumerate()
+            .map(|(g, group)| {
+                scope.spawn(move || {
+                    for (j, slot) in group.iter_mut().enumerate() {
+                        f(g * per + j, slot);
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,6 +221,33 @@ mod tests {
                 panic!("boom");
             }
             i
+        });
+    }
+
+    #[test]
+    fn for_each_mut_hands_each_index_its_own_slot() {
+        let serial = {
+            let mut slots = vec![0usize; 37];
+            par_for_each_mut(1, &mut slots, |k, s| *s += k * k + 1);
+            slots
+        };
+        assert_eq!(serial, (0..37).map(|k| k * k + 1).collect::<Vec<_>>());
+        for threads in [2, 3, 4, 8, 64] {
+            let mut slots = vec![0usize; 37];
+            par_for_each_mut(threads, &mut slots, |k, s| *s += k * k + 1);
+            assert_eq!(slots, serial, "threads {threads}");
+        }
+        par_for_each_mut(4, &mut [] as &mut [usize], |_, _| unreachable!());
+    }
+
+    #[test]
+    #[should_panic(expected = "slot boom")]
+    fn for_each_mut_worker_panic_propagates() {
+        let mut slots = vec![0u8; 16];
+        par_for_each_mut(4, &mut slots, |k, _| {
+            if k == 9 {
+                panic!("slot boom");
+            }
         });
     }
 
