@@ -2,8 +2,8 @@
 //! coarsening — the hypergraph counterpart of
 //! [`crate::pipeline::ParallelMatching`].
 //!
-//! Workers match cells within disjoint contiguous id ranges using the
-//! same hMETIS-style connectivity score as
+//! Workers match cells within disjoint contiguous id ranges through the
+//! same dense [`ConnectivityScorer`] as
 //! [`bisect_graph::hypergraph::random_cell_matching`] (`Σ
 //! w(net)/(|net|−1)` over shared nets, ties to the lowest cell id),
 //! then a serial sweep matches the leftover cells across range
@@ -13,12 +13,10 @@
 //! deterministic at a fixed thread count but not across thread counts
 //! (range boundaries move which partners a worker can see). It is
 //! intended for the huge-profile netlist pipeline, not the
-//! golden-pinned paper experiments — the serial
-//! `random_cell_matching` paths are untouched.
+//! golden-pinned paper experiments, which match through the serial
+//! `random_cell_matching`.
 
-use std::collections::BTreeMap;
-
-use bisect_graph::hypergraph::Netlist;
+use bisect_graph::hypergraph::{ConnectivityScorer, Netlist};
 use bisect_graph::VertexId;
 
 /// Parallel maximal cell matching over contiguous cell ranges.
@@ -73,45 +71,14 @@ impl ParallelCellMatching {
     }
 }
 
-/// The best unmatched partner of `c` by connectivity score, restricted
-/// to cells passing `admit`. `score` is caller-owned scratch (cleared
-/// here) so the per-cell walk allocates nothing in steady state; a
-/// `BTreeMap` keeps the f64 accumulation and tie-break order
-/// independent of hasher state, exactly as the serial matcher does.
-fn best_partner(
-    nl: &Netlist,
-    c: VertexId,
-    admit: &dyn Fn(VertexId) -> bool,
-    score: &mut BTreeMap<VertexId, f64>,
-) -> Option<VertexId> {
-    score.clear();
-    for &net in nl.nets_of(c) {
-        let pins = nl.pins(net);
-        if pins.len() < 2 {
-            continue;
-        }
-        let contribution = nl.net_weight(net) as f64 / (pins.len() - 1) as f64;
-        for &p in pins {
-            if p != c && admit(p) {
-                *score.entry(p).or_insert(0.0) += contribution;
-            }
-        }
-    }
-    score
-        .iter()
-        .max_by(|a, b| {
-            a.1.partial_cmp(b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.0.cmp(a.0))
-        })
-        .map(|(&partner, _)| partner)
-}
-
 /// The matching behind [`ParallelCellMatching`]: parallel in-range
 /// greedy phase (ascending cell order, both endpoints inside one range
 /// so disjoint ranges cannot conflict), then a serial ascending-order
 /// cleanup for cells whose only partners cross a range boundary.
-/// Maximal by construction.
+/// Maximal by construction. With a single range the cleanup is skipped:
+/// the in-range pass already saw every partner, so every cell it left
+/// unmatched has no unmatched neighbour and the cleanup would match
+/// nothing.
 fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)> {
     let n = nl.num_cells();
     if n == 0 {
@@ -120,25 +87,20 @@ fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)
     let t = threads.max(1).min(n);
     let chunk = n.div_ceil(t);
     let ranges = n.div_ceil(chunk);
-    let local: Vec<Vec<(VertexId, VertexId)>> = bisect_par::par_map_with(t, ranges, |k| {
+    let mut local: Vec<Vec<(VertexId, VertexId)>> = bisect_par::par_map_with(t, ranges, |k| {
         let lo = k * chunk;
         let hi = ((k + 1) * chunk).min(n);
         let mut matched = vec![false; hi - lo];
         let mut pairs = Vec::new();
-        let mut score = BTreeMap::new();
+        let mut scorer = ConnectivityScorer::new(n);
         for c in lo..hi {
             if matched[c - lo] {
                 continue;
             }
-            let mate = best_partner(
-                nl,
-                c as VertexId,
-                &|p| {
-                    let pi = p as usize;
-                    pi >= lo && pi < hi && !matched[pi - lo]
-                },
-                &mut score,
-            );
+            let mate = scorer.best_partner(nl, c as VertexId, |p| {
+                let pi = p as usize;
+                pi >= lo && pi < hi && !matched[pi - lo]
+            });
             if let Some(p) = mate {
                 matched[c - lo] = true;
                 matched[p as usize - lo] = true;
@@ -147,6 +109,9 @@ fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)
         }
         pairs
     });
+    if ranges == 1 {
+        return local.pop().unwrap_or_default();
+    }
     let mut taken = vec![false; n];
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
     for local_pairs in &local {
@@ -156,13 +121,12 @@ fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)
         }
         pairs.extend_from_slice(local_pairs);
     }
-    let mut score = BTreeMap::new();
+    let mut scorer = ConnectivityScorer::new(n);
     for c in 0..n {
         if taken[c] {
             continue;
         }
-        let mate = best_partner(nl, c as VertexId, &|p| !taken[p as usize], &mut score);
-        if let Some(p) = mate {
+        if let Some(p) = scorer.best_partner(nl, c as VertexId, |p| !taken[p as usize]) {
             taken[c] = true;
             taken[p as usize] = true;
             pairs.push((c as VertexId, p));
@@ -175,7 +139,9 @@ fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)
 mod tests {
     use super::super::testutil::two_clusters;
     use super::*;
-    use bisect_graph::hypergraph::{contract_cells, NetlistBuilder};
+    use bisect_graph::hypergraph::{
+        contract_cells, contract_cells_into, NetlistBuilder, NetlistContractionScratch,
+    };
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -270,6 +236,140 @@ mod tests {
         let nl = b.build();
         let pairs = ParallelCellMatching::new().with_threads(2).matching(&nl);
         assert_eq!(pairs, vec![(2, 3)]);
+    }
+
+    /// The `BTreeMap` scorer the dense [`ConnectivityScorer`] replaced.
+    fn reference_best_partner(
+        nl: &Netlist,
+        c: VertexId,
+        admit: &dyn Fn(VertexId) -> bool,
+    ) -> Option<VertexId> {
+        let mut score: std::collections::BTreeMap<VertexId, f64> =
+            std::collections::BTreeMap::new();
+        for &net in nl.nets_of(c) {
+            let pins = nl.pins(net);
+            if pins.len() < 2 {
+                continue;
+            }
+            let contribution = nl.net_weight(net) as f64 / (pins.len() - 1) as f64;
+            for &p in pins {
+                if p != c && admit(p) {
+                    *score.entry(p).or_insert(0.0) += contribution;
+                }
+            }
+        }
+        score
+            .iter()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(a.0)))
+            .map(|(&partner, _)| partner)
+    }
+
+    /// The range protocol as it stood with the `BTreeMap` scorer, run
+    /// serially and always with the cross-range cleanup — the oracle
+    /// for [`range_cell_matching`].
+    fn reference_range_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)> {
+        let n = nl.num_cells();
+        if n == 0 {
+            return Vec::new();
+        }
+        let chunk = n.div_ceil(threads.min(n));
+        let mut taken = vec![false; n];
+        let mut pairs = Vec::new();
+        for lo in (0..n).step_by(chunk) {
+            let hi = (lo + chunk).min(n);
+            for c in lo..hi {
+                if taken[c] {
+                    continue;
+                }
+                let admit = |p: VertexId| (lo..hi).contains(&(p as usize)) && !taken[p as usize];
+                if let Some(p) = reference_best_partner(nl, c as VertexId, &admit) {
+                    taken[c] = true;
+                    taken[p as usize] = true;
+                    pairs.push((c as VertexId, p));
+                }
+            }
+        }
+        for c in 0..n {
+            if taken[c] {
+                continue;
+            }
+            if let Some(p) = reference_best_partner(nl, c as VertexId, &|p| !taken[p as usize]) {
+                taken[c] = true;
+                taken[p as usize] = true;
+                pairs.push((c as VertexId, p));
+            }
+        }
+        pairs
+    }
+
+    fn random_weighted_netlist(cells: usize, nets: usize, seed: u64) -> Netlist {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new(cells);
+        for c in 0..cells as VertexId {
+            b.set_cell_weight(c, rng.gen_range(1..4u64)).unwrap();
+        }
+        for _ in 0..nets {
+            let size = rng.gen_range(1..=6usize);
+            let pins: Vec<VertexId> = (0..size)
+                .map(|_| rng.gen_range(0..cells as VertexId))
+                .collect();
+            b.add_weighted_net(&pins, rng.gen_range(1..4u64)).unwrap();
+        }
+        b.build()
+    }
+
+    /// Coarsens `nl` to the end with `threads` workers, asserting every
+    /// level's pairs equal the oracle's; returns the level count.
+    fn assert_ladder_matches_oracle(nl: &Netlist, threads: usize) -> usize {
+        let matcher = ParallelCellMatching::new().with_threads(threads);
+        let mut scratch = NetlistContractionScratch::new();
+        let mut cur = nl.clone();
+        let mut levels = 0;
+        loop {
+            let pairs = matcher.matching(&cur);
+            assert_eq!(
+                pairs,
+                reference_range_matching(&cur, threads),
+                "threads {threads} level {levels}"
+            );
+            assert_maximal(&cur, &pairs);
+            if pairs.is_empty() {
+                return levels;
+            }
+            cur = contract_cells_into(&cur, &pairs, &mut scratch)
+                .coarse()
+                .clone();
+            levels += 1;
+        }
+    }
+
+    #[test]
+    fn dense_scorer_matches_btreemap_oracle_on_random_weighted_netlists() {
+        for seed in 0..8u64 {
+            let nl = random_weighted_netlist(90, 130, seed);
+            for threads in [1usize, 2, 4] {
+                assert!(assert_ladder_matches_oracle(&nl, threads) > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_scorer_matches_btreemap_oracle_on_tied_ladders() {
+        // Unit-weight 2-pin ladder: every first-level score ties, and
+        // coarse levels gain high degree and merged parallel nets.
+        let n: VertexId = 256;
+        let mut b = NetlistBuilder::new(n as usize);
+        for c in 0..n / 2 {
+            b.add_net(&[c, c + n / 2]).unwrap();
+            if c + 1 < n / 2 {
+                b.add_net(&[c, c + 1]).unwrap();
+                b.add_net(&[c + n / 2, c + 1 + n / 2]).unwrap();
+            }
+        }
+        let ladder = b.build();
+        for threads in [1usize, 2, 4] {
+            assert!(assert_ladder_matches_oracle(&ladder, threads) >= 6);
+        }
     }
 
     #[test]

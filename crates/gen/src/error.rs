@@ -33,6 +33,21 @@ impl fmt::Display for GenError {
 
 impl Error for GenError {}
 
+impl GenError {
+    /// Rejects an element count whose ids would overflow the 32-bit id
+    /// types (`VertexId` for vertices and cells, `NetId` for nets):
+    /// generators cast ids with `as`, which would silently truncate.
+    pub(crate) fn check_id_range(what: &str, count: usize) -> Result<(), GenError> {
+        if count > u32::MAX as usize {
+            return Err(GenError::InvalidParameter(format!(
+                "{what} = {count} exceeds the 32-bit id range (at most {})",
+                u32::MAX
+            )));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

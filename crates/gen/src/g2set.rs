@@ -36,14 +36,15 @@ impl G2setParams {
     /// # Errors
     ///
     /// [`GenError::InvalidParameter`] if `num_vertices` is odd or zero,
-    /// a probability leaves `[0, 1]`, or `bis > n²` (more cross edges
-    /// than distinct cross pairs).
+    /// exceeds `VertexId::MAX`, a probability leaves `[0, 1]`, or
+    /// `bis > n²` (more cross edges than distinct cross pairs).
     pub fn new(
         num_vertices: usize,
         p_a: f64,
         p_b: f64,
         bis: usize,
     ) -> Result<G2setParams, GenError> {
+        GenError::check_id_range("num_vertices", num_vertices)?;
         if num_vertices == 0 || !num_vertices.is_multiple_of(2) {
             return Err(GenError::InvalidParameter(format!(
                 "number of vertices must be positive and even, got {num_vertices}"
@@ -194,6 +195,20 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn rejects_vertex_counts_beyond_the_id_range() {
+        let too_many = VertexId::MAX as usize + 1;
+        assert!(matches!(
+            G2setParams::new(too_many, 0.0, 0.0, 8),
+            Err(GenError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            G2setParams::with_average_degree(too_many, 3.0, 8),
+            Err(GenError::InvalidParameter(_))
+        ));
+        assert!(G2setParams::new(VertexId::MAX as usize - 1, 0.0, 0.0, 8).is_ok());
+    }
 
     fn cross_cut(g: &Graph) -> usize {
         let sides = planted_sides(g.num_vertices());

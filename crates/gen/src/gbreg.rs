@@ -42,11 +42,12 @@ impl GbregParams {
     /// # Errors
     ///
     /// [`GenError::InvalidParameter`] unless all of:
-    /// `num_vertices` positive and even; `d < n` (so each side can be
-    /// simple); `b ≤ n·d` (enough stubs) and `b ≤ n²` (enough distinct
-    /// cross pairs); and `n·d − b` even (each side's residual degree sum
-    /// must be even).
+    /// `num_vertices` positive, even and at most `VertexId::MAX`; `d < n`
+    /// (so each side can be simple); `b ≤ n·d` (enough stubs) and
+    /// `b ≤ n²` (enough distinct cross pairs); and `n·d − b` even (each
+    /// side's residual degree sum must be even).
     pub fn new(num_vertices: usize, b: usize, d: usize) -> Result<GbregParams, GenError> {
+        GenError::check_id_range("num_vertices", num_vertices)?;
         if num_vertices == 0 || !num_vertices.is_multiple_of(2) {
             return Err(GenError::InvalidParameter(format!(
                 "number of vertices must be positive and even, got {num_vertices}"
@@ -189,6 +190,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn rejects_vertex_counts_beyond_the_id_range() {
+        // Even, so only the id range rules it out.
+        let too_many = VertexId::MAX as usize + 1;
+        assert!(matches!(
+            GbregParams::new(too_many, 64, 4),
+            Err(GenError::InvalidParameter(_))
+        ));
+        assert!(GbregParams::new(VertexId::MAX as usize - 1, 64, 4).is_ok());
+    }
 
     #[test]
     fn params_reject_odd_vertices() {

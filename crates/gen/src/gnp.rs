@@ -31,8 +31,9 @@ impl GnpParams {
     /// # Errors
     ///
     /// [`GenError::InvalidParameter`] if `p` is not in `[0, 1]` or not
-    /// finite.
+    /// finite, or `num_vertices` exceeds `VertexId::MAX`.
     pub fn new(num_vertices: usize, p: f64) -> Result<GnpParams, GenError> {
+        GenError::check_id_range("num_vertices", num_vertices)?;
         if !(0.0..=1.0).contains(&p) {
             return Err(GenError::InvalidParameter(format!(
                 "edge probability must be in [0, 1], got {p}"
@@ -207,6 +208,20 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn rejects_vertex_counts_beyond_the_id_range() {
+        let too_many = VertexId::MAX as usize + 1;
+        assert!(matches!(
+            GnpParams::new(too_many, 0.0),
+            Err(GenError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            GnpParams::with_average_degree(too_many, 3.0),
+            Err(GenError::InvalidParameter(_))
+        ));
+        assert!(GnpParams::new(VertexId::MAX as usize, 0.0).is_ok());
+    }
 
     #[test]
     fn params_validate_probability() {

@@ -48,7 +48,8 @@ impl RentNetlistParams {
     ///
     /// # Errors
     ///
-    /// [`GenError::InvalidParameter`] if `num_cells < 2`,
+    /// [`GenError::InvalidParameter`] if `num_cells < 2`, `num_cells`
+    /// or `num_nets` exceeds `u32::MAX` (the cell and net id range),
     /// `max_net_size` falls outside `[2, num_cells]`, `gamma` is not a
     /// finite non-negative number, or `locality` is outside `(0, 1]`.
     pub fn new(
@@ -63,6 +64,8 @@ impl RentNetlistParams {
                 "need at least 2 cells, got {num_cells}"
             )));
         }
+        GenError::check_id_range("num_cells", num_cells)?;
+        GenError::check_id_range("num_nets", num_nets)?;
         if max_net_size < 2 || max_net_size > num_cells {
             return Err(GenError::InvalidParameter(format!(
                 "max net size must be in [2, {num_cells}], got {max_net_size}"
@@ -218,6 +221,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn rejects_counts_beyond_the_id_range() {
+        let too_many = u32::MAX as usize + 1;
+        for (cells, nets) in [(too_many, 10), (100, too_many)] {
+            assert!(matches!(
+                RentNetlistParams::new(cells, nets, 4, 1.8, 1.0),
+                Err(GenError::InvalidParameter(_))
+            ));
+        }
+        assert!(RentNetlistParams::new(u32::MAX as usize, u32::MAX as usize, 4, 1.8, 1.0).is_ok());
+    }
 
     fn params(
         cells: usize,
