@@ -10,9 +10,11 @@
 use bisect_bench::profile::Profile;
 use bisect_bench::runner::run_best_of_sides;
 use bisect_bench::Suite;
-use bisect_core::bisector::Bisector;
+use bisect_core::bisector::{Bisector, Refiner};
+use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
 use bisect_core::kl::KernighanLin;
 use bisect_core::netlist::{recursive_placement_counted, NetlistPipeline, ParallelNetlistFm};
+use bisect_core::par_fm::ParallelFm;
 use bisect_core::partition::Side;
 use bisect_core::pipeline::{CoarsenDepth, Pipeline, DEFAULT_COARSEST_SIZE};
 use bisect_core::sa::SimulatedAnnealing;
@@ -162,6 +164,131 @@ fn golden_multilevel_on_grid10() {
         (p.cut(), sides_fingerprint(p.sides())),
         (10, 0xdb6617adcd90ab31)
     );
+}
+
+// ---------------------------------------------------------------------
+// Graph refiner pins: absolute values captured from the graph engine
+// while it still chose between rebuilding the gain cache per level and
+// projecting it, by refiner. They cover every graph refiner under both
+// compaction and a deep V-cycle, including weighted-level rebalancing
+// (the Gnp graph has isolated vertices, so its ladder is deep and its
+// projections are lopsided).
+// ---------------------------------------------------------------------
+
+/// `(pipeline, refiner, graph, cut, work, side fingerprint)`.
+type GraphPin = (&'static str, &'static str, &'static str, u64, u64, u64);
+
+#[rustfmt::skip]
+const GRAPH_PINS: &[GraphPin] = &[
+    ("compacted", "KL", "path3", 1, 0, 0xd0aa6118672cf3f8),
+    ("multilevel8", "KL", "path3", 1, 1, 0xd0a6fb18672a10cf),
+    ("compacted", "FM", "path3", 1, 0, 0xd0aa6118672cf3f8),
+    ("multilevel8", "FM", "path3", 1, 1, 0xd0aa6118672cf3f8),
+    ("compacted", "SA", "path3", 1, 177, 0xd0aa6118672cf3f8),
+    ("multilevel8", "SA", "path3", 1, 88, 0xd0a6fb18672a10cf),
+    ("compacted", "BFM", "path3", 1, 0, 0xd0aa6118672cf3f8),
+    ("multilevel8", "BFM", "path3", 1, 1, 0xd0aa6118672cf3f8),
+    ("compacted", "PFM", "path3", 1, 0, 0xd0aa6118672cf3f8),
+    ("multilevel8", "PFM", "path3", 1, 1, 0xd0aa6118672cf3f8),
+    ("compacted", "PFM-b", "path3", 1, 0, 0xd0aa6118672cf3f8),
+    ("multilevel8", "PFM-b", "path3", 1, 1, 0xd0aa6118672cf3f8),
+    ("compacted", "KL", "grid10", 10, 2, 0xdb6617adcd90ab31),
+    ("multilevel8", "KL", "grid10", 10, 2, 0x364925056cda9c47),
+    ("compacted", "FM", "grid10", 13, 4, 0xefca9a25f61c0a7),
+    ("multilevel8", "FM", "grid10", 10, 3, 0xe94d4c206bde38a9),
+    ("compacted", "SA", "grid10", 10, 54, 0x4d9aae4ebce23667),
+    ("multilevel8", "SA", "grid10", 10, 146, 0x4d9aae4ebce23667),
+    ("compacted", "BFM", "grid10", 10, 3, 0xdb6617adcd90ab31),
+    ("multilevel8", "BFM", "grid10", 10, 3, 0xe94d4c206bde38a9),
+    ("compacted", "PFM", "grid10", 32, 2, 0xd21cfd39d7c1f3f9),
+    ("multilevel8", "PFM", "grid10", 10, 2, 0xdb6617adcd90ab31),
+    ("compacted", "PFM-b", "grid10", 28, 1, 0x83515c7b1d97f611),
+    ("multilevel8", "PFM-b", "grid10", 10, 2, 0xdb6617adcd90ab31),
+    ("compacted", "KL", "gbreg500", 16, 4, 0x9143faf21ac1b78f),
+    ("multilevel8", "KL", "gbreg500", 16, 7, 0x9143faf21ac1b78f),
+    ("compacted", "FM", "gbreg500", 20, 3, 0x17f21b33e5baed19),
+    ("multilevel8", "FM", "gbreg500", 16, 7, 0xf9ce7252e6b94edf),
+    ("compacted", "SA", "gbreg500", 22, 59, 0x4ff6ef761944c0b),
+    ("multilevel8", "SA", "gbreg500", 24, 232, 0x3584b849f964e1c3),
+    ("compacted", "BFM", "gbreg500", 16, 4, 0x3a6c0d49f706f473),
+    ("multilevel8", "BFM", "gbreg500", 16, 7, 0xf9ce7252e6b94edf),
+    ("compacted", "PFM", "gbreg500", 120, 7, 0x5e3c263aac4d5b29),
+    ("multilevel8", "PFM", "gbreg500", 22, 5, 0x4d0f63d1b8bb694f),
+    ("compacted", "PFM-b", "gbreg500", 118, 7, 0x230c3f011137fdff),
+    ("multilevel8", "PFM-b", "gbreg500", 22, 5, 0x4d0f63d1b8bb694f),
+    ("compacted", "KL", "gnp600", 84, 2, 0x86c63778e859515d),
+    ("multilevel8", "KL", "gnp600", 66, 20, 0x4f80fdb447ce1683),
+    ("compacted", "FM", "gnp600", 69, 7, 0xd6b9862e1a1d9005),
+    ("multilevel8", "FM", "gnp600", 61, 10, 0x67f9d7b0b5a125f7),
+    ("compacted", "SA", "gnp600", 67, 137, 0x27011a2468393e7d),
+    ("multilevel8", "SA", "gnp600", 66, 1195, 0x11cc12cb2900d8f3),
+    ("compacted", "BFM", "gnp600", 65, 6, 0x54814fefc23be781),
+    ("multilevel8", "BFM", "gnp600", 58, 12, 0xbd81c9de48fb1977),
+    ("compacted", "PFM", "gnp600", 132, 5, 0x262dbf50d245679f),
+    ("multilevel8", "PFM", "gnp600", 68, 5, 0x76ee81728833d20b),
+    ("compacted", "PFM-b", "gnp600", 122, 5, 0x854daa1221473113),
+    ("multilevel8", "PFM-b", "gnp600", 68, 5, 0x76ee81728833d20b),
+];
+
+/// Appends the compacted and 8-vertex multilevel rows of `refiner` on
+/// `g`, each from a fresh workspace and an rng seeded by the graph size.
+fn graph_pin_rows<R: Refiner + Clone + Send + Sync + 'static>(
+    name: &'static str,
+    refiner: R,
+    graph: &'static str,
+    g: &Graph,
+    out: &mut Vec<GraphPin>,
+) {
+    let pipelines = [
+        ("compacted", Pipeline::compacted(refiner.clone())),
+        (
+            "multilevel8",
+            Pipeline::multilevel_to(refiner, 8).expect("8 >= 2"),
+        ),
+    ];
+    for (pipeline, p) in pipelines {
+        let mut rng = StdRng::seed_from_u64(g.num_vertices() as u64);
+        let (b, work) = p.bisect_counted(g, &mut rng, &mut Workspace::new());
+        assert!(b.is_balanced(g), "{pipeline} {name} on {graph}");
+        assert_eq!(b.cut(), b.recompute_cut(g), "{pipeline} {name} on {graph}");
+        out.push((
+            pipeline,
+            name,
+            graph,
+            b.cut(),
+            work,
+            sides_fingerprint(b.sides()),
+        ));
+    }
+}
+
+#[test]
+fn golden_graph_refiners_under_compaction_and_multilevel() {
+    let gnp_params = GnpParams::with_average_degree(600, 2.5).expect("feasible parameters");
+    let graphs = [
+        ("path3", special::path(3)),
+        ("grid10", special::grid(10, 10)),
+        ("gbreg500", gbreg_graph(500, 16, 3, 0x9_1989)),
+        (
+            "gnp600",
+            gnp::sample(&mut LaggedFibonacci::seed_from_u64(0x600), &gnp_params),
+        ),
+    ];
+    let mut actual: Vec<GraphPin> = Vec::new();
+    for (graph, g) in &graphs {
+        graph_pin_rows("KL", KernighanLin::new(), graph, g, &mut actual);
+        graph_pin_rows("FM", FiducciaMattheyses::new(), graph, g, &mut actual);
+        graph_pin_rows("SA", SimulatedAnnealing::quick(), graph, g, &mut actual);
+        graph_pin_rows("BFM", BoundaryFm::new(), graph, g, &mut actual);
+        let pfm = ParallelFm::new().with_threads(2);
+        graph_pin_rows("PFM", pfm, graph, g, &mut actual);
+        graph_pin_rows("PFM-b", pfm.with_boundary_seeds(), graph, g, &mut actual);
+    }
+    let table: String = actual
+        .iter()
+        .map(|(p, r, g, cut, w, fp)| format!("    ({p:?}, {r:?}, {g:?}, {cut}, {w}, {fp:#x}),\n"))
+        .collect();
+    assert_eq!(actual, GRAPH_PINS, "actual pins:\n{table}");
 }
 
 #[test]
