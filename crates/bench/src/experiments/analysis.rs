@@ -15,6 +15,7 @@ use bisect_core::bisector::best_of;
 use bisect_core::bisector::RandomBisector;
 use bisect_core::kl::KernighanLin;
 use bisect_core::seed;
+use bisect_core::workspace::Workspace;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{g2set, gnp, special};
 use rand::SeedableRng;
@@ -118,6 +119,7 @@ pub fn klpasses(profile: &Profile) -> Result<ExperimentResult, BenchError> {
     let seed = derive_seed(profile.seed, &[72]);
     let mut rng = LaggedFibonacci::seed_from_u64(seed);
     let mut p = seed::random_balanced(&g, &mut rng);
+    let mut ws = Workspace::new();
 
     let mut table = Table::new(
         format!("KL cut per pass on the 2x{rungs} ladder (optimal cut: 2)"),
@@ -128,7 +130,7 @@ pub fn klpasses(profile: &Profile) -> Result<ExperimentResult, BenchError> {
     );
     table.push_row(vec!["start".into(), p.cut().to_string(), "-".into()]);
     for pass in 1..=64 {
-        let improvement = kl.pass(&g, &mut p);
+        let improvement = kl.pass_in(&g, &mut p, &mut ws);
         table.push_row(vec![
             pass.to_string(),
             p.cut().to_string(),
@@ -320,7 +322,7 @@ pub fn satune(profile: &Profile) -> Result<ExperimentResult, BenchError> {
             let mut rng = LaggedFibonacci::seed_from_u64(seed ^ 0xFEED);
             let init = bisect_core::seed::random_balanced(&g, &mut rng);
             let t = Instant::now();
-            let (p, stats) = sa.refine_with_stats(&g, init, &mut rng);
+            let (p, stats) = sa.refine_with_stats_in(&g, init, &mut rng, &mut Workspace::new());
             table.push_row(vec![
                 sizefactor.to_string(),
                 format!("{cooling}"),

@@ -7,6 +7,9 @@
 //! * **Observation 4** — KL is faster than SA and usually better,
 //!   except on binary trees and ladder graphs where SA wins.
 
+use bisect_core::bisector::Refiner;
+use bisect_core::kl::KernighanLin;
+use bisect_core::workspace::Workspace;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{gbreg, special};
 use rand::SeedableRng;
@@ -62,14 +65,15 @@ pub fn obs1(profile: &Profile) -> Result<ExperimentResult, BenchError> {
             // Pass count behind the speed difference ("it takes fewer
             // passes for the algorithms to converge on degree 4").
             let init = bisect_core::seed::random_balanced(&g, &mut gen_rng);
-            let (_, passes) = bisect_core::kl::KernighanLin::new().refine_with_passes(&g, init);
+            let (_, passes) =
+                KernighanLin::new().refine_counted(&g, init, &mut gen_rng, &mut Workspace::new());
             Ok::<_, bisect_gen::GenError>((quad, passes))
         });
         let reps = reps.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut ratios = [0.0f64; 4];
         let mut t_sa = std::time::Duration::ZERO;
         let mut t_kl = std::time::Duration::ZERO;
-        let mut kl_passes = 0usize;
+        let mut kl_passes = 0u64;
         let mut avg = QuadAverage::default();
         for (quad, passes) in &reps {
             let (sa, csa, kl, ckl) = quad;

@@ -25,80 +25,76 @@ use crate::workspace::Workspace;
 ///
 /// Implementations must return a *balanced* bisection (per
 /// [`Bisection::is_balanced`]) whose maintained cut is consistent with
-/// the graph.
+/// the graph. [`Bisector::bisect_counted`] is the one required work
+/// method; [`Bisector::bisect_in`] and [`Bisector::bisect`] are views
+/// of it.
 pub trait Bisector {
     /// Human-readable name used in experiment tables (e.g. `"KL"`,
     /// `"CSA"`).
     fn name(&self) -> String;
 
     /// Computes a balanced bisection of `g`, drawing any randomness from
-    /// `rng`.
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection;
-
-    /// As [`Bisector::bisect`], drawing scratch memory from `ws` so the
-    /// hot path is allocation-free once the workspace is warm. The
-    /// result is identical to `bisect` with the same rng state; the
-    /// default implementation ignores the workspace.
-    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
-        let _ = ws;
-        self.bisect(g, rng)
-    }
-
-    /// As [`Bisector::bisect_in`], additionally reporting the
+    /// `rng` and scratch memory from `ws` (so the hot path is
+    /// allocation-free once the workspace is warm), and reports the
     /// algorithm's natural work count: productive passes for KL and FM,
-    /// temperature steps for SA, the sum of both refinement stages for
-    /// compacted wrappers. Algorithms with no pass notion report 0.
+    /// temperature steps for SA, the sum of every refinement stage for
+    /// pipelines. Algorithms with no pass notion report 0.
     fn bisect_counted(
         &self,
         g: &Graph,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        (self.bisect_in(g, rng, ws), 0)
+    ) -> (Bisection, u64);
+
+    /// [`Bisector::bisect_counted`] without the work count.
+    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
+        self.bisect_counted(g, rng, ws).0
+    }
+
+    /// [`Bisector::bisect_in`] with a fresh workspace.
+    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
+        self.bisect_in(g, rng, &mut Workspace::new())
     }
 }
 
 /// A bisector that improves a supplied starting bisection (local
-/// search). The default [`Bisector::bisect`] of a refiner starts from a
+/// search). A refiner's [`Bisector::bisect_counted`] refines a
 /// uniformly random balanced bisection, matching the paper's protocol.
+///
+/// [`Refiner::refine_counted`] is the one required method. Multilevel
+/// drivers call [`Refiner::refine_projected_counted`] at every level,
+/// which keeps the workspace gain cache exact across the call.
 pub trait Refiner: Bisector {
-    /// Improves `init`, returning a bisection whose cut is no larger.
+    /// Improves `init`, returning a bisection whose cut is no larger,
+    /// together with the work count (see [`Bisector::bisect_counted`]).
     /// The returned bisection preserves balance (implementations keep
     /// the side sizes of `init` or restore balance before returning).
-    fn refine(&self, g: &Graph, init: Bisection, rng: &mut dyn RngCore) -> Bisection;
-
-    /// As [`Refiner::refine`], drawing scratch memory from `ws` and
-    /// reporting the work count (see [`Bisector::bisect_counted`]). The
-    /// returned bisection is identical to `refine` with the same rng
-    /// state; the default implementation ignores the workspace.
+    /// Scratch memory comes from `ws`; the implementation establishes
+    /// whatever gain-cache state it needs and leaves `ws.gain_cache`
+    /// unspecified.
     fn refine_counted(
         &self,
         g: &Graph,
         init: Bisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        let _ = ws;
-        (self.refine(g, init, rng), 0)
-    }
+    ) -> (Bisection, u64);
 
-    /// Whether this refiner can consume a workspace gain cache that is
-    /// already exact for `(g, init)` — via
-    /// [`Refiner::refine_projected_counted`] — instead of rebuilding it
-    /// O(V + E) itself. Multilevel drivers use this to project the
-    /// cache through each uncoarsening step and skip the per-level
-    /// rebuild. Default `false`.
-    fn wants_projected_cache(&self) -> bool {
-        false
+    /// [`Refiner::refine_counted`] with a fresh workspace and without
+    /// the work count.
+    fn refine(&self, g: &Graph, init: Bisection, rng: &mut dyn RngCore) -> Bisection {
+        self.refine_counted(g, init, rng, &mut Workspace::new()).0
     }
 
     /// As [`Refiner::refine_counted`], under the *projected-cache
     /// contract*: the caller guarantees `ws.gain_cache` is exact for
-    /// `(g, init)` on entry, and the implementation leaves it exact for
-    /// the bisection it returns. Only meaningful when
-    /// [`Refiner::wants_projected_cache`] is `true`; the default
-    /// delegates to `refine_counted` (which establishes its own cache
-    /// state and makes no exit guarantee).
+    /// `(g, init)` on entry, and the call leaves it exact for the
+    /// bisection it returns. Same result and work count as
+    /// `refine_counted`.
+    ///
+    /// The default runs `refine_counted` and rebuilds the cache for the
+    /// result in O(V + E). Boundary-localized refiners override it to
+    /// consume the entry cache and maintain it move by move instead.
     fn refine_projected_counted(
         &self,
         g: &Graph,
@@ -106,7 +102,11 @@ pub trait Refiner: Bisector {
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        self.refine_counted(g, init, rng, ws)
+        let (refined, work) = self.refine_counted(g, init, rng, ws);
+        if g.num_vertices() >= 2 {
+            ws.gain_cache.init(g, &refined);
+        }
+        (refined, work)
     }
 }
 
@@ -152,8 +152,13 @@ impl Bisector for RandomBisector {
         "Random".into()
     }
 
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
-        seed::random_balanced(g, rng)
+    fn bisect_counted(
+        &self,
+        g: &Graph,
+        rng: &mut dyn RngCore,
+        _ws: &mut Workspace,
+    ) -> (Bisection, u64) {
+        (seed::random_balanced(g, rng), 0)
     }
 }
 

@@ -15,6 +15,7 @@ use rand::RngCore;
 
 use crate::bisector::Bisector;
 use crate::partition::Bisection;
+use crate::workspace::Workspace;
 
 /// Hard limit on the vertex count accepted by [`minimum_bisection`].
 pub const MAX_VERTICES: usize = 40;
@@ -176,9 +177,15 @@ impl Bisector for ExactBisector {
     /// # Panics
     ///
     /// Panics if the graph exceeds [`MAX_VERTICES`].
-    fn bisect(&self, g: &Graph, _rng: &mut dyn RngCore) -> Bisection {
+    fn bisect_counted(
+        &self,
+        g: &Graph,
+        _rng: &mut dyn RngCore,
+        _ws: &mut Workspace,
+    ) -> (Bisection, u64) {
         // lint: allow(no-panic) — documented panic contract of the infallible Bisector facade
-        minimum_bisection(g).expect("graph within exact solver limits")
+        let p = minimum_bisection(g).expect("graph within exact solver limits");
+        (p, 0)
     }
 }
 

@@ -19,9 +19,9 @@
 //! interior vertices in lazily as moves reach them — a pass costs
 //! `O(boundary + touched)` instead of `O(V)`, which is the multilevel
 //! win once coarsening has shrunk the cut region to a sliver of the
-//! graph. It also implements the projected-cache protocol
-//! ([`crate::bisector::Refiner::refine_projected_counted`]) so
-//! uncoarsening ladders never rebuild its gain state per level.
+//! graph. Its [`crate::bisector::Refiner::refine_projected_counted`]
+//! consumes the projected cache as it stands, so uncoarsening ladders
+//! never rebuild its gain state per level.
 
 use bisect_graph::Graph;
 use rand::RngCore;
@@ -77,15 +77,9 @@ impl FiducciaMattheyses {
     /// fixpoint). The bisection must be balanced on entry and stays
     /// balanced.
     ///
-    /// Convenience wrapper over [`FiducciaMattheyses::pass_in`] with a
-    /// throwaway workspace.
-    pub fn pass(&self, g: &Graph, p: &mut Bisection) -> u64 {
-        self.pass_in(g, p, &mut Workspace::new())
-    }
-
-    /// As [`FiducciaMattheyses::pass`], drawing the gain buckets, the
-    /// working bisection, and every per-move array from `ws` — no heap
-    /// allocations once the workspace is warm.
+    /// The gain buckets, the working bisection, and every per-move
+    /// array come from `ws` — no heap allocations once the workspace is
+    /// warm.
     // lint: allow(no-panic) — pass-loop expects: both prepare branches leave
     // fm_work populated, and `choice` is Some only when that bucket had a
     // peek.
@@ -223,14 +217,6 @@ impl Bisector for FiducciaMattheyses {
         "FM".into()
     }
 
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
-        self.bisect_in(g, rng, &mut Workspace::new())
-    }
-
-    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
-        self.bisect_counted(g, rng, ws).0
-    }
-
     fn bisect_counted(
         &self,
         g: &Graph,
@@ -243,10 +229,6 @@ impl Bisector for FiducciaMattheyses {
 }
 
 impl Refiner for FiducciaMattheyses {
-    fn refine(&self, g: &Graph, init: Bisection, rng: &mut dyn RngCore) -> Bisection {
-        self.refine_counted(g, init, rng, &mut Workspace::new()).0
-    }
-
     fn refine_counted(
         &self,
         g: &Graph,
@@ -509,14 +491,6 @@ impl Bisector for BoundaryFm {
         "BFM".into()
     }
 
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
-        self.bisect_in(g, rng, &mut Workspace::new())
-    }
-
-    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
-        self.bisect_counted(g, rng, ws).0
-    }
-
     fn bisect_counted(
         &self,
         g: &Graph,
@@ -529,10 +503,6 @@ impl Bisector for BoundaryFm {
 }
 
 impl Refiner for BoundaryFm {
-    fn refine(&self, g: &Graph, init: Bisection, rng: &mut dyn RngCore) -> Bisection {
-        self.refine_counted(g, init, rng, &mut Workspace::new()).0
-    }
-
     fn refine_counted(
         &self,
         g: &Graph,
@@ -545,10 +515,6 @@ impl Refiner for BoundaryFm {
         }
         let passes = self.refine_with_cache(g, &mut init, ws);
         (init, passes)
-    }
-
-    fn wants_projected_cache(&self) -> bool {
-        true
     }
 
     fn refine_projected_counted(
@@ -574,11 +540,12 @@ mod tests {
     fn pass_never_increases_cut_and_keeps_balance() {
         let g = special::grid(6, 6);
         let fm = FiducciaMattheyses::new();
+        let mut ws = Workspace::new();
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut p = seed::random_balanced(&g, &mut rng);
             let before = p.cut();
-            let improvement = fm.pass(&g, &mut p);
+            let improvement = fm.pass_in(&g, &mut p, &mut ws);
             assert_eq!(before - p.cut(), improvement, "seed {seed}");
             assert!(p.is_balanced(&g), "seed {seed}");
         }
@@ -639,7 +606,7 @@ mod tests {
         let fm = FiducciaMattheyses::new();
         let mut rng = StdRng::seed_from_u64(2);
         let mut p = fm.bisect(&g, &mut rng);
-        assert_eq!(fm.pass(&g, &mut p), 0);
+        assert_eq!(fm.pass_in(&g, &mut p, &mut Workspace::new()), 0);
     }
 
     #[test]

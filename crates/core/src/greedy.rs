@@ -12,6 +12,7 @@ use rand::RngCore;
 use crate::bisector::Bisector;
 use crate::partition::Bisection;
 use crate::seed;
+use crate::workspace::Workspace;
 
 /// BFS region-growing bisector.
 ///
@@ -61,7 +62,12 @@ impl Bisector for GreedyGrowth {
         "Greedy".into()
     }
 
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
+    fn bisect_counted(
+        &self,
+        g: &Graph,
+        rng: &mut dyn RngCore,
+        _ws: &mut Workspace,
+    ) -> (Bisection, u64) {
         let mut best: Option<Bisection> = None;
         for _ in 0..self.attempts {
             let candidate = seed::bfs_balanced(g, rng);
@@ -70,7 +76,7 @@ impl Bisector for GreedyGrowth {
             }
         }
         // lint: allow(no-panic) — attempts is validated >= 1 at construction
-        best.expect("attempts >= 1")
+        (best.expect("attempts >= 1"), 0)
     }
 }
 

@@ -110,15 +110,9 @@ impl KernighanLin {
     /// Runs one KL pass in place. Returns the cut improvement achieved
     /// (0 when the pass is a fixpoint). Side sizes are preserved.
     ///
-    /// Convenience wrapper over [`KernighanLin::pass_in`] with a
-    /// throwaway workspace.
-    pub fn pass(&self, g: &Graph, p: &mut Bisection) -> u64 {
-        self.pass_in(g, p, &mut Workspace::new())
-    }
-
-    /// As [`KernighanLin::pass`], drawing every scratch array from `ws`:
-    /// once the workspace has warmed up to the graph's size, the pass
-    /// performs no heap allocations.
+    /// Every scratch array comes from `ws`: once the workspace has
+    /// warmed up to the graph's size, the pass performs no heap
+    /// allocations.
     pub fn pass_in(&self, g: &Graph, p: &mut Bisection, ws: &mut Workspace) -> u64 {
         let n = g.num_vertices();
         let k_max = p.count(Side::A).min(p.count(Side::B));
@@ -298,46 +292,9 @@ fn best_pair_exhaustive(
     best.map(|(actual, _, a, _, b)| (actual, a, b))
 }
 
-impl KernighanLin {
-    /// As [`Refiner::refine`], additionally returning the number of
-    /// passes that achieved an improvement — the quantity behind
-    /// Observation 1's "it takes fewer passes for the algorithms to
-    /// converge on degree 4 graphs".
-    pub fn refine_with_passes(&self, g: &Graph, init: Bisection) -> (Bisection, usize) {
-        self.refine_with_passes_in(g, init, &mut Workspace::new())
-    }
-
-    /// As [`KernighanLin::refine_with_passes`], reusing `ws` for every
-    /// pass.
-    pub fn refine_with_passes_in(
-        &self,
-        g: &Graph,
-        mut init: Bisection,
-        ws: &mut Workspace,
-    ) -> (Bisection, usize) {
-        let mut productive = 0;
-        for _ in 0..self.max_passes {
-            if self.pass_in(g, &mut init, ws) == 0 {
-                break;
-            }
-            productive += 1;
-        }
-        (init, productive)
-    }
-}
-
 impl Bisector for KernighanLin {
     fn name(&self) -> String {
         "KL".into()
-    }
-
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
-        self.bisect_in(g, rng, &mut Workspace::new())
-    }
-
-    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
-        let init = seed::random_balanced(g, rng);
-        self.refine_with_passes_in(g, init, ws).0
     }
 
     fn bisect_counted(
@@ -347,25 +304,31 @@ impl Bisector for KernighanLin {
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
         let init = seed::random_balanced(g, rng);
-        let (p, passes) = self.refine_with_passes_in(g, init, ws);
-        (p, passes as u64)
+        self.refine_counted(g, init, rng, ws)
     }
 }
 
 impl Refiner for KernighanLin {
-    fn refine(&self, g: &Graph, init: Bisection, _rng: &mut dyn RngCore) -> Bisection {
-        self.refine_with_passes(g, init).0
-    }
-
+    /// Runs passes until one yields no improvement (or the pass limit
+    /// is hit). The work count is the number of passes that improved
+    /// the cut — the quantity behind Observation 1's "it takes fewer
+    /// passes for the algorithms to converge on degree 4 graphs". KL
+    /// draws no randomness, so `rng` is untouched.
     fn refine_counted(
         &self,
         g: &Graph,
-        init: Bisection,
+        mut init: Bisection,
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        let (p, passes) = self.refine_with_passes_in(g, init, ws);
-        (p, passes as u64)
+        let mut productive = 0;
+        for _ in 0..self.max_passes {
+            if self.pass_in(g, &mut init, ws) == 0 {
+                break;
+            }
+            productive += 1;
+        }
+        (init, productive)
     }
 }
 
@@ -385,11 +348,12 @@ mod tests {
     fn pass_never_increases_cut() {
         let g = special::grid(6, 6);
         let kl = KernighanLin::new();
+        let mut ws = Workspace::new();
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut p = seed::random_balanced(&g, &mut rng);
             let before = p.cut();
-            let improvement = kl.pass(&g, &mut p);
+            let improvement = kl.pass_in(&g, &mut p, &mut ws);
             assert_eq!(before - p.cut(), improvement);
             assert!(p.cut() <= before);
             assert_eq!(p.cut(), p.recompute_cut(&g));
@@ -429,7 +393,7 @@ mod tests {
         let kl = KernighanLin::new();
         let mut rng = StdRng::seed_from_u64(2);
         let mut p = kl.bisect(&g, &mut rng);
-        assert_eq!(kl.pass(&g, &mut p), 0);
+        assert_eq!(kl.pass_in(&g, &mut p, &mut Workspace::new()), 0);
     }
 
     #[test]
@@ -447,7 +411,7 @@ mod tests {
                 let init = seed::random_balanced(&g, &mut rng);
                 let mut b = init.clone();
                 let mut c = init;
-                let gb = exhaustive.pass(&g, &mut b);
+                let gb = exhaustive.pass_in(&g, &mut b, &mut Workspace::new());
                 let gc = incremental.pass_in(&g, &mut c, &mut ws);
                 assert_eq!(gb, gc, "grid {rows}x{cols} seed {seed}");
                 // The incremental strategy must make the *same
@@ -538,16 +502,17 @@ mod tests {
     }
 
     #[test]
-    fn refine_with_passes_counts_productive_passes() {
+    fn refine_counted_counts_productive_passes() {
         let g = special::ladder(64);
         let mut rng = StdRng::seed_from_u64(17);
         let init = seed::random_balanced(&g, &mut rng);
         let kl = KernighanLin::new();
-        let (refined, passes) = kl.refine_with_passes(&g, init.clone());
+        let mut ws = Workspace::new();
+        let (refined, passes) = kl.refine_counted(&g, init.clone(), &mut rng, &mut ws);
         assert!(passes >= 1, "a random start on a ladder always improves");
         assert!(refined.cut() < init.cut());
         // A fixpoint input takes zero productive passes.
-        let (_, passes2) = kl.refine_with_passes(&g, refined);
+        let (_, passes2) = kl.refine_counted(&g, refined, &mut rng, &mut ws);
         assert_eq!(passes2, 0);
     }
 
@@ -562,14 +527,15 @@ mod tests {
     #[ignore = "paper Observation 1 pass-count claim not reproduced; see ISSUE 1"]
     fn degree4_needs_fewer_passes_than_degree3() {
         // Observation 1's speed mechanism, averaged over seeds.
-        let mut total = [0usize; 2];
+        let mut total = [0u64; 2];
+        let mut ws = Workspace::new();
         for (i, d) in [3usize, 4].into_iter().enumerate() {
             let params = bisect_gen::gbreg::GbregParams::new(300, 6, d).unwrap();
             for seed in 0..10u64 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let g = bisect_gen::gbreg::sample(&mut rng, &params).unwrap();
                 let init = seed::random_balanced(&g, &mut rng);
-                let (_, passes) = KernighanLin::new().refine_with_passes(&g, init);
+                let (_, passes) = KernighanLin::new().refine_counted(&g, init, &mut rng, &mut ws);
                 total[i] += passes;
             }
         }

@@ -89,8 +89,8 @@ impl ParallelFm {
     /// Switches to boundary-seeded proposing (see the module docs):
     /// rounds sweep only the tracked cut boundary and keep the
     /// workspace gain cache exact, costing `O(boundary·deg)` instead of
-    /// `O(V + E)` per round. Supports the projected-cache protocol
-    /// ([`Refiner::refine_projected_counted`]).
+    /// `O(V + E)` per round. [`Refiner::refine_projected_counted`] then
+    /// consumes the projected cache instead of rebuilding it.
     pub fn with_boundary_seeds(mut self) -> ParallelFm {
         self.boundary_seeds = true;
         self
@@ -452,14 +452,6 @@ impl Bisector for ParallelFm {
         "PFM".into()
     }
 
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
-        self.bisect_in(g, rng, &mut Workspace::new())
-    }
-
-    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
-        self.bisect_counted(g, rng, ws).0
-    }
-
     fn bisect_counted(
         &self,
         g: &Graph,
@@ -472,10 +464,6 @@ impl Bisector for ParallelFm {
 }
 
 impl Refiner for ParallelFm {
-    fn refine(&self, g: &Graph, init: Bisection, rng: &mut dyn RngCore) -> Bisection {
-        self.refine_counted(g, init, rng, &mut Workspace::new()).0
-    }
-
     fn refine_counted(
         &self,
         g: &Graph,
@@ -504,10 +492,9 @@ impl Refiner for ParallelFm {
         (init, productive)
     }
 
-    fn wants_projected_cache(&self) -> bool {
-        self.boundary_seeds
-    }
-
+    /// Boundary mode consumes the entry cache and keeps it exact round
+    /// by round. Full-range mode never reads the cache, so it refines
+    /// as usual and rebuilds the cache for the result.
     fn refine_projected_counted(
         &self,
         g: &Graph,
@@ -515,11 +502,13 @@ impl Refiner for ParallelFm {
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        if !self.boundary_seeds {
-            return self.refine_counted(g, init, rng, ws);
-        }
         if g.num_vertices() < 2 {
             return (init, 0);
+        }
+        if !self.boundary_seeds {
+            let (refined, rounds) = self.refine_counted(g, init, rng, ws);
+            ws.gain_cache.init(g, &refined);
+            return (refined, rounds);
         }
         let threads = self.threads();
         let productive = self.refine_boundary_rounds(g, &mut init, ws, threads);
@@ -691,8 +680,6 @@ mod tests {
     fn boundary_mode_projected_entry_matches_plain_refine() {
         let g = special::grid(8, 8);
         let pfm = ParallelFm::new().with_threads(2).with_boundary_seeds();
-        assert!(pfm.wants_projected_cache());
-        assert!(!ParallelFm::new().wants_projected_cache());
         for seed in 0..5 {
             let mut rng = StdRng::seed_from_u64(seed);
             let init = seed::random_balanced(&g, &mut rng);

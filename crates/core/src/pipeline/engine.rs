@@ -128,30 +128,20 @@ pub fn run(
     // weight unit when a matching leaves singletons, so each level
     // rebalances before refining.
     //
-    // Boundary-localized refiners opt into the projected-cache
-    // protocol: the engine builds the gain cache once on the (small)
-    // coarsest graph and *projects* it through each uncoarsening step,
-    // so no level ever pays the O(V + E) rebuild — rebalancing then
-    // rides the same cache. Refiners on the default path see the exact
-    // sequence of calls (and rng draws) they always did.
-    let projected_cache = refiner.wants_projected_cache() && !ladder.is_empty();
-    if projected_cache {
-        // lint: allow(no-panic) — guarded by !ladder.is_empty() above
-        let coarsest: &Graph = ladder.last().map(|c| c.coarse()).expect("nonempty ladder");
-        ws.gain_cache.init(coarsest, &current);
+    // The gain cache is built once on the (small) coarsest graph and
+    // *projected* through each uncoarsening step; rebalancing rides the
+    // same cache, and every refiner leaves it exact for its result (see
+    // `Refiner::refine_projected_counted`).
+    if let Some(c) = ladder.last() {
+        ws.gain_cache.init(c.coarse(), &current);
     }
     for i in (0..ladder.len()).rev() {
         let fine: &Graph = if i == 0 { g } else { ladder[i - 1].coarse() };
         let mut projected = Bisection::from_sides(fine, ladder[i].project_sides(current.sides()))?;
-        let (refined, stage_work) = if projected_cache {
-            ws.gain_cache
-                .project(fine, &projected, ladder[i].fine_to_coarse());
-            rebalance_with_cache(fine, &mut projected, &mut ws.gain_cache);
-            refiner.refine_projected_counted(fine, projected, rng, ws)
-        } else {
-            rebalance(fine, &mut projected);
-            refiner.refine_counted(fine, projected, rng, ws)
-        };
+        ws.gain_cache
+            .project(fine, &projected, ladder[i].fine_to_coarse());
+        rebalance_with_cache(fine, &mut projected, &mut ws.gain_cache);
+        let (refined, stage_work) = refiner.refine_projected_counted(fine, projected, rng, ws);
         current = refined;
         work += stage_work;
     }
@@ -226,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn projected_cache_path_is_balanced_consistent_and_deterministic() {
+    fn boundary_fm_multilevel_is_balanced_consistent_and_deterministic() {
         use crate::fm::BoundaryFm;
         let g = special::grid(12, 12);
         let run_once = |seed: u64| {
@@ -255,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn projected_cache_flat_depth_falls_back_gracefully() {
+    fn boundary_fm_flat_depth_is_balanced() {
         use crate::fm::BoundaryFm;
         let g = special::grid(6, 6);
         let mut rng = StdRng::seed_from_u64(9);

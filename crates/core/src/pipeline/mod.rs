@@ -294,14 +294,6 @@ impl Bisector for Pipeline {
         self.name.clone()
     }
 
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
-        self.bisect_in(g, rng, &mut Workspace::new())
-    }
-
-    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
-        self.bisect_counted(g, rng, ws).0
-    }
-
     fn bisect_counted(
         &self,
         g: &Graph,

@@ -357,24 +357,10 @@ impl SaStats {
 }
 
 impl SimulatedAnnealing {
-    /// As [`Refiner::refine`], additionally returning the run
-    /// statistics.
-    ///
-    /// Convenience wrapper over
-    /// [`SimulatedAnnealing::refine_with_stats_in`] with a throwaway
-    /// workspace.
-    pub fn refine_with_stats(
-        &self,
-        g: &Graph,
-        init: Bisection,
-        rng: &mut dyn RngCore,
-    ) -> (Bisection, SaStats) {
-        self.refine_with_stats_in(g, init, rng, &mut Workspace::new())
-    }
-
-    /// As [`SimulatedAnnealing::refine_with_stats`], drawing the gain
-    /// cache, acceptance table, best-so-far buffer and unbalanced-swap
-    /// member scratch from `ws`: once the workspace is warm, the
+    /// As [`Refiner::refine_counted`], returning the full run
+    /// statistics instead of the temperature count. The gain cache,
+    /// acceptance table, best-so-far buffer and unbalanced-swap member
+    /// scratch come from `ws`: once the workspace is warm, the
     /// per-temperature and per-move loops perform no heap allocations.
     ///
     /// This is the monomorphization boundary: the trait object is
@@ -586,15 +572,6 @@ impl Bisector for SimulatedAnnealing {
         "SA".into()
     }
 
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
-        self.bisect_in(g, rng, &mut Workspace::new())
-    }
-
-    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
-        let init = seed::random_balanced(g, rng);
-        self.refine_with_stats_in(g, init, rng, ws).0
-    }
-
     fn bisect_counted(
         &self,
         g: &Graph,
@@ -602,16 +579,11 @@ impl Bisector for SimulatedAnnealing {
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
         let init = seed::random_balanced(g, rng);
-        let (p, stats) = self.refine_with_stats_in(g, init, rng, ws);
-        (p, stats.temperatures as u64)
+        self.refine_counted(g, init, rng, ws)
     }
 }
 
 impl Refiner for SimulatedAnnealing {
-    fn refine(&self, g: &Graph, init: Bisection, rng: &mut dyn RngCore) -> Bisection {
-        self.refine_with_stats(g, init, rng).0
-    }
-
     fn refine_counted(
         &self,
         g: &Graph,
@@ -879,7 +851,7 @@ mod tests {
         let sa = SimulatedAnnealing::quick();
         let mut rng = StdRng::seed_from_u64(8);
         let init = crate::seed::random_balanced(&g, &mut rng);
-        let (p, stats) = sa.refine_with_stats(&g, init, &mut rng);
+        let (p, stats) = sa.refine_with_stats_in(&g, init, &mut rng, &mut Workspace::new());
         assert!(p.is_balanced(&g));
         assert!(stats.temperatures >= 1);
         assert!(stats.proposals >= stats.accepted);
@@ -895,7 +867,7 @@ mod tests {
         let sa = SimulatedAnnealing::quick();
         let mut rng = StdRng::seed_from_u64(8);
         let init = crate::seed::random_balanced(&g, &mut rng);
-        let (_, stats) = sa.refine_with_stats(&g, init, &mut rng);
+        let (_, stats) = sa.refine_with_stats_in(&g, init, &mut rng, &mut Workspace::new());
         assert_eq!(stats.proposals, 0);
         assert_eq!(stats.acceptance_ratio(), 0.0);
     }
@@ -913,7 +885,7 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(4);
         let init = crate::seed::random_balanced(&g, &mut rng);
-        let (_, stats) = sa.refine_with_stats(&g, init, &mut rng);
+        let (_, stats) = sa.refine_with_stats_in(&g, init, &mut rng, &mut Workspace::new());
         assert!(
             stats.froze || stats.final_temperature < 1e-3,
             "run should end by freezing or the floor: {stats:?}"

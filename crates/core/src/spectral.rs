@@ -19,6 +19,7 @@ use rand::{Rng, RngCore};
 
 use crate::bisector::Bisector;
 use crate::partition::{rebalance, Bisection};
+use crate::workspace::Workspace;
 
 /// Fiedler-vector bisector.
 ///
@@ -120,10 +121,15 @@ impl Bisector for SpectralBisector {
 
     // lint: allow(no-panic) — the empty assignment is balanced for n = 0,
     // and otherwise side has n entries with exactly ⌈n/2⌉ on side A.
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
+    fn bisect_counted(
+        &self,
+        g: &Graph,
+        rng: &mut dyn RngCore,
+        _ws: &mut Workspace,
+    ) -> (Bisection, u64) {
         let n = g.num_vertices();
         if n == 0 {
-            return Bisection::from_sides(g, Vec::new()).expect("empty ok");
+            return (Bisection::from_sides(g, Vec::new()).expect("empty ok"), 0);
         }
         let fiedler = self.fiedler_vector(g, rng);
         // Side A = the ⌈n/2⌉ vertices with smallest Fiedler value.
@@ -140,7 +146,7 @@ impl Bisector for SpectralBisector {
         }
         let mut p = Bisection::from_sides(g, side).expect("side vector correct length");
         rebalance(g, &mut p);
-        p
+        (p, 0)
     }
 }
 

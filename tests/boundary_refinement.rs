@@ -1,14 +1,18 @@
 //! Property tests for boundary-localized refinement (DESIGN.md §12):
 //! [`BoundaryFm`] and the boundary-seeded [`ParallelFm`] mode against
-//! their full-scan counterparts on random `Gnp`/`Gbreg` instances, plus
-//! a brute-force cross-check of the incremental boundary set.
+//! their full-scan counterparts on random `Gnp`/`Gbreg` instances, a
+//! brute-force cross-check of the incremental boundary set, and the
+//! projected-cache exit contract of every graph refiner.
 
 use bisect_core::bisector::Refiner;
 use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
 use bisect_core::gain_cache::GainCache;
+use bisect_core::kl::KernighanLin;
 use bisect_core::par_fm::ParallelFm;
-use bisect_core::partition::Bisection;
+use bisect_core::partition::{Bisection, Side};
+use bisect_core::sa::SimulatedAnnealing;
 use bisect_core::seed;
+use bisect_core::workspace::Workspace;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{gbreg, gnp};
 use bisect_graph::{Graph, VertexId};
@@ -144,6 +148,77 @@ proptest! {
             );
         }
     }
+
+    /// The projected-cache contract that multilevel drivers rely on:
+    /// every graph refiner, started from an exact workspace cache, leaves
+    /// that cache exact for the bisection it returns. FM runs twice: to
+    /// a fixpoint, whose last pass moves nothing, and capped at one
+    /// improving pass, which returns a bisection its pass-start cache
+    /// no longer describes.
+    #[test]
+    fn every_refiner_leaves_the_projected_cache_exact(seed in 0u64..500, is_gnp in any::<bool>()) {
+        let g = if is_gnp {
+            gnp_instance(120, 3.0, seed)
+        } else {
+            gbreg_instance(120, 6, 3, seed)
+        };
+        let refiners: [Box<dyn Refiner>; 7] = [
+            Box::new(KernighanLin::new()),
+            Box::new(FiducciaMattheyses::new()),
+            Box::new(FiducciaMattheyses::new().with_max_passes(1)),
+            Box::new(SimulatedAnnealing::quick()),
+            Box::new(BoundaryFm::new()),
+            Box::new(ParallelFm::new().with_threads(2)),
+            Box::new(ParallelFm::new().with_threads(2).with_boundary_seeds()),
+        ];
+        for refiner in &refiners {
+            let mut rng = LaggedFibonacci::seed_from_u64(seed ^ 0xCAC4E);
+            let init = seed::random_balanced(&g, &mut rng);
+            let mut ws = Workspace::new();
+            ws.gain_cache_mut().init(&g, &init);
+            let (refined, _) = refiner.refine_projected_counted(&g, init, &mut rng, &mut ws);
+            assert_cache_exact(&g, &refined, ws.gain_cache(), &refiner.name())?;
+        }
+    }
+}
+
+/// Asserts `cache` equals a freshly built cache for `(g, p)`: per-vertex
+/// gain and external degree, and the boundary and side member lists
+/// compared as sets.
+fn assert_cache_exact(
+    g: &Graph,
+    p: &Bisection,
+    cache: &GainCache,
+    who: &str,
+) -> Result<(), TestCaseError> {
+    let mut fresh = GainCache::default();
+    fresh.init(g, p);
+    prop_assert_eq!(cache.gains().len(), g.num_vertices(), "{}: cache size", who);
+    for v in g.vertices() {
+        prop_assert_eq!(cache.gain(v), fresh.gain(v), "{}: gain of {}", who, v);
+        prop_assert_eq!(cache.ext(v), fresh.ext(v), "{}: ext of {}", who, v);
+    }
+    let sorted = |list: &[VertexId]| {
+        let mut list = list.to_vec();
+        list.sort_unstable();
+        list
+    };
+    prop_assert_eq!(
+        sorted(cache.boundary()),
+        sorted(fresh.boundary()),
+        "{}: boundary",
+        who
+    );
+    for side in [Side::A, Side::B] {
+        prop_assert_eq!(
+            sorted(cache.members(side)),
+            sorted(fresh.members(side)),
+            "{}: members of {:?}",
+            who,
+            side
+        );
+    }
+    Ok(())
 }
 
 /// Aggregate quality: over many seeded instances, boundary-seeded FM's

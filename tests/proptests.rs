@@ -8,6 +8,7 @@ use bisect_core::par_fm::ParallelFm;
 use bisect_core::partition::{rebalance, Bisection, Side};
 use bisect_core::sa::SimulatedAnnealing;
 use bisect_core::seed;
+use bisect_core::workspace::Workspace;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_graph::reorder::Reordering;
 use bisect_graph::{contraction, io, matching, Graph, GraphBuilder, VertexId};
@@ -98,7 +99,7 @@ proptest! {
         let mut p = seed::random_balanced(&g, &mut rng);
         let kl = KernighanLin::new();
         let before = p.cut();
-        let improvement = kl.pass(&g, &mut p);
+        let improvement = kl.pass_in(&g, &mut p, &mut Workspace::new());
         prop_assert!(p.cut() <= before);
         prop_assert_eq!(before - p.cut(), improvement);
         prop_assert_eq!(p.cut(), p.recompute_cut(&g));
@@ -276,16 +277,14 @@ proptest! {
         seed in 0u64..200,
     ) {
         use bisect_core::kl::PairSelection;
-        let init = {
-            let mut rng = LaggedFibonacci::seed_from_u64(seed);
-            seed::random_balanced(&g, &mut rng)
-        };
+        let mut rng = LaggedFibonacci::seed_from_u64(seed);
+        let init = seed::random_balanced(&g, &mut rng);
         let reference = KernighanLin::new()
             .with_pair_selection(PairSelection::Exhaustive)
-            .refine_with_passes(&g, init.clone());
+            .refine_counted(&g, init.clone(), &mut rng, &mut Workspace::new());
         let incremental = KernighanLin::new()
             .with_pair_selection(PairSelection::Incremental)
-            .refine_with_passes(&g, init);
+            .refine_counted(&g, init, &mut rng, &mut Workspace::new());
         // Bit-identical refinement, not merely an equal cut: the
         // incremental bucket scan must make the same pair choices as
         // Figure 2's exhaustive scan on every pass.
