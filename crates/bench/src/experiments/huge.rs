@@ -52,15 +52,25 @@ use crate::profile::Profile;
 use crate::table::{fmt_cut, fmt_duration, Table};
 
 /// Ceiling for the coarsest level's size (or a level stops making
-/// progress first).
+/// progress first). Shared by the graph and netlist ladders.
 const COARSE_TARGET: usize = 5_000;
 
-/// Coarsest-level size for an `n`-vertex instance: small graphs still
-/// get a few coarsening levels (pure greedy refinement from a random
-/// start is much weaker than a V-cycle), huge ones stop at
-/// [`COARSE_TARGET`] where the serial seed partition is cheap.
-fn coarse_target(n: usize) -> usize {
+/// Coarsest-level size for an `n`-vertex graph or `n`-cell netlist:
+/// small instances still get a few coarsening levels (pure greedy
+/// refinement from a random start is much weaker than a V-cycle), huge
+/// ones stop at [`COARSE_TARGET`] where the serial seed partition is
+/// cheap.
+pub(crate) fn coarse_target(n: usize) -> usize {
     (n / 16).clamp(64, COARSE_TARGET)
+}
+
+/// The stall guard of both huge ladders: a level that took `before`
+/// vertices (or cells) down to `after` is kept only if it shrank them
+/// by at least 5%. Sparse instances carry vertices that can never
+/// match, so demanding mere shrinkage would stack near-identical levels
+/// once only those remain.
+pub(crate) fn shrinks_enough(before: usize, after: usize) -> bool {
+    after * 20 <= before * 19
 }
 
 /// Runs the huge-instance feasibility experiment.
@@ -170,18 +180,16 @@ fn bisect_huge(g: &Graph, seed: u64, threads: usize) -> HugeOutcome {
     let mut ws = Workspace::new();
     let _ = ws.take_proposals();
 
-    // Coarsen down to the target size. A level must shrink the graph
-    // by at least 5% to be kept: sparse random graphs carry isolated
-    // vertices (≈ e^-d of Gnp) that can never match, so demanding mere
-    // shrinkage would stack thousands of near-identical levels once
-    // only those remain.
+    // Coarsen down to the target size. A level must pass the 5% stall
+    // guard to be kept: sparse random graphs carry isolated vertices
+    // (≈ e^-d of Gnp) that can never match.
     let target = coarse_target(g.num_vertices());
     let mut ladder: Vec<Contraction> = Vec::new();
     while current_graph(&gr, &ladder).num_vertices() > target {
         let level = current_graph(&gr, &ladder);
         let before = level.num_vertices();
         match scheme.coarsen(level, &mut rng) {
-            Some(c) if c.coarse().num_vertices() * 20 <= before * 19 => {
+            Some(c) if shrinks_enough(before, c.coarse().num_vertices()) => {
                 ladder.push(c);
             }
             _ => break,
@@ -366,5 +374,14 @@ mod tests {
     fn fmt_bytes_handles_zero_and_large() {
         assert_eq!(fmt_bytes(0), "n/a");
         assert_eq!(fmt_bytes(512 * 1024 * 1024), "512 MiB");
+    }
+
+    #[test]
+    fn stall_guard_keeps_levels_that_shrink_by_five_percent() {
+        assert!(shrinks_enough(100, 95));
+        assert!(!shrinks_enough(100, 96));
+        assert!(!shrinks_enough(100, 100));
+        assert_eq!(coarse_target(100), 64);
+        assert_eq!(coarse_target(1_000_000), COARSE_TARGET);
     }
 }

@@ -53,27 +53,16 @@ use bisect_graph::hypergraph::{
 };
 use rand::SeedableRng;
 
-use super::huge::peak_rss_bytes;
+use super::huge::{coarse_target, fmt_bytes, peak_rss_bytes, shrinks_enough};
 use super::{derive_seed, ExperimentResult};
 use crate::error::BenchError;
 use crate::json::BenchRecord;
 use crate::profile::Profile;
 use crate::table::{fmt_cut, fmt_duration, Table};
 
-/// Ceiling for the coarsest level's size (or a level stops making
-/// progress first).
-const COARSE_TARGET: usize = 5_000;
-
 /// Net-size power-law exponent of both instances: mass concentrated on
 /// 2- and 3-pin nets, as in real netlists.
 const GAMMA: f64 = 1.8;
-
-/// Coarsest-level size for an `n`-cell instance: small netlists still
-/// get a few coarsening levels, huge ones stop at [`COARSE_TARGET`]
-/// where the serial seed partition is cheap.
-fn coarse_target(n: usize) -> usize {
-    (n / 16).clamp(64, COARSE_TARGET)
-}
 
 /// Runs the huge-netlist feasibility experiment.
 ///
@@ -136,7 +125,7 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
             outcome.rounds.to_string(),
             format!("{:.2}", proposals_per_sec / 1.0e6),
             format!("{:.0}", cells_per_sec / 1.0e3),
-            super::huge::fmt_bytes(peak_rss_bytes()),
+            fmt_bytes(peak_rss_bytes()),
         ]);
         records.push(BenchRecord {
             experiment: "huge-netlist".into(),
@@ -188,11 +177,9 @@ fn bisect_huge_netlist(nl: &Netlist, seed: u64, threads: usize) -> HugeNetlistOu
     let _ = ws.take_proposals();
 
     // Coarsen down to the target size through the scratch-reusing
-    // contraction: one arena serves every level. A level must shrink
-    // the netlist by at least 5% to be kept — netlists carry netless
-    // and degenerate-net cells that can never match, so demanding mere
-    // shrinkage would stack near-identical levels once only those
-    // remain.
+    // contraction: one arena serves every level. A level must pass the
+    // 5% stall guard to be kept: netlists carry netless and
+    // degenerate-net cells that can never match.
     let target = coarse_target(nlr.num_cells());
     let mut ladder: Vec<NetlistContraction> = Vec::new();
     let mut scratch = NetlistContractionScratch::new();
@@ -204,7 +191,7 @@ fn bisect_huge_netlist(nl: &Netlist, seed: u64, threads: usize) -> HugeNetlistOu
             break;
         }
         let c = contract_cells_into(level, &pairs, &mut scratch);
-        if c.coarse().num_cells() * 20 <= before * 19 {
+        if shrinks_enough(before, c.coarse().num_cells()) {
             ladder.push(c);
         } else {
             break;
