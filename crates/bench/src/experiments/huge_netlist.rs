@@ -18,7 +18,7 @@
 //!    [`ParallelCellMatching`](bisect_core::netlist::ParallelCellMatching)
 //!    coarsening through the allocation-free
 //!    [`contract_cells_into`](bisect_graph::hypergraph::contract_cells_into)
-//!    (one scratch arena serves the whole ladder), a random balanced
+//!    (one scratch arena serves the whole ladder), a weight-balanced random
 //!    start plus serial hill-crossing
 //!    [`NetlistFm`](bisect_core::netlist::NetlistFm) on the coarsest
 //!    netlist, then *boundary-localized* uncoarsening: the workspace
@@ -41,8 +41,8 @@
 use std::time::Instant;
 
 use bisect_core::netlist::{
-    rebalance_with_cache, NetlistBisection, NetlistFm, NetlistRefiner, ParallelCellMatching,
-    ParallelNetlistFm,
+    rebalance_with_cache, weight_balanced_random, NetlistBisection, NetlistFm, NetlistRefiner,
+    ParallelCellMatching, ParallelNetlistFm,
 };
 use bisect_core::workspace::Workspace;
 use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
@@ -98,10 +98,7 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
             format!("rent cells={cells} nets={nets} gamma={GAMMA} loc=1"),
         ),
     ] {
-        let seed = derive_seed(profile.seed, &[41, cells as u64, which]);
-        let mut gen_rng = LaggedFibonacci::seed_from_u64(seed);
-        let params = RentNetlistParams::new(cells, nets, 8.min(cells), GAMMA, locality)?;
-        let nl = sample_streamed(&mut gen_rng, &params);
+        let (nl, seed) = instance(profile, which, locality)?;
         let begin = Instant::now();
         let outcome = bisect_huge_netlist(&nl, seed ^ 0xABCD, threads);
         let elapsed = begin.elapsed();
@@ -149,6 +146,16 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
         tables: vec![table],
         records,
     })
+}
+
+/// The profile's `which`-th Rent netlist at the given locality, and
+/// the seed it was drawn from.
+fn instance(profile: &Profile, which: u64, locality: f64) -> Result<(Netlist, u64), BenchError> {
+    let (cells, nets) = profile.huge_netlist_shape();
+    let seed = derive_seed(profile.seed, &[41, cells as u64, which]);
+    let mut gen_rng = LaggedFibonacci::seed_from_u64(seed);
+    let params = RentNetlistParams::new(cells, nets, 8.min(cells), GAMMA, locality)?;
+    Ok((sample_streamed(&mut gen_rng, &params), seed))
 }
 
 /// Result of one huge netlist bisection.
@@ -202,10 +209,13 @@ fn bisect_huge_netlist(nl: &Netlist, seed: u64, threads: usize) -> HugeNetlistOu
     // sets the basin every finer level refines within, so it gets the
     // serial FM refiner — whose pass mechanics cross gain hills —
     // rather than the strictly greedy parallel one. Its run leaves
-    // `ws.netlist_cache` exact for the bisection it returns.
+    // `ws.netlist_cache` exact for the bisection it returns. Coarse
+    // cells carry weight, so the start must balance weights, not
+    // counts: from an out-of-tolerance start no FM prefix ends
+    // balanced and every level would roll back to its input.
     let refine_begin = Instant::now();
     let coarsest = current_netlist(&nlr, &ladder);
-    let p = NetlistBisection::random_balanced(coarsest, &mut rng);
+    let p = weight_balanced_random(coarsest, &mut rng);
     let mut rounds = 0u64;
     let mut dummy = LaggedFibonacci::seed_from_u64(0);
     let fm = NetlistFm::new();
@@ -302,6 +312,24 @@ mod tests {
         assert_eq!(a.cut, b.cut);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.proposals, b.proposals);
+    }
+
+    #[test]
+    fn local_instance_beats_the_index_split() {
+        // The locality-clustered generator places each net's pins in a
+        // 2% index window, so splitting the cell range in half is a
+        // trivial baseline any real partitioner must match.
+        let (nl, seed) = instance(&Profile::quick(), 0, 0.02).unwrap();
+        let n = nl.num_cells();
+        let split = NetlistBisection::from_sides(&nl, (0..n).map(|c| c >= n / 2).collect())
+            .unwrap()
+            .cut();
+        let outcome = bisect_huge_netlist(&nl, seed ^ 0xABCD, 1);
+        assert!(
+            outcome.cut <= split,
+            "ladder cut {} vs index split {split}",
+            outcome.cut
+        );
     }
 
     #[test]

@@ -145,6 +145,11 @@ impl NetlistBisection {
     }
 
     /// A uniformly random cell-count-balanced bisection.
+    ///
+    /// It balances cell *counts*, not weights, so on a weighted
+    /// (coarse) netlist it can start far outside
+    /// [`NetlistBisection::is_balanced`]. Seed weighted netlists with
+    /// [`weight_balanced_random`] instead.
     pub fn random_balanced<R: Rng + ?Sized>(nl: &Netlist, rng: &mut R) -> NetlistBisection {
         let n = nl.num_cells();
         let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
@@ -469,11 +474,9 @@ fn rebalance_with_cache_observed(
 }
 
 /// A random bisection balanced by cell weight (greedy lighter-side
-/// assignment in random order).
-pub(crate) fn weight_balanced_random<R: Rng + ?Sized>(
-    nl: &Netlist,
-    rng: &mut R,
-) -> NetlistBisection {
+/// assignment in random order): the start the netlist engine and the
+/// huge-netlist ladder draw on (coarse) weighted netlists.
+pub fn weight_balanced_random<R: Rng + ?Sized>(nl: &Netlist, rng: &mut R) -> NetlistBisection {
     weight_balanced_random_fixed(nl, &[], rng)
 }
 
