@@ -93,7 +93,9 @@ pub trait Refiner: Bisector {
     /// `refine_counted`.
     ///
     /// The default runs `refine_counted` and rebuilds the cache for the
-    /// result in O(V + E). Boundary-localized refiners override it to
+    /// result in O(V + E); KL and SA take it. The FM family
+    /// ([`crate::fm::FiducciaMattheyses`], [`crate::fm::BoundaryFm`],
+    /// [`crate::par_fm::ParallelFm`] in both modes) overrides it to
     /// consume the entry cache and maintain it move by move instead.
     fn refine_projected_counted(
         &self,

@@ -5,29 +5,31 @@
 //! vertices in constant-time *gain buckets* instead of re-scanning
 //! pairs.
 //!
-//! One pass: every vertex starts unlocked with its current gain. At
+//! One pass: every candidate starts unlocked with its current gain. At
 //! each step the best-gain unlocked vertex whose move keeps the
 //! imbalance within tolerance is (virtually) moved and locked, the
 //! running cut change is recorded, and its neighbors' gains are
 //! updated. After all moves, the best balanced prefix is applied if it
 //! improves the cut. Passes repeat to a fixpoint.
 //!
-//! [`BoundaryFm`] is the boundary-localized variant: instead of
-//! inserting all `V` vertices into the gain buckets each pass, it seeds
-//! them with only the current *boundary* (vertices with a cut edge,
-//! tracked incrementally by [`crate::gain_cache::GainCache`]) and pulls
-//! interior vertices in lazily as moves reach them — a pass costs
-//! `O(boundary + touched)` instead of `O(V)`, which is the multilevel
-//! win once coarsening has shrunk the cut region to a sliver of the
-//! graph. Its [`crate::bisector::Refiner::refine_projected_counted`]
-//! consumes the projected cache as it stands, so uncoarsening ladders
-//! never rebuild its gain state per level.
+//! [`FiducciaMattheyses`] and [`BoundaryFm`] run that one pass and
+//! differ only in which vertices seed the gain buckets. FM seeds every
+//! vertex in index order. BFM seeds only the current *boundary*
+//! (vertices with a cut edge, tracked incrementally by
+//! [`crate::gain_cache::GainCache`]) and pulls interior vertices in
+//! lazily as moves reach them, so a pass costs `O(boundary + touched)`
+//! instead of `O(V)` — the multilevel win once coarsening has shrunk
+//! the cut region to a sliver of the graph. Both keep the workspace
+//! gain cache exact pass to pass, and both override
+//! [`crate::bisector::Refiner::refine_projected_counted`] to consume the
+//! projected cache as it stands, so uncoarsening ladders never rebuild
+//! their gain state per level.
 
-use bisect_graph::Graph;
+use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
 use crate::bisector::{Bisector, Refiner};
-use crate::partition::{Bisection, Side};
+use crate::partition::{self, Bisection, Side};
 use crate::seed;
 use crate::workspace::Workspace;
 
@@ -77,138 +79,16 @@ impl FiducciaMattheyses {
     /// fixpoint). The bisection must be balanced on entry and stays
     /// balanced.
     ///
-    /// The gain buckets, the working bisection, and every per-move
-    /// array come from `ws` — no heap allocations once the workspace is
-    /// warm.
-    // lint: allow(no-panic) — pass-loop expects: both prepare branches leave
-    // fm_work populated, and `choice` is Some only when that bucket had a
-    // peek.
+    /// The gain cache, the gain buckets, the working bisection, and
+    /// every per-move array come from `ws` — no heap allocations once
+    /// the workspace is warm.
     pub fn pass_in(&self, g: &Graph, p: &mut Bisection, ws: &mut Workspace) -> u64 {
-        let n = g.num_vertices();
-        if n < 2 {
+        if g.num_vertices() < 2 {
             return 0;
         }
-        let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-        let base_tol = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            max_weight
-        };
-        // During the pass a single move may overshoot balance by one
-        // vertex: moving weight w changes the side *difference* by 2w,
-        // so the classic FM criterion allows a difference up to twice
-        // the largest vertex weight.
-        let pass_tol = base_tol.max(2 * max_weight);
-
-        let max_wdeg = g
-            .vertices()
-            .map(|v| g.weighted_degree(v))
-            .max()
-            .unwrap_or(0)
-            .min(i64::MAX as u64) as i64;
-        // Initial gains come from the shared cache arena (one O(V + E)
-        // sweep, same integers SA maintains incrementally).
         ws.gain_cache.init(g, p);
-        let buckets = &mut ws.fm_buckets;
-        for b in buckets.iter_mut() {
-            b.reset(n, max_wdeg);
-        }
-        for v in g.vertices() {
-            buckets[p.side(v).index()].insert(v, ws.gain_cache.gain(v));
-        }
-
-        if let Some(w) = ws.fm_work.as_mut() {
-            w.copy_from(p);
-        } else {
-            // lint: allow(zero-alloc) — one-time workspace warm-up, recycled afterwards
-            ws.fm_work = Some(p.clone());
-        }
-        let work = ws.fm_work.as_mut().expect("just populated");
-        ws.locked.clear();
-        ws.locked.resize(n, false);
-        let locked = &mut ws.locked;
-        ws.fm_moves.clear();
-        let moves = &mut ws.fm_moves;
-        ws.fm_cumulative.clear();
-        let cumulative = &mut ws.fm_cumulative;
-        ws.fm_balanced.clear();
-        let balanced_after = &mut ws.fm_balanced;
-        let mut running = 0i64;
-
-        for _ in 0..n {
-            // Candidate per side: its best-gain unlocked vertex, kept
-            // only if moving it respects the pass tolerance.
-            let mut choice: Option<(i64, Side)> = None;
-            for side in [Side::A, Side::B] {
-                let Some((gain, v)) = buckets[side.index()].peek_best() else {
-                    continue;
-                };
-                let w = g.vertex_weight(v) as i64;
-                let imb = work.weight(Side::A) as i64 - work.weight(Side::B) as i64;
-                let new_imb = if side == Side::A {
-                    imb - 2 * w
-                } else {
-                    imb + 2 * w
-                };
-                if new_imb.unsigned_abs() > pass_tol {
-                    continue;
-                }
-                // Prefer higher gain; tie-break toward the heavier side
-                // (drives the state back toward balance).
-                let heavier = work.weight(side) >= work.weight(side.other());
-                match choice {
-                    Some((bg, bside)) => {
-                        let better = gain > bg
-                            || (gain == bg && heavier && work.weight(bside) < work.weight(side));
-                        if better {
-                            choice = Some((gain, side));
-                        }
-                    }
-                    None => choice = Some((gain, side)),
-                }
-            }
-            let Some((gain, side)) = choice else { break };
-            let (_, v) = buckets[side.index()].pop_best().expect("peeked nonempty");
-            locked[v as usize] = true;
-            work.move_vertex(g, v);
-            running += gain;
-            moves.push(v);
-            cumulative.push(running);
-            balanced_after.push(work.weight_imbalance() <= base_tol);
-
-            for (u, w) in g.neighbors_weighted(v) {
-                if locked[u as usize] {
-                    continue;
-                }
-                // v left `side`: for u still on `side` the edge became
-                // external (+2w); for u on the other side it became
-                // internal (−2w).
-                let delta = if work.side(u) == side {
-                    2 * w as i64
-                } else {
-                    -2 * (w as i64)
-                };
-                let b = &mut buckets[work.side(u).index()];
-                let cur = b.gain_of(u);
-                b.update(u, cur + delta);
-            }
-        }
-
-        // Best prefix that ends balanced with positive improvement.
-        let mut best: Option<(usize, i64)> = None;
-        for (i, (&c, &ok)) in cumulative.iter().zip(balanced_after.iter()).enumerate() {
-            if ok && c > 0 && best.is_none_or(|(_, bc)| c > bc) {
-                best = Some((i, c));
-            }
-        }
-        let Some((k, best_gain)) = best else { return 0 };
-        let before = p.cut();
-        for &v in &moves[..=k] {
-            p.move_vertex(g, v);
-        }
-        debug_assert_eq!(p.cut(), p.recompute_cut(g));
-        debug_assert_eq!(before - p.cut(), best_gain as u64);
-        before - p.cut()
+        let tol = prepare(g, p, ws);
+        fm_pass(g, p, ws, tol, Seeds::All)
     }
 }
 
@@ -232,29 +112,36 @@ impl Refiner for FiducciaMattheyses {
     fn refine_counted(
         &self,
         g: &Graph,
+        init: Bisection,
+        rng: &mut dyn RngCore,
+        ws: &mut Workspace,
+    ) -> (Bisection, u64) {
+        if g.num_vertices() >= 2 {
+            ws.gain_cache.init(g, &init);
+        }
+        self.refine_projected_counted(g, init, rng, ws)
+    }
+
+    fn refine_projected_counted(
+        &self,
+        g: &Graph,
         mut init: Bisection,
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        let mut productive = 0u64;
-        for _ in 0..self.max_passes {
-            if self.pass_in(g, &mut init, ws) == 0 {
-                break;
-            }
-            productive += 1;
-        }
-        (init, productive)
+        let passes = refine_with_cache(g, &mut init, ws, self.max_passes, Seeds::All);
+        (init, passes)
     }
 }
 
-/// Boundary-localized FM: identical move discipline to
-/// [`FiducciaMattheyses`] (best-gain single moves under the pass
-/// tolerance, best balanced prefix, passes to a fixpoint), but each
-/// pass seeds the gain buckets from the incrementally tracked cut
-/// boundary instead of all of `V`, and cleans up only what it touched.
-/// A separately tested refinement mode — not bit-identical to the
-/// pinned full-scan FM (it visits candidates in boundary order), but
-/// deterministic and subject to the same invariants.
+/// Boundary-localized FM: the [`FiducciaMattheyses`] pass (best-gain
+/// single moves under the pass tolerance, best balanced prefix, passes
+/// to a fixpoint), but each pass seeds the gain buckets from the
+/// incrementally tracked cut boundary instead of all of `V`, and cleans
+/// up only what it touched. A separately tested refinement mode — not
+/// bit-identical to the pinned full-scan FM (it visits candidates in
+/// boundary order), but deterministic and subject to the same
+/// invariants.
 ///
 /// # Example
 ///
@@ -296,194 +183,6 @@ impl BoundaryFm {
         self.max_passes = max_passes;
         self
     }
-
-    /// Runs passes to a fixpoint assuming `ws.gain_cache` is already
-    /// exact for `(g, p)`; leaves it exact for the refined `p`.
-    /// Returns the number of productive passes.
-    fn refine_with_cache(&self, g: &Graph, p: &mut Bisection, ws: &mut Workspace) -> u64 {
-        let n = g.num_vertices();
-        if n < 2 {
-            return 0;
-        }
-        // Same tolerances as the full-scan pass (see pass_in).
-        let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-        let base_tol = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            max_weight
-        };
-        let pass_tol = base_tol.max(2 * max_weight);
-        let max_wdeg = g
-            .vertices()
-            .map(|v| g.weighted_degree(v))
-            .max()
-            .unwrap_or(0)
-            .min(i64::MAX as u64) as i64;
-
-        // One-time O(V) setup per refine call; each pass afterwards
-        // touches only boundary + reached vertices.
-        for b in ws.fm_buckets.iter_mut() {
-            b.reset(n, max_wdeg);
-        }
-        if let Some(w) = ws.fm_work.as_mut() {
-            w.copy_from(p);
-        } else {
-            ws.fm_work = Some(p.clone());
-        }
-        ws.locked.clear();
-        ws.locked.resize(n, false);
-        ws.fm_touched.clear();
-
-        let mut productive = 0u64;
-        for _ in 0..self.max_passes {
-            if self.pass_with_cache(g, p, ws, base_tol, pass_tol) == 0 {
-                break;
-            }
-            productive += 1;
-        }
-        productive
-    }
-
-    /// One boundary-seeded pass. On entry and exit: `ws.gain_cache` is
-    /// exact for `(g, p)`, `ws.fm_work` mirrors `p`, `ws.fm_buckets`
-    /// are empty, `ws.locked` is all-false, `ws.fm_touched` is empty.
-    // lint: allow(no-panic) — pass-loop expects: refine_with_cache populated
-    // fm_work before any pass, and `choice` is Some only when that bucket
-    // had a peek.
-    fn pass_with_cache(
-        &self,
-        g: &Graph,
-        p: &mut Bisection,
-        ws: &mut Workspace,
-        base_tol: u64,
-        pass_tol: u64,
-    ) -> u64 {
-        let cache = &ws.gain_cache;
-        let buckets = &mut ws.fm_buckets;
-        let touched = &mut ws.fm_touched;
-        // Seed only the boundary: every vertex with a cut edge. An
-        // interior vertex can only become worth moving after a neighbor
-        // moves, and the update loop below inserts it the moment that
-        // happens, so no candidate is ever missed.
-        for &v in cache.boundary() {
-            buckets[p.side(v).index()].insert(v, cache.gain(v));
-            touched.push(v);
-        }
-        let work = ws.fm_work.as_mut().expect("fm_work prepared");
-        let locked = &mut ws.locked;
-        ws.fm_moves.clear();
-        let moves = &mut ws.fm_moves;
-        ws.fm_cumulative.clear();
-        let cumulative = &mut ws.fm_cumulative;
-        ws.fm_balanced.clear();
-        let balanced_after = &mut ws.fm_balanced;
-        let mut running = 0i64;
-
-        loop {
-            // Identical candidate choice to the full-scan pass: best
-            // gain within the pass tolerance, ties toward the heavier
-            // side.
-            let mut choice: Option<(i64, Side)> = None;
-            for side in [Side::A, Side::B] {
-                let Some((gain, v)) = buckets[side.index()].peek_best() else {
-                    continue;
-                };
-                let w = g.vertex_weight(v) as i64;
-                let imb = work.weight(Side::A) as i64 - work.weight(Side::B) as i64;
-                let new_imb = if side == Side::A {
-                    imb - 2 * w
-                } else {
-                    imb + 2 * w
-                };
-                if new_imb.unsigned_abs() > pass_tol {
-                    continue;
-                }
-                let heavier = work.weight(side) >= work.weight(side.other());
-                match choice {
-                    Some((bg, bside)) => {
-                        let better = gain > bg
-                            || (gain == bg && heavier && work.weight(bside) < work.weight(side));
-                        if better {
-                            choice = Some((gain, side));
-                        }
-                    }
-                    None => choice = Some((gain, side)),
-                }
-            }
-            let Some((gain, side)) = choice else { break };
-            let (_, v) = buckets[side.index()].pop_best().expect("peeked nonempty");
-            locked[v as usize] = true;
-            // Bucket gains are exact virtual gains for `work` (seeded
-            // from the exact cache while work == p, maintained below).
-            work.move_vertex_with_gain(g, v, gain);
-            running += gain;
-            moves.push(v);
-            cumulative.push(running);
-            balanced_after.push(work.weight_imbalance() <= base_tol);
-
-            for (u, w) in g.neighbors_weighted(v) {
-                if locked[u as usize] {
-                    continue;
-                }
-                let delta = if work.side(u) == side {
-                    2 * w as i64
-                } else {
-                    -2 * (w as i64)
-                };
-                let b = &mut buckets[work.side(u).index()];
-                if b.contains(u) {
-                    let cur = b.gain_of(u);
-                    b.update(u, cur + delta);
-                } else {
-                    // u had no moved neighbor yet (only pops remove
-                    // bucket entries, and pops lock), so its virtual
-                    // gain still equals the cached real gain.
-                    b.insert(u, cache.gain(u) + delta);
-                    touched.push(u);
-                }
-            }
-        }
-
-        // Best prefix that ends balanced with positive improvement.
-        let mut best: Option<(usize, i64)> = None;
-        for (i, (&c, &ok)) in cumulative.iter().zip(balanced_after.iter()).enumerate() {
-            if ok && c > 0 && best.is_none_or(|(_, bc)| c > bc) {
-                best = Some((i, c));
-            }
-        }
-        let committed = match best {
-            Some((k, _)) => k + 1,
-            None => 0,
-        };
-        let before = p.cut();
-        let cache = &mut ws.gain_cache;
-        for &v in &moves[..committed] {
-            // record_move wants the pre-move partition; the cached gain
-            // is the exact real gain of v at this point in the prefix.
-            let real_gain = cache.gain(v);
-            cache.record_move(g, p, v);
-            p.move_vertex_with_gain(g, v, real_gain);
-        }
-        // Rewind the uncommitted virtual tail so fm_work mirrors p
-        // again. Each vertex moved at most once per pass, so moving it
-        // back restores its side regardless of order.
-        for &v in &moves[committed..] {
-            work.move_vertex(g, v);
-        }
-        // O(touched) cleanup instead of O(V) resets.
-        for &v in touched.iter() {
-            for b in buckets.iter_mut() {
-                if b.contains(v) {
-                    b.remove(v);
-                }
-            }
-            locked[v as usize] = false;
-        }
-        touched.clear();
-        debug_assert_eq!(p.cut(), p.recompute_cut(g));
-        debug_assert!(before >= p.cut());
-        before - p.cut()
-    }
 }
 
 impl Bisector for BoundaryFm {
@@ -506,15 +205,14 @@ impl Refiner for BoundaryFm {
     fn refine_counted(
         &self,
         g: &Graph,
-        mut init: Bisection,
-        _rng: &mut dyn RngCore,
+        init: Bisection,
+        rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
         if g.num_vertices() >= 2 {
             ws.gain_cache.init(g, &init);
         }
-        let passes = self.refine_with_cache(g, &mut init, ws);
-        (init, passes)
+        self.refine_projected_counted(g, init, rng, ws)
     }
 
     fn refine_projected_counted(
@@ -524,9 +222,216 @@ impl Refiner for BoundaryFm {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        let passes = self.refine_with_cache(g, &mut init, ws);
+        let passes = refine_with_cache(g, &mut init, ws, self.max_passes, Seeds::Boundary);
         (init, passes)
     }
+}
+
+/// Which vertices seed a pass's gain buckets: the one difference
+/// between [`FiducciaMattheyses`] and [`BoundaryFm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seeds {
+    /// Every vertex, in index order.
+    All,
+    /// The cache's cut-boundary list. An interior vertex can only
+    /// become worth moving after a neighbor moves, and the pass inserts
+    /// it the moment that happens, so no candidate is ever missed.
+    Boundary,
+}
+
+/// Runs up to `max_passes` passes to a fixpoint assuming
+/// `ws.gain_cache` is exact for `(g, p)`; leaves it exact for the
+/// refined `p`. Returns the number of productive passes.
+fn refine_with_cache(
+    g: &Graph,
+    p: &mut Bisection,
+    ws: &mut Workspace,
+    max_passes: usize,
+    seeds: Seeds,
+) -> u64 {
+    if g.num_vertices() < 2 {
+        return 0;
+    }
+    let tol = prepare(g, p, ws);
+    let mut productive = 0u64;
+    for _ in 0..max_passes {
+        if fm_pass(g, p, ws, tol, seeds) == 0 {
+            break;
+        }
+        productive += 1;
+    }
+    productive
+}
+
+/// Per-refine O(V) setup: bucket reset, work mirror, locked/touched
+/// clearing. Returns the `(base, pass)` tolerances of
+/// [`partition::move_tolerances`]; each pass afterwards touches only
+/// what it seeds and reaches.
+fn prepare(g: &Graph, p: &Bisection, ws: &mut Workspace) -> (u64, u64) {
+    let n = g.num_vertices();
+    let max_wdeg = g
+        .vertices()
+        .map(|v| g.weighted_degree(v))
+        .max()
+        .unwrap_or(0)
+        .min(i64::MAX as u64) as i64;
+    for b in ws.fm_buckets.iter_mut() {
+        b.reset(n, max_wdeg);
+    }
+    if let Some(w) = ws.fm_work.as_mut() {
+        w.copy_from(p);
+    } else {
+        // lint: allow(zero-alloc) — one-time workspace warm-up, recycled afterwards
+        ws.fm_work = Some(p.clone());
+    }
+    ws.locked.clear();
+    ws.locked.resize(n, false);
+    ws.fm_touched.clear();
+    partition::move_tolerances(g)
+}
+
+/// One FM pass. On entry and exit: `ws.gain_cache` is exact for
+/// `(g, p)`, `ws.fm_work` mirrors `p`, `ws.fm_buckets` are empty,
+/// `ws.locked` is all-false, `ws.fm_touched` is empty.
+// lint: allow(no-panic) — pass-loop expects: prepare populated fm_work
+// before any pass, and `choice` is Some only when that bucket had a peek.
+fn fm_pass(
+    g: &Graph,
+    p: &mut Bisection,
+    ws: &mut Workspace,
+    (base_tol, pass_tol): (u64, u64),
+    seeds: Seeds,
+) -> u64 {
+    let cache = &ws.gain_cache;
+    let buckets = &mut ws.fm_buckets;
+    let touched = &mut ws.fm_touched;
+    let mut add = |v: VertexId| {
+        buckets[p.side(v).index()].insert(v, cache.gain(v));
+        touched.push(v);
+    };
+    match seeds {
+        Seeds::All => g.vertices().for_each(&mut add),
+        Seeds::Boundary => cache.boundary().iter().for_each(|&v| add(v)),
+    }
+    let work = ws.fm_work.as_mut().expect("fm_work prepared");
+    let locked = &mut ws.locked;
+    ws.fm_moves.clear();
+    let moves = &mut ws.fm_moves;
+    ws.fm_cumulative.clear();
+    let cumulative = &mut ws.fm_cumulative;
+    ws.fm_balanced.clear();
+    let balanced_after = &mut ws.fm_balanced;
+    let mut running = 0i64;
+
+    loop {
+        // Candidate per side: its best-gain unlocked vertex, kept only
+        // if moving it respects the pass tolerance.
+        let mut choice: Option<(i64, Side)> = None;
+        for side in [Side::A, Side::B] {
+            let Some((gain, v)) = buckets[side.index()].peek_best() else {
+                continue;
+            };
+            let w = g.vertex_weight(v) as i64;
+            let imb = work.weight(Side::A) as i64 - work.weight(Side::B) as i64;
+            let new_imb = if side == Side::A {
+                imb - 2 * w
+            } else {
+                imb + 2 * w
+            };
+            if new_imb.unsigned_abs() > pass_tol {
+                continue;
+            }
+            // Prefer higher gain; tie-break toward the heavier side
+            // (drives the state back toward balance).
+            let heavier = work.weight(side) >= work.weight(side.other());
+            match choice {
+                Some((bg, bside)) => {
+                    let better = gain > bg
+                        || (gain == bg && heavier && work.weight(bside) < work.weight(side));
+                    if better {
+                        choice = Some((gain, side));
+                    }
+                }
+                None => choice = Some((gain, side)),
+            }
+        }
+        let Some((gain, side)) = choice else { break };
+        let (_, v) = buckets[side.index()].pop_best().expect("peeked nonempty");
+        locked[v as usize] = true;
+        // Bucket gains are exact virtual gains for `work` (seeded from
+        // the exact cache while work == p, maintained below).
+        work.move_vertex_with_gain(g, v, gain);
+        running += gain;
+        moves.push(v);
+        cumulative.push(running);
+        balanced_after.push(work.weight_imbalance() <= base_tol);
+
+        for (u, w) in g.neighbors_weighted(v) {
+            if locked[u as usize] {
+                continue;
+            }
+            // v left `side`: for u still on `side` the edge became
+            // external (+2w); for u on the other side it became
+            // internal (−2w).
+            let delta = if work.side(u) == side {
+                2 * w as i64
+            } else {
+                -2 * (w as i64)
+            };
+            let b = &mut buckets[work.side(u).index()];
+            if b.contains(u) {
+                let cur = b.gain_of(u);
+                b.update(u, cur + delta);
+            } else {
+                // Only boundary seeding leaves u out: it had no moved
+                // neighbor yet (only pops remove bucket entries, and
+                // pops lock), so its virtual gain still equals the
+                // cached real gain.
+                b.insert(u, cache.gain(u) + delta);
+                touched.push(u);
+            }
+        }
+    }
+
+    // Best prefix that ends balanced with positive improvement.
+    let mut best: Option<(usize, i64)> = None;
+    for (i, (&c, &ok)) in cumulative.iter().zip(balanced_after.iter()).enumerate() {
+        if ok && c > 0 && best.is_none_or(|(_, bc)| c > bc) {
+            best = Some((i, c));
+        }
+    }
+    let committed = match best {
+        Some((k, _)) => k + 1,
+        None => 0,
+    };
+    let before = p.cut();
+    let cache = &mut ws.gain_cache;
+    for &v in &moves[..committed] {
+        // record_move wants the pre-move partition; the cached gain is
+        // the exact real gain of v at this point in the prefix.
+        let real_gain = cache.gain(v);
+        cache.record_move(g, p, v);
+        p.move_vertex_with_gain(g, v, real_gain);
+    }
+    // Rewind the uncommitted virtual tail so fm_work mirrors p again.
+    // Each vertex moved at most once per pass, so moving it back
+    // restores its side regardless of order.
+    for &v in &moves[committed..] {
+        work.move_vertex(g, v);
+    }
+    // O(touched) cleanup instead of O(V) resets.
+    for &v in touched.iter() {
+        for b in buckets.iter_mut() {
+            if b.contains(v) {
+                b.remove(v);
+            }
+        }
+        locked[v as usize] = false;
+    }
+    touched.clear();
+    debug_assert_eq!(p.cut(), p.recompute_cut(g));
+    debug_assert!(before >= p.cut());
+    before - p.cut()
 }
 
 #[cfg(test)]
@@ -647,20 +552,27 @@ mod tests {
     #[test]
     fn boundary_refine_leaves_cache_exact() {
         let g = special::grid(8, 8);
-        let bfm = BoundaryFm::new();
-        let mut ws = Workspace::new();
-        for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let init = seed::random_balanced(&g, &mut rng);
-            let (refined, _) = bfm.refine_counted(&g, init, &mut rng, &mut ws);
-            for v in g.vertices() {
-                assert_eq!(ws.gain_cache().gain(v), refined.gain(&g, v), "seed {seed}");
-                let ext: u64 = g
-                    .neighbors_weighted(v)
-                    .filter(|&(u, _)| refined.side(u) != refined.side(v))
-                    .map(|(_, w)| w)
-                    .sum();
-                assert_eq!(ws.gain_cache().ext(v), ext, "seed {seed}");
+        let refiners: [&dyn Refiner; 2] = [&FiducciaMattheyses::new(), &BoundaryFm::new()];
+        for fm in refiners {
+            let mut ws = Workspace::new();
+            for seed in 0..5 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let init = seed::random_balanced(&g, &mut rng);
+                let (refined, _) = fm.refine_counted(&g, init, &mut rng, &mut ws);
+                let name = fm.name();
+                for v in g.vertices() {
+                    assert_eq!(
+                        ws.gain_cache().gain(v),
+                        refined.gain(&g, v),
+                        "{name} {seed}"
+                    );
+                    let ext: u64 = g
+                        .neighbors_weighted(v)
+                        .filter(|&(u, _)| refined.side(u) != refined.side(v))
+                        .map(|(_, w)| w)
+                        .sum();
+                    assert_eq!(ws.gain_cache().ext(v), ext, "{name} {seed}");
+                }
             }
         }
     }
@@ -670,17 +582,20 @@ mod tests {
         // refine_projected_counted with an externally prepared cache
         // must equal refine_counted (which builds its own).
         let g = special::grid(8, 8);
-        let bfm = BoundaryFm::new();
-        for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let init = seed::random_balanced(&g, &mut rng);
-            let mut ws_a = Workspace::new();
-            let (plain, passes_a) = bfm.refine_counted(&g, init.clone(), &mut rng, &mut ws_a);
-            let mut ws_b = Workspace::new();
-            ws_b.gain_cache.init(&g, &init);
-            let (projected, passes_b) = bfm.refine_projected_counted(&g, init, &mut rng, &mut ws_b);
-            assert_eq!(plain, projected, "seed {seed}");
-            assert_eq!(passes_a, passes_b, "seed {seed}");
+        let refiners: [&dyn Refiner; 2] = [&FiducciaMattheyses::new(), &BoundaryFm::new()];
+        for fm in refiners {
+            for seed in 0..5 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let init = seed::random_balanced(&g, &mut rng);
+                let mut ws_a = Workspace::new();
+                let (plain, passes_a) = fm.refine_counted(&g, init.clone(), &mut rng, &mut ws_a);
+                let mut ws_b = Workspace::new();
+                ws_b.gain_cache.init(&g, &init);
+                let (projected, passes_b) =
+                    fm.refine_projected_counted(&g, init, &mut rng, &mut ws_b);
+                assert_eq!(plain, projected, "{} {seed}", fm.name());
+                assert_eq!(passes_a, passes_b, "{} {seed}", fm.name());
+            }
         }
     }
 

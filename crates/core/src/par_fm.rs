@@ -10,6 +10,13 @@
 //! the same discipline as [`crate::fm::FiducciaMattheyses`] — guarantees
 //! the round ends balanced with a cut no larger than it started.
 //!
+//! Every round reads gains from the workspace [`GainCache`]: workers
+//! take their starting gains from it instead of walking adjacency, and
+//! the serial resolve re-validates each proposal with a cached `O(1)`
+//! lookup and records every applied (or rolled-back) move, so the cache
+//! stays exact round to round. `refine_counted` builds the cache once;
+//! [`Refiner::refine_projected_counted`] consumes the projected one.
+//!
 //! # Determinism contract
 //!
 //! `ParallelFm` draws **no randomness** and is **deterministic at a
@@ -27,18 +34,13 @@
 //! # Boundary-seeded mode
 //!
 //! [`ParallelFm::with_boundary_seeds`] switches the propose phase from
-//! full contiguous vertex ranges to the current *cut boundary* tracked
-//! by the workspace [`GainCache`]: workers sweep contiguous chunks of
-//! the sorted boundary list, read their starting gains straight from
-//! the cache (no per-round `O(V + E)` gain walks), and the serial
-//! resolve re-validates each proposal with a cached `O(1)` gain lookup
-//! instead of an `O(deg)` recomputation, keeping the cache exact as
-//! moves land. A round costs `O(boundary·deg)` rather than `O(V + E)`.
-//! The mode draws no randomness and keeps the fixed-thread-count
-//! determinism contract (the chunking is a pure function of the sorted
-//! boundary and the thread count); it is a separate, explicitly tested
-//! configuration — the default full-range mode is bit-identical to
-//! what it always was.
+//! full contiguous vertex ranges to contiguous chunks of the current
+//! *cut boundary* list tracked by the cache. Chunking, merge and resolve
+//! are the same round; only the proposals' source changes, so a round
+//! costs `O(boundary·deg)` rather than `O(V + E)`. The mode draws no
+//! randomness and keeps the fixed-thread-count determinism contract
+//! (the chunking is a pure function of the boundary list and the thread
+//! count); it is a separate, explicitly tested configuration.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -48,7 +50,7 @@ use rand::RngCore;
 
 use crate::bisector::{Bisector, Refiner};
 use crate::gain_cache::GainCache;
-use crate::partition::{Bisection, Side};
+use crate::partition::{self, Bisection, Side};
 use crate::seed;
 use crate::workspace::Workspace;
 
@@ -124,23 +126,51 @@ impl ParallelFm {
         self.threads.unwrap_or_else(bisect_par::num_threads)
     }
 
-    /// One propose/resolve round. Returns `(cut improvement, gain
-    /// evaluations)`; an improvement of zero means the round applied
-    /// nothing and the refiner is done.
-    fn round(&self, g: &Graph, p: &mut Bisection, threads: usize) -> (u64, u64) {
-        let n = g.num_vertices();
-        let t = threads.max(1).min(n);
-        let chunk = n.div_ceil(t);
-        let ranges = n.div_ceil(chunk);
+    /// One propose/resolve round with the `(base, pass)` tolerances of
+    /// [`partition::move_tolerances`]. `cache` must be exact for
+    /// `(g, p)` on entry and is exact for the updated `p` on exit.
+    /// Returns `(cut improvement, gain evaluations)`; an improvement of
+    /// zero means the round applied nothing and the refiner is done.
+    fn round(
+        &self,
+        g: &Graph,
+        p: &mut Bisection,
+        cache: &mut GainCache,
+        threads: usize,
+        (base_tol, pass_tol): (u64, u64),
+    ) -> (u64, u64) {
+        // Full-range mode chunks the vertex ids; boundary mode chunks
+        // the boundary list by *position* — no copy, no sort, O(1)
+        // membership via the cache's position index. The list order is
+        // a pure function of the init state and move history, so the
+        // chunking (and the whole round) stays deterministic at a fixed
+        // thread count.
+        let boundary = self.boundary_seeds;
+        let m = if boundary {
+            cache.boundary().len()
+        } else {
+            g.num_vertices()
+        };
+        if m == 0 {
+            return (0, 0);
+        }
+        let t = threads.max(1).min(m);
+        let chunk = m.div_ceil(t);
+        let ranges = m.div_ceil(chunk);
 
-        // Parallel propose: each worker sweeps its contiguous range
-        // against the shared snapshot. Results come back in range
-        // order regardless of scheduling.
+        // Parallel propose: each worker sweeps its chunk against the
+        // shared snapshot. Results come back in chunk order regardless
+        // of scheduling.
         let snapshot = p.sides();
+        let shared: &GainCache = cache;
         let results = bisect_par::par_map_with(t, ranges, |k| {
             let lo = k * chunk;
-            let hi = ((k + 1) * chunk).min(n);
-            propose_range(g, snapshot, lo, hi)
+            let hi = ((k + 1) * chunk).min(m);
+            if boundary {
+                propose_chunk(g, snapshot, shared, lo, hi)
+            } else {
+                propose_range(g, snapshot, shared, lo, hi)
+            }
         });
 
         let mut evals: u64 = 0;
@@ -153,15 +183,9 @@ impl ParallelFm {
         // deterministic tie-break.
         all.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        // Serial resolve: same tolerances as the serial FM pass.
-        let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-        let base_tol = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            max_weight
-        };
-        let pass_tol = base_tol.max(2 * max_weight);
-
+        // Serial resolve under the serial FM pass's tolerances. Every
+        // applied (or rolled-back) move is recorded so the cache stays
+        // exact.
         let start_cut = p.cut();
         let mut best_cut = start_cut;
         let mut best_prefix = 0usize;
@@ -169,93 +193,7 @@ impl ParallelFm {
         for &(_, v) in &all {
             // The worker's gain was an estimate against the snapshot;
             // moves applied earlier in this loop can invalidate it, so
-            // re-evaluate against the live bisection.
-            let live = p.gain(g, v);
-            evals += 1;
-            if live <= 0 {
-                continue;
-            }
-            let w = g.vertex_weight(v) as i64;
-            let imb = p.weight(Side::A) as i64 - p.weight(Side::B) as i64;
-            let new_imb = if p.side(v) == Side::A {
-                imb - 2 * w
-            } else {
-                imb + 2 * w
-            };
-            if new_imb.unsigned_abs() > pass_tol {
-                continue;
-            }
-            p.move_vertex_with_gain(g, v, live);
-            applied.push(v);
-            if p.weight_imbalance() <= base_tol && p.cut() < best_cut {
-                best_prefix = applied.len();
-                best_cut = p.cut();
-            }
-        }
-        // Roll back to the best balanced prefix (possibly empty).
-        for &v in applied[best_prefix..].iter().rev() {
-            p.move_vertex(g, v);
-        }
-        debug_assert_eq!(p.cut(), best_cut);
-        debug_assert_eq!(p.cut(), p.recompute_cut(g));
-        (start_cut - p.cut(), evals)
-    }
-
-    /// One boundary-seeded propose/resolve round. `cache` must be exact
-    /// for `(g, p)` on entry and is exact for the updated `p` on exit.
-    /// Returns `(cut improvement, gain evaluations)`.
-    fn round_boundary(
-        &self,
-        g: &Graph,
-        p: &mut Bisection,
-        cache: &mut GainCache,
-        threads: usize,
-    ) -> (u64, u64) {
-        // Chunk the boundary list by *position* — no copy, no sort,
-        // O(1) membership via the cache's position index. The list
-        // order is a pure function of the init state and move history,
-        // so the chunking (and the whole round) stays deterministic at
-        // a fixed thread count.
-        let m = cache.boundary().len();
-        if m == 0 {
-            return (0, 0);
-        }
-        let t = threads.max(1).min(m);
-        let chunk = m.div_ceil(t);
-        let ranges = m.div_ceil(chunk);
-
-        let snapshot = p.sides();
-        let shared: &GainCache = cache;
-        let results = bisect_par::par_map_with(t, ranges, |k| {
-            let lo = k * chunk;
-            let hi = ((k + 1) * chunk).min(m);
-            propose_chunk(g, snapshot, shared, lo, hi)
-        });
-
-        let mut evals: u64 = 0;
-        let mut all: Vec<(i64, VertexId)> = Vec::new();
-        for (proposals, e) in results {
-            evals += e;
-            all.extend(proposals);
-        }
-        all.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        // Serial resolve, as in `round`, except the live re-validation
-        // is a cached O(1) lookup and every applied (or rolled-back)
-        // move is recorded so the cache stays exact round to round.
-        let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-        let base_tol = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            max_weight
-        };
-        let pass_tol = base_tol.max(2 * max_weight);
-
-        let start_cut = p.cut();
-        let mut best_cut = start_cut;
-        let mut best_prefix = 0usize;
-        let mut applied: Vec<VertexId> = Vec::new();
-        for &(_, v) in &all {
+            // re-validate with the live cached gain.
             let live = cache.gain(v);
             evals += 1;
             if live <= 0 {
@@ -279,6 +217,7 @@ impl ParallelFm {
                 best_cut = p.cut();
             }
         }
+        // Roll back to the best balanced prefix (possibly empty).
         for &v in applied[best_prefix..].iter().rev() {
             cache.record_move(g, p, v);
             p.move_vertex(g, v);
@@ -287,40 +226,21 @@ impl ParallelFm {
         debug_assert_eq!(p.cut(), p.recompute_cut(g));
         (start_cut - p.cut(), evals)
     }
-
-    /// Boundary-mode round loop shared by both refine entry points;
-    /// assumes `ws.gain_cache` is exact for `(g, init)` on entry.
-    fn refine_boundary_rounds(
-        &self,
-        g: &Graph,
-        init: &mut Bisection,
-        ws: &mut Workspace,
-        threads: usize,
-    ) -> u64 {
-        let mut productive = 0u64;
-        for _ in 0..self.max_rounds {
-            let (improvement, evals) = self.round_boundary(g, init, &mut ws.gain_cache, threads);
-            ws.add_proposals(evals);
-            if improvement == 0 {
-                break;
-            }
-            productive += 1;
-        }
-        productive
-    }
 }
 
-/// Greedy positive-gain sweep over `lo..hi` against `snapshot`.
+/// Greedy positive-gain sweep over the vertex range `lo..hi` against
+/// `snapshot`, with starting gains served from the exact cache.
 ///
 /// Gains of in-range vertices are maintained incrementally as the
 /// worker's own moves land (lazy-deletion max-heap keyed by `(gain,
 /// Reverse(vertex))`); out-of-range neighbors are frozen at their
 /// snapshot sides. Every vertex moves at most once. Returns the moves
 /// in the order they were made, each with its local gain estimate, plus
-/// the number of full gain evaluations performed.
+/// the number of starting gain evaluations (one per vertex).
 fn propose_range(
     g: &Graph,
     snapshot: &[bool],
+    cache: &GainCache,
     lo: usize,
     hi: usize,
 ) -> (Vec<(i64, VertexId)>, u64) {
@@ -328,24 +248,14 @@ fn propose_range(
     let mut gains: Vec<i64> = Vec::with_capacity(len);
     let mut locked = vec![false; len];
     let mut heap: BinaryHeap<(i64, Reverse<VertexId>)> = BinaryHeap::new();
-    let mut evals = 0u64;
-    for i in 0..len {
-        let v = (lo + i) as VertexId;
-        let sv = snapshot[lo + i];
-        let mut gain = 0i64;
-        for (u, w) in g.neighbors_weighted(v) {
-            if snapshot[u as usize] == sv {
-                gain -= w as i64;
-            } else {
-                gain += w as i64;
-            }
-        }
-        evals += 1;
+    for v in lo as VertexId..hi as VertexId {
+        let gain = cache.gain(v);
         gains.push(gain);
         if gain > 0 {
             heap.push((gain, Reverse(v)));
         }
     }
+    let evals = len as u64;
     let mut proposals: Vec<(i64, VertexId)> = Vec::new();
     while let Some((gain, Reverse(v))) = heap.pop() {
         let i = v as usize - lo;
@@ -467,6 +377,19 @@ impl Refiner for ParallelFm {
     fn refine_counted(
         &self,
         g: &Graph,
+        init: Bisection,
+        rng: &mut dyn RngCore,
+        ws: &mut Workspace,
+    ) -> (Bisection, u64) {
+        if g.num_vertices() >= 2 {
+            ws.gain_cache.init(g, &init);
+        }
+        self.refine_projected_counted(g, init, rng, ws)
+    }
+
+    fn refine_projected_counted(
+        &self,
+        g: &Graph,
         mut init: Bisection,
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
@@ -475,43 +398,16 @@ impl Refiner for ParallelFm {
             return (init, 0);
         }
         let threads = self.threads();
-        if self.boundary_seeds {
-            ws.gain_cache.init(g, &init);
-            let productive = self.refine_boundary_rounds(g, &mut init, ws, threads);
-            return (init, productive);
-        }
+        let tol = partition::move_tolerances(g);
         let mut productive = 0u64;
         for _ in 0..self.max_rounds {
-            let (improvement, evals) = self.round(g, &mut init, threads);
+            let (improvement, evals) = self.round(g, &mut init, &mut ws.gain_cache, threads, tol);
             ws.add_proposals(evals);
             if improvement == 0 {
                 break;
             }
             productive += 1;
         }
-        (init, productive)
-    }
-
-    /// Boundary mode consumes the entry cache and keeps it exact round
-    /// by round. Full-range mode never reads the cache, so it refines
-    /// as usual and rebuilds the cache for the result.
-    fn refine_projected_counted(
-        &self,
-        g: &Graph,
-        mut init: Bisection,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        if g.num_vertices() < 2 {
-            return (init, 0);
-        }
-        if !self.boundary_seeds {
-            let (refined, rounds) = self.refine_counted(g, init, rng, ws);
-            ws.gain_cache.init(g, &refined);
-            return (refined, rounds);
-        }
-        let threads = self.threads();
-        let productive = self.refine_boundary_rounds(g, &mut init, ws, threads);
         (init, productive)
     }
 }
@@ -664,14 +560,16 @@ mod tests {
     #[test]
     fn boundary_mode_leaves_cache_exact() {
         let g = special::grid(9, 7);
-        let pfm = ParallelFm::new().with_threads(3).with_boundary_seeds();
-        let mut ws = Workspace::new();
-        for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let init = seed::random_balanced(&g, &mut rng);
-            let (p, _) = pfm.refine_counted(&g, init, &mut rng, &mut ws);
-            for v in g.vertices() {
-                assert_eq!(ws.gain_cache().gain(v), p.gain(&g, v), "seed {seed}");
+        let full = ParallelFm::new().with_threads(3);
+        for pfm in [full, full.with_boundary_seeds()] {
+            let mut ws = Workspace::new();
+            for seed in 0..5 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let init = seed::random_balanced(&g, &mut rng);
+                let (p, _) = pfm.refine_counted(&g, init, &mut rng, &mut ws);
+                for v in g.vertices() {
+                    assert_eq!(ws.gain_cache().gain(v), p.gain(&g, v), "{pfm:?} {seed}");
+                }
             }
         }
     }
@@ -679,16 +577,25 @@ mod tests {
     #[test]
     fn boundary_mode_projected_entry_matches_plain_refine() {
         let g = special::grid(8, 8);
-        let pfm = ParallelFm::new().with_threads(2).with_boundary_seeds();
-        for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let init = seed::random_balanced(&g, &mut rng);
-            let mut ws_a = Workspace::new();
-            let (plain, _) = pfm.refine_counted(&g, init.clone(), &mut rng, &mut ws_a);
-            let mut ws_b = Workspace::new();
-            ws_b.gain_cache.init(&g, &init);
-            let (projected, _) = pfm.refine_projected_counted(&g, init, &mut rng, &mut ws_b);
-            assert_eq!(plain, projected, "seed {seed}");
+        let full = ParallelFm::new().with_threads(2);
+        for pfm in [full, full.with_boundary_seeds()] {
+            for seed in 0..5 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let init = seed::random_balanced(&g, &mut rng);
+                let mut ws_a = Workspace::new();
+                let (plain, rounds_a) = pfm.refine_counted(&g, init.clone(), &mut rng, &mut ws_a);
+                let mut ws_b = Workspace::new();
+                ws_b.gain_cache.init(&g, &init);
+                let (projected, rounds_b) =
+                    pfm.refine_projected_counted(&g, init, &mut rng, &mut ws_b);
+                assert_eq!(plain, projected, "{pfm:?} {seed}");
+                assert_eq!(rounds_a, rounds_b, "{pfm:?} {seed}");
+                assert_eq!(
+                    ws_a.take_proposals(),
+                    ws_b.take_proposals(),
+                    "{pfm:?} {seed}"
+                );
+            }
         }
     }
 

@@ -237,12 +237,7 @@ impl Bisection {
     /// at most the largest vertex weight for weighted (contracted)
     /// graphs, where exact balance may be unattainable.
     pub fn is_balanced(&self, g: &Graph) -> bool {
-        let tolerance = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(0)
-        };
-        self.weight_imbalance() <= tolerance
+        self.weight_imbalance() <= balance_tolerance(g)
     }
 
     /// The gain `g_v` of moving `v` to the other side: (weight of edges
@@ -416,6 +411,29 @@ fn apply_gain(cut: EdgeWeight, gain: i64) -> EdgeWeight {
     }
 }
 
+/// The side-weight difference [`Bisection::is_balanced`] accepts: the
+/// parity remainder for unit-weight graphs, else the largest vertex
+/// weight. Depends on the graph only, and costs O(V + E).
+pub(crate) fn balance_tolerance(g: &Graph) -> VertexWeight {
+    if g.is_unit_weighted() {
+        g.total_vertex_weight() % 2
+    } else {
+        g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(0)
+    }
+}
+
+/// The `(base, pass)` tolerances of one FM-style move sequence. A kept
+/// prefix must end within `base`, the [`balance_tolerance`]. During
+/// the sequence a single move may overshoot balance by one vertex:
+/// moving weight `w` changes the side *difference* by `2w`, so the
+/// classic FM criterion lets the difference reach `pass`, twice the
+/// largest vertex weight. Refiners compute both once per call.
+pub(crate) fn move_tolerances(g: &Graph) -> (VertexWeight, VertexWeight) {
+    let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
+    let base = balance_tolerance(g);
+    (base, base.max(2 * max_weight))
+}
+
 /// Moves minimum-damage vertices from the heavier side to the lighter
 /// side until the bisection is balanced (per
 /// [`Bisection::is_balanced`]). Each step moves the vertex with the
@@ -423,7 +441,8 @@ fn apply_gain(cut: EdgeWeight, gain: i64) -> EdgeWeight {
 /// bisection back to the fine graph, where weight-balance may not
 /// project exactly.
 pub fn rebalance(g: &Graph, p: &mut Bisection) {
-    while !p.is_balanced(g) {
+    let tolerance = balance_tolerance(g);
+    while p.weight_imbalance() > tolerance {
         let heavy = if p.weight(Side::A) > p.weight(Side::B) {
             Side::A
         } else {
@@ -472,7 +491,8 @@ pub fn rebalance(g: &Graph, p: &mut Bisection) {
 /// `cache` must be exact for `(g, p)` on entry; it is exact for the
 /// rebalanced `p` on exit.
 pub fn rebalance_with_cache(g: &Graph, p: &mut Bisection, cache: &mut GainCache) {
-    while !p.is_balanced(g) {
+    let tolerance = balance_tolerance(g);
+    while p.weight_imbalance() > tolerance {
         let heavy = if p.weight(Side::A) > p.weight(Side::B) {
             Side::A
         } else {

@@ -51,7 +51,7 @@ pub struct Workspace {
     pub(crate) fm_balanced: Vec<bool>,
     /// FM's virtually-moved working bisection.
     pub(crate) fm_work: Option<Bisection>,
-    /// Vertices whose bucket/locked state the current boundary-FM pass
+    /// Vertices whose bucket/locked state the current FM pass
     /// touched, so cleanup is O(touched) instead of O(V).
     pub(crate) fm_touched: Vec<VertexId>,
     /// Per-cell netlist gain cache: maintained incrementally across
