@@ -146,7 +146,7 @@ fn bench_kl_pass_budget(c: &mut Criterion) {
 }
 
 fn bench_hypergraph_vs_clique(c: &mut Criterion) {
-    use bisect_core::netlist::NetlistFm;
+    use bisect_core::netlist::NetlistPipeline;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::seq::SliceRandom;
     use rand::Rng;
@@ -173,7 +173,7 @@ fn bench_hypergraph_vs_clique(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let mut rng = LaggedFibonacci::seed_from_u64(seed);
-            std::hint::black_box(NetlistFm::new().bisect(&nl, &mut rng).cut())
+            std::hint::black_box(NetlistPipeline::flat_fm().bisect(&nl, &mut rng).cut())
         });
     });
     group.bench_function("clique-kl", |b| {

@@ -48,7 +48,8 @@ use rand::{RngCore, SeedableRng};
 fn near_converged(nl: &Netlist, swaps: usize) -> NetlistBisection {
     let mut rng = LaggedFibonacci::seed_from_u64(11);
     let init = NetlistBisection::random_balanced(nl, &mut rng);
-    let refined = NetlistFm::new().refine(nl, init);
+    let (refined, _) =
+        NetlistFm::new().refine_counted(nl, &[], init, &mut rng, &mut Workspace::new());
     let mut sides = refined.sides().to_vec();
     let n = sides.len();
     let mut done = 0;
@@ -168,10 +169,9 @@ fn projected_starts(nl: &Netlist) -> (Projected, Projected) {
     let level_of = |i: usize| if i == 0 { nl } else { ladder[i - 1].coarse() };
     let coarsest = ladder.last().map_or(nl, |c| c.coarse());
     let mut rng = LaggedFibonacci::seed_from_u64(5);
-    let top = NetlistFm::new().refine(
-        coarsest,
-        NetlistBisection::random_balanced(coarsest, &mut rng),
-    );
+    let init = NetlistBisection::random_balanced(coarsest, &mut rng);
+    let (top, _) =
+        NetlistFm::new().refine_counted(coarsest, &[], init, &mut rng, &mut Workspace::new());
 
     // Straight projection: sides only, cache built at the finest level.
     let mut sides = top.sides().to_vec();

@@ -157,7 +157,7 @@ pub fn klpasses(profile: &Profile) -> Result<ExperimentResult, BenchError> {
 /// Currently infallible (the synthesized netlist is valid by
 /// construction); the `Result` keeps the signature uniform.
 pub fn netlist(profile: &Profile) -> Result<ExperimentResult, BenchError> {
-    use bisect_core::netlist::{NetlistBisection, NetlistFm, NetlistPipeline};
+    use bisect_core::netlist::{NetlistBisection, NetlistPipeline};
     use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
     use rand::seq::SliceRandom;
     use rand::Rng;
@@ -219,7 +219,7 @@ pub fn netlist(profile: &Profile) -> Result<ExperimentResult, BenchError> {
     );
 
     // Native hypergraph FM and compacted FM (best of starts).
-    let fm = NetlistFm::new();
+    let fm = NetlistPipeline::flat_fm();
     let cfm = NetlistPipeline::compacted_fm();
     let t = Instant::now();
     let native = (0..profile.starts)

@@ -22,7 +22,8 @@ use super::{balance_tolerance, gain_term, NetlistBisection, NetlistRefiner};
 /// # Example
 ///
 /// ```
-/// use bisect_core::netlist::NetlistFm;
+/// use bisect_core::netlist::{weight_balanced_random, NetlistFm, NetlistRefiner};
+/// use bisect_core::workspace::Workspace;
 /// use bisect_graph::hypergraph::NetlistBuilder;
 /// use rand::SeedableRng;
 ///
@@ -32,7 +33,9 @@ use super::{balance_tolerance, gain_term, NetlistBisection, NetlistRefiner};
 /// }
 /// let nl = b.build();
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let p = NetlistFm::new().bisect(&nl, &mut rng);
+/// let init = weight_balanced_random(&nl, &mut rng);
+/// let mut ws = Workspace::new();
+/// let (p, _passes) = NetlistFm::new().refine_counted(&nl, &[], init, &mut rng, &mut ws);
 /// assert_eq!(p.cut(), 1); // only the 2-pin bridge net is cut
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,40 +80,6 @@ impl NetlistFm {
         assert!(max_passes > 0, "at least one pass is required");
         self.max_passes = max_passes;
         self
-    }
-
-    /// Bisects from a weight-balanced random start.
-    pub fn bisect(&self, nl: &Netlist, rng: &mut dyn RngCore) -> NetlistBisection {
-        let init = super::weight_balanced_random(nl, rng);
-        self.refine(nl, init)
-    }
-
-    /// Improves `init` to a pass fixpoint.
-    ///
-    /// Convenience wrapper with a throwaway workspace; drivers that
-    /// refine repeatedly use the [`NetlistRefiner`] entry points with a
-    /// shared [`Workspace`].
-    pub fn refine(&self, nl: &Netlist, mut init: NetlistBisection) -> NetlistBisection {
-        let mut ws = Workspace::new();
-        if nl.num_cells() >= 2 {
-            ws.netlist_cache.init(nl, &init);
-        }
-        self.refine_with_cache(nl, &[], &mut init, &mut ws);
-        init
-    }
-
-    /// Runs one FM pass in place; returns the cut improvement (0 at a
-    /// fixpoint).
-    ///
-    /// Convenience wrapper with a throwaway workspace.
-    pub fn pass(&self, nl: &Netlist, p: &mut NetlistBisection) -> u64 {
-        if nl.num_cells() < 2 {
-            return 0;
-        }
-        let mut ws = Workspace::new();
-        ws.netlist_cache.init(nl, p);
-        let (base_tol, pass_tol) = prepare(nl, p, &mut ws);
-        self.pass_with_cache(nl, &[], p, &mut ws, base_tol, pass_tol)
     }
 
     /// Runs passes to a fixpoint assuming `ws.netlist_cache` is already
@@ -368,6 +337,7 @@ impl NetlistRefiner for NetlistFm {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{brute_force_cut, two_clusters};
+    use super::super::NetlistPipeline;
     use super::*;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::rngs::StdRng;
@@ -378,7 +348,7 @@ mod tests {
     fn fm_finds_the_bridge_cut() {
         let nl = two_clusters();
         let mut rng = StdRng::seed_from_u64(3);
-        let p = NetlistFm::new().bisect(&nl, &mut rng);
+        let p = NetlistPipeline::flat_fm().bisect(&nl, &mut rng);
         assert_eq!(p.cut(), 1);
         assert!(p.is_balanced(&nl));
     }
@@ -399,7 +369,7 @@ mod tests {
             let optimal = brute_force_cut(&nl);
             let mut best = u64::MAX;
             for seed in 0..8 {
-                let p = NetlistFm::new().bisect(&nl, &mut StdRng::seed_from_u64(seed));
+                let p = NetlistPipeline::flat_fm().bisect(&nl, &mut StdRng::seed_from_u64(seed));
                 assert!(p.cut() >= optimal, "trial {trial}: below optimum");
                 best = best.min(p.cut());
             }
@@ -452,12 +422,15 @@ mod tests {
     #[test]
     fn pass_never_increases_cut() {
         let nl = two_clusters();
-        let fm = NetlistFm::new();
+        let fm = NetlistFm::new().with_max_passes(1);
+        let mut ws = Workspace::new();
         for seed in 0..10 {
-            let mut p = NetlistBisection::random_balanced(&nl, &mut StdRng::seed_from_u64(seed));
-            let before = p.cut();
-            let improvement = fm.pass(&nl, &mut p);
-            assert_eq!(before - p.cut(), improvement);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let init = NetlistBisection::random_balanced(&nl, &mut rng);
+            let before = init.cut();
+            let (p, passes) = fm.refine_counted(&nl, &[], init, &mut rng, &mut ws);
+            assert!(p.cut() <= before);
+            assert_eq!(passes, u64::from(p.cut() < before));
             assert!(p.is_balanced(&nl));
         }
     }
@@ -502,7 +475,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for n in 0..3usize {
             let nl = NetlistBuilder::new(n).build();
-            let p = NetlistFm::new().bisect(&nl, &mut rng);
+            let p = NetlistPipeline::flat_fm().bisect(&nl, &mut rng);
             assert_eq!(p.cut(), 0);
         }
     }
@@ -515,7 +488,7 @@ mod tests {
         b.add_weighted_net(&[2, 3], 10).unwrap();
         let nl = b.build();
         let mut rng = StdRng::seed_from_u64(2);
-        let p = NetlistFm::new().bisect(&nl, &mut rng);
+        let p = NetlistPipeline::flat_fm().bisect(&nl, &mut rng);
         // Optimal: cut the middle weight-1 net.
         assert_eq!(p.cut(), 1);
     }

@@ -630,7 +630,7 @@ mod tests {
         let p = NetlistBisection::from_sides(&nl, vec![false, false, true, true]).unwrap();
         assert_eq!(p.cut(), 1); // only the 4-pin net spans
         let mut rng = StdRng::seed_from_u64(1);
-        let q = NetlistFm::new().bisect(&nl, &mut rng);
+        let q = NetlistPipeline::flat_fm().bisect(&nl, &mut rng);
         assert_eq!(q.cut(), q.recompute_cut(&nl));
     }
 

@@ -378,7 +378,7 @@ mod tests {
         let mut fm_total = 0u64;
         let mut cfm_total = 0u64;
         for seed in 0..5 {
-            fm_total += NetlistFm::new()
+            fm_total += NetlistPipeline::flat_fm()
                 .bisect(&nl, &mut StdRng::seed_from_u64(seed))
                 .cut();
             cfm_total += NetlistPipeline::compacted_fm()

@@ -5,8 +5,9 @@
 //! which distorts the objective: a cut net is charged up to
 //! `⌊k/2⌋·⌈k/2⌉` clique edges instead of 1. This example builds a
 //! block-structured netlist with 3-6 pin nets, bisects it both ways —
-//! native [`NetlistFm`] on the hypergraph, KL/CKL on the clique
-//! expansion — and scores *everything* by the true metric (nets cut).
+//! native netlist FM (`NetlistPipeline::flat_fm`) on the hypergraph,
+//! KL/CKL on the clique expansion — and scores *everything* by the true
+//! metric (nets cut).
 //!
 //! ```text
 //! cargo run --release --example hypergraph_netlist
@@ -14,7 +15,7 @@
 
 use bisect_core::bisector::{best_of, Bisector};
 use bisect_core::kl::KernighanLin;
-use bisect_core::netlist::{NetlistBisection, NetlistFm};
+use bisect_core::netlist::{NetlistBisection, NetlistPipeline};
 use bisect_core::pipeline::Pipeline;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
@@ -60,7 +61,7 @@ fn main() {
     );
 
     // Native hypergraph FM, best of two starts, scored in nets.
-    let fm = NetlistFm::new();
+    let fm = NetlistPipeline::flat_fm();
     let native = (0..2)
         .map(|_| fm.bisect(&netlist, &mut rng))
         .min_by_key(NetlistBisection::cut)

@@ -234,7 +234,7 @@ proptest! {
         nets in proptest::collection::vec(proptest::collection::vec(0u32..14, 2..6), 1..12),
         seed in 0u64..100,
     ) {
-        use bisect_core::netlist::{NetlistBisection, NetlistFm};
+        use bisect_core::netlist::{NetlistBisection, NetlistFm, NetlistRefiner};
         use bisect_graph::hypergraph::NetlistBuilder;
         let mut b = NetlistBuilder::new(14);
         for net in &nets {
@@ -244,7 +244,8 @@ proptest! {
         let mut rng = LaggedFibonacci::seed_from_u64(seed);
         let init = NetlistBisection::random_balanced(&nl, &mut rng);
         let before = init.cut();
-        let refined = NetlistFm::new().refine(&nl, init);
+        let (refined, _) =
+            NetlistFm::new().refine_counted(&nl, &[], init, &mut rng, &mut Workspace::new());
         prop_assert!(refined.cut() <= before);
         prop_assert!(refined.is_balanced(&nl));
         prop_assert_eq!(refined.cut(), refined.recompute_cut(&nl));
