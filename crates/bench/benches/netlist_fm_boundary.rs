@@ -33,8 +33,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bisect_core::netlist::{
-    rebalance_with_cache, NetlistBisection, NetlistFm, NetlistGainCache, NetlistRefiner,
-    ParallelCellMatching, ParallelNetlistFm,
+    rebalance_with_cache, weight_balanced_random, NetlistBisection, NetlistFm, NetlistGainCache,
+    NetlistRefiner, ParallelCellMatching, ParallelNetlistFm,
 };
 use bisect_core::workspace::Workspace;
 use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
@@ -169,7 +169,7 @@ fn projected_starts(nl: &Netlist) -> (Projected, Projected) {
     let level_of = |i: usize| if i == 0 { nl } else { ladder[i - 1].coarse() };
     let coarsest = ladder.last().map_or(nl, |c| c.coarse());
     let mut rng = LaggedFibonacci::seed_from_u64(5);
-    let init = NetlistBisection::random_balanced(coarsest, &mut rng);
+    let init = weight_balanced_random(coarsest, &mut rng);
     let (top, _) =
         NetlistFm::new().refine_counted(coarsest, &[], init, &mut rng, &mut Workspace::new());
 
