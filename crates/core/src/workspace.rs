@@ -63,8 +63,6 @@ pub struct Workspace {
     pub(crate) pnfm: ParallelNetlistScratch,
     /// Netlist FM's virtually-moved working bisection.
     pub(crate) netlist_work: Option<NetlistBisection>,
-    /// Per-side member lists for SA's unbalanced-swap fallback.
-    pub(crate) sa_members: [Vec<VertexId>; 2],
     /// SA's best-so-far bisection, recycled between runs.
     pub(crate) sa_best: Option<Bisection>,
     /// SA's per-temperature acceptance table: `sa_exp[δ] = exp(-δ/T)`

@@ -41,23 +41,31 @@ fn observation1_degree_cliff() {
 
 /// Observation 2: compaction improves quality dramatically on sparse
 /// (degree-3) instances — the paper reports > 90% improvement on
-/// `Gbreg(5000, b, 3)`.
+/// `Gbreg(5000, b, 3)`. KL's gap is wide enough to assert on one
+/// instance; SA's is asserted in aggregate, as the paper reports it,
+/// over 16 instances (one instance's SA and CSA cuts are two draws from
+/// overlapping distributions, and either can win).
 #[test]
 fn observation2_compaction_rescues_sparse_instances() {
     let params = gbreg::GbregParams::new(600, 8, 3).unwrap();
-    let mut rng = LaggedFibonacci::seed_from_u64(2);
-    let g = gbreg::sample(&mut rng, &params).unwrap();
-    let kl = best_of(&KernighanLin::new(), &g, 2, &mut rng).cut();
-    let ckl = best_of(&Pipeline::ckl(), &g, 2, &mut rng).cut();
+    let (mut sa_total, mut csa_total) = (0u64, 0u64);
+    for seed in 1..=16u64 {
+        let mut rng = LaggedFibonacci::seed_from_u64(seed);
+        let g = gbreg::sample(&mut rng, &params).unwrap();
+        let kl = best_of(&KernighanLin::new(), &g, 2, &mut rng).cut();
+        let ckl = best_of(&Pipeline::ckl(), &g, 2, &mut rng).cut();
+        if seed == 2 {
+            assert!(
+                (ckl as f64) < 0.5 * kl as f64,
+                "CKL ({ckl}) should cut at most half of KL ({kl}) on degree-3 Gbreg"
+            );
+        }
+        sa_total += best_of(&sa(), &g, 2, &mut rng).cut();
+        csa_total += best_of(&Pipeline::compacted(sa()), &g, 2, &mut rng).cut();
+    }
     assert!(
-        (ckl as f64) < 0.5 * kl as f64,
-        "CKL ({ckl}) should cut at most half of KL ({kl}) on degree-3 Gbreg"
-    );
-    let sa_cut = best_of(&sa(), &g, 2, &mut rng).cut();
-    let csa_cut = best_of(&Pipeline::compacted(sa()), &g, 2, &mut rng).cut();
-    assert!(
-        csa_cut <= sa_cut,
-        "CSA ({csa_cut}) should not be worse than SA ({sa_cut}) on degree-3 Gbreg"
+        csa_total <= sa_total,
+        "CSA (total {csa_total}) should not be worse than SA (total {sa_total}) on degree-3 Gbreg"
     );
 }
 

@@ -181,9 +181,13 @@ fn dyn_fallback_matches_monomorphized_loop() {
 }
 
 // ---------------------------------------------------------------------
-// Golden pin: absolute values captured from the pre-overhaul SA (naive
-// evaluation, virtual per-draw dispatch, direct `exp` calls) on this
-// exact workload. Both evaluation paths must keep reproducing them.
+// Golden pin: absolute values first captured from the pre-overhaul SA
+// (naive evaluation, virtual per-draw dispatch, direct `exp` calls) on
+// this exact workload. Both evaluation paths must keep reproducing
+// them. Re-pinned once, when swap pairs began to be drawn from the gain
+// cache's side member lists instead of by rejection sampling over V:
+// the pair distribution did not change, the random stream did (old pin
+// (8, 110) at 0x672fd7132ec05c99).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -195,8 +199,8 @@ fn golden_sa_eval_paths_on_gbreg120() {
     for eval in [ProposalEval::Cached, ProposalEval::Naive] {
         let sa = sa.clone().with_proposal_eval(eval);
         let (r, sides) = run_best_of_sides(&sa, &g, 4, 91, 1);
-        assert_eq!((r.cut, r.passes), (8, 110), "{eval:?}");
-        assert_eq!(sides_fingerprint(&sides), 0x672fd7132ec05c99, "{eval:?}");
+        assert_eq!((r.cut, r.passes), (8, 126), "{eval:?}");
+        assert_eq!(sides_fingerprint(&sides), 0x07e20caeb598c1eb, "{eval:?}");
         assert!(r.proposals > 0, "{eval:?}");
     }
 }
