@@ -46,7 +46,9 @@ use crate::partition::{Bisection, Side};
 ///   [`GainCache::record_move_untracked`], the cheaper flavor for
 ///   consumers that never read the boundary.
 /// * `members(s)` holds exactly side `s`'s vertices: ascending after
-///   `init`, order unspecified (swap-remove) after moves.
+///   `init`, then reordered by each move's swap-remove — unspecified
+///   but a pure function of the move history. SA draws its swap pairs
+///   by index into these lists, so its results depend on that order.
 ///
 /// All storage is retained across runs (`init` only grows buffers), so
 /// a workspace-resident cache allocates nothing after warm-up.

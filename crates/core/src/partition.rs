@@ -353,9 +353,9 @@ impl Bisection {
 
     /// Vertices on the given side, in increasing id order.
     pub fn members(&self, side: Side) -> Vec<VertexId> {
-        // lint: allow(zero-alloc) — allocating convenience API; inner
-        // loops use members_into, and the only hot-entry route here is
-        // the end-of-run rebalance fallback.
+        // lint: allow(zero-alloc) — allocating convenience API; hot
+        // paths read `GainCache::members` or use members_into, and the
+        // only hot-entry route here is the end-of-run rebalance fallback.
         let mut out = Vec::new();
         self.members_into(side, &mut out);
         out
