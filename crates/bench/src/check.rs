@@ -272,7 +272,6 @@ mod tests {
             mean_passes: 3.0,
             proposals: 0.0,
             proposals_per_sec: 0.0,
-            refine_time_s: 0.0,
             hpwl: 0.0,
             graphs: 3,
         }

@@ -1,8 +1,7 @@
 //! The `huge` experiment: million-vertex bisection feasibility.
 //!
 //! One `Gbreg` and one `Gnp` instance at [`Profile::huge_vertices`]
-//! vertices each go through the cache-conscious large-instance
-//! pipeline:
+//! vertices each go through four steps:
 //!
 //! 1. **streaming generation** — `Gnp` uses
 //!    [`bisect_gen::gnp::sample_streamed`], which never materializes an
@@ -10,38 +9,34 @@
 //!    internally);
 //! 2. **BFS vertex reordering** ([`bisect_graph::reorder::bfs`]) so
 //!    refinement walks near-contiguous adjacency;
-//! 3. **parallel multilevel bisection** —
-//!    [`ParallelMatching`](bisect_core::pipeline::ParallelMatching)
-//!    (heavy-edge) coarsening, a weight-balanced random start plus
-//!    serial hill-crossing FM on the coarsest graph, then
-//!    *boundary-localized* uncoarsening: the workspace
-//!    [`GainCache`](bisect_core::gain_cache::GainCache) is built once
-//!    at the coarsest level and **projected** through every
-//!    contraction on the way back up, where boundary-seeded
-//!    [`ParallelFm`](bisect_core::par_fm::ParallelFm) rounds refine
-//!    only the tracked cut boundary instead of sweeping all vertices;
+//! 3. **the [`pipeline`] descriptor** — a [`Pipeline`] V-cycle with
+//!    [`ParallelMatching`] (heavy-edge, rng-free, 5% stall guard)
+//!    coarsening to [`coarse_target`], a weight-balanced random start
+//!    refined by serial hill-crossing [`BoundaryFm`] on the coarsest
+//!    graph, and boundary-seeded [`ParallelFm`] on every finer level.
+//!    The engine projects the workspace gain cache through every
+//!    contraction and rebalances each projected level on it, so no
+//!    level pays an O(V + E) rebuild and each refines only the cut
+//!    boundary;
 //! 4. **inverse mapping** back to the original vertex labels, with the
 //!    cut re-verified on the untouched input graph.
 //!
-//! Reported per instance: cut, wall time, refinement-phase wall time
-//! (initial partition through final polish), refinement rounds, gain
-//! evaluations per second, and the process peak RSS so far. Results are
-//! deterministic at a fixed thread count (see the `ParallelFm`
-//! determinism contract); they are not part of the golden-pinned paper
-//! tables.
+//! Reported per instance: cut, wall time (reorder through re-verify),
+//! refinement rounds, gain evaluations per second, and the process
+//! peak RSS so far. Results are deterministic at a fixed thread count
+//! (see the `ParallelFm` determinism contract); they are not part of
+//! the golden-pinned paper tables.
 
 use std::time::Instant;
 
-use bisect_core::bisector::Refiner;
+use bisect_core::bisector::Bisector;
 use bisect_core::fm::BoundaryFm;
 use bisect_core::par_fm::ParallelFm;
-use bisect_core::partition::{rebalance_with_cache, Bisection};
-use bisect_core::pipeline::{CoarsenScheme, ParallelMatching};
-use bisect_core::seed;
+use bisect_core::partition::Bisection;
+use bisect_core::pipeline::{ParallelMatching, Pipeline};
 use bisect_core::workspace::Workspace;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{gbreg, gnp};
-use bisect_graph::contraction::Contraction;
 use bisect_graph::{reorder, Graph};
 use rand::SeedableRng;
 
@@ -52,7 +47,7 @@ use crate::profile::Profile;
 use crate::table::{fmt_cut, fmt_duration, Table};
 
 /// Ceiling for the coarsest level's size (or a level stops making
-/// progress first). Shared by the graph and netlist ladders.
+/// progress first). Shared by the graph and netlist pipelines.
 const COARSE_TARGET: usize = 5_000;
 
 /// Coarsest-level size for an `n`-vertex graph or `n`-cell netlist:
@@ -64,13 +59,18 @@ pub(crate) fn coarse_target(n: usize) -> usize {
     (n / 16).clamp(64, COARSE_TARGET)
 }
 
-/// The stall guard of both huge ladders: a level that took `before`
-/// vertices (or cells) down to `after` is kept only if it shrank them
-/// by at least 5%. Sparse instances carry vertices that can never
-/// match, so demanding mere shrinkage would stack near-identical levels
-/// once only those remain.
-pub(crate) fn shrinks_enough(before: usize, after: usize) -> bool {
-    after * 20 <= before * 19
+/// The experiment's engine descriptor for an `n`-vertex graph. The
+/// coarsest level sets the basin every finer level refines within, so
+/// it gets the serial FM refiner, whose pass mechanics cross gain
+/// hills, rather than the strictly greedy parallel one.
+fn pipeline(n: usize, threads: usize) -> Pipeline {
+    let pfm = ParallelFm::new()
+        .with_threads(threads)
+        .with_boundary_seeds();
+    Pipeline::multilevel_to(pfm, coarse_target(n))
+        .expect("coarse_target is at least 64")
+        .with_coarsener(ParallelMatching::new().with_threads(threads))
+        .with_coarsest(BoundaryFm::new())
 }
 
 /// Runs the huge-instance feasibility experiment.
@@ -85,7 +85,7 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
     let mut table = Table::new(
         format!("Huge-instance feasibility: {n} vertices, {threads} threads"),
         [
-            "graph", "algo", "cut", "time", "refine", "rounds", "Mprop/s", "peak RSS",
+            "graph", "algo", "cut", "time", "rounds", "Mprop/s", "peak RSS",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -113,21 +113,20 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
             }
         };
         let begin = Instant::now();
-        let outcome = bisect_huge(&g, seed ^ 0xABCD, threads);
+        let (p, rounds, proposals) = solve(&g, seed ^ 0xABCD, threads);
         let elapsed = begin.elapsed();
         let total_time_s = elapsed.as_secs_f64();
         let proposals_per_sec = if total_time_s > 0.0 {
-            outcome.proposals as f64 / total_time_s
+            proposals as f64 / total_time_s
         } else {
             0.0
         };
         table.push_row(vec![
             label,
             "PFM".into(),
-            fmt_cut(outcome.cut as f64),
+            fmt_cut(p.cut() as f64),
             fmt_duration(elapsed),
-            format!("{:.0}ms", outcome.refine_time_s * 1000.0),
-            outcome.rounds.to_string(),
+            rounds.to_string(),
             format!("{:.2}", proposals_per_sec / 1.0e6),
             fmt_bytes(peak_rss_bytes()),
         ]);
@@ -135,12 +134,11 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
             experiment: "huge".into(),
             setting,
             algorithm: "PFM".into(),
-            mean_cut: outcome.cut as f64,
+            mean_cut: p.cut() as f64,
             total_time_s,
-            mean_passes: outcome.rounds as f64,
-            proposals: outcome.proposals as f64,
+            mean_passes: rounds as f64,
+            proposals: proposals as f64,
             proposals_per_sec,
-            refine_time_s: outcome.refine_time_s,
             hpwl: 0.0,
             graphs: 1,
         });
@@ -154,114 +152,20 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
     })
 }
 
-/// Result of one huge bisection.
-struct HugeOutcome {
-    cut: u64,
-    rounds: u64,
-    proposals: u64,
-    /// Wall time of the refinement phase alone: from the initial
-    /// coarsest-graph partition through the final polish, excluding
-    /// generation, reordering, and ladder construction.
-    refine_time_s: f64,
-}
-
-/// BFS reorder → parallel multilevel V-cycle → map back. The returned
-/// cut is re-verified on the *original* graph, so the reordering is
-/// provably cut-preserving in every run, not just in tests.
-fn bisect_huge(g: &Graph, seed: u64, threads: usize) -> HugeOutcome {
+/// BFS reorder → [`pipeline`] → map back. Returns the bisection in
+/// `g`'s own labels, the refinement rounds and the gain evaluations.
+/// The cut is re-verified on `g` itself, so the reordering is provably
+/// cut-preserving in every run, not just in tests.
+fn solve(g: &Graph, seed: u64, threads: usize) -> (Bisection, u64, u64) {
     let order = reorder::bfs(g);
     let gr = order.apply(g);
-
-    let scheme = ParallelMatching::new().with_threads(threads);
-    let pfm = ParallelFm::new()
-        .with_threads(threads)
-        .with_boundary_seeds();
     let mut rng = LaggedFibonacci::seed_from_u64(seed);
     let mut ws = Workspace::new();
-    let _ = ws.take_proposals();
-
-    // Coarsen down to the target size. A level must pass the 5% stall
-    // guard to be kept: sparse random graphs carry isolated vertices
-    // (≈ e^-d of Gnp) that can never match.
-    let target = coarse_target(g.num_vertices());
-    let mut ladder: Vec<Contraction> = Vec::new();
-    while current_graph(&gr, &ladder).num_vertices() > target {
-        let level = current_graph(&gr, &ladder);
-        let before = level.num_vertices();
-        match scheme.coarsen(level, &mut rng) {
-            Some(c) if shrinks_enough(before, c.coarse().num_vertices()) => {
-                ladder.push(c);
-            }
-            _ => break,
-        }
-    }
-
-    // Initial partition on the coarsest graph. The coarsest level sets
-    // the basin every finer level refines within, so it gets the
-    // serial Fiduccia-Mattheyses refiner — whose pass mechanics cross
-    // gain hills — rather than the strictly greedy parallel one.
-    let refine_begin = Instant::now();
-    let coarsest = current_graph(&gr, &ladder);
-    let p = seed::weight_balanced_random(coarsest, &mut rng);
-    let mut rounds = 0u64;
-    let mut dummy = LaggedFibonacci::seed_from_u64(0);
-    let fm = BoundaryFm::new();
-    let (refined, r) = fm.refine_counted(coarsest, p, &mut dummy, &mut ws);
-    rounds += r;
-
-    // Uncoarsen under the projected-cache protocol: the coarsest-level
-    // BoundaryFm left `ws.gain_cache` exact for `refined`, and from
-    // here it is *projected* through every contraction on the way up —
-    // no level pays the O(V + E) cache rebuild, cut bookkeeping rides
-    // the projection (projection preserves the cut exactly), and each
-    // level's boundary-seeded ParallelFm rounds touch only the cut
-    // boundary instead of the whole vertex range.
-    let mut current = refined;
-    for i in (0..ladder.len()).rev() {
-        let sides = ladder[i].project_sides(current.sides());
-        let level: &Graph = if i == 0 { &gr } else { ladder[i - 1].coarse() };
-        let projected = Bisection::from_sides_with_cut(level, sides, current.cut())
-            .expect("projected sides match level size");
-        ws.project_gain_cache(level, &projected, ladder[i].fine_to_coarse());
-        let (refined, r) = pfm.refine_projected_counted(level, projected, &mut dummy, &mut ws);
-        rounds += r;
-        current = refined;
-    }
-
-    // Restore exact unit balance on the finest graph and give local
-    // search one more shot from the rebalanced state. The cache is
-    // exact for `current`, so rebalancing rides its O(1) gains and
-    // keeps it exact for the boundary polish.
-    rebalance_with_cache(&gr, &mut current, ws.gain_cache_mut());
-    let (refined, r) = pfm.refine_projected_counted(&gr, current, &mut dummy, &mut ws);
-    rounds += r;
-    // Quality backstop: one full-range sweep catches any interior
-    // cascade the boundary rounds deferred. From an already-converged
-    // state this typically terminates in a round or two.
-    let full = ParallelFm::new().with_threads(threads);
-    let (refined, r) = full.refine_counted(&gr, refined, &mut dummy, &mut ws);
-    rounds += r;
-    let refine_time_s = refine_begin.elapsed().as_secs_f64();
-
-    // Map back to original labels and re-verify the cut there.
-    let old_sides = order.to_old_sides(refined.sides());
-    let original = Bisection::from_sides(g, old_sides).expect("inverse mapping is a permutation");
-    assert_eq!(
-        original.cut(),
-        refined.cut(),
-        "reordering must preserve the cut"
-    );
-    HugeOutcome {
-        cut: original.cut(),
-        rounds,
-        proposals: ws.take_proposals(),
-        refine_time_s,
-    }
-}
-
-/// Helper: the graph a ladder of contractions currently bottoms out at.
-fn current_graph<'a>(fine: &'a Graph, ladder: &'a [Contraction]) -> &'a Graph {
-    ladder.last().map_or(fine, |c| c.coarse())
+    let (p, rounds) = pipeline(gr.num_vertices(), threads).bisect_counted(&gr, &mut rng, &mut ws);
+    let original = Bisection::from_sides(g, order.to_old_sides(p.sides()))
+        .expect("inverse mapping is a permutation");
+    assert_eq!(original.cut(), p.cut(), "reordering must preserve the cut");
+    (original, rounds, ws.take_proposals())
 }
 
 /// The process's peak resident set size in bytes (`VmHWM` from
@@ -345,11 +249,12 @@ mod tests {
     #[test]
     fn deterministic_at_fixed_threads() {
         let g = bisect_gen::special::grid(40, 40);
-        let a = bisect_huge(&g, 123, 4);
-        let b = bisect_huge(&g, 123, 4);
-        assert_eq!(a.cut, b.cut);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.proposals, b.proposals);
+        let (a, ra, pa) = solve(&g, 123, 4);
+        let (b, rb, pb) = solve(&g, 123, 4);
+        assert_eq!(a, b);
+        assert_eq!(ra, rb);
+        assert_eq!(pa, pb);
+        assert!(a.is_balanced(&g));
     }
 
     #[test]
@@ -377,11 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn stall_guard_keeps_levels_that_shrink_by_five_percent() {
-        assert!(shrinks_enough(100, 95));
-        assert!(!shrinks_enough(100, 96));
-        assert!(!shrinks_enough(100, 100));
+    fn coarse_target_clamps_to_64_and_the_ceiling() {
         assert_eq!(coarse_target(100), 64);
+        assert_eq!(coarse_target(32_000), 2_000);
         assert_eq!(coarse_target(1_000_000), COARSE_TARGET);
     }
 }

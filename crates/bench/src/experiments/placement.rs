@@ -190,7 +190,6 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
                 mean_passes: result.work as f64,
                 proposals: 0.0,
                 proposals_per_sec: 0.0,
-                refine_time_s: 0.0,
                 hpwl,
                 graphs: 1,
             });

@@ -33,11 +33,6 @@ pub struct BenchRecord {
     /// Proposal throughput: `proposals / total_time_s` (0 when either
     /// is zero). Timing-bearing — ignored by the regression checker.
     pub proposals_per_sec: f64,
-    /// Wall time of the refinement phase alone in seconds (the `huge`
-    /// experiment's initial-partition-through-final-polish window); 0
-    /// for experiments that don't break out a refinement phase and in
-    /// records written before the field existed.
-    pub refine_time_s: f64,
     /// Half-perimeter wirelength of the `placement` experiment's k-way
     /// result (region-center bounding boxes, weighted by net weight); 0
     /// for experiments without a placement objective and in records
@@ -70,7 +65,6 @@ pub(crate) fn quad_records(experiment: &str, setting: &str, avg: &QuadAverage) -
                 mean_passes: avg.passes[i],
                 proposals,
                 proposals_per_sec,
-                refine_time_s: 0.0,
                 hpwl: 0.0,
                 graphs: avg.count,
             }
@@ -136,7 +130,6 @@ impl BenchReport {
                 "\"proposals_per_sec\": {}, ",
                 number(r.proposals_per_sec)
             ));
-            out.push_str(&format!("\"refine_time_s\": {}, ", number(r.refine_time_s)));
             out.push_str(&format!("\"hpwl\": {}, ", number(r.hpwl)));
             out.push_str(&format!("\"graphs\": {}", r.graphs));
             out.push('}');
@@ -453,7 +446,6 @@ impl BenchReport {
                 mean_passes: rnum("mean_passes")?,
                 proposals: ropt("proposals")?,
                 proposals_per_sec: ropt("proposals_per_sec")?,
-                refine_time_s: ropt("refine_time_s")?,
                 hpwl: ropt("hpwl")?,
                 graphs: rnum("graphs")? as usize,
             });
@@ -751,17 +743,28 @@ mod tests {
     #[test]
     fn legacy_single_report_parses_as_one_run_trajectory() {
         // The committed baselines predate both the trajectory array and
-        // the timestamp/peak-RSS fields; they must load unchanged.
+        // the timestamp/peak-RSS fields; they must load unchanged. So
+        // must a trajectory entry that still carries the retired
+        // `refine_time_s` record field.
         let doc = r#"{"profile": "quick", "seed": 1, "starts": 1, "replicates": 1,
                       "threads": 1, "wall_time_s": 0,
                       "records": [{"experiment": "g", "setting": "s",
                                    "algorithm": "SA", "mean_cut": 8,
                                    "total_time_s": 0.5, "mean_passes": 10, "graphs": 1}]}"#;
-        let runs = parse_trajectory(doc).expect("legacy object parses");
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].timestamp, 0);
-        assert_eq!(runs[0].peak_rss_bytes, 0);
-        assert_eq!(runs[0].records.len(), 1);
+        let retired = r#"[{"profile": "huge", "seed": 1, "starts": 1, "replicates": 1,
+                       "threads": 1, "wall_time_s": 0,
+                       "records": [{"experiment": "huge", "setting": "s",
+                                    "algorithm": "PFM", "mean_cut": 8,
+                                    "total_time_s": 0.5, "mean_passes": 10,
+                                    "refine_time_s": 0.25, "graphs": 1}]}]"#;
+        for input in [doc, retired] {
+            let runs = parse_trajectory(input).expect("legacy document parses");
+            assert_eq!(runs.len(), 1);
+            assert_eq!(runs[0].timestamp, 0);
+            assert_eq!(runs[0].peak_rss_bytes, 0);
+            assert_eq!(runs[0].records.len(), 1);
+            assert_eq!(runs[0].records[0].mean_cut, 8.0);
+        }
     }
 
     #[test]

@@ -37,8 +37,12 @@
 //!   (`bisect_graph::hypergraph`), the true objective of the paper's
 //!   VLSI motivation.
 //! * [`par_fm::ParallelFm`] — boundary-partitioned parallel FM
-//!   refinement (with [`pipeline::ParallelMatching`] coarsening) for
-//!   million-vertex instances; deterministic at a fixed thread count.
+//!   refinement for million-vertex instances; deterministic at a fixed
+//!   thread count. The huge experiments run it (and its netlist twin)
+//!   as the level refiner of a [`pipeline::Pipeline`] (or
+//!   [`netlist::NetlistPipeline`]) with [`pipeline::ParallelMatching`]
+//!   (or [`netlist::ParallelCellMatching`]) coarsening and a serial FM
+//!   refiner set by `with_coarsest` on the coarsest level.
 //! * [`spectral::SpectralBisector`] — Fiedler-vector bisection.
 //! * [`greedy::GreedyGrowth`] — BFS region growing.
 //! * [`bisector::RandomBisector`] — the trivial baseline.

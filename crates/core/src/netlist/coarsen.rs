@@ -12,9 +12,10 @@
 //! Like the graph-side scheme this draws **no randomness** and is
 //! deterministic at a fixed thread count but not across thread counts
 //! (range boundaries move which partners a worker can see). It is
-//! intended for the huge-profile netlist pipeline, not the
-//! golden-pinned paper experiments, which match through the serial
-//! `random_cell_matching`.
+//! intended for the huge-profile netlist pipeline
+//! ([`NetlistPipeline::with_coarsener`](super::NetlistPipeline::with_coarsener)),
+//! not the golden-pinned paper experiments, which match through the
+//! serial `random_cell_matching`.
 
 use bisect_graph::hypergraph::{ConnectivityScorer, Netlist};
 use bisect_graph::VertexId;
@@ -67,7 +68,17 @@ impl ParallelCellMatching {
     /// [`bisect_graph::hypergraph::contract_cells`] (or its
     /// scratch-reusing `contract_cells_into` variant) directly.
     pub fn matching(&self, nl: &Netlist) -> Vec<(VertexId, VertexId)> {
-        range_cell_matching(nl, self.threads())
+        self.matching_skipping(nl, &[])
+    }
+
+    /// As [`ParallelCellMatching::matching`], leaving every cell flagged
+    /// in `skip` unmatched (an empty slice skips nothing).
+    pub(crate) fn matching_skipping(
+        &self,
+        nl: &Netlist,
+        skip: &[bool],
+    ) -> Vec<(VertexId, VertexId)> {
+        range_cell_matching(nl, self.threads(), skip)
     }
 }
 
@@ -78,19 +89,21 @@ impl ParallelCellMatching {
 /// Maximal by construction. With a single range the cleanup is skipped:
 /// the in-range pass already saw every partner, so every cell it left
 /// unmatched has no unmatched neighbour and the cleanup would match
-/// nothing.
-fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)> {
+/// nothing. Cells flagged in `skip` start out matched, so neither the
+/// visit nor the admit filter ever pairs them.
+fn range_cell_matching(nl: &Netlist, threads: usize, skip: &[bool]) -> Vec<(VertexId, VertexId)> {
     let n = nl.num_cells();
     if n == 0 {
         return Vec::new();
     }
+    let skipped = |c: usize| skip.get(c).copied().unwrap_or(false);
     let t = threads.max(1).min(n);
     let chunk = n.div_ceil(t);
     let ranges = n.div_ceil(chunk);
     let mut local: Vec<Vec<(VertexId, VertexId)>> = bisect_par::par_map_with(t, ranges, |k| {
         let lo = k * chunk;
         let hi = ((k + 1) * chunk).min(n);
-        let mut matched = vec![false; hi - lo];
+        let mut matched: Vec<bool> = (lo..hi).map(skipped).collect();
         let mut pairs = Vec::new();
         let mut scorer = ConnectivityScorer::new(n);
         for c in lo..hi {
@@ -112,7 +125,7 @@ fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)
     if ranges == 1 {
         return local.pop().unwrap_or_default();
     }
-    let mut taken = vec![false; n];
+    let mut taken: Vec<bool> = (0..n).map(skipped).collect();
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
     for local_pairs in &local {
         for &(a, b) in local_pairs {

@@ -474,8 +474,8 @@ fn rebalance_with_cache_observed(
 }
 
 /// A random bisection balanced by cell weight (greedy lighter-side
-/// assignment in random order): the start the netlist engine and the
-/// huge-netlist ladder draw on (coarse) weighted netlists.
+/// assignment in random order): the start the netlist engine draws on
+/// (coarse) weighted netlists.
 pub fn weight_balanced_random<R: Rng + ?Sized>(nl: &Netlist, rng: &mut R) -> NetlistBisection {
     weight_balanced_random_fixed(nl, &[], rng)
 }

@@ -58,10 +58,10 @@ use super::{balance_tolerance, gain_term, NetlistBisection, NetlistGainCache, Ne
 /// rebalance on entry. An input outside the tolerance therefore
 /// usually comes back unchanged with 0 rounds: only when some prefix of
 /// one round's moves happens to restore balance does it move at all.
-/// Rebalance first (see [`super::rebalance_with_cache`]). Implements
-/// [`NetlistRefiner`] with the projected-cache protocol, so
-/// [`super::NetlistPipeline`] and the huge-netlist driver can seed each
-/// uncoarsening level from the projected cache instead of an
+/// Rebalance first (see [`super::rebalance_with_cache`]), as
+/// [`super::NetlistPipeline`] does at every level. Implements
+/// [`NetlistRefiner`] with the projected-cache protocol, so the engine
+/// seeds each uncoarsening level from the projected cache instead of an
 /// `O(cells + pins)` rebuild.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelNetlistFm {

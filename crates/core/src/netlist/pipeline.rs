@@ -4,10 +4,12 @@
 //!
 //! Coarsening contracts random cell matchings along nets (hMETIS-style
 //! pin-connectivity scores, see
-//! [`bisect_graph::hypergraph::random_cell_matching`]); the coarsest
-//! netlist gets a weight-balanced random bisection; refinement walks
-//! the ladder back up, projecting sides and the
-//! [`super::NetlistGainCache`] level by level.
+//! [`bisect_graph::hypergraph::random_cell_matching`]) or, with
+//! [`NetlistPipeline::with_coarsener`], the rng-free
+//! [`ParallelCellMatching`]; the coarsest netlist gets a
+//! weight-balanced random bisection; refinement walks the ladder back
+//! up, projecting sides and the [`super::NetlistGainCache`] level by
+//! level.
 //!
 //! The engine additionally supports *fixed cells*: cells pinned to a
 //! side that never match, never move, and survive every coarsening
@@ -18,24 +20,28 @@
 use std::sync::Arc;
 
 use bisect_graph::hypergraph::{
-    contract_cells, random_cell_matching_with_skip, Netlist, NetlistContraction,
+    contract_cells_into, random_cell_matching_with_skip, Netlist, NetlistContraction,
+    NetlistContractionScratch,
 };
 use bisect_graph::VertexId;
 use rand::RngCore;
 
 use crate::error::BisectError;
 use crate::partition::Side;
+use crate::pipeline::coarsen::shrinks_enough;
 use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
 use crate::workspace::Workspace;
 
 use super::{
     rebalance_fixed, rebalance_with_cache, weight_balanced_random_fixed, NetlistBisection,
-    NetlistFm, NetlistRefiner,
+    NetlistFm, NetlistRefiner, ParallelCellMatching,
 };
 
 /// A named, reusable netlist bisection pipeline: a [`CoarsenDepth`]
 /// plus a [`NetlistRefiner`], mirroring the graph-side
-/// [`crate::pipeline::Pipeline`] descriptor.
+/// [`crate::pipeline::Pipeline`] descriptor. Optionally, a
+/// [`ParallelCellMatching`] coarsener and a separate refiner for the
+/// coarsest level.
 ///
 /// # Example
 ///
@@ -56,7 +62,11 @@ use super::{
 #[derive(Clone)]
 pub struct NetlistPipeline {
     depth: CoarsenDepth,
+    /// `None` matches with the random skip-aware matcher.
+    coarsener: Option<ParallelCellMatching>,
     refiner: Arc<dyn NetlistRefiner + Send + Sync>,
+    /// Refiner of the coarsest level; `None` means `refiner`.
+    coarsest: Option<Arc<dyn NetlistRefiner + Send + Sync>>,
     name: String,
 }
 
@@ -65,7 +75,9 @@ impl std::fmt::Debug for NetlistPipeline {
         f.debug_struct("NetlistPipeline")
             .field("name", &self.name)
             .field("depth", &self.depth)
+            .field("coarsener", &self.coarsener)
             .field("refiner", &self.refiner.name())
+            .field("coarsest", &self.coarsest.as_ref().map(|r| r.name()))
             .finish()
     }
 }
@@ -85,9 +97,30 @@ impl NetlistPipeline {
     ) -> Result<NetlistPipeline, BisectError> {
         Ok(NetlistPipeline {
             depth: depth.validate()?,
+            coarsener: None,
             refiner: Arc::new(refiner),
+            coarsest: None,
             name: name.into(),
         })
+    }
+
+    /// Coarsens with `matcher` instead of the random skip-aware
+    /// matcher. It draws no randomness, honours fixed cells, and stops
+    /// the ladder at the first level its pairs would shrink by less
+    /// than 5%: sparse netlists carry cells that can never match.
+    pub fn with_coarsener(mut self, matcher: ParallelCellMatching) -> NetlistPipeline {
+        self.coarsener = Some(matcher);
+        self
+    }
+
+    /// Refines the coarsest level with `refiner` instead of the level
+    /// refiner; every finer level keeps the level refiner.
+    pub fn with_coarsest<R: NetlistRefiner + Send + Sync + 'static>(
+        mut self,
+        refiner: R,
+    ) -> NetlistPipeline {
+        self.coarsest = Some(Arc::new(refiner));
+        self
     }
 
     /// [`NetlistFm`] directly on the input netlist (no coarsening).
@@ -164,29 +197,31 @@ impl NetlistPipeline {
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (NetlistBisection, u64) {
-        run(self.depth, self.refiner.as_ref(), nl, fixed, rng, ws)
+        run(self, nl, fixed, rng, ws)
     }
 }
 
 /// The engine. Mirrors the graph-side `pipeline::engine::run` step for
 /// step: (1) one matching per coarsening level, finest first, with
 /// fixed cells skipped; (2) a weight-balanced random bisection of the
-/// coarsest netlist honoring fixed sides (or, in `Levels` mode with no
-/// coarsening progress and nothing fixed, the legacy fallback of a
-/// plain random start); (3) one refinement per level, coarsest first,
-/// each from the projected and rebalanced bisection of the level below,
-/// with the gain cache built once at the coarsest level and projected
-/// alongside.
+/// coarsest netlist honoring fixed sides, refined by the coarsest-level
+/// refiner (or, in `Levels` mode with no coarsening progress and
+/// nothing fixed, the legacy fallback of a plain random start); (3) one
+/// refinement per finer level, coarsest first, each from the projected
+/// and rebalanced bisection of the level below, with the gain cache
+/// built once at the coarsest level and projected alongside.
 // lint: allow(no-panic) — V-cycle shape invariants: fixed_ladder has one
 // entry per level, and project_sides returns one entry per fine cell.
 fn run(
-    depth: CoarsenDepth,
-    refiner: &(dyn NetlistRefiner + Send + Sync),
+    pipeline: &NetlistPipeline,
     nl: &Netlist,
     fixed_pairs: &[(VertexId, Side)],
     rng: &mut dyn RngCore,
     ws: &mut Workspace,
 ) -> (NetlistBisection, u64) {
+    let depth = pipeline.depth;
+    let refiner = pipeline.refiner.as_ref();
+    let coarsest_refiner = pipeline.coarsest.as_deref().unwrap_or(refiner);
     let n = nl.num_cells();
     let mut fixed = fixed_pairs.to_vec();
     fixed.sort_unstable_by_key(|&(c, _)| c);
@@ -206,9 +241,11 @@ fn run(
     // pinned cells of level `i`'s netlist (level 0 = input). Fixed
     // cells are skipped by the matcher, so each survives as a
     // singleton coarse cell and its pin maps through unambiguously.
+    // One contraction scratch serves every level.
     let mut ladder: Vec<NetlistContraction> = Vec::new();
     let mut fixed_ladder: Vec<Vec<(VertexId, Side)>> = vec![fixed];
     let mut flags: Vec<bool> = Vec::new();
+    let mut scratch = NetlistContractionScratch::new();
     loop {
         let cur: &Netlist = ladder.last().map_or(nl, |c| c.coarse());
         if !depth.wants_more(ladder.len(), cur.num_cells()) {
@@ -216,11 +253,21 @@ fn run(
         }
         let cur_fixed = fixed_ladder.last().expect("one entry per level");
         fixed_flags(&mut flags, cur.num_cells(), cur_fixed);
-        let pairs = random_cell_matching_with_skip(cur, &flags, rng);
+        let pairs = match pipeline.coarsener {
+            Some(matcher) => {
+                let pairs = matcher.matching_skipping(cur, &flags);
+                let cells = cur.num_cells();
+                if !shrinks_enough(cells, cells - pairs.len()) {
+                    break;
+                }
+                pairs
+            }
+            None => random_cell_matching_with_skip(cur, &flags, rng),
+        };
         if pairs.is_empty() {
             break;
         }
-        let contraction = contract_cells(cur, &pairs);
+        let contraction = contract_cells_into(cur, &pairs, &mut scratch);
         let next = cur_fixed
             .iter()
             .map(|&(c, s)| (contraction.map(c), s))
@@ -240,11 +287,11 @@ fn run(
         // input itself, so compaction degenerates to the plain
         // heuristic from its own random start.
         let init = NetlistBisection::random_balanced(nl, rng);
-        refiner.refine_counted(nl, &[], init, rng, ws)
+        coarsest_refiner.refine_counted(nl, &[], init, rng, ws)
     } else {
         let init = weight_balanced_random_fixed(coarsest, coarsest_fixed, rng);
         fixed_flags(&mut flags, coarsest.num_cells(), coarsest_fixed);
-        refiner.refine_counted(coarsest, &flags, init, rng, ws)
+        coarsest_refiner.refine_counted(coarsest, &flags, init, rng, ws)
     };
 
     // Uncoarsening: project and refine level by level. The gain cache
@@ -421,10 +468,10 @@ mod tests {
 
     #[test]
     fn parallel_refiner_rides_the_projected_cache_protocol() {
-        // ParallelNetlistFm opts into the projected cache, so the
-        // engine initializes it once at the coarsest level and projects
-        // it down the ladder; the result must be valid, balanced, and
-        // deterministic at a fixed thread count.
+        // The engine initializes the gain cache once at the coarsest
+        // level and projects it down the ladder, and ParallelNetlistFm
+        // keeps it exact level by level; the result must be valid,
+        // balanced, and deterministic at a fixed thread count.
         let nl = random_netlist(64, 90, 12);
         let pipeline = NetlistPipeline::new(
             CoarsenDepth::ToSize(8),
@@ -456,6 +503,9 @@ mod tests {
             NetlistPipeline::flat_fm(),
             NetlistPipeline::compacted_fm(),
             NetlistPipeline::multilevel_fm_to(6).unwrap(),
+            NetlistPipeline::multilevel_fm_to(6)
+                .unwrap()
+                .with_coarsener(ParallelCellMatching::new().with_threads(2)),
         ] {
             for seed in 0..6 {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -467,6 +517,48 @@ mod tests {
                 assert_eq!(b.cut(), b.recompute_cut(&nl), "{} seed {seed}", p.name());
             }
         }
+    }
+
+    /// A netlist refiner that changes nothing and logs the size of
+    /// every level it is handed.
+    struct LevelLog(Arc<std::sync::Mutex<Vec<usize>>>);
+
+    impl NetlistRefiner for LevelLog {
+        fn name(&self) -> String {
+            "log".into()
+        }
+
+        fn refine_projected_counted(
+            &self,
+            nl: &Netlist,
+            _fixed: &[bool],
+            init: NetlistBisection,
+            _rng: &mut dyn RngCore,
+            _ws: &mut Workspace,
+        ) -> (NetlistBisection, u64) {
+            self.0.lock().unwrap().push(nl.num_cells());
+            (init, 0)
+        }
+    }
+
+    #[test]
+    fn coarsest_refiner_runs_once_at_the_coarsest_level() {
+        let nl = random_netlist(64, 90, 12);
+        let coarsest = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let levels = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let pipeline =
+            NetlistPipeline::new(CoarsenDepth::ToSize(8), LevelLog(levels.clone()), "log")
+                .unwrap()
+                .with_coarsest(LevelLog(coarsest.clone()));
+        let p = pipeline.bisect(&nl, &mut StdRng::seed_from_u64(5));
+        assert!(p.is_balanced(&nl));
+        let coarsest = coarsest.lock().unwrap();
+        let levels = levels.lock().unwrap();
+        assert_eq!(coarsest.len(), 1);
+        assert!(coarsest[0] < nl.num_cells());
+        assert!(!levels.is_empty());
+        assert!(levels.iter().all(|&n| n > coarsest[0]), "{levels:?}");
+        assert_eq!(levels.last(), Some(&nl.num_cells()));
     }
 
     #[test]

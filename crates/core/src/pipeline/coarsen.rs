@@ -30,12 +30,22 @@ pub trait CoarsenScheme: Send + Sync {
 
     /// Contracts one matching of `g`, or returns `None` when the scheme
     /// cannot make progress (its matching came back empty — for the
-    /// matching-based schemes that means `g` has no edges).
+    /// matching-based schemes that means `g` has no edges — or, for
+    /// [`ParallelMatching`], too small to shrink `g` by 5%).
     ///
     /// Implementations must consume the rng exactly as their matching
     /// routine does even when returning `None`, so that legacy callers
     /// and pipeline callers observe identical streams.
     fn coarsen(&self, g: &Graph, rng: &mut dyn RngCore) -> Option<Contraction>;
+}
+
+/// The stall guard of the parallel coarseners: a level that took
+/// `before` vertices (or cells) down to `after` is kept only if it
+/// shrank them by at least 5%. Sparse instances carry vertices that can
+/// never match, so demanding mere shrinkage would stack near-identical
+/// levels once only those remain.
+pub(crate) fn shrinks_enough(before: usize, after: usize) -> bool {
+    after * 20 <= before * 19
 }
 
 /// The paper's compaction matching: random vertex visiting order,
@@ -93,7 +103,9 @@ impl CoarsenScheme for EdgeOrderMatching {
 /// coarsening: workers match within disjoint contiguous vertex ranges
 /// (heaviest free incident edge, ties to the lowest neighbor id), then
 /// a serial sweep matches the leftover vertices across range
-/// boundaries, so the result is maximal.
+/// boundaries, so the result is maximal. A matching `M` that would
+/// shrink the graph by less than 5% (`|M|·20 < n`) is not contracted:
+/// [`CoarsenScheme::coarsen`] returns `None` and the ladder stops there.
 ///
 /// Unlike the other schemes this one draws **no randomness** — the rng
 /// argument is untouched, trivially satisfying the stream contract of
@@ -140,8 +152,9 @@ impl CoarsenScheme for ParallelMatching {
         // Deterministic and rng-free: nothing to consume, so the
         // stream-preservation contract holds vacuously.
         let _ = rng;
+        let n = g.num_vertices();
         let m = range_matching(g, self.threads());
-        (!m.is_empty()).then(|| contract_matching(g, &m))
+        (!m.is_empty() && shrinks_enough(n, n - m.len())).then(|| contract_matching(g, &m))
     }
 }
 
@@ -312,6 +325,22 @@ mod tests {
         assert!(scheme
             .coarsen(&bisect_graph::Graph::empty(0), &mut rng)
             .is_none());
+    }
+
+    #[test]
+    fn stall_guard_keeps_levels_that_shrink_by_five_percent() {
+        assert!(shrinks_enough(100, 95));
+        assert!(!shrinks_enough(100, 96));
+        assert!(!shrinks_enough(100, 100));
+        // A star matches one pair of its 40 vertices (2.5%): the
+        // parallel scheme stalls, the others still contract it.
+        let star = special::star(40);
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(ParallelMatching::new()
+            .with_threads(1)
+            .coarsen(&star, &mut rng)
+            .is_none());
+        assert!(RandomMatching.coarsen(&star, &mut rng).is_some());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The shared coarsen → partition → refine engine.
 //!
-//! One function, [`run`], subsumes the three bespoke drivers the crate
+//! One function, `run`, subsumes the three bespoke drivers the crate
 //! used to carry:
 //!
 //! * one-shot compaction (§V of the paper; CKL/CSA) is
@@ -16,23 +16,22 @@
 //!
 //! The rng-draw order is part of the contract and must not be
 //! reordered: (1) one matching per coarsening level, finest first;
-//! (2) the initial partition of the coarsest graph — or, in `Levels`
-//! mode when the coarsener made no progress, the refiner's own
-//! from-scratch bisection (the legacy §V fallback for edgeless
-//! graphs); (3) one refinement per level, coarsest first, each from
-//! the projected and rebalanced bisection of the level below.
+//! (2) the initial partition of the coarsest graph and its refinement
+//! by the coarsest-level refiner — or, in `Levels` mode when the
+//! coarsener made no progress, that refiner's own from-scratch
+//! bisection (the legacy §V fallback for edgeless graphs); (3) one
+//! refinement per finer level, coarsest first, each from the projected
+//! and rebalanced bisection of the level below.
 
 use bisect_graph::contraction::Contraction;
 use bisect_graph::Graph;
 use rand::RngCore;
 
-use crate::bisector::Refiner;
 use crate::error::BisectError;
 use crate::partition::{rebalance, rebalance_with_cache, Bisection};
 use crate::workspace::Workspace;
 
-use super::coarsen::CoarsenScheme;
-use super::initial::InitialPartitioner;
+use super::Pipeline;
 
 /// How far the pipeline coarsens before the initial partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,9 +73,9 @@ impl CoarsenDepth {
     }
 }
 
-/// Runs the full coarsen → partition → refine cycle. Returns the final
-/// balanced bisection of `g` together with the summed work count of
-/// every refinement stage (see
+/// Runs `pipeline`'s full coarsen → partition → refine cycle. Returns
+/// the final balanced bisection of `g` together with the summed work
+/// count of every refinement stage (see
 /// [`Bisector::bisect_counted`](crate::bisector::Bisector::bisect_counted)).
 ///
 /// # Errors
@@ -84,22 +83,22 @@ impl CoarsenDepth {
 /// Propagates the initial partitioner's error (e.g.
 /// [`BisectError::TooLarge`] from the exact partitioner); the built-in
 /// random partitioners never fail.
-pub fn run(
-    coarsener: &dyn CoarsenScheme,
-    depth: CoarsenDepth,
-    initial: &dyn InitialPartitioner,
-    refiner: &dyn Refiner,
+pub(crate) fn run(
+    pipeline: &Pipeline,
     g: &Graph,
     rng: &mut dyn RngCore,
     ws: &mut Workspace,
 ) -> Result<(Bisection, u64), BisectError> {
+    let depth = pipeline.depth;
+    let refiner = pipeline.refiner.as_ref();
+    let coarsest = pipeline.coarsest.as_deref().unwrap_or(refiner);
     // Coarsening phase: a ladder of contractions, finest first.
     let mut ladder: Vec<Contraction> = Vec::new();
     loop {
         let step = {
             let current: &Graph = ladder.last().map_or(g, |c| c.coarse());
             if depth.wants_more(ladder.len(), current.num_vertices()) {
-                coarsener.coarsen(current, rng)
+                pipeline.coarsener.coarsen(current, rng)
             } else {
                 None
             }
@@ -115,18 +114,19 @@ pub fn run(
     // itself; the paper's compaction then falls through to the plain
     // heuristic (its own random start), which we preserve exactly.
     let (mut current, mut work) = if ladder.is_empty() && matches!(depth, CoarsenDepth::Levels(_)) {
-        refiner.bisect_counted(g, rng, ws)
+        coarsest.bisect_counted(g, rng, ws)
     } else {
-        let coarsest: &Graph = ladder.last().map_or(g, |c| c.coarse());
-        let init = initial.partition(coarsest, rng)?;
-        refiner.refine_counted(coarsest, init, rng, ws)
+        let level: &Graph = ladder.last().map_or(g, |c| c.coarse());
+        let init = pipeline.initial.partition(level, rng)?;
+        coarsest.refine_counted(level, init, rng, ws)
     };
 
     // Uncoarsening phase: project and refine level by level. The fine
     // graph of ladder level `i` is the coarse graph of level `i − 1`
-    // (or the input graph at the bottom). Projection can be off by one
-    // weight unit when a matching leaves singletons, so each level
-    // rebalances before refining.
+    // (or the input graph at the bottom). Projection preserves the cut,
+    // so no level recounts it. It can be off by one weight unit when a
+    // matching leaves singletons, so each level rebalances before
+    // refining.
     //
     // The gain cache is built once on the (small) coarsest graph and
     // *projected* through each uncoarsening step; rebalancing rides the
@@ -137,7 +137,8 @@ pub fn run(
     }
     for i in (0..ladder.len()).rev() {
         let fine: &Graph = if i == 0 { g } else { ladder[i - 1].coarse() };
-        let mut projected = Bisection::from_sides(fine, ladder[i].project_sides(current.sides()))?;
+        let sides = ladder[i].project_sides(current.sides());
+        let mut projected = Bisection::from_sides_with_cut(fine, sides, current.cut())?;
         ws.gain_cache
             .project(fine, &projected, ladder[i].fine_to_coarse());
         rebalance_with_cache(fine, &mut projected, &mut ws.gain_cache);
@@ -154,25 +155,30 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bisector::Refiner;
+    use crate::fm::BoundaryFm;
     use crate::kl::KernighanLin;
-    use crate::pipeline::coarsen::RandomMatching;
-    use crate::pipeline::initial::WeightBalancedInit;
     use bisect_gen::special;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn run_kl(g: &Graph, depth: CoarsenDepth, seed: u64) -> (Bisection, u64) {
+    /// Random matching, weight-balanced start and `refiner` at every
+    /// level, coarsened to `depth`.
+    fn run_at<R: Refiner + Send + Sync + 'static>(
+        refiner: R,
+        g: &Graph,
+        depth: CoarsenDepth,
+        seed: u64,
+    ) -> (Bisection, u64) {
+        let pipeline = Pipeline::multilevel(refiner)
+            .with_depth(depth)
+            .expect("valid depth");
         let mut rng = StdRng::seed_from_u64(seed);
-        run(
-            &RandomMatching,
-            depth,
-            &WeightBalancedInit,
-            &KernighanLin::new(),
-            g,
-            &mut rng,
-            &mut Workspace::new(),
-        )
-        .expect("infallible stages")
+        run(&pipeline, g, &mut rng, &mut Workspace::new()).expect("infallible stages")
+    }
+
+    fn run_kl(g: &Graph, depth: CoarsenDepth, seed: u64) -> (Bisection, u64) {
+        run_at(KernighanLin::new(), g, depth, seed)
     }
 
     #[test]
@@ -217,21 +223,8 @@ mod tests {
 
     #[test]
     fn boundary_fm_multilevel_is_balanced_consistent_and_deterministic() {
-        use crate::fm::BoundaryFm;
         let g = special::grid(12, 12);
-        let run_once = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            run(
-                &RandomMatching,
-                CoarsenDepth::ToSize(16),
-                &WeightBalancedInit,
-                &BoundaryFm::new(),
-                &g,
-                &mut rng,
-                &mut Workspace::new(),
-            )
-            .expect("infallible stages")
-        };
+        let run_once = |seed: u64| run_at(BoundaryFm::new(), &g, CoarsenDepth::ToSize(16), seed);
         for seed in 0..6 {
             let (p, work) = run_once(seed);
             assert!(p.is_balanced(&g), "seed {seed}");
@@ -246,19 +239,8 @@ mod tests {
 
     #[test]
     fn boundary_fm_flat_depth_is_balanced() {
-        use crate::fm::BoundaryFm;
         let g = special::grid(6, 6);
-        let mut rng = StdRng::seed_from_u64(9);
-        let (p, _) = run(
-            &RandomMatching,
-            CoarsenDepth::Flat,
-            &WeightBalancedInit,
-            &BoundaryFm::new(),
-            &g,
-            &mut rng,
-            &mut Workspace::new(),
-        )
-        .expect("infallible stages");
+        let (p, _) = run_at(BoundaryFm::new(), &g, CoarsenDepth::Flat, 9);
         assert!(p.is_balanced(&g));
         assert_eq!(p.cut(), p.recompute_cut(&g));
     }

@@ -13,7 +13,8 @@
 //! * a [`Refiner`] (Kernighan-Lin, Fiduccia-Mattheyses, or simulated
 //!   annealing) improves the bisection at every level, threading one
 //!   [`Workspace`] through the whole cycle so the hot paths stay
-//!   allocation-free.
+//!   allocation-free. [`Pipeline::with_coarsest`] gives the coarsest
+//!   level a refiner of its own.
 //!
 //! A [`Pipeline`] composes the three behind the ordinary
 //! [`Bisector`] interface. Descriptors reproduce the paper's
@@ -90,6 +91,8 @@ pub struct Pipeline {
     depth: CoarsenDepth,
     initial: Arc<dyn InitialPartitioner>,
     refiner: Arc<dyn Refiner + Send + Sync>,
+    /// Refiner of the coarsest level; `None` means `refiner`.
+    coarsest: Option<Arc<dyn Refiner + Send + Sync>>,
     name: String,
 }
 
@@ -101,6 +104,7 @@ impl std::fmt::Debug for Pipeline {
             .field("depth", &self.depth)
             .field("initial", &self.initial.name())
             .field("refiner", &self.refiner.name())
+            .field("coarsest", &self.coarsest.as_ref().map(|r| r.name()))
             .finish()
     }
 }
@@ -139,6 +143,7 @@ impl Pipeline {
             depth: CoarsenDepth::Levels(1),
             initial: Arc::new(WeightBalancedInit),
             refiner: Arc::new(refiner),
+            coarsest: None,
             name,
         }
     }
@@ -167,6 +172,7 @@ impl Pipeline {
             depth,
             initial: Arc::new(WeightBalancedInit),
             refiner: Arc::new(refiner),
+            coarsest: None,
             name,
         })
     }
@@ -182,6 +188,7 @@ impl Pipeline {
             depth: CoarsenDepth::Flat,
             initial: Arc::new(RandomInit),
             refiner: Arc::new(refiner),
+            coarsest: None,
             name,
         }
     }
@@ -195,6 +202,15 @@ impl Pipeline {
     /// Replaces the initial partitioner of the coarsest graph.
     pub fn with_initial<I: InitialPartitioner + 'static>(mut self, initial: I) -> Pipeline {
         self.initial = Arc::new(initial);
+        self
+    }
+
+    /// Refines the coarsest level with `refiner` instead of the level
+    /// refiner; every finer level keeps the level refiner. A
+    /// hill-crossing serial refiner there sets the basin a greedy
+    /// parallel level refiner then works within.
+    pub fn with_coarsest<R: Refiner + Send + Sync + 'static>(mut self, refiner: R) -> Pipeline {
+        self.coarsest = Some(Arc::new(refiner));
         self
     }
 
@@ -221,19 +237,24 @@ impl Pipeline {
     }
 
     /// A one-line description of the composed stages, for diagnostics
-    /// (e.g. `"random-matching → levels(1) → weight-balanced → KL"`).
+    /// (e.g. `"random-matching → levels(1) → weight-balanced → KL"`; a
+    /// separate coarsest-level refiner shows as `BFM/PFM`).
     pub fn describe(&self) -> String {
         let depth = match self.depth {
             CoarsenDepth::Flat => "flat".to_string(),
             CoarsenDepth::Levels(k) => format!("levels({k})"),
             CoarsenDepth::ToSize(s) => format!("to-size({s})"),
         };
+        let refiners = match &self.coarsest {
+            Some(c) => format!("{}/{}", c.name(), self.refiner.name()),
+            None => self.refiner.name(),
+        };
         format!(
             "{} → {} → {} → {}",
             self.coarsener.name(),
             depth,
             self.initial.name(),
-            self.refiner.name()
+            refiners
         )
     }
 
@@ -251,15 +272,7 @@ impl Pipeline {
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> Result<(Bisection, u64), BisectError> {
-        engine::run(
-            self.coarsener.as_ref(),
-            self.depth,
-            self.initial.as_ref(),
-            self.refiner.as_ref(),
-            g,
-            rng,
-            ws,
-        )
+        engine::run(self, g, rng, ws)
     }
 
     /// As [`Bisector::bisect`], surfacing stage errors instead of
@@ -442,6 +455,58 @@ mod tests {
         assert!(d.contains("levels(1)"), "{d}");
         assert!(d.contains("weight-balanced"), "{d}");
         assert!(d.contains("KL"), "{d}");
+    }
+
+    /// A refiner that changes nothing and logs the size of every level
+    /// it is handed.
+    struct LevelLog(Arc<std::sync::Mutex<Vec<usize>>>);
+
+    impl Bisector for LevelLog {
+        fn name(&self) -> String {
+            "log".into()
+        }
+
+        fn bisect_counted(
+            &self,
+            g: &Graph,
+            rng: &mut dyn RngCore,
+            ws: &mut Workspace,
+        ) -> (Bisection, u64) {
+            self.refine_counted(g, crate::seed::random_balanced(g, rng), rng, ws)
+        }
+    }
+
+    impl Refiner for LevelLog {
+        fn refine_counted(
+            &self,
+            g: &Graph,
+            init: Bisection,
+            _rng: &mut dyn RngCore,
+            _ws: &mut Workspace,
+        ) -> (Bisection, u64) {
+            self.0.lock().unwrap().push(g.num_vertices());
+            (init, 0)
+        }
+    }
+
+    #[test]
+    fn coarsest_refiner_runs_once_at_the_coarsest_level() {
+        let g = special::grid(12, 12);
+        let coarsest = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let levels = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let pipeline = Pipeline::multilevel_to(LevelLog(levels.clone()), 16)
+            .unwrap()
+            .with_coarsest(LevelLog(coarsest.clone()));
+        assert!(pipeline.describe().ends_with("log/log"));
+        let p = pipeline.bisect(&g, &mut StdRng::seed_from_u64(3));
+        assert!(p.is_balanced(&g));
+        let coarsest = coarsest.lock().unwrap();
+        let levels = levels.lock().unwrap();
+        assert_eq!(coarsest.len(), 1);
+        assert!(coarsest[0] <= 16, "coarsest level {}", coarsest[0]);
+        assert!(!levels.is_empty());
+        assert!(levels.iter().all(|&n| n > coarsest[0]), "{levels:?}");
+        assert_eq!(levels.last(), Some(&g.num_vertices()));
     }
 
     #[test]
