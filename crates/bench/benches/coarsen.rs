@@ -11,6 +11,11 @@
 //! * `graph-coarsen-100k/*` — `ParallelMatching::coarsen` (heavy-edge
 //!   matching plus contraction) on Gnp(10^5, deg 3), the graph side's
 //!   baseline for the same layer.
+//! * `graph-contract-100k/*` — `contract_matching` alone, on the
+//!   precomputed `ParallelMatching::matching` of a BFS-reordered
+//!   Gbreg(10^5, b 64, d 4) (`gbreg`) or Gnp(10^5, deg 3) (`gnp`), at
+//!   level 0 and at the middle level of the ladder down to 5,000
+//!   vertices, where coarse degrees run into the tens.
 //!
 //! Every worker count is 1, so the numbers are serial costs.
 
@@ -18,12 +23,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bisect_core::netlist::ParallelCellMatching;
 use bisect_core::pipeline::{CoarsenScheme, ParallelMatching};
+use bisect_gen::gbreg::{self, GbregParams};
 use bisect_gen::gnp::{self, GnpParams};
 use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
 use bisect_gen::rng::LaggedFibonacci;
+use bisect_graph::contraction::contract_matching;
 use bisect_graph::hypergraph::{
     bfs_cell_order, contract_cells_into, permute_cells, Netlist, NetlistContractionScratch,
 };
+use bisect_graph::{reorder, Graph};
 use rand::SeedableRng;
 
 const CELLS: usize = 100_000;
@@ -106,5 +114,51 @@ fn bench_graph_coarsen(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_netlist_coarsen, bench_graph_coarsen);
+/// The input and the middle level of its `ParallelMatching` ladder down
+/// to [`COARSEST`] vertices.
+fn graph_level0_and_mid(g: Graph, scheme: &ParallelMatching) -> [(&'static str, Graph); 2] {
+    let mut rng = LaggedFibonacci::seed_from_u64(1);
+    let mut ladder = vec![g];
+    loop {
+        let level = ladder.last().expect("the input is level 0");
+        if level.num_vertices() <= COARSEST {
+            break;
+        }
+        match scheme.coarsen(level, &mut rng) {
+            Some(c) => ladder.push(c.coarse().clone()),
+            None => break,
+        }
+    }
+    let mid = ladder[ladder.len() / 2].clone();
+    let level0 = ladder.swap_remove(0);
+    [("level0", level0), ("mid", mid)]
+}
+
+fn bench_graph_contract(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph-contract-100k");
+    group.sample_size(10);
+    let mut rng = LaggedFibonacci::seed_from_u64(1989);
+    let gbreg_params = GbregParams::new(CELLS, 64, 4).expect("valid parameters");
+    let gbreg = gbreg::sample(&mut rng, &gbreg_params).expect("Gbreg samples");
+    let gnp_params = GnpParams::with_average_degree(CELLS, 3.0).expect("valid parameters");
+    let gnp = gnp::sample_streamed(&mut rng, &gnp_params);
+    let scheme = ParallelMatching::new().with_threads(1);
+    for (shape, g) in [("gbreg", gbreg), ("gnp", gnp)] {
+        let g = reorder::bfs(&g).apply(&g);
+        for (level_name, level) in graph_level0_and_mid(g, &scheme) {
+            let m = scheme.matching(&level);
+            group.bench_with_input(BenchmarkId::new(shape, level_name), &level, |b, level| {
+                b.iter(|| std::hint::black_box(contract_matching(level, &m).coarse().num_edges()));
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_netlist_coarsen,
+    bench_graph_coarsen,
+    bench_graph_contract
+);
 criterion_main!(benches);

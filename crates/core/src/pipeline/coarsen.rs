@@ -141,6 +141,13 @@ impl ParallelMatching {
     pub fn threads(&self) -> usize {
         self.threads.unwrap_or_else(bisect_par::num_threads)
     }
+
+    /// The matching [`coarsen`](CoarsenScheme::coarsen) would contract,
+    /// before the stall guard: maximal, and a pure function of the
+    /// graph and the thread count.
+    pub fn matching(&self, g: &Graph) -> Matching {
+        range_matching(g, self.threads())
+    }
 }
 
 impl CoarsenScheme for ParallelMatching {
@@ -153,13 +160,16 @@ impl CoarsenScheme for ParallelMatching {
         // stream-preservation contract holds vacuously.
         let _ = rng;
         let n = g.num_vertices();
-        let m = range_matching(g, self.threads());
+        let m = self.matching(g);
         (!m.is_empty() && shrinks_enough(n, n - m.len())).then(|| contract_matching(g, &m))
     }
 }
 
 /// The matching behind [`ParallelMatching`]: parallel in-range greedy
-/// phase, serial cross-range cleanup. Maximal by construction.
+/// phase, serial cross-range cleanup. Maximal by construction. With a
+/// single range the cleanup is skipped, as in the netlist
+/// `range_cell_matching`: the in-range pass already saw every neighbor,
+/// so the cleanup would match nothing.
 ///
 /// Each vertex prefers its *heaviest* free edge (ties broken by lowest
 /// neighbor id) — the heavy-edge rule. On contracted graphs heavy
@@ -172,23 +182,12 @@ fn range_matching(g: &Graph, threads: usize) -> Matching {
     if n == 0 {
         return Matching::empty(0);
     }
-    // Heaviest admissible free neighbor of `v`; `admit` filters the
-    // candidate ids (range membership / global freeness).
-    let heaviest = |v: VertexId, admit: &dyn Fn(VertexId) -> bool| -> Option<VertexId> {
-        let mut best: Option<(u64, VertexId)> = None;
-        for (u, w) in g.neighbors(v).iter().copied().zip(g.neighbor_weights(v)) {
-            if admit(u) && best.is_none_or(|(bw, bu)| (*w > bw) || (*w == bw && u < bu)) {
-                best = Some((*w, u));
-            }
-        }
-        best.map(|(_, u)| u)
-    };
     let t = threads.max(1).min(n);
     let chunk = n.div_ceil(t);
     let ranges = n.div_ceil(chunk);
     // Parallel phase: only pairs with both endpoints inside one range,
     // so the disjoint ranges cannot produce conflicting pairs.
-    let local: Vec<Vec<(VertexId, VertexId)>> = bisect_par::par_map_with(t, ranges, |k| {
+    let mut local: Vec<Vec<(VertexId, VertexId)>> = bisect_par::par_map_with(t, ranges, |k| {
         let lo = k * chunk;
         let hi = ((k + 1) * chunk).min(n);
         let mut matched = vec![false; hi - lo];
@@ -197,7 +196,7 @@ fn range_matching(g: &Graph, threads: usize) -> Matching {
             if matched[v - lo] {
                 continue;
             }
-            let mate = heaviest(v as VertexId, &|u| {
+            let mate = heaviest(g, v as VertexId, |u| {
                 let ui = u as usize;
                 ui >= lo && ui < hi && !matched[ui - lo]
             });
@@ -209,6 +208,9 @@ fn range_matching(g: &Graph, threads: usize) -> Matching {
         }
         pairs
     });
+    if ranges == 1 {
+        return Matching::from_pairs(n, &local.pop().unwrap_or_default());
+    }
     // Serial cleanup: match the still-free vertices (whose only free
     // neighbors cross a range boundary) in ascending id order.
     let mut taken = vec![false; n];
@@ -224,7 +226,7 @@ fn range_matching(g: &Graph, threads: usize) -> Matching {
         if taken[v] {
             continue;
         }
-        let mate = heaviest(v as VertexId, &|u| !taken[u as usize]);
+        let mate = heaviest(g, v as VertexId, |u| !taken[u as usize]);
         if let Some(u) = mate {
             taken[v] = true;
             taken[u as usize] = true;
@@ -232,6 +234,19 @@ fn range_matching(g: &Graph, threads: usize) -> Matching {
         }
     }
     Matching::from_pairs(n, &pairs)
+}
+
+/// The heaviest admissible free neighbor of `v` (ties to the lowest
+/// id); `admit` filters the candidate ids (range membership / global
+/// freeness). Generic, so the filter inlines into the neighbor loop.
+fn heaviest(g: &Graph, v: VertexId, admit: impl Fn(VertexId) -> bool) -> Option<VertexId> {
+    let mut best: Option<(u64, VertexId)> = None;
+    for (u, w) in g.neighbors(v).iter().copied().zip(g.neighbor_weights(v)) {
+        if admit(u) && best.is_none_or(|(bw, bu)| (*w > bw) || (*w == bw && u < bu)) {
+            best = Some((*w, u));
+        }
+    }
+    best.map(|(_, u)| u)
 }
 
 #[cfg(test)]
@@ -303,6 +318,67 @@ mod tests {
         let c = scheme.coarsen(&g, &mut rng).expect("grid has edges");
         assert!(c.coarse().num_vertices() < g.num_vertices());
         assert_eq!(c.coarse().total_vertex_weight(), g.num_vertices() as u64);
+    }
+
+    /// The contraction of `m` built independently through
+    /// `GraphBuilder`: coarse ids in leader (lower fine id) order, one
+    /// weighted record per fine edge, merged by the builder.
+    fn builder_contraction(g: &Graph, m: &Matching) -> (Graph, Vec<VertexId>) {
+        let mut map = vec![VertexId::MAX; g.num_vertices()];
+        let mut next = 0;
+        for v in g.vertices() {
+            if map[v as usize] == VertexId::MAX {
+                map[v as usize] = next;
+                if let Some(u) = m.mate(v) {
+                    map[u as usize] = next;
+                }
+                next += 1;
+            }
+        }
+        let mut b = bisect_graph::GraphBuilder::new(next as usize);
+        let mut weights = vec![0; next as usize];
+        for v in g.vertices() {
+            weights[map[v as usize] as usize] += g.vertex_weight(v);
+        }
+        for (c, w) in weights.into_iter().enumerate() {
+            b.set_vertex_weight(c as VertexId, w).unwrap();
+        }
+        for (u, v, w) in g.edges() {
+            if map[u as usize] != map[v as usize] {
+                b.add_weighted_edge(map[u as usize], map[v as usize], w)
+                    .unwrap();
+            }
+        }
+        (b.build(), map)
+    }
+
+    #[test]
+    fn parallel_matching_ladders_contract_like_the_builder() {
+        use bisect_gen::gnp::{self, GnpParams};
+        for seed in 0..3u64 {
+            let params = GnpParams::with_average_degree(2_000, 4.0).unwrap();
+            let input = gnp::sample(&mut StdRng::seed_from_u64(seed), &params);
+            for threads in [1, 2, 4] {
+                let mut g = input.clone();
+                let mut levels = 0;
+                loop {
+                    let m = range_matching(&g, threads);
+                    if m.is_empty() {
+                        break;
+                    }
+                    let c = contract_matching(&g, &m);
+                    let (coarse, map) = builder_contraction(&g, &m);
+                    assert_eq!(c.coarse(), &coarse, "seed {seed} threads {threads}");
+                    assert_eq!(c.fine_to_coarse(), map.as_slice());
+                    g = coarse;
+                    levels += 1;
+                }
+                assert!(
+                    levels >= 6,
+                    "seed {seed} threads {threads}: {levels} levels"
+                );
+            }
+        }
     }
 
     #[test]

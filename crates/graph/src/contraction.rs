@@ -12,9 +12,17 @@
 //! stands for, so that a *weight*-balanced bisection of `G'` projects to
 //! a *vertex*-balanced bisection of `G`, and the weighted coarse cut
 //! equals the fine cut exactly (tested below and by property tests).
+//!
+//! [`contract_matching`] writes the coarse CSR in one `O(V + E)` bucket
+//! (transpose) pass with no edge list and no sort: visiting coarse
+//! sources in ascending order makes every row come out sorted, and
+//! visiting each source's members together makes its parallel edges
+//! arrive back to back, so they merge into the row's last entry. The
+//! `GraphBuilder` body it replaced (an `O(E log E)` sort of one record
+//! per fine edge) is kept as the test oracle.
 
 use crate::matching::Matching;
-use crate::{Graph, GraphBuilder, VertexId};
+use crate::{EdgeWeight, Graph, VertexId, VertexWeight};
 
 /// The result of contracting a matching: the coarse graph together with
 /// the fine-to-coarse vertex map.
@@ -89,69 +97,320 @@ impl Contraction {
 
 /// Contracts the matched pairs of `m` in `g`. Unmatched vertices survive
 /// unchanged (with their original weight). Coarse ids are assigned in
-/// order of first appearance of each group along fine vertex order, so
-/// the map is deterministic given the matching.
+/// order of first appearance of each group along fine vertex order (the
+/// group's leader is its lower fine id), so the map is deterministic
+/// given the matching.
+///
+/// Runs in `O(V + E)` time with no edge list and no sort: the coarse CSR
+/// is written by one bucket (transpose) pass. Staging row `y` gets room
+/// for the summed fine degrees of its members. Coarse vertices `c` are
+/// visited in ascending order, and each fine neighbor `x` of a member of
+/// `c` appends `c` to row `f2c[x]`, or adds the edge weight to that row's
+/// last entry when it already is `c`. Sources reach every row in
+/// ascending order and all of `c`'s entries for a row arrive together,
+/// so each row comes out sorted with its parallel edges merged; by
+/// symmetry row `y` holds exactly `y`'s coarse neighbors. The gaps the
+/// merges leave are squeezed out in place at the end.
 ///
 /// # Panics
 ///
 /// Panics if the matching was built for a different vertex count.
-// lint: allow(no-panic) — sums of positive fine weights stay positive,
-// cu != cv is checked before add_edge, and ids are in range.
 pub fn contract_matching(g: &Graph, m: &Matching) -> Contraction {
     let n = g.num_vertices();
-    // Assign coarse ids.
+    assert_eq!(
+        m.num_vertices(),
+        n,
+        "matching covers {} vertices but the graph has {n}",
+        m.num_vertices()
+    );
+    if 2 * g.num_edges() <= u32::MAX as usize {
+        bucket_pass::<u32>(g, m)
+    } else {
+        bucket_pass::<usize>(g, m)
+    }
+}
+
+/// A staging slot index: `u32` while every slot fits (halving the row
+/// table the bucket pass reads at random), `usize` beyond.
+trait Slot: Copy {
+    fn new(i: usize) -> Self;
+    fn get(self) -> usize;
+}
+
+impl Slot for u32 {
+    #[inline]
+    fn new(i: usize) -> u32 {
+        i as u32
+    }
+    #[inline]
+    fn get(self) -> usize {
+        self as usize
+    }
+}
+
+impl Slot for usize {
+    #[inline]
+    fn new(i: usize) -> usize {
+        i
+    }
+    #[inline]
+    fn get(self) -> usize {
+        self
+    }
+}
+
+/// The body of [`contract_matching`], with staging rows held as
+/// `(start, cursor)` slot pairs of type `S`.
+fn bucket_pass<S: Slot>(g: &Graph, m: &Matching) -> Contraction {
+    let n = g.num_vertices();
+    // Coarse ids, vertex weights and staging rows, in leader order.
     let mut fine_to_coarse = vec![VertexId::MAX; n];
-    let mut next: VertexId = 0;
+    let mut vertex_weights: Vec<VertexWeight> = Vec::with_capacity(n - m.len());
+    let mut rows: Vec<(S, S)> = Vec::with_capacity(n - m.len());
+    let mut slots = 0;
     for v in 0..n as VertexId {
         if fine_to_coarse[v as usize] != VertexId::MAX {
             continue;
         }
-        fine_to_coarse[v as usize] = next;
+        let c = vertex_weights.len() as VertexId;
+        fine_to_coarse[v as usize] = c;
+        let (mut weight, mut capacity) = (g.vertex_weight(v), g.degree(v));
         if let Some(u) = m.mate(v) {
-            assert_eq!(
-                fine_to_coarse[u as usize],
-                VertexId::MAX,
-                "matching must pair each vertex at most once"
-            );
-            fine_to_coarse[u as usize] = next;
+            fine_to_coarse[u as usize] = c;
+            weight += g.vertex_weight(u);
+            capacity += g.degree(u);
         }
-        next += 1;
+        vertex_weights.push(weight);
+        rows.push((S::new(slots), S::new(slots)));
+        slots += capacity;
     }
-    let num_coarse = next as usize;
 
-    let mut builder = GraphBuilder::new(num_coarse);
-    builder.reserve_edges(g.num_edges());
-    // Coarse vertex weights: sum of fine weights in each group.
-    let mut weights = vec![0u64; num_coarse];
+    let mut adjncy = vec![0 as VertexId; slots];
+    let mut edge_weights = vec![0 as EdgeWeight; slots];
     for v in 0..n as VertexId {
-        weights[fine_to_coarse[v as usize] as usize] += g.vertex_weight(v);
-    }
-    for (c, &w) in weights.iter().enumerate() {
-        builder
-            .set_vertex_weight(c as VertexId, w)
-            .expect("coarse weights are positive sums of positive weights");
-    }
-    for (u, v, w) in g.edges() {
-        let (cu, cv) = (fine_to_coarse[u as usize], fine_to_coarse[v as usize]);
-        if cu != cv {
-            builder
-                .add_weighted_edge(cu, cv, w)
-                .expect("coarse endpoints are in range and distinct");
+        let mate = m.mate(v);
+        if mate.is_some_and(|u| u < v) {
+            continue;
+        }
+        let c = fine_to_coarse[v as usize];
+        for f in std::iter::once(v).chain(mate) {
+            for (&x, &w) in g.neighbors(f).iter().zip(g.neighbor_weights(f)) {
+                let y = fine_to_coarse[x as usize];
+                if y == c {
+                    continue;
+                }
+                let (start, cursor) = &mut rows[y as usize];
+                let last = cursor.get();
+                if last > start.get() && adjncy[last - 1] == c {
+                    edge_weights[last - 1] += w;
+                } else {
+                    adjncy[last] = c;
+                    edge_weights[last] = w;
+                    *cursor = S::new(last + 1);
+                }
+            }
         }
     }
+
+    // Squeeze the merge gaps out; rows only move left.
+    let mut xadj = Vec::with_capacity(rows.len() + 1);
+    xadj.push(0);
+    let mut out = 0;
+    for (start, cursor) in rows {
+        let (lo, hi) = (start.get(), cursor.get());
+        adjncy.copy_within(lo..hi, out);
+        edge_weights.copy_within(lo..hi, out);
+        out += hi - lo;
+        xadj.push(out);
+    }
+    adjncy.truncate(out);
+    adjncy.shrink_to_fit();
+    edge_weights.truncate(out);
+    edge_weights.shrink_to_fit();
     Contraction {
-        coarse: builder.build(),
+        coarse: Graph::from_csr(xadj, adjncy, edge_weights, vertex_weights),
         fine_to_coarse,
         num_fine: n,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::matching;
+    use crate::{matching, GraphBuilder};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The `GraphBuilder` contraction the bucket pass replaced, kept as
+    /// the oracle: one `(cu, cv, w)` record per fine edge, sorted and
+    /// merged by the builder.
+    fn reference_contract_matching(g: &Graph, m: &Matching) -> Contraction {
+        let n = g.num_vertices();
+        let mut fine_to_coarse = vec![VertexId::MAX; n];
+        let mut next: VertexId = 0;
+        for v in 0..n as VertexId {
+            if fine_to_coarse[v as usize] != VertexId::MAX {
+                continue;
+            }
+            fine_to_coarse[v as usize] = next;
+            if let Some(u) = m.mate(v) {
+                assert_eq!(fine_to_coarse[u as usize], VertexId::MAX);
+                fine_to_coarse[u as usize] = next;
+            }
+            next += 1;
+        }
+        let mut builder = GraphBuilder::new(next as usize);
+        let mut weights = vec![0u64; next as usize];
+        for v in 0..n as VertexId {
+            weights[fine_to_coarse[v as usize] as usize] += g.vertex_weight(v);
+        }
+        for (c, &w) in weights.iter().enumerate() {
+            builder.set_vertex_weight(c as VertexId, w).unwrap();
+        }
+        for (u, v, w) in g.edges() {
+            let (cu, cv) = (fine_to_coarse[u as usize], fine_to_coarse[v as usize]);
+            if cu != cv {
+                builder.add_weighted_edge(cu, cv, w).unwrap();
+            }
+        }
+        Contraction {
+            coarse: builder.build(),
+            fine_to_coarse,
+            num_fine: n,
+        }
+    }
+
+    /// Asserts that the bucket pass, with narrow and with wide slots,
+    /// agrees with the oracle on `m` and returns the contraction.
+    fn assert_matches_oracle(g: &Graph, m: &Matching) -> Contraction {
+        let fast = contract_matching(g, m);
+        let oracle = reference_contract_matching(g, m);
+        assert_eq!(fast.coarse(), oracle.coarse());
+        assert_eq!(fast.fine_to_coarse(), oracle.fine_to_coarse());
+        assert_eq!(fast.num_fine(), oracle.num_fine());
+        let wide = bucket_pass::<usize>(g, m);
+        assert_eq!(wide.coarse(), oracle.coarse());
+        assert_eq!(wide.fine_to_coarse(), oracle.fine_to_coarse());
+        fast
+    }
+
+    /// A random multigraph folded into a weighted graph: vertex weights
+    /// 1-3, edge weights 1-4 (summed where edges repeat).
+    pub(crate) fn random_weighted_graph(n: usize, edges: usize, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for v in 0..n as VertexId {
+            b.set_vertex_weight(v, rng.gen_range(1..4u64)).unwrap();
+        }
+        if n >= 2 {
+            for _ in 0..edges {
+                let u = rng.gen_range(0..n as VertexId);
+                let v = rng.gen_range(0..n as VertexId);
+                if u != v {
+                    b.add_weighted_edge(u, v, rng.gen_range(1..5u64)).unwrap();
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Disjoint pairs drawn from a random permutation, adjacent in `g`
+    /// or not: contraction does not require matched pairs to be edges.
+    fn random_pairs(n: usize, pairs: usize, seed: u64) -> Matching {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ids: Vec<VertexId> = (0..n as VertexId).collect();
+        ids.shuffle(&mut rng);
+        let pairs: Vec<_> = ids
+            .chunks_exact(2)
+            .take(pairs)
+            .map(|p| (p[0], p[1]))
+            .collect();
+        Matching::from_pairs(n, &pairs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn bucket_pass_matches_builder_oracle(
+            n in 0usize..60,
+            density in 0usize..6,
+            seed in 0u64..10_000,
+        ) {
+            let g = random_weighted_graph(n, n * density, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            assert_matches_oracle(&g, &matching::random_maximal(&g, &mut rng));
+            assert_matches_oracle(&g, &matching::heavy_edge(&g, &mut rng));
+            assert_matches_oracle(&g, &matching::random_edge_order(&g, &mut rng));
+            assert_matches_oracle(&g, &random_pairs(n, n / 3, seed));
+            assert_matches_oracle(&g, &random_pairs(n, n / 2, seed));
+            assert_matches_oracle(&g, &Matching::empty(n));
+        }
+    }
+
+    #[test]
+    fn bucket_pass_matches_oracle_on_edge_cases() {
+        assert_matches_oracle(&Graph::empty(0), &Matching::empty(0));
+        assert_matches_oracle(&Graph::empty(6), &Matching::empty(6));
+        assert_matches_oracle(&Graph::empty(6), &random_pairs(6, 3, 1));
+        // A perfect matching of a cycle whose pairs are all edges, and
+        // one whose pairs are none: the coarse graph is a 4-cycle either
+        // way, with weight 2 on every edge for the second.
+        let cycle =
+            Graph::from_edges(8, &(0..8).map(|i| (i, (i + 1) % 8)).collect::<Vec<_>>()).unwrap();
+        let edges = Matching::from_pairs(8, &[(0, 1), (2, 3), (4, 5), (6, 7)]);
+        assert_eq!(
+            assert_matches_oracle(&cycle, &edges).coarse().num_edges(),
+            4
+        );
+        let opposite = Matching::from_pairs(8, &[(0, 4), (1, 5), (2, 6), (3, 7)]);
+        let c = assert_matches_oracle(&cycle, &opposite);
+        assert_eq!(c.coarse().num_vertices(), 4);
+        assert_eq!(c.coarse().total_edge_weight(), 8);
+        // A complete graph contracted to one vertex pair by pair.
+        let k: Vec<_> = (0..6)
+            .flat_map(|u| (u + 1..6).map(move |v| (u, v)))
+            .collect();
+        let k6 = Graph::from_edges(6, &k).unwrap();
+        let c = assert_matches_oracle(&k6, &random_pairs(6, 3, 2));
+        assert_eq!(c.coarse().num_edges(), 3);
+        assert_eq!(c.coarse().total_edge_weight(), 12);
+    }
+
+    #[test]
+    fn bucket_pass_matches_oracle_on_high_degree_ladders() {
+        // A sparse random graph contracted level by level until its
+        // coarse vertices average 20 or more distinct neighbors (as on
+        // deep `Gbreg` levels), where every row merges many parallel
+        // edges.
+        let degree = |g: &Graph| 2 * g.num_edges() / g.num_vertices();
+        for seed in 0..4u64 {
+            let mut g = random_weighted_graph(4_000, 8_000, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut levels = 0;
+            while degree(&g) < 20 {
+                let m = if levels % 2 == 0 {
+                    matching::heavy_edge(&g, &mut rng)
+                } else {
+                    matching::random_maximal(&g, &mut rng)
+                };
+                g = assert_matches_oracle(&g, &m).coarse().clone();
+                levels += 1;
+            }
+            assert!(degree(&g) <= 40, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "matching covers 6 vertices but the graph has 4")]
+    fn matching_for_a_larger_graph_panics() {
+        // The extra pair lies above the graph's ids, so only the vertex
+        // count check can catch it.
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let _ = contract_matching(&g, &Matching::from_pairs(6, &[(0, 1), (4, 5)]));
+    }
 
     fn cut_of(g: &Graph, side: &[bool]) -> u64 {
         g.edges()

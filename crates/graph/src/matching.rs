@@ -76,6 +76,11 @@ impl Matching {
         self.pairs.push(if u < v { (u, v) } else { (v, u) });
     }
 
+    /// Number of vertices of the graph the matching was built for.
+    pub fn num_vertices(&self) -> usize {
+        self.mate.len()
+    }
+
     /// Number of matched pairs.
     pub fn len(&self) -> usize {
         self.pairs.len()

@@ -134,8 +134,10 @@ impl Reordering {
 
     /// The relabeled graph: vertex `new` of the result is vertex
     /// `to_old(new)` of `g`, with all edges and weights carried over.
-    /// Builds the CSR arrays directly (no edge-list detour), sorting
-    /// each relabeled adjacency list with one shared scratch buffer.
+    /// Builds the CSR arrays directly by one transpose scatter: new ids
+    /// `r` are visited in ascending order and each appends itself to the
+    /// row of every neighbor, so every row comes out sorted without a
+    /// sort.
     ///
     /// # Panics
     ///
@@ -148,24 +150,21 @@ impl Reordering {
             "reordering covers {} vertices but the graph has {n}",
             self.len()
         );
+        // `xadj[t + 1]` starts as row `t`'s first slot and serves as its
+        // cursor, so after the scatter it is the row's end.
         let mut xadj = vec![0usize; n + 1];
-        for new in 0..n {
-            xadj[new + 1] = xadj[new] + g.degree(self.new_to_old[new]);
+        for t in 1..n {
+            xadj[t + 1] = xadj[t] + g.degree(self.new_to_old[t - 1]);
         }
-        let mut adjncy = vec![0 as VertexId; xadj[n]];
-        let mut edge_weights = vec![0 as EdgeWeight; xadj[n]];
-        let mut pairs: Vec<(VertexId, EdgeWeight)> = Vec::new();
-        for (new, &old) in self.new_to_old.iter().enumerate() {
-            pairs.clear();
-            pairs.extend(
-                g.neighbors_weighted(old)
-                    .map(|(u, w)| (self.old_to_new[u as usize], w)),
-            );
-            pairs.sort_unstable_by_key(|&(nbr, _)| nbr);
-            let lo = xadj[new];
-            for (i, &(nbr, w)) in pairs.iter().enumerate() {
-                adjncy[lo + i] = nbr;
-                edge_weights[lo + i] = w;
+        let entries = 2 * g.num_edges();
+        let mut adjncy = vec![0 as VertexId; entries];
+        let mut edge_weights = vec![0 as EdgeWeight; entries];
+        for (r, &old) in self.new_to_old.iter().enumerate() {
+            for (u, w) in g.neighbors_weighted(old) {
+                let row = &mut xadj[self.old_to_new[u as usize] as usize + 1];
+                adjncy[*row] = r as VertexId;
+                edge_weights[*row] = w;
+                *row += 1;
             }
         }
         let vertex_weights = (0..n)
@@ -357,6 +356,32 @@ mod tests {
         let h = r.apply(&g);
         assert_eq!(h.vertex_weight(0), 5);
         assert_eq!(h.edge_weight(0, 1), Some(7));
+    }
+
+    #[test]
+    fn apply_equals_relabeling_through_the_builder() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..80usize);
+            let g = crate::contraction::tests::random_weighted_graph(n, 3 * n, seed);
+            let mut order: Vec<VertexId> = (0..n as VertexId).collect();
+            order.shuffle(&mut rng);
+            let r = Reordering::from_new_to_old(order).unwrap();
+            let mut oracle = crate::GraphBuilder::new(n);
+            for v in g.vertices() {
+                oracle
+                    .set_vertex_weight(r.to_new(v), g.vertex_weight(v))
+                    .unwrap();
+            }
+            for (u, v, w) in g.edges() {
+                oracle
+                    .add_weighted_edge(r.to_new(u), r.to_new(v), w)
+                    .unwrap();
+            }
+            assert_eq!(r.apply(&g), oracle.build(), "seed {seed}");
+        }
     }
 
     #[test]
