@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bisect_gen::rng::LaggedFibonacci;
-use bisect_gen::{g2set, gbreg, geometric, gnp};
+use bisect_gen::{g2set, gbreg, geometric, gnp, regular};
 use rand::SeedableRng;
 
 fn bench_generators(c: &mut Criterion) {
@@ -53,6 +53,39 @@ fn bench_generators(c: &mut Criterion) {
             });
         });
     }
+    // The `graph-huge` benchmark instance: two configuration-model
+    // repairs of 125,000 degree-≤4 vertices dominate it.
+    group.bench_function(BenchmarkId::new("gbreg-d4", 250_000), |b| {
+        let params = gbreg::GbregParams::new(250_000, 64, 4).expect("feasible");
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut rng = LaggedFibonacci::seed_from_u64(seed);
+            std::hint::black_box(
+                gbreg::sample(&mut rng, &params)
+                    .expect("construction succeeds")
+                    .num_edges(),
+            )
+        });
+    });
+    group.finish();
+
+    // A dense sequence: long slot rows make each multiplicity scan
+    // O(64), the repair's worst case in cost per lookup.
+    let mut group = c.benchmark_group("regular");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("dense", "2000x64"), |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut rng = LaggedFibonacci::seed_from_u64(seed);
+            std::hint::black_box(
+                regular::sample_regular(&mut rng, 2000, 64)
+                    .expect("construction succeeds")
+                    .len(),
+            )
+        });
+    });
     group.finish();
 }
 
