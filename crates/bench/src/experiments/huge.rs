@@ -9,9 +9,9 @@
 //!    internally);
 //! 2. **BFS vertex reordering** ([`bisect_graph::reorder::bfs`]) so
 //!    refinement walks near-contiguous adjacency;
-//! 3. **the [`pipeline`] descriptor** — a [`Pipeline`] V-cycle with
+//! 3. **the `pipeline` descriptor** — a [`Pipeline`] V-cycle with
 //!    [`ParallelMatching`] (heavy-edge, rng-free, 5% stall guard)
-//!    coarsening to [`coarse_target`], a weight-balanced random start
+//!    coarsening to `coarse_target`, a weight-balanced random start
 //!    refined by serial hill-crossing [`BoundaryFm`] on the coarsest
 //!    graph, and boundary-seeded [`ParallelFm`] on every finer level.
 //!    The engine projects the workspace gain cache through every

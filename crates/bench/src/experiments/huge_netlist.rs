@@ -13,9 +13,9 @@
 //! 2. **BFS cell reordering**
 //!    ([`bisect_graph::hypergraph::bfs_cell_order`]) so refinement
 //!    walks near-contiguous pin arrays;
-//! 3. **the [`pipeline`] descriptor** — a [`NetlistPipeline`] V-cycle
+//! 3. **the `pipeline` descriptor** — a [`NetlistPipeline`] V-cycle
 //!    with [`ParallelCellMatching`] (rng-free, 5% stall guard)
-//!    coarsening to [`coarse_target`] through one reused contraction
+//!    coarsening to `coarse_target` through one reused contraction
 //!    scratch, a weight-balanced random start refined by serial
 //!    hill-crossing [`NetlistFm`] on the coarsest netlist, and
 //!    boundary-seeded [`ParallelNetlistFm`] on every finer level. The

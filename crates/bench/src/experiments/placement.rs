@@ -12,7 +12,7 @@
 //!   biasing each sub-bisection toward the external pins' region;
 //! * **clique expansion** — the netlist's clique graph through the
 //!   graph-side multilevel KL pipeline's
-//!   [`recursive_partition`](bisect_core::pipeline::recursive_partition),
+//!   [`recursive_partition`],
 //!   then rescored on the *netlist* objectives.
 //!
 //! Both report the k-way **net cut** and the **HPWL** (half-perimeter

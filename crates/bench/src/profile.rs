@@ -25,8 +25,8 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Stable lowercase name, used in reports and parsed by
-    /// [`Scale::from_str`].
+    /// Stable lowercase name, used in reports and parsed by the
+    /// [`FromStr`](std::str::FromStr) impl.
     pub fn name(&self) -> &'static str {
         match self {
             Scale::Smoke => "smoke",

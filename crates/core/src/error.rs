@@ -2,8 +2,7 @@
 //!
 //! Every fallible operation in this crate reports a [`BisectError`]
 //! instead of panicking: pipeline construction ([`crate::pipeline`]),
-//! fallible initial partitioners (the exact solver refusing oversized
-//! graphs), side-vector mismatches, and invalid recursive part counts.
+//! side-vector mismatches, and invalid recursive part counts.
 //! The bench harness wraps it (together with the generators'
 //! `GenError`) and propagates everything up to the `repro` CLI, which
 //! renders the message and exits nonzero — no `unwrap` between an
@@ -14,7 +13,6 @@ use std::fmt;
 
 use bisect_graph::GraphError;
 
-use crate::exact::TooLargeError;
 use crate::partition::SideLengthError;
 
 /// Errors from constructing or running a bisection pipeline.
@@ -27,13 +25,6 @@ pub enum BisectError {
     /// A pipeline configuration was rejected (message explains which
     /// constraint failed, e.g. a coarsest size below 2).
     InvalidConfig(String),
-    /// The exact solver was asked for a graph beyond its search limit.
-    TooLarge {
-        /// Vertices in the offending graph.
-        vertices: usize,
-        /// The solver's limit.
-        limit: usize,
-    },
     /// A side vector did not match the graph's vertex count.
     SideLength {
         /// Length of the supplied side vector.
@@ -56,10 +47,6 @@ impl fmt::Display for BisectError {
             BisectError::InvalidConfig(message) => {
                 write!(f, "invalid pipeline configuration: {message}")
             }
-            BisectError::TooLarge { vertices, limit } => write!(
-                f,
-                "graph with {vertices} vertices exceeds the exact solver's limit of {limit}"
-            ),
             BisectError::SideLength { len, num_vertices } => write!(
                 f,
                 "side vector of length {len} does not match graph on {num_vertices} vertices"
@@ -86,15 +73,6 @@ impl From<GraphError> for BisectError {
     }
 }
 
-impl From<TooLargeError> for BisectError {
-    fn from(e: TooLargeError) -> BisectError {
-        BisectError::TooLarge {
-            vertices: e.num_vertices,
-            limit: crate::exact::MAX_VERTICES,
-        }
-    }
-}
-
 impl From<SideLengthError> for BisectError {
     fn from(e: SideLengthError) -> BisectError {
         BisectError::SideLength {
@@ -115,12 +93,6 @@ mod tests {
                 .to_string()
                 .contains("coarsest size")
         );
-        assert!(BisectError::TooLarge {
-            vertices: 99,
-            limit: 40
-        }
-        .to_string()
-        .contains("99"));
         assert!(BisectError::SideLength {
             len: 3,
             num_vertices: 4

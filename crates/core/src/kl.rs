@@ -21,7 +21,7 @@
 //! `klpair` ablation bench compares:
 //!
 //! * [`PairSelection::Incremental`] (default) keeps per-side gain
-//!   *buckets* ([`SortedBuckets`]) in a reusable
+//!   *buckets* (`SortedBuckets`) in a reusable
 //!   [`Workspace`], scans candidate pairs in decreasing `g_a + g_b`
 //!   with the exact `g_ab ≤ g_a + g_b` prune, and after locking a pair
 //!   updates only the buckets of the pair's *neighbors* — no per-swap

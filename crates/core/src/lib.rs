@@ -26,9 +26,9 @@
 //!   projected across uncoarsening levels so no level pays a full
 //!   `O(V + E)` gain rebuild; `O(boundary · deg)` per pass on
 //!   well-cut graphs.
-//! * [`pipeline::CoarsenScheme`] / [`pipeline::InitialPartitioner`] —
-//!   swappable coarsening (random, heavy-edge, edge-order matchings)
-//!   and initial-partition (random, greedy, spectral, exact) stages.
+//! * [`pipeline::CoarsenScheme`] — swappable coarsening (random,
+//!   heavy-edge, edge-order matchings); the start of the coarsest graph
+//!   is fixed by the coarsening depth (see [`pipeline`]).
 //! * [`exact`] — branch-and-bound optimum for small graphs (ground
 //!   truth in tests).
 //! * [`degree2`] — the paper's `O(n²)` exact solver for maximum-degree-2
@@ -69,8 +69,9 @@
 //! assert!(p.cut() <= 14); // bisection width of the 10×10 grid is 10
 //! ```
 //!
-//! Fallible configurations surface a typed [`error::BisectError`]
-//! through [`pipeline::Pipeline::try_bisect`] instead of panicking.
+//! Invalid configurations surface a typed [`error::BisectError`]
+//! (e.g. from [`pipeline::Pipeline::multilevel_to`]) instead of
+//! panicking.
 //!
 //! The pre-pipeline wrappers (`Compacted`, `Multilevel`,
 //! `RecursiveBisection`) have been removed; their behavior lives on
@@ -89,7 +90,6 @@ pub(crate) mod gain;
 pub mod gain_cache;
 pub mod greedy;
 pub mod kl;
-pub mod metrics;
 pub mod netlist;
 pub mod par_fm;
 pub mod partition;

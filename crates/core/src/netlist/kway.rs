@@ -226,7 +226,7 @@ impl NetlistPlacement {
 }
 
 /// Recursively bisects `nl` into `parts` regions with terminal
-/// propagation; see the [module docs](self) for the scheme.
+/// propagation; see the `netlist::kway` module docs for the scheme.
 ///
 /// # Errors
 ///

@@ -222,11 +222,6 @@ impl Bisection {
         self.weights[side.index()]
     }
 
-    /// Absolute difference of the side vertex *counts*.
-    pub fn count_imbalance(&self) -> usize {
-        self.counts[0].abs_diff(self.counts[1])
-    }
-
     /// Absolute difference of the side vertex *weights*.
     pub fn weight_imbalance(&self) -> VertexWeight {
         self.weights[0].abs_diff(self.weights[1])
@@ -335,20 +330,6 @@ impl Bisection {
     /// assertions to validate the incremental bookkeeping.
     pub fn recompute_cut(&self, g: &Graph) -> EdgeWeight {
         compute_cut(g, &self.side)
-    }
-
-    /// The edges crossing the bisection, as `(u, v, weight)` with
-    /// `u < v` in lexicographic order — e.g. the wires crossing the cut
-    /// line in a placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph does not match the bisection.
-    pub fn crossing_edges(&self, g: &Graph) -> Vec<(VertexId, VertexId, EdgeWeight)> {
-        self.assert_graph(g);
-        g.edges()
-            .filter(|&(u, v, _)| self.side[u as usize] != self.side[v as usize])
-            .collect()
     }
 
     /// Vertices on the given side, in increasing id order.
@@ -556,7 +537,7 @@ mod tests {
         assert_eq!(p.cut(), 3);
         assert_eq!(p.count(Side::A), 2);
         assert_eq!(p.weight(Side::B), 2);
-        assert_eq!(p.count_imbalance(), 0);
+        assert_eq!(p.count(Side::A).abs_diff(p.count(Side::B)), 0);
     }
 
     #[test]
@@ -605,7 +586,7 @@ mod tests {
         assert_eq!(p.count(Side::B), 3);
         p.move_vertex(&g, 1); // move back
         assert_eq!(p.cut(), 1);
-        assert_eq!(p.count_imbalance(), 0);
+        assert_eq!(p.count(Side::A).abs_diff(p.count(Side::B)), 0);
     }
 
     #[test]
@@ -755,26 +736,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn crossing_edges_match_cut() {
-        let g = bisect_gen::special::grid(4, 4);
-        let p = Bisection::planted(&g);
-        let crossing = p.crossing_edges(&g);
-        assert_eq!(crossing.iter().map(|&(_, _, w)| w).sum::<u64>(), p.cut());
-        for &(u, v, _) in &crossing {
-            assert_ne!(p.side(u), p.side(v));
-            assert!(u < v);
-        }
-    }
-
-    #[test]
-    fn crossing_edges_empty_for_zero_cut() {
-        let g = bisect_gen::special::cycle_collection(2, 4);
-        let p = Bisection::planted(&g); // each cycle on its own side
-        assert_eq!(p.cut(), 0);
-        assert!(p.crossing_edges(&g).is_empty());
     }
 
     #[test]

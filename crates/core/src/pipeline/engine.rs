@@ -8,7 +8,7 @@
 //! * multilevel (V-cycle) bisection is [`CoarsenDepth::ToSize`], and
 //! * a plain heuristic from a random start is [`CoarsenDepth::Flat`].
 //!
-//! [`Pipeline`](super::Pipeline) is a thin descriptor around this one
+//! [`Pipeline`] is a thin descriptor around this one
 //! call — which is what made the pipeline *bit-identical* to the
 //! bespoke drivers it replaced: both sides executed this exact
 //! sequence of rng draws (pinned today by the golden values in
@@ -16,7 +16,7 @@
 //!
 //! The rng-draw order is part of the contract and must not be
 //! reordered: (1) one matching per coarsening level, finest first;
-//! (2) the initial partition of the coarsest graph and its refinement
+//! (2) the random start of the coarsest graph and its refinement
 //! by the coarsest-level refiner — or, in `Levels` mode when the
 //! coarsener made no progress, that refiner's own from-scratch
 //! bisection (the legacy §V fallback for edgeless graphs); (3) one
@@ -29,15 +29,18 @@ use rand::RngCore;
 
 use crate::error::BisectError;
 use crate::partition::{rebalance, rebalance_with_cache, Bisection};
+use crate::seed;
 use crate::workspace::Workspace;
 
 use super::Pipeline;
 
-/// How far the pipeline coarsens before the initial partition.
+/// How far the pipeline coarsens before the random start. The depth
+/// also fixes the start: count-balanced at `Flat`, weight-balanced at
+/// every other depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoarsenDepth {
-    /// No coarsening: initial partition and refinement happen directly
-    /// on the input graph.
+    /// No coarsening: the random start and its refinement happen
+    /// directly on the input graph.
     Flat,
     /// Exactly this many contraction levels (stopping early only when
     /// the coarsener makes no progress). The paper's compaction is
@@ -77,18 +80,12 @@ impl CoarsenDepth {
 /// the final balanced bisection of `g` together with the summed work
 /// count of every refinement stage (see
 /// [`Bisector::bisect_counted`](crate::bisector::Bisector::bisect_counted)).
-///
-/// # Errors
-///
-/// Propagates the initial partitioner's error (e.g.
-/// [`BisectError::TooLarge`] from the exact partitioner); the built-in
-/// random partitioners never fail.
 pub(crate) fn run(
     pipeline: &Pipeline,
     g: &Graph,
     rng: &mut dyn RngCore,
     ws: &mut Workspace,
-) -> Result<(Bisection, u64), BisectError> {
+) -> (Bisection, u64) {
     let depth = pipeline.depth;
     let refiner = pipeline.refiner.as_ref();
     let coarsest = pipeline.coarsest.as_deref().unwrap_or(refiner);
@@ -109,15 +106,20 @@ pub(crate) fn run(
         }
     }
 
-    // Initial bisection of the coarsest graph. In Levels mode an empty
-    // ladder means the coarsener made no progress on the input graph
-    // itself; the paper's compaction then falls through to the plain
-    // heuristic (its own random start), which we preserve exactly.
+    // Start of the coarsest graph. In Levels mode an empty ladder means
+    // the coarsener made no progress on the input graph itself; the
+    // paper's compaction then falls through to the plain heuristic (its
+    // own random start), which we preserve exactly. Otherwise the depth,
+    // not the ladder, picks the start: a `ToSize` run whose input is
+    // already small enough keeps the weight-balanced draw.
     let (mut current, mut work) = if ladder.is_empty() && matches!(depth, CoarsenDepth::Levels(_)) {
         coarsest.bisect_counted(g, rng, ws)
     } else {
         let level: &Graph = ladder.last().map_or(g, |c| c.coarse());
-        let init = pipeline.initial.partition(level, rng)?;
+        let init = match depth {
+            CoarsenDepth::Flat => seed::random_balanced(level, rng),
+            _ => seed::weight_balanced_random(level, rng),
+        };
         coarsest.refine_counted(level, init, rng, ws)
     };
 
@@ -138,7 +140,9 @@ pub(crate) fn run(
     for i in (0..ladder.len()).rev() {
         let fine: &Graph = if i == 0 { g } else { ladder[i - 1].coarse() };
         let sides = ladder[i].project_sides(current.sides());
-        let mut projected = Bisection::from_sides_with_cut(fine, sides, current.cut())?;
+        let mut projected = Bisection::from_sides_with_cut(fine, sides, current.cut())
+            // lint: allow(no-panic) — a projection has one side per fine vertex
+            .expect("projection covers every fine vertex");
         ws.gain_cache
             .project(fine, &projected, ladder[i].fine_to_coarse());
         rebalance_with_cache(fine, &mut projected, &mut ws.gain_cache);
@@ -149,7 +153,7 @@ pub(crate) fn run(
     if !current.is_balanced(g) {
         rebalance(g, &mut current);
     }
-    Ok((current, work))
+    (current, work)
 }
 
 #[cfg(test)]
@@ -162,19 +166,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Random matching, weight-balanced start and `refiner` at every
-    /// level, coarsened to `depth`.
+    /// Random matching and `refiner` at every level, coarsened to
+    /// `depth`.
     fn run_at<R: Refiner + Send + Sync + 'static>(
         refiner: R,
         g: &Graph,
         depth: CoarsenDepth,
         seed: u64,
     ) -> (Bisection, u64) {
-        let pipeline = Pipeline::multilevel(refiner)
-            .with_depth(depth)
-            .expect("valid depth");
+        let pipeline = Pipeline {
+            depth,
+            ..Pipeline::multilevel(refiner)
+        };
         let mut rng = StdRng::seed_from_u64(seed);
-        run(&pipeline, g, &mut rng, &mut Workspace::new()).expect("infallible stages")
+        run(&pipeline, g, &mut rng, &mut Workspace::new())
     }
 
     fn run_kl(g: &Graph, depth: CoarsenDepth, seed: u64) -> (Bisection, u64) {

@@ -3,20 +3,24 @@
 //! The paper's compaction trick — contract a random maximal matching,
 //! bisect the compacted graph, project back, refine (§V) — is one level
 //! of what later became the multilevel paradigm. This module expresses
-//! the whole family as one architecture with three swappable stages:
+//! the whole family as one architecture:
 //!
 //! * a [`CoarsenScheme`] contracts the graph one level at a time
 //!   (random maximal matching — the paper's compaction — heavy-edge
 //!   matching, or edge-order matching),
-//! * an [`InitialPartitioner`] bisects the coarsest graph (random,
-//!   weight-balanced, greedy, spectral, or exact), and
+//! * the coarsest graph starts from a random bisection fixed by the
+//!   depth: [`seed::random_balanced`](crate::seed::random_balanced)
+//!   when nothing is contracted ([`CoarsenDepth::Flat`]), and
+//!   [`seed::weight_balanced_random`](crate::seed::weight_balanced_random)
+//!   at every other depth, where count balance of a contracted graph
+//!   does not project to vertex balance, and
 //! * a [`Refiner`] (Kernighan-Lin, Fiduccia-Mattheyses, or simulated
 //!   annealing) improves the bisection at every level, threading one
 //!   [`Workspace`] through the whole cycle so the hot paths stay
 //!   allocation-free. [`Pipeline::with_coarsest`] gives the coarsest
 //!   level a refiner of its own.
 //!
-//! A [`Pipeline`] composes the three behind the ordinary
+//! A [`Pipeline`] composes them behind the ordinary
 //! [`Bisector`] interface. Descriptors reproduce the paper's
 //! algorithms *bit-for-bit* relative to the bespoke pre-pipeline
 //! wrappers they replaced (pinned by the golden values in
@@ -46,13 +50,11 @@
 //! assert!(p.is_balanced(&g));
 //! ```
 //!
-//! Fallible configurations (an exact initial partitioner, a custom
-//! coarsest size) surface a typed [`BisectError`] through the `try_*`
-//! entry points instead of panicking.
+//! An invalid coarsest size surfaces as a typed [`BisectError`] from
+//! [`Pipeline::multilevel_to`] instead of a panic.
 
 pub mod coarsen;
 pub mod engine;
-pub mod initial;
 pub mod kway;
 
 use std::sync::Arc;
@@ -71,10 +73,6 @@ pub use coarsen::{
     CoarsenScheme, EdgeOrderMatching, HeavyEdgeMatching, ParallelMatching, RandomMatching,
 };
 pub use engine::CoarsenDepth;
-pub use initial::{
-    BfsInit, DfsInit, ExactInit, GreedyInit, InitialPartitioner, RandomInit, SpectralInit,
-    WeightBalancedInit,
-};
 pub use kway::{recursive_partition, KWayPartition};
 
 /// Default coarsest size of [`Pipeline::multilevel`].
@@ -89,7 +87,6 @@ pub const DEFAULT_COARSEST_SIZE: usize = 32;
 pub struct Pipeline {
     coarsener: Arc<dyn CoarsenScheme>,
     depth: CoarsenDepth,
-    initial: Arc<dyn InitialPartitioner>,
     refiner: Arc<dyn Refiner + Send + Sync>,
     /// Refiner of the coarsest level; `None` means `refiner`.
     coarsest: Option<Arc<dyn Refiner + Send + Sync>>,
@@ -102,7 +99,6 @@ impl std::fmt::Debug for Pipeline {
             .field("name", &self.name)
             .field("coarsener", &self.coarsener.name())
             .field("depth", &self.depth)
-            .field("initial", &self.initial.name())
             .field("refiner", &self.refiner.name())
             .field("coarsest", &self.coarsest.as_ref().map(|r| r.name()))
             .finish()
@@ -141,7 +137,6 @@ impl Pipeline {
         Pipeline {
             coarsener: Arc::new(RandomMatching),
             depth: CoarsenDepth::Levels(1),
-            initial: Arc::new(WeightBalancedInit),
             refiner: Arc::new(refiner),
             coarsest: None,
             name,
@@ -170,7 +165,6 @@ impl Pipeline {
         Ok(Pipeline {
             coarsener: Arc::new(RandomMatching),
             depth,
-            initial: Arc::new(WeightBalancedInit),
             refiner: Arc::new(refiner),
             coarsest: None,
             name,
@@ -186,7 +180,6 @@ impl Pipeline {
         Pipeline {
             coarsener: Arc::new(RandomMatching),
             depth: CoarsenDepth::Flat,
-            initial: Arc::new(RandomInit),
             refiner: Arc::new(refiner),
             coarsest: None,
             name,
@@ -199,12 +192,6 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the initial partitioner of the coarsest graph.
-    pub fn with_initial<I: InitialPartitioner + 'static>(mut self, initial: I) -> Pipeline {
-        self.initial = Arc::new(initial);
-        self
-    }
-
     /// Refines the coarsest level with `refiner` instead of the level
     /// refiner; every finer level keeps the level refiner. A
     /// hill-crossing serial refiner there sets the basin a greedy
@@ -214,30 +201,14 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the coarsening depth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BisectError::InvalidConfig`] for a `ToSize` target
-    /// below 2.
-    pub fn with_depth(mut self, depth: CoarsenDepth) -> Result<Pipeline, BisectError> {
-        self.depth = depth.validate()?;
-        Ok(self)
-    }
-
     /// Overrides the display name used in experiment tables.
     pub fn named(mut self, name: impl Into<String>) -> Pipeline {
         self.name = name.into();
         self
     }
 
-    /// The configured coarsening depth.
-    pub fn depth(&self) -> CoarsenDepth {
-        self.depth
-    }
-
     /// A one-line description of the composed stages, for diagnostics
-    /// (e.g. `"random-matching → levels(1) → weight-balanced → KL"`; a
+    /// (e.g. `"random-matching → levels(1) → KL"`; a
     /// separate coarsest-level refiner shows as `BFM/PFM`).
     pub fn describe(&self) -> String {
         let depth = match self.depth {
@@ -249,40 +220,7 @@ impl Pipeline {
             Some(c) => format!("{}/{}", c.name(), self.refiner.name()),
             None => self.refiner.name(),
         };
-        format!(
-            "{} → {} → {} → {}",
-            self.coarsener.name(),
-            depth,
-            self.initial.name(),
-            refiners
-        )
-    }
-
-    /// As [`Bisector::bisect_counted`], surfacing stage errors instead
-    /// of panicking. The built-in descriptors never fail; pipelines
-    /// with a fallible initial partitioner (e.g. [`ExactInit`]) should
-    /// be run through here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the initial partitioner's [`BisectError`].
-    pub fn try_bisect_counted(
-        &self,
-        g: &Graph,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> Result<(Bisection, u64), BisectError> {
-        engine::run(self, g, rng, ws)
-    }
-
-    /// As [`Bisector::bisect`], surfacing stage errors instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the initial partitioner's [`BisectError`].
-    pub fn try_bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Result<Bisection, BisectError> {
-        Ok(self.try_bisect_counted(g, rng, &mut Workspace::new())?.0)
+        format!("{} → {} → {}", self.coarsener.name(), depth, refiners)
     }
 
     /// Partitions `g` into `parts` balanced parts by recursive
@@ -313,15 +251,7 @@ impl Bisector for Pipeline {
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        match self.try_bisect_counted(g, rng, ws) {
-            Ok(result) => result,
-            // lint: allow(no-panic) — documented contract of the infallible facade
-            Err(e) => panic!(
-                "pipeline `{}` ({}) failed: {e}; use try_bisect for fallible configurations",
-                self.name,
-                self.describe()
-            ),
-        }
+        engine::run(self, g, rng, ws)
     }
 }
 
@@ -384,42 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn spectral_initial_slots_in() {
-        let g = special::grid(8, 8);
-        let mut rng = StdRng::seed_from_u64(5);
-        let p = Pipeline::multilevel(KernighanLin::new())
-            .with_initial(SpectralInit::new())
-            .bisect(&g, &mut rng);
-        assert!(p.is_balanced(&g));
-    }
-
-    #[test]
-    fn exact_initial_errors_are_typed_not_panics() {
-        // ToSize(48) leaves a coarsest graph above the exact limit on a
-        // large enough input; the typed error must surface via try_*.
-        let g = special::grid(12, 12);
-        let pipeline = Pipeline::multilevel(KernighanLin::new())
-            .with_depth(CoarsenDepth::ToSize(100))
-            .unwrap()
-            .with_initial(ExactInit);
-        let mut rng = StdRng::seed_from_u64(6);
-        let err = pipeline.try_bisect(&g, &mut rng).unwrap_err();
-        assert!(matches!(err, BisectError::TooLarge { .. }));
-    }
-
-    #[test]
-    fn exact_initial_on_small_coarsest_succeeds() {
-        let g = special::grid(6, 6);
-        let pipeline = Pipeline::multilevel(KernighanLin::new())
-            .with_depth(CoarsenDepth::ToSize(12))
-            .unwrap()
-            .with_initial(ExactInit);
-        let mut rng = StdRng::seed_from_u64(7);
-        let p = pipeline.try_bisect(&g, &mut rng).expect("coarsest <= 12");
-        assert!(p.is_balanced(&g));
-    }
-
-    #[test]
     fn invalid_coarsest_size_is_a_typed_error() {
         let err = Pipeline::multilevel_to(KernighanLin::new(), 1).unwrap_err();
         assert!(matches!(err, BisectError::InvalidConfig(_)));
@@ -453,7 +347,6 @@ mod tests {
         let d = Pipeline::ckl().describe();
         assert!(d.contains("random-matching"), "{d}");
         assert!(d.contains("levels(1)"), "{d}");
-        assert!(d.contains("weight-balanced"), "{d}");
         assert!(d.contains("KL"), "{d}");
     }
 
@@ -507,6 +400,23 @@ mod tests {
         assert!(!levels.is_empty());
         assert!(levels.iter().all(|&n| n > coarsest[0]), "{levels:?}");
         assert_eq!(levels.last(), Some(&g.num_vertices()));
+    }
+
+    #[test]
+    fn start_is_fixed_by_the_depth_not_the_ladder() {
+        // A pass-through refiner returns the start itself.
+        let log = || LevelLog(Arc::new(std::sync::Mutex::new(Vec::new())));
+        let g = special::grid(6, 6);
+        let rng = || StdRng::seed_from_u64(11);
+        let flat = Pipeline::flat(log()).bisect(&g, &mut rng());
+        assert_eq!(flat, crate::seed::random_balanced(&g, &mut rng()));
+        // 36 vertices are already below the target: the ladder is empty,
+        // yet the ToSize depth keeps the weight-balanced start.
+        let to_size = Pipeline::multilevel_to(log(), 64)
+            .unwrap()
+            .bisect(&g, &mut rng());
+        assert_eq!(to_size, crate::seed::weight_balanced_random(&g, &mut rng()));
+        assert_ne!(flat, to_size);
     }
 
     #[test]

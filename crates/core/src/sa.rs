@@ -43,7 +43,7 @@
 //! 3. **Table-driven acceptance** — swap deltas are small bounded
 //!    integers, so `exp(-δ/T)` is precomputed per temperature into a
 //!    workspace slice; entries are produced by the exact expression
-//!    [`accept`] evaluates, so lookups change nothing about accept
+//!    `accept` evaluates, so lookups change nothing about accept
 //!    decisions.
 //!
 //! A swap proposal's pair is drawn with one uniform index into each

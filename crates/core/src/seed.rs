@@ -1,11 +1,12 @@
 //! Initial bisections (starting configurations).
 //!
 //! The paper starts every heuristic "from two different randomly
-//! generated initial bisections" — [`random_balanced`]. Two structured
-//! alternatives are provided: [`bfs_balanced`] (grow one side as a BFS
-//! ball, a classic greedy baseline) and [`dfs_balanced`] (first half of
-//! a depth-first order — the "use a depth first search algorithm" remark
-//! the paper makes for degree-2 graphs, where it is near optimal).
+//! generated initial bisections" — [`random_balanced`]. Contracted
+//! graphs start from [`weight_balanced_random`] instead, so the
+//! projected bisection is vertex-balanced on the fine graph; the
+//! pipeline engine picks between the two by its coarsening depth.
+//! [`bfs_balanced`] grows one side as a BFS ball, the start of
+//! [`GreedyGrowth`](crate::greedy::GreedyGrowth).
 
 use bisect_graph::{traversal, Graph, VertexId};
 use rand::seq::SliceRandom;
@@ -79,20 +80,6 @@ pub fn bfs_balanced<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Bisection {
             }
         }
     }
-    Bisection::from_sides(g, side).expect("side vector has correct length")
-}
-
-/// A bisection whose side A is the first half of a depth-first preorder
-/// of the graph. Deterministic; on disjoint unions of cycles and on
-/// paths this is optimal or within 2 of optimal.
-pub fn dfs_balanced(g: &Graph) -> Bisection {
-    let n = g.num_vertices();
-    let half = n.div_ceil(2);
-    let mut side = vec![true; n];
-    for &v in traversal::dfs_order(g).iter().take(half) {
-        side[v as usize] = false;
-    }
-    // lint: allow(no-panic) — side has one entry per vertex by construction
     Bisection::from_sides(g, side).expect("side vector has correct length")
 }
 
@@ -184,27 +171,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let p = bfs_balanced(&g, &mut rng);
         assert_eq!(p.count(Side::A), 0);
-    }
-
-    #[test]
-    fn dfs_balanced_on_cycle_is_optimal() {
-        let g = bisect_gen::special::cycle(12);
-        let p = dfs_balanced(&g);
-        assert_eq!(p.count(Side::A), 6);
-        assert_eq!(p.cut(), 2); // bisection width of an even cycle
-    }
-
-    #[test]
-    fn dfs_balanced_on_cycle_collection_is_near_zero() {
-        let g = bisect_gen::special::cycle_collection(4, 5);
-        let p = dfs_balanced(&g);
-        // 20 vertices, each cycle has 5; half = 10 = two whole cycles.
-        assert_eq!(p.cut(), 0);
-    }
-
-    #[test]
-    fn dfs_balanced_deterministic() {
-        let g = bisect_gen::special::grid(5, 4);
-        assert_eq!(dfs_balanced(&g).sides(), dfs_balanced(&g).sides());
     }
 }

@@ -14,7 +14,7 @@
 //! The repair asks, for every pair it touches, how often that pair
 //! occurs in the current pairing. It keeps the answer in *slot rows*:
 //! vertex `v` owns a fixed row of `degree(v)` slots in one CSR array,
-//! and each slot holds one neighbour or [`EMPTY`]. A pair `(u, v)`
+//! and each slot holds one neighbour or `EMPTY`. A pair `(u, v)`
 //! fills one slot of row `u` and one of row `v` (a self loop `(u, u)`
 //! fills two slots of row `u`), so the multiplicity of `(u, v)` is the
 //! number of times `v` appears in row `u`. Counting it scans one row,

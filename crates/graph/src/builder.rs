@@ -48,11 +48,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of edge records added so far (duplicates not yet merged).
-    pub fn num_edge_records(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}` with weight 1.
     ///
     /// # Errors
@@ -464,7 +459,6 @@ mod tests {
     fn chaining_api() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1).unwrap().add_edge(1, 2).unwrap();
-        assert_eq!(b.num_edge_records(), 2);
         let g = b.build();
         assert_eq!(g.num_edges(), 2);
     }

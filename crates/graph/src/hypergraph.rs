@@ -155,24 +155,6 @@ impl Netlist {
         }
         b.build()
     }
-
-    /// Views a graph as a netlist of two-pin nets (the inverse of
-    /// [`to_clique_graph`](Netlist::to_clique_graph) for ordinary
-    /// graphs).
-    // lint: allow(no-panic) — graph vertex weights are positive by
-    // construction, and edges have in-range endpoints and positive weight.
-    pub fn from_graph(g: &Graph) -> Netlist {
-        let mut b = NetlistBuilder::new(g.num_vertices());
-        for v in g.vertices() {
-            b.set_cell_weight(v, g.vertex_weight(v))
-                .expect("weights valid");
-        }
-        for (u, v, w) in g.edges() {
-            b.add_weighted_net(&[u, v], w)
-                .expect("edges are valid 2-pin nets");
-        }
-        b.build()
-    }
 }
 
 /// The result of contracting matched cell pairs of a netlist: the
@@ -1091,16 +1073,6 @@ mod tests {
         assert_eq!(g.edge_weight(2, 3), Some(1));
         assert_eq!(g.edge_weight(0, 4), Some(3));
         assert_eq!(g.num_edges(), 7);
-    }
-
-    #[test]
-    fn from_graph_roundtrip_via_clique() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let nl = Netlist::from_graph(&g);
-        assert_eq!(nl.num_nets(), 3);
-        assert_eq!(nl.average_net_size(), 2.0);
-        // Two-pin nets expand back to the same graph.
-        assert_eq!(nl.to_clique_graph(), g);
     }
 
     #[test]

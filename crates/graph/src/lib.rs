@@ -14,7 +14,7 @@
 //!   the other half of the compaction heuristic.
 //! * [`reorder`] — cache-conscious vertex relabelings (BFS and degree
 //!   order) for million-vertex instances.
-//! * [`traversal`] — BFS/DFS, connected components, bipartiteness.
+//! * [`traversal`] — BFS, connected components, bipartiteness.
 //! * [`union_find`] — disjoint sets, used by contraction and components.
 //! * [`io`] — METIS `.graph` and plain edge-list readers/writers.
 //! * [`stats`] — degree statistics (the paper's analysis is parameterized

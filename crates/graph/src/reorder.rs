@@ -4,8 +4,7 @@
 //! order is irrelevant; at 10^6+ vertices a refinement sweep walks the
 //! adjacency of essentially random vertex ids and every neighbor lookup
 //! is a cache miss. Relabeling vertices so that neighbors get nearby ids
-//! (BFS order) or so that the hottest rows pack together (degree order)
-//! makes the sweeps stride through memory instead.
+//! (BFS order) makes the sweeps stride through memory instead.
 //!
 //! A [`Reordering`] is a permutation with both directions materialized.
 //! The intended protocol, used by the `huge` bench profile, is: relabel
@@ -203,39 +202,6 @@ impl Reordering {
         }
         old_side
     }
-
-    /// Permutes any per-vertex array indexed by *original* ids into the
-    /// relabeled index space: entry `new` of the result is
-    /// `old_values[to_old(new)]`. The generic sibling of
-    /// [`to_new_sides`](Reordering::to_new_sides), for carrying gains,
-    /// weights, or side projections alongside a relabeled graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `old_values.len()` differs from [`len`](Reordering::len).
-    pub fn to_new_values<T: Copy>(&self, old_values: &[T]) -> Vec<T> {
-        assert_eq!(old_values.len(), self.len(), "per-vertex array length");
-        self.new_to_old
-            .iter()
-            .map(|&old| old_values[old as usize])
-            .collect()
-    }
-
-    /// Permutes any per-vertex array indexed by *relabeled* ids back to
-    /// the original index space — the inverse of
-    /// [`to_new_values`](Reordering::to_new_values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_values.len()` differs from [`len`](Reordering::len).
-    pub fn to_old_values<T: Copy>(&self, new_values: &[T]) -> Vec<T> {
-        assert_eq!(new_values.len(), self.len(), "per-vertex array length");
-        let mut old_values = new_values.to_vec();
-        for (new, &old) in self.new_to_old.iter().enumerate() {
-            old_values[old as usize] = new_values[new];
-        }
-        old_values
-    }
 }
 
 /// Breadth-first relabeling: vertices are numbered in BFS visitation
@@ -264,16 +230,6 @@ pub fn bfs(g: &Graph) -> Reordering {
             }
         }
     }
-    Reordering::from_order_unchecked(order)
-}
-
-/// Degree relabeling: vertices are numbered by descending degree (ties
-/// broken by ascending original id), so the largest adjacency rows — the
-/// ones most often revisited by gain updates — pack together at the
-/// front of the arrays.
-pub fn by_degree(g: &Graph) -> Reordering {
-    let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
     Reordering::from_order_unchecked(order)
 }
 
@@ -318,16 +274,6 @@ mod tests {
         let mut olds = r.new_to_old().to_vec();
         olds.sort_unstable();
         assert_eq!(olds, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn degree_order_puts_hubs_first() {
-        // Star with center 3.
-        let g = Graph::from_edges(5, &[(3, 0), (3, 1), (3, 2), (3, 4)]).unwrap();
-        let r = by_degree(&g);
-        assert_eq!(r.to_old(0), 3);
-        let h = r.apply(&g);
-        assert_eq!(h.degree(0), 4);
     }
 
     #[test]
@@ -394,23 +340,6 @@ mod tests {
             Reordering::from_new_to_old(vec![0, 2]),
             Err(GraphError::VertexOutOfRange { vertex: 2, .. })
         ));
-    }
-
-    #[test]
-    fn generic_value_maps_roundtrip_and_match_side_maps() {
-        let r = Reordering::from_new_to_old(vec![5, 3, 0, 4, 1, 2]).unwrap();
-        let old_gains: Vec<i64> = vec![-3, 0, 7, 2, -1, 9];
-        let new_gains = r.to_new_values(&old_gains);
-        for new in 0..r.len() as VertexId {
-            assert_eq!(new_gains[new as usize], old_gains[r.to_old(new) as usize]);
-        }
-        assert_eq!(r.to_old_values(&new_gains), old_gains);
-
-        // `to_new_sides`/`to_old_sides` are the `bool` specialization.
-        let old_side = vec![true, false, true, false, true, false];
-        assert_eq!(r.to_new_values(&old_side), r.to_new_sides(&old_side));
-        let new_side = r.to_new_sides(&old_side);
-        assert_eq!(r.to_old_values(&new_side), r.to_old_sides(&new_side));
     }
 
     #[test]

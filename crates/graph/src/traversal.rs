@@ -1,9 +1,4 @@
-//! Breadth-first and depth-first traversal, connected components, and
-//! bipartiteness.
-//!
-//! The DFS order is also the basis of the simple depth-first bisection
-//! baseline the paper mentions for degree-2 graphs ("one could just use
-//! a depth first search algorithm to obtain a better approximation").
+//! Breadth-first traversal, connected components, and bipartiteness.
 
 use crate::{Graph, VertexId};
 
@@ -25,60 +20,6 @@ pub fn bfs_order(g: &Graph, start: VertexId) -> Vec<VertexId> {
             if !seen[u as usize] {
                 seen[u as usize] = true;
                 queue.push_back(u);
-            }
-        }
-    }
-    order
-}
-
-/// BFS distance (edge count, ignoring weights) from `start` to every
-/// vertex; `None` for unreachable vertices.
-///
-/// # Panics
-///
-/// Panics if `start` is out of range.
-pub fn bfs_distances(g: &Graph, start: VertexId) -> Vec<Option<usize>> {
-    let mut dist = vec![None; g.num_vertices()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[start as usize] = Some(0);
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        // lint: allow(no-panic) — a vertex is queued only after its distance is set
-        let d = dist[v as usize].expect("queued vertices have distances");
-        for &u in g.neighbors(v) {
-            if dist[u as usize].is_none() {
-                dist[u as usize] = Some(d + 1);
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
-/// Vertices in iterative depth-first preorder, visiting every component
-/// (components are entered in increasing order of their smallest vertex;
-/// within a vertex, neighbors are explored in increasing id order).
-pub fn dfs_order(g: &Graph) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    let mut seen = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut stack: Vec<VertexId> = Vec::new();
-    for root in 0..n as VertexId {
-        if seen[root as usize] {
-            continue;
-        }
-        stack.push(root);
-        while let Some(v) = stack.pop() {
-            if seen[v as usize] {
-                continue;
-            }
-            seen[v as usize] = true;
-            order.push(v);
-            // Push in reverse so the smallest neighbor is popped first.
-            for &u in g.neighbors(v).iter().rev() {
-                if !seen[u as usize] {
-                    stack.push(u);
-                }
             }
         }
     }
@@ -164,44 +105,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1)]).unwrap();
         assert_eq!(bfs_order(&g, 0), vec![0, 1]);
         assert_eq!(bfs_order(&g, 2), vec![2]);
-    }
-
-    #[test]
-    fn bfs_distances_path() {
-        let g = path(4);
-        assert_eq!(
-            bfs_distances(&g, 0),
-            vec![Some(0), Some(1), Some(2), Some(3)]
-        );
-    }
-
-    #[test]
-    fn bfs_distances_unreachable() {
-        let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        assert_eq!(bfs_distances(&g, 0)[2], None);
-    }
-
-    #[test]
-    fn dfs_order_visits_all_vertices_once() {
-        let g = cycle(7);
-        let order = dfs_order(&g);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn dfs_order_deterministic_preorder() {
-        // Star with center 0 and leaves 1..4: preorder is 0 then leaves
-        // in increasing order.
-        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
-        assert_eq!(dfs_order(&g), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn dfs_covers_multiple_components() {
-        let g = Graph::from_edges(5, &[(0, 1), (3, 4)]).unwrap();
-        assert_eq!(dfs_order(&g), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -93,16 +93,6 @@ impl UnionFind {
         self.find(x) == self.find(y)
     }
 
-    /// Size of the set containing `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is out of range.
-    pub fn set_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
-    }
-
     /// Relabels the sets with dense ids `0..num_sets()` and returns, for
     /// each element, the id of its set. Ids are assigned in order of
     /// first appearance, so element 0's set gets id 0.
@@ -133,7 +123,6 @@ mod tests {
         assert_eq!(uf.len(), 3);
         assert!(!uf.is_empty());
         assert!(!uf.connected(0, 2));
-        assert_eq!(uf.set_size(1), 1);
     }
 
     #[test]
@@ -142,7 +131,6 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
         assert_eq!(uf.num_sets(), 3);
-        assert_eq!(uf.set_size(0), 2);
     }
 
     #[test]
@@ -176,7 +164,6 @@ mod tests {
             uf.union(i, i + 1);
         }
         assert_eq!(uf.num_sets(), 1);
-        assert_eq!(uf.set_size(5), 8);
         assert!(uf.dense_labels().iter().all(|&l| l == 0));
     }
 

@@ -1,5 +1,5 @@
 //! The workspace call graph: one node per non-test `fn`, edges from
-//! heuristic name resolution over the [`crate::parse`] output.
+//! heuristic name resolution over the [`crate::parse`](mod@crate::parse) output.
 //!
 //! Resolution is tiered — same module, same file, same crate, then
 //! dependency-allowed workspace crates — and links a call to *every*

@@ -5,7 +5,7 @@
 //! Linting is two-phase (DESIGN.md §14). Phase one runs the token
 //! rules of [`crate::rules`] file by file and filters them through
 //! inline suppressions. Phase two builds the [`CallGraph`] over the
-//! [`crate::parse`] output and runs the interprocedural analyses of
+//! [`crate::parse`](mod@crate::parse) output and runs the interprocedural analyses of
 //! [`crate::taint`], which consult the same suppression set as
 //! certifications — a suppressed panic site is not may-panic for its
 //! callers. Suppressions that never fire in either phase surface in

@@ -20,7 +20,7 @@
 //!
 //! The call-graph rules ([`taint`]) run over a workspace call graph
 //! ([`callgraph`]) assembled from a lightweight item parser
-//! ([`parse`]): allocation and panics are banned *transitively* from
+//! ([`parse`](mod@parse)): allocation and panics are banned *transitively* from
 //! the hot-path entry points, nondeterminism may not leak into the
 //! guarded crates through a return value, and `crates/par` consumers
 //! may not smuggle in shared state or ad-hoc threads.

@@ -2,7 +2,7 @@
 //! reachability, determinism taint, and the par-safety discipline.
 //!
 //! All four share one machinery (DESIGN.md §14): collect *seed*
-//! effects per function from the [`crate::parse`] output, propagate
+//! effects per function from the [`crate::parse`](mod@crate::parse) output, propagate
 //! over the [`crate::callgraph`] edges to a fixpoint (a reverse BFS
 //! that records, per function, the next hop toward a witnessing
 //! seed), and report only at the *boundary* — the first call site

@@ -292,7 +292,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: an exact length or a
+    /// Length specification for [`vec`](fn@vec): an exact length or a
     /// half-open range of lengths.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
@@ -336,7 +336,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -79,7 +79,7 @@ fn composed_pipelines_are_bit_identical_across_thread_counts() {
     // go through the same derived-seed trial engine, so they must also
     // be scheduling-independent.
     use bisect_core::kl::KernighanLin;
-    use bisect_core::pipeline::{HeavyEdgeMatching, Pipeline, SpectralInit};
+    use bisect_core::pipeline::{HeavyEdgeMatching, Pipeline};
     let g = gbreg_500();
     let algos: [(&str, Pipeline); 3] = [
         ("ML-KL", Pipeline::multilevel(KernighanLin::new())),
@@ -88,10 +88,8 @@ fn composed_pipelines_are_bit_identical_across_thread_counts() {
             Pipeline::multilevel_to(KernighanLin::new(), 8).expect("8 >= 2"),
         ),
         (
-            "CKL-heavy-spectral",
-            Pipeline::ckl()
-                .with_coarsener(HeavyEdgeMatching)
-                .with_initial(SpectralInit::default()),
+            "CKL-heavy",
+            Pipeline::ckl().with_coarsener(HeavyEdgeMatching),
         ),
     ];
     for (name, algo) in &algos {
