@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bisect_gen::rng::LaggedFibonacci;
-use bisect_gen::{g2set, gbreg, geometric, gnp, regular};
+use bisect_gen::{g2set, gbreg, geometric, gnp, netlist, regular};
 use rand::SeedableRng;
 
 fn bench_generators(c: &mut Criterion) {
@@ -66,6 +66,18 @@ fn bench_generators(c: &mut Criterion) {
                     .expect("construction succeeds")
                     .num_edges(),
             )
+        });
+    });
+    // The `netlist-local` benchmark instance: 12,500 cells, 17,500 Rent
+    // nets of at most 8 pins, γ 1.8, locality 2%.
+    group.bench_function(BenchmarkId::new("rent-loc2", 12_500), |b| {
+        let params =
+            netlist::RentNetlistParams::new(12_500, 17_500, 8, 1.8, 0.02).expect("feasible");
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut rng = LaggedFibonacci::seed_from_u64(seed);
+            std::hint::black_box(netlist::sample_streamed(&mut rng, &params).num_pins())
         });
     });
     group.finish();
