@@ -6,10 +6,10 @@
 //! [`Profile::huge_netlist_shape`] cells each go through four steps:
 //!
 //! 1. **streaming generation** —
-//!    [`bisect_gen::netlist::sample_streamed`] feeds the two-pass
-//!    counting-sorted pin-CSR build
-//!    ([`NetlistBuilder::stream`](bisect_graph::hypergraph::NetlistBuilder::stream))
-//!    and never materializes the flat pin list;
+//!    [`bisect_gen::netlist::sample_streamed`] draws each net straight
+//!    into the flat net-major arrays of a
+//!    [`NetlistBuilder`](bisect_graph::hypergraph::NetlistBuilder), with
+//!    no per-net allocation;
 //! 2. **BFS cell reordering**
 //!    ([`bisect_graph::hypergraph::bfs_cell_order`]) so refinement
 //!    walks near-contiguous pin arrays;

@@ -2,8 +2,8 @@
 //! with terminal propagation, scored as a placement.
 //!
 //! A Rent's-rule-style random netlist
-//! ([`bisect_gen::netlist::sample`]) is split into `parts` regions two
-//! ways:
+//! ([`bisect_gen::netlist::sample_streamed`]) is split into `parts`
+//! regions two ways:
 //!
 //! * **native** — [`bisect_core::netlist::recursive_placement`] with
 //!   the multilevel hypergraph pipeline
@@ -32,7 +32,7 @@ use bisect_core::kl::KernighanLin;
 use bisect_core::netlist::{recursive_placement_counted, NetlistPipeline, NetlistPlacement};
 use bisect_core::pipeline::{recursive_partition, Pipeline};
 use bisect_core::workspace::Workspace;
-use bisect_gen::netlist::{sample, RentNetlistParams};
+use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
 use bisect_gen::rng::{LaggedFibonacci, SeedSequence};
 use bisect_graph::hypergraph::Netlist;
 use rand::SeedableRng;
@@ -159,7 +159,7 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
     for instance in 0..instances {
         let seed = derive_seed(profile.seed, &[80, instance as u64]);
         let mut gen_rng = LaggedFibonacci::seed_from_u64(seed);
-        let nl = sample(&mut gen_rng, &params);
+        let nl = sample_streamed(&mut gen_rng, &params);
         let setting = format!("rent n={cells} nets={nets} parts={parts} i={instance}");
         for (algo, result) in [
             (
@@ -240,7 +240,7 @@ mod tests {
     fn identical_across_thread_counts() {
         let (cells, nets, parts, _) = Profile::smoke().placement_shape();
         let params = RentNetlistParams::new(cells, nets, MAX_NET_SIZE, GAMMA, LOCALITY).unwrap();
-        let nl = sample(&mut LaggedFibonacci::seed_from_u64(99), &params);
+        let nl = sample_streamed(&mut LaggedFibonacci::seed_from_u64(99), &params);
         let serial = run_native(&nl, parts, 4, 5, 1).unwrap();
         for threads in [2, 4] {
             let par = run_native(&nl, parts, 4, 5, threads).unwrap();

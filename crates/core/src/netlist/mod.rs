@@ -345,14 +345,8 @@ pub trait NetlistRefiner {
 /// Moves minimum-damage cells from the heavier side until the
 /// bisection is balanced — the netlist analogue of
 /// [`crate::partition::rebalance`], used after projecting a coarse
-/// bisection.
-pub fn rebalance(nl: &Netlist, p: &mut NetlistBisection) {
-    rebalance_fixed(nl, p, &[]);
-}
-
-/// As [`rebalance`], but cells flagged in `fixed` are never moved. An
-/// empty slice fixes nothing; a short slice treats missing entries as
-/// movable.
+/// bisection. Cells flagged in `fixed` are never moved. An empty slice
+/// fixes nothing; a short slice treats missing entries as movable.
 pub fn rebalance_fixed(nl: &Netlist, p: &mut NetlistBisection, fixed: &[bool]) {
     let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
     while !p.is_balanced(nl) {
@@ -638,7 +632,7 @@ mod tests {
     fn rebalance_netlist_reaches_balance() {
         let nl = two_clusters();
         let mut p = NetlistBisection::from_sides(&nl, vec![false; 6]).unwrap();
-        rebalance(&nl, &mut p);
+        rebalance_fixed(&nl, &mut p, &[]);
         assert!(p.is_balanced(&nl));
         assert_eq!(p.cut(), p.recompute_cut(&nl));
     }
@@ -662,7 +656,7 @@ mod tests {
         let mut cached = plain.clone();
         let mut cache = NetlistGainCache::default();
         cache.init(&nl, &cached);
-        rebalance(&nl, &mut plain);
+        rebalance_fixed(&nl, &mut plain, &[]);
         rebalance_with_cache(&nl, &mut cached, &[], &mut cache);
         assert_eq!(plain, cached);
         for c in nl.cells() {
@@ -719,7 +713,7 @@ mod tests {
 
     #[test]
     fn rebalance_with_cache_moves_exactly_like_the_scan() {
-        use bisect_gen::netlist::{sample, RentNetlistParams};
+        use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
         use rand::seq::SliceRandom;
 
         let mut rng = StdRng::seed_from_u64(2024);
@@ -733,7 +727,7 @@ mod tests {
                 let locality = [0.02, 0.1, 1.0][trial % 3];
                 let params =
                     RentNetlistParams::new(cells, cells * 14 / 10, 8, 1.8, locality).unwrap();
-                sample(&mut rng, &params)
+                sample_streamed(&mut rng, &params)
             } else {
                 let mut b = NetlistBuilder::new(cells);
                 let mut pins: Vec<u32> = (0..cells as u32).collect();

@@ -764,7 +764,7 @@ mod tests {
         for cells in [2usize, 3, 600, 5_000] {
             let nets = (3 * cells).div_ceil(2);
             let params = RentNetlistParams::new(cells, nets, 4.min(cells), 1.8, 0.1).unwrap();
-            let nl = netlist::sample(
+            let nl = netlist::sample_streamed(
                 &mut LaggedFibonacci::seed_from_u64(0x4E7 + cells as u64),
                 &params,
             );

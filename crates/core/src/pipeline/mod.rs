@@ -201,12 +201,6 @@ impl Pipeline {
         self
     }
 
-    /// Overrides the display name used in experiment tables.
-    pub fn named(mut self, name: impl Into<String>) -> Pipeline {
-        self.name = name.into();
-        self
-    }
-
     /// A one-line description of the composed stages, for diagnostics
     /// (e.g. `"random-matching → levels(1) → KL"`; a
     /// separate coarsest-level refiner shows as `BFM/PFM`).
@@ -417,10 +411,5 @@ mod tests {
             .bisect(&g, &mut rng());
         assert_eq!(to_size, crate::seed::weight_balanced_random(&g, &mut rng()));
         assert_ne!(flat, to_size);
-    }
-
-    #[test]
-    fn named_overrides_table_name() {
-        assert_eq!(Pipeline::ckl().named("CKL-he").name(), "CKL-he");
     }
 }

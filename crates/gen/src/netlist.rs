@@ -16,9 +16,11 @@
 //!    small windows give grid-like separators, `locality = 1` degrades
 //!    to uniform (Gnp-like) connectivity.
 //!
-//! Generation *streams*: nets are drawn and appended one at a time, so
-//! the working set beyond the netlist under construction is O(max net
-//! size). Sampling is deterministic given the RNG state.
+//! Generation *streams*: nets are drawn one at a time and appended to a
+//! [`NetlistBuilder`], which sorts each into place in the netlist's
+//! final net-major arrays, so the working set beyond the netlist under
+//! construction is O(max net size). Sampling is deterministic given the
+//! RNG state.
 
 use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
 use rand::Rng;
@@ -91,23 +93,6 @@ impl RentNetlistParams {
     }
 }
 
-/// Size CDF and pin window derived from the parameters; shared by the
-/// buffered and streaming samplers so they draw identically.
-fn net_model(params: &RentNetlistParams) -> (Vec<f64>, f64, usize) {
-    // Cumulative size distribution over [2, max_net_size]: sizes are
-    // few (≤ n), so CDF inversion by linear scan is exact and cheap.
-    let weights: Vec<f64> = (2..=params.max_net_size)
-        .map(|k| (k as f64).powf(-params.gamma))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    // Pin window: at least max_net_size wide so every size fits, and
-    // never wider than the netlist.
-    let window = ((params.locality * params.num_cells as f64).ceil() as usize)
-        .max(params.max_net_size)
-        .min(params.num_cells);
-    (weights, total, window)
-}
-
 /// Draws one net's distinct pins into `pins`, consuming exactly the
 /// randomness the net needs (size draw, anchor, rejection attempts).
 fn draw_net<R: Rng + ?Sized>(
@@ -157,10 +142,22 @@ fn draw_net<R: Rng + ?Sized>(
 }
 
 /// Samples a Rent-style random netlist; see the [module docs](self)
-/// for the model.
-pub fn sample<R: Rng + ?Sized>(rng: &mut R, params: &RentNetlistParams) -> Netlist {
+/// for the model. One pass: each net is drawn and handed to a
+/// [`NetlistBuilder`], which stores it straight in the final pin array,
+/// so peak memory beyond the finished CSR is O(max net size).
+pub fn sample_streamed<R: Rng + ?Sized>(rng: &mut R, params: &RentNetlistParams) -> Netlist {
     let n = params.num_cells;
-    let (weights, total, window) = net_model(params);
+    // Cumulative size distribution over [2, max_net_size]: sizes are
+    // few (≤ n), so CDF inversion by linear scan is exact and cheap.
+    let weights: Vec<f64> = (2..=params.max_net_size)
+        .map(|k| (k as f64).powf(-params.gamma))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    // Pin window: at least max_net_size wide so every size fits, and
+    // never wider than the netlist.
+    let window = ((params.locality * n as f64).ceil() as usize)
+        .max(params.max_net_size)
+        .min(n);
     let mut builder = NetlistBuilder::new(n);
     let mut pins: Vec<u32> = Vec::with_capacity(params.max_net_size);
     for _ in 0..params.num_nets {
@@ -179,41 +176,6 @@ pub fn sample<R: Rng + ?Sized>(rng: &mut R, params: &RentNetlistParams) -> Netli
             .expect("distinct in-range pins");
     }
     builder.build()
-}
-
-/// Samples the same distribution as [`sample`] but feeds nets through
-/// [`NetlistBuilder::stream`], so peak memory beyond the finished CSR
-/// is O(max net size) instead of the builder's per-net `Vec` of pin
-/// lists. Bit-identical to [`sample`] for the same RNG state.
-///
-/// The counting pass replays a clone of the generator, so the caller's
-/// generator advances exactly as far as [`sample`] would.
-pub fn sample_streamed<R: Rng + Clone>(rng: &mut R, params: &RentNetlistParams) -> Netlist {
-    let n = params.num_cells;
-    let (weights, total, window) = net_model(params);
-    let mut replay = rng.clone();
-    let mut pass = 0usize;
-    let mut pins: Vec<u32> = Vec::with_capacity(params.max_net_size);
-    NetlistBuilder::stream(n, |sink| {
-        pass += 1;
-        let r: &mut R = if pass == 1 { &mut replay } else { &mut *rng };
-        for _ in 0..params.num_nets {
-            draw_net(
-                r,
-                n,
-                &weights,
-                total,
-                window,
-                params.max_net_size,
-                &mut pins,
-            );
-            sink.net(&pins)?;
-        }
-        Ok(())
-    })
-    // lint: allow(no-panic) — both passes replay identical RNG state, so
-    // the pin stream cannot mismatch and every net is valid
-    .expect("replayed passes emit identical valid nets")
 }
 
 #[cfg(test)]
@@ -259,7 +221,7 @@ mod tests {
     #[test]
     fn shape_matches_parameters() {
         let p = params(100, 150, 6, 2.5, 0.2);
-        let nl = sample(&mut StdRng::seed_from_u64(1), &p);
+        let nl = sample_streamed(&mut StdRng::seed_from_u64(1), &p);
         assert_eq!(nl.num_cells(), 100);
         assert_eq!(nl.num_nets(), 150);
         for n in nl.net_ids() {
@@ -276,8 +238,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let p = params(80, 120, 5, 2.0, 0.3);
-        let a = sample(&mut StdRng::seed_from_u64(7), &p);
-        let b = sample(&mut StdRng::seed_from_u64(7), &p);
+        let a = sample_streamed(&mut StdRng::seed_from_u64(7), &p);
+        let b = sample_streamed(&mut StdRng::seed_from_u64(7), &p);
         assert_eq!(a, b);
     }
 
@@ -285,11 +247,11 @@ mod tests {
     fn gamma_skews_sizes_small() {
         // γ = 3 should give a much smaller mean net size than γ = 0
         // (uniform over [2, 8]).
-        let skewed = sample(
+        let skewed = sample_streamed(
             &mut StdRng::seed_from_u64(2),
             &params(200, 400, 8, 3.0, 1.0),
         );
-        let uniform = sample(
+        let uniform = sample_streamed(
             &mut StdRng::seed_from_u64(2),
             &params(200, 400, 8, 0.0, 1.0),
         );
@@ -305,41 +267,12 @@ mod tests {
     fn locality_bounds_net_span() {
         // Every net's pins fit inside one window of consecutive cells.
         let p = params(1000, 300, 4, 2.0, 0.05);
-        let nl = sample(&mut StdRng::seed_from_u64(3), &p);
+        let nl = sample_streamed(&mut StdRng::seed_from_u64(3), &p);
         let window = (0.05f64 * 1000.0).ceil() as u32;
         for n in nl.net_ids() {
             let pins = nl.pins(n);
             let span = pins.iter().max().unwrap() - pins.iter().min().unwrap();
             assert!(span < window, "span {span} exceeds window {window}");
-        }
-    }
-
-    #[test]
-    fn streamed_sample_is_byte_identical_to_buffered() {
-        // Grid over γ and locality, including the degenerate corners
-        // that exercise the rejection sweep.
-        for &(cells, nets, max, gamma, locality) in &[
-            (100usize, 150usize, 6usize, 2.5f64, 0.2f64),
-            (80, 120, 5, 2.0, 0.3),
-            (200, 400, 8, 0.0, 1.0),
-            (1000, 300, 4, 3.0, 0.05),
-            (8, 20, 8, 0.0, 0.1),
-            (2, 3, 2, 2.0, 1.0),
-        ] {
-            let p = params(cells, nets, max, gamma, locality);
-            for seed in 0..4u64 {
-                let mut rng_a = StdRng::seed_from_u64(seed);
-                let mut rng_b = StdRng::seed_from_u64(seed);
-                let a = sample(&mut rng_a, &p);
-                let b = sample_streamed(&mut rng_b, &p);
-                assert_eq!(a, b, "netlists diverge at seed {seed}");
-                // The caller's generator must advance identically too.
-                assert_eq!(
-                    rng_a.gen::<u64>(),
-                    rng_b.gen::<u64>(),
-                    "rng state diverges at seed {seed}"
-                );
-            }
         }
     }
 
@@ -354,7 +287,7 @@ mod tests {
     fn full_nets_on_tiny_windows_terminate() {
         // max_net_size == window size forces the deterministic sweep.
         let p = params(8, 20, 8, 0.0, 0.1);
-        let nl = sample(&mut StdRng::seed_from_u64(4), &p);
+        let nl = sample_streamed(&mut StdRng::seed_from_u64(4), &p);
         assert_eq!(nl.num_nets(), 20);
         for n in nl.net_ids() {
             assert!(nl.pins(n).len() <= 8);

@@ -1,3 +1,4 @@
+use crate::csr::exact;
 use crate::{EdgeWeight, Graph, GraphError, VertexId, VertexWeight};
 
 /// Incremental construction of a [`Graph`].
@@ -115,75 +116,19 @@ impl GraphBuilder {
     }
 
     /// Finalizes the CSR arrays, merging duplicate edges, and returns the
-    /// graph. Runs in `O(V + E log E)`.
-    pub fn build(mut self) -> Graph {
-        // Sort edge records lexicographically, then merge duplicates.
-        self.edges.sort_unstable();
-        let mut merged: Vec<(VertexId, VertexId, EdgeWeight)> =
-            Vec::with_capacity(self.edges.len());
-        for (u, v, w) in self.edges {
-            match merged.last_mut() {
-                Some(&mut (pu, pv, ref mut pw)) if pu == u && pv == v => *pw += w,
-                _ => merged.push((u, v, w)),
+    /// graph: the stored records are replayed through the same count,
+    /// fill, and per-vertex sort-and-merge as
+    /// [`stream`](GraphBuilder::stream). Runs in `O(V + E log Δ)`.
+    pub fn build(self) -> Graph {
+        fill(self.num_vertices, self.vertex_weights, |sink| {
+            for &(u, v, w) in &self.edges {
+                sink.weighted_edge(u, v, w)?;
             }
-        }
-
-        let n = self.num_vertices;
-        let mut degree = vec![0usize; n];
-        for &(u, v, _) in &merged {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut xadj = vec![0usize; n + 1];
-        for v in 0..n {
-            xadj[v + 1] = xadj[v] + degree[v];
-        }
-        let mut cursor = xadj.clone();
-        let mut adjncy = vec![0 as VertexId; xadj[n]];
-        let mut edge_weights = vec![0 as EdgeWeight; xadj[n]];
-        // Insert both directions. Because `merged` is sorted by (u, v)
-        // with u < v, each vertex's out-entries are appended in
-        // increasing neighbor order for the "v" direction but the "u"
-        // mirrors need one more ordering argument: for a fixed vertex x,
-        // entries with neighbor < x come from records (nbr, x) and
-        // entries with neighbor > x come from records (x, nbr); both
-        // groups arrive in increasing neighbor order and every
-        // smaller-neighbor record sorts before every larger-neighbor
-        // record, so each adjacency list ends up sorted.
-        for &(u, v, w) in &merged {
-            adjncy[cursor[u as usize]] = v;
-            edge_weights[cursor[u as usize]] = w;
-            cursor[u as usize] += 1;
-            adjncy[cursor[v as usize]] = u;
-            edge_weights[cursor[v as usize]] = w;
-            cursor[v as usize] += 1;
-        }
-        // The interleaving above does not by itself guarantee sortedness
-        // of each list (mirror entries for v arrive keyed by u order),
-        // so sort each adjacency slice with its weights. One scratch
-        // buffer, sized to the maximum degree, serves every vertex.
-        let mut pairs: Vec<(VertexId, EdgeWeight)> =
-            Vec::with_capacity(degree.iter().copied().max().unwrap_or(0));
-        for v in 0..n {
-            let lo = xadj[v];
-            let hi = xadj[v + 1];
-            if adjncy[lo..hi].windows(2).all(|p| p[0] < p[1]) {
-                continue;
-            }
-            pairs.clear();
-            pairs.extend(
-                adjncy[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(edge_weights[lo..hi].iter().copied()),
-            );
-            pairs.sort_unstable_by_key(|&(nbr, _)| nbr);
-            for (i, &(nbr, w)) in pairs.iter().enumerate() {
-                adjncy[lo + i] = nbr;
-                edge_weights[lo + i] = w;
-            }
-        }
-        Graph::from_csr(xadj, adjncy, edge_weights, self.vertex_weights)
+            Ok(())
+        })
+        // lint: allow(no-panic) — the records were validated on insertion
+        // and a stored list replays identically, so neither pass can fail
+        .expect("stored records replay identically")
     }
 
     /// Builds a unit-vertex-weight graph without materializing an edge
@@ -196,9 +141,9 @@ impl GraphBuilder {
     ///
     /// Peak memory is the final CSR arrays plus `O(V)` counters — about
     /// half the edge-list path, which holds the `(u, v, w)` records and
-    /// the CSR arrays simultaneously. The result is identical to adding
-    /// the same edges to a [`GraphBuilder`] and calling
-    /// [`build`](GraphBuilder::build) (property-tested).
+    /// the CSR arrays simultaneously. [`build`](GraphBuilder::build)
+    /// replays its records through this same fill, so both give the
+    /// same graph for the same edges.
     ///
     /// # Errors
     ///
@@ -206,82 +151,100 @@ impl GraphBuilder {
     /// ([`GraphError::SelfLoop`], [`GraphError::VertexOutOfRange`],
     /// [`GraphError::ZeroWeight`]) and returns
     /// [`GraphError::StreamMismatch`] if the two passes disagree.
-    pub fn stream<F>(num_vertices: usize, mut emit: F) -> Result<Graph, GraphError>
+    pub fn stream<F>(num_vertices: usize, emit: F) -> Result<Graph, GraphError>
     where
         F: FnMut(&mut EdgeStream<'_>) -> Result<(), GraphError>,
     {
-        let n = num_vertices;
-        let mut degree = vec![0usize; n];
-        let counted = {
-            let mut sink = EdgeStream {
-                num_vertices: n,
-                records: 0,
-                mode: StreamMode::Count {
-                    degree: &mut degree,
-                },
-            };
-            emit(&mut sink)?;
-            sink.records
-        };
-        let mut xadj = vec![0usize; n + 1];
-        for v in 0..n {
-            xadj[v + 1] = xadj[v] + degree[v];
-        }
-        let total = xadj[n];
-        let mut adjncy = vec![0 as VertexId; total];
-        let mut edge_weights = vec![0 as EdgeWeight; total];
-        let mut cursor: Vec<usize> = xadj[..n].to_vec();
-        let emitted = {
-            let mut sink = EdgeStream {
-                num_vertices: n,
-                records: 0,
-                mode: StreamMode::Fill {
-                    xadj: &xadj,
-                    cursor: &mut cursor,
-                    adjncy: &mut adjncy,
-                    edge_weights: &mut edge_weights,
-                },
-            };
-            emit(&mut sink)?;
-            sink.records
-        };
-        if emitted != counted || cursor.iter().zip(&xadj[1..]).any(|(&c, &end)| c != end) {
-            return Err(GraphError::StreamMismatch { counted, emitted });
-        }
-        // Sort each adjacency list, merging parallel edges; the merged
-        // lists are compacted toward the front of the same arrays (the
-        // write cursor never overtakes the read range because merging
-        // only shrinks lists). One scratch buffer serves every vertex.
-        let mut pairs: Vec<(VertexId, EdgeWeight)> =
-            Vec::with_capacity(degree.iter().copied().max().unwrap_or(0));
-        let mut new_xadj = vec![0usize; n + 1];
-        let mut write = 0usize;
-        for v in 0..n {
-            let (lo, hi) = (xadj[v], xadj[v + 1]);
-            let start = write;
-            pairs.clear();
-            pairs.extend(
-                adjncy[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(edge_weights[lo..hi].iter().copied()),
-            );
-            pairs.sort_unstable_by_key(|&(nbr, _)| nbr);
-            for &(nbr, w) in &pairs {
-                if write > start && adjncy[write - 1] == nbr {
-                    edge_weights[write - 1] += w;
-                } else {
-                    adjncy[write] = nbr;
-                    edge_weights[write] = w;
-                    write += 1;
-                }
-            }
-            new_xadj[v + 1] = write;
-        }
-        adjncy.truncate(write);
-        edge_weights.truncate(write);
-        Ok(Graph::from_csr(new_xadj, adjncy, edge_weights, vec![1; n]))
+        fill(num_vertices, vec![1; num_vertices], emit)
     }
+}
+
+/// The one CSR fill behind [`GraphBuilder::build`] and
+/// [`GraphBuilder::stream`]: a counting pass, a filling pass that writes
+/// each endpoint slot in place, then a per-vertex sort that merges
+/// parallel edges and compacts the lists toward the front of the same
+/// arrays.
+fn fill<F>(n: usize, vertex_weights: Vec<VertexWeight>, mut emit: F) -> Result<Graph, GraphError>
+where
+    F: FnMut(&mut EdgeStream<'_>) -> Result<(), GraphError>,
+{
+    let mut degree = vec![0usize; n];
+    let counted = {
+        let mut sink = EdgeStream {
+            num_vertices: n,
+            records: 0,
+            mode: StreamMode::Count {
+                degree: &mut degree,
+            },
+        };
+        emit(&mut sink)?;
+        sink.records
+    };
+    let mut xadj = vec![0usize; n + 1];
+    for v in 0..n {
+        xadj[v + 1] = xadj[v] + degree[v];
+    }
+    let total = xadj[n];
+    let mut adjncy = vec![0 as VertexId; total];
+    let mut edge_weights = vec![0 as EdgeWeight; total];
+    let mut cursor: Vec<usize> = xadj[..n].to_vec();
+    let emitted = {
+        let mut sink = EdgeStream {
+            num_vertices: n,
+            records: 0,
+            mode: StreamMode::Fill {
+                xadj: &xadj,
+                cursor: &mut cursor,
+                adjncy: &mut adjncy,
+                edge_weights: &mut edge_weights,
+            },
+        };
+        emit(&mut sink)?;
+        sink.records
+    };
+    if emitted != counted || cursor.iter().zip(&xadj[1..]).any(|(&c, &end)| c != end) {
+        return Err(GraphError::StreamMismatch { counted, emitted });
+    }
+    // Sort each adjacency list, merging parallel edges; the merged
+    // lists are compacted toward the front of the same arrays (the
+    // write cursor never overtakes the read range because merging
+    // only shrinks lists). One scratch buffer serves every vertex.
+    let mut pairs: Vec<(VertexId, EdgeWeight)> =
+        Vec::with_capacity(degree.iter().copied().max().unwrap_or(0));
+    let mut new_xadj = vec![0usize; n + 1];
+    let mut write = 0usize;
+    for v in 0..n {
+        let (lo, hi) = (xadj[v], xadj[v + 1]);
+        let start = write;
+        pairs.clear();
+        pairs.extend(
+            adjncy[lo..hi]
+                .iter()
+                .copied()
+                .zip(edge_weights[lo..hi].iter().copied()),
+        );
+        pairs.sort_unstable_by_key(|&(nbr, _)| nbr);
+        for &(nbr, w) in &pairs {
+            if write > start && adjncy[write - 1] == nbr {
+                edge_weights[write - 1] += w;
+            } else {
+                adjncy[write] = nbr;
+                edge_weights[write] = w;
+                write += 1;
+            }
+        }
+        new_xadj[v + 1] = write;
+    }
+    // Merged parallel edges leave spare capacity; release it so the
+    // graph retains exactly its CSR.
+    adjncy.truncate(write);
+    edge_weights.truncate(write);
+    Ok(Graph::from_csr(
+        new_xadj,
+        exact(adjncy),
+        exact(edge_weights),
+        vertex_weights,
+    ))
 }
 
 /// The edge sink handed to the closure of [`GraphBuilder::stream`].

@@ -57,6 +57,20 @@ impl PartialEq for Offsets {
 
 impl Eq for Offsets {}
 
+/// `v` without spare capacity. A grown or over-reserved `Vec` is copied
+/// into an exact allocation rather than shrunk in place: under glibc
+/// malloc an in-place shrink leaves its freed tail as a heap fragment
+/// between live arrays (it raised the `netlist-local` benchmark's peak
+/// RSS by about 10%), while the copy frees the whole old block for
+/// reuse.
+pub(crate) fn exact<T: Copy>(v: Vec<T>) -> Vec<T> {
+    if v.capacity() == v.len() {
+        v
+    } else {
+        v.as_slice().to_vec()
+    }
+}
+
 /// An immutable undirected graph in compressed sparse row (CSR) form.
 ///
 /// Vertices are `0..num_vertices() as VertexId`. Each undirected edge is

@@ -11,9 +11,13 @@
 //! approximation costs.
 //!
 //! A [`Netlist`] stores both incidence directions in CSR form: net →
-//! pins and cell → nets.
+//! pins and cell → nets. Every netlist — from [`NetlistBuilder`],
+//! [`contract_cells_into`] or [`permute_cells`] — is finished by one
+//! private constructor: its producer writes the net-major arrays, and
+//! the constructor derives the cell-major side by a counting-sort
+//! transpose, compacts both offset arrays and trims spare capacity.
 
-use crate::csr::Offsets;
+use crate::csr::{exact, Offsets};
 use crate::{EdgeWeight, Graph, GraphBuilder, GraphError, VertexId, VertexWeight};
 
 /// Identifier of a net; nets of a netlist are `0..num_nets as NetId`.
@@ -127,6 +131,45 @@ impl Netlist {
             0.0
         } else {
             self.num_pins() as f64 / self.num_nets() as f64
+        }
+    }
+
+    /// The one constructor. Takes the net-major side (per-net pins,
+    /// each net sorted and deduped, and the net weights) and derives the
+    /// cell-major side by a counting-sort transpose: nets are visited in
+    /// increasing id, so every cell's net list comes out sorted. Both
+    /// offset arrays are compacted to `u32` when they fit, and spare
+    /// capacity is released first so retained memory is exact.
+    fn from_net_major(
+        xpins: Vec<usize>,
+        pins: Vec<VertexId>,
+        net_weights: Vec<EdgeWeight>,
+        cell_weights: Vec<VertexWeight>,
+    ) -> Netlist {
+        let (pins, net_weights) = (exact(pins), exact(net_weights));
+        let num_cells = cell_weights.len();
+        let mut xnets = vec![0usize; num_cells + 1];
+        for &p in &pins {
+            xnets[p as usize + 1] += 1;
+        }
+        for c in 0..num_cells {
+            xnets[c + 1] += xnets[c];
+        }
+        let mut cursor: Vec<usize> = xnets[..num_cells].to_vec();
+        let mut nets = vec![0 as NetId; pins.len()];
+        for (net, span) in xpins.windows(2).enumerate() {
+            for &p in &pins[span[0]..span[1]] {
+                nets[cursor[p as usize]] = net as NetId;
+                cursor[p as usize] += 1;
+            }
+        }
+        Netlist {
+            xpins: Offsets::from_wide(xpins),
+            pins,
+            xnets: Offsets::from_wide(xnets),
+            nets,
+            cell_weights,
+            net_weights,
         }
     }
 
@@ -317,21 +360,13 @@ pub fn contract_cells_into(
         scratch
             .pin_buf
             .extend(nl.pins(net).iter().map(|&p| fine_to_coarse[p as usize]));
-        let slice = &mut scratch.pin_buf[start..];
-        slice.sort_unstable();
-        let mut keep = start;
-        for i in start..scratch.pin_buf.len() {
-            if keep == start || scratch.pin_buf[keep - 1] != scratch.pin_buf[i] {
-                scratch.pin_buf[keep] = scratch.pin_buf[i];
-                keep += 1;
-            }
-        }
-        scratch.pin_buf.truncate(keep);
-        if keep - start < 2 {
+        sort_dedup_tail(&mut scratch.pin_buf, start);
+        let end = scratch.pin_buf.len();
+        if end - start < 2 {
             scratch.pin_buf.truncate(start);
             continue;
         }
-        scratch.spans.push((start, keep, nl.net_weight(net)));
+        scratch.spans.push((start, end, nl.net_weight(net)));
     }
     // Lexicographic pin-set order. Every surviving net has at least two
     // pins, so LSD counting passes on the second and then the first pin
@@ -370,12 +405,11 @@ pub fn contract_cells_into(
     }
     let order = &*order;
 
-    // Merge adjacent equal pin sets and emit the coarse CSR directly.
+    // Merge adjacent equal pin sets into the coarse net-major arrays.
     let mut xpins: Vec<usize> = Vec::with_capacity(spans.len() + 1);
     xpins.push(0);
     let mut pins: Vec<VertexId> = Vec::with_capacity(pin_buf.len());
     let mut net_weights: Vec<EdgeWeight> = Vec::with_capacity(spans.len());
-    let mut cell_degree = vec![0usize; num_coarse];
     for &i in order {
         let set = key(i);
         let w = spans[i as usize].2;
@@ -383,37 +417,29 @@ pub fn contract_cells_into(
             pins.extend_from_slice(set);
             xpins.push(pins.len());
             net_weights.push(w);
-            for &p in set {
-                cell_degree[p as usize] += 1;
-            }
         } else {
             let last = net_weights.len() - 1;
             net_weights[last] += w;
         }
     }
-    let mut xnets = vec![0usize; num_coarse + 1];
-    for c in 0..num_coarse {
-        xnets[c + 1] = xnets[c] + cell_degree[c];
-    }
-    let mut cursor: Vec<usize> = xnets[..num_coarse].to_vec();
-    let mut nets = vec![0 as NetId; xnets[num_coarse]];
-    for net in 0..net_weights.len() {
-        for &p in &pins[xpins[net]..xpins[net + 1]] {
-            nets[cursor[p as usize]] = net as NetId;
-            cursor[p as usize] += 1;
-        }
-    }
     NetlistContraction {
-        coarse: Netlist {
-            xpins: Offsets::from_wide(xpins),
-            pins,
-            xnets: Offsets::from_wide(xnets),
-            nets,
-            cell_weights,
-            net_weights,
-        },
+        coarse: Netlist::from_net_major(xpins, pins, net_weights, cell_weights),
         fine_to_coarse,
     }
+}
+
+/// Sorts `buf[start..]` and drops its repeated values in place, so the
+/// tail holds each value once, ascending.
+fn sort_dedup_tail(buf: &mut Vec<VertexId>, start: usize) {
+    buf[start..].sort_unstable();
+    let mut keep = start;
+    for i in start..buf.len() {
+        if keep == start || buf[keep - 1] != buf[i] {
+            buf[keep] = buf[i];
+            keep += 1;
+        }
+    }
+    buf.truncate(keep);
 }
 
 /// Stable counting sort of `src` into `dst` by `key`, whose values lie
@@ -508,29 +534,8 @@ pub fn permute_cells(nl: &Netlist, new_to_old: &[VertexId]) -> Netlist {
         pins[start..].sort_unstable();
         xpins.push(pins.len());
     }
-    let mut xnets = vec![0usize; n + 1];
-    for new in 0..n {
-        let old = new_to_old[new];
-        xnets[new + 1] = xnets[new] + nl.nets_of(old).len();
-    }
-    let mut cursor: Vec<usize> = xnets[..n].to_vec();
-    let mut nets = vec![0 as NetId; xnets[n]];
-    for net in nl.net_ids() {
-        for &p in &pins[xpins[net as usize]..xpins[net as usize + 1]] {
-            nets[cursor[p as usize]] = net;
-            cursor[p as usize] += 1;
-        }
-    }
     let cell_weights = new_to_old.iter().map(|&old| nl.cell_weight(old)).collect();
-    let net_weights = nl.net_ids().map(|net| nl.net_weight(net)).collect();
-    Netlist {
-        xpins: Offsets::from_wide(xpins),
-        pins,
-        xnets: Offsets::from_wide(xnets),
-        nets,
-        cell_weights,
-        net_weights,
-    }
+    Netlist::from_net_major(xpins, pins, nl.net_weights.clone(), cell_weights)
 }
 
 /// Forms a random maximal cell matching along nets: visits cells in a
@@ -654,10 +659,18 @@ impl ConnectivityScorer {
 }
 
 /// Incremental construction of a [`Netlist`].
+///
+/// Nets are stored flat, already in the netlist's net-major arrays:
+/// each added net is sorted and deduped in place at the tail of one
+/// shared pin array, so building holds no per-net allocation and
+/// [`build`](NetlistBuilder::build) only derives the cell-major side.
 #[derive(Debug, Clone)]
 pub struct NetlistBuilder {
-    num_cells: usize,
-    nets: Vec<(Vec<VertexId>, EdgeWeight)>,
+    /// Pin offsets per net (`xpins[n]..xpins[n + 1]`), starting at 0.
+    xpins: Vec<usize>,
+    /// Every net's sorted, deduped pins, concatenated.
+    pins: Vec<VertexId>,
+    net_weights: Vec<EdgeWeight>,
     cell_weights: Vec<VertexWeight>,
 }
 
@@ -665,8 +678,9 @@ impl NetlistBuilder {
     /// A builder for a netlist on `num_cells` cells with no nets.
     pub fn new(num_cells: usize) -> NetlistBuilder {
         NetlistBuilder {
-            num_cells,
-            nets: Vec::new(),
+            xpins: vec![0],
+            pins: Vec::new(),
+            net_weights: Vec::new(),
             cell_weights: vec![1; num_cells],
         }
     }
@@ -682,7 +696,9 @@ impl NetlistBuilder {
         self.add_weighted_net(pins, 1)
     }
 
-    /// Adds a net with the given weight.
+    /// Adds a net with the given weight. The whole net is validated
+    /// before anything is stored, so a rejected net leaves the builder
+    /// unchanged.
     ///
     /// # Errors
     ///
@@ -697,18 +713,14 @@ impl NetlistBuilder {
             return Err(GraphError::ZeroWeight);
         }
         for &p in pins {
-            if p as usize >= self.num_cells {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: p as u64,
-                    num_vertices: self.num_cells,
-                });
-            }
+            self.check_cell(p)?;
         }
-        let mut sorted: Vec<VertexId> = pins.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let id = self.nets.len() as NetId;
-        self.nets.push((sorted, weight));
+        let start = self.pins.len();
+        self.pins.extend_from_slice(pins);
+        sort_dedup_tail(&mut self.pins, start);
+        self.xpins.push(self.pins.len());
+        let id = self.net_weights.len() as NetId;
+        self.net_weights.push(weight);
         Ok(id)
     }
 
@@ -725,268 +737,26 @@ impl NetlistBuilder {
         if weight == 0 {
             return Err(GraphError::ZeroWeight);
         }
-        if c as usize >= self.num_cells {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: c as u64,
-                num_vertices: self.num_cells,
-            });
-        }
+        self.check_cell(c)?;
         self.cell_weights[c as usize] = weight;
         Ok(self)
     }
 
-    /// Finalizes both CSR directions.
+    fn check_cell(&self, c: VertexId) -> Result<(), GraphError> {
+        if (c as usize) < self.cell_weights.len() {
+            Ok(())
+        } else {
+            Err(GraphError::VertexOutOfRange {
+                vertex: c as u64,
+                num_vertices: self.cell_weights.len(),
+            })
+        }
+    }
+
+    /// Finalizes the netlist: the stored nets already are its net-major
+    /// arrays, so only the cell-major side is derived.
     pub fn build(self) -> Netlist {
-        let num_nets = self.nets.len();
-        let mut xpins = Vec::with_capacity(num_nets + 1);
-        xpins.push(0usize);
-        let mut pins = Vec::new();
-        let mut net_weights = Vec::with_capacity(num_nets);
-        let mut cell_degree = vec![0usize; self.num_cells];
-        for (net_pins, w) in &self.nets {
-            pins.extend_from_slice(net_pins);
-            xpins.push(pins.len());
-            net_weights.push(*w);
-            for &p in net_pins {
-                cell_degree[p as usize] += 1;
-            }
-        }
-        let mut xnets = vec![0usize; self.num_cells + 1];
-        for c in 0..self.num_cells {
-            xnets[c + 1] = xnets[c] + cell_degree[c];
-        }
-        let mut cursor = xnets.clone();
-        let mut nets = vec![0 as NetId; xnets[self.num_cells]];
-        for (n, (net_pins, _)) in self.nets.iter().enumerate() {
-            for &p in net_pins {
-                nets[cursor[p as usize]] = n as NetId;
-                cursor[p as usize] += 1;
-            }
-        }
-        // Nets were appended in increasing id order per cell, so the
-        // per-cell lists are already sorted.
-        Netlist {
-            xpins: Offsets::from_wide(xpins),
-            pins,
-            xnets: Offsets::from_wide(xnets),
-            nets,
-            cell_weights: self.cell_weights,
-            net_weights,
-        }
-    }
-
-    /// Builds a unit-cell-weight netlist without materializing the full
-    /// pin list: `emit` is invoked twice with a [`PinStream`] sink and
-    /// must produce the *identical* net sequence both times (re-run a
-    /// cloned RNG, or re-scan the same staged arrays). The first pass
-    /// counts per-net pin slots and per-cell net degrees, the second
-    /// writes both CSR directions straight into their final arrays — a
-    /// counting sort, the netlist analogue of [`GraphBuilder::stream`].
-    ///
-    /// Peak memory is the final CSR arrays plus `O(cells + nets)`
-    /// counters; the edge-list path holds every net's pin `Vec`
-    /// alongside the CSR arrays. Each net's pins are sorted and deduped
-    /// in a small per-net scratch buffer exactly as
-    /// [`add_net`](NetlistBuilder::add_net) does, so the result is
-    /// byte-identical to adding the same nets to a [`NetlistBuilder`]
-    /// and calling [`build`](NetlistBuilder::build) (property-tested).
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-net errors from the sink
-    /// ([`GraphError::VertexOutOfRange`], [`GraphError::ZeroWeight`])
-    /// and returns [`GraphError::StreamMismatch`] if the two passes
-    /// disagree.
-    pub fn stream<F>(num_cells: usize, mut emit: F) -> Result<Netlist, GraphError>
-    where
-        F: FnMut(&mut PinStream<'_>) -> Result<(), GraphError>,
-    {
-        let mut cell_degree = vec![0usize; num_cells];
-        let mut net_sizes: Vec<u32> = Vec::new();
-        let counted = {
-            let mut sink = PinStream {
-                num_cells,
-                records: 0,
-                scratch: Vec::new(),
-                mode: PinStreamMode::Count {
-                    cell_degree: &mut cell_degree,
-                    net_sizes: &mut net_sizes,
-                },
-            };
-            emit(&mut sink)?;
-            sink.records
-        };
-        let num_nets = net_sizes.len();
-        let mut xpins = vec![0usize; num_nets + 1];
-        for n in 0..num_nets {
-            xpins[n + 1] = xpins[n] + net_sizes[n] as usize;
-        }
-        let mut xnets = vec![0usize; num_cells + 1];
-        for c in 0..num_cells {
-            xnets[c + 1] = xnets[c] + cell_degree[c];
-        }
-        let mut pins = vec![0 as VertexId; xpins[num_nets]];
-        let mut nets = vec![0 as NetId; xnets[num_cells]];
-        let mut net_weights = vec![0 as EdgeWeight; num_nets];
-        let mut cell_cursor: Vec<usize> = xnets[..num_cells].to_vec();
-        let emitted = {
-            let mut sink = PinStream {
-                num_cells,
-                records: 0,
-                scratch: Vec::new(),
-                mode: PinStreamMode::Fill {
-                    xpins: &xpins,
-                    xnets: &xnets,
-                    cell_cursor: &mut cell_cursor,
-                    pins: &mut pins,
-                    nets: &mut nets,
-                    net_weights: &mut net_weights,
-                },
-            };
-            emit(&mut sink)?;
-            sink.records
-        };
-        if emitted != counted
-            || cell_cursor
-                .iter()
-                .zip(&xnets[1..])
-                .any(|(&c, &end)| c != end)
-        {
-            return Err(GraphError::StreamMismatch { counted, emitted });
-        }
-        // Both pass-2 write orders match the builder's: pins in net
-        // order (each net sorted and deduped by the sink), per-cell net
-        // lists in increasing net id because nets arrive in id order.
-        Ok(Netlist {
-            xpins: Offsets::from_wide(xpins),
-            pins,
-            xnets: Offsets::from_wide(xnets),
-            nets,
-            cell_weights: vec![1; num_cells],
-            net_weights,
-        })
-    }
-}
-
-/// The net sink handed to the closure of [`NetlistBuilder::stream`].
-/// Validates each net exactly as [`NetlistBuilder::add_weighted_net`]
-/// does, so both passes fail identically on bad input.
-#[derive(Debug)]
-pub struct PinStream<'a> {
-    num_cells: usize,
-    records: usize,
-    /// Per-net sort/dedup buffer, reused across nets — the only pin
-    /// storage besides the final CSR arrays.
-    scratch: Vec<VertexId>,
-    mode: PinStreamMode<'a>,
-}
-
-#[derive(Debug)]
-enum PinStreamMode<'a> {
-    Count {
-        cell_degree: &'a mut [usize],
-        net_sizes: &'a mut Vec<u32>,
-    },
-    Fill {
-        xpins: &'a [usize],
-        xnets: &'a [usize],
-        cell_cursor: &'a mut [usize],
-        pins: &'a mut [VertexId],
-        nets: &'a mut [NetId],
-        net_weights: &'a mut [EdgeWeight],
-    },
-}
-
-impl PinStream<'_> {
-    /// Emits a net with weight 1 over the given pins. As in
-    /// [`NetlistBuilder::add_net`], duplicate pins merge and degenerate
-    /// (< 2 pin) nets are accepted.
-    ///
-    /// # Errors
-    ///
-    /// As [`PinStream::weighted_net`].
-    pub fn net(&mut self, pins: &[VertexId]) -> Result<(), GraphError> {
-        self.weighted_net(pins, 1)
-    }
-
-    /// Emits a net with the given weight.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::VertexOutOfRange`] / [`GraphError::ZeroWeight`] as
-    /// for [`NetlistBuilder::add_weighted_net`];
-    /// [`GraphError::StreamMismatch`] if the filling pass diverges from
-    /// the counting pass (more nets, or different pins for some net or
-    /// cell).
-    pub fn weighted_net(
-        &mut self,
-        pins: &[VertexId],
-        weight: EdgeWeight,
-    ) -> Result<(), GraphError> {
-        if weight == 0 {
-            return Err(GraphError::ZeroWeight);
-        }
-        for &p in pins {
-            if p as usize >= self.num_cells {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: p as u64,
-                    num_vertices: self.num_cells,
-                });
-            }
-        }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(pins);
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        let net = self.records;
-        self.records += 1;
-        match &mut self.mode {
-            PinStreamMode::Count {
-                cell_degree,
-                net_sizes,
-            } => {
-                net_sizes.push(self.scratch.len() as u32);
-                for &p in &self.scratch {
-                    cell_degree[p as usize] += 1;
-                }
-            }
-            PinStreamMode::Fill {
-                xpins,
-                xnets,
-                cell_cursor,
-                pins,
-                nets,
-                net_weights,
-            } => {
-                if net + 1 >= xpins.len() {
-                    return Err(GraphError::StreamMismatch {
-                        counted: xpins.len() - 1,
-                        emitted: net + 1,
-                    });
-                }
-                let (lo, hi) = (xpins[net], xpins[net + 1]);
-                if self.scratch.len() != hi - lo {
-                    return Err(GraphError::StreamMismatch {
-                        counted: hi - lo,
-                        emitted: self.scratch.len(),
-                    });
-                }
-                pins[lo..hi].copy_from_slice(&self.scratch);
-                net_weights[net] = weight;
-                for &p in &self.scratch {
-                    let slot = cell_cursor[p as usize];
-                    if slot >= xnets[p as usize + 1] {
-                        return Err(GraphError::StreamMismatch {
-                            counted: xnets[p as usize + 1] - xnets[p as usize],
-                            emitted: slot + 1 - xnets[p as usize],
-                        });
-                    }
-                    nets[slot] = net as NetId;
-                    cell_cursor[p as usize] = slot + 1;
-                }
-            }
-        }
-        Ok(())
+        Netlist::from_net_major(self.xpins, self.pins, self.net_weights, self.cell_weights)
     }
 }
 
@@ -1231,88 +1001,47 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_builder_build() {
-        let nets: &[(&[VertexId], EdgeWeight)] = &[
-            (&[0, 1, 2], 1),
-            (&[2, 3], 1),
-            (&[0, 3, 4], 3),
-            (&[4, 1, 4, 0], 2), // duplicate pin merges
-            (&[2], 1),          // degenerate single-pin net
-            (&[], 1),           // degenerate empty net
-        ];
-        let mut b = NetlistBuilder::new(5);
-        for &(pins, w) in nets {
-            b.add_weighted_net(pins, w).unwrap();
-        }
-        let via_builder = b.build();
-        let via_stream = NetlistBuilder::stream(5, |sink| {
-            for &(pins, w) in nets {
-                sink.weighted_net(pins, w)?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(via_builder, via_stream);
-    }
-
-    #[test]
-    fn stream_empty_and_degenerate() {
-        let nl = NetlistBuilder::stream(3, |_| Ok(())).unwrap();
-        assert_eq!(nl.num_cells(), 3);
-        assert_eq!(nl.num_nets(), 0);
-        assert!(nl.uses_compact_offsets());
-    }
-
-    #[test]
-    fn stream_rejects_bad_nets() {
+    fn rejected_nets_leave_the_builder_unchanged_and_builds_hold_no_spare_capacity() {
+        let add_good = |b: &mut NetlistBuilder| {
+            b.add_weighted_net(&[4, 1, 4, 0], 2).unwrap();
+            b.add_net(&[2]).unwrap();
+            b.add_net(&[]).unwrap();
+        };
+        let mut clean = NetlistBuilder::new(5);
+        add_good(&mut clean);
+        let mut rejected = NetlistBuilder::new(5);
+        add_good(&mut rejected);
+        // The out-of-range pin comes last, after pins that would have
+        // been stored; the zero-weight net is otherwise valid.
         assert!(matches!(
-            NetlistBuilder::stream(3, |sink| sink.net(&[0, 5])),
-            Err(GraphError::VertexOutOfRange { vertex: 5, .. })
+            rejected.add_weighted_net(&[3, 2, 1, 9], 1),
+            Err(GraphError::VertexOutOfRange { vertex: 9, .. })
         ));
         assert_eq!(
-            NetlistBuilder::stream(3, |sink| sink.weighted_net(&[0, 1], 0)),
+            rejected.add_weighted_net(&[0, 3], 0),
             Err(GraphError::ZeroWeight)
         );
+        assert_eq!(rejected.add_net(&[3, 0]), Ok(3));
+        clean.add_net(&[3, 0]).unwrap();
+        assert_eq!(rejected.build(), clean.build());
+
+        let mut b = NetlistBuilder::new(50);
+        for c in 0..50 {
+            b.add_net(&[c, (c + 1) % 50, (c + 7) % 50, c]).unwrap();
+        }
+        let built = b.build();
+        // Each netlist is inspected in place: a clone would trim it.
+        let contraction = contract_cells(&built, &[(0, 1), (2, 9)]);
+        let permuted = permute_cells(&built, &bfs_cell_order(&built));
+        for nl in [&built, contraction.coarse(), &permuted] {
+            assert_eq!(nl.pins.capacity(), nl.pins.len());
+            assert_eq!(nl.nets.capacity(), nl.nets.len());
+            assert_eq!(nl.net_weights.capacity(), nl.net_weights.len());
+        }
     }
 
     #[test]
-    fn stream_detects_mismatched_passes() {
-        // Extra net in pass 2.
-        let mut pass = 0;
-        let err = NetlistBuilder::stream(4, |sink| {
-            pass += 1;
-            sink.net(&[0, 1])?;
-            if pass > 1 {
-                sink.net(&[2, 3])?;
-            }
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(matches!(err, GraphError::StreamMismatch { .. }));
-        // Same net count and sizes but different pins in pass 2.
-        let mut pass = 0;
-        let err = NetlistBuilder::stream(4, |sink| {
-            pass += 1;
-            sink.net(if pass == 1 { &[0, 1] } else { &[0, 2] })?;
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(matches!(err, GraphError::StreamMismatch { .. }));
-        // Fewer nets in pass 2.
-        let mut pass = 0;
-        let err = NetlistBuilder::stream(4, |sink| {
-            pass += 1;
-            if pass == 1 {
-                sink.net(&[0, 1])?;
-            }
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(matches!(err, GraphError::StreamMismatch { .. }));
-    }
-
-    #[test]
-    fn builder_and_stream_netlists_use_compact_offsets() {
+    fn built_netlists_use_compact_offsets() {
         assert!(sample().uses_compact_offsets());
         assert!(wide_netlist().uses_compact_offsets());
     }

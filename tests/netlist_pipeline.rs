@@ -7,7 +7,7 @@
 use bisect_core::netlist::{recursive_placement, NetlistBisection, NetlistPipeline};
 use bisect_core::partition::Bisection;
 use bisect_core::workspace::Workspace;
-use bisect_gen::netlist::{sample, RentNetlistParams};
+use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
 use bisect_gen::rng::{LaggedFibonacci, SeedSequence};
 use bisect_graph::hypergraph::Netlist;
 use proptest::prelude::*;
@@ -17,7 +17,7 @@ use rand::SeedableRng;
 fn rent_netlist(cells: usize, nets: usize, seed: u64) -> Netlist {
     let params =
         RentNetlistParams::new(cells, nets, 5, 2.0, 0.3).expect("feasible test parameters");
-    sample(&mut LaggedFibonacci::seed_from_u64(seed), &params)
+    sample_streamed(&mut LaggedFibonacci::seed_from_u64(seed), &params)
 }
 
 /// Brute-force net cut: one full sweep over every net's pins.

@@ -331,7 +331,7 @@ fn rent_netlist(cells: usize, seed: u64) -> Netlist {
     let nets = (3 * cells).div_ceil(2);
     let params =
         RentNetlistParams::new(cells, nets, 4.min(cells), 1.8, 0.1).expect("feasible parameters");
-    netlist::sample(&mut LaggedFibonacci::seed_from_u64(seed), &params)
+    netlist::sample_streamed(&mut LaggedFibonacci::seed_from_u64(seed), &params)
 }
 
 /// `(pipeline, cells, fixed cells, cut, work, side fingerprint)`.

@@ -14,6 +14,7 @@ use bisect_graph::reorder::Reordering;
 use bisect_graph::{contraction, io, matching, Graph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
+use std::collections::BTreeMap;
 
 /// A uniform random permutation of `0..n` (Fisher-Yates over the
 /// deterministic generator, so the permutation is part of the test's
@@ -354,17 +355,27 @@ proptest! {
     fn streamed_build_is_identical_to_edge_list_build(
         n in 2usize..24,
         edges in proptest::collection::vec((0u32..24, 0u32..24, 1u64..=4), 0..60),
+        vertex_weights in proptest::collection::vec(1u64..=5, 24),
     ) {
         // Same edge multiset (duplicates merge, order arbitrary)
-        // through both construction paths.
+        // through both construction paths, each checked against an
+        // independent oracle: a map from the unordered pair to its
+        // summed weight.
         let edges: Vec<(u32, u32, u64)> = edges
             .into_iter()
             .map(|(u, v, w)| (u % n as u32, v % n as u32, w))
             .filter(|(u, v, _)| u != v)
             .collect();
+        let mut oracle: BTreeMap<(VertexId, VertexId), u64> = BTreeMap::new();
+        for &(u, v, w) in &edges {
+            *oracle.entry((u.min(v), u.max(v))).or_insert(0) += w;
+        }
         let mut b = GraphBuilder::new(n);
         for &(u, v, w) in &edges {
             b.add_weighted_edge(u, v, w).unwrap();
+        }
+        for (v, &w) in vertex_weights[..n].iter().enumerate() {
+            b.set_vertex_weight(v as VertexId, w).unwrap();
         }
         let listed = b.build();
         let streamed = GraphBuilder::stream(n, |sink| {
@@ -373,11 +384,24 @@ proptest! {
             }
             Ok(())
         }).unwrap();
-        // Equality is element-wise over the CSR arrays (offsets,
-        // adjacency, weights), i.e. the builds are indistinguishable.
-        prop_assert_eq!(&listed, &streamed);
-        for v in 0..n as VertexId {
-            prop_assert_eq!(listed.neighbors(v), streamed.neighbors(v));
+        for (g, weights) in [(&listed, &vertex_weights[..n]), (&streamed, &[1; 24][..n])] {
+            prop_assert_eq!(g.num_vertices(), n);
+            prop_assert_eq!(g.num_edges(), oracle.len());
+            for v in 0..n as VertexId {
+                // Every pair the oracle holds at `v`, in both
+                // orientations, ascending by neighbour.
+                let mut expected: Vec<(VertexId, u64)> = oracle
+                    .iter()
+                    .filter_map(|(&(a, c), &w)| {
+                        (a == v).then_some((c, w)).or((c == v).then_some((a, w)))
+                    })
+                    .collect();
+                expected.sort_unstable();
+                let (nbrs, ws): (Vec<VertexId>, Vec<u64>) = expected.into_iter().unzip();
+                prop_assert_eq!(g.neighbors(v), &nbrs[..]);
+                prop_assert_eq!(g.neighbor_weights(v), &ws[..]);
+                prop_assert_eq!(g.vertex_weight(v), weights[v as usize]);
+            }
         }
     }
 
