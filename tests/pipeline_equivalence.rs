@@ -13,10 +13,13 @@ use bisect_bench::Suite;
 use bisect_core::bisector::{Bisector, Refiner};
 use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
 use bisect_core::kl::KernighanLin;
-use bisect_core::netlist::{recursive_placement_counted, NetlistPipeline, ParallelNetlistFm};
+use bisect_core::netlist::{
+    recursive_placement_counted, NetlistFm, NetlistPipeline, ParallelCellMatching,
+    ParallelNetlistFm,
+};
 use bisect_core::par_fm::ParallelFm;
 use bisect_core::partition::Side;
-use bisect_core::pipeline::{CoarsenDepth, Pipeline, DEFAULT_COARSEST_SIZE};
+use bisect_core::pipeline::{CoarsenDepth, ParallelMatching, Pipeline, DEFAULT_COARSEST_SIZE};
 use bisect_core::sa::SimulatedAnnealing;
 use bisect_core::workspace::Workspace;
 use bisect_gen::gbreg::{self, GbregParams};
@@ -450,4 +453,122 @@ fn golden_ckl_on_edgeless_graph() {
     let p = Pipeline::ckl().bisect(&g, &mut StdRng::seed_from_u64(3));
     assert_eq!(p.cut(), 0);
     assert_eq!(sides_fingerprint(p.sides()), 0xbf7bb3530de7b57);
+}
+
+// ---------------------------------------------------------------------
+// Start-rule pins: absolute values captured from the two engines while
+// graphs and netlists still ran separate V-cycle loops. They pin which
+// random start each depth draws (count- or weight-balanced, with or
+// without fixed cells) and the coarsest/level refiner split.
+// ---------------------------------------------------------------------
+
+/// `(cut, work, side fingerprint)` of one pinned run.
+type StartPin = (u64, u64, u64);
+
+/// Asserts that compaction of an edgeless graph — where the matcher
+/// makes no progress — returns exactly what `refiner` returns from its
+/// own random start at the same seed, once the rng has paid for the
+/// empty matching.
+fn assert_edgeless_compaction_is_the_bare_refiner<R: Refiner + Clone + Send + Sync + 'static>(
+    refiner: R,
+) {
+    let g = Graph::empty(10);
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        assert!(bisect_graph::matching::random_maximal(&g, &mut rng).is_empty());
+        let direct = refiner.bisect_counted(&g, &mut rng, &mut Workspace::new());
+        let compacted = Pipeline::compacted(refiner.clone()).bisect_counted(
+            &g,
+            &mut StdRng::seed_from_u64(seed),
+            &mut Workspace::new(),
+        );
+        assert_eq!(compacted, direct, "{} seed {seed}", refiner.name());
+    }
+}
+
+#[test]
+fn edgeless_compaction_equals_the_bare_refiner() {
+    assert_edgeless_compaction_is_the_bare_refiner(KernighanLin::new());
+    assert_edgeless_compaction_is_the_bare_refiner(SimulatedAnnealing::quick());
+    assert_edgeless_compaction_is_the_bare_refiner(FiducciaMattheyses::new());
+    assert_edgeless_compaction_is_the_bare_refiner(BoundaryFm::new());
+}
+
+/// Runs `p` on `nl` with `fixed` from a fresh workspace and checks the
+/// result before pinning it.
+fn netlist_start_pin(
+    p: &NetlistPipeline,
+    nl: &Netlist,
+    fixed: &[(VertexId, Side)],
+    seed: u64,
+) -> StartPin {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (b, work) = p.bisect_fixed_counted(nl, fixed, &mut rng, &mut Workspace::new());
+    assert!(b.is_balanced(nl), "{}", p.name());
+    assert_eq!(b.cut(), b.recompute_cut(nl), "{}", p.name());
+    for &(c, s) in fixed {
+        assert_eq!(b.side(c), s, "{} moved fixed cell {c}", p.name());
+    }
+    (b.cut(), work, sides_fingerprint(b.sides()))
+}
+
+#[test]
+fn golden_flat_netlist_start_with_and_without_fixed_cells() {
+    let nl = rent_netlist(300, 0x5747);
+    let fixed = [(0, Side::A), (299, Side::B)];
+    let p = NetlistPipeline::flat_fm();
+    let actual = [
+        netlist_start_pin(&p, &nl, &[], 7),
+        netlist_start_pin(&p, &nl, &fixed, 7),
+    ];
+    assert_eq!(
+        actual,
+        [(38, 4, 0x24ba83190276b587), (15, 5, 0xac1ecb05fc8cb311)],
+        "{actual:?}"
+    );
+}
+
+#[test]
+fn golden_compacted_start_on_a_netless_netlist() {
+    // No nets: the matcher pairs nothing. Without fixed cells the run
+    // takes the §V fallback to the plain heuristic; with them it keeps
+    // the fixed-aware weight-balanced start.
+    let nl = bisect_graph::hypergraph::NetlistBuilder::new(8).build();
+    let fixed = [(1, Side::B), (6, Side::A)];
+    let p = NetlistPipeline::compacted_fm();
+    let actual = [
+        netlist_start_pin(&p, &nl, &[], 3),
+        netlist_start_pin(&p, &nl, &fixed, 3),
+    ];
+    assert_eq!(
+        actual,
+        [(0, 0, 0xbf7bb3530de7b57), (0, 0, 0x7bc204bd5d0057ad)],
+        "{actual:?}"
+    );
+}
+
+#[test]
+fn golden_parallel_matching_netlist_ladder_with_fixed_cells() {
+    let nl = rent_netlist(600, 0x6006);
+    let fixed = [(0, Side::A), (300, Side::B), (599, Side::B)];
+    let p = NetlistPipeline::multilevel_fm_to(6)
+        .expect("6 >= 2")
+        .with_coarsener(ParallelCellMatching::new().with_threads(2))
+        .with_coarsest(NetlistFm::new());
+    let actual = netlist_start_pin(&p, &nl, &fixed, 11);
+    assert_eq!(actual, (25, 3, 0xdd0f1e06953de11d), "{actual:?}");
+}
+
+#[test]
+fn golden_parallel_graph_ladder_with_a_coarsest_refiner() {
+    let g = gbreg_graph(400, 12, 3, 0x400);
+    let p = Pipeline::multilevel_to(ParallelFm::new().with_threads(2), 8)
+        .expect("8 >= 2")
+        .with_coarsener(ParallelMatching::new().with_threads(2))
+        .with_coarsest(BoundaryFm::new());
+    let (b, work) = p.bisect_counted(&g, &mut StdRng::seed_from_u64(13), &mut Workspace::new());
+    assert!(b.is_balanced(&g));
+    assert_eq!(b.cut(), b.recompute_cut(&g));
+    let actual = (b.cut(), work, sides_fingerprint(b.sides()));
+    assert_eq!(actual, (12, 4, 0x5ad233c3cec3290d), "{actual:?}");
 }
