@@ -1,24 +1,20 @@
-//! Full-scan vs boundary-seeded netlist FM re-passes (DESIGN.md §15).
+//! Boundary-seeded netlist FM re-passes and one uncoarsening level
+//! (DESIGN.md §15).
 //!
 //! The hypergraph twin of `fm_boundary`: the scenario is re-refining a
 //! netlist bisection that is already *near-converged* — what
 //! projection through an uncoarsening level hands the refiner. Each
 //! instance is refined to a fixpoint once, then perturbed by a few
 //! balanced pair swaps, and the benches measure re-refinement from
-//! that start. The full-scan variant
-//! ([`NetlistFm::with_full_scan`]) seeds its gain buckets from every
-//! cell (`O(cells + pins)` per pass); the default seeds only from the
-//! incrementally tracked cut boundary (`O(boundary · pins)`).
+//! that start. [`NetlistFm`] seeds its gain buckets only from the
+//! incrementally tracked cut boundary (`O(boundary · pins)` per pass).
 //!
-//! * `netlist-fm-repass/*` — 20k-cell Rent netlists across net-size
-//!   exponent γ and pin locality. Locality-clustered instances
-//!   (`loc5`) keep a small boundary, so boundary seeding wins there;
-//!   global instances cut a constant fraction of the nets, and since
-//!   the two seedings also commit different move sequences (full scans
-//!   can chain interior zero-gain moves), either can come out ahead.
-//! * `netlist-fm-repass-100k/*` — one 10^5-cell locality-clustered
-//!   instance, the scale where the per-pass full scan dominates
-//!   re-refinement cost outright. The full multilevel payoff
+//! * `netlist-fm-repass/boundary/*` — 20k-cell Rent netlists across
+//!   net-size exponent γ and pin locality. Locality-clustered
+//!   instances (`loc5`) keep a small boundary; global instances cut a
+//!   constant fraction of the nets.
+//! * `netlist-fm-repass-100k/boundary/*` — one 10^5-cell
+//!   locality-clustered instance. The full multilevel payoff
 //!   (projection replacing every per-level cache rebuild) is measured
 //!   end-to-end by `repro --huge-netlist-smoke`, not here.
 //! * `netlist-uncoarsen-100k/*` — the two steps of one uncoarsening
@@ -73,7 +69,6 @@ fn rent_netlist(cells: usize, gamma: f64, locality: f64, seed: u64) -> Netlist {
 fn bench_repass(
     group: &mut criterion::BenchmarkGroup<'_>,
     id: BenchmarkId,
-    refiner: &NetlistFm,
     nl: &Netlist,
     init: &NetlistBisection,
 ) {
@@ -82,7 +77,7 @@ fn bench_repass(
         b.iter(|| {
             let mut rng = LaggedFibonacci::seed_from_u64(1);
             std::hint::black_box(
-                refiner
+                NetlistFm::new()
                     .refine_counted(nl, &[], init.clone(), &mut rng, &mut ws)
                     .0
                     .cut(),
@@ -102,20 +97,7 @@ fn bench_netlist_repass_by_shape(c: &mut Criterion) {
     ] {
         let nl = rent_netlist(20_000, gamma, locality, 7);
         let init = near_converged(&nl, 10);
-        bench_repass(
-            &mut group,
-            BenchmarkId::new("full-scan", label),
-            &NetlistFm::new().with_full_scan(),
-            &nl,
-            &init,
-        );
-        bench_repass(
-            &mut group,
-            BenchmarkId::new("boundary", label),
-            &NetlistFm::new(),
-            &nl,
-            &init,
-        );
+        bench_repass(&mut group, BenchmarkId::new("boundary", label), &nl, &init);
     }
     group.finish();
 }
@@ -127,15 +109,7 @@ fn bench_netlist_repass_100k(c: &mut Criterion) {
     let init = near_converged(&nl, 10);
     bench_repass(
         &mut group,
-        BenchmarkId::new("full-scan", "g1.8-loc5"),
-        &NetlistFm::new().with_full_scan(),
-        &nl,
-        &init,
-    );
-    bench_repass(
-        &mut group,
         BenchmarkId::new("boundary", "g1.8-loc5"),
-        &NetlistFm::new(),
         &nl,
         &init,
     );

@@ -41,7 +41,6 @@ use super::{balance_tolerance, gain_term, NetlistBisection, NetlistRefiner};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetlistFm {
     max_passes: usize,
-    full_scan: bool,
 }
 
 impl Default for NetlistFm {
@@ -53,22 +52,7 @@ impl Default for NetlistFm {
 impl NetlistFm {
     /// FM with passes run to a fixpoint (bounded by a safety cap).
     pub fn new() -> NetlistFm {
-        NetlistFm {
-            max_passes: 64,
-            full_scan: false,
-        }
-    }
-
-    /// Seeds every pass's gain buckets from *all* cells instead of the
-    /// tracked cut boundary — the reference `O(cells + pins)` seeding
-    /// the boundary-localized default replaces. A full-scan pass can
-    /// also chain zero- and negative-gain moves from interior cells, so
-    /// results may differ from (not just match more slowly than) the
-    /// boundary-seeded passes; the `netlist_fm_boundary` bench compares
-    /// the two on near-converged re-refinement.
-    pub fn with_full_scan(mut self) -> NetlistFm {
-        self.full_scan = true;
-        self
+        NetlistFm { max_passes: 64 }
     }
 
     /// Limits the number of passes.
@@ -129,24 +113,13 @@ impl NetlistFm {
         let touched = &mut ws.fm_touched;
         // Seed only the boundary: every cell with a cut net. Interior
         // cells have gain ≤ 0 and can only become candidates after a
-        // net-mate moves; the update loop below inserts them then. The
-        // full-scan reference seeds everything up front instead.
-        if self.full_scan {
-            for c in nl.cells() {
-                if is_fixed(c) {
-                    continue;
-                }
-                buckets[p.side(c).index()].insert(c, cache.gain(c));
-                touched.push(c);
+        // net-mate moves; the update loop below inserts them then.
+        for &c in cache.boundary() {
+            if is_fixed(c) {
+                continue;
             }
-        } else {
-            for &c in cache.boundary() {
-                if is_fixed(c) {
-                    continue;
-                }
-                buckets[p.side(c).index()].insert(c, cache.gain(c));
-                touched.push(c);
-            }
+            buckets[p.side(c).index()].insert(c, cache.gain(c));
+            touched.push(c);
         }
         let work = ws.netlist_work.as_mut().expect("netlist_work prepared");
         let locked = &mut ws.locked;
@@ -381,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn full_scan_variant_refines_validly() {
+    fn refines_validly_and_repeats_bit_identically() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut b = NetlistBuilder::new(24);
         for _ in 0..40 {
@@ -393,29 +366,28 @@ mod tests {
         let nl = b.build();
         for seed in 0..6 {
             let init = NetlistBisection::random_balanced(&nl, &mut StdRng::seed_from_u64(seed));
-            for fm in [NetlistFm::new(), NetlistFm::new().with_full_scan()] {
-                let mut ws = Workspace::new();
-                let (p, _) = fm.refine_counted(
-                    &nl,
-                    &[],
-                    init.clone(),
-                    &mut StdRng::seed_from_u64(0),
-                    &mut ws,
-                );
-                assert!(p.cut() <= init.cut());
-                assert!(p.is_balanced(&nl));
-                assert_eq!(p.cut(), p.recompute_cut(&nl));
-                // Repeat runs are bit-identical for both seedings.
-                let mut ws2 = Workspace::new();
-                let (q, _) = fm.refine_counted(
-                    &nl,
-                    &[],
-                    init.clone(),
-                    &mut StdRng::seed_from_u64(0),
-                    &mut ws2,
-                );
-                assert_eq!(p.sides(), q.sides());
-            }
+            let fm = NetlistFm::new();
+            let mut ws = Workspace::new();
+            let (p, _) = fm.refine_counted(
+                &nl,
+                &[],
+                init.clone(),
+                &mut StdRng::seed_from_u64(0),
+                &mut ws,
+            );
+            assert!(p.cut() <= init.cut());
+            assert!(p.is_balanced(&nl));
+            assert_eq!(p.cut(), p.recompute_cut(&nl));
+            // Repeat runs are bit-identical.
+            let mut ws2 = Workspace::new();
+            let (q, _) = fm.refine_counted(
+                &nl,
+                &[],
+                init.clone(),
+                &mut StdRng::seed_from_u64(0),
+                &mut ws2,
+            );
+            assert_eq!(p.sides(), q.sides());
         }
     }
 

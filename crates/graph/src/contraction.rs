@@ -13,6 +13,11 @@
 //! a *vertex*-balanced bisection of `G`, and the weighted coarse cut
 //! equals the fine cut exactly (tested below and by property tests).
 //!
+//! [`Contraction`] is the one contraction type of the workspace: the
+//! coarse structure plus the fine-to-coarse map. Graphs use it as is;
+//! netlists as [`NetlistContraction`](crate::hypergraph::NetlistContraction),
+//! its alias over [`Netlist`](crate::hypergraph::Netlist).
+//!
 //! [`contract_matching`] writes the coarse CSR in one `O(V + E)` bucket
 //! (transpose) pass with no edge list and no sort: visiting coarse
 //! sources in ascending order makes every row come out sorted, and
@@ -24,8 +29,9 @@
 use crate::matching::Matching;
 use crate::{EdgeWeight, Graph, VertexId, VertexWeight};
 
-/// The result of contracting a matching: the coarse graph together with
-/// the fine-to-coarse vertex map.
+/// The result of contracting a matching: the coarse structure `T` (a
+/// [`Graph`] unless stated otherwise) together with the fine-to-coarse
+/// vertex map.
 ///
 /// # Example
 ///
@@ -41,15 +47,14 @@ use crate::{EdgeWeight, Graph, VertexId, VertexWeight};
 /// assert_eq!(c.coarse().vertex_weight(c.map(1)), 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Contraction {
-    coarse: Graph,
-    fine_to_coarse: Vec<VertexId>,
-    num_fine: usize,
+pub struct Contraction<T = Graph> {
+    pub(crate) coarse: T,
+    pub(crate) fine_to_coarse: Vec<VertexId>,
 }
 
-impl Contraction {
-    /// The coarse (contracted) graph `G'`.
-    pub fn coarse(&self) -> &Graph {
+impl<T> Contraction<T> {
+    /// The coarse (contracted) structure, `G'` for a graph.
+    pub fn coarse(&self) -> &T {
         &self.coarse
     }
 
@@ -57,21 +62,34 @@ impl Contraction {
     ///
     /// # Panics
     ///
-    /// Panics if `v` is out of range for the fine graph.
+    /// Panics if `v` is out of range for the fine structure.
     pub fn map(&self, v: VertexId) -> VertexId {
         self.fine_to_coarse[v as usize]
     }
 
-    /// The full fine-to-coarse map, indexed by fine vertex id.
+    /// The full fine-to-coarse map, indexed by fine vertex id; gain
+    /// caches consume it to project themselves across an uncoarsening
+    /// step.
     pub fn fine_to_coarse(&self) -> &[VertexId] {
         &self.fine_to_coarse
     }
 
-    /// Number of vertices of the fine graph.
-    pub fn num_fine(&self) -> usize {
-        self.num_fine
+    /// Every fine vertex inherits the side of its coarse image in
+    /// `coarse_side`, which must have `coarse_len` entries.
+    pub(crate) fn project(&self, coarse_len: usize, coarse_side: &[bool]) -> Vec<bool> {
+        assert_eq!(
+            coarse_side.len(),
+            coarse_len,
+            "side assignment length must match the coarse size"
+        );
+        self.fine_to_coarse
+            .iter()
+            .map(|&c| coarse_side[c as usize])
+            .collect()
     }
+}
 
+impl Contraction {
     /// Projects a coarse side assignment (`side[c]` for each coarse
     /// vertex) to a fine side assignment: every fine vertex inherits the
     /// side of its coarse image. This is step 4 of the compaction
@@ -83,15 +101,7 @@ impl Contraction {
     /// Panics if `coarse_side.len()` differs from the coarse vertex
     /// count.
     pub fn project_sides(&self, coarse_side: &[bool]) -> Vec<bool> {
-        assert_eq!(
-            coarse_side.len(),
-            self.coarse.num_vertices(),
-            "side assignment length must match coarse vertex count"
-        );
-        self.fine_to_coarse
-            .iter()
-            .map(|&c| coarse_side[c as usize])
-            .collect()
+        self.project(self.coarse.num_vertices(), coarse_side)
     }
 }
 
@@ -230,7 +240,6 @@ fn bucket_pass<S: Slot>(g: &Graph, m: &Matching) -> Contraction {
     Contraction {
         coarse: Graph::from_csr(xadj, adjncy, edge_weights, vertex_weights),
         fine_to_coarse,
-        num_fine: n,
     }
 }
 
@@ -277,7 +286,6 @@ pub(crate) mod tests {
         Contraction {
             coarse: builder.build(),
             fine_to_coarse,
-            num_fine: n,
         }
     }
 
@@ -288,7 +296,6 @@ pub(crate) mod tests {
         let oracle = reference_contract_matching(g, m);
         assert_eq!(fast.coarse(), oracle.coarse());
         assert_eq!(fast.fine_to_coarse(), oracle.fine_to_coarse());
-        assert_eq!(fast.num_fine(), oracle.num_fine());
         let wide = bucket_pass::<usize>(g, m);
         assert_eq!(wide.coarse(), oracle.coarse());
         assert_eq!(wide.fine_to_coarse(), oracle.fine_to_coarse());
@@ -463,7 +470,7 @@ pub(crate) mod tests {
         assert_eq!(c.map(1), c.map(2));
         assert_eq!(c.map(4), c.map(5));
         assert_ne!(c.map(0), c.map(1));
-        assert_eq!(c.num_fine(), 6);
+        assert_eq!(c.fine_to_coarse().len(), 6);
     }
 
     #[test]
