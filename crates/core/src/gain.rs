@@ -108,12 +108,26 @@ impl GainBuckets {
         self.insert(v, new_gain);
     }
 
-    #[cfg(test)]
-    pub(crate) fn adjust(&mut self, v: VertexId, delta: i64) {
-        if delta != 0 {
-            let cur = self.gain_of(v);
-            self.update(v, cur + delta);
+    /// Adds `delta` to the gain of `v`, which must be present: the same
+    /// swap-remove and push as `update(v, gain_of(v) + delta)`, reading
+    /// the gain once.
+    pub(crate) fn add(&mut self, v: VertexId, delta: i64) {
+        debug_assert!(self.contains(v));
+        let vi = v as usize;
+        let gain = self.gain[vi];
+        let p = self.pos[vi] as usize;
+        let old = self.index(gain);
+        let bucket = &mut self.buckets[old];
+        bucket.swap_remove(p);
+        if let Some(&moved) = bucket.get(p) {
+            self.pos[moved as usize] = p as u32;
         }
+        let gain = gain + delta;
+        let idx = self.index(gain);
+        self.pos[vi] = self.buckets[idx].len() as u32;
+        self.gain[vi] = gain;
+        self.buckets[idx].push(v);
+        self.max_idx = self.max_idx.max(idx);
     }
 
     pub(crate) fn peek_best(&mut self) -> Option<(i64, VertexId)> {
@@ -247,23 +261,44 @@ mod tests {
     }
 
     #[test]
-    fn adjust_moves_between_buckets() {
+    fn add_moves_between_buckets() {
         let mut b = GainBuckets::new(2, 5);
         b.insert(0, 0);
         b.insert(1, 1);
-        b.adjust(0, 4);
+        b.add(0, 4);
         assert_eq!(b.peek_best(), Some((4, 0)));
-        b.adjust(0, -8);
+        b.add(0, -8);
         assert_eq!(b.peek_best(), Some((1, 1)));
         assert_eq!(b.gain_of(0), -4);
     }
 
     #[test]
-    fn zero_adjust_is_noop() {
+    fn zero_add_keeps_the_gain() {
         let mut b = GainBuckets::new(1, 2);
         b.insert(0, 1);
-        b.adjust(0, 0);
+        b.add(0, 0);
         assert_eq!(b.gain_of(0), 1);
+    }
+
+    #[test]
+    fn add_orders_buckets_like_update() {
+        // Same swap-remove and push, so bucket order (and thus which
+        // tied element peeks first) matches update move for move.
+        let mut added = GainBuckets::new(6, 4);
+        let mut updated = GainBuckets::new(6, 4);
+        for v in 0..6 {
+            added.insert(v, v as i64 % 3 - 1);
+            updated.insert(v, v as i64 % 3 - 1);
+        }
+        for (v, delta) in [(1, 2), (4, 1), (0, 0), (5, -3), (2, 1), (1, -1)] {
+            added.add(v, delta);
+            let cur = updated.gain_of(v);
+            updated.update(v, cur + delta);
+            assert_eq!(added, updated);
+        }
+        while let Some(best) = updated.pop_best() {
+            assert_eq!(added.pop_best(), Some(best));
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! incrementally tracked cell boundary ([`NetlistGainCache`]) instead
 //! of all cells: an interior cell has only uncut nets, hence gain
 //! `≤ 0`, and can only become worth moving after a net-mate moves — at
-//! which point the update loop inserts it lazily. A pass costs
-//! `O(boundary + touched pins)` instead of `O(cells + pins)`.
+//! which point the update loop inserts it lazily. A pass walks
+//! `O(boundary + touched pins)` instead of `O(cells + pins)`; rewinding
+//! its work mirror is one flat copy of the side and pin-count arrays.
 
 use bisect_graph::hypergraph::Netlist;
 use rand::RngCore;
@@ -15,7 +16,7 @@ use rand::RngCore;
 use crate::partition::Side;
 use crate::workspace::Workspace;
 
-use super::{balance_tolerance, gain_term, NetlistBisection, NetlistRefiner};
+use super::{gain_term, NetlistBisection, NetlistRefiner, Tolerance};
 
 /// Fiduccia-Mattheyses on netlists.
 ///
@@ -69,7 +70,8 @@ impl NetlistFm {
     /// Runs passes to a fixpoint assuming `ws.netlist_cache` is already
     /// exact for `(nl, p)`; leaves it exact for the refined `p`.
     /// Returns the number of productive passes. Cells flagged in
-    /// `fixed` never move.
+    /// `fixed` never move: they stay locked in `ws.locked` for the whole
+    /// call, and are unlocked again on exit.
     fn refine_with_cache(
         &self,
         nl: &Netlist,
@@ -80,49 +82,60 @@ impl NetlistFm {
         if nl.num_cells() < 2 {
             return 0;
         }
-        let (base_tol, pass_tol) = prepare(nl, p, ws);
+        let tol = prepare(nl, p, ws);
+        for (locked, &f) in ws.locked.iter_mut().zip(fixed) {
+            *locked |= f;
+        }
         let mut productive = 0u64;
         for _ in 0..self.max_passes {
-            if self.pass_with_cache(nl, fixed, p, ws, base_tol, pass_tol) == 0 {
+            if self.pass_with_cache(nl, p, ws, tol) == 0 {
                 break;
             }
             productive += 1;
+        }
+        for (locked, &f) in ws.locked.iter_mut().zip(fixed) {
+            *locked &= !f;
         }
         productive
     }
 
     /// One boundary-seeded pass. On entry and exit: `ws.netlist_cache`
-    /// is exact for `(nl, p)`, `ws.netlist_work` mirrors `p`,
-    /// `ws.fm_buckets` are empty, `ws.locked` is all-false,
-    /// `ws.fm_touched` is empty.
+    /// is exact for `(nl, p)`, `ws.netlist_work` equals `p`,
+    /// `ws.fm_buckets` are empty, `ws.locked` flags exactly the fixed
+    /// cells, and `ws.fm_touched` is empty.
+    ///
+    /// Every tentative move costs one walk over the moved cell's nets:
+    /// the walk that reads the mirror's pin counts for the gain deltas
+    /// also shifts them and updates the mirror's cut. The committed
+    /// prefix is then applied to `p` through the cache's one-walk mover,
+    /// and the mirror is rewound by one copy of `p` rather than by
+    /// undoing the uncommitted tail move by move.
     // lint: allow(no-panic) — pass-loop expects: prepare() populated
-    // netlist_work before any pass, `choice` is Some only when that bucket
-    // had a peek, and the same Option is re-unwrapped at rollback.
+    // netlist_work before any pass, and `choice` is Some only when that
+    // bucket had a peek.
     fn pass_with_cache(
         &self,
         nl: &Netlist,
-        fixed: &[bool],
         p: &mut NetlistBisection,
         ws: &mut Workspace,
-        base_tol: u64,
-        pass_tol: u64,
+        tol: Tolerance,
     ) -> u64 {
-        let is_fixed = |c: u32| fixed.get(c as usize).copied().unwrap_or(false);
         let cache = &ws.netlist_cache;
         let buckets = &mut ws.fm_buckets;
         let touched = &mut ws.fm_touched;
+        let locked = &mut ws.locked;
         // Seed only the boundary: every cell with a cut net. Interior
         // cells have gain ≤ 0 and can only become candidates after a
-        // net-mate moves; the update loop below inserts them then.
+        // net-mate moves; the update loop below inserts them then. The
+        // only cells locked here are the fixed ones.
         for &c in cache.boundary() {
-            if is_fixed(c) {
+            if locked[c as usize] {
                 continue;
             }
             buckets[p.side(c).index()].insert(c, cache.gain(c));
             touched.push(c);
         }
         let work = ws.netlist_work.as_mut().expect("netlist_work prepared");
-        let locked = &mut ws.locked;
         ws.fm_moves.clear();
         let moves = &mut ws.fm_moves;
         ws.fm_cumulative.clear();
@@ -147,7 +160,7 @@ impl NetlistFm {
                 } else {
                     imb + 2 * w
                 };
-                if new_imb.unsigned_abs() > pass_tol {
+                if new_imb.unsigned_abs() > tol.pass {
                     continue;
                 }
                 let heavier = work.weight(side) >= work.weight(side.other());
@@ -166,14 +179,14 @@ impl NetlistFm {
             let (_, c) = buckets[side.index()].pop_best().expect("peeked nonempty");
             locked[c as usize] = true;
 
-            // Gain updates before the virtual move: per incident net
-            // the per-pin deltas depend only on the pin counts, so
-            // compute them once per side and walk the pins only when
-            // some delta is nonzero.
+            // The virtual move, one net at a time: shift the net's pin
+            // counts in the mirror, and from the pre-move counts derive
+            // the per-pin deltas once per side, walking the pins only
+            // when some delta is nonzero. `c` is locked, as are fixed
+            // and already moved cells, so the walk skips all of them.
             let s = side.index();
             for &net in nl.nets_of(c) {
-                let counts = work.pins_on(net);
-                let (my, other) = (counts[s], counts[1 - s]);
+                let (my, other) = work.shift_pin(nl, net, s);
                 let w = nl.net_weight(net) as i64;
                 let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
                 let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
@@ -181,17 +194,17 @@ impl NetlistFm {
                     continue;
                 }
                 for &q in nl.pins(net) {
-                    if q == c || locked[q as usize] || is_fixed(q) {
+                    if locked[q as usize] {
                         continue;
                     }
-                    let delta = if work.side(q) == side { ds } else { dt };
+                    let q_side = work.side(q);
+                    let delta = if q_side == side { ds } else { dt };
                     if delta == 0 {
                         continue;
                     }
-                    let b = &mut buckets[work.side(q).index()];
+                    let b = &mut buckets[q_side.index()];
                     if b.contains(q) {
-                        let cur = b.gain_of(q);
-                        b.update(q, cur + delta);
+                        b.add(q, delta);
                     } else {
                         // q had no moved net-mate yet (only pops remove
                         // bucket entries, and pops lock), so its
@@ -202,11 +215,11 @@ impl NetlistFm {
                     }
                 }
             }
-            work.move_cell(nl, c);
+            work.flip(nl, c);
             running += gain;
             moves.push(c);
             cumulative.push(running);
-            balanced_after.push(work.weight_imbalance() <= base_tol);
+            balanced_after.push(work.weight_imbalance() <= tol.base);
         }
 
         // Best prefix that ends balanced with positive improvement.
@@ -221,19 +234,16 @@ impl NetlistFm {
             None => 0,
         };
         let before = p.cut();
+        // The mirror made every move of the pass, each at its bucket
+        // gain: a wrong fused update shows here.
+        debug_assert_eq!(work.cut() as i64, before as i64 - running);
         let cache = &mut ws.netlist_cache;
         for &c in &moves[..committed] {
-            // record_move wants the pre-move bisection.
-            cache.record_move(nl, p, c);
-            p.move_cell(nl, c);
+            cache.move_cell(nl, p, c);
         }
-        // Rewind the uncommitted virtual tail so netlist_work mirrors
-        // `p` again. Each cell moved at most once per pass, so moving
-        // it back restores its side regardless of order.
-        let work = ws.netlist_work.as_mut().expect("netlist_work prepared");
-        for &c in &moves[committed..] {
-            work.move_cell(nl, c);
-        }
+        // Rewind the mirror to `p` in one O(cells + nets) copy into its
+        // own capacity; most of a pass's moves are uncommitted.
+        work.copy_from(p);
         // O(touched) cleanup instead of O(cells) resets.
         for &c in ws.fm_touched.iter() {
             for b in ws.fm_buckets.iter_mut() {
@@ -253,15 +263,8 @@ impl NetlistFm {
 /// Per-refine O(cells) setup: tolerances, bucket reset, work mirror,
 /// locked/touched clearing. Requires `ws.netlist_cache` exact for
 /// `(nl, p)`.
-fn prepare(nl: &Netlist, p: &NetlistBisection, ws: &mut Workspace) -> (u64, u64) {
+fn prepare(nl: &Netlist, p: &NetlistBisection, ws: &mut Workspace) -> Tolerance {
     let n = nl.num_cells();
-    let max_weight = nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(1);
-    let base_tol = balance_tolerance(nl);
-    // During the pass a single move may overshoot balance by one cell:
-    // moving weight w changes the side *difference* by 2w, so the
-    // classic FM criterion allows a difference up to twice the largest
-    // cell weight.
-    let pass_tol = base_tol.max(2 * max_weight);
     // A cell's gain is bounded by its weighted net degree: each
     // incident net contributes a value in [−w(net), w(net)].
     let max_gain = nl
@@ -286,7 +289,7 @@ fn prepare(nl: &Netlist, p: &NetlistBisection, ws: &mut Workspace) -> (u64, u64)
     ws.locked.clear();
     ws.locked.resize(n, false);
     ws.fm_touched.clear();
-    (base_tol, pass_tol)
+    Tolerance::of(nl)
 }
 
 impl NetlistRefiner for NetlistFm {
@@ -440,6 +443,34 @@ mod tests {
         assert_eq!(refined.side(0), init.side(0));
         assert_eq!(refined.side(5), init.side(5));
         assert!(refined.cut() <= init.cut());
+    }
+
+    #[test]
+    fn refine_with_fixed_cells_leaves_the_workspace_clean() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut b = NetlistBuilder::new(40);
+        for _ in 0..60 {
+            let size = rng.gen_range(2..=5usize);
+            let mut pins: Vec<u32> = (0..40).collect();
+            pins.shuffle(&mut rng);
+            b.add_net(&pins[..size]).unwrap();
+        }
+        let nl = b.build();
+        let fm = NetlistFm::new();
+        let mut ws = Workspace::new();
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let init = NetlistBisection::random_balanced(&nl, &mut rng);
+            // Every fifth cell fixed; a short slice leaves the tail movable.
+            let fixed: Vec<bool> = (0..36).map(|c| c % 5 == seed as usize % 5).collect();
+            let (p, passes) = fm.refine_counted(&nl, &fixed, init.clone(), &mut rng, &mut ws);
+            assert!(passes > 0, "seed {seed}: the refine must move something");
+            assert!(ws.locked.iter().all(|&l| !l), "seed {seed}");
+            assert_eq!(ws.netlist_work.as_ref(), Some(&p), "seed {seed}");
+            for (c, _) in fixed.iter().enumerate().filter(|(_, &f)| f) {
+                assert_eq!(p.side(c as u32), init.side(c as u32), "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! minus nets newly cut if the cell moved) and its *cut degree* (the
 //! number of incident cut nets), plus the *boundary* — the cells with
 //! at least one cut net — as a dense list with an O(1) position index.
-//! [`NetlistGainCache::record_move`] maintains all three in
-//! `O(Σ pins of affected nets)` per move, walking a net's pins only
-//! when the move actually changes that net's contribution to them.
+//! [`NetlistGainCache::move_cell`] moves a cell of the bisection and
+//! maintains all three in the same walk, in `O(Σ pins of affected nets)`
+//! per move, walking a net's pins only when the move actually changes
+//! that net's contribution to them.
 //! [`NetlistGainCache::project`] carries the state coarse→fine across
 //! an uncoarsening step without an O(cells + pins) rebuild for interior
 //! cells, mirroring the graph-side projection contract.
@@ -23,8 +24,8 @@ use super::{gain_term, NetlistBisection};
 /// Per-cell gains, cut degrees, and the cell boundary of a netlist
 /// bisection, maintained incrementally. Lives in the
 /// [`crate::workspace::Workspace`]; exact for a given `(nl, p)` after
-/// [`NetlistGainCache::init`] and kept exact by reporting every move
-/// through [`NetlistGainCache::record_move`] *before* applying it.
+/// [`NetlistGainCache::init`] and kept exact by making every move of
+/// `p` through [`NetlistGainCache::move_cell`].
 #[derive(Debug, Clone, Default)]
 pub struct NetlistGainCache {
     /// FM gain of moving each cell to the other side.
@@ -98,22 +99,23 @@ impl NetlistGainCache {
         self.bpos[c as usize] = u32::MAX;
     }
 
-    /// Updates the cache for moving cell `c` to the other side. Must be
-    /// called with the **pre-move** bisection `p`; the caller applies
-    /// [`NetlistBisection::move_cell`] afterwards.
+    /// Moves cell `c` of `p` to the other side and keeps the cache
+    /// exact for the moved `p`, in one walk over `c`'s nets: each net's
+    /// pin counts and cut change in `p` in the same step that yields the
+    /// net's gain deltas. The moved `p` equals what
+    /// [`NetlistBisection::move_cell`] leaves.
     ///
     /// Per incident net the per-pin gain deltas depend only on the
     /// net's pin counts, so they are computed once per side and the
     /// net's pins are walked only when some delta (or the net's cut
     /// state) actually changes.
-    pub fn record_move(&mut self, nl: &Netlist, p: &NetlistBisection, c: VertexId) {
+    pub fn move_cell(&mut self, nl: &Netlist, p: &mut NetlistBisection, c: VertexId) {
         let ci = c as usize;
         let s = p.side(c).index();
         let mut new_gain = 0i64;
         let mut new_cut = 0u32;
         for &net in nl.nets_of(c) {
-            let counts = p.pins_on(net);
-            let (my, other) = (counts[s], counts[1 - s]);
+            let (my, other) = p.shift_pin(nl, net, s);
             let w = nl.net_weight(net) as i64;
             // c's own contribution after the move: it sits on the far
             // side of a net with counts (other + 1, my - 1).
@@ -153,6 +155,7 @@ impl NetlistGainCache {
                 }
             }
         }
+        p.flip(nl, c);
         let was_boundary = self.bpos[ci] != u32::MAX;
         self.gains[ci] = new_gain;
         self.cut_nets[ci] = new_cut;
@@ -288,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn record_move_stays_consistent_over_random_sequences() {
+    fn move_cell_stays_consistent_over_random_sequences() {
         let mut rng = StdRng::seed_from_u64(21);
         for trial in 0..10 {
             let nl = random_netlist(12, 10, &mut rng);
@@ -297,8 +300,7 @@ mod tests {
             cache.init(&nl, &p);
             for step in 0..24 {
                 let c = rng.gen_range(0..nl.num_cells()) as VertexId;
-                cache.record_move(&nl, &p, c);
-                p.move_cell(&nl, c);
+                cache.move_cell(&nl, &mut p, c);
                 assert_consistent(&cache, &nl, &p);
                 let _ = (trial, step);
             }
@@ -306,7 +308,39 @@ mod tests {
     }
 
     #[test]
-    fn record_move_handles_degenerate_nets() {
+    fn move_cell_moves_the_bisection_like_a_fresh_build() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for trial in 0..10 {
+            let base = random_netlist(16, 14, &mut rng);
+            let mut b = NetlistBuilder::new(base.num_cells());
+            for c in base.cells() {
+                b.set_cell_weight(c, rng.gen_range(1..=4u64)).unwrap();
+            }
+            for n in base.net_ids() {
+                b.add_weighted_net(base.pins(n), base.net_weight(n))
+                    .unwrap();
+            }
+            let nl = b.build();
+            let mut p = NetlistBisection::random_balanced(&nl, &mut rng);
+            let mut plain = p.clone();
+            let mut cache = NetlistGainCache::default();
+            cache.init(&nl, &p);
+            for _ in 0..32 {
+                let c = rng.gen_range(0..nl.num_cells()) as VertexId;
+                cache.move_cell(&nl, &mut p, c);
+                plain.move_cell(&nl, c);
+            }
+            // Pin counts, cut, counts and weights all match a bisection
+            // built from scratch on the same sides.
+            let fresh = NetlistBisection::from_sides(&nl, p.sides().to_vec()).unwrap();
+            assert_eq!(p, fresh, "trial {trial}");
+            assert_eq!(p, plain, "trial {trial}");
+            assert_consistent(&cache, &nl, &p);
+        }
+    }
+
+    #[test]
+    fn move_cell_handles_degenerate_nets() {
         let mut b = NetlistBuilder::new(4);
         b.add_net(&[]).unwrap();
         b.add_net(&[2]).unwrap();
@@ -316,8 +350,7 @@ mod tests {
         let mut cache = NetlistGainCache::default();
         cache.init(&nl, &p);
         for c in [2u32, 0, 2, 3, 1] {
-            cache.record_move(&nl, &p, c);
-            p.move_cell(&nl, c);
+            cache.move_cell(&nl, &mut p, c);
             assert_consistent(&cache, &nl, &p);
         }
     }
@@ -340,8 +373,7 @@ mod tests {
             // just the initial one.
             for _ in 0..6 {
                 let c = rng.gen_range(0..coarse.num_cells()) as VertexId;
-                cache.record_move(coarse, &cp, c);
-                cp.move_cell(coarse, c);
+                cache.move_cell(coarse, &mut cp, c);
             }
             let fp =
                 NetlistBisection::from_sides(&fine, contraction.project_sides(cp.sides())).unwrap();
@@ -351,8 +383,7 @@ mod tests {
             let mut fp = fp;
             for _ in 0..6 {
                 let c = rng.gen_range(0..fine.num_cells()) as VertexId;
-                cache.record_move(&fine, &fp, c);
-                fp.move_cell(&fine, c);
+                cache.move_cell(&fine, &mut fp, c);
                 assert_consistent(&cache, &fine, &fp);
             }
         }

@@ -272,19 +272,37 @@ impl NetlistBisection {
     /// Panics if `c` is out of range for `nl`.
     pub fn move_cell(&mut self, nl: &Netlist, c: VertexId) {
         let from = self.side[c as usize] as usize;
-        let to = 1 - from;
         for &n in nl.nets_of(c) {
-            let counts = &mut self.pins_on[n as usize];
-            let was_cut = counts[0] > 0 && counts[1] > 0;
-            counts[from] -= 1;
-            counts[to] += 1;
-            let now_cut = counts[0] > 0 && counts[1] > 0;
-            match (was_cut, now_cut) {
-                (false, true) => self.cut += nl.net_weight(n),
-                (true, false) => self.cut -= nl.net_weight(n),
-                _ => {}
-            }
+            self.shift_pin(nl, n, from);
         }
+        self.flip(nl, c);
+    }
+
+    /// Moves one pin of net `n` off side `from` and updates the cut;
+    /// returns the net's pre-move counts `(from side, far side)`. One
+    /// step of a cell move: the mover calls it once per net of the cell,
+    /// then [`NetlistBisection::flip`].
+    #[inline]
+    fn shift_pin(&mut self, nl: &Netlist, n: NetId, from: usize) -> (u32, u32) {
+        let counts = &mut self.pins_on[n as usize];
+        let (my, other) = (counts[from], counts[1 - from]);
+        counts[from] = my - 1;
+        counts[1 - from] = other + 1;
+        // `my >= 1`: the moving cell is a pin of `n`.
+        if other == 0 && my > 1 {
+            self.cut += nl.net_weight(n);
+        } else if my == 1 && other > 0 {
+            self.cut -= nl.net_weight(n);
+        }
+        (my, other)
+    }
+
+    /// Flips cell `c`'s side and moves its count and weight with it; the
+    /// pin counts of its nets must already have been shifted.
+    #[inline]
+    fn flip(&mut self, nl: &Netlist, c: VertexId) {
+        let from = self.side[c as usize] as usize;
+        let to = 1 - from;
         self.side[c as usize] = !self.side[c as usize];
         self.counts[from] -= 1;
         self.counts[to] += 1;
@@ -379,6 +397,45 @@ pub(crate) fn balance_tolerance(nl: &Netlist) -> VertexWeight {
     }
 }
 
+/// Balance tolerances of one refine call, shared by [`NetlistFm`] and
+/// [`ParallelNetlistFm`]: a pass (or resolved round) may leave the
+/// sides `pass` apart, and a kept prefix must end within `base`.
+#[derive(Debug, Clone, Copy)]
+struct Tolerance {
+    /// [`balance_tolerance`].
+    base: VertexWeight,
+    /// `max(base, 2 · largest cell weight)`: moving weight `w` changes
+    /// the side difference by `2w`, so the classic FM criterion lets a
+    /// single move overshoot balance by one cell.
+    pass: VertexWeight,
+}
+
+impl Tolerance {
+    /// Both tolerances for `nl` from one walk over the cell weights.
+    fn of(nl: &Netlist) -> Tolerance {
+        let mut unit = true;
+        let mut max_weight = 0;
+        for c in nl.cells() {
+            let w = nl.cell_weight(c);
+            unit &= w == 1;
+            max_weight = max_weight.max(w);
+        }
+        let base = if unit {
+            nl.total_cell_weight() % 2
+        } else {
+            max_weight
+        };
+        // A netlist without cells keeps the slack of one unit cell.
+        if nl.num_cells() == 0 {
+            max_weight = 1;
+        }
+        Tolerance {
+            base,
+            pass: base.max(2 * max_weight),
+        }
+    }
+}
+
 /// As [`rebalance_fixed`], but reads gains from — and keeps exact — a
 /// [`NetlistGainCache`] that is exact for `(nl, p)` on entry: the
 /// netlist analogue of the graph-side cache-maintaining rebalance used
@@ -451,8 +508,7 @@ fn rebalance_with_cache_observed(
         let Some(c) = pick else {
             break; // every movable heavy cell is at least the imbalance
         };
-        cache.record_move(nl, p, c);
-        p.move_cell(nl, c);
+        cache.move_cell(nl, p, c);
         on_move(c);
         let imbalance = p.weight_imbalance();
         for &net in nl.nets_of(c) {
@@ -688,8 +744,7 @@ mod tests {
                 .max_by_key(|&c| (cache.gain(c), Reverse(c)));
             match candidate {
                 Some(c) => {
-                    cache.record_move(nl, p, c);
-                    p.move_cell(nl, c);
+                    cache.move_cell(nl, p, c);
                     moves.push(c);
                 }
                 None => return,

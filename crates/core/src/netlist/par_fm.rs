@@ -47,7 +47,7 @@ use rand::RngCore;
 use crate::partition::Side;
 use crate::workspace::Workspace;
 
-use super::{balance_tolerance, gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner};
+use super::{gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner, Tolerance};
 
 /// Boundary-chunked parallel Fiduccia–Mattheyses on netlists.
 ///
@@ -280,26 +280,6 @@ impl ParallelNetlistFm {
     }
 }
 
-/// Balance tolerances of one refine call: a resolved move may leave
-/// the sides `pass` apart, a best prefix must end within `base`.
-#[derive(Debug, Clone, Copy)]
-struct Tolerance {
-    base: u64,
-    pass: u64,
-}
-
-impl Tolerance {
-    /// The serial netlist FM pass's tolerances for `nl`.
-    fn of(nl: &Netlist) -> Tolerance {
-        let max_weight = nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(1);
-        let base = balance_tolerance(nl);
-        Tolerance {
-            base,
-            pass: base.max(2 * max_weight),
-        }
-    }
-}
-
 /// A serial resolve of one round's merged proposals; returns `(cut
 /// improvement, gain evaluations)`.
 type Resolve = fn(
@@ -361,8 +341,8 @@ impl ResolveScratch {
         self.best_cut = cut;
     }
 
-    /// Moves `c`, recording it in the cache first, and keeps the prefix
-    /// if it ends within `base` at a new best cut.
+    /// Moves `c` through the cache's mover and keeps the prefix if it
+    /// ends within `base` at a new best cut.
     fn apply(
         &mut self,
         nl: &Netlist,
@@ -371,8 +351,7 @@ impl ResolveScratch {
         c: VertexId,
         base: u64,
     ) {
-        cache.record_move(nl, p, c);
-        p.move_cell(nl, c);
+        cache.move_cell(nl, p, c);
         self.applied.push(c);
         if p.weight_imbalance() <= base && p.cut() < self.best_cut {
             self.best_len = self.applied.len();
@@ -384,8 +363,7 @@ impl ResolveScratch {
     /// cell moved at most once, so moving it back restores its side.
     fn rollback(&self, nl: &Netlist, p: &mut NetlistBisection, cache: &mut NetlistGainCache) {
         for &c in self.applied[self.best_len..].iter().rev() {
-            cache.record_move(nl, p, c);
-            p.move_cell(nl, c);
+            cache.move_cell(nl, p, c);
         }
         debug_assert_eq!(p.cut(), self.best_cut);
         debug_assert_eq!(p.cut(), p.recompute_cut(nl));
@@ -1005,8 +983,8 @@ mod tests {
     fn brute_force_cross_check_after_every_resolved_move() {
         // Single-round refinement on tiny netlists, checking the
         // maintained cut against a from-scratch recompute after the
-        // round lands (the round itself asserts per-move consistency in
-        // debug builds via record_move/move_cell).
+        // round lands (the resolve's rollback also asserts it in debug
+        // builds).
         let pfm = ParallelNetlistFm::new().with_threads(2).with_max_rounds(1);
         for seed in 0..12 {
             let nl = random_netlist(14, 16, seed);

@@ -85,8 +85,7 @@ proptest! {
         cache.init(coarse, &cp);
         for _ in 0..coarse_moves {
             let c = rng.gen_range(0..coarse.num_cells()) as VertexId;
-            cache.record_move(coarse, &cp, c);
-            cp.move_cell(coarse, c);
+            cache.move_cell(coarse, &mut cp, c);
         }
 
         let mut fp =
@@ -96,8 +95,7 @@ proptest! {
 
         for _ in 0..fine_moves {
             let c = rng.gen_range(0..fine.num_cells()) as VertexId;
-            cache.record_move(&fine, &fp, c);
-            fp.move_cell(&fine, c);
+            cache.move_cell(&fine, &mut fp, c);
         }
         assert_cache_matches_fresh(&cache, &fine, &fp)?;
     }

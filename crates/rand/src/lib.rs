@@ -236,23 +236,29 @@ pub trait UniformSampler: sealed::Sealed + Copy + PartialOrd {
     fn sample_below<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self;
 }
 
+/// A value uniform in `[0, span)`, `span >= 1`, by widening-multiply
+/// rejection sampling (Lemire): unbiased and branch-light. A draw is
+/// rejected when the low half of `x · span` falls below `2^64 mod span`;
+/// that remainder is below `span`, so it is computed only in the rare
+/// case that the low half is below `span` itself.
+fn sample_offset<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
+    debug_assert!(span > 0, "gen_range called with an empty range");
+    let mut m = u128::from(rng.next_u64()) * u128::from(span);
+    if (m as u64) < span {
+        let reject_below = span.wrapping_neg() % span;
+        while (m as u64) < reject_below {
+            m = u128::from(rng.next_u64()) * u128::from(span);
+        }
+    }
+    (m >> 64) as u64
+}
+
 macro_rules! impl_uniform_int {
     ($($t:ty),*) => {$(
         impl UniformSampler for $t {
             fn sample_below<R: RngCore + ?Sized>(rng: &mut R, low: $t, high: $t) -> $t {
-                let span = (high as i128 - low as i128) as u128;
-                debug_assert!(span > 0, "gen_range called with an empty range");
-                // Widening-multiply rejection sampling (Lemire): unbiased
-                // and branch-light.
-                let zone = u128::from(u64::MAX) + 1;
-                let reject_below = zone % span;
-                loop {
-                    let x = u128::from(rng.next_u64());
-                    let m = x * span;
-                    if (m % zone) >= reject_below || reject_below == 0 {
-                        return (low as i128 + (m / zone) as i128) as $t;
-                    }
-                }
+                let span = (high as i128 - low as i128) as u64;
+                (low as i128 + i128::from(sample_offset(rng, span))) as $t
             }
         }
     )*};
@@ -282,7 +288,10 @@ macro_rules! impl_inclusive_range {
                 if low == <$t>::MIN && high == <$t>::MAX {
                     return StandardSample::sample_standard(rng);
                 }
-                <$t>::sample_below(rng, low, high + 1)
+                // Not the full range, so the span fits a u64 even
+                // where `high + 1` would overflow.
+                let span = (high as i128 - low as i128 + 1) as u64;
+                (low as i128 + i128::from(sample_offset(rng, span))) as $t
             }
         }
     )*};
@@ -489,6 +498,64 @@ mod tests {
             let f: f64 = rng.gen_range(0.25..0.5);
             assert!((0.25..0.5).contains(&f));
         }
+    }
+
+    /// The sampler before its nearly divisionless form: the rejection
+    /// threshold `2^64 mod span` as a `u128` remainder on every draw.
+    fn sample_offset_reference<R: RngCore>(rng: &mut R, span: u64) -> u64 {
+        let span = u128::from(span);
+        let zone = u128::from(u64::MAX) + 1;
+        let reject_below = zone % span;
+        loop {
+            let m = u128::from(rng.next_u64()) * span;
+            if (m % zone) >= reject_below || reject_below == 0 {
+                return (m / zone) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn sample_offset_matches_the_reference_draw_for_draw() {
+        let mut spans = vec![1u64, 2, 3, 5, 7, 10, 100, 1000, 12_345];
+        spans.extend([
+            1 << 32,
+            (1 << 32) + 1,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+        ]);
+        spans.extend([u64::MAX / 3, u64::MAX - 1, u64::MAX]);
+        let mut rng = StdRng::seed_from_u64(1989);
+        let mut reference = rng.clone();
+        for (i, &span) in spans.iter().cycle().take(spans.len() * 500).enumerate() {
+            let got = super::sample_offset(&mut rng, span);
+            let want = sample_offset_reference(&mut reference, span);
+            assert_eq!(got, want, "draw {i}, span {span}");
+            assert!(got < span);
+            // Same number of generator words consumed.
+            assert_eq!(rng, reference, "draw {i}, span {span}");
+        }
+    }
+
+    #[test]
+    fn inclusive_ranges_ending_at_max() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut seen = [false; 256];
+        for _ in 0..20_000 {
+            let x: u8 = rng.gen_range(1..=u8::MAX);
+            assert!(x >= 1);
+            seen[x as usize] = true;
+        }
+        assert!(!seen[0] && seen[1..].iter().all(|&s| s));
+        let mut top = [false; 3];
+        for _ in 0..200 {
+            let y: u64 = rng.gen_range(u64::MAX - 2..=u64::MAX);
+            top[(u64::MAX - y) as usize] = true;
+            assert!(rng.gen_range(1..=u64::MAX) >= 1);
+            let z: i64 = rng.gen_range(i64::MAX - 1..=i64::MAX);
+            assert!(z >= i64::MAX - 1);
+        }
+        assert_eq!(top, [true; 3]);
     }
 
     #[test]
