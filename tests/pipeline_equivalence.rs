@@ -12,26 +12,28 @@ use bisect_bench::runner::run_best_of_sides;
 use bisect_bench::Suite;
 use bisect_core::bisector::{Bisector, Refiner};
 use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
+use bisect_core::gain_cache::GainCache;
 use bisect_core::kl::KernighanLin;
 use bisect_core::netlist::{
-    recursive_placement_counted, NetlistFm, NetlistPipeline, ParallelCellMatching,
-    ParallelNetlistFm,
+    rebalance_fixed, recursive_placement_counted, NetlistBisection, NetlistFm, NetlistGainCache,
+    NetlistPipeline, ParallelCellMatching, ParallelNetlistFm,
 };
 use bisect_core::par_fm::ParallelFm;
-use bisect_core::partition::Side;
+use bisect_core::partition::{rebalance, rebalance_with_cache, Bisection, Side};
 use bisect_core::pipeline::{CoarsenDepth, ParallelMatching, Pipeline, DEFAULT_COARSEST_SIZE};
 use bisect_core::sa::SimulatedAnnealing;
+use bisect_core::seed;
 use bisect_core::workspace::Workspace;
 use bisect_gen::gbreg::{self, GbregParams};
 use bisect_gen::gnp::{self, GnpParams};
 use bisect_gen::netlist::{self, RentNetlistParams};
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::special;
-use bisect_graph::hypergraph::Netlist;
-use bisect_graph::{Graph, VertexId};
+use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
+use bisect_graph::{Graph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// FNV-1a over the side bits — the fingerprint used when the golden
 /// values were captured from the pre-refactor tree.
@@ -571,4 +573,315 @@ fn golden_parallel_graph_ladder_with_a_coarsest_refiner() {
     assert_eq!(b.cut(), b.recompute_cut(&g));
     let actual = (b.cut(), work, sides_fingerprint(b.sides()));
     assert_eq!(actual, (12, 4, 0x5ad233c3cec3290d), "{actual:?}");
+}
+
+// ---------------------------------------------------------------------
+// Balance pins: absolute values captured while graphs and netlists
+// still carried separate tolerance rules, start draws and rebalances.
+// A rebalance pin is `(cut, moves, side fingerprint)`, with `moves` the
+// number of cells whose side changed; a draw pin carries the weight
+// imbalance in the middle slot instead.
+// ---------------------------------------------------------------------
+
+/// `(cut, moves or imbalance, side fingerprint)`.
+type BalancePin = (u64, u64, u64);
+
+/// A `Gnp(n, 6/n)` sample with vertex weights drawn from
+/// `1..=max_weight` and edge weights from `1..=3`.
+fn weighted_gnp(n: usize, max_weight: u64, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let params = GnpParams::new(n, 6.0 / n as f64).expect("feasible parameters");
+    let base = gnp::sample(&mut rng, &params);
+    let mut b = GraphBuilder::new(n);
+    for v in base.vertices() {
+        b.set_vertex_weight(v, rng.gen_range(1..=max_weight))
+            .expect("vertex in range");
+    }
+    for (u, v, _) in base.edges() {
+        b.add_weighted_edge(u, v, rng.gen_range(1..=3u64))
+            .expect("edge in range");
+    }
+    b.build()
+}
+
+/// [`rent_netlist`] with cell weights drawn from `1..=max_weight`.
+fn weighted_rent(cells: usize, max_weight: u64, seed: u64) -> Netlist {
+    let base = rent_netlist(cells, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = NetlistBuilder::new(cells);
+    for c in base.cells() {
+        b.set_cell_weight(c, rng.gen_range(1..=max_weight))
+            .expect("cell in range");
+    }
+    for n in base.net_ids() {
+        b.add_weighted_net(base.pins(n), base.net_weight(n))
+            .expect("pins in range");
+    }
+    b.build()
+}
+
+/// A start far out of balance: each cell lands on side B with
+/// probability `lean`.
+fn lopsided(cells: usize, lean: f64, rng: &mut StdRng) -> Vec<bool> {
+    (0..cells).map(|_| rng.gen_bool(lean)).collect()
+}
+
+/// The number of cells whose side differs between `a` and `b`.
+fn moved(a: &[bool], b: &[bool]) -> u64 {
+    a.iter().zip(b).filter(|(x, y)| x != y).count() as u64
+}
+
+/// Whether side A is the heavier side of `weights`, or `None` when the
+/// sides weigh the same.
+fn heavy_a(weights: [u64; 2]) -> Option<bool> {
+    (weights[0] != weights[1]).then_some(weights[0] > weights[1])
+}
+
+/// Vertex weights 4, 1, 1 with one edge between the light vertices,
+/// all on side A: the best candidate, the edgeless heavy vertex,
+/// overshoots to 2 | 4.
+fn flip_graph() -> Graph {
+    let mut b = GraphBuilder::new(3);
+    b.set_vertex_weight(0, 4).expect("vertex in range");
+    b.add_edge(1, 2).expect("edge in range");
+    b.build()
+}
+
+/// Rebalances `start` with and without a gain cache, checks that both
+/// agree, reach balance and keep the cache exact, and returns the
+/// result with its pin.
+fn graph_rebalance(g: &Graph, start: &Bisection) -> (Bisection, BalancePin) {
+    let mut plain = start.clone();
+    rebalance(g, &mut plain);
+    let mut cached = start.clone();
+    let mut cache = GainCache::default();
+    cache.init(g, &cached);
+    rebalance_with_cache(g, &mut cached, &mut cache);
+    assert_eq!(plain, cached);
+    assert!(plain.is_balanced(g));
+    assert_eq!(plain.cut(), plain.recompute_cut(g));
+    for v in g.vertices() {
+        assert_eq!(cache.gain(v), cached.gain(g, v));
+    }
+    let pin = (
+        plain.cut(),
+        moved(start.sides(), plain.sides()),
+        sides_fingerprint(plain.sides()),
+    );
+    (plain, pin)
+}
+
+#[test]
+fn golden_graph_rebalances_from_lopsided_starts() {
+    let mut actual: Vec<BalancePin> = Vec::new();
+    let mut flips = 0;
+    let side_weights = |p: &Bisection| [p.weight(Side::A), p.weight(Side::B)];
+    let cases = [
+        (200, 1, 0),
+        (201, 1, 1),
+        (300, 3, 0),
+        (150, 40, 3),
+        (40, 100, 0),
+    ];
+    for &(n, max_weight, seed) in &cases {
+        let g = weighted_gnp(n, max_weight, 0xBA1 + seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for lean in [0.7, 0.1] {
+            let start = Bisection::from_sides(&g, lopsided(n, lean, &mut rng)).unwrap();
+            assert!(!start.is_balanced(&g), "n = {n}");
+            let (end, pin) = graph_rebalance(&g, &start);
+            if heavy_a(side_weights(&end)).is_some_and(|a| Some(a) != heavy_a(side_weights(&start)))
+            {
+                flips += 1;
+            }
+            actual.push(pin);
+        }
+    }
+    let g = flip_graph();
+    let (end, pin) = graph_rebalance(&g, &Bisection::from_sides(&g, vec![false; 3]).unwrap());
+    assert_eq!(side_weights(&end), [2, 4]);
+    actual.push(pin);
+    assert!(flips > 0, "some random start must flip the heavy side");
+    assert_eq!(
+        actual,
+        [
+            (343, 43, 0xf2dec7c457f08633),
+            (282, 78, 0xd1d6d0e81fec9b17),
+            (435, 47, 0x5defcd422d30a833),
+            (349, 79, 0x2b85713ccbb9b64c),
+            (545, 69, 0xc7c253ae8daa8e77),
+            (419, 124, 0x11df0d972e3cc25a),
+            (233, 26, 0x73496858096cbaad),
+            (185, 63, 0x6bcb82208413e345),
+            (69, 12, 0x84a4dc6a6f3ef08f),
+            (67, 14, 0xf41f42f7aaea1228),
+            (0, 1, 0xea9ca31875dc4b97),
+        ],
+        "{actual:#x?}"
+    );
+}
+
+#[test]
+fn golden_netlist_rebalances_from_lopsided_starts() {
+    let mut actual: Vec<BalancePin> = Vec::new();
+    let mut flips = 0;
+    let cases = [
+        (200, 1, 0),
+        (301, 1, 1),
+        (400, 9, 3),
+        (60, 40, 1),
+        (100, 20, 0),
+    ];
+    for (i, &(cells, max_weight, seed)) in cases.iter().enumerate() {
+        let nl = weighted_rent(cells, max_weight, 0xBA1 + seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for lean in [0.7, 0.1] {
+            let start = NetlistBisection::from_sides(&nl, lopsided(cells, lean, &mut rng)).unwrap();
+            assert!(!start.is_balanced(&nl), "case {i}");
+            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_bool(0.1)).collect();
+            for fixed in [&[][..], &fixed[..]] {
+                let mut plain = start.clone();
+                rebalance_fixed(&nl, &mut plain, fixed);
+                let mut cached = start.clone();
+                let mut cache = NetlistGainCache::default();
+                cache.init(&nl, &cached);
+                bisect_core::netlist::rebalance_with_cache(&nl, &mut cached, fixed, &mut cache);
+                assert_eq!(plain, cached, "case {i}");
+                assert_eq!(plain.cut(), plain.recompute_cut(&nl), "case {i}");
+                for c in nl.cells() {
+                    assert_eq!(cache.gain(c), cached.gain(&nl, c), "case {i}");
+                    if fixed.get(c as usize) == Some(&true) {
+                        assert_eq!(plain.side(c), start.side(c), "case {i} moved {c}");
+                    }
+                }
+                let side_weights = |p: &NetlistBisection| [p.weight(Side::A), p.weight(Side::B)];
+                if heavy_a(side_weights(&plain))
+                    .is_some_and(|a| Some(a) != heavy_a(side_weights(&start)))
+                {
+                    flips += 1;
+                }
+                actual.push((
+                    plain.cut(),
+                    moved(start.sides(), plain.sides()),
+                    sides_fingerprint(plain.sides()),
+                ));
+            }
+        }
+    }
+    assert!(flips > 0, "some random start must flip the heavy side");
+    assert_eq!(
+        actual,
+        [
+            (99, 43, 0x322cba2541c57a25),
+            (108, 43, 0x4a57dac45c6650e3),
+            (34, 87, 0x8825798a66166331),
+            (68, 87, 0x6a71742f019304c9),
+            (145, 66, 0x52918f52951fd6e9),
+            (158, 66, 0x5ff09670d3c3e837),
+            (83, 121, 0x669167552054fc06),
+            (131, 121, 0x7e7ca0972d3e0508),
+            (254, 69, 0x83a656506ac0f377),
+            (265, 66, 0x899dc68f9943a828),
+            (75, 164, 0x79cfa59b8e6ccd98),
+            (142, 170, 0xaa223e71f0022d5a),
+            (26, 16, 0x521c9b5520c28749),
+            (29, 15, 0x120592c44249cabe),
+            (15, 26, 0xbd0213a394e6734e),
+            (16, 25, 0x68f3ffc6ab631561),
+            (28, 35, 0x965929665b419802),
+            (35, 34, 0x4e509b846bcfd477),
+            (27, 43, 0xd1fbcf79809d6d52),
+            (34, 43, 0x1c1403d3696a1fc0),
+        ],
+        "{actual:#x?}"
+    );
+}
+
+#[test]
+fn golden_start_draws() {
+    let g = weighted_gnp(101, 5, 0xD4A);
+    let nl = weighted_rent(301, 5, 0xD4A);
+    let mut actual: Vec<BalancePin> = Vec::new();
+    for seed in 1..=3u64 {
+        let rng = || StdRng::seed_from_u64(seed);
+        for p in [
+            seed::random_balanced(&g, &mut rng()),
+            seed::weight_balanced_random(&g, &mut rng()),
+        ] {
+            assert_eq!(p.cut(), p.recompute_cut(&g));
+            actual.push((p.cut(), p.weight_imbalance(), sides_fingerprint(p.sides())));
+        }
+        for p in [
+            NetlistBisection::random_balanced(&nl, &mut rng()),
+            bisect_core::netlist::weight_balanced_random(&nl, &mut rng()),
+        ] {
+            assert_eq!(p.cut(), p.recompute_cut(&nl));
+            actual.push((p.cut(), p.weight_imbalance(), sides_fingerprint(p.sides())));
+        }
+    }
+    assert_eq!(
+        actual,
+        [
+            (346, 4, 0x3036da8b01f6830a),
+            (331, 0, 0xde3e460978594ead),
+            (290, 21, 0xd808b53ea0483436),
+            (280, 3, 0x784530ac02739d16),
+            (288, 10, 0x1ea1cf9f4ac67bec),
+            (324, 2, 0xa98a20d525fe6f32),
+            (306, 15, 0xe63bfd978e86a776),
+            (287, 1, 0xb17c5f0388c3f947),
+            (323, 12, 0x781971baf3e5e83e),
+            (347, 2, 0xcc3d21ba3f696390),
+            (288, 3, 0x440aff539cbdb1f4),
+            (294, 3, 0xa7938c6e8a0c8f0e),
+        ],
+        "{actual:#x?}"
+    );
+}
+
+#[test]
+fn golden_balance_on_unit_vertices_with_weighted_edges() {
+    // Unit vertex weights, edge weights 1..=3: the side imbalance has
+    // the parity of n, so only exact halves are balanced at even n and
+    // only the two near-halves at odd n.
+    for n in [10usize, 11] {
+        let mut b = GraphBuilder::new(n);
+        for v in 1..n as VertexId {
+            b.add_weighted_edge(v - 1, v, 1 + u64::from(v % 3))
+                .expect("edge in range");
+        }
+        let g = b.build();
+        let balanced: Vec<usize> = (0..=n)
+            .filter(|&k| {
+                let sides = (0..n).map(|v| v < k).collect();
+                Bisection::from_sides(&g, sides).unwrap().is_balanced(&g)
+            })
+            .collect();
+        let expected = if n % 2 == 0 {
+            vec![n / 2]
+        } else {
+            vec![n / 2, n / 2 + 1]
+        };
+        assert_eq!(balanced, expected, "n = {n}");
+    }
+    // FM runs its pass and prefix tolerances on such a graph.
+    let g = weighted_gnp(120, 1, 0xF3);
+    let mut actual: Vec<BalancePin> = Vec::new();
+    for seed in 1..=3u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let init = seed::random_balanced(&g, &mut rng);
+        let (p, passes) =
+            FiducciaMattheyses::new().refine_counted(&g, init, &mut rng, &mut Workspace::new());
+        assert!(p.is_balanced(&g));
+        actual.push((p.cut(), passes, sides_fingerprint(p.sides())));
+    }
+    assert_eq!(
+        actual,
+        [
+            (159, 3, 0x3183e91fe289b3cf),
+            (160, 2, 0x747a73b51320a8d1),
+            (157, 2, 0xc4018275777b11f7),
+        ],
+        "{actual:#x?}"
+    );
 }
