@@ -28,8 +28,9 @@
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
+use crate::balance::Tolerance;
 use crate::bisector::{Bisector, Refiner};
-use crate::partition::{self, Bisection, Side};
+use crate::partition::{Bisection, Side};
 use crate::seed;
 use crate::workspace::Workspace;
 
@@ -264,10 +265,9 @@ fn refine_with_cache(
 }
 
 /// Per-refine O(V) setup: bucket reset, work mirror, locked/touched
-/// clearing. Returns the `(base, pass)` tolerances of
-/// [`partition::move_tolerances`]; each pass afterwards touches only
-/// what it seeds and reaches.
-fn prepare(g: &Graph, p: &Bisection, ws: &mut Workspace) -> (u64, u64) {
+/// clearing. Returns the level's balance [`Tolerance`]; each pass
+/// afterwards touches only what it seeds and reaches.
+fn prepare(g: &Graph, p: &Bisection, ws: &mut Workspace) -> Tolerance {
     let n = g.num_vertices();
     let max_wdeg = g
         .vertices()
@@ -287,7 +287,7 @@ fn prepare(g: &Graph, p: &Bisection, ws: &mut Workspace) -> (u64, u64) {
     ws.locked.clear();
     ws.locked.resize(n, false);
     ws.fm_touched.clear();
-    partition::move_tolerances(g)
+    Tolerance::of(g)
 }
 
 /// One FM pass. On entry and exit: `ws.gain_cache` is exact for
@@ -295,13 +295,7 @@ fn prepare(g: &Graph, p: &Bisection, ws: &mut Workspace) -> (u64, u64) {
 /// `ws.locked` is all-false, `ws.fm_touched` is empty.
 // lint: allow(no-panic) — pass-loop expects: prepare populated fm_work
 // before any pass, and `choice` is Some only when that bucket had a peek.
-fn fm_pass(
-    g: &Graph,
-    p: &mut Bisection,
-    ws: &mut Workspace,
-    (base_tol, pass_tol): (u64, u64),
-    seeds: Seeds,
-) -> u64 {
+fn fm_pass(g: &Graph, p: &mut Bisection, ws: &mut Workspace, tol: Tolerance, seeds: Seeds) -> u64 {
     let cache = &ws.gain_cache;
     let buckets = &mut ws.fm_buckets;
     let touched = &mut ws.fm_touched;
@@ -331,14 +325,7 @@ fn fm_pass(
             let Some((gain, v)) = buckets[side.index()].peek_best() else {
                 continue;
             };
-            let w = g.vertex_weight(v) as i64;
-            let imb = work.weight(Side::A) as i64 - work.weight(Side::B) as i64;
-            let new_imb = if side == Side::A {
-                imb - 2 * w
-            } else {
-                imb + 2 * w
-            };
-            if new_imb.unsigned_abs() > pass_tol {
+            if !tol.fits(g, work, v) {
                 continue;
             }
             // Prefer higher gain; tie-break toward the heavier side
@@ -364,7 +351,7 @@ fn fm_pass(
         running += gain;
         moves.push(v);
         cumulative.push(running);
-        balanced_after.push(work.weight_imbalance() <= base_tol);
+        balanced_after.push(work.weight_imbalance() <= tol.base);
 
         for (u, w) in g.neighbors_weighted(v) {
             if locked[u as usize] {

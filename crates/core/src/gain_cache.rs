@@ -25,6 +25,7 @@
 
 use bisect_graph::{Graph, VertexId};
 
+use crate::balance::RebalanceHeap;
 use crate::partition::{Bisection, Side};
 
 /// Per-vertex gain cache with per-side member index arrays and an
@@ -63,15 +64,88 @@ pub struct GainCache {
     members: [Vec<VertexId>; 2],
     /// `pos[v]` = index of `v` within its side's member list.
     pos: Vec<u32>,
-    /// The boundary vertices, each exactly once.
-    boundary: Vec<VertexId>,
-    /// `bpos[v]` = index of `v` within `boundary`; `u32::MAX` = not a
-    /// boundary vertex.
-    bpos: Vec<u32>,
-    /// Scratch for [`GainCache::project`]: a spare `bpos`. `project`
-    /// rebuilds `bpos` in it while the coarse level's `bpos` still
-    /// marks the coarse boundary.
-    spare_bpos: Vec<u32>,
+    /// The vertices with `ext > 0`.
+    boundary: BoundarySet,
+    /// Scratch for [`crate::partition::rebalance_with_cache`].
+    pub(crate) rebalance_heap: RebalanceHeap,
+}
+
+/// The cut boundary as a dense list with an O(1) position index, in
+/// [`GainCache`] and [`NetlistGainCache`](crate::netlist::NetlistGainCache).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BoundarySet {
+    /// The boundary cells, each once, in an order that is a pure
+    /// function of the update history.
+    list: Vec<VertexId>,
+    /// `pos[c]` = index of `c` in `list`; `u32::MAX` = not present.
+    pos: Vec<u32>,
+    /// The index [`BoundarySet::take_coarse`] rebuilds the set in.
+    spare_pos: Vec<u32>,
+}
+
+impl BoundarySet {
+    /// Empties the set for a level of `n` cells.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.list.clear();
+        self.pos.clear();
+        self.pos.resize(n, u32::MAX);
+    }
+
+    /// The boundary cells, each exactly once.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[VertexId] {
+        &self.list
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, c: VertexId) -> bool {
+        self.pos[c as usize] != u32::MAX
+    }
+
+    /// The position of `c` in [`BoundarySet::as_slice`], if present.
+    #[inline]
+    pub(crate) fn index(&self, c: VertexId) -> Option<usize> {
+        let at = self.pos[c as usize];
+        (at != u32::MAX).then_some(at as usize)
+    }
+
+    /// Puts `c` in the set if `on`, else takes it out (moving the last
+    /// cell into its slot); a no-op when `c` is already so.
+    pub(crate) fn set(&mut self, c: VertexId, on: bool) {
+        match (on, self.index(c)) {
+            (true, None) => {
+                self.pos[c as usize] = self.list.len() as u32;
+                self.list.push(c);
+            }
+            (false, Some(at)) => {
+                let removed = self.list.swap_remove(at);
+                debug_assert_eq!(removed, c, "boundary list out of sync");
+                if let Some(&swapped_in) = self.list.get(at) {
+                    self.pos[swapped_in as usize] = at as u32;
+                }
+                self.pos[c as usize] = u32::MAX;
+            }
+            _ => {}
+        }
+    }
+
+    /// Starts rebuilding the set for a finer level: returns the coarse
+    /// set, which answers only [`BoundarySet::contains`], and leaves
+    /// `self` the spare index to [`reset`](BoundarySet::reset). Hand
+    /// the coarse set to [`BoundarySet::recycle`] afterwards.
+    pub(crate) fn take_coarse(&mut self) -> BoundarySet {
+        let pos = std::mem::take(&mut self.pos);
+        self.pos = std::mem::take(&mut self.spare_pos);
+        BoundarySet {
+            pos,
+            ..BoundarySet::default()
+        }
+    }
+
+    /// Keeps a [`BoundarySet::take_coarse`] result's index as the spare.
+    pub(crate) fn recycle(&mut self, coarse: BoundarySet) {
+        self.spare_pos = coarse.pos;
+    }
 }
 
 impl GainCache {
@@ -103,12 +177,9 @@ impl GainCache {
     pub fn project(&mut self, g: &Graph, p: &Bisection, fine_to_coarse: &[VertexId]) {
         let n = g.num_vertices();
         debug_assert_eq!(n, fine_to_coarse.len(), "vertex map does not match graph");
-        let coarse_bpos = std::mem::take(&mut self.bpos);
-        self.bpos = std::mem::take(&mut self.spare_bpos);
-        self.fill(g, p, |v| {
-            coarse_bpos[fine_to_coarse[v] as usize] != u32::MAX
-        });
-        self.spare_bpos = coarse_bpos;
+        let coarse = self.boundary.take_coarse();
+        self.fill(g, p, |v| coarse.contains(fine_to_coarse[v]));
+        self.boundary.recycle(coarse);
         #[cfg(debug_assertions)]
         for v in g.vertices() {
             debug_assert_eq!(
@@ -129,9 +200,7 @@ impl GainCache {
         self.ext.clear();
         self.pos.clear();
         self.pos.resize(n, 0);
-        self.bpos.clear();
-        self.bpos.resize(n, u32::MAX);
-        self.boundary.clear();
+        self.boundary.reset(n);
         for side in &mut self.members {
             side.clear();
         }
@@ -156,8 +225,7 @@ impl GainCache {
             self.gains.push(gain);
             self.ext.push(external);
             if external > 0 {
-                self.bpos[vi] = self.boundary.len() as u32;
-                self.boundary.push(v);
+                self.boundary.set(v, true);
             }
             let side = &mut self.members[p.side(v).index()];
             self.pos[vi] = side.len() as u32;
@@ -183,13 +251,13 @@ impl GainCache {
     /// the init state and the recorded move history.
     #[inline]
     pub fn boundary(&self) -> &[VertexId] {
-        &self.boundary
+        self.boundary.as_slice()
     }
 
     /// Whether `v` is currently a boundary vertex.
     #[inline]
     pub fn is_boundary(&self, v: VertexId) -> bool {
-        self.bpos[v as usize] != u32::MAX
+        self.boundary.contains(v)
     }
 
     /// The position of `v` within [`GainCache::boundary`], if `v` is a
@@ -198,8 +266,7 @@ impl GainCache {
     /// parallel refiner chunks it by position).
     #[inline]
     pub fn boundary_index(&self, v: VertexId) -> Option<usize> {
-        let p = self.bpos[v as usize];
-        (p != u32::MAX).then_some(p as usize)
+        self.boundary.index(v)
     }
 
     /// The cached pair gain `g_ab = g_a + g_b − 2δ(a, b)` for swapping
@@ -232,23 +299,6 @@ impl GainCache {
     #[inline]
     pub fn members(&self, s: Side) -> &[VertexId] {
         &self.members[s.index()]
-    }
-
-    fn boundary_insert(&mut self, v: VertexId) {
-        debug_assert_eq!(self.bpos[v as usize], u32::MAX);
-        self.bpos[v as usize] = self.boundary.len() as u32;
-        self.boundary.push(v);
-    }
-
-    fn boundary_remove(&mut self, v: VertexId) {
-        let at = self.bpos[v as usize] as usize;
-        debug_assert_ne!(at as u32, u32::MAX);
-        let removed = self.boundary.swap_remove(at);
-        debug_assert_eq!(removed, v, "boundary list out of sync");
-        if let Some(&swapped_in) = self.boundary.get(at) {
-            self.bpos[swapped_in as usize] = at as u32;
-        }
-        self.bpos[v as usize] = u32::MAX;
     }
 
     /// Updates the cache for `v` moving to the other side, in
@@ -296,7 +346,7 @@ impl GainCache {
                 self.gains[ui] += 2 * wi;
                 if TRACK {
                     if self.ext[ui] == 0 {
-                        self.boundary_insert(u);
+                        self.boundary.set(u, true);
                     }
                     self.ext[ui] += w;
                 }
@@ -305,19 +355,13 @@ impl GainCache {
                 if TRACK {
                     self.ext[ui] -= w;
                     if self.ext[ui] == 0 {
-                        self.boundary_remove(u);
+                        self.boundary.set(u, false);
                     }
                 }
             }
         }
         if TRACK {
-            if new_ext_v > 0 {
-                if self.bpos[vi] == u32::MAX {
-                    self.boundary_insert(v);
-                }
-            } else if self.bpos[vi] != u32::MAX {
-                self.boundary_remove(v);
-            }
+            self.boundary.set(v, new_ext_v > 0);
             self.ext[vi] = new_ext_v;
         }
         let oi = old.index();

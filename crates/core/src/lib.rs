@@ -81,6 +81,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod balance;
 pub mod bisector;
 pub mod degree2;
 pub mod error;

@@ -13,10 +13,11 @@
 use bisect_graph::hypergraph::Netlist;
 use rand::RngCore;
 
+use crate::balance::Tolerance;
 use crate::partition::Side;
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistRefiner, Tolerance};
+use super::{gain_term, NetlistBisection, NetlistRefiner};
 
 /// Fiduccia-Mattheyses on netlists.
 ///
@@ -153,14 +154,7 @@ impl NetlistFm {
                 let Some((gain, c)) = buckets[side.index()].peek_best() else {
                     continue;
                 };
-                let w = nl.cell_weight(c) as i64;
-                let imb = work.weight(Side::A) as i64 - work.weight(Side::B) as i64;
-                let new_imb = if side == Side::A {
-                    imb - 2 * w
-                } else {
-                    imb + 2 * w
-                };
-                if new_imb.unsigned_abs() > tol.pass {
+                if !tol.fits(nl, work, c) {
                     continue;
                 }
                 let heavier = work.weight(side) >= work.weight(side.other());

@@ -13,13 +13,12 @@
 //! an uncoarsening step without an O(cells + pins) rebuild for interior
 //! cells, mirroring the graph-side projection contract.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use bisect_graph::hypergraph::Netlist;
 use bisect_graph::VertexId;
 
 use super::{gain_term, NetlistBisection};
+use crate::balance::RebalanceHeap;
+use crate::gain_cache::BoundarySet;
 
 /// Per-cell gains, cut degrees, and the cell boundary of a netlist
 /// bisection, maintained incrementally. Lives in the
@@ -32,17 +31,10 @@ pub struct NetlistGainCache {
     gains: Vec<i64>,
     /// Number of cut nets incident to each cell.
     cut_nets: Vec<u32>,
-    /// Cells with at least one cut net, in insertion order.
-    boundary: Vec<VertexId>,
-    /// Position of each cell in `boundary`; `u32::MAX` = interior.
-    bpos: Vec<u32>,
-    /// Scratch for [`NetlistGainCache::project`]: a spare `bpos`. `project`
-    /// rebuilds `bpos` in it while the coarse level's `bpos` still
-    /// marks the coarse boundary.
-    spare_bpos: Vec<u32>,
-    /// Scratch for [`super::rebalance_with_cache`]: its lazy max-heap
-    /// of `(gain, Reverse(cell))` candidates.
-    pub(super) rebalance_heap: BinaryHeap<(i64, Reverse<VertexId>)>,
+    /// Cells with at least one cut net.
+    boundary: BoundarySet,
+    /// Scratch for [`super::rebalance_with_cache`].
+    pub(crate) rebalance_heap: RebalanceHeap,
 }
 
 impl NetlistGainCache {
@@ -63,14 +55,14 @@ impl NetlistGainCache {
 
     /// Whether cell `c` has a cut net.
     pub fn is_boundary(&self, c: VertexId) -> bool {
-        self.bpos[c as usize] != u32::MAX
+        self.boundary.contains(c)
     }
 
     /// The cells with at least one cut net, in insertion order. The
     /// order is deterministic (it depends only on the move history),
     /// but otherwise unspecified.
     pub fn boundary(&self) -> &[VertexId] {
-        &self.boundary
+        self.boundary.as_slice()
     }
 
     /// The position of cell `c` in [`NetlistGainCache::boundary`], or
@@ -79,24 +71,7 @@ impl NetlistGainCache {
     /// boundary-seeded parallel refiner chunks it by position).
     #[inline]
     pub fn boundary_index(&self, c: VertexId) -> Option<usize> {
-        let p = self.bpos[c as usize];
-        (p != u32::MAX).then_some(p as usize)
-    }
-
-    fn boundary_insert(&mut self, c: VertexId) {
-        debug_assert_eq!(self.bpos[c as usize], u32::MAX);
-        self.bpos[c as usize] = self.boundary.len() as u32;
-        self.boundary.push(c);
-    }
-
-    fn boundary_remove(&mut self, c: VertexId) {
-        let pos = self.bpos[c as usize] as usize;
-        debug_assert!(pos < self.boundary.len());
-        self.boundary.swap_remove(pos);
-        if let Some(&moved) = self.boundary.get(pos) {
-            self.bpos[moved as usize] = pos as u32;
-        }
-        self.bpos[c as usize] = u32::MAX;
+        self.boundary.index(c)
     }
 
     /// Moves cell `c` of `p` to the other side and keeps the cache
@@ -141,14 +116,14 @@ impl NetlistGainCache {
                 match (was_cut, now_cut) {
                     (false, true) => {
                         if self.cut_nets[qi] == 0 {
-                            self.boundary_insert(q);
+                            self.boundary.set(q, true);
                         }
                         self.cut_nets[qi] += 1;
                     }
                     (true, false) => {
                         self.cut_nets[qi] -= 1;
                         if self.cut_nets[qi] == 0 {
-                            self.boundary_remove(q);
+                            self.boundary.set(q, false);
                         }
                     }
                     _ => {}
@@ -156,14 +131,9 @@ impl NetlistGainCache {
             }
         }
         p.flip(nl, c);
-        let was_boundary = self.bpos[ci] != u32::MAX;
         self.gains[ci] = new_gain;
         self.cut_nets[ci] = new_cut;
-        if new_cut > 0 && !was_boundary {
-            self.boundary_insert(c);
-        } else if new_cut == 0 && was_boundary {
-            self.boundary_remove(c);
-        }
+        self.boundary.set(c, new_cut > 0);
     }
 
     /// Projects the cache through one uncoarsening step: on entry it is
@@ -180,12 +150,9 @@ impl NetlistGainCache {
     /// exactly.
     pub fn project(&mut self, nl: &Netlist, p: &NetlistBisection, fine_to_coarse: &[VertexId]) {
         debug_assert_eq!(nl.num_cells(), fine_to_coarse.len());
-        let coarse_bpos = std::mem::take(&mut self.bpos);
-        self.bpos = std::mem::take(&mut self.spare_bpos);
-        self.fill(nl, p, |c| {
-            coarse_bpos[fine_to_coarse[c] as usize] != u32::MAX
-        });
-        self.spare_bpos = coarse_bpos;
+        let coarse = self.boundary.take_coarse();
+        self.fill(nl, p, |c| coarse.contains(fine_to_coarse[c]));
+        self.boundary.recycle(coarse);
         #[cfg(debug_assertions)]
         for c in nl.cells() {
             debug_assert_eq!(
@@ -203,9 +170,7 @@ impl NetlistGainCache {
     fn fill(&mut self, nl: &Netlist, p: &NetlistBisection, rescan: impl Fn(usize) -> bool) {
         self.gains.clear();
         self.cut_nets.clear();
-        self.bpos.clear();
-        self.bpos.resize(nl.num_cells(), u32::MAX);
-        self.boundary.clear();
+        self.boundary.reset(nl.num_cells());
         for c in nl.cells() {
             let mut gain = 0i64;
             let mut cut = 0u32;
@@ -228,8 +193,7 @@ impl NetlistGainCache {
             self.gains.push(gain);
             self.cut_nets.push(cut);
             if cut > 0 {
-                self.bpos[c as usize] = self.boundary.len() as u32;
-                self.boundary.push(c);
+                self.boundary.set(c, true);
             }
         }
     }

@@ -24,17 +24,18 @@
 //! * [`recursive_placement`] — recursive k-way bisection with terminal
 //!   propagation, scoring [`NetlistPlacement`]s by net cut and HPWL.
 //!
+//! Balance is shared, not mirrored: the tolerance, the random starts
+//! and the rebalances come from the crate's balance layer (`balance.rs`).
+//!
 //! The `hypergraph_netlist` example and the `placement` benchmark
 //! experiment compare this against bisecting the clique expansion with
 //! graph algorithms.
 
-use std::cmp::Reverse;
-
 use bisect_graph::hypergraph::{NetId, Netlist};
 use bisect_graph::{VertexId, VertexWeight};
-use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
+use crate::balance::{self, Tolerance};
 use crate::partition::{Side, SideLengthError};
 use crate::workspace::Workspace;
 
@@ -151,15 +152,7 @@ impl NetlistBisection {
     /// [`NetlistBisection::is_balanced`]. Seed weighted netlists with
     /// [`weight_balanced_random`] instead.
     pub fn random_balanced<R: Rng + ?Sized>(nl: &Netlist, rng: &mut R) -> NetlistBisection {
-        let n = nl.num_cells();
-        let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
-        perm.shuffle(rng);
-        let mut side = vec![true; n];
-        for &c in &perm[..n.div_ceil(2)] {
-            side[c as usize] = false;
-        }
-        // lint: allow(no-panic) — side was sized to the cell count just above
-        NetlistBisection::from_sides(nl, side).expect("length matches")
+        balance::count_balanced(nl, rng)
     }
 
     /// The side of cell `c`.
@@ -214,7 +207,7 @@ impl NetlistBisection {
     /// Whether side weights differ by at most the parity remainder
     /// (unit weights) or the largest cell weight.
     pub fn is_balanced(&self, nl: &Netlist) -> bool {
-        self.weight_imbalance() <= balance_tolerance(nl)
+        self.weight_imbalance() <= Tolerance::of(nl).base
     }
 
     /// Overwrites `self` with `other`, reusing existing capacity — the
@@ -360,203 +353,29 @@ pub trait NetlistRefiner {
     ) -> (NetlistBisection, u64);
 }
 
-/// Moves minimum-damage cells from the heavier side until the
-/// bisection is balanced — the netlist analogue of
-/// [`crate::partition::rebalance`], used after projecting a coarse
-/// bisection. Cells flagged in `fixed` are never moved. An empty slice
-/// fixes nothing; a short slice treats missing entries as movable.
+/// [`crate::partition::rebalance`] for netlists. Cells flagged in
+/// `fixed` are never moved; missing entries count as movable.
 pub fn rebalance_fixed(nl: &Netlist, p: &mut NetlistBisection, fixed: &[bool]) {
-    let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
-    while !p.is_balanced(nl) {
-        let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-            Side::A
-        } else {
-            Side::B
-        };
-        let imbalance = p.weight_imbalance();
-        let candidate = nl
-            .cells()
-            .filter(|&c| p.side(c) == heavy && !is_fixed(c) && nl.cell_weight(c) < imbalance)
-            .max_by_key(|&c| (p.gain(nl, c), std::cmp::Reverse(c)));
-        match candidate {
-            Some(c) => p.move_cell(nl, c),
-            None => return, // every movable heavy cell is at least the imbalance
-        }
-    }
+    balance::rebalance(nl, p, fixed);
 }
 
-/// The side-weight difference [`NetlistBisection::is_balanced`]
-/// accepts: the parity remainder for unit cell weights, else the
-/// largest cell weight. Depends on the netlist only.
-pub(crate) fn balance_tolerance(nl: &Netlist) -> VertexWeight {
-    let unit = nl.cells().all(|c| nl.cell_weight(c) == 1);
-    if unit {
-        nl.total_cell_weight() % 2
-    } else {
-        nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(0)
-    }
-}
-
-/// Balance tolerances of one refine call, shared by [`NetlistFm`] and
-/// [`ParallelNetlistFm`]: a pass (or resolved round) may leave the
-/// sides `pass` apart, and a kept prefix must end within `base`.
-#[derive(Debug, Clone, Copy)]
-struct Tolerance {
-    /// [`balance_tolerance`].
-    base: VertexWeight,
-    /// `max(base, 2 · largest cell weight)`: moving weight `w` changes
-    /// the side difference by `2w`, so the classic FM criterion lets a
-    /// single move overshoot balance by one cell.
-    pass: VertexWeight,
-}
-
-impl Tolerance {
-    /// Both tolerances for `nl` from one walk over the cell weights.
-    fn of(nl: &Netlist) -> Tolerance {
-        let mut unit = true;
-        let mut max_weight = 0;
-        for c in nl.cells() {
-            let w = nl.cell_weight(c);
-            unit &= w == 1;
-            max_weight = max_weight.max(w);
-        }
-        let base = if unit {
-            nl.total_cell_weight() % 2
-        } else {
-            max_weight
-        };
-        // A netlist without cells keeps the slack of one unit cell.
-        if nl.num_cells() == 0 {
-            max_weight = 1;
-        }
-        Tolerance {
-            base,
-            pass: base.max(2 * max_weight),
-        }
-    }
-}
-
-/// As [`rebalance_fixed`], but reads gains from — and keeps exact — a
-/// [`NetlistGainCache`] that is exact for `(nl, p)` on entry: the
-/// netlist analogue of the graph-side cache-maintaining rebalance used
-/// between projected-cache refinement levels.
-///
-/// Each step moves the same cell the scan of [`rebalance_fixed`] would
-/// pick — the movable heavy-side cell lighter than the imbalance with
-/// the largest `(gain, Reverse(cell))` — but finds it in a lazy
-/// max-heap kept in the cache's arena, so a step costs `O(pins of the
-/// moved cell · log)` rather than `O(cells)`.
+/// [`rebalance_fixed`] on the gains of a [`NetlistGainCache`] exact for
+/// `(nl, p)`, found in a lazy max-heap, making the same moves and
+/// leaving the cache exact.
 pub fn rebalance_with_cache(
     nl: &Netlist,
     p: &mut NetlistBisection,
     fixed: &[bool],
     cache: &mut NetlistGainCache,
 ) {
-    rebalance_with_cache_observed(nl, p, fixed, cache, |_| {});
-}
-
-/// [`rebalance_with_cache`], reporting each moved cell to `on_move`
-/// (the equivalence tests compare the move sequence with the scan).
-fn rebalance_with_cache_observed(
-    nl: &Netlist,
-    p: &mut NetlistBisection,
-    fixed: &[bool],
-    cache: &mut NetlistGainCache,
-    mut on_move: impl FnMut(VertexId),
-) {
-    let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
-    let tolerance = balance_tolerance(nl);
-    let mut heap = std::mem::take(&mut cache.rebalance_heap);
-    // Invariant: every movable cell on the `built_for` side lighter
-    // than the imbalance has an entry carrying its current cached gain.
-    // Entries go stale when the gain changes (a fresher one is pushed),
-    // when the cell moves, or when it stops being lighter than the
-    // imbalance — which only shrinks, so it never becomes eligible
-    // again.
-    let mut built_for: Option<Side> = None;
-    loop {
-        let imbalance = p.weight_imbalance();
-        if imbalance <= tolerance {
-            break;
-        }
-        let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-            Side::A
-        } else {
-            Side::B
-        };
-        if built_for != Some(heavy) {
-            // First step, or the heavy side flipped. (With the
-            // cell-weight tolerance a flip always lands balanced, so
-            // in practice the heap is built once.)
-            heap.clear();
-            heap.extend(
-                nl.cells()
-                    .filter(|&c| {
-                        p.side(c) == heavy && !is_fixed(c) && nl.cell_weight(c) < imbalance
-                    })
-                    .map(|c| (cache.gain(c), Reverse(c))),
-            );
-            built_for = Some(heavy);
-        }
-        let mut pick = None;
-        while let Some((gain, Reverse(c))) = heap.pop() {
-            if gain == cache.gain(c) && p.side(c) == heavy && nl.cell_weight(c) < imbalance {
-                pick = Some(c);
-                break;
-            }
-        }
-        let Some(c) = pick else {
-            break; // every movable heavy cell is at least the imbalance
-        };
-        cache.move_cell(nl, p, c);
-        on_move(c);
-        let imbalance = p.weight_imbalance();
-        for &net in nl.nets_of(c) {
-            for &q in nl.pins(net) {
-                if p.side(q) == heavy && !is_fixed(q) && nl.cell_weight(q) < imbalance {
-                    heap.push((cache.gain(q), Reverse(q)));
-                }
-            }
-        }
-    }
-    heap.clear();
-    cache.rebalance_heap = heap;
+    balance::rebalance_with_cache(nl, p, fixed, cache, |_| {});
 }
 
 /// A random bisection balanced by cell weight (greedy lighter-side
 /// assignment in random order): the start the netlist engine draws on
 /// (coarse) weighted netlists.
 pub fn weight_balanced_random<R: Rng + ?Sized>(nl: &Netlist, rng: &mut R) -> NetlistBisection {
-    weight_balanced_random_fixed(nl, &[], rng)
-}
-
-/// As [`weight_balanced_random`], but each `(cell, side)` in `fixed` is
-/// pinned to its side (and counted toward its weight) before the
-/// movable cells are greedily assigned. Duplicate pairs count once.
-pub(crate) fn weight_balanced_random_fixed<R: Rng + ?Sized>(
-    nl: &Netlist,
-    fixed: &[(VertexId, Side)],
-    rng: &mut R,
-) -> NetlistBisection {
-    let n = nl.num_cells();
-    let mut side = vec![false; n];
-    let mut pinned = vec![false; n];
-    let mut weights = [0u64; 2];
-    for &(c, s) in fixed {
-        if !std::mem::replace(&mut pinned[c as usize], true) {
-            side[c as usize] = s == Side::B;
-            weights[s.index()] += nl.cell_weight(c);
-        }
-    }
-    let mut movable: Vec<VertexId> = nl.cells().filter(|&c| !pinned[c as usize]).collect();
-    movable.shuffle(rng);
-    for &c in &movable {
-        let target = usize::from(weights[1] < weights[0]);
-        side[c as usize] = target == 1;
-        weights[target] += nl.cell_weight(c);
-    }
-    // lint: allow(no-panic) — side was sized to the cell count just above
-    NetlistBisection::from_sides(nl, side).expect("length matches")
+    balance::weight_balanced(nl, &[], rng)
 }
 
 #[cfg(test)]
@@ -600,7 +419,7 @@ mod tests {
     use super::*;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     #[test]
     fn cut_counts_spanning_nets_once() {
@@ -718,160 +537,5 @@ mod tests {
         for c in nl.cells() {
             assert_eq!(cache.gain(c), cached.gain(&nl, c));
         }
-    }
-
-    /// The scan-based selection `rebalance_with_cache` used before its
-    /// lazy heap: an `O(cells)` argmax per move. Kept as the reference
-    /// the heap must match move for move.
-    fn rebalance_with_cache_scan(
-        nl: &Netlist,
-        p: &mut NetlistBisection,
-        fixed: &[bool],
-        cache: &mut NetlistGainCache,
-        moves: &mut Vec<VertexId>,
-    ) {
-        let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
-        while !p.is_balanced(nl) {
-            let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-                Side::A
-            } else {
-                Side::B
-            };
-            let imbalance = p.weight_imbalance();
-            let candidate = nl
-                .cells()
-                .filter(|&c| p.side(c) == heavy && !is_fixed(c) && nl.cell_weight(c) < imbalance)
-                .max_by_key(|&c| (cache.gain(c), Reverse(c)));
-            match candidate {
-                Some(c) => {
-                    cache.move_cell(nl, p, c);
-                    moves.push(c);
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// `nl` with cell weights drawn from `1..=max_weight` and net
-    /// weights from `1..=3`.
-    fn reweighted(nl: &Netlist, max_weight: u64, rng: &mut StdRng) -> Netlist {
-        let mut b = NetlistBuilder::new(nl.num_cells());
-        for c in nl.cells() {
-            b.set_cell_weight(c, rng.gen_range(1..=max_weight)).unwrap();
-        }
-        for n in nl.net_ids() {
-            b.add_weighted_net(nl.pins(n), rng.gen_range(1..=3u64))
-                .unwrap();
-        }
-        b.build()
-    }
-
-    #[test]
-    fn rebalance_with_cache_moves_exactly_like_the_scan() {
-        use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
-        use rand::seq::SliceRandom;
-
-        let mut rng = StdRng::seed_from_u64(2024);
-        // One cache for every heap run: its heap arena is reused across
-        // netlists of different sizes.
-        let mut heap_cache = NetlistGainCache::default();
-        let (mut moved, mut flips) = (0usize, 0usize);
-        for trial in 0..48 {
-            let cells = rng.gen_range(20..400usize);
-            let base = if trial % 2 == 0 {
-                let locality = [0.02, 0.1, 1.0][trial % 3];
-                let params =
-                    RentNetlistParams::new(cells, cells * 14 / 10, 8, 1.8, locality).unwrap();
-                sample_streamed(&mut rng, &params)
-            } else {
-                let mut b = NetlistBuilder::new(cells);
-                let mut pins: Vec<u32> = (0..cells as u32).collect();
-                for _ in 0..cells * 3 / 2 {
-                    pins.shuffle(&mut rng);
-                    b.add_net(&pins[..rng.gen_range(2..=6usize)]).unwrap();
-                }
-                b.build()
-            };
-            let nl = match trial % 4 {
-                0 | 1 => base,
-                _ => reweighted(&base, [2, 9][trial % 8 / 4], &mut rng),
-            };
-            // A lopsided start with ~10% of the cells fixed.
-            let lean = rng.gen_range(0.6..1.0);
-            let sides: Vec<bool> = (0..cells).map(|_| rng.gen_bool(lean)).collect();
-            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_bool(0.1)).collect();
-            let start = NetlistBisection::from_sides(&nl, sides).unwrap();
-
-            let mut scan = start.clone();
-            let mut scan_cache = NetlistGainCache::default();
-            scan_cache.init(&nl, &scan);
-            let mut scan_moves = Vec::new();
-            rebalance_with_cache_scan(&nl, &mut scan, &fixed, &mut scan_cache, &mut scan_moves);
-
-            let mut heap = start.clone();
-            heap_cache.init(&nl, &heap);
-            let mut heap_moves = Vec::new();
-            rebalance_with_cache_observed(&nl, &mut heap, &fixed, &mut heap_cache, |c| {
-                heap_moves.push(c)
-            });
-
-            assert_eq!(heap_moves, scan_moves, "trial {trial}");
-            assert_eq!(heap, scan, "trial {trial}");
-            for c in nl.cells() {
-                assert_eq!(heap_cache.gain(c), heap.gain(&nl, c), "trial {trial}");
-            }
-            moved += heap_moves.len();
-            let signed = |p: &NetlistBisection| p.weight(Side::A).cmp(&p.weight(Side::B));
-            if signed(&start) != signed(&heap) && signed(&heap).is_ne() {
-                flips += 1;
-            }
-        }
-        assert!(moved > 1000, "the corpus must exercise long move sequences");
-        assert!(flips > 0, "some weighted run must flip the heavy side");
-    }
-
-    #[test]
-    fn rebalance_with_cache_follows_a_weighted_flip() {
-        // All 6 units of weight on side A, tolerance 4 (the largest
-        // weight). Cell 0 has no nets, so its gain 0 beats cells 1 and
-        // 2 (gain -1 each): moving it overshoots to 2 | 4.
-        let mut b = NetlistBuilder::new(3);
-        b.set_cell_weight(0, 4).unwrap();
-        b.add_net(&[1, 2]).unwrap();
-        let nl = b.build();
-        let start = NetlistBisection::from_sides(&nl, vec![false; 3]).unwrap();
-        let mut scan = start.clone();
-        let mut cache = NetlistGainCache::default();
-        cache.init(&nl, &scan);
-        let mut scan_moves = Vec::new();
-        rebalance_with_cache_scan(&nl, &mut scan, &[], &mut cache, &mut scan_moves);
-        let mut heap = start;
-        cache.init(&nl, &heap);
-        let mut heap_moves = Vec::new();
-        rebalance_with_cache_observed(&nl, &mut heap, &[], &mut cache, |c| heap_moves.push(c));
-        assert_eq!(scan_moves, vec![0]);
-        assert_eq!(heap_moves, scan_moves);
-        assert_eq!(heap, scan);
-        assert_eq!([heap.weight(Side::A), heap.weight(Side::B)], [2, 4]);
-    }
-
-    #[test]
-    fn weight_balanced_random_fixed_pins_sides() {
-        let nl = two_clusters();
-        let fixed = [(0, Side::B), (3, Side::A)];
-        for seed in 0..8 {
-            let p = weight_balanced_random_fixed(&nl, &fixed, &mut StdRng::seed_from_u64(seed));
-            assert_eq!(p.side(0), Side::B, "seed {seed}");
-            assert_eq!(p.side(3), Side::A, "seed {seed}");
-            assert_eq!(p.cut(), p.recompute_cut(&nl));
-        }
-    }
-
-    #[test]
-    fn weight_balanced_random_empty_fixed_is_plain() {
-        let nl = two_clusters();
-        let a = weight_balanced_random(&nl, &mut StdRng::seed_from_u64(11));
-        let b = weight_balanced_random_fixed(&nl, &[], &mut StdRng::seed_from_u64(11));
-        assert_eq!(a, b);
     }
 }

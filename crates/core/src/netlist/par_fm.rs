@@ -44,10 +44,11 @@ use bisect_graph::hypergraph::{NetId, Netlist};
 use bisect_graph::VertexId;
 use rand::RngCore;
 
+use crate::balance::Tolerance;
 use crate::partition::Side;
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner, Tolerance};
+use super::{gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner};
 
 /// Boundary-chunked parallel Fiduccia–Mattheyses on netlists.
 ///
@@ -207,7 +208,7 @@ impl ParallelNetlistFm {
             if cache.gain(c) <= 0 {
                 continue;
             }
-            if fits(nl, p, c, tol.pass) {
+            if tol.fits(nl, p, c) {
                 buf.apply(nl, p, cache, c, tol.base);
             } else {
                 buf.blocked[p.side(c).index()].push(c);
@@ -237,7 +238,7 @@ impl ParallelNetlistFm {
             let pick = heads
                 .iter()
                 .enumerate()
-                .filter_map(|(s, h)| h.filter(|&(_, c)| fits(nl, p, c, tol.pass)).map(|h| (s, h)))
+                .filter_map(|(s, h)| h.filter(|&(_, c)| tol.fits(nl, p, c)).map(|h| (s, h)))
                 .max_by_key(|&(s, (live, _))| (live, s == heavy));
             match pick {
                 Some((s, (_, c))) => {
@@ -290,18 +291,6 @@ type Resolve = fn(
     &mut ResolveScratch,
     Tolerance,
 ) -> (u64, u64);
-
-/// Whether moving `c` leaves the side weights at most `pass` apart.
-fn fits(nl: &Netlist, p: &NetlistBisection, c: VertexId, pass: u64) -> bool {
-    let w = nl.cell_weight(c) as i64;
-    let imb = p.weight(Side::A) as i64 - p.weight(Side::B) as i64;
-    let new_imb = if p.side(c) == Side::A {
-        imb - 2 * w
-    } else {
-        imb + 2 * w
-    };
-    new_imb.unsigned_abs() <= pass
-}
 
 /// [`ParallelNetlistFm`]'s workspace arena: one [`ChunkScratch`] per
 /// worker plus the serial merge buffers, all reused round to round and
@@ -588,7 +577,7 @@ mod tests {
         let start_cut = p.cut();
         buf.begin(start_cut);
         for &(_, c) in proposals {
-            if cache.gain(c) > 0 && fits(nl, p, c, tol.pass) {
+            if cache.gain(c) > 0 && tol.fits(nl, p, c) {
                 buf.apply(nl, p, cache, c, tol.base);
             }
         }

@@ -23,6 +23,7 @@ use bisect_graph::hypergraph::{
 use bisect_graph::VertexId;
 use rand::RngCore;
 
+use crate::balance::{self, Cells};
 use crate::error::BisectError;
 use crate::partition::Side;
 use crate::pipeline::coarsen::shrinks_enough;
@@ -30,10 +31,7 @@ use crate::pipeline::engine::{self, Level};
 use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
 use crate::workspace::Workspace;
 
-use super::{
-    rebalance_fixed, rebalance_with_cache, weight_balanced_random_fixed, NetlistBisection,
-    NetlistFm, NetlistRefiner, ParallelCellMatching,
-};
+use super::{NetlistBisection, NetlistFm, NetlistGainCache, NetlistRefiner, ParallelCellMatching};
 
 /// A named, reusable netlist bisection pipeline: a [`CoarsenDepth`]
 /// plus a [`NetlistRefiner`], mirroring the graph-side
@@ -233,12 +231,7 @@ impl NetlistPipeline {
 }
 
 impl Level for Netlist {
-    type Part = NetlistBisection;
     type Refiner = dyn NetlistRefiner + Send + Sync;
-
-    fn size(&self) -> usize {
-        self.num_cells()
-    }
 
     fn start(
         &self,
@@ -248,9 +241,9 @@ impl Level for Netlist {
         rng: &mut dyn RngCore,
     ) -> NetlistBisection {
         if fallback && fixed.is_empty() {
-            NetlistBisection::random_balanced(self, rng)
+            balance::count_balanced(self, rng)
         } else {
-            weight_balanced_random_fixed(self, fixed, rng)
+            balance::weight_balanced(self, fixed, rng)
         }
     }
 
@@ -258,20 +251,19 @@ impl Level for Netlist {
         ws.netlist_cache.init(self, p);
     }
 
+    fn cache(ws: &mut Workspace) -> &mut NetlistGainCache {
+        &mut ws.netlist_cache
+    }
+
     fn project(
         &self,
         c: &NetlistContraction,
         p: &NetlistBisection,
-        fixed: &[bool],
         ws: &mut Workspace,
     ) -> NetlistBisection {
-        let sides = c.project_sides(p.sides());
-        let mut projected = NetlistBisection::from_sides(self, sides)
-            // lint: allow(no-panic) — a projection has one side per fine cell
-            .expect("projection covers every fine cell");
+        let projected = self.part(c.project_sides(p.sides()));
         ws.netlist_cache
             .project(self, &projected, c.fine_to_coarse());
-        rebalance_with_cache(self, &mut projected, fixed, &mut ws.netlist_cache);
         projected
     }
 
@@ -288,12 +280,6 @@ impl Level for Netlist {
             refiner.refine_projected_counted(self, fixed, p, rng, ws)
         } else {
             refiner.refine_counted(self, fixed, p, rng, ws)
-        }
-    }
-
-    fn finish(&self, p: &mut NetlistBisection, fixed: &[bool]) {
-        if !p.is_balanced(self) {
-            rebalance_fixed(self, p, fixed);
         }
     }
 }

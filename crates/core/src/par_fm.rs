@@ -48,9 +48,10 @@ use std::collections::BinaryHeap;
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
+use crate::balance::Tolerance;
 use crate::bisector::{Bisector, Refiner};
 use crate::gain_cache::GainCache;
-use crate::partition::{self, Bisection, Side};
+use crate::partition::Bisection;
 use crate::seed;
 use crate::workspace::Workspace;
 
@@ -126,8 +127,8 @@ impl ParallelFm {
         self.threads.unwrap_or_else(bisect_par::num_threads)
     }
 
-    /// One propose/resolve round with the `(base, pass)` tolerances of
-    /// [`partition::move_tolerances`]. `cache` must be exact for
+    /// One propose/resolve round under the level's balance
+    /// [`Tolerance`]. `cache` must be exact for
     /// `(g, p)` on entry and is exact for the updated `p` on exit.
     /// Returns `(cut improvement, gain evaluations)`; an improvement of
     /// zero means the round applied nothing and the refiner is done.
@@ -137,7 +138,7 @@ impl ParallelFm {
         p: &mut Bisection,
         cache: &mut GainCache,
         threads: usize,
-        (base_tol, pass_tol): (u64, u64),
+        tol: Tolerance,
     ) -> (u64, u64) {
         // Full-range mode chunks the vertex ids; boundary mode chunks
         // the boundary list by *position* — no copy, no sort, O(1)
@@ -199,20 +200,13 @@ impl ParallelFm {
             if live <= 0 {
                 continue;
             }
-            let w = g.vertex_weight(v) as i64;
-            let imb = p.weight(Side::A) as i64 - p.weight(Side::B) as i64;
-            let new_imb = if p.side(v) == Side::A {
-                imb - 2 * w
-            } else {
-                imb + 2 * w
-            };
-            if new_imb.unsigned_abs() > pass_tol {
+            if !tol.fits(g, p, v) {
                 continue;
             }
             cache.record_move(g, p, v);
             p.move_vertex_with_gain(g, v, live);
             applied.push(v);
-            if p.weight_imbalance() <= base_tol && p.cut() < best_cut {
+            if p.weight_imbalance() <= tol.base && p.cut() < best_cut {
                 best_prefix = applied.len();
                 best_cut = p.cut();
             }
@@ -398,7 +392,7 @@ impl Refiner for ParallelFm {
             return (init, 0);
         }
         let threads = self.threads();
-        let tol = partition::move_tolerances(g);
+        let tol = Tolerance::of(g);
         let mut productive = 0u64;
         for _ in 0..self.max_rounds {
             let (improvement, evals) = self.round(g, &mut init, &mut ws.gain_cache, threads, tol);

@@ -6,9 +6,13 @@
 //! cut would shrink if it switched sides — is the paper's `g_v`
 //! (§III): the number of edges to the other side minus the number of
 //! edges to its own side, weighted.
+//!
+//! [`Bisection::is_balanced`] and the rebalances come from the crate's
+//! balance layer (`balance.rs`), which netlists share.
 
 use bisect_graph::{EdgeWeight, Graph, VertexId, VertexWeight};
 
+use crate::balance::{self, Cells, Tolerance};
 use crate::gain_cache::GainCache;
 
 /// The two sides of a bisection.
@@ -117,26 +121,7 @@ impl Bisection {
     /// Returns [`SideLengthError`] if `side.len()` differs from the
     /// graph's vertex count.
     pub fn from_sides(g: &Graph, side: Vec<bool>) -> Result<Bisection, SideLengthError> {
-        if side.len() != g.num_vertices() {
-            return Err(SideLengthError {
-                got: side.len(),
-                expected: g.num_vertices(),
-            });
-        }
-        let mut counts = [0usize; 2];
-        let mut weights = [0 as VertexWeight; 2];
-        for v in g.vertices() {
-            let s = side[v as usize] as usize;
-            counts[s] += 1;
-            weights[s] += g.vertex_weight(v);
-        }
-        let cut = compute_cut(g, &side);
-        Ok(Bisection {
-            side,
-            cut,
-            counts,
-            weights,
-        })
+        Bisection::with_cut(g, side, |side| compute_cut(g, side))
     }
 
     /// As [`Bisection::from_sides`], with the cut supplied by the
@@ -154,6 +139,19 @@ impl Bisection {
         side: Vec<bool>,
         cut: EdgeWeight,
     ) -> Result<Bisection, SideLengthError> {
+        Bisection::with_cut(g, side, |side| {
+            debug_assert_eq!(cut, compute_cut(g, side), "caller-supplied cut is wrong");
+            cut
+        })
+    }
+
+    /// The one constructor: checks the length, counts the sides, and
+    /// takes the cut from `cut`.
+    fn with_cut(
+        g: &Graph,
+        side: Vec<bool>,
+        cut: impl FnOnce(&[bool]) -> EdgeWeight,
+    ) -> Result<Bisection, SideLengthError> {
         if side.len() != g.num_vertices() {
             return Err(SideLengthError {
                 got: side.len(),
@@ -167,7 +165,7 @@ impl Bisection {
             counts[s] += 1;
             weights[s] += g.vertex_weight(v);
         }
-        debug_assert_eq!(cut, compute_cut(g, &side), "caller-supplied cut is wrong");
+        let cut = cut(&side);
         Ok(Bisection {
             side,
             cut,
@@ -180,9 +178,7 @@ impl Bisection {
     /// For `Gbreg`/`G2set` instances this is the planted partition.
     pub fn planted(g: &Graph) -> Bisection {
         let n = g.num_vertices();
-        let side: Vec<bool> = (0..n).map(|v| v >= n / 2).collect();
-        // lint: allow(no-panic) — side was built with one entry per vertex, halves exact
-        Bisection::from_sides(g, side).expect("side vector has correct length")
+        g.part((0..n).map(|v| v >= n / 2).collect())
     }
 
     /// The side of vertex `v`.
@@ -228,11 +224,11 @@ impl Bisection {
     }
 
     /// Whether the bisection is balanced: side weights differ by at most
-    /// the parity remainder for unit-weight graphs (`total % 2`), or by
-    /// at most the largest vertex weight for weighted (contracted)
-    /// graphs, where exact balance may be unattainable.
+    /// the parity remainder `n % 2` for unit vertex weights, or by at
+    /// most the largest vertex weight for weighted (contracted) graphs,
+    /// where exact balance may be unattainable.
     pub fn is_balanced(&self, g: &Graph) -> bool {
-        self.weight_imbalance() <= balance_tolerance(g)
+        self.weight_imbalance() <= Tolerance::of(g).base
     }
 
     /// The gain `g_v` of moving `v` to the other side: (weight of edges
@@ -334,9 +330,9 @@ impl Bisection {
 
     /// Vertices on the given side, in increasing id order.
     pub fn members(&self, side: Side) -> Vec<VertexId> {
-        // lint: allow(zero-alloc) — allocating convenience API; hot
-        // paths read `GainCache::members` or use members_into, and the
-        // only hot-entry route here is the end-of-run rebalance fallback.
+        // lint: allow(zero-alloc) — no hot path calls this allocating
+        // API; the lint reaches it by name only, from SA's
+        // `draw_swap_pair`, which calls `GainCache::members`.
         let mut out = Vec::new();
         self.members_into(side, &mut out);
         out
@@ -392,123 +388,18 @@ fn apply_gain(cut: EdgeWeight, gain: i64) -> EdgeWeight {
     }
 }
 
-/// The side-weight difference [`Bisection::is_balanced`] accepts: the
-/// parity remainder for unit-weight graphs, else the largest vertex
-/// weight. Depends on the graph only, and costs O(V + E).
-pub(crate) fn balance_tolerance(g: &Graph) -> VertexWeight {
-    if g.is_unit_weighted() {
-        g.total_vertex_weight() % 2
-    } else {
-        g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(0)
-    }
-}
-
-/// The `(base, pass)` tolerances of one FM-style move sequence. A kept
-/// prefix must end within `base`, the [`balance_tolerance`]. During
-/// the sequence a single move may overshoot balance by one vertex:
-/// moving weight `w` changes the side *difference* by `2w`, so the
-/// classic FM criterion lets the difference reach `pass`, twice the
-/// largest vertex weight. Refiners compute both once per call.
-pub(crate) fn move_tolerances(g: &Graph) -> (VertexWeight, VertexWeight) {
-    let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-    let base = balance_tolerance(g);
-    (base, base.max(2 * max_weight))
-}
-
-/// Moves minimum-damage vertices from the heavier side to the lighter
-/// side until the bisection is balanced (per
-/// [`Bisection::is_balanced`]). Each step moves the vertex with the
-/// best gain among the heavy side; used after projecting a coarse
-/// bisection back to the fine graph, where weight-balance may not
-/// project exactly.
+/// Moves minimum-damage vertices to the lighter side until the
+/// bisection [is balanced](Bisection::is_balanced): each step moves
+/// the best-gain heavy-side vertex lighter than the imbalance.
 pub fn rebalance(g: &Graph, p: &mut Bisection) {
-    let tolerance = balance_tolerance(g);
-    while p.weight_imbalance() > tolerance {
-        let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-            Side::A
-        } else {
-            Side::B
-        };
-        let imbalance = p.weight_imbalance();
-        // Among vertices whose move strictly reduces the imbalance
-        // (weight < imbalance), pick the best gain; such a vertex
-        // always exists because the heavy side holds more than half the
-        // total weight while every single weight is at most half of it
-        // in any graph where is_balanced can fail.
-        let candidate = p
-            .members(heavy)
-            .into_iter()
-            .filter(|&v| 2 * g.vertex_weight(v) < 2 * imbalance)
-            .max_by_key(|&v| (p.gain(g, v), std::cmp::Reverse(v)));
-        match candidate {
-            Some(v) => p.move_vertex(g, v),
-            None => {
-                // Every heavy-side weight is >= the imbalance; moving
-                // the one minimizing the resulting imbalance is the
-                // best achievable, after which we stop.
-                let v = p
-                    .members(heavy)
-                    .into_iter()
-                    .min_by_key(|&v| (2 * g.vertex_weight(v)).abs_diff(imbalance))
-                    // lint: allow(no-panic) — imbalance > 0 implies the heavy side has members
-                    .expect("heavier side is nonempty");
-                if (2 * g.vertex_weight(v)).abs_diff(imbalance) < imbalance {
-                    p.move_vertex(g, v);
-                }
-                return;
-            }
-        }
-    }
+    balance::rebalance(g, p, &[]);
 }
 
-/// [`rebalance`], but selecting over `cache.members` with cached O(1)
-/// gains instead of materializing member lists and paying an O(deg)
-/// gain walk per candidate, and keeping `cache` exact across the moves
-/// it makes. Picks the same vertices as [`rebalance`]: both selection
-/// keys are made injective (ties broken toward the smaller vertex id),
-/// so the unspecified order of `cache.members` cannot change the
-/// outcome.
-///
-/// `cache` must be exact for `(g, p)` on entry; it is exact for the
-/// rebalanced `p` on exit.
+/// [`rebalance`] on cached gains, found in a lazy max-heap, making the
+/// same moves. `cache` must be exact for `(g, p)` on entry; it is exact
+/// for the rebalanced `p` on exit.
 pub fn rebalance_with_cache(g: &Graph, p: &mut Bisection, cache: &mut GainCache) {
-    let tolerance = balance_tolerance(g);
-    while p.weight_imbalance() > tolerance {
-        let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-            Side::A
-        } else {
-            Side::B
-        };
-        let imbalance = p.weight_imbalance();
-        let candidate = cache
-            .members(heavy)
-            .iter()
-            .copied()
-            .filter(|&v| 2 * g.vertex_weight(v) < 2 * imbalance)
-            .max_by_key(|&v| (cache.gain(v), std::cmp::Reverse(v)));
-        match candidate {
-            Some(v) => {
-                let gain = cache.gain(v);
-                cache.record_move(g, p, v);
-                p.move_vertex_with_gain(g, v, gain);
-            }
-            None => {
-                let v = cache
-                    .members(heavy)
-                    .iter()
-                    .copied()
-                    .min_by_key(|&v| ((2 * g.vertex_weight(v)).abs_diff(imbalance), v))
-                    // lint: allow(no-panic) — imbalance > 0 implies the heavy side has members
-                    .expect("heavier side is nonempty");
-                if (2 * g.vertex_weight(v)).abs_diff(imbalance) < imbalance {
-                    let gain = cache.gain(v);
-                    cache.record_move(g, p, v);
-                    p.move_vertex_with_gain(g, v, gain);
-                }
-                return;
-            }
-        }
-    }
+    balance::rebalance_with_cache(g, p, &[], cache, |_| {});
 }
 
 #[cfg(test)]

@@ -11,8 +11,10 @@
 //! inputs and pass a coarsening closure; the engine owns the ladder, the
 //! start, the gain cache built once at the coarsest level and projected
 //! down, rebalance, refine and the final guard. A level supplies only
-//! what differs: its size, start rule, gain cache, projection, refiner
-//! call and final rebalance.
+//! what differs: its start rule, gain cache, projection and refiner
+//! call. Its weighted cells come from the crate's balance layer
+//! (`balance.rs`), through which the engine rebalances both kinds of
+//! level alike.
 //!
 //! The rng-draw order is part of the contract (pinned by the golden
 //! values in `tests/pipeline_equivalence.rs`): (1) one coarsening call
@@ -32,10 +34,11 @@ use bisect_graph::contraction::Contraction;
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
+use crate::balance::{self, Cells};
 use crate::bisector::Refiner;
 use crate::error::BisectError;
-use crate::partition::{rebalance, rebalance_with_cache, Bisection, Side};
-use crate::seed;
+use crate::gain_cache::GainCache;
+use crate::partition::{Bisection, Side};
 use crate::workspace::Workspace;
 
 /// How far the pipeline coarsens before the random start. Together
@@ -80,15 +83,12 @@ impl CoarsenDepth {
     }
 }
 
-/// One level of a V-cycle: what differs between graphs and netlists.
-/// Cells flagged in a `fixed: &[bool]` never move (empty: none).
-pub(crate) trait Level: Sized {
-    /// The bisection of a level.
-    type Part;
+/// One level of a V-cycle: what differs between graphs and netlists
+/// beyond their weighted [`Cells`]. Cells flagged in a
+/// `fixed: &[bool]` never move (empty: none).
+pub(crate) trait Level: Cells + Sized {
     /// The refiner trait object driven at every level.
     type Refiner: ?Sized;
-
-    fn size(&self) -> usize;
 
     /// The coarsest level's random start; `fallback` is set when a
     /// `Levels` run made no coarsening progress.
@@ -102,15 +102,12 @@ pub(crate) trait Level: Sized {
 
     fn init_cache(&self, p: &Self::Part, ws: &mut Workspace);
 
+    /// The workspace's gain cache for this kind of level.
+    fn cache(ws: &mut Workspace) -> &mut Self::Cache;
+
     /// Projects the coarse `p` through `c` onto this level, with the
-    /// gain cache, and rebalances on the cache.
-    fn project(
-        &self,
-        c: &Contraction<Self>,
-        p: &Self::Part,
-        fixed: &[bool],
-        ws: &mut Workspace,
-    ) -> Self::Part;
+    /// gain cache.
+    fn project(&self, c: &Contraction<Self>, p: &Self::Part, ws: &mut Workspace) -> Self::Part;
 
     /// `refine_projected_counted` if `projected` (the cache is exact
     /// for `p`), else `refine_counted`.
@@ -123,9 +120,6 @@ pub(crate) trait Level: Sized {
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Self::Part, u64);
-
-    /// The final guard: restores balance if refinement left it off.
-    fn finish(&self, p: &mut Self::Part, fixed: &[bool]);
 }
 
 /// Runs the V-cycle on `input` with the cells of `fixed` (sorted,
@@ -152,10 +146,10 @@ pub(crate) fn run<L: Level>(
         let (level, level_fixed) = ladder
             .last()
             .map_or((input, fixed), |(c, f)| (c.coarse(), f));
-        if !depth.wants_more(ladder.len(), level.size()) {
+        if !depth.wants_more(ladder.len(), level.num_cells()) {
             break;
         }
-        fixed_flags(&mut flags, level.size(), level_fixed);
+        fixed_flags(&mut flags, level.num_cells(), level_fixed);
         let Some(c) = coarsen(level, &flags, rng) else {
             break;
         };
@@ -168,13 +162,15 @@ pub(crate) fn run<L: Level>(
         .map_or((input, fixed), |(c, f)| (c.coarse(), f));
     let fallback = ladder.is_empty() && matches!(depth, CoarsenDepth::Levels(_));
     let init = level.start(depth, fallback, level_fixed, rng);
-    fixed_flags(&mut flags, level.size(), level_fixed);
+    fixed_flags(&mut flags, level.num_cells(), level_fixed);
     let (mut current, mut work) = level.refine(coarsest, &flags, init, false, rng, ws);
 
     // Uncoarsening. The gain cache is built once on the (small) coarsest
     // level and projected through each step, so no level pays an
     // O(V + E) rebuild; rebalancing rides the same cache, and every
-    // refiner leaves it exact for its result.
+    // refiner leaves it exact for its result. A projection can miss
+    // balance by up to a coarse cell's weight (a matching leaves
+    // singletons), hence the rebalance.
     if !ladder.is_empty() {
         level.init_cache(&current, ws);
     }
@@ -182,14 +178,16 @@ pub(crate) fn run<L: Level>(
         let (fine, fine_fixed) = ladder[..i]
             .last()
             .map_or((input, fixed), |(c, f)| (c.coarse(), f));
-        fixed_flags(&mut flags, fine.size(), fine_fixed);
-        let projected = fine.project(&ladder[i].0, &current, &flags, ws);
+        fixed_flags(&mut flags, fine.num_cells(), fine_fixed);
+        let mut projected = fine.project(&ladder[i].0, &current, ws);
+        balance::rebalance_with_cache(fine, &mut projected, &flags, L::cache(ws), |_| {});
         let (refined, stage) = fine.refine(refiner, &flags, projected, true, rng, ws);
         current = refined;
         work += stage;
     }
-    // `flags` now describes the input level.
-    input.finish(&mut current, &flags);
+    // The final guard, should refinement leave balance off. `flags` now
+    // describes the input level.
+    balance::rebalance(input, &mut current, &flags);
     (current, work)
 }
 
@@ -206,12 +204,7 @@ fn fixed_flags(flags: &mut Vec<bool>, cells: usize, fixed: &[(VertexId, Side)]) 
 }
 
 impl Level for Graph {
-    type Part = Bisection;
     type Refiner = dyn Refiner + Send + Sync;
-
-    fn size(&self) -> usize {
-        self.num_vertices()
-    }
 
     fn start(
         &self,
@@ -221,9 +214,9 @@ impl Level for Graph {
         rng: &mut dyn RngCore,
     ) -> Bisection {
         if fallback || depth == CoarsenDepth::Flat {
-            seed::random_balanced(self, rng)
+            balance::count_balanced(self, rng)
         } else {
-            seed::weight_balanced_random(self, rng)
+            balance::weight_balanced(self, &[], rng)
         }
     }
 
@@ -231,22 +224,17 @@ impl Level for Graph {
         ws.gain_cache.init(self, p);
     }
 
-    fn project(
-        &self,
-        c: &Contraction,
-        p: &Bisection,
-        _fixed: &[bool],
-        ws: &mut Workspace,
-    ) -> Bisection {
-        // Projection preserves the cut, so no level recounts it. It can
-        // be off by one weight unit when a matching leaves singletons,
-        // hence the rebalance.
+    fn cache(ws: &mut Workspace) -> &mut GainCache {
+        &mut ws.gain_cache
+    }
+
+    fn project(&self, c: &Contraction, p: &Bisection, ws: &mut Workspace) -> Bisection {
+        // Projection preserves the cut, so no level recounts it.
         let sides = c.project_sides(p.sides());
-        let mut projected = Bisection::from_sides_with_cut(self, sides, p.cut())
+        let projected = Bisection::from_sides_with_cut(self, sides, p.cut())
             // lint: allow(no-panic) — a projection has one side per fine vertex
             .expect("projection covers every fine vertex");
         ws.gain_cache.project(self, &projected, c.fine_to_coarse());
-        rebalance_with_cache(self, &mut projected, &mut ws.gain_cache);
         projected
     }
 
@@ -263,12 +251,6 @@ impl Level for Graph {
             refiner.refine_projected_counted(self, p, rng, ws)
         } else {
             refiner.refine_counted(self, p, rng, ws)
-        }
-    }
-
-    fn finish(&self, p: &mut Bisection, _fixed: &[bool]) {
-        if !p.is_balanced(self) {
-            rebalance(self, p);
         }
     }
 }

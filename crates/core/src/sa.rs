@@ -59,6 +59,7 @@ use bisect_graph::{Graph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
+use crate::balance::Tolerance;
 use crate::bisector::{Bisector, Refiner};
 use crate::gain_cache::GainCache;
 use crate::partition::{rebalance, Bisection, Side};
@@ -419,9 +420,9 @@ impl SimulatedAnnealing {
         // buffer is recycled via the workspace so tracking the best
         // never allocates after the first run.
         let mut best = ws.checkout_sa_best(&current);
-        if !best.is_balanced(g) {
-            rebalance(g, &mut best);
-        }
+        rebalance(g, &mut best);
+        // One tolerance walk per run, not per accepted flip.
+        let tol = Tolerance::of(g).base;
         // Swap deltas are bounded: |δ| = |g_a + g_b − 2δ_ab| ≤ 4·max
         // weighted degree, which sizes the acceptance table.
         let exp_radius = if cached && matches!(self.move_kind, MoveKind::Swap) {
@@ -505,7 +506,7 @@ impl SimulatedAnnealing {
                             ws.gain_cache.record_move_untracked(g, &current, v);
                             current.move_vertex_with_gain(g, v, gain);
                             accepted += 1;
-                            if current.is_balanced(g) && current.cut() < best.cut() {
+                            if current.weight_imbalance() <= tol && current.cut() < best.cut() {
                                 best.copy_from(&current);
                                 improved_best = true;
                             }
@@ -523,7 +524,7 @@ impl SimulatedAnnealing {
                         if accept(delta, temperature, rng) {
                             current.move_vertex(g, v);
                             accepted += 1;
-                            if current.is_balanced(g) && current.cut() < best.cut() {
+                            if current.weight_imbalance() <= tol && current.cut() < best.cut() {
                                 best.copy_from(&current);
                                 improved_best = true;
                             }

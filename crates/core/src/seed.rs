@@ -7,26 +7,22 @@
 //! pipeline engine picks between the two by its coarsening depth.
 //! [`bfs_balanced`] grows one side as a BFS ball, the start of
 //! [`GreedyGrowth`](crate::greedy::GreedyGrowth).
+//!
+//! The two random draws come from the crate's balance layer
+//! (`balance.rs`) and draw exactly as their netlist namesakes do.
 
 use bisect_graph::{traversal, Graph, VertexId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::balance::{self, Cells};
 use crate::partition::Bisection;
 
 /// A uniformly random balanced bisection: a random half of the vertices
 /// (by count) goes to side A. For odd vertex counts side A gets the
 /// extra vertex.
 pub fn random_balanced<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Bisection {
-    let n = g.num_vertices();
-    let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
-    perm.shuffle(rng);
-    let mut side = vec![true; n];
-    for &v in &perm[..n.div_ceil(2)] {
-        side[v as usize] = false;
-    }
-    // lint: allow(no-panic) — side has one entry per vertex by construction
-    Bisection::from_sides(g, side).expect("side vector has correct length")
+    balance::count_balanced(g, rng)
 }
 
 /// A random bisection balanced by vertex *weight*: vertices are visited
@@ -35,29 +31,14 @@ pub fn random_balanced<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Bisection {
 /// what contracted (coarse) graphs need — count-balanced splits of a
 /// coarse graph can be badly weight-imbalanced.
 pub fn weight_balanced_random<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Bisection {
-    let n = g.num_vertices();
-    let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
-    perm.shuffle(rng);
-    let mut side = vec![false; n];
-    let mut weights = [0u64; 2];
-    for &v in &perm {
-        let target = usize::from(weights[1] < weights[0]);
-        side[v as usize] = target == 1;
-        weights[target] += g.vertex_weight(v);
-    }
-    // lint: allow(no-panic) — side has one entry per vertex by construction
-    Bisection::from_sides(g, side).expect("side vector has correct length")
+    balance::weight_balanced(g, &[], rng)
 }
 
 /// A bisection whose side A is a breadth-first ball around a random
 /// start vertex: the first ⌈n/2⌉ vertices of a BFS order (continuing
 /// from further random roots if the component is exhausted).
-// lint: allow(no-panic) — side has one entry per vertex by construction
 pub fn bfs_balanced<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Bisection {
     let n = g.num_vertices();
-    if n == 0 {
-        return Bisection::from_sides(g, Vec::new()).expect("empty ok");
-    }
     let half = n.div_ceil(2);
     let mut side = vec![true; n];
     let mut taken = 0usize;
@@ -80,7 +61,7 @@ pub fn bfs_balanced<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Bisection {
             }
         }
     }
-    Bisection::from_sides(g, side).expect("side vector has correct length")
+    g.part(side)
 }
 
 #[cfg(test)]
