@@ -15,8 +15,9 @@ use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
 use bisect_core::gain_cache::GainCache;
 use bisect_core::kl::KernighanLin;
 use bisect_core::netlist::{
-    rebalance_fixed, recursive_placement_counted, NetlistBisection, NetlistFm, NetlistGainCache,
-    NetlistPipeline, ParallelCellMatching, ParallelNetlistFm,
+    rebalance_fixed, recursive_placement_counted, weight_balanced_random, NetlistBisection,
+    NetlistFm, NetlistGainCache, NetlistPipeline, NetlistRefiner, ParallelCellMatching,
+    ParallelNetlistFm,
 };
 use bisect_core::par_fm::ParallelFm;
 use bisect_core::partition::{rebalance, rebalance_with_cache, Bisection, Side};
@@ -30,7 +31,7 @@ use bisect_gen::netlist::{self, RentNetlistParams};
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::special;
 use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
-use bisect_graph::{Graph, GraphBuilder, VertexId};
+use bisect_graph::{contraction, matching, Graph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -884,4 +885,149 @@ fn golden_balance_on_unit_vertices_with_weighted_edges() {
         ],
         "{actual:#x?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// FM pass pins: the flat graph and netlist FM refiners on weighted
+// levels, captured from the tree where graphs and netlists each ran
+// their own FM pass. A pin is `(cut, passes, side fingerprint)`.
+// ---------------------------------------------------------------------
+
+/// [`weighted_gnp`] with vertex weights up to 3, contracted by `levels`
+/// random maximal matchings.
+fn contracted_gnp(n: usize, levels: usize, seed: u64) -> Graph {
+    let mut g = weighted_gnp(n, 3, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..levels {
+        let m = matching::random_maximal(&g, &mut rng);
+        g = contraction::contract_matching(&g, &m).coarse().clone();
+    }
+    g
+}
+
+#[test]
+fn golden_flat_fm_refiners_on_weighted_contracted_graphs() {
+    let mut actual: Vec<BalancePin> = Vec::new();
+    for levels in 1..=2 {
+        let g = contracted_gnp(500, levels, 0xF0 + levels as u64);
+        for seed in 1..=3u64 {
+            let init = seed::weight_balanced_random(&g, &mut StdRng::seed_from_u64(seed));
+            let refiners: [&dyn Refiner; 2] = [&FiducciaMattheyses::new(), &BoundaryFm::new()];
+            for fm in refiners {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (p, passes) =
+                    fm.refine_counted(&g, init.clone(), &mut rng, &mut Workspace::new());
+                assert!(p.is_balanced(&g), "{} seed {seed}", fm.name());
+                assert_eq!(p.cut(), p.recompute_cut(&g), "{} seed {seed}", fm.name());
+                actual.push((p.cut(), passes, sides_fingerprint(p.sides())));
+            }
+        }
+    }
+    assert_eq!(
+        actual,
+        [
+            (668, 3, 0xaad93812652cb956),
+            (664, 3, 0xfbe1feaccb8241e2),
+            (665, 4, 0x61415be6d31293d),
+            (668, 7, 0xd38e10055703b08c),
+            (694, 3, 0x11a7d56a1ad46f99),
+            (673, 7, 0xf79fa019e279f1f2),
+            (798, 2, 0xe71989d6255fef7b),
+            (800, 2, 0xaf1baf8129765894),
+            (806, 4, 0x26956a933a2a38b5),
+            (806, 2, 0x5667bd197dd494ee),
+            (796, 6, 0xd6bc9c502765edc6),
+            (808, 2, 0x9ab8a80c60dea95a),
+        ],
+        "{actual:#x?}"
+    );
+}
+
+#[test]
+fn golden_netlist_fm_on_weighted_rent_netlists() {
+    let mut actual: Vec<BalancePin> = Vec::new();
+    for (cells, max_weight) in [(500, 4), (300, 9)] {
+        let nl = weighted_rent(cells, max_weight, 0xF1 + cells as u64);
+        for seed in 1..=3u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let init = weight_balanced_random(&nl, &mut rng);
+            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_bool(0.1)).collect();
+            for fixed in [&[][..], &fixed[..]] {
+                let (p, passes) = NetlistFm::new().refine_counted(
+                    &nl,
+                    fixed,
+                    init.clone(),
+                    &mut StdRng::seed_from_u64(seed),
+                    &mut Workspace::new(),
+                );
+                assert!(p.is_balanced(&nl), "seed {seed}");
+                assert_eq!(p.cut(), p.recompute_cut(&nl), "seed {seed}");
+                for c in nl.cells().filter(|&c| fixed.get(c as usize) == Some(&true)) {
+                    assert_eq!(p.side(c), init.side(c), "seed {seed} moved {c}");
+                }
+                actual.push((p.cut(), passes, sides_fingerprint(p.sides())));
+            }
+        }
+    }
+    assert_eq!(
+        actual,
+        [
+            (32, 4, 0x5b3e7d8951ae034e),
+            (133, 3, 0xcb357ce1cc92eec5),
+            (25, 6, 0x31d50a0571e66d93),
+            (119, 3, 0x47811f6ada274c2b),
+            (26, 4, 0x1d06e635f816eba1),
+            (114, 4, 0x282adc306b01933),
+            (23, 3, 0x2600a7a86fcb22b1),
+            (95, 2, 0x4a5eac7aaaf049cd),
+            (18, 5, 0xf88048f120d994b9),
+            (66, 3, 0x6f8026367dc88045),
+            (25, 3, 0x54a80ef1fa1b4351),
+            (69, 2, 0xe8dfbcac1e04a64c),
+        ],
+        "{actual:#x?}"
+    );
+}
+
+/// `g` as a netlist of 2-pin nets: one net per edge, added for `v < u`
+/// in adjacency order with the edge's weight, and the vertex weights as
+/// cell weights.
+fn two_pin_netlist(g: &Graph) -> Netlist {
+    let mut b = NetlistBuilder::new(g.num_vertices());
+    for v in g.vertices() {
+        b.set_cell_weight(v, g.vertex_weight(v))
+            .expect("cell in range");
+        for (u, w) in g.neighbors_weighted(v) {
+            if v < u {
+                b.add_weighted_net(&[v, u], w).expect("pins in range");
+            }
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn boundary_fm_and_netlist_fm_move_alike_on_two_pin_nets() {
+    // One workspace per kind for every run: warm reuse must not matter.
+    let (mut ws_graph, mut ws_netlist) = (Workspace::new(), Workspace::new());
+    let mut passes = 0;
+    for levels in 0..=2 {
+        let g = contracted_gnp(400, levels, 0x2F + levels as u64);
+        let nl = two_pin_netlist(&g);
+        for seed in 0..8u64 {
+            let start = seed::weight_balanced_random(&g, &mut StdRng::seed_from_u64(seed));
+            let netlist_start = NetlistBisection::from_sides(&nl, start.sides().to_vec()).unwrap();
+            assert_eq!(start.cut(), netlist_start.cut());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (pg, passes_g) =
+                BoundaryFm::new().refine_counted(&g, start, &mut rng, &mut ws_graph);
+            let (pn, passes_n) =
+                NetlistFm::new().refine_counted(&nl, &[], netlist_start, &mut rng, &mut ws_netlist);
+            let at = format!("levels {levels} seed {seed}");
+            assert_eq!(pg.sides(), pn.sides(), "{at}");
+            assert_eq!((pg.cut(), passes_g), (pn.cut(), passes_n), "{at}");
+            passes += passes_g;
+        }
+    }
+    assert!(passes > 24, "the runs must refine: {passes} passes");
 }
