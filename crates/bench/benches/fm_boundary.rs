@@ -19,17 +19,26 @@
 //!   measurable win. The full multilevel payoff (projection replacing
 //!   every per-level `O(V + E)` rebuild) is measured end-to-end by
 //!   `repro --huge-smoke`, not here.
+//! * `fm-two-pin-100k/*` — `BoundaryFm` on one weighted level of a
+//!   BFS-reordered `Gnp(10^5, deg 3)` (the graph contracted once) and
+//!   `NetlistFm` on the same level written as 2-pin nets, both refined
+//!   to a fixpoint from one weight-balanced start. The two make the same
+//!   moves, so the gap between the rows is the netlist stack's overhead
+//!   on the nets that dominate Rent netlists.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bisect_core::bisector::Refiner;
 use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
+use bisect_core::netlist::{NetlistBisection, NetlistFm, NetlistRefiner};
 use bisect_core::partition::Bisection;
+use bisect_core::pipeline::ParallelMatching;
 use bisect_core::seed;
 use bisect_core::workspace::Workspace;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{gbreg, gnp};
-use bisect_graph::Graph;
+use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
+use bisect_graph::{contraction, reorder, Graph};
 use rand::{RngCore, SeedableRng};
 
 /// Refines a random balanced start to a fixpoint, then perturbs it by
@@ -125,5 +134,58 @@ fn bench_fm_repass_planted(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fm_repass_by_density, bench_fm_repass_planted);
+/// `g` as a netlist of 2-pin nets: one net per edge, added for `v < u`
+/// in adjacency order with the edge's weight, and the vertex weights as
+/// cell weights.
+fn two_pin_netlist(g: &Graph) -> Netlist {
+    let mut b = NetlistBuilder::new(g.num_vertices());
+    for v in g.vertices() {
+        b.set_cell_weight(v, g.vertex_weight(v))
+            .expect("cell in range");
+        for (u, w) in g.neighbors_weighted(v) {
+            if v < u {
+                b.add_weighted_net(&[v, u], w).expect("pins in range");
+            }
+        }
+    }
+    b.build()
+}
+
+fn bench_two_pin_level(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fm-two-pin-100k");
+    group.sample_size(10);
+    let params = gnp::GnpParams::with_average_degree(100_000, 3.0).expect("valid parameters");
+    let g = gnp::sample(&mut LaggedFibonacci::seed_from_u64(7), &params);
+    let g = reorder::bfs(&g).apply(&g);
+    let m = ParallelMatching::new().with_threads(1).matching(&g);
+    let level = contraction::contract_matching(&g, &m).coarse().clone();
+    let nl = two_pin_netlist(&level);
+    let init = seed::weight_balanced_random(&level, &mut LaggedFibonacci::seed_from_u64(3));
+    let netlist_init =
+        NetlistBisection::from_sides(&nl, init.sides().to_vec()).expect("one side per cell");
+    bench_repass(
+        &mut group,
+        BenchmarkId::new("boundary-fm", "gnp-deg3"),
+        &BoundaryFm::new(),
+        &level,
+        &init,
+    );
+    group.bench_with_input(BenchmarkId::new("netlist-fm", "gnp-deg3"), &nl, |b, nl| {
+        let mut ws = Workspace::new();
+        b.iter(|| {
+            let mut rng = LaggedFibonacci::seed_from_u64(1);
+            let (p, _) =
+                NetlistFm::new().refine_counted(nl, &[], netlist_init.clone(), &mut rng, &mut ws);
+            std::hint::black_box(p.cut())
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_fm_repass_by_density,
+    bench_fm_repass_planted,
+    bench_two_pin_level
+);
 criterion_main!(benches);

@@ -12,24 +12,36 @@
 //! updated. After all moves, the best balanced prefix is applied if it
 //! improves the cut. Passes repeat to a fixpoint.
 //!
-//! [`FiducciaMattheyses`] and [`BoundaryFm`] run that one pass and
-//! differ only in which vertices seed the gain buckets. FM seeds every
-//! vertex in index order. BFM seeds only the current *boundary*
-//! (vertices with a cut edge, tracked incrementally by
-//! [`crate::gain_cache::GainCache`]) and pulls interior vertices in
-//! lazily as moves reach them, so a pass costs `O(boundary + touched)`
-//! instead of `O(V)` — the multilevel win once coarsening has shrunk
-//! the cut region to a sliver of the graph. Both keep the workspace
-//! gain cache exact pass to pass, and both override
-//! [`crate::bisector::Refiner::refine_projected_counted`] to consume the
-//! projected cache as it stands, so uncoarsening ladders never rebuild
-//! their gain state per level.
+//! The pass is written once, generic over the level, and serves
+//! [`FiducciaMattheyses`] and [`BoundaryFm`] here and
+//! [`crate::netlist::NetlistFm`] on netlists. Graphs and netlists
+//! differ only in how one move updates the gains of the cells it
+//! touches (`FmCells::virtual_move`): a ±2w walk over the neighbors of
+//! a vertex, or one walk over the nets of a cell that shifts their pin
+//! counts. A netlist's fixed cells stay locked for the whole refine.
+//!
+//! The refiners differ only in which cells seed the gain buckets. FM
+//! seeds every vertex in index order. BFM and netlist FM seed only the
+//! current *boundary* (cells with a cut edge or net, tracked
+//! incrementally by the gain cache) and pull interior cells in lazily as
+//! moves reach them, so a pass costs `O(boundary + touched)` instead of
+//! `O(V)` — the multilevel win once coarsening has shrunk the cut region
+//! to a sliver of the graph. Each pass rewinds its work mirror by one
+//! flat copy of the committed bisection. All keep the workspace gain
+//! cache exact pass to pass, and all override the projected-cache entry
+//! ([`crate::bisector::Refiner::refine_projected_counted`] and its
+//! netlist twin) to consume the projected cache as it stands, so
+//! uncoarsening ladders never rebuild their gain state per level.
 
+use bisect_graph::hypergraph::Netlist;
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
-use crate::balance::Tolerance;
+use crate::balance::{Cells, Tolerance};
 use crate::bisector::{Bisector, Refiner};
+use crate::gain::GainBuckets;
+use crate::gain_cache::GainCache;
+use crate::netlist::{gain_term, NetlistBisection, NetlistGainCache};
 use crate::partition::{Bisection, Side};
 use crate::seed;
 use crate::workspace::Workspace;
@@ -130,7 +142,7 @@ impl Refiner for FiducciaMattheyses {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        let passes = refine_with_cache(g, &mut init, ws, self.max_passes, Seeds::All);
+        let passes = refine_with_cache(g, &[], &mut init, ws, self.max_passes, Seeds::All);
         (init, passes)
     }
 }
@@ -223,118 +235,332 @@ impl Refiner for BoundaryFm {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        let passes = refine_with_cache(g, &mut init, ws, self.max_passes, Seeds::Boundary);
+        let passes = refine_with_cache(g, &[], &mut init, ws, self.max_passes, Seeds::Boundary);
         (init, passes)
     }
 }
 
-/// Which vertices seed a pass's gain buckets: the one difference
-/// between [`FiducciaMattheyses`] and [`BoundaryFm`].
+/// Which cells seed a pass's gain buckets: the one difference between
+/// [`FiducciaMattheyses`] and [`BoundaryFm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Seeds {
-    /// Every vertex, in index order.
+pub(crate) enum Seeds {
+    /// Every cell, in index order.
     All,
-    /// The cache's cut-boundary list. An interior vertex can only
-    /// become worth moving after a neighbor moves, and the pass inserts
-    /// it the moment that happens, so no candidate is ever missed.
+    /// The cache's cut-boundary list. An interior cell can only become
+    /// worth moving after a mate moves, and the pass inserts it the
+    /// moment that happens, so no candidate is ever missed.
     Boundary,
 }
 
-/// Runs up to `max_passes` passes to a fixpoint assuming
-/// `ws.gain_cache` is exact for `(g, p)`; leaves it exact for the
-/// refined `p`. Returns the number of productive passes.
-fn refine_with_cache(
-    g: &Graph,
-    p: &mut Bisection,
+/// The arenas of the FM pass that graphs and netlists share: gain
+/// buckets, the move log, and the cells to clean up.
+#[derive(Debug, Default)]
+pub(crate) struct FmArena {
+    /// Per-side gain buckets.
+    buckets: [GainBuckets; 2],
+    /// Move sequence of the current pass.
+    moves: Vec<VertexId>,
+    /// Cumulative gains of the current pass.
+    cumulative: Vec<i64>,
+    /// Balance flags after each move.
+    balanced: Vec<bool>,
+    /// Cells whose bucket/locked state the current pass touched, so
+    /// cleanup is O(touched) instead of O(cells).
+    touched: Vec<VertexId>,
+}
+
+/// The gain cache, work mirror, locked flags and [`FmArena`] of a
+/// workspace, borrowed together by an FM refine.
+type FmState<'a, L> = (
+    &'a mut <L as Cells>::Cache,
+    &'a mut Option<<L as Cells>::Part>,
+    &'a mut Vec<bool>,
+    &'a mut FmArena,
+);
+
+/// What the FM pass needs of a level beyond its [`Cells`]. Everything
+/// but [`FmCells::virtual_move`] is bookkeeping; that one step is where
+/// graphs and netlists differ.
+pub(crate) trait FmCells: Cells<Part: Clone> {
+    /// The cache's cut-boundary list.
+    fn boundary(cache: &Self::Cache) -> &[VertexId];
+    /// The workspace's gain cache and work mirror for this kind of
+    /// level, split-borrowed with the locked flags and the FM arena.
+    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self>;
+    /// The bucket bound: the largest weighted degree, which bounds the
+    /// gain of every cell.
+    fn max_gain(&self) -> i64;
+    fn cut(p: &Self::Part) -> u64;
+    fn recompute_cut(&self, p: &Self::Part) -> u64;
+    fn copy_from(p: &mut Self::Part, from: &Self::Part);
+    /// Moves `c`, whose gain in `work` is `gain`, in the mirror `work`,
+    /// and reports each unlocked cell whose gain the move changes to
+    /// `visit`, with its side and the change.
+    fn virtual_move(
+        &self,
+        work: &mut Self::Part,
+        locked: &[bool],
+        c: VertexId,
+        gain: i64,
+        visit: impl FnMut(VertexId, Side, i64),
+    );
+}
+
+impl FmCells for Graph {
+    fn boundary(cache: &GainCache) -> &[VertexId] {
+        cache.boundary()
+    }
+
+    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self> {
+        (
+            &mut ws.gain_cache,
+            &mut ws.fm_work,
+            &mut ws.locked,
+            &mut ws.fm,
+        )
+    }
+
+    fn max_gain(&self) -> i64 {
+        self.vertices()
+            .map(|v| self.weighted_degree(v))
+            .max()
+            .unwrap_or(0)
+            .min(i64::MAX as u64) as i64
+    }
+
+    fn cut(p: &Bisection) -> u64 {
+        p.cut()
+    }
+
+    fn recompute_cut(&self, p: &Bisection) -> u64 {
+        p.recompute_cut(self)
+    }
+
+    fn copy_from(p: &mut Bisection, from: &Bisection) {
+        p.copy_from(from);
+    }
+
+    fn virtual_move(
+        &self,
+        work: &mut Bisection,
+        locked: &[bool],
+        v: VertexId,
+        gain: i64,
+        mut visit: impl FnMut(VertexId, Side, i64),
+    ) {
+        let side = work.side(v);
+        work.move_vertex_with_gain(self, v, gain);
+        for (u, w) in self.neighbors_weighted(v) {
+            if locked[u as usize] {
+                continue;
+            }
+            // v left `side`: for u still on `side` the edge became
+            // external (+2w); for u on the other side it became
+            // internal (−2w).
+            let u_side = work.side(u);
+            let delta = if u_side == side {
+                2 * w as i64
+            } else {
+                -2 * (w as i64)
+            };
+            visit(u, u_side, delta);
+        }
+    }
+}
+
+impl FmCells for Netlist {
+    fn boundary(cache: &NetlistGainCache) -> &[VertexId] {
+        cache.boundary()
+    }
+
+    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self> {
+        (
+            &mut ws.netlist_cache,
+            &mut ws.netlist_work,
+            &mut ws.locked,
+            &mut ws.fm,
+        )
+    }
+
+    fn max_gain(&self) -> i64 {
+        // Each incident net contributes a value in [−w(net), w(net)].
+        self.cells()
+            .map(|c| {
+                self.nets_of(c)
+                    .iter()
+                    .map(|&net| self.net_weight(net))
+                    .sum::<u64>()
+            })
+            .max()
+            .unwrap_or(0)
+            .min(i64::MAX as u64) as i64
+    }
+
+    fn cut(p: &NetlistBisection) -> u64 {
+        p.cut()
+    }
+
+    fn recompute_cut(&self, p: &NetlistBisection) -> u64 {
+        p.recompute_cut(self)
+    }
+
+    fn copy_from(p: &mut NetlistBisection, from: &NetlistBisection) {
+        p.copy_from(from);
+    }
+
+    /// One walk over the nets of `c`: shift each net's pin counts in the
+    /// mirror, and from the pre-move counts derive the per-pin deltas
+    /// once per side, walking the pins only when some delta is nonzero.
+    /// `c` is locked, as are fixed and already moved cells, so the walk
+    /// skips all of them.
+    fn virtual_move(
+        &self,
+        work: &mut NetlistBisection,
+        locked: &[bool],
+        c: VertexId,
+        _gain: i64,
+        mut visit: impl FnMut(VertexId, Side, i64),
+    ) {
+        let side = work.side(c);
+        let s = side.index();
+        for &net in self.nets_of(c) {
+            let (my, other) = work.shift_pin(self, net, s);
+            let w = self.net_weight(net) as i64;
+            let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
+            let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
+            if ds == 0 && dt == 0 {
+                continue;
+            }
+            for &q in self.pins(net) {
+                if locked[q as usize] {
+                    continue;
+                }
+                let q_side = work.side(q);
+                let delta = if q_side == side { ds } else { dt };
+                if delta != 0 {
+                    visit(q, q_side, delta);
+                }
+            }
+        }
+        work.flip(self, c);
+    }
+}
+
+/// Runs up to `max_passes` passes to a fixpoint assuming the workspace
+/// gain cache is exact for `(level, p)`; leaves it exact for the refined
+/// `p`. Returns the number of productive passes. Cells flagged in
+/// `fixed` never move: they stay locked in `ws.locked` for the whole
+/// call, and are unlocked again on exit.
+pub(crate) fn refine_with_cache<L: FmCells>(
+    level: &L,
+    fixed: &[bool],
+    p: &mut L::Part,
     ws: &mut Workspace,
     max_passes: usize,
     seeds: Seeds,
 ) -> u64 {
-    if g.num_vertices() < 2 {
+    if level.num_cells() < 2 {
         return 0;
     }
-    let tol = prepare(g, p, ws);
+    let tol = prepare(level, p, ws);
+    for (locked, &f) in ws.locked.iter_mut().zip(fixed) {
+        *locked |= f;
+    }
     let mut productive = 0u64;
     for _ in 0..max_passes {
-        if fm_pass(g, p, ws, tol, seeds) == 0 {
+        if fm_pass(level, p, ws, tol, seeds) == 0 {
             break;
         }
         productive += 1;
     }
+    for (locked, &f) in ws.locked.iter_mut().zip(fixed) {
+        *locked &= !f;
+    }
     productive
 }
 
-/// Per-refine O(V) setup: bucket reset, work mirror, locked/touched
+/// Per-refine O(cells) setup: bucket reset, work mirror, locked/touched
 /// clearing. Returns the level's balance [`Tolerance`]; each pass
 /// afterwards touches only what it seeds and reaches.
-fn prepare(g: &Graph, p: &Bisection, ws: &mut Workspace) -> Tolerance {
-    let n = g.num_vertices();
-    let max_wdeg = g
-        .vertices()
-        .map(|v| g.weighted_degree(v))
-        .max()
-        .unwrap_or(0)
-        .min(i64::MAX as u64) as i64;
-    for b in ws.fm_buckets.iter_mut() {
-        b.reset(n, max_wdeg);
+fn prepare<L: FmCells>(level: &L, p: &L::Part, ws: &mut Workspace) -> Tolerance {
+    let n = level.num_cells();
+    let max_gain = level.max_gain();
+    let (_, work, locked, fm) = L::fm_state(ws);
+    for b in fm.buckets.iter_mut() {
+        b.reset(n, max_gain);
     }
-    if let Some(w) = ws.fm_work.as_mut() {
-        w.copy_from(p);
-    } else {
+    match work {
+        Some(w) => L::copy_from(w, p),
         // lint: allow(zero-alloc) — one-time workspace warm-up, recycled afterwards
-        ws.fm_work = Some(p.clone());
+        None => *work = Some(p.clone()),
     }
-    ws.locked.clear();
-    ws.locked.resize(n, false);
-    ws.fm_touched.clear();
-    Tolerance::of(g)
+    locked.clear();
+    locked.resize(n, false);
+    fm.touched.clear();
+    Tolerance::of(level)
 }
 
-/// One FM pass. On entry and exit: `ws.gain_cache` is exact for
-/// `(g, p)`, `ws.fm_work` mirrors `p`, `ws.fm_buckets` are empty,
-/// `ws.locked` is all-false, `ws.fm_touched` is empty.
-// lint: allow(no-panic) — pass-loop expects: prepare populated fm_work
-// before any pass, and `choice` is Some only when that bucket had a peek.
-fn fm_pass(g: &Graph, p: &mut Bisection, ws: &mut Workspace, tol: Tolerance, seeds: Seeds) -> u64 {
-    let cache = &ws.gain_cache;
-    let buckets = &mut ws.fm_buckets;
-    let touched = &mut ws.fm_touched;
-    let mut add = |v: VertexId| {
-        buckets[p.side(v).index()].insert(v, cache.gain(v));
-        touched.push(v);
+/// One FM pass. On entry and exit: the workspace gain cache is exact for
+/// `(level, p)`, the work mirror equals `p`, the buckets are empty,
+/// `ws.locked` flags exactly the fixed cells, and nothing is touched.
+///
+/// Each tentative move is one [`FmCells::virtual_move`] of the mirror.
+/// The committed prefix is then applied to `p` through the cache, and
+/// the mirror is rewound by one copy of `p`.
+// lint: allow(no-panic) — pass-loop expects: prepare populated the work
+// mirror before any pass, and `choice` is Some only when that bucket had
+// a peek.
+fn fm_pass<L: FmCells>(
+    level: &L,
+    p: &mut L::Part,
+    ws: &mut Workspace,
+    tol: Tolerance,
+    seeds: Seeds,
+) -> u64 {
+    let (cache, work, locked, fm) = L::fm_state(ws);
+    let FmArena {
+        buckets,
+        moves,
+        cumulative,
+        balanced,
+        touched,
+    } = fm;
+    let mut add = |c: VertexId| {
+        if !locked[c as usize] {
+            buckets[L::side(p, c).index()].insert(c, L::cached_gain(cache, c));
+            touched.push(c);
+        }
     };
     match seeds {
-        Seeds::All => g.vertices().for_each(&mut add),
-        Seeds::Boundary => cache.boundary().iter().for_each(|&v| add(v)),
+        Seeds::All => (0..level.num_cells() as VertexId).for_each(&mut add),
+        Seeds::Boundary => L::boundary(cache).iter().for_each(|&c| add(c)),
     }
-    let work = ws.fm_work.as_mut().expect("fm_work prepared");
-    let locked = &mut ws.locked;
-    ws.fm_moves.clear();
-    let moves = &mut ws.fm_moves;
-    ws.fm_cumulative.clear();
-    let cumulative = &mut ws.fm_cumulative;
-    ws.fm_balanced.clear();
-    let balanced_after = &mut ws.fm_balanced;
+    let work = work.as_mut().expect("work mirror prepared");
+    moves.clear();
+    cumulative.clear();
+    balanced.clear();
     let mut running = 0i64;
 
     loop {
-        // Candidate per side: its best-gain unlocked vertex, kept only
-        // if moving it respects the pass tolerance.
+        // Candidate per side: its best-gain unlocked cell, kept only if
+        // moving it respects the pass tolerance.
+        let weights = L::side_weights(work);
+        let weight = |side: Side| weights[side.index()];
         let mut choice: Option<(i64, Side)> = None;
         for side in [Side::A, Side::B] {
-            let Some((gain, v)) = buckets[side.index()].peek_best() else {
+            let Some((gain, c)) = buckets[side.index()].peek_best() else {
                 continue;
             };
-            if !tol.fits(g, work, v) {
+            if !tol.fits(level, work, c) {
                 continue;
             }
             // Prefer higher gain; tie-break toward the heavier side
             // (drives the state back toward balance).
-            let heavier = work.weight(side) >= work.weight(side.other());
+            let heavier = weight(side) >= weight(side.other());
             match choice {
                 Some((bg, bside)) => {
-                    let better = gain > bg
-                        || (gain == bg && heavier && work.weight(bside) < work.weight(side));
+                    let better =
+                        gain > bg || (gain == bg && heavier && weight(bside) < weight(side));
                     if better {
                         choice = Some((gain, side));
                     }
@@ -343,82 +569,64 @@ fn fm_pass(g: &Graph, p: &mut Bisection, ws: &mut Workspace, tol: Tolerance, see
             }
         }
         let Some((gain, side)) = choice else { break };
-        let (_, v) = buckets[side.index()].pop_best().expect("peeked nonempty");
-        locked[v as usize] = true;
+        let (_, c) = buckets[side.index()].pop_best().expect("peeked nonempty");
+        locked[c as usize] = true;
         // Bucket gains are exact virtual gains for `work` (seeded from
-        // the exact cache while work == p, maintained below).
-        work.move_vertex_with_gain(g, v, gain);
+        // the exact cache while work == p, maintained here).
+        level.virtual_move(work, locked, c, gain, |q, q_side, delta| {
+            let b = &mut buckets[q_side.index()];
+            if b.contains(q) {
+                b.add(q, delta);
+            } else {
+                // Only boundary seeding leaves q out: it had no moved
+                // mate yet (only pops remove bucket entries, and pops
+                // lock), so its virtual gain still equals the cached
+                // real gain.
+                b.insert(q, L::cached_gain(cache, q) + delta);
+                touched.push(q);
+            }
+        });
         running += gain;
-        moves.push(v);
+        moves.push(c);
         cumulative.push(running);
-        balanced_after.push(work.weight_imbalance() <= tol.base);
-
-        for (u, w) in g.neighbors_weighted(v) {
-            if locked[u as usize] {
-                continue;
-            }
-            // v left `side`: for u still on `side` the edge became
-            // external (+2w); for u on the other side it became
-            // internal (−2w).
-            let delta = if work.side(u) == side {
-                2 * w as i64
-            } else {
-                -2 * (w as i64)
-            };
-            let b = &mut buckets[work.side(u).index()];
-            if b.contains(u) {
-                let cur = b.gain_of(u);
-                b.update(u, cur + delta);
-            } else {
-                // Only boundary seeding leaves u out: it had no moved
-                // neighbor yet (only pops remove bucket entries, and
-                // pops lock), so its virtual gain still equals the
-                // cached real gain.
-                b.insert(u, cache.gain(u) + delta);
-                touched.push(u);
-            }
-        }
+        let [a, b] = L::side_weights(work);
+        balanced.push(a.abs_diff(b) <= tol.base);
     }
 
     // Best prefix that ends balanced with positive improvement.
     let mut best: Option<(usize, i64)> = None;
-    for (i, (&c, &ok)) in cumulative.iter().zip(balanced_after.iter()).enumerate() {
-        if ok && c > 0 && best.is_none_or(|(_, bc)| c > bc) {
-            best = Some((i, c));
+    for (i, (&cum, &ok)) in cumulative.iter().zip(balanced.iter()).enumerate() {
+        if ok && cum > 0 && best.is_none_or(|(_, bc)| cum > bc) {
+            best = Some((i, cum));
         }
     }
     let committed = match best {
         Some((k, _)) => k + 1,
         None => 0,
     };
-    let before = p.cut();
-    let cache = &mut ws.gain_cache;
-    for &v in &moves[..committed] {
-        // record_move wants the pre-move partition; the cached gain is
-        // the exact real gain of v at this point in the prefix.
-        let real_gain = cache.gain(v);
-        cache.record_move(g, p, v);
-        p.move_vertex_with_gain(g, v, real_gain);
+    let before = L::cut(p);
+    // The mirror made every move of the pass, each at its bucket gain:
+    // a wrong virtual move shows here.
+    debug_assert_eq!(L::cut(work) as i64, before as i64 - running);
+    for &c in &moves[..committed] {
+        level.cached_move(p, cache, c);
     }
-    // Rewind the uncommitted virtual tail so fm_work mirrors p again.
-    // Each vertex moved at most once per pass, so moving it back
-    // restores its side regardless of order.
-    for &v in &moves[committed..] {
-        work.move_vertex(g, v);
-    }
-    // O(touched) cleanup instead of O(V) resets.
-    for &v in touched.iter() {
+    // Rewind the mirror to `p` in one O(cells) copy into its own
+    // capacity; most of a pass's moves are uncommitted.
+    L::copy_from(work, p);
+    // O(touched) cleanup instead of O(cells) resets.
+    for &c in touched.iter() {
         for b in buckets.iter_mut() {
-            if b.contains(v) {
-                b.remove(v);
+            if b.contains(c) {
+                b.remove(c);
             }
         }
-        locked[v as usize] = false;
+        locked[c as usize] = false;
     }
     touched.clear();
-    debug_assert_eq!(p.cut(), p.recompute_cut(g));
-    debug_assert!(before >= p.cut());
-    before - p.cut()
+    debug_assert_eq!(L::cut(p), level.recompute_cut(p));
+    debug_assert!(before >= L::cut(p));
+    before - L::cut(p)
 }
 
 #[cfg(test)]

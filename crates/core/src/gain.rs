@@ -75,6 +75,7 @@ impl GainBuckets {
         self.pos[v as usize] != u32::MAX
     }
 
+    #[cfg(test)]
     pub(crate) fn gain_of(&self, v: VertexId) -> i64 {
         debug_assert!(self.contains(v));
         self.gain[v as usize]
@@ -103,6 +104,8 @@ impl GainBuckets {
         self.len -= 1;
     }
 
+    /// The reference [`GainBuckets::add`] is tested against.
+    #[cfg(test)]
     pub(crate) fn update(&mut self, v: VertexId, new_gain: i64) {
         self.remove(v);
         self.insert(v, new_gain);

@@ -1,23 +1,21 @@
 //! Fiduccia-Mattheyses refinement on netlists — the 1982 algorithm in
-//! its native habitat, now boundary-seeded and workspace-resident like
-//! the graph-side [`crate::fm::BoundaryFm`].
+//! its native habitat. [`NetlistFm`] runs the one FM pass of
+//! [`crate::fm`], boundary-seeded and workspace-resident like
+//! [`crate::fm::BoundaryFm`], with the cells flagged fixed locked for
+//! the whole refine.
 //!
-//! Each pass seeds the shared [`crate::gain::GainBuckets`] from the
-//! incrementally tracked cell boundary ([`NetlistGainCache`]) instead
-//! of all cells: an interior cell has only uncut nets, hence gain
-//! `≤ 0`, and can only become worth moving after a net-mate moves — at
-//! which point the update loop inserts it lazily. A pass walks
-//! `O(boundary + touched pins)` instead of `O(cells + pins)`; rewinding
-//! its work mirror is one flat copy of the side and pin-count arrays.
+//! The netlist's own step, the virtual move (one walk over the moved
+//! cell's nets), sits in [`crate::fm`] next to the graph's. An interior
+//! cell has only uncut nets, hence gain `≤ 0`, and enters the buckets
+//! when such a walk first reaches it.
 
 use bisect_graph::hypergraph::Netlist;
 use rand::RngCore;
 
-use crate::balance::Tolerance;
-use crate::partition::Side;
+use crate::fm::{self, Seeds};
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistRefiner};
+use super::{NetlistBisection, NetlistRefiner};
 
 /// Fiduccia-Mattheyses on netlists.
 ///
@@ -67,223 +65,6 @@ impl NetlistFm {
         self.max_passes = max_passes;
         self
     }
-
-    /// Runs passes to a fixpoint assuming `ws.netlist_cache` is already
-    /// exact for `(nl, p)`; leaves it exact for the refined `p`.
-    /// Returns the number of productive passes. Cells flagged in
-    /// `fixed` never move: they stay locked in `ws.locked` for the whole
-    /// call, and are unlocked again on exit.
-    fn refine_with_cache(
-        &self,
-        nl: &Netlist,
-        fixed: &[bool],
-        p: &mut NetlistBisection,
-        ws: &mut Workspace,
-    ) -> u64 {
-        if nl.num_cells() < 2 {
-            return 0;
-        }
-        let tol = prepare(nl, p, ws);
-        for (locked, &f) in ws.locked.iter_mut().zip(fixed) {
-            *locked |= f;
-        }
-        let mut productive = 0u64;
-        for _ in 0..self.max_passes {
-            if self.pass_with_cache(nl, p, ws, tol) == 0 {
-                break;
-            }
-            productive += 1;
-        }
-        for (locked, &f) in ws.locked.iter_mut().zip(fixed) {
-            *locked &= !f;
-        }
-        productive
-    }
-
-    /// One boundary-seeded pass. On entry and exit: `ws.netlist_cache`
-    /// is exact for `(nl, p)`, `ws.netlist_work` equals `p`,
-    /// `ws.fm_buckets` are empty, `ws.locked` flags exactly the fixed
-    /// cells, and `ws.fm_touched` is empty.
-    ///
-    /// Every tentative move costs one walk over the moved cell's nets:
-    /// the walk that reads the mirror's pin counts for the gain deltas
-    /// also shifts them and updates the mirror's cut. The committed
-    /// prefix is then applied to `p` through the cache's one-walk mover,
-    /// and the mirror is rewound by one copy of `p` rather than by
-    /// undoing the uncommitted tail move by move.
-    // lint: allow(no-panic) — pass-loop expects: prepare() populated
-    // netlist_work before any pass, and `choice` is Some only when that
-    // bucket had a peek.
-    fn pass_with_cache(
-        &self,
-        nl: &Netlist,
-        p: &mut NetlistBisection,
-        ws: &mut Workspace,
-        tol: Tolerance,
-    ) -> u64 {
-        let cache = &ws.netlist_cache;
-        let buckets = &mut ws.fm_buckets;
-        let touched = &mut ws.fm_touched;
-        let locked = &mut ws.locked;
-        // Seed only the boundary: every cell with a cut net. Interior
-        // cells have gain ≤ 0 and can only become candidates after a
-        // net-mate moves; the update loop below inserts them then. The
-        // only cells locked here are the fixed ones.
-        for &c in cache.boundary() {
-            if locked[c as usize] {
-                continue;
-            }
-            buckets[p.side(c).index()].insert(c, cache.gain(c));
-            touched.push(c);
-        }
-        let work = ws.netlist_work.as_mut().expect("netlist_work prepared");
-        ws.fm_moves.clear();
-        let moves = &mut ws.fm_moves;
-        ws.fm_cumulative.clear();
-        let cumulative = &mut ws.fm_cumulative;
-        ws.fm_balanced.clear();
-        let balanced_after = &mut ws.fm_balanced;
-        let mut running = 0i64;
-
-        loop {
-            // Identical candidate choice to the graph FM pass: best
-            // gain within the pass tolerance, ties toward the heavier
-            // side.
-            let mut choice: Option<(i64, Side)> = None;
-            for side in [Side::A, Side::B] {
-                let Some((gain, c)) = buckets[side.index()].peek_best() else {
-                    continue;
-                };
-                if !tol.fits(nl, work, c) {
-                    continue;
-                }
-                let heavier = work.weight(side) >= work.weight(side.other());
-                match choice {
-                    Some((bg, bside)) => {
-                        let better = gain > bg
-                            || (gain == bg && heavier && work.weight(bside) < work.weight(side));
-                        if better {
-                            choice = Some((gain, side));
-                        }
-                    }
-                    None => choice = Some((gain, side)),
-                }
-            }
-            let Some((gain, side)) = choice else { break };
-            let (_, c) = buckets[side.index()].pop_best().expect("peeked nonempty");
-            locked[c as usize] = true;
-
-            // The virtual move, one net at a time: shift the net's pin
-            // counts in the mirror, and from the pre-move counts derive
-            // the per-pin deltas once per side, walking the pins only
-            // when some delta is nonzero. `c` is locked, as are fixed
-            // and already moved cells, so the walk skips all of them.
-            let s = side.index();
-            for &net in nl.nets_of(c) {
-                let (my, other) = work.shift_pin(nl, net, s);
-                let w = nl.net_weight(net) as i64;
-                let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
-                let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
-                if ds == 0 && dt == 0 {
-                    continue;
-                }
-                for &q in nl.pins(net) {
-                    if locked[q as usize] {
-                        continue;
-                    }
-                    let q_side = work.side(q);
-                    let delta = if q_side == side { ds } else { dt };
-                    if delta == 0 {
-                        continue;
-                    }
-                    let b = &mut buckets[q_side.index()];
-                    if b.contains(q) {
-                        b.add(q, delta);
-                    } else {
-                        // q had no moved net-mate yet (only pops remove
-                        // bucket entries, and pops lock), so its
-                        // virtual gain still equals the cached real
-                        // gain.
-                        b.insert(q, cache.gain(q) + delta);
-                        touched.push(q);
-                    }
-                }
-            }
-            work.flip(nl, c);
-            running += gain;
-            moves.push(c);
-            cumulative.push(running);
-            balanced_after.push(work.weight_imbalance() <= tol.base);
-        }
-
-        // Best prefix that ends balanced with positive improvement.
-        let mut best: Option<(usize, i64)> = None;
-        for (i, (&cum, &ok)) in cumulative.iter().zip(balanced_after.iter()).enumerate() {
-            if ok && cum > 0 && best.is_none_or(|(_, bc)| cum > bc) {
-                best = Some((i, cum));
-            }
-        }
-        let committed = match best {
-            Some((k, _)) => k + 1,
-            None => 0,
-        };
-        let before = p.cut();
-        // The mirror made every move of the pass, each at its bucket
-        // gain: a wrong fused update shows here.
-        debug_assert_eq!(work.cut() as i64, before as i64 - running);
-        let cache = &mut ws.netlist_cache;
-        for &c in &moves[..committed] {
-            cache.move_cell(nl, p, c);
-        }
-        // Rewind the mirror to `p` in one O(cells + nets) copy into its
-        // own capacity; most of a pass's moves are uncommitted.
-        work.copy_from(p);
-        // O(touched) cleanup instead of O(cells) resets.
-        for &c in ws.fm_touched.iter() {
-            for b in ws.fm_buckets.iter_mut() {
-                if b.contains(c) {
-                    b.remove(c);
-                }
-            }
-            ws.locked[c as usize] = false;
-        }
-        ws.fm_touched.clear();
-        debug_assert_eq!(p.cut(), p.recompute_cut(nl));
-        debug_assert!(before >= p.cut());
-        before - p.cut()
-    }
-}
-
-/// Per-refine O(cells) setup: tolerances, bucket reset, work mirror,
-/// locked/touched clearing. Requires `ws.netlist_cache` exact for
-/// `(nl, p)`.
-fn prepare(nl: &Netlist, p: &NetlistBisection, ws: &mut Workspace) -> Tolerance {
-    let n = nl.num_cells();
-    // A cell's gain is bounded by its weighted net degree: each
-    // incident net contributes a value in [−w(net), w(net)].
-    let max_gain = nl
-        .cells()
-        .map(|c| {
-            nl.nets_of(c)
-                .iter()
-                .map(|&net| nl.net_weight(net))
-                .sum::<u64>()
-        })
-        .max()
-        .unwrap_or(0)
-        .min(i64::MAX as u64) as i64;
-    for b in ws.fm_buckets.iter_mut() {
-        b.reset(n, max_gain);
-    }
-    if let Some(w) = ws.netlist_work.as_mut() {
-        w.copy_from(p);
-    } else {
-        ws.netlist_work = Some(p.clone());
-    }
-    ws.locked.clear();
-    ws.locked.resize(n, false);
-    ws.fm_touched.clear();
-    Tolerance::of(nl)
 }
 
 impl NetlistRefiner for NetlistFm {
@@ -299,7 +80,8 @@ impl NetlistRefiner for NetlistFm {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (NetlistBisection, u64) {
-        let passes = self.refine_with_cache(nl, fixed, &mut init, ws);
+        let passes =
+            fm::refine_with_cache(nl, fixed, &mut init, ws, self.max_passes, Seeds::Boundary);
         (init, passes)
     }
 }

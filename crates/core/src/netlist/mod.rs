@@ -14,9 +14,11 @@
 //!   degrees, and the cell boundary, maintained in `O(pins touched)`
 //!   per move and projected coarse→fine across uncoarsening;
 //! * [`NetlistFm`] — boundary-seeded Fiduccia-Mattheyses in its native
-//!   habitat (single-cell moves, shared gain buckets, balance
-//!   tolerance, best balanced prefix per pass), behind the
-//!   [`NetlistRefiner`] trait;
+//!   habitat, behind the [`NetlistRefiner`] trait: it runs the one FM
+//!   pass of [`crate::fm`] (single-cell moves, shared gain buckets,
+//!   balance tolerance, best balanced prefix per pass) that the graph
+//!   refiners run, and only its per-move gain update is the netlist's
+//!   own;
 //! * [`NetlistPipeline`] — coarsen→partition→refine on netlists, with
 //!   the paper's one-level compaction and a full V-cycle as its
 //!   [`NetlistPipeline::compacted_fm`] / [`NetlistPipeline::multilevel_fm`]
@@ -24,8 +26,9 @@
 //! * [`recursive_placement`] — recursive k-way bisection with terminal
 //!   propagation, scoring [`NetlistPlacement`]s by net cut and HPWL.
 //!
-//! Balance is shared, not mirrored: the tolerance, the random starts
-//! and the rebalances come from the crate's balance layer (`balance.rs`).
+//! Balance and the FM pass are shared, not mirrored: the tolerance, the
+//! random starts and the rebalances come from the crate's balance layer
+//! (`balance.rs`), and the pass from [`crate::fm`].
 //!
 //! The `hypergraph_netlist` example and the `placement` benchmark
 //! experiment compare this against bisecting the clique expansion with
@@ -276,7 +279,7 @@ impl NetlistBisection {
     /// step of a cell move: the mover calls it once per net of the cell,
     /// then [`NetlistBisection::flip`].
     #[inline]
-    fn shift_pin(&mut self, nl: &Netlist, n: NetId, from: usize) -> (u32, u32) {
+    pub(crate) fn shift_pin(&mut self, nl: &Netlist, n: NetId, from: usize) -> (u32, u32) {
         let counts = &mut self.pins_on[n as usize];
         let (my, other) = (counts[from], counts[1 - from]);
         counts[from] = my - 1;
@@ -293,7 +296,7 @@ impl NetlistBisection {
     /// Flips cell `c`'s side and moves its count and weight with it; the
     /// pin counts of its nets must already have been shifted.
     #[inline]
-    fn flip(&mut self, nl: &Netlist, c: VertexId) {
+    pub(crate) fn flip(&mut self, nl: &Netlist, c: VertexId) {
         let from = self.side[c as usize] as usize;
         let to = 1 - from;
         self.side[c as usize] = !self.side[c as usize];

@@ -48,10 +48,6 @@ impl Side {
             Side::A
         }
     }
-
-    fn as_bool(self) -> bool {
-        matches!(self, Side::B)
-    }
 }
 
 impl std::fmt::Display for Side {
@@ -328,29 +324,6 @@ impl Bisection {
         compute_cut(g, &self.side)
     }
 
-    /// Vertices on the given side, in increasing id order.
-    pub fn members(&self, side: Side) -> Vec<VertexId> {
-        // lint: allow(zero-alloc) — no hot path calls this allocating
-        // API; the lint reaches it by name only, from SA's
-        // `draw_swap_pair`, which calls `GainCache::members`.
-        let mut out = Vec::new();
-        self.members_into(side, &mut out);
-        out
-    }
-
-    /// As [`Bisection::members`], writing into a caller-supplied buffer
-    /// (cleared first) so hot paths can reuse its allocation.
-    pub fn members_into(&self, side: Side, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend(
-            self.side
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| s == side.as_bool())
-                .map(|(v, _)| v as VertexId),
-        );
-    }
-
     /// Overwrites `self` with the contents of `other`, reusing the side
     /// buffer — allocation-free once capacities match, unlike the
     /// derived `Clone`. The two bisections need not belong to the same
@@ -552,14 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn members_sorted() {
-        let g = path4();
-        let p = Bisection::from_sides(&g, vec![true, false, true, false]).unwrap();
-        assert_eq!(p.members(Side::A), vec![1, 3]);
-        assert_eq!(p.members(Side::B), vec![0, 2]);
-    }
-
-    #[test]
     fn rebalance_reaches_balance_and_tracks_cut() {
         let g = bisect_gen::special::grid(4, 4);
         let mut p = Bisection::from_sides(&g, vec![false; 16]).unwrap();
@@ -627,17 +592,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn members_into_reuses_buffer() {
-        let g = path4();
-        let p = Bisection::from_sides(&g, vec![true, false, true, false]).unwrap();
-        let mut buf = vec![99, 99, 99, 99, 99];
-        p.members_into(Side::A, &mut buf);
-        assert_eq!(buf, vec![1, 3]);
-        p.members_into(Side::B, &mut buf);
-        assert_eq!(buf, vec![0, 2]);
     }
 
     #[test]

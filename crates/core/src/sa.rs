@@ -799,9 +799,15 @@ mod tests {
         let prob = 1.0 / pairs as f64;
         let expected = draws as f64 * prob;
         let sigma = (draws as f64 * prob * (1.0 - prob)).sqrt();
-        for a in p.members(Side::A) {
-            for b in p.members(Side::B) {
-                let got = counts[a as usize * n + b as usize] as f64;
+        let members = |s: Side| {
+            let sides = p.sides().iter().enumerate();
+            sides
+                .filter(move |&(_, &b)| b == (s == Side::B))
+                .map(|(v, _)| v)
+        };
+        for a in members(Side::A) {
+            for b in members(Side::B) {
+                let got = counts[a * n + b] as f64;
                 assert!(
                     (got - expected).abs() <= 5.0 * sigma,
                     "pair ({a}, {b}): {got} draws, expected {expected:.0} ± {sigma:.0}"

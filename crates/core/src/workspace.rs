@@ -21,7 +21,8 @@
 
 use bisect_graph::{Graph, VertexId};
 
-use crate::gain::{GainBuckets, SortedBuckets};
+use crate::fm::FmArena;
+use crate::gain::SortedBuckets;
 use crate::gain_cache::GainCache;
 use crate::netlist::{NetlistBisection, NetlistGainCache, ParallelNetlistScratch};
 use crate::partition::Bisection;
@@ -41,19 +42,11 @@ pub struct Workspace {
     pub(crate) sequence: Vec<(VertexId, VertexId)>,
     /// Cumulative gains of the current KL pass.
     pub(crate) cumulative: Vec<i64>,
-    /// Per-side FM gain buckets.
-    pub(crate) fm_buckets: [GainBuckets; 2],
-    /// Move sequence of the current FM pass.
-    pub(crate) fm_moves: Vec<VertexId>,
-    /// Cumulative gains of the current FM pass.
-    pub(crate) fm_cumulative: Vec<i64>,
-    /// Balance flags after each FM move.
-    pub(crate) fm_balanced: Vec<bool>,
+    /// The FM pass's buckets, move log and touched list, shared by
+    /// graphs and netlists.
+    pub(crate) fm: FmArena,
     /// FM's virtually-moved working bisection.
     pub(crate) fm_work: Option<Bisection>,
-    /// Vertices whose bucket/locked state the current FM pass
-    /// touched, so cleanup is O(touched) instead of O(V).
-    pub(crate) fm_touched: Vec<VertexId>,
     /// Per-cell netlist gain cache: maintained incrementally across
     /// moves and projected through uncoarsening by the netlist
     /// pipeline, used as the per-pass gain arena by netlist FM.
