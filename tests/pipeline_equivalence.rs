@@ -1031,3 +1031,177 @@ fn boundary_fm_and_netlist_fm_move_alike_on_two_pin_nets() {
     }
     assert!(passes > 24, "the runs must refine: {passes} passes");
 }
+
+// ---------------------------------------------------------------------
+// Parallel FM pins: the parallel refiners called directly on weighted
+// levels, captured from the tree where graphs and netlists each ran
+// their own parallel round. A pin is `(cut, rounds, side fingerprint,
+// proposals)`; full-range `ParallelFm` rows pin no proposal count.
+// ---------------------------------------------------------------------
+
+/// `(cut, rounds, side fingerprint, proposals)`.
+type ParallelPin = (u64, u64, u64, Option<u64>);
+
+#[test]
+fn golden_parallel_fm_refiners_on_weighted_levels() {
+    // One workspace for every run: warm reuse must not matter.
+    let mut ws = Workspace::new();
+    let mut actual: Vec<ParallelPin> = Vec::new();
+    for levels in 0..=2 {
+        let g = contracted_gnp(500, levels, 0xAF + levels as u64);
+        for threads in 1..=3 {
+            for seed in 1..=3u64 {
+                let init = seed::weight_balanced_random(&g, &mut StdRng::seed_from_u64(seed));
+                let full = ParallelFm::new().with_threads(threads);
+                for (pfm, boundary) in [(full, false), (full.with_boundary_seeds(), true)] {
+                    let at = format!("levels {levels} threads {threads} seed {seed} {pfm:?}");
+                    ws.take_proposals();
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let (p, rounds) = pfm.refine_counted(&g, init.clone(), &mut rng, &mut ws);
+                    let proposals = ws.take_proposals();
+                    assert!(p.is_balanced(&g), "{at}");
+                    assert_eq!(p.cut(), p.recompute_cut(&g), "{at}");
+                    assert!(p.cut() <= init.cut(), "{at}");
+                    let fp = sides_fingerprint(p.sides());
+                    actual.push((p.cut(), rounds, fp, boundary.then_some(proposals)));
+                }
+            }
+        }
+    }
+    for (cells, max_weight) in [(500, 4), (300, 9)] {
+        let nl = weighted_rent(cells, max_weight, 0xAF + cells as u64);
+        for threads in 1..=3 {
+            for seed in 1..=3u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let init = weight_balanced_random(&nl, &mut rng);
+                let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_bool(0.1)).collect();
+                for fixed in [&[][..], &fixed[..]] {
+                    let at = format!("{cells} cells threads {threads} seed {seed}");
+                    ws.take_proposals();
+                    let (p, rounds) = ParallelNetlistFm::new()
+                        .with_threads(threads)
+                        .refine_counted(
+                            &nl,
+                            fixed,
+                            init.clone(),
+                            &mut StdRng::seed_from_u64(seed),
+                            &mut ws,
+                        );
+                    let proposals = ws.take_proposals();
+                    assert!(p.is_balanced(&nl), "{at}");
+                    assert_eq!(p.cut(), p.recompute_cut(&nl), "{at}");
+                    assert!(p.cut() <= init.cut(), "{at}");
+                    for c in nl.cells().filter(|&c| fixed.get(c as usize) == Some(&true)) {
+                        assert_eq!(p.side(c), init.side(c), "{at} moved {c}");
+                    }
+                    let fp = sides_fingerprint(p.sides());
+                    actual.push((p.cut(), rounds, fp, Some(proposals)));
+                }
+            }
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(cut, rounds, fp, proposals)| {
+            format!("    ({cut}, {rounds}, {fp:#x}, {proposals:?}),\n")
+        })
+        .collect();
+    assert_eq!(actual, PARALLEL_PINS, "actual pins:\n{table}");
+}
+
+/// Full-range and boundary-seeded `ParallelFm` rows alternate, levels
+/// 0–2 × threads 1–3 × seeds 1–3; then `ParallelNetlistFm` rows, free
+/// and fixed alternating, netlists of 500 and 300 cells × threads 1–3 ×
+/// seeds 1–3.
+const PARALLEL_PINS: &[ParallelPin] = &[
+    (1188, 2, 0xa77e9b0954722388, None),
+    (1185, 3, 0xa0ffdb2bb778ba58, Some(6796)),
+    (860, 4, 0xf843fc137e0b02e2, None),
+    (853, 4, 0xb0d1e3ac175351ea, Some(5115)),
+    (674, 12, 0x3ccd08671a26611c, None),
+    (674, 12, 0x3ccd08671a26611c, Some(7756)),
+    (700, 6, 0xe02f9d33fffc8689, None),
+    (700, 6, 0x9cb356e46e755907, Some(4275)),
+    (861, 4, 0x57ecb4ac8b154b13, None),
+    (800, 8, 0x8fbe04ac170028cd, Some(5676)),
+    (704, 7, 0xdf6c89717ca7a75e, None),
+    (694, 8, 0x5354338713475ff1, Some(5281)),
+    (687, 10, 0xcff33e69800225b2, None),
+    (679, 13, 0xcce27de4db400a52, Some(6944)),
+    (742, 6, 0xf519f1c4c3b9fa44, None),
+    (769, 5, 0x23af1ccfe35970a0, Some(3602)),
+    (716, 7, 0xc7a128e691133160, None),
+    (711, 7, 0x633c5a89f19da1a0, Some(4343)),
+    (1156, 1, 0x9c5bbdaaff3fee8a, None),
+    (1156, 1, 0x9c5bbdaaff3fee8a, Some(2674)),
+    (1015, 2, 0xa9d249aec7fb8469, None),
+    (980, 2, 0xf98f1f61f017a265, Some(4047)),
+    (1274, 1, 0x3c5404569a6a2b73, None),
+    (1274, 1, 0x3c5404569a6a2b73, Some(2715)),
+    (862, 3, 0x96c2bd923507ae78, None),
+    (786, 7, 0x949380cb9c80d019, Some(3136)),
+    (788, 5, 0x69df71ccf9dd8683, None),
+    (800, 4, 0xfaede9c8050514c6, Some(2443)),
+    (800, 5, 0xb0431b93f9dd3794, None),
+    (793, 6, 0x9942b28aaf7e98e6, Some(3067)),
+    (797, 6, 0x3c3974736e8fbd60, None),
+    (787, 9, 0xa1ca2c9a1c651145, Some(3342)),
+    (865, 4, 0x20654f58fe0bb132, None),
+    (870, 4, 0x8d8d72829fef547, Some(2216)),
+    (806, 5, 0x1a844dd40aa2cf63, None),
+    (787, 6, 0xf3a9b27d29710095, Some(2634)),
+    (908, 1, 0x530d31aedeac78fd, None),
+    (908, 1, 0x530d31aedeac78fd, Some(2136)),
+    (1053, 1, 0x7e7ca0b9a3cc9655, None),
+    (1053, 1, 0x7e7ca0b9a3cc9655, Some(2117)),
+    (1079, 1, 0x96638afb6825f8d3, None),
+    (1079, 1, 0x96638afb6825f8d3, Some(2121)),
+    (853, 2, 0x7f38c5583a151bc2, None),
+    (853, 2, 0x7f38c5583a151bc2, Some(1260)),
+    (822, 7, 0xcf5bc35ae1a096fc, None),
+    (822, 7, 0xcf5bc35ae1a096fc, Some(2250)),
+    (982, 2, 0x9dfc6943bf1d6479, None),
+    (982, 2, 0x9dfc6943bf1d6479, Some(1654)),
+    (803, 7, 0x52832638cb534ab2, None),
+    (803, 7, 0x52832638cb534ab2, Some(1752)),
+    (808, 7, 0xe31aa1c7700344e0, None),
+    (808, 8, 0xe31aa1c7700344e0, Some(2083)),
+    (851, 4, 0xc092bda829748fc1, None),
+    (851, 4, 0xc092bda829748fc1, Some(1538)),
+    (368, 2, 0xbc2ac36501ca448, Some(4202)),
+    (318, 4, 0x611c6be555fa0001, Some(5475)),
+    (243, 5, 0x4783603ba83e4dd3, Some(5125)),
+    (265, 4, 0xdc110e0c49192b04, Some(4141)),
+    (153, 5, 0xf74fbd66facc65ac, Some(4106)),
+    (286, 3, 0x55d43c8294c4265d, Some(3321)),
+    (328, 4, 0xd66a79045b77d9cb, Some(6016)),
+    (301, 4, 0x7ba3ab162f408451, Some(5019)),
+    (260, 4, 0x14c4f8f9f7a4cee7, Some(4147)),
+    (294, 4, 0x17f5feb4512b21a8, Some(4219)),
+    (187, 6, 0xd9f49d236b0338e3, Some(4213)),
+    (287, 3, 0x21143f61f7db4a74, Some(3169)),
+    (317, 4, 0x612683588f3a696f, Some(5541)),
+    (298, 4, 0x96a6ca3e7cebb292, Some(4726)),
+    (169, 6, 0xcbe6c8139410c13f, Some(4106)),
+    (218, 6, 0xba31f3eba095bd53, Some(4206)),
+    (175, 6, 0xc00160ddf7a9728a, Some(4017)),
+    (258, 4, 0xb72b77621fe89a9a, Some(3531)),
+    (140, 2, 0x3d616ec3e2b4ce5c, Some(2079)),
+    (134, 4, 0x1640ec658fb66e3c, Some(2214)),
+    (174, 1, 0xbee672bf987edc93, Some(1449)),
+    (183, 1, 0xa16651f3ed4a54a8, Some(1335)),
+    (85, 3, 0x19d0a4610e8b44d7, Some(1776)),
+    (116, 3, 0x75ae8ad48608fb9a, Some(1631)),
+    (136, 2, 0x7765c684d3dcd3d7, Some(1901)),
+    (133, 4, 0x1e4b0745c35d1f93, Some(2171)),
+    (167, 2, 0x9d6a322225b1f008, Some(1902)),
+    (183, 1, 0xa16651f3ed4a54a8, Some(1288)),
+    (85, 3, 0xdb1326d7b2912f04, Some(1713)),
+    (120, 2, 0x1e778bf1a76c2b62, Some(1251)),
+    (135, 2, 0x5d712e15955157d9, Some(1874)),
+    (139, 4, 0xf4ebf5a7897f9801, Some(2102)),
+    (167, 1, 0x24a986d30d16a048, Some(1364)),
+    (177, 1, 0x9c3846eda957e4e6, Some(1255)),
+    (87, 3, 0x37bcbaf253488480, Some(1660)),
+    (114, 3, 0x160f49dfc9c5863e, Some(1522)),
+];
