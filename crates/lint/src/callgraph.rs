@@ -232,6 +232,7 @@ fn toml_path_value(entry: &str) -> Option<String> {
 struct NodeInfo<'a> {
     name: &'a str,
     self_type: Option<&'a str>,
+    generics: &'a [String],
     module: &'a [String],
     file: usize,
     krate: &'a str,
@@ -266,6 +267,7 @@ impl CallGraph {
                 NodeInfo {
                     name: &f.name,
                     self_type: f.self_type.as_deref(),
+                    generics: &f.generics,
                     module: &f.module,
                     file: n.file,
                     krate: crate_of(&files[n.file].path),
@@ -307,6 +309,11 @@ impl CallGraph {
                         };
                         match typed.get(&(ty, name.as_str())) {
                             Some(c) => c.as_slice(),
+                            // A call through a type parameter, `L::cut(…)`,
+                            // may reach any impl: resolve it as method syntax.
+                            None if caller_info.generics.contains(q) => methods_by_name
+                                .get(name.as_str())
+                                .map_or(&[], Vec::as_slice),
                             // A module-qualified free call: `special::path(…)`.
                             None => free_by_name.get(name.as_str()).map_or(&[], Vec::as_slice),
                         }

@@ -87,6 +87,9 @@ pub struct FnItem {
     /// The self type of the enclosing `impl` block, when any (the
     /// first path segment of the implemented type).
     pub self_type: Option<String>,
+    /// The type parameters in scope: the item's own, then those of the
+    /// enclosing `impl` block.
+    pub generics: Vec<String>,
     /// The in-file `mod` nesting the item sits under.
     pub module: Vec<String>,
     /// Whether the item lies in `#[cfg(test)]` code.
@@ -168,8 +171,11 @@ struct Scope {
 
 enum ScopeKind {
     Module(String),
-    Impl(Option<String>),
-    Fn { fn_idx: usize },
+    /// An `impl` block: its self type and type parameters.
+    Impl(Option<String>, Vec<String>),
+    Fn {
+        fn_idx: usize,
+    },
     Block,
 }
 
@@ -183,7 +189,7 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
     // not yet been seen: (fn index, brace depth of the enclosing scope).
     let mut pending_fn: Option<usize> = None;
     let mut pending_mod: Option<String> = None;
-    let mut pending_impl: Option<Option<String>> = None;
+    let mut pending_impl: Option<(Option<String>, Vec<String>)> = None;
 
     let mut i = 0usize;
     while i < file.tokens.len() {
@@ -200,8 +206,8 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
                     ScopeKind::Fn { fn_idx }
                 } else if let Some(name) = pending_mod.take() {
                     ScopeKind::Module(name)
-                } else if let Some(ty) = pending_impl.take() {
-                    ScopeKind::Impl(ty)
+                } else if let Some((ty, generics)) = pending_impl.take() {
+                    ScopeKind::Impl(ty, generics)
                 } else {
                     ScopeKind::Block
                 };
@@ -251,7 +257,8 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
                     match s {
                         "{" | ";" => break,
                         "<" => angle += 1,
-                        ">" => angle -= 1,
+                        // The `>` of a `->` closes nothing.
+                        ">" if file.tok(k - 1) != "-" => angle -= 1,
                         "for" if angle == 0 => {
                             saw_for = true;
                             after_for = true;
@@ -269,7 +276,7 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
                     }
                     j = k + 1;
                 }
-                pending_impl = Some(ty);
+                pending_impl = Some((ty, type_params(file, i + 1)));
             }
             (TokenKind::Ident, "fn") => {
                 if let Some(n) = file.next_code(i + 1) {
@@ -281,15 +288,21 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
                                 _ => None,
                             })
                             .collect();
-                        let self_type = scopes.iter().rev().find_map(|s| match &s.kind {
-                            ScopeKind::Impl(ty) => Some(ty.clone()),
+                        let enclosing = scopes.iter().rev().find_map(|s| match &s.kind {
+                            ScopeKind::Impl(ty, generics) => Some((ty.clone(), generics)),
                             _ => None,
                         });
+                        let mut generics = type_params(file, n + 1);
+                        if let Some((_, outer)) = &enclosing {
+                            generics.extend(outer.iter().cloned());
+                        }
+                        let self_type = enclosing.and_then(|(ty, _)| ty);
                         let item_start = item_start(file, i);
                         let fn_idx = out.fns.len();
                         out.fns.push(FnItem {
                             name: file.tok(n).to_string(),
-                            self_type: self_type.flatten(),
+                            self_type,
+                            generics,
                             module,
                             is_test: file.in_test_code(i),
                             line: t.line,
@@ -321,6 +334,48 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
                 out.fns[fn_idx].line_range.1 = last.line;
             }
         }
+    }
+    out
+}
+
+/// The type parameters of the generic list that opens at the first
+/// code token from `from`, if that token is `<`: the first identifier
+/// of each top-level parameter. Lifetimes and `const` parameters are
+/// skipped, and the `>` of a `->` closes nothing.
+fn type_params(file: &SourceFile, from: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    match file.next_code(from) {
+        Some(open) if file.tok(open) == "<" => {}
+        _ => return out,
+    }
+    let mut depth = 0usize;
+    let mut starts_param = false;
+    let mut j = from;
+    while let Some(k) = file.next_code(j) {
+        let s = file.tok(k);
+        let arrow = s == ">" && k > 0 && file.tok(k - 1) == "-";
+        match s {
+            "<" => {
+                depth += 1;
+                starts_param = depth == 1;
+            }
+            ">" if !arrow => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    break;
+                }
+            }
+            "," if depth == 1 => starts_param = true,
+            "{" | ";" => break,
+            _ if starts_param => {
+                starts_param = false;
+                if file.tokens[k].kind == TokenKind::Ident && s != "const" {
+                    out.push(s.to_string());
+                }
+            }
+            _ => {}
+        }
+        j = k + 1;
     }
     out
 }
@@ -723,6 +778,23 @@ mod inner {
         assert_eq!(fn_named(&p, "method").self_type.as_deref(), Some("Foo"));
         assert_eq!(fn_named(&p, "clone").self_type.as_deref(), Some("Foo"));
         assert_eq!(fn_named(&p, "nested").module, vec!["inner"]);
+    }
+
+    #[test]
+    fn records_the_type_parameters_in_scope() {
+        let src = r#"
+fn plain() {}
+fn generic<'a, L: Cells<Part: Clone>, const N: usize, F: Fn(u32) -> u32>(x: &'a L) {}
+impl<T: Fn() -> u32, U> Pair<T, U> {
+    fn method<V>(&self) {}
+}
+"#;
+        let p = parsed(src);
+        assert!(fn_named(&p, "plain").generics.is_empty());
+        assert_eq!(fn_named(&p, "generic").generics, ["L", "F"]);
+        let method = fn_named(&p, "method");
+        assert_eq!(method.generics, ["V", "T", "U"]);
+        assert_eq!(method.self_type.as_deref(), Some("Pair"));
     }
 
     #[test]

@@ -19,6 +19,7 @@ const TAINT_HELPER: &str = include_str!("fixtures/callgraph/taint_helper.rs");
 const PAR_CONSUMER: &str = include_str!("fixtures/callgraph/par_consumer.rs");
 const PAR_SHARED: &str = include_str!("fixtures/callgraph/par_shared.rs");
 const PAR_THREAD: &str = include_str!("fixtures/callgraph/par_thread.rs");
+const GENERIC_QUALIFIED: &str = include_str!("fixtures/callgraph/generic_qualified.rs");
 
 fn config(toml: &str) -> Config {
     Config::from_toml(toml).expect("fixture config parses")
@@ -241,6 +242,37 @@ fn par_safety_flags_ad_hoc_threading_outside_the_runtime() {
             "par-safety-thread"
         )]
     );
+}
+
+#[test]
+fn calls_through_a_type_parameter_reach_the_impls() {
+    // `L::scratch(…)` names no type: it must resolve as method syntax
+    // does, or the `vec!` in the impl hides from the root.
+    for root in ["drive", "Driver::run"] {
+        let cfg = config(&format!(
+            r#"
+            [reachability]
+            alloc_roots = ["{root}"]
+            "#
+        ));
+        let report = check_sources(&cfg, &[("crates/core/src/level.rs", GENERIC_QUALIFIED)]);
+        assert_eq!(
+            sites(&report),
+            [("crates/core/src/level.rs".to_string(), 12, "zero-alloc")],
+            "root {root}"
+        );
+        let msg = &report.diagnostics[0].message;
+        assert!(msg.contains("`scratch`"), "root {root}: {msg}");
+    }
+    // A module-qualified call still links to free fns only.
+    let cfg = config(
+        r#"
+        [reachability]
+        alloc_roots = ["via_module"]
+        "#,
+    );
+    let report = check_sources(&cfg, &[("crates/core/src/level.rs", GENERIC_QUALIFIED)]);
+    assert_eq!(sites(&report), []);
 }
 
 #[test]
