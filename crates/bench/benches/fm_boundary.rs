@@ -25,12 +25,18 @@
 //!   to a fixpoint from one weight-balanced start. The two make the same
 //!   moves, so the gap between the rows is the netlist stack's overhead
 //!   on the nets that dominate Rent netlists.
+//! * `pfm-two-pin-100k/*` — the same level, start and 2-pin netlist
+//!   refined by boundary-seeded `ParallelFm` and by `ParallelNetlistFm`,
+//!   both at one thread. They run one parallel round, but the netlist
+//!   resolve also pairs the proposals it blocked for balance, so the
+//!   rows differ in moves as well as in the gain update.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bisect_core::bisector::Refiner;
 use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
-use bisect_core::netlist::{NetlistBisection, NetlistFm, NetlistRefiner};
+use bisect_core::netlist::{NetlistBisection, NetlistFm, NetlistRefiner, ParallelNetlistFm};
+use bisect_core::par_fm::ParallelFm;
 use bisect_core::partition::Bisection;
 use bisect_core::pipeline::ParallelMatching;
 use bisect_core::seed;
@@ -152,8 +158,6 @@ fn two_pin_netlist(g: &Graph) -> Netlist {
 }
 
 fn bench_two_pin_level(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fm-two-pin-100k");
-    group.sample_size(10);
     let params = gnp::GnpParams::with_average_degree(100_000, 3.0).expect("valid parameters");
     let g = gnp::sample(&mut LaggedFibonacci::seed_from_u64(7), &params);
     let g = reorder::bfs(&g).apply(&g);
@@ -163,6 +167,21 @@ fn bench_two_pin_level(c: &mut Criterion) {
     let init = seed::weight_balanced_random(&level, &mut LaggedFibonacci::seed_from_u64(3));
     let netlist_init =
         NetlistBisection::from_sides(&nl, init.sides().to_vec()).expect("one side per cell");
+    let bench_netlist =
+        |group: &mut criterion::BenchmarkGroup<'_>, name, refiner: &dyn NetlistRefiner| {
+            group.bench_with_input(BenchmarkId::new(name, "gnp-deg3"), &nl, |b, nl| {
+                let mut ws = Workspace::new();
+                b.iter(|| {
+                    let mut rng = LaggedFibonacci::seed_from_u64(1);
+                    let (p, _) =
+                        refiner.refine_counted(nl, &[], netlist_init.clone(), &mut rng, &mut ws);
+                    std::hint::black_box(p.cut())
+                });
+            });
+        };
+
+    let mut group = c.benchmark_group("fm-two-pin-100k");
+    group.sample_size(10);
     bench_repass(
         &mut group,
         BenchmarkId::new("boundary-fm", "gnp-deg3"),
@@ -170,15 +189,23 @@ fn bench_two_pin_level(c: &mut Criterion) {
         &level,
         &init,
     );
-    group.bench_with_input(BenchmarkId::new("netlist-fm", "gnp-deg3"), &nl, |b, nl| {
-        let mut ws = Workspace::new();
-        b.iter(|| {
-            let mut rng = LaggedFibonacci::seed_from_u64(1);
-            let (p, _) =
-                NetlistFm::new().refine_counted(nl, &[], netlist_init.clone(), &mut rng, &mut ws);
-            std::hint::black_box(p.cut())
-        });
-    });
+    bench_netlist(&mut group, "netlist-fm", &NetlistFm::new());
+    group.finish();
+
+    let mut group = c.benchmark_group("pfm-two-pin-100k");
+    group.sample_size(10);
+    bench_repass(
+        &mut group,
+        BenchmarkId::new("parallel-fm", "gnp-deg3"),
+        &ParallelFm::new().with_threads(1).with_boundary_seeds(),
+        &level,
+        &init,
+    );
+    bench_netlist(
+        &mut group,
+        "parallel-netlist-fm",
+        &ParallelNetlistFm::new().with_threads(1),
+    );
     group.finish();
 }
 

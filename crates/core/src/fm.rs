@@ -241,7 +241,8 @@ impl Refiner for BoundaryFm {
 }
 
 /// Which cells seed a pass's gain buckets: the one difference between
-/// [`FiducciaMattheyses`] and [`BoundaryFm`].
+/// [`FiducciaMattheyses`] and [`BoundaryFm`]. It also picks the chunk
+/// source of a [`crate::par_fm`] round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Seeds {
     /// Every cell, in index order.

@@ -36,10 +36,10 @@
 //! * [`netlist`] — hypergraph-native FM on netlists
 //!   (`bisect_graph::hypergraph`), the true objective of the paper's
 //!   VLSI motivation.
-//! * [`par_fm::ParallelFm`] — boundary-partitioned parallel FM
-//!   refinement for million-vertex instances; deterministic at a fixed
-//!   thread count. The huge experiments run it (and its netlist twin)
-//!   as the level refiner of a [`pipeline::Pipeline`] (or
+//! * [`par_fm::ParallelFm`] — chunked parallel FM refinement for
+//!   million-vertex instances; deterministic at a fixed thread count.
+//!   Its netlist twin runs the same round. The huge experiments run
+//!   them as the level refiners of a [`pipeline::Pipeline`] (or
 //!   [`netlist::NetlistPipeline`]) with [`pipeline::ParallelMatching`]
 //!   (or [`netlist::ParallelCellMatching`]) coarsening and a serial FM
 //!   refiner set by `with_coarsest` on the coarsest level.

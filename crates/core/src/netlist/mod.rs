@@ -56,7 +56,6 @@ pub use kway::{
     part_regions, recursive_placement, recursive_placement_counted, NetlistPlacement, Rect,
 };
 pub use par_fm::ParallelNetlistFm;
-pub(crate) use par_fm::ParallelNetlistScratch;
 pub use pipeline::NetlistPipeline;
 
 /// A net's contribution to the FM gain of one of its pins, given the

@@ -1,54 +1,38 @@
 //! Coarse-grained parallel netlist refinement for million-cell
-//! instances — the hypergraph counterpart of [`crate::par_fm`].
+//! instances: [`ParallelNetlistFm`] runs the parallel round of
+//! [`crate::par_fm`] on netlists.
 //!
-//! [`ParallelNetlistFm`] chunks the cell boundary tracked by the
-//! workspace [`NetlistGainCache`] by position, lets one worker per
-//! chunk run a greedy positive-gain sweep against a *snapshot* of the
-//! bisection (Gauss–Seidel within a chunk, Jacobi across chunks), then
-//! merges the proposed moves serially in two phases. Phase 1 sweeps
-//! them sorted by `(gain desc, cell asc)`, re-validates each against
-//! the live cached gain and applies it if it still improves the cut
-//! within the FM pass slack; a proposal blocked only by that slack is
-//! queued by direction. Phase 2 pairs the two queues, as the paper's KL
-//! pairs its swaps: the head of whichever queue still fits goes next.
-//! A best-balanced-prefix rollback over both phases — the discipline
-//! shared with [`super::NetlistFm`] — guarantees every round ends
-//! balanced (if it started so) with a cut no larger than it started.
-//! Phase 1 applies exactly what a single sweep would, so a round never
-//! ends above the single sweep's cut from the same state: that is the
-//! per-round dominance the unit tests check against the single sweep.
-//!
-//! Workers never touch the live bisection: each keeps a private,
-//! epoch-stamped overlay of per-net pin counts for its own virtual
-//! moves in a [`Workspace`] arena slot, so gain deltas use the same
-//! [`super::gain_term`] algebra as the serial pass while reading
-//! everything else from the frozen snapshot. Starting gains come
-//! straight from the exact cache — a round costs `O(boundary · pins)`
-//! rather than `O(cells + pins)`, and allocates nothing once warm.
+//! It chunks the cell boundary tracked by the workspace
+//! [`NetlistGainCache`] by position, lets one worker per chunk sweep it
+//! against a frozen snapshot, and resolves the merged proposals
+//! serially. Its workers keep a private, epoch-stamped overlay of
+//! per-net pin counts for their own virtual moves, so gain deltas use
+//! the same [`super::gain_term`] algebra as the serial pass. Its
+//! resolve also runs phase 2 of the round, which pairs the proposals
+//! that phase 1 blocked only for balance; a round therefore never ends
+//! above the cut of the single sweep from the same state, which the
+//! unit tests check against that sweep. Starting gains come straight
+//! from the exact cache, so a round costs `O(boundary · pins)` rather
+//! than `O(cells + pins)` and allocates nothing once warm.
 //!
 //! # Determinism contract
 //!
 //! Like [`crate::par_fm::ParallelFm`], this refiner draws **no
-//! randomness** and is **deterministic at a fixed thread count**: the
-//! boundary order is a pure function of the init state and move
-//! history, the chunking is a pure function of that order and the
-//! thread count, workers are pure functions of their chunk and the
-//! snapshot, and the merge order is total. It is *not* bit-identical
-//! across different thread counts (chunk boundaries move). The
-//! golden-pinned serial netlist paths are unaffected.
+//! randomness** and is **deterministic at a fixed thread count**, but
+//! *not* bit-identical across different thread counts (chunk
+//! boundaries move). The golden-pinned serial netlist paths are
+//! unaffected.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use bisect_graph::hypergraph::{NetId, Netlist};
-use bisect_graph::VertexId;
+use bisect_graph::hypergraph::Netlist;
 use rand::RngCore;
 
-use crate::balance::Tolerance;
-use crate::partition::Side;
+use crate::fm::Seeds;
+use crate::par_fm::{run_rounds, Rounds};
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner};
+#[cfg(doc)]
+use super::NetlistGainCache;
+use super::{NetlistBisection, NetlistRefiner};
 
 /// Boundary-chunked parallel Fiduccia–Mattheyses on netlists.
 ///
@@ -117,415 +101,14 @@ impl ParallelNetlistFm {
         self.threads.unwrap_or_else(bisect_par::num_threads)
     }
 
-    /// One propose/resolve round. `ws.netlist_cache` must be exact for
-    /// `(nl, p)` on entry and is exact for the updated `p` on exit;
-    /// every buffer comes from `ws.pnfm`. Returns `(cut improvement,
-    /// gain evaluations)`; an improvement of zero means the round
-    /// applied nothing and the refiner is done.
-    fn round_boundary(
-        nl: &Netlist,
-        fixed: &[bool],
-        p: &mut NetlistBisection,
-        ws: &mut Workspace,
-        tol: Tolerance,
-        threads: usize,
-        resolve: Resolve,
-    ) -> (u64, u64) {
-        let cache = &mut ws.netlist_cache;
-        let scratch = &mut ws.pnfm;
-        // Chunk the boundary list by *position* — no copy, no sort,
-        // O(1) membership via the cache's position index. The list
-        // order is a pure function of the init state and move history,
-        // so the chunking (and the whole round) stays deterministic at
-        // a fixed thread count.
-        let m = cache.boundary().len();
-        if m == 0 {
-            return (0, 0);
+    /// How the refiner runs its rounds: boundary chunks, paired resolve.
+    fn plan(&self) -> Rounds {
+        Rounds {
+            threads: self.threads(),
+            max_rounds: self.max_rounds,
+            seeds: Seeds::Boundary,
+            pair: true,
         }
-        let t = threads.max(1).min(m);
-        let chunk = m.div_ceil(t);
-        let ranges = m.div_ceil(chunk);
-        if scratch.chunks.len() < ranges {
-            scratch.chunks.resize_with(ranges, ChunkScratch::default);
-        }
-
-        let frozen: &NetlistBisection = p;
-        let shared: &NetlistGainCache = cache;
-        bisect_par::par_for_each_mut(t, &mut scratch.chunks[..ranges], |k, worker| {
-            let lo = k * chunk;
-            let hi = ((k + 1) * chunk).min(m);
-            worker.propose(nl, frozen, shared, fixed, lo, hi);
-        });
-
-        let mut evals: u64 = 0;
-        scratch.all.clear();
-        for worker in &scratch.chunks[..ranges] {
-            evals += worker.evals;
-            scratch.all.extend_from_slice(&worker.proposals);
-        }
-        // Total merge order: best estimated gain first, cell id as the
-        // deterministic tie-break.
-        scratch
-            .all
-            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let (improvement, resolved) =
-            resolve(nl, p, cache, &scratch.all, &mut scratch.resolve, tol);
-        (improvement, evals + resolved)
-    }
-
-    /// Serial two-phase resolve of the merged proposals, with the
-    /// tolerances of the serial netlist FM pass. Every live
-    /// re-validation is a cached O(1) lookup, and every applied (or
-    /// rolled-back) move is recorded so the cache stays exact round to
-    /// round.
-    ///
-    /// Phase 1 sweeps the proposals in merge order and applies each one
-    /// that still has positive live gain and keeps the sides within
-    /// `tol.pass`. A proposal blocked only by `tol.pass` is queued by
-    /// direction instead of dropped. Phase 2 pairs the queues as KL
-    /// pairs its swaps: it applies the head of whichever queue still
-    /// fits `tol.pass`, the higher live gain when both fit (ties move
-    /// off the heavier side), skips heads whose live gain is no longer
-    /// positive, and drops both heads when neither fits. Both phases
-    /// feed one best-balanced-prefix rollback, and phase 1 applies
-    /// exactly what the single sweep did, so a round never ends above
-    /// the cut the single sweep reaches from the same state. Each cell
-    /// moves at most once; the cost stays O(proposals). Returns `(cut
-    /// improvement, gain evaluations)`.
-    fn resolve(
-        nl: &Netlist,
-        p: &mut NetlistBisection,
-        cache: &mut NetlistGainCache,
-        proposals: &[(i64, VertexId)],
-        buf: &mut ResolveScratch,
-        tol: Tolerance,
-    ) -> (u64, u64) {
-        let start_cut = p.cut();
-        let mut evals: u64 = 0;
-        buf.begin(start_cut);
-        for &(_, c) in proposals {
-            evals += 1;
-            if cache.gain(c) <= 0 {
-                continue;
-            }
-            if tol.fits(nl, p, c) {
-                buf.apply(nl, p, cache, c, tol.base);
-            } else {
-                buf.blocked[p.side(c).index()].push(c);
-            }
-        }
-        let mut next = [0usize; 2];
-        loop {
-            // Each queue's first head with positive live gain.
-            let mut heads = [None; 2];
-            for (s, head) in heads.iter_mut().enumerate() {
-                while let Some(&c) = buf.blocked[s].get(next[s]) {
-                    evals += 1;
-                    let live = cache.gain(c);
-                    if live > 0 {
-                        *head = Some((live, c));
-                        break;
-                    }
-                    next[s] += 1;
-                }
-            }
-            if heads == [None, None] {
-                break;
-            }
-            // The fitting head with the higher live gain; ties move off
-            // the heavier side.
-            let heavy = usize::from(p.weight(Side::B) > p.weight(Side::A));
-            let pick = heads
-                .iter()
-                .enumerate()
-                .filter_map(|(s, h)| h.filter(|&(_, c)| tol.fits(nl, p, c)).map(|h| (s, h)))
-                .max_by_key(|&(s, (live, _))| (live, s == heavy));
-            match pick {
-                Some((s, (_, c))) => {
-                    next[s] += 1;
-                    buf.apply(nl, p, cache, c, tol.base);
-                }
-                None => {
-                    next[0] += 1;
-                    next[1] += 1;
-                }
-            }
-        }
-        buf.rollback(nl, p, cache);
-        (start_cut - p.cut(), evals)
-    }
-
-    /// Round loop shared by both refine entry points; assumes
-    /// `ws.netlist_cache` is exact for `(nl, init)` on entry.
-    fn refine_rounds(
-        &self,
-        nl: &Netlist,
-        fixed: &[bool],
-        init: &mut NetlistBisection,
-        ws: &mut Workspace,
-        resolve: Resolve,
-    ) -> u64 {
-        let tol = Tolerance::of(nl);
-        let threads = self.threads();
-        let mut productive = 0u64;
-        for _ in 0..self.max_rounds {
-            let (improvement, evals) =
-                ParallelNetlistFm::round_boundary(nl, fixed, init, ws, tol, threads, resolve);
-            ws.add_proposals(evals);
-            if improvement == 0 {
-                break;
-            }
-            productive += 1;
-        }
-        productive
-    }
-}
-
-/// A serial resolve of one round's merged proposals; returns `(cut
-/// improvement, gain evaluations)`.
-type Resolve = fn(
-    &Netlist,
-    &mut NetlistBisection,
-    &mut NetlistGainCache,
-    &[(i64, VertexId)],
-    &mut ResolveScratch,
-    Tolerance,
-) -> (u64, u64);
-
-/// [`ParallelNetlistFm`]'s workspace arena: one [`ChunkScratch`] per
-/// worker plus the serial merge buffers, all reused round to round and
-/// call to call, so a warmed-up round allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct ParallelNetlistScratch {
-    /// Per-chunk worker scratch; slot `k` serves chunk `k`.
-    chunks: Vec<ChunkScratch>,
-    /// Every chunk's proposals, merged into resolve order.
-    all: Vec<(i64, VertexId)>,
-    /// The serial resolve's queues and rollback state.
-    resolve: ResolveScratch,
-}
-
-/// The serial resolve's buffers and its best-balanced-prefix state.
-#[derive(Debug, Default)]
-struct ResolveScratch {
-    /// The moves the resolve applied, for the best-prefix rollback.
-    applied: Vec<VertexId>,
-    /// Proposals blocked only by `tol.pass`, in merge order, indexed by
-    /// the side they would leave.
-    blocked: [Vec<VertexId>; 2],
-    /// Length of the best balanced prefix of `applied`.
-    best_len: usize,
-    /// Cut after that prefix.
-    best_cut: u64,
-}
-
-impl ResolveScratch {
-    /// Starts a resolve from a bisection cutting `cut`.
-    fn begin(&mut self, cut: u64) {
-        self.applied.clear();
-        for queue in &mut self.blocked {
-            queue.clear();
-        }
-        self.best_len = 0;
-        self.best_cut = cut;
-    }
-
-    /// Moves `c` through the cache's mover and keeps the prefix if it
-    /// ends within `base` at a new best cut.
-    fn apply(
-        &mut self,
-        nl: &Netlist,
-        p: &mut NetlistBisection,
-        cache: &mut NetlistGainCache,
-        c: VertexId,
-        base: u64,
-    ) {
-        cache.move_cell(nl, p, c);
-        self.applied.push(c);
-        if p.weight_imbalance() <= base && p.cut() < self.best_cut {
-            self.best_len = self.applied.len();
-            self.best_cut = p.cut();
-        }
-    }
-
-    /// Rolls back to the best balanced prefix (possibly empty). Each
-    /// cell moved at most once, so moving it back restores its side.
-    fn rollback(&self, nl: &Netlist, p: &mut NetlistBisection, cache: &mut NetlistGainCache) {
-        for &c in self.applied[self.best_len..].iter().rev() {
-            cache.move_cell(nl, p, c);
-        }
-        debug_assert_eq!(p.cut(), self.best_cut);
-        debug_assert_eq!(p.cut(), p.recompute_cut(nl));
-    }
-}
-
-#[cfg(test)]
-impl ParallelNetlistScratch {
-    /// Sets every worker's overlay epoch, so a test can force the
-    /// wrap-around (and its stamp reset) within a few rounds.
-    pub(crate) fn force_epoch(&mut self, epoch: u32) {
-        for worker in &mut self.chunks {
-            worker.overlay.epoch = epoch;
-        }
-    }
-}
-
-/// A worker's private per-net pin counts for its own virtual moves: a
-/// dense array read only where `stamp[net] == epoch`, everything else
-/// falling through to the frozen bisection. Starting a chunk bumps the
-/// epoch, invalidating every entry in O(1); the stamps are cleared only
-/// when the epoch wraps.
-#[derive(Debug, Default)]
-struct NetOverlay {
-    counts: Vec<[u32; 2]>,
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl NetOverlay {
-    /// Empties the overlay for a netlist with `nets` nets.
-    fn begin(&mut self, nets: usize) {
-        if self.stamp.len() < nets {
-            self.stamp.resize(nets, 0);
-            self.counts.resize(nets, [0; 2]);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// The virtual pin counts of `net`.
-    #[inline]
-    fn get(&self, net: NetId, frozen: &NetlistBisection) -> [u32; 2] {
-        let n = net as usize;
-        if self.stamp[n] == self.epoch {
-            self.counts[n]
-        } else {
-            frozen.pins_on(net)
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, net: NetId, counts: [u32; 2]) {
-        let n = net as usize;
-        self.counts[n] = counts;
-        self.stamp[n] = self.epoch;
-    }
-}
-
-/// One propose worker's scratch, reused chunk to chunk.
-#[derive(Debug, Default)]
-struct ChunkScratch {
-    overlay: NetOverlay,
-    /// Local gain estimate per chunk position.
-    gains: Vec<i64>,
-    /// Whether the chunk position is fixed or already moved.
-    locked: Vec<bool>,
-    heap: BinaryHeap<(i64, Reverse<VertexId>)>,
-    /// The chunk's moves in the order they were made, each with its
-    /// local gain estimate.
-    proposals: Vec<(i64, VertexId)>,
-    /// Gain evaluations of the last [`ChunkScratch::propose`].
-    evals: u64,
-}
-
-impl ChunkScratch {
-    /// Greedy positive-gain sweep over the boundary-list positions
-    /// `lo..hi` against the frozen bisection, with starting gains
-    /// served straight from the exact cache. The worker's own virtual
-    /// moves are tracked in its epoch-stamped [`NetOverlay`]; in-chunk
-    /// net-mate gains are maintained with the same [`gain_term`] delta
-    /// algebra as the serial pass, while out-of-chunk pins stay frozen
-    /// at their snapshot sides. Every cell moves at most once. Leaves
-    /// the moves in `proposals` and the gain evaluations performed in
-    /// `evals`.
-    fn propose(
-        &mut self,
-        nl: &Netlist,
-        frozen: &NetlistBisection,
-        cache: &NetlistGainCache,
-        fixed: &[bool],
-        lo: usize,
-        hi: usize,
-    ) {
-        let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
-        let cells = &cache.boundary()[lo..hi];
-        let len = cells.len();
-        self.overlay.begin(nl.num_nets());
-        self.gains.clear();
-        self.locked.clear();
-        self.locked.resize(len, false);
-        self.heap.clear();
-        self.proposals.clear();
-        for (i, &c) in cells.iter().enumerate() {
-            let gain = cache.gain(c);
-            self.gains.push(gain);
-            if is_fixed(c) {
-                // Fixed cells never move and never receive delta updates.
-                self.locked[i] = true;
-            } else if gain > 0 {
-                self.heap.push((gain, Reverse(c)));
-            }
-        }
-        let mut evals = len as u64;
-        while let Some((gain, Reverse(c))) = self.heap.pop() {
-            let i = match cache.boundary_index(c) {
-                Some(b) if b >= lo && b < hi => b - lo,
-                _ => {
-                    debug_assert!(false, "heap entries always come from the chunk");
-                    continue;
-                }
-            };
-            // Lazy deletion: stale entries (locked, or superseded by a
-            // fresher gain) are skipped.
-            if self.locked[i] || self.gains[i] != gain {
-                continue;
-            }
-            self.locked[i] = true;
-            self.proposals.push((gain, c));
-            // Unmoved cells sit on their snapshot sides (each cell moves
-            // at most once and locks), so the pre-move pin counts of
-            // every net of `c` are the frozen counts plus this worker's
-            // overlay.
-            let s = frozen.side(c).index();
-            for &net in nl.nets_of(c) {
-                let mut counts = self.overlay.get(net, frozen);
-                let (my, other) = (counts[s], counts[1 - s]);
-                let w = nl.net_weight(net) as i64;
-                counts[s] -= 1;
-                counts[1 - s] += 1;
-                self.overlay.set(net, counts);
-                let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
-                let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
-                if ds == 0 && dt == 0 {
-                    continue;
-                }
-                for &q in nl.pins(net) {
-                    if q == c {
-                        continue;
-                    }
-                    let j = match cache.boundary_index(q) {
-                        Some(b) if b >= lo && b < hi => b - lo,
-                        _ => continue,
-                    };
-                    if self.locked[j] {
-                        continue;
-                    }
-                    let delta = if frozen.side(q).index() == s { ds } else { dt };
-                    if delta == 0 {
-                        continue;
-                    }
-                    self.gains[j] += delta;
-                    evals += 1;
-                    if self.gains[j] > 0 {
-                        self.heap.push((self.gains[j], Reverse(q)));
-                    }
-                }
-            }
-        }
-        self.evals = evals;
     }
 }
 
@@ -542,10 +125,7 @@ impl NetlistRefiner for ParallelNetlistFm {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (NetlistBisection, u64) {
-        if nl.num_cells() < 2 {
-            return (init, 0);
-        }
-        let rounds = self.refine_rounds(nl, fixed, &mut init, ws, ParallelNetlistFm::resolve);
+        let rounds = run_rounds(nl, fixed, &mut init, ws, self.plan());
         (init, rounds)
     }
 }
@@ -553,12 +133,16 @@ impl NetlistRefiner for ParallelNetlistFm {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::two_clusters;
-    use super::super::{weight_balanced_random, NetlistPipeline};
+    use super::super::{weight_balanced_random, NetlistGainCache, NetlistPipeline};
     use super::*;
+    use crate::balance::Tolerance;
+    use crate::par_fm::{round, round_resolved_by, ResolveScratch};
+    use crate::partition::Side;
     use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
     use bisect_gen::netlist::{self, RentNetlistParams};
     use bisect_gen::rng::LaggedFibonacci;
     use bisect_graph::hypergraph::NetlistBuilder;
+    use bisect_graph::VertexId;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -585,12 +169,48 @@ mod tests {
         (start_cut - p.cut(), proposals.len() as u64)
     }
 
-    /// [`ParallelNetlistFm`] with the single-sweep resolve.
-    struct SingleSweep(ParallelNetlistFm);
+    /// Which resolve a test round runs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Resolver {
+        /// [`resolve_single_sweep`].
+        SingleSweep,
+        /// The shared resolve with pairing on, as the refiner runs it.
+        Paired,
+        /// The shared resolve with pairing off, as graphs run it.
+        Unpaired,
+    }
 
-    impl NetlistRefiner for SingleSweep {
+    /// One round of `pfm`'s propose with `resolver`'s resolve; returns
+    /// `(cut improvement, gain evaluations)`.
+    fn run_round(
+        pfm: &ParallelNetlistFm,
+        nl: &Netlist,
+        fixed: &[bool],
+        p: &mut NetlistBisection,
+        ws: &mut Workspace,
+        resolver: Resolver,
+    ) -> (u64, u64) {
+        let tol = Tolerance::of(nl);
+        let plan = Rounds {
+            pair: resolver == Resolver::Paired,
+            ..pfm.plan()
+        };
+        match resolver {
+            Resolver::SingleSweep => {
+                round_resolved_by(nl, fixed, p, ws, plan, |p, cache, all, buf| {
+                    resolve_single_sweep(nl, p, cache, all, buf, tol)
+                })
+            }
+            Resolver::Paired | Resolver::Unpaired => round(nl, fixed, p, ws, tol, plan),
+        }
+    }
+
+    /// [`ParallelNetlistFm`] with the resolve of a [`Resolver`].
+    struct WithResolver(ParallelNetlistFm, Resolver);
+
+    impl NetlistRefiner for WithResolver {
         fn name(&self) -> String {
-            "PNetFM-single-sweep".into()
+            format!("PNetFM-{:?}", self.1)
         }
 
         fn refine_projected_counted(
@@ -601,12 +221,18 @@ mod tests {
             _rng: &mut dyn RngCore,
             ws: &mut Workspace,
         ) -> (NetlistBisection, u64) {
+            let mut rounds = 0;
             if nl.num_cells() < 2 {
-                return (init, 0);
+                return (init, rounds);
             }
-            let rounds = self
-                .0
-                .refine_rounds(nl, fixed, &mut init, ws, resolve_single_sweep);
+            for _ in 0..self.0.max_rounds {
+                let (improvement, evals) = run_round(&self.0, nl, fixed, &mut init, ws, self.1);
+                ws.add_proposals(evals);
+                if improvement == 0 {
+                    break;
+                }
+                rounds += 1;
+            }
             (init, rounds)
         }
     }
@@ -617,20 +243,13 @@ mod tests {
         fixed: &[bool],
         init: &NetlistBisection,
         threads: usize,
-        resolve: Resolve,
+        resolver: Resolver,
     ) -> (NetlistBisection, Workspace) {
         let mut p = init.clone();
         let mut ws = Workspace::new();
         ws.netlist_cache.init(nl, &p);
-        ParallelNetlistFm::round_boundary(
-            nl,
-            fixed,
-            &mut p,
-            &mut ws,
-            Tolerance::of(nl),
-            threads,
-            resolve,
-        );
+        let pfm = ParallelNetlistFm::new().with_threads(threads);
+        run_round(&pfm, nl, fixed, &mut p, &mut ws, resolver);
         (p, ws)
     }
 
@@ -673,8 +292,8 @@ mod tests {
                 weight_balanced_random(&nl, &mut rng)
             };
             for threads in [1usize, 2, 4] {
-                let (sweep, _) = one_round(&nl, &fixed, &init, threads, resolve_single_sweep);
-                let (paired, ws) = one_round(&nl, &fixed, &init, threads, ParallelNetlistFm::resolve);
+                let (sweep, _) = one_round(&nl, &fixed, &init, threads, Resolver::SingleSweep);
+                let (paired, ws) = one_round(&nl, &fixed, &init, threads, Resolver::Paired);
                 prop_assert!(paired.cut() <= sweep.cut(), "threads {}", threads);
                 if sweep.is_balanced(&nl) {
                     prop_assert!(paired.is_balanced(&nl), "threads {}", threads);
@@ -689,6 +308,35 @@ mod tests {
     }
 
     #[test]
+    fn unpaired_resolve_makes_the_single_sweep_moves() {
+        // Round by round and refine by refine, the shared resolve with
+        // pairing off must move exactly as the oracle.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for trial in 0..24u64 {
+            let cells = rng.gen_range(8..=200usize);
+            let nl = weighted_netlist(cells, 3 * cells / 2, 1 + trial % 3, trial);
+            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_range(0..100) < 10).collect();
+            let init = weight_balanced_random(&nl, &mut rng);
+            for threads in [1usize, 2, 3] {
+                let at = format!("trial {trial} threads {threads}");
+                let (sweep, _) = one_round(&nl, &fixed, &init, threads, Resolver::SingleSweep);
+                let (unpaired, _) = one_round(&nl, &fixed, &init, threads, Resolver::Unpaired);
+                assert_eq!(sweep, unpaired, "{at}");
+                let pfm = ParallelNetlistFm::new().with_threads(threads);
+                let runs = [Resolver::SingleSweep, Resolver::Unpaired].map(|resolver| {
+                    let mut ws = Workspace::new();
+                    let mut dummy = StdRng::seed_from_u64(0);
+                    let refiner = WithResolver(pfm, resolver);
+                    let run =
+                        refiner.refine_counted(&nl, &fixed, init.clone(), &mut dummy, &mut ws);
+                    (run, ws.take_proposals())
+                });
+                assert_eq!(runs[0], runs[1], "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn pairing_beats_the_single_sweep_on_unit_cells() {
         // Unit cells allow no slack (`base` 0, `pass` 2), so the sweep
         // drops most of its balance-blocked proposals and pairing them
@@ -697,8 +345,8 @@ mod tests {
         for seed in 0..20 {
             let nl = weighted_netlist(200, 300, 1, seed);
             let init = weight_balanced_random(&nl, &mut StdRng::seed_from_u64(seed));
-            let (sweep, _) = one_round(&nl, &[], &init, 2, resolve_single_sweep);
-            let (paired, _) = one_round(&nl, &[], &init, 2, ParallelNetlistFm::resolve);
+            let (sweep, _) = one_round(&nl, &[], &init, 2, Resolver::SingleSweep);
+            let (paired, _) = one_round(&nl, &[], &init, 2, Resolver::Paired);
             assert!(paired.cut() <= sweep.cut(), "seed {seed}");
             wins += usize::from(paired.cut() < sweep.cut());
         }
@@ -723,7 +371,10 @@ mod tests {
     fn single_sweep_oracle_reproduces_the_old_parallel_pins() {
         let pipeline = NetlistPipeline::new(
             CoarsenDepth::ToSize(DEFAULT_COARSEST_SIZE),
-            SingleSweep(ParallelNetlistFm::new().with_threads(2)),
+            WithResolver(
+                ParallelNetlistFm::new().with_threads(2),
+                Resolver::SingleSweep,
+            ),
             "PNetMLFM-single-sweep",
         )
         .unwrap();
@@ -893,7 +544,7 @@ mod tests {
             // A warm-up refine leaves stamps carrying small epochs.
             let warm = NetlistBisection::random_balanced(&nl, &mut StdRng::seed_from_u64(1));
             let _ = pfm.refine_counted(&nl, &[], warm, &mut dummy, &mut ws);
-            ws.pnfm.force_epoch(u32::MAX - 1);
+            ws.pfm.force_epoch(u32::MAX - 1);
             // The next chunk runs at epoch u32::MAX, the one after wraps
             // to the small epochs the warm-up stamped.
             let init = NetlistBisection::random_balanced(&nl, &mut StdRng::seed_from_u64(2));

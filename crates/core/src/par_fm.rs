@@ -1,65 +1,89 @@
-//! Coarse-grained parallel refinement for million-vertex instances.
+//! Coarse-grained parallel refinement for million-cell levels: one
+//! *propose in parallel, resolve serially* round, written once for
+//! graphs ([`ParallelFm`]) and netlists
+//! ([`crate::netlist::ParallelNetlistFm`]).
 //!
-//! [`ParallelFm`] partitions the vertex set into contiguous ranges, lets
-//! one worker per range run a greedy positive-gain FM sweep against a
-//! *snapshot* of the bisection (Gauss–Seidel within a range, Jacobi
-//! across ranges), then merges the proposed moves serially: sorted by
-//! `(gain desc, vertex asc)`, each proposal is re-validated against the
-//! *live* bisection and applied only if it still has positive gain and
-//! respects the FM balance tolerance. A best-balanced-prefix rollback —
-//! the same discipline as [`crate::fm::FiducciaMattheyses`] — guarantees
-//! the round ends balanced with a cut no larger than it started.
+//! A round cuts the level's cells into one contiguous chunk per worker:
+//! cell ids in index order, or positions of the cut-boundary list the
+//! gain cache tracks (the boundary-seeded mode below). Each worker runs
+//! a greedy positive-gain sweep over its chunk against a *snapshot* of
+//! the bisection (Gauss–Seidel within a chunk, Jacobi across chunks),
+//! with starting gains served from the exact cache. The proposals are
+//! then merged serially, sorted by `(gain desc, cell asc)`, and
+//! resolved against the *live* bisection:
 //!
-//! Every round reads gains from the workspace [`GainCache`]: workers
-//! take their starting gains from it instead of walking adjacency, and
-//! the serial resolve re-validates each proposal with a cached `O(1)`
-//! lookup and records every applied (or rolled-back) move, so the cache
-//! stays exact round to round. `refine_counted` builds the cache once;
-//! [`Refiner::refine_projected_counted`] consumes the projected one.
+//! * phase 1 re-validates each proposal with the live cached gain and
+//!   applies it if that gain is still positive and the move keeps the
+//!   sides within the FM pass slack;
+//! * phase 2, on netlists only, pairs the proposals that phase 1
+//!   blocked only for balance, as the paper's KL pairs its swaps.
+//!
+//! A best-balanced-prefix rollback over both phases — the discipline of
+//! [`crate::fm`] — guarantees the round ends balanced (if it started
+//! so) with a cut no larger than it started. Every applied or
+//! rolled-back move goes through the cache, so it stays exact round to
+//! round. `refine_counted` builds the cache once;
+//! [`Refiner::refine_projected_counted`] and its netlist twin consume
+//! the projected one.
+//!
+//! Graphs and netlists differ in one step: how a worker updates the
+//! gains of its chunk when it virtually moves a cell against the frozen
+//! snapshot (`ParCells::frozen_move`). A graph walks the neighbours of
+//! the vertex (±2w per edge); a netlist walks the nets of the cell,
+//! shifting their pin counts in the worker's epoch-stamped overlay and
+//! deriving deltas with the serial pass's `gain_term`. Phase 2 is the
+//! one policy difference, kept off for graphs until their golden rows
+//! are re-pinned. Every buffer lives in one workspace arena, so a
+//! warmed-up round allocates nothing.
 //!
 //! # Determinism contract
 //!
-//! `ParallelFm` draws **no randomness** and is **deterministic at a
-//! fixed thread count**: the ranges are a pure function of `(n,
-//! threads)`, each worker's sweep is a pure function of its range and
-//! the snapshot, [`bisect_par::par_map_with`] returns results in index
+//! The round draws **no randomness** and is **deterministic at a fixed
+//! thread count**: the chunks are a pure function of the cell count or
+//! the boundary list (itself a pure function of the init state and move
+//! history) and the thread count, each worker's sweep is a pure
+//! function of its chunk and the snapshot, workers report in chunk
 //! order, and the merge order is a total order. Two runs with the same
-//! graph, starting bisection, and thread count produce bit-identical
+//! level, starting bisection, and thread count produce bit-identical
 //! partitions. Unlike the serial refiners it is **not** bit-identical
-//! across *different* thread counts — the range boundaries change which
+//! across *different* thread counts — the chunk boundaries change which
 //! local interactions each worker sees. The golden-pinned serial paths
 //! (`KL`, `SA`, `FM`, and every pipeline built from them) are unaffected
 //! by this module.
 //!
 //! # Boundary-seeded mode
 //!
-//! [`ParallelFm::with_boundary_seeds`] switches the propose phase from
-//! full contiguous vertex ranges to contiguous chunks of the current
-//! *cut boundary* list tracked by the cache. Chunking, merge and resolve
-//! are the same round; only the proposals' source changes, so a round
-//! costs `O(boundary·deg)` rather than `O(V + E)`. The mode draws no
-//! randomness and keeps the fixed-thread-count determinism contract
-//! (the chunking is a pure function of the boundary list and the thread
-//! count); it is a separate, explicitly tested configuration.
+//! [`ParallelFm::with_boundary_seeds`] switches the chunk source from
+//! all vertex ids to the current cut boundary, by position: no copy, no
+//! sort, O(1) chunk membership through the cache's position index.
+//! Chunking, merge and resolve are the same round; only the proposals'
+//! source changes, so a round costs `O(boundary·deg)` rather than
+//! `O(V + E)`. The netlist refiner always runs in this mode.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
+use bisect_graph::hypergraph::{NetId, Netlist};
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
 use crate::balance::Tolerance;
 use crate::bisector::{Bisector, Refiner};
+use crate::fm::{FmCells, Seeds};
 use crate::gain_cache::GainCache;
+use crate::netlist::{gain_term, NetlistBisection, NetlistGainCache};
 use crate::partition::Bisection;
 use crate::seed;
 use crate::workspace::Workspace;
 
-/// Boundary-partitioned parallel Fiduccia–Mattheyses refinement.
+/// Parallel Fiduccia–Mattheyses refinement of a graph bisection.
 ///
 /// Rounds of *propose in parallel, resolve serially* run until a round
-/// fails to improve the cut (or `max_rounds` is hit). See the module
-/// docs for the determinism contract.
+/// fails to improve the cut (or `max_rounds` is hit). By default the
+/// workers' chunks are contiguous ranges of vertex ids;
+/// [`ParallelFm::with_boundary_seeds`] chunks the cut boundary instead.
+/// See the module docs for the round and its determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelFm {
     /// Worker count; `None` defers to [`bisect_par::num_threads`].
@@ -126,229 +150,6 @@ impl ParallelFm {
     pub fn threads(&self) -> usize {
         self.threads.unwrap_or_else(bisect_par::num_threads)
     }
-
-    /// One propose/resolve round under the level's balance
-    /// [`Tolerance`]. `cache` must be exact for
-    /// `(g, p)` on entry and is exact for the updated `p` on exit.
-    /// Returns `(cut improvement, gain evaluations)`; an improvement of
-    /// zero means the round applied nothing and the refiner is done.
-    fn round(
-        &self,
-        g: &Graph,
-        p: &mut Bisection,
-        cache: &mut GainCache,
-        threads: usize,
-        tol: Tolerance,
-    ) -> (u64, u64) {
-        // Full-range mode chunks the vertex ids; boundary mode chunks
-        // the boundary list by *position* — no copy, no sort, O(1)
-        // membership via the cache's position index. The list order is
-        // a pure function of the init state and move history, so the
-        // chunking (and the whole round) stays deterministic at a fixed
-        // thread count.
-        let boundary = self.boundary_seeds;
-        let m = if boundary {
-            cache.boundary().len()
-        } else {
-            g.num_vertices()
-        };
-        if m == 0 {
-            return (0, 0);
-        }
-        let t = threads.max(1).min(m);
-        let chunk = m.div_ceil(t);
-        let ranges = m.div_ceil(chunk);
-
-        // Parallel propose: each worker sweeps its chunk against the
-        // shared snapshot. Results come back in chunk order regardless
-        // of scheduling.
-        let snapshot = p.sides();
-        let shared: &GainCache = cache;
-        let results = bisect_par::par_map_with(t, ranges, |k| {
-            let lo = k * chunk;
-            let hi = ((k + 1) * chunk).min(m);
-            if boundary {
-                propose_chunk(g, snapshot, shared, lo, hi)
-            } else {
-                propose_range(g, snapshot, shared, lo, hi)
-            }
-        });
-
-        let mut evals: u64 = 0;
-        let mut all: Vec<(i64, VertexId)> = Vec::new();
-        for (proposals, e) in results {
-            evals += e;
-            all.extend(proposals);
-        }
-        // Total merge order: best estimated gain first, vertex id as the
-        // deterministic tie-break.
-        all.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        // Serial resolve under the serial FM pass's tolerances. Every
-        // applied (or rolled-back) move is recorded so the cache stays
-        // exact.
-        let start_cut = p.cut();
-        let mut best_cut = start_cut;
-        let mut best_prefix = 0usize;
-        let mut applied: Vec<VertexId> = Vec::new();
-        for &(_, v) in &all {
-            // The worker's gain was an estimate against the snapshot;
-            // moves applied earlier in this loop can invalidate it, so
-            // re-validate with the live cached gain.
-            let live = cache.gain(v);
-            evals += 1;
-            if live <= 0 {
-                continue;
-            }
-            if !tol.fits(g, p, v) {
-                continue;
-            }
-            cache.record_move(g, p, v);
-            p.move_vertex_with_gain(g, v, live);
-            applied.push(v);
-            if p.weight_imbalance() <= tol.base && p.cut() < best_cut {
-                best_prefix = applied.len();
-                best_cut = p.cut();
-            }
-        }
-        // Roll back to the best balanced prefix (possibly empty).
-        for &v in applied[best_prefix..].iter().rev() {
-            cache.record_move(g, p, v);
-            p.move_vertex(g, v);
-        }
-        debug_assert_eq!(p.cut(), best_cut);
-        debug_assert_eq!(p.cut(), p.recompute_cut(g));
-        (start_cut - p.cut(), evals)
-    }
-}
-
-/// Greedy positive-gain sweep over the vertex range `lo..hi` against
-/// `snapshot`, with starting gains served from the exact cache.
-///
-/// Gains of in-range vertices are maintained incrementally as the
-/// worker's own moves land (lazy-deletion max-heap keyed by `(gain,
-/// Reverse(vertex))`); out-of-range neighbors are frozen at their
-/// snapshot sides. Every vertex moves at most once. Returns the moves
-/// in the order they were made, each with its local gain estimate, plus
-/// the number of starting gain evaluations (one per vertex).
-fn propose_range(
-    g: &Graph,
-    snapshot: &[bool],
-    cache: &GainCache,
-    lo: usize,
-    hi: usize,
-) -> (Vec<(i64, VertexId)>, u64) {
-    let len = hi - lo;
-    let mut gains: Vec<i64> = Vec::with_capacity(len);
-    let mut locked = vec![false; len];
-    let mut heap: BinaryHeap<(i64, Reverse<VertexId>)> = BinaryHeap::new();
-    for v in lo as VertexId..hi as VertexId {
-        let gain = cache.gain(v);
-        gains.push(gain);
-        if gain > 0 {
-            heap.push((gain, Reverse(v)));
-        }
-    }
-    let evals = len as u64;
-    let mut proposals: Vec<(i64, VertexId)> = Vec::new();
-    while let Some((gain, Reverse(v))) = heap.pop() {
-        let i = v as usize - lo;
-        // Lazy deletion: stale entries (locked, or superseded by a
-        // fresher gain) are skipped.
-        if locked[i] || gains[i] != gain {
-            continue;
-        }
-        locked[i] = true;
-        proposals.push((gain, v));
-        for (u, w) in g.neighbors_weighted(v) {
-            let ui = u as usize;
-            if ui < lo || ui >= hi {
-                continue;
-            }
-            let j = ui - lo;
-            if locked[j] {
-                continue;
-            }
-            // v left its snapshot side: for u on that side the edge
-            // became external (+2w), for u opposite it became internal
-            // (−2w). Unlocked u is still on its snapshot side.
-            let delta = if snapshot[ui] == snapshot[v as usize] {
-                2 * w as i64
-            } else {
-                -2 * (w as i64)
-            };
-            gains[j] += delta;
-            if gains[j] > 0 {
-                heap.push((gains[j], Reverse(u)));
-            }
-        }
-    }
-    (proposals, evals)
-}
-
-/// Greedy positive-gain sweep over the boundary-list positions
-/// `lo..hi` against `snapshot`, with starting gains served straight
-/// from the exact cache instead of adjacency walks. In-chunk neighbor
-/// gains are maintained incrementally (membership and local index are
-/// O(1) via [`GainCache::boundary_index`]); out-of-chunk neighbors stay
-/// frozen at their snapshot sides. Every vertex moves at most once.
-fn propose_chunk(
-    g: &Graph,
-    snapshot: &[bool],
-    cache: &GainCache,
-    lo: usize,
-    hi: usize,
-) -> (Vec<(i64, VertexId)>, u64) {
-    let verts = &cache.boundary()[lo..hi];
-    let len = verts.len();
-    let mut gains: Vec<i64> = Vec::with_capacity(len);
-    let mut locked = vec![false; len];
-    let mut heap: BinaryHeap<(i64, Reverse<VertexId>)> = BinaryHeap::new();
-    for &v in verts {
-        let gain = cache.gain(v);
-        gains.push(gain);
-        if gain > 0 {
-            heap.push((gain, Reverse(v)));
-        }
-    }
-    let mut evals = len as u64;
-    let mut proposals: Vec<(i64, VertexId)> = Vec::new();
-    while let Some((gain, Reverse(v))) = heap.pop() {
-        let i = match cache.boundary_index(v) {
-            Some(b) if b >= lo && b < hi => b - lo,
-            _ => {
-                debug_assert!(false, "heap entries always come from the chunk");
-                continue;
-            }
-        };
-        // Lazy deletion: stale entries (locked, or superseded by a
-        // fresher gain) are skipped.
-        if locked[i] || gains[i] != gain {
-            continue;
-        }
-        locked[i] = true;
-        proposals.push((gain, v));
-        for (u, w) in g.neighbors_weighted(v) {
-            let j = match cache.boundary_index(u) {
-                Some(b) if b >= lo && b < hi => b - lo,
-                _ => continue,
-            };
-            if locked[j] {
-                continue;
-            }
-            let delta = if snapshot[u as usize] == snapshot[v as usize] {
-                2 * w as i64
-            } else {
-                -2 * (w as i64)
-            };
-            gains[j] += delta;
-            evals += 1;
-            if gains[j] > 0 {
-                heap.push((gains[j], Reverse(u)));
-            }
-        }
-    }
-    (proposals, evals)
 }
 
 impl Bisector for ParallelFm {
@@ -388,22 +189,580 @@ impl Refiner for ParallelFm {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        if g.num_vertices() < 2 {
-            return (init, 0);
-        }
-        let threads = self.threads();
-        let tol = Tolerance::of(g);
-        let mut productive = 0u64;
-        for _ in 0..self.max_rounds {
-            let (improvement, evals) = self.round(g, &mut init, &mut ws.gain_cache, threads, tol);
-            ws.add_proposals(evals);
-            if improvement == 0 {
-                break;
-            }
-            productive += 1;
-        }
-        (init, productive)
+        let seeds = if self.boundary_seeds {
+            Seeds::Boundary
+        } else {
+            Seeds::All
+        };
+        let plan = Rounds {
+            threads: self.threads(),
+            max_rounds: self.max_rounds,
+            seeds,
+            // The graph resolve does not pair yet: turning this on
+            // re-pins the `PFM` golden rows.
+            pair: false,
+        };
+        let rounds = run_rounds(g, &[], &mut init, ws, plan);
+        (init, rounds)
     }
+}
+
+/// How a refiner runs its rounds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rounds {
+    /// Worker (and chunk) count.
+    pub(crate) threads: usize,
+    /// Cap on propose/resolve rounds.
+    pub(crate) max_rounds: usize,
+    /// The chunk source: every cell id, or the cache's boundary list.
+    pub(crate) seeds: Seeds,
+    /// Whether the resolve pairs the proposals it blocked for balance
+    /// (phase 2).
+    pub(crate) pair: bool,
+}
+
+/// What the parallel round needs of a level beyond [`FmCells`].
+/// Everything but [`ParCells::frozen_move`] is bookkeeping; that one
+/// step is where graphs and netlists differ.
+pub(crate) trait ParCells: FmCells<Part: Sync, Cache: Sync> + Sync {
+    /// The position of `c` in the cache's boundary list, if listed.
+    fn boundary_index(cache: &Self::Cache, c: VertexId) -> Option<usize>;
+    /// The workspace's gain cache for this kind of level, split-borrowed
+    /// with the round's arena.
+    fn par_state(ws: &mut Workspace) -> (&mut Self::Cache, &mut ParallelScratch);
+    /// The number of nets a worker's overlay covers: none for graphs.
+    fn overlay_nets(&self) -> usize;
+    /// Virtually moves `c` off its side in `frozen`, given the worker's
+    /// earlier virtual moves in `overlay`, and reports each other cell
+    /// whose gain the move can change to `visit`, with the change for a
+    /// cell on `c`'s side and for one opposite. Cells the worker has not
+    /// moved sit on their `frozen` sides, so the caller picks the change
+    /// only for the cells it keeps.
+    fn frozen_move(
+        &self,
+        frozen: &Self::Part,
+        overlay: &mut NetOverlay,
+        c: VertexId,
+        visit: impl FnMut(VertexId, [i64; 2]),
+    );
+}
+
+impl ParCells for Graph {
+    fn boundary_index(cache: &GainCache, v: VertexId) -> Option<usize> {
+        cache.boundary_index(v)
+    }
+
+    fn par_state(ws: &mut Workspace) -> (&mut GainCache, &mut ParallelScratch) {
+        (&mut ws.gain_cache, &mut ws.pfm)
+    }
+
+    fn overlay_nets(&self) -> usize {
+        0
+    }
+
+    // Inlined into the worker's loop, so the visit closure's captures
+    // stay in registers.
+    #[inline]
+    fn frozen_move(
+        &self,
+        _frozen: &Bisection,
+        _overlay: &mut NetOverlay,
+        v: VertexId,
+        mut visit: impl FnMut(VertexId, [i64; 2]),
+    ) {
+        for (u, w) in self.neighbors_weighted(v) {
+            // v left its snapshot side: for u on that side the edge
+            // became external (+2w), for u opposite it became internal
+            // (−2w).
+            visit(u, [2 * w as i64, -2 * (w as i64)]);
+        }
+    }
+}
+
+impl ParCells for Netlist {
+    fn boundary_index(cache: &NetlistGainCache, c: VertexId) -> Option<usize> {
+        cache.boundary_index(c)
+    }
+
+    fn par_state(ws: &mut Workspace) -> (&mut NetlistGainCache, &mut ParallelScratch) {
+        (&mut ws.netlist_cache, &mut ws.pfm)
+    }
+
+    fn overlay_nets(&self) -> usize {
+        self.num_nets()
+    }
+
+    /// Each cell moves at most once per chunk, so the pre-move pin
+    /// counts of every net of `c` are the frozen counts plus the
+    /// overlay; the walk shifts them in the overlay and derives the
+    /// per-pin deltas once per side, with the [`gain_term`] algebra of
+    /// the serial pass.
+    #[inline]
+    fn frozen_move(
+        &self,
+        frozen: &NetlistBisection,
+        overlay: &mut NetOverlay,
+        c: VertexId,
+        mut visit: impl FnMut(VertexId, [i64; 2]),
+    ) {
+        let s = frozen.side(c).index();
+        for &net in self.nets_of(c) {
+            let mut counts = overlay.get(net, frozen);
+            let (my, other) = (counts[s], counts[1 - s]);
+            let w = self.net_weight(net) as i64;
+            counts[s] -= 1;
+            counts[1 - s] += 1;
+            overlay.set(net, counts);
+            let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
+            let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
+            if ds == 0 && dt == 0 {
+                continue;
+            }
+            for &q in self.pins(net) {
+                if q != c {
+                    visit(q, [ds, dt]);
+                }
+            }
+        }
+    }
+}
+
+/// The round's workspace arena, shared by graphs and netlists: one
+/// [`ChunkScratch`] per worker plus the serial merge and resolve
+/// buffers, all reused round to round and call to call.
+#[derive(Debug, Default)]
+pub(crate) struct ParallelScratch {
+    /// Per-chunk worker scratch; slot `k` serves chunk `k`.
+    chunks: Vec<ChunkScratch>,
+    /// Every chunk's proposals, merged into resolve order.
+    all: Vec<(i64, VertexId)>,
+    /// The serial resolve's queues and rollback state.
+    resolve: ResolveScratch,
+}
+
+/// One propose worker's scratch, reused chunk to chunk.
+#[derive(Debug, Default)]
+struct ChunkScratch {
+    /// Netlist workers' virtual pin counts; unused on graphs.
+    overlay: NetOverlay,
+    /// Local gain estimate per chunk position.
+    gains: Vec<i64>,
+    /// Whether the chunk position is fixed or already moved.
+    locked: Vec<bool>,
+    heap: BinaryHeap<(i64, Reverse<VertexId>)>,
+    /// The chunk's moves in the order they were made, each with its
+    /// local gain estimate.
+    proposals: Vec<(i64, VertexId)>,
+    /// Gain evaluations of the last [`propose`].
+    evals: u64,
+}
+
+/// A netlist worker's private per-net pin counts for its own virtual
+/// moves: a dense array read only where `stamp[net] == epoch`,
+/// everything else falling through to the frozen bisection. Starting a
+/// chunk bumps the epoch, invalidating every entry in O(1); the stamps
+/// are cleared only when the epoch wraps.
+#[derive(Debug, Default)]
+pub(crate) struct NetOverlay {
+    counts: Vec<[u32; 2]>,
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl NetOverlay {
+    /// Empties the overlay for a level with `nets` nets.
+    fn begin(&mut self, nets: usize) {
+        if self.stamp.len() < nets {
+            self.stamp.resize(nets, 0);
+            self.counts.resize(nets, [0; 2]);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// The virtual pin counts of `net`.
+    #[inline]
+    fn get(&self, net: NetId, frozen: &NetlistBisection) -> [u32; 2] {
+        let n = net as usize;
+        if self.stamp[n] == self.epoch {
+            self.counts[n]
+        } else {
+            frozen.pins_on(net)
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, net: NetId, counts: [u32; 2]) {
+        let n = net as usize;
+        self.counts[n] = counts;
+        self.stamp[n] = self.epoch;
+    }
+}
+
+/// Runs up to `plan.max_rounds` rounds until one fails to improve the
+/// cut, assuming the level's workspace gain cache is exact for
+/// `(level, p)`; leaves it exact for the refined `p`. Cells flagged in
+/// `fixed` never move. Adds every gain evaluation to the workspace's
+/// proposal count and returns the number of productive rounds.
+pub(crate) fn run_rounds<L: ParCells>(
+    level: &L,
+    fixed: &[bool],
+    p: &mut L::Part,
+    ws: &mut Workspace,
+    plan: Rounds,
+) -> u64 {
+    if level.num_cells() < 2 {
+        return 0;
+    }
+    let tol = Tolerance::of(level);
+    let mut productive = 0u64;
+    for _ in 0..plan.max_rounds {
+        let (improvement, evals) = round(level, fixed, p, ws, tol, plan);
+        ws.add_proposals(evals);
+        if improvement == 0 {
+            break;
+        }
+        productive += 1;
+    }
+    productive
+}
+
+/// One propose/resolve round of a refiner running `plan`. Returns
+/// `(cut improvement, gain evaluations)`; an improvement of zero means
+/// the round applied nothing and the refiner is done.
+pub(crate) fn round<L: ParCells>(
+    level: &L,
+    fixed: &[bool],
+    p: &mut L::Part,
+    ws: &mut Workspace,
+    tol: Tolerance,
+    plan: Rounds,
+) -> (u64, u64) {
+    let (cache, scratch) = L::par_state(ws);
+    let Some(evals) = propose_all(level, fixed, p, cache, scratch, plan) else {
+        return (0, 0);
+    };
+    let (improvement, resolved) = resolve(
+        level,
+        p,
+        cache,
+        &scratch.all,
+        &mut scratch.resolve,
+        tol,
+        plan.pair,
+    );
+    (improvement, evals + resolved)
+}
+
+/// The propose half of a round: runs one [`propose`] worker per chunk
+/// against the snapshot `p` and merges their proposals into
+/// `scratch.all` in resolve order. Returns the workers' gain
+/// evaluations, or `None` when there is nothing to chunk.
+fn propose_all<L: ParCells>(
+    level: &L,
+    fixed: &[bool],
+    p: &L::Part,
+    cache: &L::Cache,
+    scratch: &mut ParallelScratch,
+    plan: Rounds,
+) -> Option<u64> {
+    let m = match plan.seeds {
+        Seeds::All => level.num_cells(),
+        Seeds::Boundary => L::boundary(cache).len(),
+    };
+    if m == 0 {
+        return None;
+    }
+    let t = plan.threads.max(1).min(m);
+    let chunk = m.div_ceil(t);
+    let ranges = m.div_ceil(chunk);
+    if scratch.chunks.len() < ranges {
+        scratch.chunks.resize_with(ranges, ChunkScratch::default);
+    }
+    // Workers report into their own slots, so the merge below reads
+    // them in chunk order regardless of scheduling.
+    bisect_par::par_for_each_mut(t, &mut scratch.chunks[..ranges], |k, worker| {
+        let range = k * chunk..((k + 1) * chunk).min(m);
+        propose(level, p, cache, fixed, plan.seeds, range, worker);
+    });
+    let mut evals: u64 = 0;
+    scratch.all.clear();
+    for worker in &scratch.chunks[..ranges] {
+        evals += worker.evals;
+        scratch.all.extend_from_slice(&worker.proposals);
+    }
+    // Total merge order: best estimated gain first, cell id as the
+    // deterministic tie-break.
+    scratch
+        .all
+        .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    Some(evals)
+}
+
+/// Greedy positive-gain sweep over the chunk positions `range` against
+/// the frozen bisection, with starting gains served straight from the
+/// exact cache. In-chunk gains are maintained as the worker's own
+/// virtual moves land ([`ParCells::frozen_move`], lazy-deletion
+/// max-heap keyed by `(gain, Reverse(cell))`); out-of-chunk cells stay
+/// frozen at their snapshot sides. Fixed cells never move and never
+/// receive delta updates; every other cell moves at most once. Leaves
+/// the moves in `out.proposals` and the gain evaluations — one per
+/// starting gain and one per delta update — in `out.evals`.
+fn propose<L: ParCells>(
+    level: &L,
+    frozen: &L::Part,
+    cache: &L::Cache,
+    fixed: &[bool],
+    seeds: Seeds,
+    range: Range<usize>,
+    out: &mut ChunkScratch,
+) {
+    let boundary = L::boundary(cache);
+    let Range { start: lo, end: hi } = range;
+    // The chunk position of `c`, when it lies in the chunk.
+    let slot = |c: VertexId| {
+        let at = match seeds {
+            Seeds::All => c as usize,
+            Seeds::Boundary => L::boundary_index(cache, c)?,
+        };
+        (lo..hi).contains(&at).then(|| at - lo)
+    };
+    out.overlay.begin(level.overlay_nets());
+    out.gains.clear();
+    out.locked.clear();
+    out.locked.resize(hi - lo, false);
+    out.heap.clear();
+    out.proposals.clear();
+    for (i, at) in (lo..hi).enumerate() {
+        let c = match seeds {
+            Seeds::All => at as VertexId,
+            Seeds::Boundary => boundary[at],
+        };
+        let gain = L::cached_gain(cache, c);
+        out.gains.push(gain);
+        if fixed.get(c as usize).copied().unwrap_or(false) {
+            out.locked[i] = true;
+        } else if gain > 0 {
+            out.heap.push((gain, Reverse(c)));
+        }
+    }
+    let mut evals = (hi - lo) as u64;
+    let ChunkScratch {
+        overlay,
+        gains,
+        locked,
+        heap,
+        proposals,
+        ..
+    } = out;
+    while let Some((gain, Reverse(c))) = heap.pop() {
+        let Some(i) = slot(c) else {
+            debug_assert!(false, "heap entries always come from the chunk");
+            continue;
+        };
+        // Lazy deletion: stale entries (locked, or superseded by a
+        // fresher gain) are skipped.
+        if locked[i] || gains[i] != gain {
+            continue;
+        }
+        locked[i] = true;
+        proposals.push((gain, c));
+        let side = L::side(frozen, c);
+        level.frozen_move(frozen, overlay, c, |q, [same, opposite]| {
+            let Some(j) = slot(q) else { return };
+            if locked[j] {
+                return;
+            }
+            let delta = if L::side(frozen, q) == side {
+                same
+            } else {
+                opposite
+            };
+            if delta == 0 {
+                return;
+            }
+            gains[j] += delta;
+            evals += 1;
+            if gains[j] > 0 {
+                heap.push((gains[j], Reverse(q)));
+            }
+        });
+    }
+    out.evals = evals;
+}
+
+/// Serial resolve of the merged proposals under the level's balance
+/// tolerances. Every live re-validation is a cached O(1) lookup, and
+/// every applied (or rolled-back) move goes through the cache.
+///
+/// Phase 1 sweeps the proposals in merge order and applies each one
+/// that still has positive live gain and keeps the sides within
+/// `tol.pass`. With `pair`, a proposal blocked only by `tol.pass` is
+/// queued by direction instead of dropped, and phase 2 pairs the queues
+/// as KL pairs its swaps: it applies the head of whichever queue still
+/// fits `tol.pass`, the higher live gain when both fit (ties move off
+/// the heavier side), skips heads whose live gain is no longer
+/// positive, and drops both heads when neither fits. Both phases feed
+/// one best-balanced-prefix rollback, and phase 1 applies exactly what
+/// a resolve without pairing does, so pairing never ends a round above
+/// the cut it reaches without. Each cell moves at most once; the cost
+/// stays O(proposals). Returns `(cut improvement, gain evaluations)`.
+fn resolve<L: ParCells>(
+    level: &L,
+    p: &mut L::Part,
+    cache: &mut L::Cache,
+    proposals: &[(i64, VertexId)],
+    buf: &mut ResolveScratch,
+    tol: Tolerance,
+    pair: bool,
+) -> (u64, u64) {
+    let start_cut = L::cut(p);
+    let mut evals: u64 = 0;
+    buf.begin(start_cut);
+    for &(_, c) in proposals {
+        evals += 1;
+        if L::cached_gain(cache, c) <= 0 {
+            continue;
+        }
+        if tol.fits(level, p, c) {
+            buf.apply(level, p, cache, c, tol.base);
+        } else if pair {
+            buf.blocked[L::side(p, c).index()].push(c);
+        }
+    }
+    let mut next = [0usize; 2];
+    loop {
+        // Each queue's first head with positive live gain.
+        let mut heads = [None; 2];
+        for (s, head) in heads.iter_mut().enumerate() {
+            while let Some(&c) = buf.blocked[s].get(next[s]) {
+                evals += 1;
+                let live = L::cached_gain(cache, c);
+                if live > 0 {
+                    *head = Some((live, c));
+                    break;
+                }
+                next[s] += 1;
+            }
+        }
+        if heads == [None, None] {
+            break;
+        }
+        // The fitting head with the higher live gain; ties move off
+        // the heavier side.
+        let [a, b] = L::side_weights(p);
+        let heavy = usize::from(b > a);
+        let pick = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(s, h)| h.filter(|&(_, c)| tol.fits(level, p, c)).map(|h| (s, h)))
+            .max_by_key(|&(s, (live, _))| (live, s == heavy));
+        match pick {
+            Some((s, (_, c))) => {
+                next[s] += 1;
+                buf.apply(level, p, cache, c, tol.base);
+            }
+            None => {
+                next[0] += 1;
+                next[1] += 1;
+            }
+        }
+    }
+    buf.rollback(level, p, cache);
+    (start_cut - L::cut(p), evals)
+}
+
+/// The serial resolve's buffers and its best-balanced-prefix state.
+#[derive(Debug, Default)]
+pub(crate) struct ResolveScratch {
+    /// The moves the resolve applied, for the best-prefix rollback.
+    applied: Vec<VertexId>,
+    /// Proposals blocked only by `tol.pass`, in merge order, indexed by
+    /// the side they would leave.
+    blocked: [Vec<VertexId>; 2],
+    /// Length of the best balanced prefix of `applied`.
+    best_len: usize,
+    /// Cut after that prefix.
+    best_cut: u64,
+}
+
+impl ResolveScratch {
+    /// Starts a resolve from a bisection cutting `cut`.
+    pub(crate) fn begin(&mut self, cut: u64) {
+        self.applied.clear();
+        for queue in &mut self.blocked {
+            queue.clear();
+        }
+        self.best_len = 0;
+        self.best_cut = cut;
+    }
+
+    /// Moves `c` through the cache and keeps the prefix if it ends
+    /// within `base` at a new best cut.
+    pub(crate) fn apply<L: FmCells>(
+        &mut self,
+        level: &L,
+        p: &mut L::Part,
+        cache: &mut L::Cache,
+        c: VertexId,
+        base: u64,
+    ) {
+        level.cached_move(p, cache, c);
+        self.applied.push(c);
+        let [a, b] = L::side_weights(p);
+        if a.abs_diff(b) <= base && L::cut(p) < self.best_cut {
+            self.best_len = self.applied.len();
+            self.best_cut = L::cut(p);
+        }
+    }
+
+    /// Rolls back to the best balanced prefix (possibly empty). Each
+    /// cell moved at most once, so moving it back restores its side.
+    pub(crate) fn rollback<L: FmCells>(&self, level: &L, p: &mut L::Part, cache: &mut L::Cache) {
+        for &c in self.applied[self.best_len..].iter().rev() {
+            level.cached_move(p, cache, c);
+        }
+        debug_assert_eq!(L::cut(p), self.best_cut);
+        debug_assert_eq!(L::cut(p), level.recompute_cut(p));
+    }
+}
+
+#[cfg(test)]
+impl ParallelScratch {
+    /// Sets every worker's overlay epoch, so a test can force the
+    /// wrap-around (and its stamp reset) within a few rounds.
+    pub(crate) fn force_epoch(&mut self, epoch: u32) {
+        for worker in &mut self.chunks {
+            worker.overlay.epoch = epoch;
+        }
+    }
+}
+
+/// [`round`] with `resolve` in place of the shared resolve, so tests
+/// can hold the shared one to an independent oracle.
+#[cfg(test)]
+pub(crate) fn round_resolved_by<L: ParCells>(
+    level: &L,
+    fixed: &[bool],
+    p: &mut L::Part,
+    ws: &mut Workspace,
+    plan: Rounds,
+    resolve: impl FnOnce(
+        &mut L::Part,
+        &mut L::Cache,
+        &[(i64, VertexId)],
+        &mut ResolveScratch,
+    ) -> (u64, u64),
+) -> (u64, u64) {
+    let (cache, scratch) = L::par_state(ws);
+    let Some(evals) = propose_all(level, fixed, p, cache, scratch, plan) else {
+        return (0, 0);
+    };
+    let (improvement, resolved) = resolve(p, cache, &scratch.all, &mut scratch.resolve);
+    (improvement, evals + resolved)
 }
 
 #[cfg(test)]
@@ -614,5 +973,83 @@ mod tests {
             assert!(p.is_balanced(&g));
         }
         assert_eq!(p.cut(), p.recompute_cut(&g));
+    }
+
+    /// A `Gnp(n, 6/n)` sample with vertex and edge weights drawn from
+    /// `1..=3`, contracted by `levels` random maximal matchings.
+    fn contracted_gnp(n: usize, levels: usize, seed: u64) -> Graph {
+        use bisect_graph::{contraction, matching, GraphBuilder};
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let params = bisect_gen::gnp::GnpParams::new(n, 6.0 / n as f64).unwrap();
+        let base = bisect_gen::gnp::sample(&mut rng, &params);
+        let mut b = GraphBuilder::new(n);
+        for v in base.vertices() {
+            b.set_vertex_weight(v, rng.gen_range(1..=3)).unwrap();
+        }
+        for (u, v, _) in base.edges() {
+            b.add_weighted_edge(u, v, rng.gen_range(1..=3)).unwrap();
+        }
+        let mut g = b.build();
+        for _ in 0..levels {
+            let m = matching::random_maximal(&g, &mut rng);
+            g = contraction::contract_matching(&g, &m).coarse().clone();
+        }
+        g
+    }
+
+    /// `g` as a netlist of 2-pin nets: one net per edge, added for
+    /// `v < u` in adjacency order with the edge's weight, and the vertex
+    /// weights as cell weights.
+    fn two_pin_netlist(g: &Graph) -> Netlist {
+        let mut b = bisect_graph::hypergraph::NetlistBuilder::new(g.num_vertices());
+        for v in g.vertices() {
+            b.set_cell_weight(v, g.vertex_weight(v)).unwrap();
+            for (u, w) in g.neighbors_weighted(v) {
+                if v < u {
+                    b.add_weighted_net(&[v, u], w).unwrap();
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn graph_and_two_pin_netlist_rounds_move_alike() {
+        // One workspace per kind for every run: warm reuse must not
+        // matter. The netlist resolve pairs nothing here, as on graphs.
+        let (mut ws_graph, mut ws_netlist) = (Workspace::new(), Workspace::new());
+        let mut rounds = 0;
+        for levels in 0..=2 {
+            let g = contracted_gnp(400, levels, 0x3F + levels as u64);
+            let nl = two_pin_netlist(&g);
+            for threads in 1..=3 {
+                let plan = Rounds {
+                    threads,
+                    max_rounds: 64,
+                    seeds: Seeds::Boundary,
+                    pair: false,
+                };
+                for seed in 0..8u64 {
+                    let mut pg = seed::weight_balanced_random(&g, &mut StdRng::seed_from_u64(seed));
+                    let mut pn = NetlistBisection::from_sides(&nl, pg.sides().to_vec()).unwrap();
+                    ws_graph.gain_cache.init(&g, &pg);
+                    ws_netlist.netlist_cache.init(&nl, &pn);
+                    let rounds_g = run_rounds(&g, &[], &mut pg, &mut ws_graph, plan);
+                    let rounds_n = run_rounds(&nl, &[], &mut pn, &mut ws_netlist, plan);
+                    let at = format!("levels {levels} threads {threads} seed {seed}");
+                    assert_eq!(pg.sides(), pn.sides(), "{at}");
+                    assert_eq!((pg.cut(), rounds_g), (pn.cut(), rounds_n), "{at}");
+                    assert_eq!(
+                        ws_graph.take_proposals(),
+                        ws_netlist.take_proposals(),
+                        "{at}"
+                    );
+                    rounds += rounds_g;
+                }
+            }
+        }
+        assert!(rounds > 72, "the runs must refine: {rounds} rounds");
     }
 }

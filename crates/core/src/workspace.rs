@@ -24,7 +24,8 @@ use bisect_graph::{Graph, VertexId};
 use crate::fm::FmArena;
 use crate::gain::SortedBuckets;
 use crate::gain_cache::GainCache;
-use crate::netlist::{NetlistBisection, NetlistGainCache, ParallelNetlistScratch};
+use crate::netlist::{NetlistBisection, NetlistGainCache};
+use crate::par_fm::ParallelScratch;
 use crate::partition::Bisection;
 
 /// Scratch arenas shared by the KL, FM, and SA hot paths. See the
@@ -51,9 +52,10 @@ pub struct Workspace {
     /// moves and projected through uncoarsening by the netlist
     /// pipeline, used as the per-pass gain arena by netlist FM.
     pub(crate) netlist_cache: NetlistGainCache,
-    /// [`crate::netlist::ParallelNetlistFm`]'s per-chunk worker
-    /// scratch and merge buffers.
-    pub(crate) pnfm: ParallelNetlistScratch,
+    /// The parallel FM round's per-chunk worker scratch and merge
+    /// buffers, shared by [`crate::par_fm::ParallelFm`] and
+    /// [`crate::netlist::ParallelNetlistFm`].
+    pub(crate) pfm: ParallelScratch,
     /// Netlist FM's virtually-moved working bisection.
     pub(crate) netlist_work: Option<NetlistBisection>,
     /// SA's best-so-far bisection, recycled between runs.
