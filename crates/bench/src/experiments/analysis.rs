@@ -222,20 +222,14 @@ pub fn netlist(profile: &Profile) -> Result<ExperimentResult, BenchError> {
     let fm = NetlistPipeline::flat_fm();
     let cfm = NetlistPipeline::compacted_fm();
     let t = Instant::now();
-    let native = (0..profile.starts)
-        .map(|_| fm.bisect(&nl, &mut rng))
-        .min_by_key(NetlistBisection::cut)
-        .expect("starts >= 1");
+    let native = best_of(&fm, &nl, profile.starts, &mut rng);
     table.push_row(vec![
         "hypergraph FM".into(),
         native.cut().to_string(),
         crate::table::fmt_duration(t.elapsed()),
     ]);
     let t = Instant::now();
-    let compacted = (0..profile.starts)
-        .map(|_| cfm.bisect(&nl, &mut rng))
-        .min_by_key(NetlistBisection::cut)
-        .expect("starts >= 1");
+    let compacted = best_of(&cfm, &nl, profile.starts, &mut rng);
     table.push_row(vec![
         "hypergraph CFM".into(),
         compacted.cut().to_string(),
@@ -243,10 +237,7 @@ pub fn netlist(profile: &Profile) -> Result<ExperimentResult, BenchError> {
     ]);
     let mlfm = NetlistPipeline::multilevel_fm();
     let t = Instant::now();
-    let multilevel = (0..profile.starts)
-        .map(|_| mlfm.bisect(&nl, &mut rng))
-        .min_by_key(NetlistBisection::cut)
-        .expect("starts >= 1");
+    let multilevel = best_of(&mlfm, &nl, profile.starts, &mut rng);
     table.push_row(vec![
         "hypergraph ML-FM".into(),
         multilevel.cut().to_string(),

@@ -36,6 +36,7 @@
 
 use std::time::Instant;
 
+use bisect_core::bisector::Bisector;
 use bisect_core::netlist::{
     NetlistBisection, NetlistFm, NetlistPipeline, ParallelCellMatching, ParallelNetlistFm,
 };

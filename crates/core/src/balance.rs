@@ -15,6 +15,8 @@ use rand::Rng;
 use crate::gain_cache::GainCache;
 use crate::netlist::{NetlistBisection, NetlistGainCache};
 use crate::partition::{Bisection, Side};
+use crate::pipeline::engine::Level;
+use crate::workspace::Workspace;
 
 /// The lazy max-heap of `(gain, Reverse(cell))` rebalance candidates,
 /// kept in each gain cache so that warm rebalances allocate nothing.
@@ -24,11 +26,12 @@ pub(crate) type RebalanceHeap = BinaryHeap<(i64, Reverse<VertexId>)>;
 /// [`Bisection`] and [`GainCache`], or [`Netlist`] with
 /// [`NetlistBisection`] and [`NetlistGainCache`]. Cells flagged in a
 /// `fixed: &[bool]` never move; missing flags count as free.
-pub(crate) trait Cells {
-    /// The level's bisection.
-    type Part;
+pub(crate) trait Cells: Level {
     /// The level's gain cache.
     type Cache;
+
+    /// The workspace's gain cache for this kind of level.
+    fn cache(ws: &mut Workspace) -> &mut Self::Cache;
 
     fn num_cells(&self) -> usize;
     fn cell_weight(&self, c: VertexId) -> VertexWeight;
@@ -254,8 +257,11 @@ pub(crate) fn rebalance_with_cache<L: Cells>(
 }
 
 impl Cells for Graph {
-    type Part = Bisection;
     type Cache = GainCache;
+
+    fn cache(ws: &mut Workspace) -> &mut GainCache {
+        &mut ws.gain_cache
+    }
 
     fn num_cells(&self) -> usize {
         self.num_vertices()
@@ -306,8 +312,11 @@ impl Cells for Graph {
 }
 
 impl Cells for Netlist {
-    type Part = NetlistBisection;
     type Cache = NetlistGainCache;
+
+    fn cache(ws: &mut Workspace) -> &mut NetlistGainCache {
+        &mut ws.netlist_cache
+    }
 
     fn num_cells(&self) -> usize {
         Netlist::num_cells(self)

@@ -1,6 +1,7 @@
 //! The common interface of all bisection algorithms.
 //!
-//! A [`Bisector`] produces a balanced bisection of a graph from scratch;
+//! A [`Bisector`] produces a balanced bisection of a graph (or netlist)
+//! from scratch;
 //! a [`Refiner`] is a bisector that can also *improve a given starting
 //! bisection* — the property the compaction heuristic exploits (§V step
 //! 5: "use `(A, B)` as the starting configuration for the bisection
@@ -18,17 +19,19 @@ use bisect_graph::Graph;
 use rand::RngCore;
 
 use crate::partition::Bisection;
+use crate::pipeline::engine::Level;
 use crate::seed;
 use crate::workspace::Workspace;
 
-/// An algorithm that bisects a graph.
+/// An algorithm that bisects a graph (or, as `Bisector<Netlist>`, a
+/// netlist).
 ///
 /// Implementations must return a *balanced* bisection (per
 /// [`Bisection::is_balanced`]) whose maintained cut is consistent with
-/// the graph. [`Bisector::bisect_counted`] is the one required work
+/// the level. [`Bisector::bisect_counted`] is the one required work
 /// method; [`Bisector::bisect_in`] and [`Bisector::bisect`] are views
 /// of it.
-pub trait Bisector {
+pub trait Bisector<L: Level = Graph> {
     /// Human-readable name used in experiment tables (e.g. `"KL"`,
     /// `"CSA"`).
     fn name(&self) -> String;
@@ -39,20 +42,15 @@ pub trait Bisector {
     /// algorithm's natural work count: productive passes for KL and FM,
     /// temperature steps for SA, the sum of every refinement stage for
     /// pipelines. Algorithms with no pass notion report 0.
-    fn bisect_counted(
-        &self,
-        g: &Graph,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64);
+    fn bisect_counted(&self, g: &L, rng: &mut dyn RngCore, ws: &mut Workspace) -> (L::Part, u64);
 
     /// [`Bisector::bisect_counted`] without the work count.
-    fn bisect_in(&self, g: &Graph, rng: &mut dyn RngCore, ws: &mut Workspace) -> Bisection {
+    fn bisect_in(&self, g: &L, rng: &mut dyn RngCore, ws: &mut Workspace) -> L::Part {
         self.bisect_counted(g, rng, ws).0
     }
 
     /// [`Bisector::bisect_in`] with a fresh workspace.
-    fn bisect(&self, g: &Graph, rng: &mut dyn RngCore) -> Bisection {
+    fn bisect(&self, g: &L, rng: &mut dyn RngCore) -> L::Part {
         self.bisect_in(g, rng, &mut Workspace::new())
     }
 }
@@ -119,17 +117,17 @@ pub trait Refiner: Bisector {
 /// # Panics
 ///
 /// Panics if `starts == 0`.
-pub fn best_of<B: Bisector + ?Sized>(
+pub fn best_of<L: Level, B: Bisector<L> + ?Sized>(
     bisector: &B,
-    g: &Graph,
+    g: &L,
     starts: usize,
     rng: &mut dyn RngCore,
-) -> Bisection {
+) -> L::Part {
     assert!(starts > 0, "need at least one start");
-    let mut best: Option<Bisection> = None;
+    let mut best: Option<L::Part> = None;
     for _ in 0..starts {
         let candidate = bisector.bisect(g, rng);
-        if best.as_ref().is_none_or(|b| candidate.cut() < b.cut()) {
+        if best.as_ref().is_none_or(|b| L::cut(&candidate) < L::cut(b)) {
             best = Some(candidate);
         }
     }
@@ -167,6 +165,8 @@ impl Bisector for RandomBisector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::NetlistPipeline;
+    use bisect_graph::hypergraph::Netlist;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -205,6 +205,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let p = best_of(boxed.as_ref(), &g, 2, &mut rng);
         assert!(p.is_balanced(&g));
+
+        let boxed: Box<dyn Bisector<Netlist>> = Box::new(NetlistPipeline::multilevel_fm());
+        assert_eq!(boxed.name(), "NetMLFM");
+        let nl = crate::netlist::testutil::two_clusters();
+        let p = best_of(boxed.as_ref(), &nl, 2, &mut rng);
+        assert!(p.is_balanced(&nl));
+        assert_eq!(p.cut(), p.recompute_cut(&nl));
     }
 
     #[test]

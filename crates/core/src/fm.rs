@@ -43,8 +43,14 @@ use crate::gain::GainBuckets;
 use crate::gain_cache::GainCache;
 use crate::netlist::{gain_term, NetlistBisection, NetlistGainCache};
 use crate::partition::{Bisection, Side};
+use crate::pipeline::engine::Level;
 use crate::seed;
 use crate::workspace::Workspace;
+
+/// The pass cap of the FM refiners that run to a fixpoint: every
+/// productive pass lowers the cut, so it only guards against
+/// pathological inputs.
+const MAX_PASSES: usize = 64;
 
 /// The FM bisection algorithm.
 ///
@@ -74,7 +80,9 @@ impl Default for FiducciaMattheyses {
 impl FiducciaMattheyses {
     /// FM with passes run to a fixpoint (bounded by a safety cap).
     pub fn new() -> FiducciaMattheyses {
-        FiducciaMattheyses { max_passes: 64 }
+        FiducciaMattheyses {
+            max_passes: MAX_PASSES,
+        }
     }
 
     /// Limits the number of passes.
@@ -168,33 +176,14 @@ impl Refiner for FiducciaMattheyses {
 /// let p = BoundaryFm::new().bisect(&g, &mut rng);
 /// assert!(p.is_balanced(&g));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoundaryFm {
-    max_passes: usize,
-}
-
-impl Default for BoundaryFm {
-    fn default() -> BoundaryFm {
-        BoundaryFm::new()
-    }
-}
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BoundaryFm;
 
 impl BoundaryFm {
     /// Boundary FM with passes run to a fixpoint (bounded by a safety
     /// cap).
     pub fn new() -> BoundaryFm {
-        BoundaryFm { max_passes: 64 }
-    }
-
-    /// Limits the number of passes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_passes == 0`.
-    pub fn with_max_passes(mut self, max_passes: usize) -> BoundaryFm {
-        assert!(max_passes > 0, "at least one pass is required");
-        self.max_passes = max_passes;
-        self
+        BoundaryFm
     }
 }
 
@@ -235,7 +224,7 @@ impl Refiner for BoundaryFm {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        let passes = refine_with_cache(g, &[], &mut init, ws, self.max_passes, Seeds::Boundary);
+        let passes = refine_with_cache(g, &[], &mut init, ws, MAX_PASSES, Seeds::Boundary);
         (init, passes)
     }
 }
@@ -274,7 +263,7 @@ pub(crate) struct FmArena {
 /// workspace, borrowed together by an FM refine.
 type FmState<'a, L> = (
     &'a mut <L as Cells>::Cache,
-    &'a mut Option<<L as Cells>::Part>,
+    &'a mut Option<<L as Level>::Part>,
     &'a mut Vec<bool>,
     &'a mut FmArena,
 );
@@ -291,7 +280,6 @@ pub(crate) trait FmCells: Cells<Part: Clone> {
     /// The bucket bound: the largest weighted degree, which bounds the
     /// gain of every cell.
     fn max_gain(&self) -> i64;
-    fn cut(p: &Self::Part) -> u64;
     fn recompute_cut(&self, p: &Self::Part) -> u64;
     fn copy_from(p: &mut Self::Part, from: &Self::Part);
     /// Moves `c`, whose gain in `work` is `gain`, in the mirror `work`,
@@ -327,10 +315,6 @@ impl FmCells for Graph {
             .max()
             .unwrap_or(0)
             .min(i64::MAX as u64) as i64
-    }
-
-    fn cut(p: &Bisection) -> u64 {
-        p.cut()
     }
 
     fn recompute_cut(&self, p: &Bisection) -> u64 {
@@ -395,10 +379,6 @@ impl FmCells for Netlist {
             .max()
             .unwrap_or(0)
             .min(i64::MAX as u64) as i64
-    }
-
-    fn cut(p: &NetlistBisection) -> u64 {
-        p.cut()
     }
 
     fn recompute_cut(&self, p: &NetlistBisection) -> u64 {
@@ -714,12 +694,6 @@ mod tests {
     #[should_panic(expected = "at least one pass")]
     fn zero_passes_rejected() {
         let _ = FiducciaMattheyses::new().with_max_passes(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one pass")]
-    fn boundary_zero_passes_rejected() {
-        let _ = BoundaryFm::new().with_max_passes(0);
     }
 
     #[test]

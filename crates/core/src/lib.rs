@@ -39,10 +39,11 @@
 //! * [`par_fm::ParallelFm`] — chunked parallel FM refinement for
 //!   million-vertex instances; deterministic at a fixed thread count.
 //!   Its netlist twin runs the same round. The huge experiments run
-//!   them as the level refiners of a [`pipeline::Pipeline`] (or
-//!   [`netlist::NetlistPipeline`]) with [`pipeline::ParallelMatching`]
-//!   (or [`netlist::ParallelCellMatching`]) coarsening and a serial FM
-//!   refiner set by `with_coarsest` on the coarsest level.
+//!   them as the level refiners of a [`pipeline::Pipeline`] (or its
+//!   netlist form [`netlist::NetlistPipeline`]) with
+//!   [`pipeline::ParallelMatching`] (or [`netlist::ParallelCellMatching`])
+//!   coarsening and a serial FM refiner set by `with_coarsest` on the
+//!   coarsest level.
 //! * [`spectral::SpectralBisector`] — Fiedler-vector bisection.
 //! * [`greedy::GreedyGrowth`] — BFS region growing.
 //! * [`bisector::RandomBisector`] — the trivial baseline.

@@ -91,6 +91,7 @@ mod tests {
     use super::super::testutil::{brute_force_cut, two_clusters};
     use super::super::NetlistPipeline;
     use super::*;
+    use crate::bisector::Bisector;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;

@@ -27,7 +27,7 @@ use crate::error::BisectError;
 use crate::partition::Side;
 use crate::workspace::Workspace;
 
-use super::{NetlistBisection, NetlistPipeline};
+use super::NetlistPipeline;
 
 /// An axis-aligned rectangle in the abstract placement plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -379,10 +379,6 @@ pub fn recursive_placement_counted(
     };
     Ok((placement, work))
 }
-
-/// Keeps `NetlistBisection` nameable in rustdoc links above.
-#[allow(unused_imports)]
-use NetlistBisection as _NetlistBisectionDocAnchor;
 
 #[cfg(test)]
 mod tests {

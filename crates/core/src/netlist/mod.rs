@@ -19,10 +19,10 @@
 //!   balance tolerance, best balanced prefix per pass) that the graph
 //!   refiners run, and only its per-move gain update is the netlist's
 //!   own;
-//! * [`NetlistPipeline`] — coarsen→partition→refine on netlists, with
-//!   the paper's one-level compaction and a full V-cycle as its
-//!   [`NetlistPipeline::compacted_fm`] / [`NetlistPipeline::multilevel_fm`]
-//!   constructors;
+//! * [`NetlistPipeline`] — the one [`crate::pipeline::Pipeline`]
+//!   descriptor over netlists, with the paper's one-level compaction
+//!   and a full V-cycle as its [`NetlistPipeline::compacted_fm`] /
+//!   [`NetlistPipeline::multilevel_fm`] presets;
 //! * [`recursive_placement`] — recursive k-way bisection with terminal
 //!   propagation, scoring [`NetlistPlacement`]s by net cut and HPWL.
 //!
@@ -419,6 +419,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::two_clusters;
     use super::*;
+    use crate::bisector::Bisector;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -37,12 +37,13 @@ use super::{NetlistBisection, NetlistRefiner};
 /// Boundary-chunked parallel Fiduccia–Mattheyses on netlists.
 ///
 /// Rounds of *propose in parallel, resolve serially* run until a round
-/// fails to improve the net cut (or `max_rounds` is hit). A round keeps
-/// only a prefix of its moves that ends within the balance tolerance
-/// ([`NetlistBisection::is_balanced`]), and the refiner does not
-/// rebalance on entry. An input outside the tolerance therefore
-/// usually comes back unchanged with 0 rounds: only when some prefix of
-/// one round's moves happens to restore balance does it move at all.
+/// fails to improve the net cut (or a safety cap of 64 rounds is hit).
+/// A round keeps only a prefix of its moves that ends within the
+/// balance tolerance ([`NetlistBisection::is_balanced`]), and the
+/// refiner does not rebalance on entry. An input outside the tolerance
+/// therefore usually comes back unchanged with 0 rounds: only when some
+/// prefix of one round's moves happens to restore balance does it move
+/// at all.
 /// Rebalance first (see [`super::rebalance_with_cache`]), as
 /// [`super::NetlistPipeline`] does at every level. Implements
 /// [`NetlistRefiner`] with the projected-cache protocol, so the engine
@@ -52,8 +53,6 @@ use super::{NetlistBisection, NetlistRefiner};
 pub struct ParallelNetlistFm {
     /// Worker count; `None` defers to [`bisect_par::num_threads`].
     threads: Option<usize>,
-    /// Safety cap on propose/resolve rounds.
-    max_rounds: usize,
 }
 
 impl Default for ParallelNetlistFm {
@@ -63,14 +62,9 @@ impl Default for ParallelNetlistFm {
 }
 
 impl ParallelNetlistFm {
-    /// Creates the refiner with the process-default thread count and a
-    /// generous round cap (rounds strictly decrease the cut, so the cap
-    /// only guards against pathological inputs).
+    /// Creates the refiner with the process-default thread count.
     pub fn new() -> ParallelNetlistFm {
-        ParallelNetlistFm {
-            threads: None,
-            max_rounds: 64,
-        }
+        ParallelNetlistFm { threads: None }
     }
 
     /// Pins the worker (and chunk) count. The determinism regression
@@ -85,17 +79,6 @@ impl ParallelNetlistFm {
         self
     }
 
-    /// Caps the number of propose/resolve rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rounds` is zero.
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> ParallelNetlistFm {
-        assert!(max_rounds > 0, "need at least one round");
-        self.max_rounds = max_rounds;
-        self
-    }
-
     /// The worker count a call will use right now.
     pub fn threads(&self) -> usize {
         self.threads.unwrap_or_else(bisect_par::num_threads)
@@ -105,7 +88,6 @@ impl ParallelNetlistFm {
     fn plan(&self) -> Rounds {
         Rounds {
             threads: self.threads(),
-            max_rounds: self.max_rounds,
             seeds: Seeds::Boundary,
             pair: true,
         }
@@ -136,7 +118,7 @@ mod tests {
     use super::super::{weight_balanced_random, NetlistGainCache, NetlistPipeline};
     use super::*;
     use crate::balance::Tolerance;
-    use crate::par_fm::{round, round_resolved_by, ResolveScratch};
+    use crate::par_fm::{round, round_resolved_by, ResolveScratch, MAX_ROUNDS};
     use crate::partition::Side;
     use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
     use bisect_gen::netlist::{self, RentNetlistParams};
@@ -225,7 +207,7 @@ mod tests {
             if nl.num_cells() < 2 {
                 return (init, rounds);
             }
-            for _ in 0..self.0.max_rounds {
+            for _ in 0..MAX_ROUNDS {
                 let (improvement, evals) = run_round(&self.0, nl, fixed, &mut init, ws, self.1);
                 ws.add_proposals(evals);
                 if improvement == 0 {
@@ -621,11 +603,11 @@ mod tests {
 
     #[test]
     fn brute_force_cross_check_after_every_resolved_move() {
-        // Single-round refinement on tiny netlists, checking the
-        // maintained cut against a from-scratch recompute after the
-        // round lands (the resolve's rollback also asserts it in debug
-        // builds).
-        let pfm = ParallelNetlistFm::new().with_threads(2).with_max_rounds(1);
+        // Full refinement on tiny netlists, checking the maintained cut
+        // against a from-scratch recompute once the last round lands
+        // (the resolve's rollback also asserts it after every round in
+        // debug builds).
+        let pfm = ParallelNetlistFm::new().with_threads(2);
         for seed in 0..12 {
             let nl = random_netlist(14, 16, seed);
             let init = NetlistBisection::random_balanced(&nl, &mut StdRng::seed_from_u64(seed));
@@ -638,11 +620,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_threads_rejected() {
         let _ = ParallelNetlistFm::new().with_threads(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one round")]
-    fn zero_rounds_rejected() {
-        let _ = ParallelNetlistFm::new().with_max_rounds(0);
     }
 }

@@ -1,6 +1,6 @@
-//! [`NetlistPipeline`]: the netlist descriptor of the one V-cycle
-//! engine ([`crate::pipeline::engine`]), sharing [`CoarsenDepth`] and
-//! the projected-cache protocol with the graph pipeline.
+//! [`NetlistPipeline`]: the one [`Pipeline`] descriptor over netlists,
+//! with its presets and what only netlists have: fixed cells and the
+//! [`ParallelCellMatching`] coarsener.
 //!
 //! Coarsening contracts random cell matchings along nets (hMETIS-style
 //! pin-connectivity scores, see
@@ -27,21 +27,22 @@ use crate::balance::{self, Cells};
 use crate::error::BisectError;
 use crate::partition::Side;
 use crate::pipeline::coarsen::shrinks_enough;
-use crate::pipeline::engine::{self, Level};
-use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
+use crate::pipeline::engine::{self, Level, LevelRefiner};
+use crate::pipeline::{CoarsenDepth, Pipeline, DEFAULT_COARSEST_SIZE};
 use crate::workspace::Workspace;
 
-use super::{NetlistBisection, NetlistFm, NetlistGainCache, NetlistRefiner, ParallelCellMatching};
+use super::{NetlistBisection, NetlistFm, NetlistRefiner, ParallelCellMatching};
 
 /// A named, reusable netlist bisection pipeline: a [`CoarsenDepth`]
-/// plus a [`NetlistRefiner`], mirroring the graph-side
-/// [`crate::pipeline::Pipeline`] descriptor. Optionally, a
-/// [`ParallelCellMatching`] coarsener and a separate refiner for the
-/// coarsest level.
+/// plus a [`NetlistRefiner`]. Optionally, a [`ParallelCellMatching`]
+/// coarsener and a separate refiner for the coarsest level. It bisects
+/// through [`Bisector`](crate::bisector::Bisector)`<Netlist>`, and with
+/// fixed cells through [`NetlistPipeline::bisect_fixed_counted`].
 ///
 /// # Example
 ///
 /// ```
+/// use bisect_core::bisector::Bisector;
 /// use bisect_core::netlist::NetlistPipeline;
 /// use bisect_graph::hypergraph::NetlistBuilder;
 /// use rand::SeedableRng;
@@ -55,51 +56,9 @@ use super::{NetlistBisection, NetlistFm, NetlistGainCache, NetlistRefiner, Paral
 /// let p = NetlistPipeline::multilevel_fm().bisect(&nl, &mut rng);
 /// assert!(p.is_balanced(&nl));
 /// ```
-#[derive(Clone)]
-pub struct NetlistPipeline {
-    depth: CoarsenDepth,
-    /// `None` matches with the random skip-aware matcher.
-    coarsener: Option<ParallelCellMatching>,
-    refiner: Arc<dyn NetlistRefiner + Send + Sync>,
-    /// Refiner of the coarsest level; `None` means `refiner`.
-    coarsest: Option<Arc<dyn NetlistRefiner + Send + Sync>>,
-    name: String,
-}
-
-impl std::fmt::Debug for NetlistPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetlistPipeline")
-            .field("name", &self.name)
-            .field("depth", &self.depth)
-            .field("coarsener", &self.coarsener)
-            .field("refiner", &self.refiner.name())
-            .field("coarsest", &self.coarsest.as_ref().map(|r| r.name()))
-            .finish()
-    }
-}
+pub type NetlistPipeline = Pipeline<Netlist>;
 
 impl NetlistPipeline {
-    /// A pipeline from a coarsening depth, a refiner, and a display
-    /// name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BisectError::InvalidConfig`] for
-    /// [`CoarsenDepth::ToSize`] targets below 2.
-    pub fn new<R: NetlistRefiner + Send + Sync + 'static>(
-        depth: CoarsenDepth,
-        refiner: R,
-        name: impl Into<String>,
-    ) -> Result<NetlistPipeline, BisectError> {
-        Ok(NetlistPipeline {
-            depth: depth.validate()?,
-            coarsener: None,
-            refiner: Arc::new(refiner),
-            coarsest: None,
-            name: name.into(),
-        })
-    }
-
     /// Coarsens with `matcher` instead of the random skip-aware
     /// matcher. It draws no randomness, honours fixed cells, and stops
     /// the ladder at the first level its pairs would shrink by less
@@ -109,37 +68,22 @@ impl NetlistPipeline {
         self
     }
 
-    /// Refines the coarsest level with `refiner` instead of the level
-    /// refiner; every finer level keeps the level refiner.
-    pub fn with_coarsest<R: NetlistRefiner + Send + Sync + 'static>(
-        mut self,
-        refiner: R,
-    ) -> NetlistPipeline {
-        self.coarsest = Some(Arc::new(refiner));
-        self
-    }
-
     /// [`NetlistFm`] directly on the input netlist (no coarsening).
     pub fn flat_fm() -> NetlistPipeline {
-        NetlistPipeline::new(CoarsenDepth::Flat, NetlistFm::new(), "NetFM")
-            // lint: allow(no-panic) — Flat always validates
-            .expect("Flat is a valid depth")
+        Pipeline::at(CoarsenDepth::Flat, NetlistFm::new(), "NetFM".into())
     }
 
     /// One compaction level around [`NetlistFm`] (the paper's §V on the
     /// hypergraph objective).
     pub fn compacted_fm() -> NetlistPipeline {
-        NetlistPipeline::new(CoarsenDepth::Levels(1), NetlistFm::new(), "NetCFM")
-            // lint: allow(no-panic) — Levels(1) always validates
-            .expect("Levels(1) is a valid depth")
+        Pipeline::at(CoarsenDepth::Levels(1), NetlistFm::new(), "NetCFM".into())
     }
 
     /// A full multilevel V-cycle around [`NetlistFm`], coarsening to
     /// [`DEFAULT_COARSEST_SIZE`] cells.
     pub fn multilevel_fm() -> NetlistPipeline {
-        NetlistPipeline::multilevel_fm_to(DEFAULT_COARSEST_SIZE)
-            // lint: allow(no-panic) — the default coarsest size is ≥ 2
-            .expect("default coarsest size is valid")
+        let depth = CoarsenDepth::ToSize(DEFAULT_COARSEST_SIZE);
+        Pipeline::at(depth, NetlistFm::new(), "NetMLFM".into())
     }
 
     /// As [`NetlistPipeline::multilevel_fm`] with an explicit coarsest
@@ -149,39 +93,17 @@ impl NetlistPipeline {
     ///
     /// Returns [`BisectError::InvalidConfig`] if `coarsest_size < 2`.
     pub fn multilevel_fm_to(coarsest_size: usize) -> Result<NetlistPipeline, BisectError> {
-        NetlistPipeline::new(
+        Pipeline::new(
             CoarsenDepth::ToSize(coarsest_size),
             NetlistFm::new(),
             "NetMLFM",
         )
     }
 
-    /// The pipeline's display name (benchmark tables, reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Bisects `nl` with a throwaway workspace.
-    pub fn bisect(&self, nl: &Netlist, rng: &mut dyn RngCore) -> NetlistBisection {
-        self.bisect_counted(nl, rng, &mut Workspace::new()).0
-    }
-
-    /// Bisects `nl`, drawing scratch memory from `ws`; returns the
-    /// bisection and the summed productive-pass count of every
-    /// refinement stage.
-    pub fn bisect_counted(
-        &self,
-        nl: &Netlist,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (NetlistBisection, u64) {
-        self.bisect_fixed_counted(nl, &[], rng, ws)
-    }
-
-    /// As [`NetlistPipeline::bisect_counted`], with cells pinned to
-    /// sides: each `(cell, side)` pair is excluded from matching and
-    /// movement at every level, so the returned bisection honors every
-    /// assignment. Duplicate pairs must agree.
+    /// As [`Bisector::bisect_counted`](crate::bisector::Bisector::bisect_counted),
+    /// with cells pinned to sides: each `(cell, side)` pair is excluded
+    /// from matching and movement at every level, so the returned
+    /// bisection honors every assignment. Duplicate pairs must agree.
     ///
     /// # Panics
     ///
@@ -207,31 +129,57 @@ impl NetlistPipeline {
             let c = pair[0].0;
             assert!(c != pair[1].0, "cell {c} fixed to both sides");
         }
-        // One contraction scratch serves every level. The parallel
-        // matcher stops the ladder at its 5% stall guard.
-        let mut scratch = NetlistContractionScratch::new();
-        let coarsen = |level: &Netlist, skip: &[bool], rng: &mut dyn RngCore| {
-            let pairs = match self.coarsener {
-                Some(matcher) => {
-                    let pairs = matcher.matching_skipping(level, skip);
-                    let cells = level.num_cells();
-                    if !shrinks_enough(cells, cells - pairs.len()) {
-                        return None;
-                    }
-                    pairs
-                }
-                None => random_cell_matching_with_skip(level, skip, rng),
-            };
-            (!pairs.is_empty()).then(|| contract_cells_into(level, &pairs, &mut scratch))
-        };
-        let refiner = self.refiner.as_ref();
-        let refiners = (self.coarsest.as_deref().unwrap_or(refiner), refiner);
-        engine::run(nl, &fixed, self.depth, coarsen, refiners, rng, ws)
+        engine::run(self, nl, &fixed, rng, ws)
+    }
+}
+
+impl<R: NetlistRefiner + Send + Sync + 'static> LevelRefiner<Netlist> for R {
+    fn shared(self) -> Arc<dyn NetlistRefiner + Send + Sync> {
+        Arc::new(self)
     }
 }
 
 impl Level for Netlist {
+    type Part = NetlistBisection;
     type Refiner = dyn NetlistRefiner + Send + Sync;
+    type Coarsener = ParallelCellMatching;
+    type Scratch = NetlistContractionScratch;
+
+    fn cut(p: &NetlistBisection) -> u64 {
+        p.cut()
+    }
+
+    fn refiner_name(r: &Self::Refiner) -> String {
+        r.name()
+    }
+
+    fn coarsener_name(c: Option<&ParallelCellMatching>) -> &'static str {
+        match c {
+            Some(_) => "parallel-cell-matching",
+            None => "random-cell-matching",
+        }
+    }
+
+    fn coarsen(
+        &self,
+        coarsener: Option<&ParallelCellMatching>,
+        skip: &[bool],
+        scratch: &mut NetlistContractionScratch,
+        rng: &mut dyn RngCore,
+    ) -> Option<NetlistContraction> {
+        let pairs = match coarsener {
+            Some(matcher) => {
+                let pairs = matcher.matching_skipping(self, skip);
+                let cells = self.num_cells();
+                if !shrinks_enough(cells, cells - pairs.len()) {
+                    return None;
+                }
+                pairs
+            }
+            None => random_cell_matching_with_skip(self, skip, rng),
+        };
+        (!pairs.is_empty()).then(|| contract_cells_into(self, &pairs, scratch))
+    }
 
     fn start(
         &self,
@@ -249,10 +197,6 @@ impl Level for Netlist {
 
     fn init_cache(&self, p: &NetlistBisection, ws: &mut Workspace) {
         ws.netlist_cache.init(self, p);
-    }
-
-    fn cache(ws: &mut Workspace) -> &mut NetlistGainCache {
-        &mut ws.netlist_cache
     }
 
     fn project(
@@ -288,6 +232,7 @@ impl Level for Netlist {
 mod tests {
     use super::super::testutil::{brute_force_cut, two_clusters};
     use super::*;
+    use crate::bisector::Bisector;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;

@@ -80,16 +80,14 @@ use crate::workspace::Workspace;
 /// Parallel Fiduccia–Mattheyses refinement of a graph bisection.
 ///
 /// Rounds of *propose in parallel, resolve serially* run until a round
-/// fails to improve the cut (or `max_rounds` is hit). By default the
-/// workers' chunks are contiguous ranges of vertex ids;
+/// fails to improve the cut (or a safety cap of 64 rounds is hit). By
+/// default the workers' chunks are contiguous ranges of vertex ids;
 /// [`ParallelFm::with_boundary_seeds`] chunks the cut boundary instead.
 /// See the module docs for the round and its determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelFm {
     /// Worker count; `None` defers to [`bisect_par::num_threads`].
     threads: Option<usize>,
-    /// Safety cap on propose/resolve rounds.
-    max_rounds: usize,
     /// Propose from the tracked cut boundary instead of all vertex
     /// ranges (see the module docs).
     boundary_seeds: bool,
@@ -102,13 +100,10 @@ impl Default for ParallelFm {
 }
 
 impl ParallelFm {
-    /// Creates the refiner with the process-default thread count and a
-    /// generous round cap (rounds strictly decrease the cut, so the cap
-    /// only guards against pathological inputs).
+    /// Creates the refiner with the process-default thread count.
     pub fn new() -> ParallelFm {
         ParallelFm {
             threads: None,
-            max_rounds: 64,
             boundary_seeds: false,
         }
     }
@@ -132,17 +127,6 @@ impl ParallelFm {
     pub fn with_threads(mut self, threads: usize) -> ParallelFm {
         assert!(threads > 0, "thread count must be positive");
         self.threads = Some(threads);
-        self
-    }
-
-    /// Caps the number of propose/resolve rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rounds` is zero.
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> ParallelFm {
-        assert!(max_rounds > 0, "need at least one round");
-        self.max_rounds = max_rounds;
         self
     }
 
@@ -196,7 +180,6 @@ impl Refiner for ParallelFm {
         };
         let plan = Rounds {
             threads: self.threads(),
-            max_rounds: self.max_rounds,
             seeds,
             // The graph resolve does not pair yet: turning this on
             // re-pins the `PFM` golden rows.
@@ -207,13 +190,15 @@ impl Refiner for ParallelFm {
     }
 }
 
+/// The round cap of both parallel refiners: every productive round
+/// lowers the cut, so it only guards against pathological inputs.
+pub(crate) const MAX_ROUNDS: usize = 64;
+
 /// How a refiner runs its rounds.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rounds {
     /// Worker (and chunk) count.
     pub(crate) threads: usize,
-    /// Cap on propose/resolve rounds.
-    pub(crate) max_rounds: usize,
     /// The chunk source: every cell id, or the cache's boundary list.
     pub(crate) seeds: Seeds,
     /// Whether the resolve pairs the proposals it blocked for balance
@@ -402,7 +387,7 @@ impl NetOverlay {
     }
 }
 
-/// Runs up to `plan.max_rounds` rounds until one fails to improve the
+/// Runs up to [`MAX_ROUNDS`] rounds until one fails to improve the
 /// cut, assuming the level's workspace gain cache is exact for
 /// `(level, p)`; leaves it exact for the refined `p`. Cells flagged in
 /// `fixed` never move. Adds every gain evaluation to the workspace's
@@ -419,7 +404,7 @@ pub(crate) fn run_rounds<L: ParCells>(
     }
     let tol = Tolerance::of(level);
     let mut productive = 0u64;
-    for _ in 0..plan.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         let (improvement, evals) = round(level, fixed, p, ws, tol, plan);
         ws.add_proposals(evals);
         if improvement == 0 {
@@ -1027,7 +1012,6 @@ mod tests {
             for threads in 1..=3 {
                 let plan = Rounds {
                     threads,
-                    max_rounds: 64,
                     seeds: Seeds::Boundary,
                     pair: false,
                 };

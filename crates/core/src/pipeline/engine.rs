@@ -1,20 +1,19 @@
 //! The one coarsen → partition → refine engine, for graphs and
 //! netlists alike.
 //!
-//! `run` drives every V-cycle of the crate over a `Level` — a [`Graph`]
-//! or a [`Netlist`](bisect_graph::hypergraph::Netlist). One-shot
-//! compaction (§V of the paper; CKL/CSA) is [`CoarsenDepth::Levels`]`(1)`,
-//! the multilevel V-cycle is [`CoarsenDepth::ToSize`], and a plain
-//! heuristic from a random start is [`CoarsenDepth::Flat`]. The
-//! descriptors ([`Pipeline`](super::Pipeline),
-//! [`NetlistPipeline`](crate::netlist::NetlistPipeline)) check their
-//! inputs and pass a coarsening closure; the engine owns the ladder, the
-//! start, the gain cache built once at the coarsest level and projected
-//! down, rebalance, refine and the final guard. A level supplies only
-//! what differs: its start rule, gain cache, projection and refiner
-//! call. Its weighted cells come from the crate's balance layer
-//! (`balance.rs`), through which the engine rebalances both kinds of
-//! level alike.
+//! `run` drives every V-cycle of the crate from one descriptor, a
+//! [`Pipeline`]`<L>` over a level kind `L` — a [`Graph`] or a
+//! [`Netlist`](bisect_graph::hypergraph::Netlist). One-shot compaction
+//! (§V of the paper; CKL/CSA) is [`CoarsenDepth::Levels`]`(1)`, the
+//! multilevel V-cycle is [`CoarsenDepth::ToSize`], and a plain heuristic
+//! from a random start is [`CoarsenDepth::Flat`]. The descriptor carries
+//! the depth, the coarsener and the refiners; the engine owns the
+//! ladder, the start, the gain cache built once at the coarsest level
+//! and projected down, rebalance, refine and the final guard. A level
+//! kind supplies only what differs: its coarsen step, start rule, gain
+//! cache, projection and refiner call. Its weighted cells come from the
+//! crate's balance layer (`balance.rs`), through which the engine
+//! rebalances both kinds of level alike.
 //!
 //! The rng-draw order is part of the contract (pinned by the golden
 //! values in `tests/pipeline_equivalence.rs`): (1) one coarsening call
@@ -30,16 +29,18 @@
 //! with nothing fixed, and the fixed-aware weight-balanced start
 //! everywhere else, `Flat` included.
 
+use std::sync::Arc;
+
 use bisect_graph::contraction::Contraction;
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
 use crate::balance::{self, Cells};
 use crate::bisector::Refiner;
-use crate::error::BisectError;
-use crate::gain_cache::GainCache;
 use crate::partition::{Bisection, Side};
 use crate::workspace::Workspace;
+
+use super::{CoarsenScheme, Pipeline, RandomMatching};
 
 /// How far the pipeline coarsens before the random start. Together
 /// with the coarsening progress it also fixes the start (see the
@@ -68,80 +69,109 @@ impl CoarsenDepth {
             CoarsenDepth::ToSize(target) => vertices > target,
         }
     }
+}
 
-    /// Validates the depth, rejecting `ToSize` targets below 2 (a
-    /// 1-vertex coarsest graph has no bisection to refine).
-    pub(crate) fn validate(self) -> Result<CoarsenDepth, BisectError> {
-        if let CoarsenDepth::ToSize(target) = self {
-            if target < 2 {
-                return Err(BisectError::InvalidConfig(format!(
-                    "coarsest size must be at least 2, got {target}"
-                )));
-            }
-        }
-        Ok(self)
+pub(crate) use level::{Level, LevelRefiner};
+
+/// The traits are `pub` so that the public [`Pipeline`] and
+/// [`Bisector`](crate::bisector::Bisector) can name a kind's bisection
+/// and refiner, but this module is private: no other crate can name or
+/// implement them, or call their methods.
+mod level {
+    use super::{Arc, CoarsenDepth, Contraction, RngCore, Side, VertexId, Workspace};
+
+    /// A kind of level the engine bisects, [`Graph`](bisect_graph::Graph)
+    /// or [`Netlist`](bisect_graph::hypergraph::Netlist): what differs
+    /// between the two beyond their weighted cells. Cells flagged in a
+    /// `fixed: &[bool]` never move (empty: none).
+    pub trait Level: Sized {
+        /// The level's bisection.
+        type Part;
+        /// The refiner trait object a pipeline runs at every level.
+        type Refiner: ?Sized + Send + Sync;
+        /// A coarsener a pipeline may carry instead of the kind's random
+        /// matcher.
+        type Coarsener: Clone + Send + Sync;
+        /// Scratch memory the coarsen step reuses across one run's levels.
+        type Scratch: Default;
+
+        fn cut(p: &Self::Part) -> u64;
+
+        fn refiner_name(r: &Self::Refiner) -> String;
+
+        /// The name of `c`, or of the random matcher for `None`.
+        fn coarsener_name(c: Option<&Self::Coarsener>) -> &'static str;
+
+        /// Contracts one level with `coarsener` (`None`: the random
+        /// matcher), leaving the cells flagged in `skip` unmatched, or
+        /// returns `None` to stop the ladder.
+        fn coarsen(
+            &self,
+            coarsener: Option<&Self::Coarsener>,
+            skip: &[bool],
+            scratch: &mut Self::Scratch,
+            rng: &mut dyn RngCore,
+        ) -> Option<Contraction<Self>>;
+
+        /// The coarsest level's random start; `fallback` is set when a
+        /// `Levels` run made no coarsening progress.
+        fn start(
+            &self,
+            depth: CoarsenDepth,
+            fallback: bool,
+            fixed: &[(VertexId, Side)],
+            rng: &mut dyn RngCore,
+        ) -> Self::Part;
+
+        fn init_cache(&self, p: &Self::Part, ws: &mut Workspace);
+
+        /// Projects the coarse `p` through `c` onto this level, with the
+        /// gain cache.
+        fn project(&self, c: &Contraction<Self>, p: &Self::Part, ws: &mut Workspace) -> Self::Part;
+
+        /// `refine_projected_counted` if `projected` (the cache is exact
+        /// for `p`), else `refine_counted`.
+        fn refine(
+            &self,
+            refiner: &Self::Refiner,
+            fixed: &[bool],
+            p: Self::Part,
+            projected: bool,
+            rng: &mut dyn RngCore,
+            ws: &mut Workspace,
+        ) -> (Self::Part, u64);
+    }
+
+    /// A refiner a pipeline over `L` can run: every graph
+    /// [`Refiner`](crate::bisector::Refiner) and every
+    /// [`NetlistRefiner`](crate::netlist::NetlistRefiner) that is
+    /// `Send + Sync + 'static`.
+    pub trait LevelRefiner<L: Level> {
+        fn shared(self) -> Arc<L::Refiner>;
     }
 }
 
-/// One level of a V-cycle: what differs between graphs and netlists
-/// beyond their weighted [`Cells`]. Cells flagged in a
-/// `fixed: &[bool]` never move (empty: none).
-pub(crate) trait Level: Cells + Sized {
-    /// The refiner trait object driven at every level.
-    type Refiner: ?Sized;
-
-    /// The coarsest level's random start; `fallback` is set when a
-    /// `Levels` run made no coarsening progress.
-    fn start(
-        &self,
-        depth: CoarsenDepth,
-        fallback: bool,
-        fixed: &[(VertexId, Side)],
-        rng: &mut dyn RngCore,
-    ) -> Self::Part;
-
-    fn init_cache(&self, p: &Self::Part, ws: &mut Workspace);
-
-    /// The workspace's gain cache for this kind of level.
-    fn cache(ws: &mut Workspace) -> &mut Self::Cache;
-
-    /// Projects the coarse `p` through `c` onto this level, with the
-    /// gain cache.
-    fn project(&self, c: &Contraction<Self>, p: &Self::Part, ws: &mut Workspace) -> Self::Part;
-
-    /// `refine_projected_counted` if `projected` (the cache is exact
-    /// for `p`), else `refine_counted`.
-    fn refine(
-        &self,
-        refiner: &Self::Refiner,
-        fixed: &[bool],
-        p: Self::Part,
-        projected: bool,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Self::Part, u64);
-}
-
-/// Runs the V-cycle on `input` with the cells of `fixed` (sorted,
-/// deduplicated, in range) pinned. `coarsen` contracts one level,
-/// leaving flagged cells unmatched, or returns `None` to stop the
-/// ladder. Returns the bisection and the summed work of every refinement
-/// (see [`Bisector::bisect_counted`](crate::bisector::Bisector::bisect_counted)).
-pub(crate) fn run<L: Level>(
+/// Runs `pipeline` on `input` with the cells of `fixed` (sorted,
+/// deduplicated, in range) pinned: they are never matched or moved.
+/// Returns the bisection and the summed work of every refinement (see
+/// [`Bisector::bisect_counted`](crate::bisector::Bisector::bisect_counted)).
+pub(crate) fn run<L: Cells>(
+    pipeline: &Pipeline<L>,
     input: &L,
     fixed: &[(VertexId, Side)],
-    depth: CoarsenDepth,
-    mut coarsen: impl FnMut(&L, &[bool], &mut dyn RngCore) -> Option<Contraction<L>>,
-    (coarsest, refiner): (&L::Refiner, &L::Refiner),
     rng: &mut dyn RngCore,
     ws: &mut Workspace,
 ) -> (L::Part, u64) {
+    let depth = pipeline.depth;
+    let refiner = pipeline.refiner.as_ref();
+    let coarsest = pipeline.coarsest.as_deref().unwrap_or(refiner);
     // Coarsening ladder, finest first; each step carries the fixed cells
     // of its coarse level (empty when nothing is fixed). The coarsener
     // never matches a fixed cell, so each one survives as a singleton
     // and maps through unambiguously.
     let mut ladder: Vec<(Contraction<L>, Vec<_>)> = Vec::new();
     let mut flags: Vec<bool> = Vec::new();
+    let mut scratch = L::Scratch::default();
     loop {
         let (level, level_fixed) = ladder
             .last()
@@ -150,7 +180,8 @@ pub(crate) fn run<L: Level>(
             break;
         }
         fixed_flags(&mut flags, level.num_cells(), level_fixed);
-        let Some(c) = coarsen(level, &flags, rng) else {
+        let coarsener = pipeline.coarsener.as_ref();
+        let Some(c) = level.coarsen(coarsener, &flags, &mut scratch, rng) else {
             break;
         };
         let next = level_fixed.iter().map(|&(v, s)| (c.map(v), s)).collect();
@@ -203,8 +234,40 @@ fn fixed_flags(flags: &mut Vec<bool>, cells: usize, fixed: &[(VertexId, Side)]) 
     }
 }
 
+impl<R: Refiner + Send + Sync + 'static> LevelRefiner<Graph> for R {
+    fn shared(self) -> Arc<dyn Refiner + Send + Sync> {
+        Arc::new(self)
+    }
+}
+
 impl Level for Graph {
+    type Part = Bisection;
     type Refiner = dyn Refiner + Send + Sync;
+    type Coarsener = Arc<dyn CoarsenScheme>;
+    type Scratch = ();
+
+    fn cut(p: &Bisection) -> u64 {
+        p.cut()
+    }
+
+    fn refiner_name(r: &Self::Refiner) -> String {
+        r.name()
+    }
+
+    fn coarsener_name(c: Option<&Self::Coarsener>) -> &'static str {
+        c.map_or(RandomMatching.name(), |c| c.name())
+    }
+
+    fn coarsen(
+        &self,
+        coarsener: Option<&Arc<dyn CoarsenScheme>>,
+        _skip: &[bool],
+        _scratch: &mut (),
+        rng: &mut dyn RngCore,
+    ) -> Option<Contraction> {
+        let scheme: &dyn CoarsenScheme = coarsener.map_or(&RandomMatching, |c| c.as_ref());
+        scheme.coarsen(self, rng)
+    }
 
     fn start(
         &self,
@@ -222,10 +285,6 @@ impl Level for Graph {
 
     fn init_cache(&self, p: &Bisection, ws: &mut Workspace) {
         ws.gain_cache.init(self, p);
-    }
-
-    fn cache(ws: &mut Workspace) -> &mut GainCache {
-        &mut ws.gain_cache
     }
 
     fn project(&self, c: &Contraction, p: &Bisection, ws: &mut Workspace) -> Bisection {
@@ -352,9 +411,10 @@ mod tests {
 
     #[test]
     fn depth_validation() {
-        assert!(CoarsenDepth::ToSize(1).validate().is_err());
-        assert!(CoarsenDepth::ToSize(2).validate().is_ok());
-        assert!(CoarsenDepth::Levels(0).validate().is_ok());
-        assert!(CoarsenDepth::Flat.validate().is_ok());
+        let new = |depth| Pipeline::<Graph>::new(depth, KernighanLin::new(), "KL");
+        assert!(new(CoarsenDepth::ToSize(1)).is_err());
+        assert!(new(CoarsenDepth::ToSize(2)).is_ok());
+        assert!(new(CoarsenDepth::Levels(0)).is_ok());
+        assert!(new(CoarsenDepth::Flat).is_ok());
     }
 }

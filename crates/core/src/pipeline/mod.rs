@@ -3,7 +3,8 @@
 //! The paper's compaction trick — contract a random maximal matching,
 //! bisect the compacted graph, project back, refine (§V) — is one level
 //! of what later became the multilevel paradigm. This module expresses
-//! the whole family as one architecture:
+//! the whole family as one architecture, for graphs and, as
+//! [`NetlistPipeline`](crate::netlist::NetlistPipeline), netlists:
 //!
 //! * a [`CoarsenScheme`] contracts the graph one level at a time
 //!   (random maximal matching — the paper's compaction — heavy-edge
@@ -48,7 +49,7 @@
 //! ```
 //!
 //! An invalid coarsest size surfaces as a typed [`BisectError`] from
-//! [`Pipeline::multilevel_to`] instead of a panic.
+//! [`Pipeline::new`] and [`Pipeline::multilevel_to`] instead of a panic.
 
 pub mod coarsen;
 pub mod engine;
@@ -56,13 +57,15 @@ pub mod kway;
 
 use std::sync::Arc;
 
+#[cfg(doc)]
+use bisect_graph::hypergraph::Netlist;
 use bisect_graph::Graph;
 use rand::RngCore;
 
+use crate::balance::Cells;
 use crate::bisector::{Bisector, Refiner};
 use crate::error::BisectError;
 use crate::kl::KernighanLin;
-use crate::partition::Bisection;
 use crate::sa::SimulatedAnnealing;
 use crate::workspace::Workspace;
 
@@ -70,35 +73,100 @@ pub use coarsen::{
     CoarsenScheme, EdgeOrderMatching, HeavyEdgeMatching, ParallelMatching, RandomMatching,
 };
 pub use engine::CoarsenDepth;
+use engine::{Level, LevelRefiner};
 pub use kway::{recursive_partition, KWayPartition};
 
 /// Default coarsest size of [`Pipeline::multilevel`].
 pub const DEFAULT_COARSEST_SIZE: usize = 32;
 
-/// A composed coarsen → partition → refine bisection algorithm.
+/// A composed coarsen → partition → refine bisection algorithm over
+/// graphs (the default) or [`Netlist`]s.
 ///
 /// Cheap to clone (the stages are shared behind [`Arc`]s) and `Sync`,
 /// so one pipeline value can drive every worker thread of the parallel
 /// experiment engine.
+// The refiners' `<L as Level>::` form keeps `derive(Clone)` from
+// asking the refiner trait object for `Clone`.
 #[derive(Clone)]
-pub struct Pipeline {
-    coarsener: Arc<dyn CoarsenScheme>,
-    depth: CoarsenDepth,
-    refiner: Arc<dyn Refiner + Send + Sync>,
+pub struct Pipeline<L: Level = Graph> {
+    /// `None` coarsens with the kind's random matcher.
+    pub(crate) coarsener: Option<L::Coarsener>,
+    pub(crate) depth: CoarsenDepth,
+    pub(crate) refiner: Arc<<L as Level>::Refiner>,
     /// Refiner of the coarsest level; `None` means `refiner`.
-    coarsest: Option<Arc<dyn Refiner + Send + Sync>>,
+    pub(crate) coarsest: Option<Arc<<L as Level>::Refiner>>,
     name: String,
 }
 
-impl std::fmt::Debug for Pipeline {
+impl<L: Level> std::fmt::Debug for Pipeline<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("name", &self.name)
-            .field("coarsener", &self.coarsener.name())
-            .field("depth", &self.depth)
-            .field("refiner", &self.refiner.name())
-            .field("coarsest", &self.coarsest.as_ref().map(|r| r.name()))
+            .field("stages", &self.describe())
             .finish()
+    }
+}
+
+impl<L: Level> Pipeline<L> {
+    /// A pipeline from a coarsening depth, the refiner of every level
+    /// (a [`Refiner`] for graphs, a
+    /// [`NetlistRefiner`](crate::netlist::NetlistRefiner) for netlists),
+    /// and a display name. It coarsens with the kind's random matcher.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BisectError::InvalidConfig`] for
+    /// [`CoarsenDepth::ToSize`] targets below 2.
+    pub fn new(
+        depth: CoarsenDepth,
+        refiner: impl LevelRefiner<L>,
+        name: impl Into<String>,
+    ) -> Result<Pipeline<L>, BisectError> {
+        // A 1-cell coarsest level has no bisection to refine.
+        if let CoarsenDepth::ToSize(target @ 0..=1) = depth {
+            return Err(BisectError::InvalidConfig(format!(
+                "coarsest size must be at least 2, got {target}"
+            )));
+        }
+        Ok(Pipeline::at(depth, refiner, name.into()))
+    }
+
+    /// [`Pipeline::new`] at a depth that passes its check.
+    pub(crate) fn at(depth: CoarsenDepth, refiner: impl LevelRefiner<L>, name: String) -> Self {
+        Pipeline {
+            coarsener: None,
+            depth,
+            refiner: refiner.shared(),
+            coarsest: None,
+            name,
+        }
+    }
+
+    /// Refines the coarsest level with `refiner` instead of the level
+    /// refiner; every finer level keeps the level refiner. A
+    /// hill-crossing serial refiner there sets the basin a greedy
+    /// parallel level refiner then works within.
+    pub fn with_coarsest(mut self, refiner: impl LevelRefiner<L>) -> Pipeline<L> {
+        self.coarsest = Some(refiner.shared());
+        self
+    }
+
+    /// A one-line description of the composed stages, for diagnostics
+    /// (e.g. `"random-matching → levels(1) → KL"`; a
+    /// separate coarsest-level refiner shows as `BFM/PFM`).
+    pub fn describe(&self) -> String {
+        let depth = match self.depth {
+            CoarsenDepth::Flat => "flat".to_string(),
+            CoarsenDepth::Levels(k) => format!("levels({k})"),
+            CoarsenDepth::ToSize(s) => format!("to-size({s})"),
+        };
+        let refiner = L::refiner_name(&self.refiner);
+        let refiners = match self.coarsest.as_deref() {
+            Some(c) => format!("{}/{refiner}", L::refiner_name(c)),
+            None => refiner,
+        };
+        let coarsener = L::coarsener_name(self.coarsener.as_ref());
+        format!("{coarsener} → {depth} → {refiners}")
     }
 }
 
@@ -131,21 +199,14 @@ impl Pipeline {
     /// Named `C{refiner}` after the paper's CKL/CSA convention.
     pub fn compacted<R: Refiner + Send + Sync + 'static>(refiner: R) -> Pipeline {
         let name = format!("C{}", refiner.name());
-        Pipeline {
-            coarsener: Arc::new(RandomMatching),
-            depth: CoarsenDepth::Levels(1),
-            refiner: Arc::new(refiner),
-            coarsest: None,
-            name,
-        }
+        Pipeline::at(CoarsenDepth::Levels(1), refiner, name)
     }
 
     /// Multilevel (V-cycle) bisection around any refiner, coarsening to
     /// at most [`DEFAULT_COARSEST_SIZE`] vertices. Named `ML-{refiner}`.
     pub fn multilevel<R: Refiner + Send + Sync + 'static>(refiner: R) -> Pipeline {
-        Pipeline::multilevel_to(refiner, DEFAULT_COARSEST_SIZE)
-            // lint: allow(no-panic) — DEFAULT_COARSEST_SIZE satisfies multilevel_to's check
-            .expect("default coarsest size is valid")
+        let name = format!("ML-{}", refiner.name());
+        Pipeline::at(CoarsenDepth::ToSize(DEFAULT_COARSEST_SIZE), refiner, name)
     }
 
     /// As [`Pipeline::multilevel`] with an explicit coarsest size.
@@ -157,15 +218,8 @@ impl Pipeline {
         refiner: R,
         coarsest_size: usize,
     ) -> Result<Pipeline, BisectError> {
-        let depth = CoarsenDepth::ToSize(coarsest_size).validate()?;
         let name = format!("ML-{}", refiner.name());
-        Ok(Pipeline {
-            coarsener: Arc::new(RandomMatching),
-            depth,
-            refiner: Arc::new(refiner),
-            coarsest: None,
-            name,
-        })
+        Pipeline::new(CoarsenDepth::ToSize(coarsest_size), refiner, name)
     }
 
     /// A flat pipeline: no coarsening, random balanced start, one
@@ -174,44 +228,13 @@ impl Pipeline {
     /// refiner.
     pub fn flat<R: Refiner + Send + Sync + 'static>(refiner: R) -> Pipeline {
         let name = refiner.name();
-        Pipeline {
-            coarsener: Arc::new(RandomMatching),
-            depth: CoarsenDepth::Flat,
-            refiner: Arc::new(refiner),
-            coarsest: None,
-            name,
-        }
+        Pipeline::at(CoarsenDepth::Flat, refiner, name)
     }
 
     /// Replaces the coarsening scheme (e.g. [`HeavyEdgeMatching`]).
     pub fn with_coarsener<C: CoarsenScheme + 'static>(mut self, coarsener: C) -> Pipeline {
-        self.coarsener = Arc::new(coarsener);
+        self.coarsener = Some(Arc::new(coarsener));
         self
-    }
-
-    /// Refines the coarsest level with `refiner` instead of the level
-    /// refiner; every finer level keeps the level refiner. A
-    /// hill-crossing serial refiner there sets the basin a greedy
-    /// parallel level refiner then works within.
-    pub fn with_coarsest<R: Refiner + Send + Sync + 'static>(mut self, refiner: R) -> Pipeline {
-        self.coarsest = Some(Arc::new(refiner));
-        self
-    }
-
-    /// A one-line description of the composed stages, for diagnostics
-    /// (e.g. `"random-matching → levels(1) → KL"`; a
-    /// separate coarsest-level refiner shows as `BFM/PFM`).
-    pub fn describe(&self) -> String {
-        let depth = match self.depth {
-            CoarsenDepth::Flat => "flat".to_string(),
-            CoarsenDepth::Levels(k) => format!("levels({k})"),
-            CoarsenDepth::ToSize(s) => format!("to-size({s})"),
-        };
-        let refiners = match &self.coarsest {
-            Some(c) => format!("{}/{}", c.name(), self.refiner.name()),
-            None => self.refiner.name(),
-        };
-        format!("{} → {} → {}", self.coarsener.name(), depth, refiners)
     }
 
     /// Partitions `g` into `parts` balanced parts by recursive
@@ -231,22 +254,18 @@ impl Pipeline {
     }
 }
 
-impl Bisector for Pipeline {
+impl<L: Cells> Bisector<L> for Pipeline<L> {
     fn name(&self) -> String {
         self.name.clone()
     }
 
     fn bisect_counted(
         &self,
-        g: &Graph,
+        level: &L,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        let refiner = self.refiner.as_ref();
-        let refiners = (self.coarsest.as_deref().unwrap_or(refiner), refiner);
-        let coarsen =
-            |level: &Graph, _: &[bool], rng: &mut dyn RngCore| self.coarsener.coarsen(level, rng);
-        engine::run(g, &[], self.depth, coarsen, refiners, rng, ws)
+    ) -> (L::Part, u64) {
+        engine::run(self, level, &[], rng, ws)
     }
 }
 
@@ -254,6 +273,8 @@ impl Bisector for Pipeline {
 mod tests {
     use super::*;
     use crate::fm::FiducciaMattheyses;
+    use crate::netlist::{NetlistFm, NetlistPipeline, ParallelCellMatching};
+    use crate::partition::Bisection;
     use bisect_gen::special;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -343,6 +364,15 @@ mod tests {
         assert!(d.contains("random-matching"), "{d}");
         assert!(d.contains("levels(1)"), "{d}");
         assert!(d.contains("KL"), "{d}");
+
+        let netlist = NetlistPipeline::multilevel_fm_to(8).unwrap();
+        let d = netlist.describe();
+        assert_eq!(d, "random-cell-matching → to-size(8) → NetFM");
+        let d = netlist
+            .with_coarsener(ParallelCellMatching::new())
+            .with_coarsest(NetlistFm::new())
+            .describe();
+        assert_eq!(d, "parallel-cell-matching → to-size(8) → NetFM/NetFM");
     }
 
     /// A refiner that changes nothing and logs the size of every level

@@ -63,7 +63,8 @@ pub struct Workspace {
     /// SA's per-temperature acceptance table: `sa_exp[δ] = exp(-δ/T)`
     /// for integer uphill deltas δ at the current temperature.
     pub(crate) sa_exp: Vec<f64>,
-    /// SA proposals evaluated since the last [`Workspace::take_proposals`].
+    /// Work evaluations counted since the last
+    /// [`Workspace::take_proposals`].
     proposals: u64,
 }
 
@@ -74,16 +75,19 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Returns the number of SA proposals evaluated through this
-    /// workspace since the last call, resetting the counter — the
-    /// benchmark harness reads this around each trial to report
-    /// hot-loop throughput (`proposals_per_sec`).
+    /// Returns the evaluations counted through this workspace since the
+    /// last call, resetting the counter — the benchmark harness reads
+    /// this around each trial to report hot-loop throughput
+    /// (`proposals_per_sec`). Simulated annealing counts its proposals,
+    /// Kernighan-Lin its pair evaluations, and the parallel FM refiners
+    /// ([`crate::par_fm::ParallelFm`],
+    /// [`crate::netlist::ParallelNetlistFm`]) their gain evaluations;
+    /// the serial FM pass counts none.
     pub fn take_proposals(&mut self) -> u64 {
         std::mem::take(&mut self.proposals)
     }
 
-    /// Accumulates SA proposal evaluations for
-    /// [`Workspace::take_proposals`].
+    /// Accumulates evaluations for [`Workspace::take_proposals`].
     pub(crate) fn add_proposals(&mut self, n: u64) {
         self.proposals = self.proposals.saturating_add(n);
     }

@@ -8,6 +8,10 @@
 //! report: each benchmark runs `sample_size` timed iterations after one
 //! warm-up and prints min/mean/max wall-clock time per iteration.
 //! There is no statistical analysis, HTML report, or saved baseline.
+//!
+//! `cargo bench --bench <file> -- <filter>` runs only the benchmarks
+//! whose `group/id` contains `<filter>` (a plain substring, not a
+//! regex); flags such as cargo's `--bench` are ignored.
 
 #![forbid(unsafe_code)]
 
@@ -102,6 +106,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
+        if !self.criterion.selects(&self.name, &id) {
+            return self;
+        }
         let mut bencher = Bencher {
             samples: Vec::new(),
             sample_size: self.sample_size,
@@ -122,6 +129,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into();
+        if !self.criterion.selects(&self.name, &id) {
+            return self;
+        }
         let mut bencher = Bencher {
             samples: Vec::new(),
             sample_size: self.sample_size,
@@ -139,10 +149,26 @@ impl BenchmarkGroup<'_> {
 /// The benchmark harness entry point.
 #[derive(Default)]
 pub struct Criterion {
-    _private: (),
+    /// Runs only benchmarks whose `group/id` contains this, when set.
+    filter: Option<String>,
 }
 
 impl Criterion {
+    /// Takes the filter from the command line: its first argument that
+    /// is not a flag.
+    pub fn configure_from_args(self) -> Criterion {
+        Criterion {
+            filter: filter_from_args(std::env::args().skip(1)),
+        }
+    }
+
+    /// Whether the benchmark `group/id` passes the filter.
+    fn selects(&self, group: &str, id: &BenchmarkId) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|f| format!("{group}/{id}").contains(f.as_str()))
+    }
+
     /// Opens a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -168,6 +194,11 @@ impl Criterion {
             samples.len()
         );
     }
+}
+
+/// The first argument that does not start with `-`.
+fn filter_from_args(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
 }
 
 fn fmt_duration(d: Duration) -> String {
@@ -201,7 +232,7 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $group(&mut criterion); )+
         }
     };
@@ -237,6 +268,28 @@ mod tests {
             b.iter(|| black_box(x * x))
         });
         group.finish();
+    }
+
+    #[test]
+    fn filter_selects_by_group_and_id_substring() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_from_args(args(&["--bench"])), None);
+        let filter = filter_from_args(args(&["--bench", "pfm-two-pin", "extra"]));
+        assert_eq!(filter.as_deref(), Some("pfm-two-pin"));
+
+        let mut c = Criterion { filter };
+        assert!(c.selects("pfm-two-pin-100k", &"BFM".into()));
+        assert!(c.selects("fm", &BenchmarkId::new("pfm-two-pin", 4)));
+        assert!(!c.selects("fm-repass", &BenchmarkId::new("BFM", 1000)));
+        assert!(Criterion::default().selects("fm-repass", &"BFM".into()));
+
+        // A filtered-out benchmark never runs its routine.
+        let mut runs = 0usize;
+        let mut group = c.benchmark_group("fm-repass");
+        group.sample_size(2);
+        group.bench_function("BFM", |b| b.iter(|| runs += 1));
+        group.finish();
+        assert_eq!(runs, 0);
     }
 
     #[test]

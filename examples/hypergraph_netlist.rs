@@ -62,10 +62,7 @@ fn main() {
 
     // Native hypergraph FM, best of two starts, scored in nets.
     let fm = NetlistPipeline::flat_fm();
-    let native = (0..2)
-        .map(|_| fm.bisect(&netlist, &mut rng))
-        .min_by_key(NetlistBisection::cut)
-        .expect("two starts ran");
+    let native = best_of(&fm, &netlist, 2, &mut rng);
     println!("hypergraph FM:        {} nets cut", native.cut());
 
     // Clique expansion + graph algorithms, re-scored in nets.

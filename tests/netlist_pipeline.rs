@@ -4,6 +4,7 @@
 //! sandwiched by its clique-expansion counterparts, and the recursive
 //! placement protocol is bit-identical at every thread count.
 
+use bisect_core::bisector::Bisector;
 use bisect_core::netlist::{recursive_placement, NetlistBisection, NetlistPipeline};
 use bisect_core::partition::Bisection;
 use bisect_core::workspace::Workspace;
