@@ -5,12 +5,14 @@
 
 use bisect_core::bisector::best_of;
 use bisect_core::kl::KernighanLin;
+use bisect_core::partition::Side;
 use bisect_core::pipeline::Pipeline;
 use bisect_core::sa::SimulatedAnnealing;
+use bisect_core::seed;
+use bisect_core::workspace::Workspace;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{gbreg, special};
 use rand::SeedableRng;
-use std::time::Instant;
 
 fn sa() -> SimulatedAnnealing {
     SimulatedAnnealing::quick()
@@ -84,20 +86,57 @@ fn observation3_compaction_on_binary_trees() {
 }
 
 /// Observation 4a: KL is much faster than SA (the paper: SA up to 20×
-/// slower).
+/// slower), measured in counted work rather than on a clock. Each
+/// algorithm's work is its candidate evaluations plus the adjacency
+/// entries it reads:
+///
+/// * SA: one per proposal, plus the neighbours that every accepted move
+///   walks (`SaStats::adjacency_walked`);
+/// * KL: one per pair evaluation (`Workspace::take_proposals`), plus,
+///   per pass, the gain initialisation over every adjacency entry and
+///   the adjacency walk of every vertex the pass locks.
+///
+/// The counts are exact and identical in every build, unlike the wall
+/// clock this assertion replaced.
 #[test]
 fn observation4_kl_faster_than_sa() {
     let g = special::grid(16, 16);
+    let adjacency = 2 * g.num_edges() as u64;
     let mut rng = LaggedFibonacci::seed_from_u64(4);
-    let t0 = Instant::now();
-    let _ = best_of(&KernighanLin::new(), &g, 2, &mut rng);
-    let kl_time = t0.elapsed();
-    let t1 = Instant::now();
-    let _ = best_of(&sa(), &g, 2, &mut rng);
-    let sa_time = t1.elapsed();
+    let mut ws = Workspace::new();
+
+    // `best_of(&KernighanLin::new(), &g, 2, …)`, pass by pass.
+    let kl = KernighanLin::new();
+    let mut kl_work = 0u64;
+    for _ in 0..2 {
+        let mut p = seed::random_balanced(&g, &mut rng);
+        // Every pass locks min(|A|, |B|) pairs, which on this even,
+        // balanced start is every vertex once: its lock walks read all
+        // adjacency entries, as its gain initialisation does.
+        assert_eq!(p.count(Side::A), p.count(Side::B));
+        // KL's default pass cap, which this grid never reaches.
+        for _ in 0..64 {
+            let gain = kl.pass_in(&g, &mut p, &mut ws);
+            kl_work += ws.take_proposals() + 2 * adjacency;
+            if gain == 0 {
+                break;
+            }
+        }
+    }
+
+    // `best_of(&sa(), &g, 2, …)` on the same stream.
+    let mut sa_work = 0u64;
+    for _ in 0..2 {
+        let init = seed::random_balanced(&g, &mut rng);
+        let (_, stats) = sa().refine_with_stats_in(&g, init, &mut rng, &mut ws);
+        sa_work += (stats.proposals + stats.adjacency_walked) as u64;
+    }
+    // 124,336 against 20,502 (6.06×) when this bound was set. 5× sits
+    // at 82% of that ratio, closer than the replaced 2× sat to the
+    // 2.7–3.5× wall-clock ratios of debug builds (57–74%).
     assert!(
-        sa_time > 2 * kl_time,
-        "SA ({sa_time:?}) expected well slower than KL ({kl_time:?})"
+        sa_work > 5 * kl_work,
+        "SA ({sa_work} evaluations and reads) expected well above KL ({kl_work})"
     );
 }
 
