@@ -10,13 +10,18 @@
 //! * `sa-density/*` — cached vs naive across average degree (the
 //!   naive path's per-proposal cost grows with degree; the cached
 //!   path's rejected proposals stay O(1)).
+//! * `sa-paper/{sa,csa}` — SA and CSA at the paper's size and default
+//!   schedule, on `Gbreg(5000,16,3)`: the `paper-5000` benchmark
+//!   workload's heaviest solves (`cargo bench --bench sa_hot_loop --
+//!   sa-paper`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bisect_core::bisector::Bisector;
+use bisect_core::pipeline::Pipeline;
 use bisect_core::sa::{MoveKind, ProposalEval, SimulatedAnnealing};
 use bisect_core::workspace::Workspace;
-use bisect_gen::rng::LaggedFibonacci;
+use bisect_gen::rng::{LaggedFibonacci, SeedSequence};
 use bisect_gen::{gbreg, gnp};
 use bisect_graph::Graph;
 use rand::SeedableRng;
@@ -98,10 +103,36 @@ fn bench_eval_by_density(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_paper_size(c: &mut Criterion) {
+    let mut grng = LaggedFibonacci::seed_from_u64(1989);
+    let params = gbreg::GbregParams::new(5000, 16, 3).expect("valid parameters");
+    let g = gbreg::sample(&mut grng, &params).expect("construction succeeds");
+    let mut group = c.benchmark_group("sa-paper");
+    group.sample_size(10);
+    let algos: [(&str, &dyn Bisector); 2] = [
+        ("sa", &SimulatedAnnealing::new()),
+        ("csa", &Pipeline::csa()),
+    ];
+    for (name, algo) in algos {
+        group.bench_function(name, |b| {
+            let mut ws = Workspace::new();
+            let seeds = SeedSequence::new(5000);
+            let mut start = 0u64;
+            b.iter(|| {
+                start += 1;
+                let mut rng = seeds.rng(start);
+                std::hint::black_box(algo.bisect_in(&g, &mut rng, &mut ws).cut())
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_eval_swap,
     bench_eval_flip,
-    bench_eval_by_density
+    bench_eval_by_density,
+    bench_paper_size
 );
 criterion_main!(benches);

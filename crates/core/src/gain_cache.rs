@@ -1,16 +1,13 @@
-//! Incrementally maintained per-vertex gains shared by the SA, KL and
-//! FM hot paths, plus the incremental **boundary set** behind the
+//! Incrementally maintained per-vertex gains shared by the KL and FM
+//! hot paths, plus the incremental **boundary set** behind the
 //! boundary-localized refiners.
 //!
-//! The annealing inner loop (`sa.rs`) evaluates `sizefactor·|V|`
-//! proposals per temperature, and at useful temperatures most of them
-//! are *rejected*. Recomputing [`Bisection::gain`] per proposal makes
-//! the common rejected case cost two `O(deg)` adjacency walks; the
-//! cache turns it into two array reads plus one edge lookup, and pays
-//! the `O(deg)` walk only on *accepted* moves — the classic
-//! Fiduccia-Mattheyses maintained-gain discipline applied to annealing.
-//! KL and FM initialize their per-pass gain state from the same cache
-//! instead of rebuilding equivalent arrays locally.
+//! The cache pays an `O(deg)` walk per recorded move and answers gain
+//! queries with array reads — the classic Fiduccia-Mattheyses
+//! maintained-gain discipline. KL and FM initialize their per-pass gain
+//! state from it instead of rebuilding equivalent arrays locally.
+//! (Simulated annealing keeps its own compact copy of the same
+//! discipline in `sa.rs`.)
 //!
 //! Alongside each gain the cache tracks the vertex's **external
 //! degree** (total weight of its cut edges) and maintains the set
@@ -26,10 +23,10 @@
 use bisect_graph::{Graph, VertexId};
 
 use crate::balance::RebalanceHeap;
-use crate::partition::{Bisection, Side};
+use crate::partition::Bisection;
 
-/// Per-vertex gain cache with per-side member index arrays and an
-/// incrementally maintained boundary set.
+/// Per-vertex gain cache with an incrementally maintained boundary
+/// set.
 ///
 /// Invariants, established by [`GainCache::init`] (or
 /// [`GainCache::project`]) and maintained by [`GainCache::record_move`]
@@ -43,13 +40,6 @@ use crate::partition::{Bisection, Side};
 ///   `gain(v) == ext(v) − (weighted_degree(v) − ext(v))`.
 /// * `boundary()` holds exactly the vertices with `ext(v) > 0`, each
 ///   once (order unspecified but a pure function of the move history).
-///   The `ext`/`boundary` pair (only) is additionally voided by
-///   [`GainCache::record_move_untracked`], the cheaper flavor for
-///   consumers that never read the boundary.
-/// * `members(s)` holds exactly side `s`'s vertices: ascending after
-///   `init`, then reordered by each move's swap-remove — unspecified
-///   but a pure function of the move history. SA draws its swap pairs
-///   by index into these lists, so its results depend on that order.
 ///
 /// All storage is retained across runs (`init` only grows buffers), so
 /// a workspace-resident cache allocates nothing after warm-up.
@@ -60,10 +50,6 @@ pub struct GainCache {
     gains: Vec<i64>,
     /// `ext[v]` = weight of v's cross edges (external degree).
     ext: Vec<u64>,
-    /// Vertex lists per side, indexed by [`Side::index`].
-    members: [Vec<VertexId>; 2],
-    /// `pos[v]` = index of `v` within its side's member list.
-    pos: Vec<u32>,
     /// The vertices with `ext > 0`.
     boundary: BoundarySet,
     /// Scratch for [`crate::partition::rebalance_with_cache`].
@@ -195,15 +181,9 @@ impl GainCache {
     /// walk their adjacency; the rest are interior, with the closed form
     /// `gain = −weighted_degree`, `ext = 0`.
     fn fill(&mut self, g: &Graph, p: &Bisection, rescan: impl Fn(usize) -> bool) {
-        let n = g.num_vertices();
         self.gains.clear();
         self.ext.clear();
-        self.pos.clear();
-        self.pos.resize(n, 0);
-        self.boundary.reset(n);
-        for side in &mut self.members {
-            side.clear();
-        }
+        self.boundary.reset(g.num_vertices());
         let sides = p.sides();
         for v in g.vertices() {
             let vi = v as usize;
@@ -227,9 +207,6 @@ impl GainCache {
             if external > 0 {
                 self.boundary.set(v, true);
             }
-            let side = &mut self.members[p.side(v).index()];
-            self.pos[vi] = side.len() as u32;
-            side.push(v);
         }
     }
 
@@ -269,16 +246,6 @@ impl GainCache {
         self.boundary.index(v)
     }
 
-    /// The cached pair gain `g_ab = g_a + g_b − 2δ(a, b)` for swapping
-    /// `a` and `b`, which must be on opposite sides — one edge lookup
-    /// instead of the two adjacency walks of [`Bisection::swap_gain`],
-    /// producing the same integer.
-    #[inline]
-    pub fn swap_gain(&self, g: &Graph, a: VertexId, b: VertexId) -> i64 {
-        let delta = g.edge_weight(a, b).unwrap_or(0) as i64;
-        self.gains[a as usize] + self.gains[b as usize] - 2 * delta
-    }
-
     /// All cached gains, indexed by vertex.
     #[inline]
     pub fn gains(&self) -> &[i64] {
@@ -294,45 +261,16 @@ impl GainCache {
         &mut self.gains
     }
 
-    /// The vertices currently on side `s` (ascending after
-    /// [`GainCache::init`], arbitrary order after moves).
-    #[inline]
-    pub fn members(&self, s: Side) -> &[VertexId] {
-        &self.members[s.index()]
-    }
-
     /// Updates the cache for `v` moving to the other side, in
     /// `O(degree(v))`. Must be called while `p` still shows `v` on its
     /// *old* side (i.e. before `Bisection::move_vertex*`); `g` and `p`
     /// must be the pair the cache was initialized against.
     pub fn record_move(&mut self, g: &Graph, p: &Bisection, v: VertexId) {
-        self.record_move_impl::<true>(g, p, v);
-    }
-
-    /// As [`GainCache::record_move`], but skips the external-degree and
-    /// boundary-set bookkeeping: gains and member lists stay exact,
-    /// `ext`/`boundary` are **void** until the next
-    /// [`init`](GainCache::init) or [`project`](GainCache::project).
-    ///
-    /// For consumers that never read the boundary — the SA proposal
-    /// loop records thousands of accepted moves per run and pays for
-    /// the skipped per-neighbor work measurably.
-    pub fn record_move_untracked(&mut self, g: &Graph, p: &Bisection, v: VertexId) {
-        self.record_move_impl::<false>(g, p, v);
-    }
-
-    /// Monomorphized body of the two `record_move` flavors: `TRACK`
-    /// compiles the boundary bookkeeping in or out.
-    fn record_move_impl<const TRACK: bool>(&mut self, g: &Graph, p: &Bisection, v: VertexId) {
         let old = p.side(v);
         let vi = v as usize;
         // v's external and internal edge sets trade places, so its new
         // external degree is its old internal one: ext − gain.
-        let new_ext_v = if TRACK {
-            (self.ext[vi] as i64 - self.gains[vi]) as u64
-        } else {
-            0
-        };
+        let new_ext_v = (self.ext[vi] as i64 - self.gains[vi]) as u64;
         self.gains[vi] = -self.gains[vi];
         // Old-side neighbors lose an internal edge and get a cross
         // edge (gain += 2w, ext += w); new-side neighbors the reverse.
@@ -344,42 +282,27 @@ impl GainCache {
             let wi = w as i64;
             if p.side(u) == old {
                 self.gains[ui] += 2 * wi;
-                if TRACK {
-                    if self.ext[ui] == 0 {
-                        self.boundary.set(u, true);
-                    }
-                    self.ext[ui] += w;
+                if self.ext[ui] == 0 {
+                    self.boundary.set(u, true);
                 }
+                self.ext[ui] += w;
             } else {
                 self.gains[ui] -= 2 * wi;
-                if TRACK {
-                    self.ext[ui] -= w;
-                    if self.ext[ui] == 0 {
-                        self.boundary.set(u, false);
-                    }
+                self.ext[ui] -= w;
+                if self.ext[ui] == 0 {
+                    self.boundary.set(u, false);
                 }
             }
         }
-        if TRACK {
-            self.boundary.set(v, new_ext_v > 0);
-            self.ext[vi] = new_ext_v;
-        }
-        let oi = old.index();
-        let ni = old.other().index();
-        let at = self.pos[vi] as usize;
-        let removed = self.members[oi].swap_remove(at);
-        debug_assert_eq!(removed, v, "member list out of sync");
-        if let Some(&swapped_in) = self.members[oi].get(at) {
-            self.pos[swapped_in as usize] = at as u32;
-        }
-        self.pos[vi] = self.members[ni].len() as u32;
-        self.members[ni].push(v);
+        self.boundary.set(v, new_ext_v > 0);
+        self.ext[vi] = new_ext_v;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::Side;
     use crate::seed::random_balanced;
     use bisect_gen::gnp::{self, GnpParams};
     use bisect_gen::special;
@@ -413,11 +336,6 @@ mod tests {
         let mut cached: Vec<_> = cache.boundary().to_vec();
         cached.sort_unstable();
         assert_eq!(cached, boundary, "boundary set");
-        for side in [Side::A, Side::B] {
-            let members = cache.members(side);
-            assert_eq!(members.len(), p.count(side), "member count of {side:?}");
-            assert!(members.iter().all(|&v| p.side(v) == side));
-        }
     }
 
     #[test]
@@ -428,10 +346,6 @@ mod tests {
         let mut cache = GainCache::default();
         cache.init(&g, &p);
         assert_cache_consistent(&cache, &g, &p);
-        // Member lists are ascending right after init.
-        for side in [Side::A, Side::B] {
-            assert!(cache.members(side).windows(2).all(|w| w[0] < w[1]));
-        }
     }
 
     #[test]
@@ -470,16 +384,22 @@ mod tests {
     }
 
     #[test]
-    fn record_move_tracks_swaps_and_cached_swap_gain_matches() {
+    fn record_move_tracks_swaps() {
         let g = random_gnp(48, 0.2, 9);
         let mut rng = StdRng::seed_from_u64(23);
         let mut p = random_balanced(&g, &mut rng);
         let mut cache = GainCache::default();
         cache.init(&g, &p);
+        let n = g.num_vertices();
+        let draw_on = |rng: &mut StdRng, p: &Bisection, side: Side| loop {
+            let v = rng.gen_range(0..n) as VertexId;
+            if p.side(v) == side {
+                break v;
+            }
+        };
         for _ in 0..120 {
-            let a = cache.members(Side::A)[rng.gen_range(0..p.count(Side::A))];
-            let b = cache.members(Side::B)[rng.gen_range(0..p.count(Side::B))];
-            assert_eq!(cache.swap_gain(&g, a, b), p.swap_gain(&g, a, b));
+            let a = draw_on(&mut rng, &p, Side::A);
+            let b = draw_on(&mut rng, &p, Side::B);
             // A swap is two single moves; refresh b's gain after a
             // moves so the a–b edge adjustment is included.
             cache.record_move(&g, &p, a);
@@ -538,31 +458,6 @@ mod tests {
             }
             assert_cache_consistent(&cache, &g, &fine_p);
         }
-    }
-
-    #[test]
-    fn untracked_moves_keep_gains_and_members_exact() {
-        let g = random_gnp(40, 0.1, 5);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut p = random_balanced(&g, &mut rng);
-        let mut cache = GainCache::default();
-        cache.init(&g, &p);
-        for _ in 0..30 {
-            let v = rng.gen_range(0..g.num_vertices()) as VertexId;
-            cache.record_move_untracked(&g, &p, v);
-            p.move_vertex(&g, v);
-        }
-        // ext/boundary are void, but gains and member lists stay exact.
-        for v in g.vertices() {
-            assert_eq!(cache.gain(v), p.gain(&g, v), "gain of {v}");
-        }
-        for side in [Side::A, Side::B] {
-            assert_eq!(cache.members(side).len(), p.count(side));
-            assert!(cache.members(side).iter().all(|&v| p.side(v) == side));
-        }
-        // A fresh init restores the full invariant set.
-        cache.init(&g, &p);
-        assert_cache_consistent(&cache, &g, &p);
     }
 
     #[test]

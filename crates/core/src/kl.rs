@@ -121,7 +121,7 @@ impl KernighanLin {
         }
 
         // Per-vertex gains start from the shared cache arena — the same
-        // O(V + E) initialization SA maintains incrementally — and then
+        // O(V + E) initialization FM maintains incrementally — and then
         // evolve as virtual-swap gains while pairs lock (the cache is
         // rebuilt by each consumer's next `init`).
         ws.gain_cache.init(g, p);

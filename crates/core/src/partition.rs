@@ -335,6 +335,23 @@ impl Bisection {
         self.weights = other.weights;
     }
 
+    /// Overwrites `self` with a bisection held elsewhere as raw parts
+    /// (SA's compact annealing state), reusing the side buffer. The
+    /// parts must describe one bisection of `self`'s graph.
+    pub(crate) fn assign(
+        &mut self,
+        side: &[bool],
+        cut: EdgeWeight,
+        counts: [usize; 2],
+        weights: [VertexWeight; 2],
+    ) {
+        self.side.clear();
+        self.side.extend_from_slice(side);
+        self.cut = cut;
+        self.counts = counts;
+        self.weights = weights;
+    }
+
     fn assert_graph(&self, g: &Graph) {
         assert_eq!(
             self.side.len(),

@@ -27,13 +27,15 @@ use crate::gain_cache::GainCache;
 use crate::netlist::{NetlistBisection, NetlistGainCache};
 use crate::par_fm::ParallelScratch;
 use crate::partition::Bisection;
+use crate::sa::SaArena;
 
 /// Scratch arenas shared by the KL, FM, and SA hot paths. See the
 /// [module docs](self) for the ownership model.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Per-vertex gain cache: maintained incrementally by SA, used as
-    /// the per-pass gain arena by KL and FM.
+    /// Per-vertex gain cache: the per-pass gain arena of KL and FM,
+    /// maintained and projected by the boundary refiners and the
+    /// pipeline engine.
     pub(crate) gain_cache: GainCache,
     /// Per-vertex locked flags (KL and FM passes).
     pub(crate) locked: Vec<bool>,
@@ -58,11 +60,9 @@ pub struct Workspace {
     pub(crate) pfm: ParallelScratch,
     /// Netlist FM's virtually-moved working bisection.
     pub(crate) netlist_work: Option<NetlistBisection>,
-    /// SA's best-so-far bisection, recycled between runs.
-    pub(crate) sa_best: Option<Bisection>,
-    /// SA's per-temperature acceptance table: `sa_exp[δ] = exp(-δ/T)`
-    /// for integer uphill deltas δ at the current temperature.
-    pub(crate) sa_exp: Vec<f64>,
+    /// SA's annealing state: side lists, compact adjacency and gains,
+    /// acceptance table and best-so-far bisection.
+    pub(crate) sa: SaArena,
     /// Work evaluations counted since the last
     /// [`Workspace::take_proposals`].
     proposals: u64,
@@ -142,9 +142,9 @@ impl Workspace {
     /// Checks out the SA best-so-far buffer seeded as a copy of
     /// `current`: recycles the previous run's buffer when present
     /// (allocation-free steady state) and clones only on first use.
-    /// The SA run parks the buffer back in `sa_best` when it finishes.
+    /// The SA run parks the buffer back in the arena when it finishes.
     pub(crate) fn checkout_sa_best(&mut self, current: &Bisection) -> Bisection {
-        match self.sa_best.take() {
+        match self.sa.best.take() {
             Some(mut best) => {
                 best.copy_from(current);
                 best
