@@ -30,20 +30,31 @@
 //!   both at one thread. They run one parallel round, but the netlist
 //!   resolve also pairs the proposals it blocked for balance, so the
 //!   rows differ in moves as well as in the gain update.
+//! * `pfm-idle/*` — `ParallelNetlistFm::refine_projected_counted` at one
+//!   thread on a twice-contracted global Rent level, from a fresh cache.
+//!   `skipped` starts from a count-balanced bisection whose sides differ
+//!   by more than twice the pass slack, where no single move fits and
+//!   the refiner returns before its first round; `productive` starts
+//!   from a weight-balanced one and refines. The count-balanced start is
+//!   the one the benchmark's netlist ladders refine at every level.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bisect_core::bisector::Refiner;
 use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
-use bisect_core::netlist::{NetlistBisection, NetlistFm, NetlistRefiner, ParallelNetlistFm};
+use bisect_core::netlist::{
+    self, NetlistBisection, NetlistFm, NetlistGainCache, NetlistRefiner, ParallelCellMatching,
+    ParallelNetlistFm,
+};
 use bisect_core::par_fm::ParallelFm;
 use bisect_core::partition::Bisection;
 use bisect_core::pipeline::ParallelMatching;
 use bisect_core::seed;
 use bisect_core::workspace::Workspace;
+use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{gbreg, gnp};
-use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
+use bisect_graph::hypergraph::{contract_cells, Netlist, NetlistBuilder};
 use bisect_graph::{contraction, reorder, Graph};
 use rand::{RngCore, SeedableRng};
 
@@ -209,10 +220,53 @@ fn bench_two_pin_level(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_idle_rounds(c: &mut Criterion) {
+    // A `netlist-global` instance of the benchmark: 12,500 cells, 17,500
+    // nets of up to 8 pins, no locality.
+    let params = RentNetlistParams::new(12_500, 17_500, 8, 1.8, 1.0).expect("valid parameters");
+    let mut level = sample_streamed(&mut LaggedFibonacci::seed_from_u64(1), &params);
+    let matcher = ParallelCellMatching::new().with_threads(1);
+    for _ in 0..2 {
+        let pairs = matcher.matching(&level);
+        level = contract_cells(&level, &pairs).coarse().clone();
+    }
+    let mut rng = LaggedFibonacci::seed_from_u64(3);
+    let skipped = NetlistBisection::random_balanced(&level, &mut rng);
+    let productive = netlist::weight_balanced_random(&level, &mut rng);
+    // The pass slack is twice the heaviest cell.
+    let max_weight = level.cells().map(|c| level.cell_weight(c)).max();
+    let bound = 4 * max_weight.expect("the level has cells");
+    assert!(
+        skipped.weight_imbalance() > bound,
+        "the skipped start must be past the bound"
+    );
+    assert!(productive.weight_imbalance() <= bound);
+
+    let pnfm = ParallelNetlistFm::new().with_threads(1);
+    let mut group = c.benchmark_group("pfm-idle");
+    group.sample_size(10);
+    for (name, start) in [("skipped", &skipped), ("productive", &productive)] {
+        let mut cache = NetlistGainCache::default();
+        cache.init(&level, start);
+        group.bench_with_input(BenchmarkId::new(name, "rent-global"), &level, |b, level| {
+            let mut ws = Workspace::new();
+            b.iter(|| {
+                let mut rng = LaggedFibonacci::seed_from_u64(1);
+                ws.netlist_cache_mut().clone_from(&cache);
+                let (p, _) =
+                    pnfm.refine_projected_counted(level, &[], start.clone(), &mut rng, &mut ws);
+                std::hint::black_box(p.cut())
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fm_repass_by_density,
     bench_fm_repass_planted,
-    bench_two_pin_level
+    bench_two_pin_level,
+    bench_idle_rounds
 );
 criterion_main!(benches);

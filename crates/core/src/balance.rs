@@ -106,6 +106,18 @@ impl Tolerance {
         };
         after.unsigned_abs() <= self.pass
     }
+
+    /// Whether the sides of `p` differ by more than `2 · pass`, so that
+    /// no single move [`fits`](Tolerance::fits). On a level with cells
+    /// `pass` is twice the largest cell weight `w_max`, so the bound is
+    /// `pass + 2·w_max`, and it is exact: moving a cell of weight
+    /// `w ≤ w_max` off the heavy side leaves a difference of at least
+    /// `|d| − 2·w_max > pass`, and moving one off the light side widens
+    /// it; at `|d| = 2 · pass` a heaviest cell on the heavy side fits.
+    pub(crate) fn beyond_one_move<L: Cells>(self, p: &L::Part) -> bool {
+        let [a, b] = L::side_weights(p);
+        a.abs_diff(b) > 2 * self.pass
+    }
 }
 
 /// The side difference of `p` and its heavier side (B on a tie).

@@ -43,7 +43,9 @@ use super::{NetlistBisection, NetlistRefiner};
 /// refiner does not rebalance on entry. An input outside the tolerance
 /// therefore usually comes back unchanged with 0 rounds: only when some
 /// prefix of one round's moves happens to restore balance does it move
-/// at all.
+/// at all. Once the sides differ by more than twice the pass slack, no
+/// single move fits and it returns before proposing (see
+/// [`crate::par_fm`], "Rounds that cannot move").
 /// Rebalance first (see [`super::rebalance_with_cache`]), as
 /// [`super::NetlistPipeline`] does at every level. Implements
 /// [`NetlistRefiner`] with the projected-cache protocol, so the engine

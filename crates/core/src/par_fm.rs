@@ -59,6 +59,25 @@
 //! Chunking, merge and resolve are the same round; only the proposals'
 //! source changes, so a round costs `O(boundary·deg)` rather than
 //! `O(V + E)`. The netlist refiner always runs in this mode.
+//!
+//! # Rounds that cannot move
+//!
+//! Before each round, `run_rounds` returns when the side weights differ
+//! by more than `2 · tol.pass`, which is `tol.pass + 2·w_max` for the
+//! largest cell weight `w_max` (`Tolerance::beyond_one_move`). From
+//! there no single move fits `tol.pass`: a move off the heavy side
+//! leaves a difference of at least `|d| − 2·w_max > tol.pass`, and a
+//! move off the light side widens it. So phase 1 of the resolve applies
+//! nothing, phase 2's queue heads never fit, and the rollback undoes
+//! nothing: the round would return improvement 0 with sides, cut and
+//! gain cache untouched. The guard drops only its propose work and its
+//! gain evaluations, in O(1). The bound is exact: from `2 · tol.pass`
+//! a heaviest cell off the heavy side fits, and a round can improve.
+//! Between the balance tolerance `tol.base` and `2 · tol.pass` a full
+//! round still runs, and keeps a prefix only if it ends within
+//! `tol.base`. The engine rebalances every projected level before
+//! refining, so its runs never reach the guard; it serves callers that
+//! refine levels outside the tolerance.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -389,9 +408,11 @@ impl NetOverlay {
 
 /// Runs up to [`MAX_ROUNDS`] rounds until one fails to improve the
 /// cut, assuming the level's workspace gain cache is exact for
-/// `(level, p)`; leaves it exact for the refined `p`. Cells flagged in
-/// `fixed` never move. Adds every gain evaluation to the workspace's
-/// proposal count and returns the number of productive rounds.
+/// `(level, p)`; leaves it exact for the refined `p`. Returns before a
+/// round whose sides are too far apart for any move to fit (see "Rounds
+/// that cannot move" in the module docs). Cells flagged in `fixed`
+/// never move. Adds every gain evaluation to the workspace's proposal
+/// count and returns the number of productive rounds.
 pub(crate) fn run_rounds<L: ParCells>(
     level: &L,
     fixed: &[bool],
@@ -405,6 +426,10 @@ pub(crate) fn run_rounds<L: ParCells>(
     let tol = Tolerance::of(level);
     let mut productive = 0u64;
     for _ in 0..MAX_ROUNDS {
+        // Such a round could not move a cell (module docs).
+        if tol.beyond_one_move::<L>(p) {
+            break;
+        }
         let (improvement, evals) = round(level, fixed, p, ws, tol, plan);
         ws.add_proposals(evals);
         if improvement == 0 {
@@ -753,6 +778,8 @@ pub(crate) fn round_resolved_by<L: ParCells>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance;
+    use crate::partition::Side;
     use bisect_gen::special;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1035,5 +1062,173 @@ mod tests {
             }
         }
         assert!(rounds > 72, "the runs must refine: {rounds} rounds");
+    }
+
+    /// Every plan a refiner can run: each chunk source, with and without
+    /// pairing, at 1–3 threads.
+    fn all_plans() -> impl Iterator<Item = Rounds> {
+        (1..=3).flat_map(|threads| {
+            [Seeds::All, Seeds::Boundary]
+                .into_iter()
+                .flat_map(move |seeds| {
+                    [false, true].map(|pair| Rounds {
+                        threads,
+                        seeds,
+                        pair,
+                    })
+                })
+        })
+    }
+
+    /// The sides and cut of `p`, for comparing bisections of either kind.
+    fn part_state<L: ParCells>(level: &L, p: &L::Part) -> (Vec<Side>, u64) {
+        let sides = (0..level.num_cells() as VertexId)
+            .map(|c| L::side(p, c))
+            .collect();
+        (sides, L::cut(p))
+    }
+
+    /// Every cached gain and the boundary list, in order.
+    fn cache_state<L: ParCells>(level: &L, ws: &mut Workspace) -> (Vec<i64>, Vec<VertexId>) {
+        let (cache, _) = L::par_state(ws);
+        let gains = (0..level.num_cells() as VertexId)
+            .map(|c| L::cached_gain(cache, c))
+            .collect();
+        (gains, L::boundary(cache).to_vec())
+    }
+
+    /// Draws a weight-balanced start and moves random cells from side B
+    /// to side A until no single move fits, then up to two more. Checks,
+    /// for every plan, that the unguarded round moves nothing and leaves
+    /// the gain cache as a fresh init builds it, and that `run_rounds`
+    /// skips it. Returns the evaluations the skipped rounds would spend.
+    fn assert_rounds_past_the_bound_are_idle<L: ParCells>(
+        level: &L,
+        fixed: &[bool],
+        seed: u64,
+    ) -> u64 {
+        use rand::Rng;
+
+        let tol = Tolerance::of(level);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut start = balance::weight_balanced(level, &[], &mut rng);
+        let mut extra: usize = rng.gen_range(0..=2);
+        let n = level.num_cells() as VertexId;
+        loop {
+            let beyond = tol.beyond_one_move::<L>(&start);
+            if beyond && extra == 0 {
+                break;
+            }
+            extra -= usize::from(beyond);
+            let c = rng.gen_range(0..n);
+            if L::side(&start, c) == Side::B {
+                level.move_cell(&mut start, c);
+            }
+        }
+        let mut fresh = Workspace::new();
+        level.init_cache(&start, &mut fresh);
+        let (want_part, want_cache) = (part_state(level, &start), cache_state(level, &mut fresh));
+        let mut wasted = 0;
+        for plan in all_plans() {
+            let at = format!("seed {seed} {plan:?}");
+            let mut ws = Workspace::new();
+            level.init_cache(&start, &mut ws);
+            let mut p = start.clone();
+            let (improvement, evals) = round(level, fixed, &mut p, &mut ws, tol, plan);
+            assert_eq!(improvement, 0, "{at}");
+            assert_eq!(part_state(level, &p), want_part, "{at}");
+            assert_eq!(cache_state(level, &mut ws), want_cache, "{at}");
+            wasted += evals;
+            ws.take_proposals();
+            let rounds = run_rounds(level, fixed, &mut p, &mut ws, plan);
+            assert_eq!((rounds, ws.take_proposals()), (0, 0), "{at}");
+            assert_eq!(part_state(level, &p), want_part, "{at}");
+            assert_eq!(cache_state(level, &mut ws), want_cache, "{at}");
+        }
+        wasted
+    }
+
+    /// A Rent netlist of `cells` cells, contracted by `levels` random
+    /// cell matchings.
+    fn contracted_rent(cells: usize, levels: usize, seed: u64) -> Netlist {
+        use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
+        use bisect_graph::hypergraph::{contract_cells, random_cell_matching};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let params = RentNetlistParams::new(cells, 3 * cells / 2, 5, 1.8, 0.1).unwrap();
+        let mut nl = sample_streamed(&mut rng, &params);
+        for _ in 0..levels {
+            let pairs = random_cell_matching(&nl, &mut rng);
+            nl = contract_cells(&nl, &pairs).coarse().clone();
+        }
+        nl
+    }
+
+    #[test]
+    fn rounds_past_twice_the_pass_slack_move_nothing_and_are_skipped() {
+        use rand::Rng;
+
+        let mut wasted = 0;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let unit_gnp = {
+                let params = bisect_gen::gnp::GnpParams::with_average_degree(300, 4.0).unwrap();
+                bisect_gen::gnp::sample(&mut rng, &params)
+            };
+            let weighted_gnp = contracted_gnp(400, 2, seed);
+            let unit_rent = contracted_rent(300, 0, seed);
+            let weighted_rent = contracted_rent(600, 2, seed);
+            for fixed_percent in [0, 10] {
+                let mut flags = |n: usize| -> Vec<bool> {
+                    (0..n)
+                        .map(|_| rng.gen_range(0..100) < fixed_percent)
+                        .collect()
+                };
+                for g in [&unit_gnp, &weighted_gnp] {
+                    let fixed = flags(g.num_vertices());
+                    wasted += assert_rounds_past_the_bound_are_idle(g, &fixed, seed);
+                }
+                for nl in [&unit_rent, &weighted_rent] {
+                    let fixed = flags(nl.num_cells());
+                    wasted += assert_rounds_past_the_bound_are_idle(nl, &fixed, seed);
+                }
+            }
+        }
+        assert!(wasted > 0, "the skipped rounds must have had work to skip");
+    }
+
+    /// Runs a round and `run_rounds` on `level` from `sides`, which sit
+    /// exactly `2 · pass` apart, and checks both reach cut 0 balanced.
+    fn assert_round_from_the_bound_improves<L: ParCells>(level: &L, sides: &[bool]) {
+        let tol = Tolerance::of(level);
+        let start = level.part(sides.to_vec());
+        let [a, b] = L::side_weights(&start);
+        assert_eq!(a.abs_diff(b), 2 * tol.pass);
+        assert!(!tol.beyond_one_move::<L>(&start));
+        for plan in all_plans() {
+            let mut ws = Workspace::new();
+            level.init_cache(&start, &mut ws);
+            let mut p = start.clone();
+            let (improvement, _) = round(level, &[], &mut p, &mut ws, tol, plan);
+            assert_eq!((improvement, L::cut(&p)), (4, 0), "{plan:?}");
+            let mut p = start.clone();
+            level.init_cache(&p, &mut ws);
+            let rounds = run_rounds(level, &[], &mut p, &mut ws, plan);
+            assert!(rounds >= 1, "{plan:?}");
+            let [a, b] = L::side_weights(&p);
+            assert_eq!((L::cut(&p), a.abs_diff(b)), (0, 0), "{plan:?}");
+        }
+    }
+
+    #[test]
+    fn a_round_from_twice_the_pass_slack_can_improve() {
+        // Eight unit cells, six on side A: the sides differ by 4, which
+        // is 2 · pass. Cells 0 and 1 each cut both edges to side B's
+        // cells 6 and 7; moving both leaves nothing cut, and the second
+        // move restores balance. So the guard's bound cannot be lowered.
+        let g = Graph::from_edges(8, &[(0, 6), (0, 7), (1, 6), (1, 7)]).unwrap();
+        let sides = [false, false, false, false, false, false, true, true];
+        assert_round_from_the_bound_improves(&g, &sides);
+        assert_round_from_the_bound_improves(&two_pin_netlist(&g), &sides);
     }
 }

@@ -445,24 +445,33 @@ fn counting_sort(
 /// netlist analogue of [`crate::reorder::bfs`] — cells sharing nets get
 /// nearby ids, so refinement sweeps stride through the CSR arrays
 /// instead of hopping randomly.
+///
+/// Runs in `O(cells + pins)`: each net is expanded once, since every
+/// pin of an expanded net is already seen and a second walk would add
+/// nothing, and the order itself serves as the queue.
 pub fn bfs_cell_order(nl: &Netlist) -> Vec<VertexId> {
     let n = nl.num_cells();
     let mut seen = vec![false; n];
+    let mut expanded = vec![false; nl.num_nets()];
     let mut order = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
+    // The next queued cell: every cell before it has been expanded.
+    let mut head = 0;
     for root in 0..n as VertexId {
         if seen[root as usize] {
             continue;
         }
         seen[root as usize] = true;
-        queue.push_back(root);
-        while let Some(c) = queue.pop_front() {
-            order.push(c);
+        order.push(root);
+        while let Some(&c) = order.get(head) {
+            head += 1;
             for &net in nl.nets_of(c) {
+                if std::mem::replace(&mut expanded[net as usize], true) {
+                    continue;
+                }
                 for &p in nl.pins(net) {
                     if !seen[p as usize] {
                         seen[p as usize] = true;
-                        queue.push_back(p);
+                        order.push(p);
                     }
                 }
             }
@@ -1258,6 +1267,71 @@ mod tests {
         assert_eq!(order[0], 0);
         // Cell 1 pulls in its net-mate 3 before isolated cell 2.
         assert_eq!(&order[1..], &[1, 3, 2]);
+    }
+
+    /// The walk the net-marking BFS replaced, kept as its oracle: every
+    /// dequeued cell walks every pin of every one of its nets.
+    fn reference_bfs_cell_order(nl: &Netlist) -> Vec<VertexId> {
+        let n = nl.num_cells();
+        let mut seen = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        let mut queue = std::collections::VecDeque::new();
+        for root in 0..n as VertexId {
+            if seen[root as usize] {
+                continue;
+            }
+            seen[root as usize] = true;
+            queue.push_back(root);
+            while let Some(c) = queue.pop_front() {
+                order.push(c);
+                for &net in nl.nets_of(c) {
+                    for &p in nl.pins(net) {
+                        if !seen[p as usize] {
+                            seen[p as usize] = true;
+                            queue.push_back(p);
+                        }
+                    }
+                }
+            }
+        }
+        order
+    }
+
+    /// A random netlist whose nets, of 0 to 6 pins, each stay within one
+    /// of `components` residue classes of the cell ids, so the netlist
+    /// falls into several components and some cells are on no net.
+    fn random_component_netlist(cells: usize, nets: usize, components: u32, seed: u64) -> Netlist {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new(cells);
+        if cells == 0 {
+            return b.build();
+        }
+        for _ in 0..nets {
+            let class = rng.gen_range(0..components);
+            let size = rng.gen_range(0..=6usize);
+            let pins: Vec<VertexId> = (0..size)
+                .map(|_| rng.gen_range(0..cells as VertexId))
+                .filter(|&c| c % components == class)
+                .collect();
+            b.add_net(&pins).unwrap();
+        }
+        b.build()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bfs_cell_order_matches_the_pin_walk_oracle(
+            cells in 0usize..50,
+            nets in 0usize..70,
+            components in 1u32..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let nl = random_component_netlist(cells, nets, components, seed);
+            proptest::prop_assert_eq!(bfs_cell_order(&nl), reference_bfs_cell_order(&nl));
+        }
     }
 
     #[test]
