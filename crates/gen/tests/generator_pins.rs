@@ -12,13 +12,23 @@
 //! through the public accessors: every net's pins, every cell's nets,
 //! then the cell and net weights. Those values were captured before the
 //! builder moved to flat net-major arrays.
+//!
+//! `gnp`, `g2set` and one hand-fed weighted `GraphBuilder` are
+//! fingerprinted over the CSR, its edge weights and the vertex weights,
+//! and each sampler pin also records the generator's next `u64`, so a
+//! change in how many numbers a sampler draws fails here too. `gnp`
+//! pins run through both `sample` and `sample_streamed`, which must
+//! agree. Those values were captured before the CSR fill stopped
+//! scattering unit weights and `Gnp` unranking began to track its row.
 
+use bisect_gen::g2set::{self, G2setParams};
 use bisect_gen::gbreg::{self, GbregParams};
+use bisect_gen::gnp::{self, GnpParams};
 use bisect_gen::netlist::{self, RentNetlistParams};
 use bisect_gen::regular;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_graph::hypergraph::{Netlist, NetlistBuilder};
-use bisect_graph::{Graph, VertexId};
+use bisect_graph::{Graph, GraphBuilder, VertexId};
 use rand::{Rng, SeedableRng};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -43,6 +53,36 @@ fn csr_fingerprint(g: &Graph) -> u64 {
         }
     }
     h
+}
+
+/// [`csr_fingerprint`] continued over every row's edge weights, then
+/// every vertex weight.
+fn weighted_fingerprint(g: &Graph) -> u64 {
+    let mut h = csr_fingerprint(g);
+    for v in g.vertices() {
+        for &w in g.neighbor_weights(v) {
+            h = fnv(h, w);
+        }
+    }
+    for v in g.vertices() {
+        h = fnv(h, g.vertex_weight(v));
+    }
+    h
+}
+
+/// `(weighted_fingerprint, next u64 of the generator)` of `gnp::sample`,
+/// after checking that `gnp::sample_streamed` gives the same graph and
+/// leaves the generator in the same state.
+fn gnp_pin(params: &GnpParams, seed: u64) -> (u64, u64) {
+    let mut rng = LaggedFibonacci::seed_from_u64(seed);
+    let g = gnp::sample(&mut rng, params);
+    let mut streamed_rng = LaggedFibonacci::seed_from_u64(seed);
+    let streamed = gnp::sample_streamed(&mut streamed_rng, params);
+    assert_eq!(g, streamed);
+    assert!(g.is_unit_weighted());
+    let next = rng.gen::<u64>();
+    assert_eq!(streamed_rng.gen::<u64>(), next);
+    (weighted_fingerprint(&g), next)
 }
 
 /// FNV-1a over the pairs of an edge list, in order.
@@ -192,4 +232,74 @@ fn weighted_builder_with_duplicate_and_degenerate_nets() {
     let nl = b.build();
     assert_eq!(nl.num_nets(), 123);
     assert_eq!(netlist_fingerprint(&nl), 0xfdf1189aaad9e05);
+}
+
+#[test]
+fn gnp_5000_deg_2_5() {
+    // The `paper-5000` benchmark's Gnp shape.
+    let params = GnpParams::with_average_degree(5000, 2.5).expect("valid Gnp parameters");
+    assert_eq!(
+        gnp_pin(&params, 1989),
+        (0x37a1a9750db6e141, 0x924574fc3a6bf326)
+    );
+}
+
+#[test]
+fn gnp_250000_deg_3() {
+    // The `graph-huge` benchmark's Gnp shape.
+    let params = GnpParams::with_average_degree(250_000, 3.0).expect("valid Gnp parameters");
+    assert_eq!(
+        gnp_pin(&params, 7),
+        (0x60bca5f152079777, 0x25f346902cb2da98)
+    );
+}
+
+#[test]
+fn gnp_40_dense() {
+    // At p = 1/2 most skips are 0 or stay within a row.
+    let params = GnpParams::new(40, 0.5).expect("valid Gnp parameters");
+    assert_eq!(
+        gnp_pin(&params, 1989),
+        (0x567e1fc6013a5fc7, 0x8899ea3c3314b1f3)
+    );
+}
+
+#[test]
+fn g2set_5000_deg_3_bis_32() {
+    // The `paper-5000` benchmark's G2set shape.
+    let params = G2setParams::with_average_degree(5000, 3.0, 32).expect("valid G2set parameters");
+    let mut rng = LaggedFibonacci::seed_from_u64(1989);
+    let g = g2set::sample(&mut rng, &params);
+    assert_eq!(gbreg::planted_cut(&g), 32);
+    assert_eq!(
+        (weighted_fingerprint(&g), rng.gen::<u64>()),
+        (0xa1fff109af6ea437, 0x085075d4e44a80d2)
+    );
+}
+
+#[test]
+fn weighted_graph_builder_with_parallel_edges() {
+    let n = 50usize;
+    let mut rng = LaggedFibonacci::seed_from_u64(23);
+    let mut b = GraphBuilder::new(n);
+    for v in 0..n as VertexId {
+        b.set_vertex_weight(v, rng.gen_range(1..4u64))
+            .expect("positive in-range vertex weight");
+    }
+    for _ in 0..300 {
+        // Endpoints drawn with replacement from a narrow window, so
+        // parallel edges in both orientations are common; half the
+        // weights are 1.
+        let u = rng.gen_range(0..n as VertexId);
+        let v = (u + rng.gen_range(1..6)) % n as VertexId;
+        let w = if rng.gen::<bool>() {
+            1
+        } else {
+            rng.gen_range(2..9u64)
+        };
+        b.add_weighted_edge(u, v, w)
+            .expect("distinct in-range endpoints");
+    }
+    let g = b.build();
+    assert_eq!(weighted_fingerprint(&g), 0x2faf240abbf2fd1c);
 }
