@@ -11,7 +11,7 @@
 //! Sampling skips over absent edges geometrically, so the cost is
 //! `O(n + m)` rather than `O(n²)`.
 
-use bisect_graph::{EdgeStream, Graph, GraphBuilder, GraphError, VertexId};
+use bisect_graph::{Graph, GraphBuilder, VertexId};
 use rand::Rng;
 
 use crate::GenError;
@@ -68,7 +68,7 @@ impl GnpParams {
 }
 
 /// Samples a `Gnp` graph.
-// lint: allow(no-panic) — u < v < n by the loop bounds, and unrank_pair
+// lint: allow(no-panic) — u < v < n by the loop bounds, and the sweep
 // yields a < b < n for positions < C(n,2).
 pub fn sample<R: Rng + ?Sized>(rng: &mut R, params: &GnpParams) -> Graph {
     let n = params.num_vertices;
@@ -85,17 +85,13 @@ pub fn sample<R: Rng + ?Sized>(rng: &mut R, params: &GnpParams) -> Graph {
         }
         return builder.build();
     }
-    // Geometric skipping over the linearized strict upper triangle
-    // (Batagelj-Brandes): jump ~Geom(p) positions between present edges.
-    let total_pairs = n as u64 * (n as u64 - 1) / 2;
+    let pairs = PresentPairs::new(rng, n as u64, p);
     // Pre-size for the expected edge count plus slack for variance.
-    let expected = (total_pairs as f64 * p).ceil() as usize;
+    let expected = (pairs.total_pairs as f64 * p).ceil() as usize;
     builder.reserve_edges(expected + expected / 8);
-    let mut position: u64 = 0;
-    // First gap is also geometric; start from -1 conceptually.
-    while let Some((a, b)) = next_present_pair(rng, &mut position, n as u64, total_pairs, p) {
+    for (a, b) in pairs {
         builder
-            .add_edge(a as VertexId, b as VertexId)
+            .add_edge(a, b)
             .expect("unranked pairs are valid distinct vertices");
     }
     builder.build()
@@ -118,7 +114,6 @@ pub fn sample_streamed<R: Rng + Clone>(rng: &mut R, params: &GnpParams) -> Graph
         // The complete-graph path draws nothing from the generator.
         return sample(rng, params);
     }
-    let total_pairs = n as u64 * (n as u64 - 1) / 2;
     let mut replay = rng.clone();
     let mut pass = 0usize;
     GraphBuilder::stream(n, |sink| {
@@ -126,59 +121,119 @@ pub fn sample_streamed<R: Rng + Clone>(rng: &mut R, params: &GnpParams) -> Graph
         // The counting pass replays a clone, so the caller's generator
         // advances exactly once — ending in the same state as `sample`.
         let r: &mut R = if pass == 1 { &mut replay } else { rng };
-        emit_present_pairs(r, n as u64, total_pairs, p, sink)
+        for (a, b) in PresentPairs::new(r, n as u64, p) {
+            sink.edge(a, b)?;
+        }
+        Ok(())
     })
     // lint: allow(no-panic) — both passes replay the same generator state,
     // so the emitted sequences are identical and every pair is valid
     .expect("replayed Gnp passes emit identical valid edges")
 }
 
-/// Streams every present pair of one full geometric-skipping sweep into
-/// `sink`.
-fn emit_present_pairs<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: u64,
+/// The present pairs of one geometric-skipping sweep over the
+/// linearized strict upper triangle (Batagelj–Brandes), in order: each
+/// draw skips ~Geom(p) absent pairs. Every pair costs one draw, and one
+/// more draw leaves the triangle and ends the sweep. [`sample`] and
+/// [`sample_streamed`] both iterate this, so both consume the generator
+/// identically. Stop at the first `None`: polling on would draw more.
+struct PresentPairs<'r, R: ?Sized> {
+    rng: &'r mut R,
+    /// `ln(1 − p)`, the same for every draw.
+    log_q: f64,
     total_pairs: u64,
-    p: f64,
-    sink: &mut EdgeStream<'_>,
-) -> Result<(), GraphError> {
-    let mut position: u64 = 0;
-    while let Some((a, b)) = next_present_pair(rng, &mut position, n, total_pairs, p) {
-        sink.edge(a as VertexId, b as VertexId)?;
-    }
-    Ok(())
+    position: u64,
+    rows: RowCursor,
 }
 
-/// Advances the geometric skip chain by one draw and returns the next
-/// present pair, or `None` once the position leaves the triangle. Shared
-/// verbatim by [`sample`] and [`sample_streamed`] so both consume the
-/// generator identically.
-fn next_present_pair<R: Rng + ?Sized>(
-    rng: &mut R,
-    position: &mut u64,
-    n: u64,
-    total_pairs: u64,
-    p: f64,
-) -> Option<(u64, u64)> {
-    let log_q = (1.0 - p).ln();
-    let u: f64 = rng.gen::<f64>();
-    // Skip of k means k absent pairs before the next present one.
-    let skip = if u <= 0.0 {
-        total_pairs
-    } else {
-        (u.ln() / log_q).floor() as u64
-    };
-    *position = position.saturating_add(skip);
-    if *position >= total_pairs {
-        return None;
+impl<'r, R: Rng + ?Sized> PresentPairs<'r, R> {
+    /// The sweep over the `C(n, 2)` pairs of `n ≥ 2` vertices with edge
+    /// probability `0 < p < 1`.
+    fn new(rng: &'r mut R, n: u64, p: f64) -> PresentPairs<'r, R> {
+        PresentPairs {
+            rng,
+            log_q: (1.0 - p).ln(),
+            total_pairs: n * (n - 1) / 2,
+            position: 0,
+            rows: RowCursor::new(n),
+        }
     }
-    let pair = unrank_pair(*position, n);
-    *position += 1;
-    Some(pair)
+}
+
+impl<R: Rng + ?Sized> Iterator for PresentPairs<'_, R> {
+    type Item = (VertexId, VertexId);
+
+    fn next(&mut self) -> Option<(VertexId, VertexId)> {
+        let u: f64 = self.rng.gen::<f64>();
+        // Skip of k means k absent pairs before the next present one.
+        // Both logarithms are negative, so truncating the quotient is
+        // its floor.
+        let skip = if u <= 0.0 {
+            self.total_pairs
+        } else {
+            (u.ln() / self.log_q) as u64
+        };
+        self.position = self.position.saturating_add(skip);
+        if self.position >= self.total_pairs {
+            return None;
+        }
+        let (a, b) = self.rows.pair(self.position);
+        self.position += 1;
+        Some((a as VertexId, b as VertexId))
+    }
+}
+
+/// Rows stepped before a jump falls back to [`unrank_pair`].
+const ROW_STEPS: u32 = 8;
+
+/// [`unrank_pair`] for rising indices: tracks the row `a` holding the
+/// last index and its offsets `S(a)..S(a + 1)`, and steps rows forward.
+/// Each row is entered at most once, so a sweep steps `O(n)` rows in
+/// all; a jump past [`ROW_STEPS`] rows is unranked directly.
+#[derive(Debug)]
+struct RowCursor {
+    n: u64,
+    row: u64,
+    start: u64,
+    end: u64,
+}
+
+impl RowCursor {
+    /// The cursor at row 0 of `n ≥ 2` vertices.
+    fn new(n: u64) -> RowCursor {
+        RowCursor {
+            n,
+            row: 0,
+            start: 0,
+            end: n - 1,
+        }
+    }
+
+    /// `unrank_pair(index, n)`, for an `index < C(n, 2)` no lower than
+    /// the previous call's.
+    fn pair(&mut self, index: u64) -> (u64, u64) {
+        let mut steps = 0;
+        while index >= self.end {
+            if steps == ROW_STEPS {
+                let (a, _) = unrank_pair(index, self.n);
+                self.row = a;
+                self.start = row_offset(a, self.n);
+                self.end = row_offset(a + 1, self.n);
+                break;
+            }
+            self.row += 1;
+            self.start = self.end;
+            self.end += self.n - 1 - self.row;
+            steps += 1;
+        }
+        (self.row, self.row + 1 + (index - self.start))
+    }
 }
 
 /// Maps a linear index in `0..C(n,2)` to the pair `(a, b)` with `a < b`,
 /// enumerating pairs row by row: (0,1), (0,2), …, (0,n-1), (1,2), ….
+/// [`RowCursor`] falls back to this on long jumps, and its tests use it
+/// as the oracle.
 fn unrank_pair(index: u64, n: u64) -> (u64, u64) {
     // Row a starts at offset a*n - a*(a+1)/2 - a ... solve directly by
     // walking rows; rows shrink so use the quadratic formula.
@@ -281,6 +336,141 @@ mod tests {
             assert!(seen.insert((a, b)), "duplicate pair at index {i}");
         }
         assert_eq!(seen.len() as u64, n * (n - 1) / 2);
+    }
+
+    /// Checks `RowCursor::pair` against `unrank_pair` on every position
+    /// of a rising sequence.
+    fn check_rising(n: u64, positions: impl IntoIterator<Item = u64>) {
+        let mut rows = RowCursor::new(n);
+        let mut last = 0;
+        for i in positions {
+            assert!(i >= last && i < n * (n - 1) / 2, "n={n}: bad position {i}");
+            assert_eq!(rows.pair(i), unrank_pair(i, n), "n={n} index {i}");
+            last = i;
+        }
+    }
+
+    #[test]
+    fn row_cursor_matches_unrank_pair_on_rising_positions() {
+        for n in [2u64, 3, 1_000, 250_000] {
+            let total = n * (n - 1) / 2;
+            let head = total.min(3 * n);
+            // Skips of 0 through the first rows and the shortest ones.
+            check_rising(n, 0..head);
+            check_rising(n, total - head..total);
+            // Strides within one row, of several rows and of many rows
+            // (past `ROW_STEPS`, so unranked directly), each ending on
+            // the last pair.
+            for stride in [(n / 3).max(1), 3 * n, 50 * n] {
+                let walk = (0..total).step_by(stride as usize).take(200_000);
+                check_rising(n, walk.chain([total - 1]));
+            }
+            // Random skips mixing all three.
+            let mut rng = StdRng::seed_from_u64(n);
+            let mut i = 0;
+            let walk = std::iter::from_fn(|| {
+                let scale = [1, n, 20 * n][rng.gen_range(0..3usize)];
+                i += rng.gen_range(0..scale);
+                (i < total).then_some(i)
+            });
+            check_rising(n, walk.take(200_000));
+        }
+    }
+
+    /// The sweep as it was before `RowCursor`: every position unranked
+    /// from scratch and the skip floored.
+    fn reference_sweep<R: Rng>(rng: &mut R, n: u64, p: f64) -> Vec<(u64, u64)> {
+        let total = n * (n - 1) / 2;
+        let mut pairs = Vec::new();
+        let mut position: u64 = 0;
+        loop {
+            let u: f64 = rng.gen::<f64>();
+            let skip = if u <= 0.0 {
+                total
+            } else {
+                (u.ln() / (1.0 - p).ln()).floor() as u64
+            };
+            position = position.saturating_add(skip);
+            if position >= total {
+                return pairs;
+            }
+            pairs.push(unrank_pair(position, n));
+            position += 1;
+        }
+    }
+
+    #[test]
+    fn sweep_matches_the_reference_sweep() {
+        let cases = [
+            (2u64, 0.5),
+            (3, 0.5),
+            (1_000, 0.9),
+            (1_000, 0.01),
+            (250_000, 3.0 / 249_999.0),
+        ];
+        for (n, p) in cases {
+            let mut rng = StdRng::seed_from_u64(n);
+            let mut reference_rng = rng.clone();
+            let pairs: Vec<(u64, u64)> = PresentPairs::new(&mut rng, n, p)
+                .map(|(a, b)| (u64::from(a), u64::from(b)))
+                .collect();
+            assert_eq!(
+                pairs,
+                reference_sweep(&mut reference_rng, n, p),
+                "n={n} p={p}"
+            );
+            assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "n={n} p={p}");
+        }
+    }
+
+    /// A generator that hands out a fixed list of words, counting them.
+    struct Script(Vec<u64>, usize);
+
+    impl rand::RngCore for Script {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0[self.1 - 1]
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unreachable!("the sweep draws only words")
+        }
+        fn try_fill_bytes(&mut self, _: &mut [u8]) -> Result<(), rand::Error> {
+            unreachable!("the sweep draws only words")
+        }
+    }
+
+    #[test]
+    fn sweep_ends_on_the_first_draw_past_the_last_pair() {
+        // `u` = 1 − 2⁻⁵³ skips 0 pairs; `u` = 2⁻⁵³ skips ⌊36.7 / −ln(1 − p)⌋,
+        // 53 at p = 1/2 and past every pair at p = 10⁻¹²; `u` = 0 takes
+        // the `u ≤ 0` path.
+        const NEXT: u64 = u64::MAX;
+        const FAR: u64 = 1 << 11;
+        for (n, p, words, pairs) in [
+            (2, 0.5, vec![NEXT, NEXT], vec![(0, 1)]),
+            (2, 0.5, vec![0], vec![]),
+            (
+                3,
+                0.5,
+                vec![NEXT, NEXT, NEXT, 0],
+                vec![(0, 1), (0, 2), (1, 2)],
+            ),
+            (3, 0.5, vec![NEXT, FAR], vec![(0, 1)]),
+            (1_000, 0.5, vec![NEXT, FAR, 0], vec![(0, 1), (0, 55)]),
+            (250_000, 1e-12, vec![NEXT, NEXT, FAR], vec![(0, 1), (0, 2)]),
+        ] {
+            let mut script = Script(words, 0);
+            let got: Vec<(VertexId, VertexId)> = PresentPairs::new(&mut script, n, p).collect();
+            assert_eq!(got, pairs, "n={n}");
+            assert_eq!(
+                script.1,
+                script.0.len(),
+                "n={n}: one draw per pair, one to end"
+            );
+        }
     }
 
     #[test]

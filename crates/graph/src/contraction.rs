@@ -140,9 +140,10 @@ pub fn contract_matching(g: &Graph, m: &Matching) -> Contraction {
     }
 }
 
-/// A staging slot index: `u32` while every slot fits (halving the row
-/// table the bucket pass reads at random), `usize` beyond.
-trait Slot: Copy {
+/// A slot index into CSR-shaped arrays: `u32` while every slot fits
+/// (halving the row tables that the bucket pass here and the builder's
+/// filling pass read at random), `usize` beyond.
+pub(crate) trait Slot: Copy {
     fn new(i: usize) -> Self;
     fn get(self) -> usize;
 }
