@@ -55,6 +55,13 @@ pub struct AlgoResult {
 /// time. Deterministic given `seed` — and identical at every thread
 /// count, because trial `i` always uses the rng
 /// `SeedSequence::new(seed).rng(i)`.
+///
+/// # Panics
+///
+/// Panics, naming the algorithm, if a start returns a bisection that is
+/// not [balanced](bisect_core::partition::Bisection::is_balanced): the
+/// [`Bisector`] contract is checked in release runs too, outside the
+/// timed region.
 pub fn run_best_of<B: Bisector + Sync + ?Sized>(
     algo: &B,
     g: &Graph,
@@ -99,7 +106,11 @@ pub fn run_best_of_sides<B: Bisector + Sync + ?Sized>(
             let (p, passes) = algo.bisect_counted(g, &mut rng, &mut ws);
             let elapsed = begin.elapsed();
             let proposals = ws.take_proposals();
-            debug_assert!(p.is_balanced(g));
+            assert!(
+                p.is_balanced(g),
+                "{} returned an unbalanced bisection",
+                algo.name()
+            );
             (p, passes, elapsed, proposals)
         })
     });

@@ -2,13 +2,12 @@
 //!
 //! A [`Bisector`] produces a balanced bisection of a graph (or netlist)
 //! from scratch;
-//! a [`Refiner`] is a bisector that can also *improve a given starting
-//! bisection* — the property the compaction heuristic exploits (§V step
-//! 5: "use `(A, B)` as the starting configuration for the bisection
-//! procedure on the original graph"). Kernighan-Lin and simulated
-//! annealing are refiners; compacted and multilevel algorithms, and the
-//! one-shot baselines (random, greedy, spectral, exact), are plain
-//! bisectors.
+//! a [`Refiner`] *improves a given starting bisection* — the property
+//! the compaction heuristic exploits (§V step 5: "use `(A, B)` as the
+//! starting configuration for the bisection procedure on the original
+//! graph") — and bisects through one flat path. KL, SA and FM are
+//! refiners; compacted and multilevel algorithms, and the one-shot
+//! baselines (random, greedy, spectral, exact), are plain bisectors.
 //!
 //! [`best_of`] reproduces the paper's evaluation protocol: run from `k`
 //! independent random starts and keep the smallest cut ("all bisection
@@ -18,8 +17,10 @@
 use bisect_graph::Graph;
 use rand::RngCore;
 
+use crate::balance;
 use crate::partition::Bisection;
 use crate::pipeline::engine::Level;
+use crate::pipeline::CoarsenDepth;
 use crate::seed;
 use crate::workspace::Workspace;
 
@@ -55,14 +56,22 @@ pub trait Bisector<L: Level = Graph> {
     }
 }
 
-/// A bisector that improves a supplied starting bisection (local
-/// search). A refiner's [`Bisector::bisect_counted`] refines a
-/// uniformly random balanced bisection, matching the paper's protocol.
+/// An algorithm that improves a supplied starting bisection of a graph
+/// (local search). [`Refiner::name`] and [`Refiner::refine_counted`]
+/// are required. Multilevel drivers call
+/// [`Refiner::refine_projected_counted`] at every level, which keeps
+/// the workspace gain cache exact across the call.
 ///
-/// [`Refiner::refine_counted`] is the one required method. Multilevel
-/// drivers call [`Refiner::refine_projected_counted`] at every level,
-/// which keeps the workspace gain cache exact across the call.
-pub trait Refiner: Bisector {
+/// Every refiner is a [`Bisector`] through the engine's flat path, as
+/// [`Pipeline::flat`](crate::pipeline::Pipeline::flat) runs it: a
+/// uniformly random count-balanced start (the paper's protocol), one
+/// `refine_counted`, then a rebalance should the side *weights* be off.
+/// The guard never moves a vertex on unit vertex weights; on weighted
+/// graphs it keeps the contract, as KL and SA swaps keep side counts.
+pub trait Refiner {
+    /// The name in experiment tables (e.g. `"KL"`).
+    fn name(&self) -> String;
+
     /// Improves `init`, returning a bisection whose cut is no larger,
     /// together with the work count (see [`Bisector::bisect_counted`]).
     /// The returned bisection preserves balance (implementations keep
@@ -110,6 +119,25 @@ pub trait Refiner: Bisector {
     }
 }
 
+/// The flat path (see [`Refiner`]), with the refiner's work count.
+impl<R: Refiner + ?Sized> Bisector for R {
+    fn name(&self) -> String {
+        Refiner::name(self)
+    }
+
+    fn bisect_counted(
+        &self,
+        g: &Graph,
+        rng: &mut dyn RngCore,
+        ws: &mut Workspace,
+    ) -> (Bisection, u64) {
+        let init = g.start(CoarsenDepth::Flat, false, &[], rng);
+        let (mut p, work) = self.refine_counted(g, init, rng, ws);
+        balance::rebalance(g, &mut p, &[]);
+        (p, work)
+    }
+}
+
 /// Runs `bisector` from `starts` independent attempts and returns the
 /// bisection with the smallest cut (ties: first found). The paper uses
 /// `starts = 2`.
@@ -135,8 +163,8 @@ pub fn best_of<L: Level, B: Bisector<L> + ?Sized>(
     best.expect("at least one start ran")
 }
 
-/// The trivial bisector: a uniformly random balanced bisection with no
-/// improvement. The baseline every heuristic must beat.
+/// The trivial bisector: a refiner's flat path with no refinement. The
+/// baseline every heuristic must beat.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RandomBisector;
 
@@ -158,7 +186,9 @@ impl Bisector for RandomBisector {
         rng: &mut dyn RngCore,
         _ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        (seed::random_balanced(g, rng), 0)
+        let mut p = seed::random_balanced(g, rng);
+        balance::rebalance(g, &mut p, &[]);
+        (p, 0)
     }
 }
 

@@ -158,7 +158,10 @@ impl Search<'_> {
 }
 
 /// [`minimum_bisection`] as a [`Bisector`] (for plugging ground truth
-/// into the shared harness on tiny graphs).
+/// into the shared harness on tiny graphs). It is the minimum over
+/// *count*-balanced bisections, with no weight guard, as the oracle on
+/// unit graphs; on weighted vertices it may fail
+/// [`Bisection::is_balanced`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExactBisector;
 

@@ -38,13 +38,12 @@ use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
 use crate::balance::{Cells, Tolerance};
-use crate::bisector::{Bisector, Refiner};
+use crate::bisector::Refiner;
 use crate::gain::GainBuckets;
 use crate::gain_cache::GainCache;
 use crate::netlist::{gain_term, NetlistBisection, NetlistGainCache};
 use crate::partition::{Bisection, Side};
 use crate::pipeline::engine::Level;
-use crate::seed;
 use crate::workspace::Workspace;
 
 /// The pass cap of the FM refiners that run to a fixpoint: every
@@ -113,23 +112,11 @@ impl FiducciaMattheyses {
     }
 }
 
-impl Bisector for FiducciaMattheyses {
+impl Refiner for FiducciaMattheyses {
     fn name(&self) -> String {
         "FM".into()
     }
 
-    fn bisect_counted(
-        &self,
-        g: &Graph,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        let init = seed::random_balanced(g, rng);
-        self.refine_counted(g, init, rng, ws)
-    }
-}
-
-impl Refiner for FiducciaMattheyses {
     fn refine_counted(
         &self,
         g: &Graph,
@@ -187,23 +174,11 @@ impl BoundaryFm {
     }
 }
 
-impl Bisector for BoundaryFm {
+impl Refiner for BoundaryFm {
     fn name(&self) -> String {
         "BFM".into()
     }
 
-    fn bisect_counted(
-        &self,
-        g: &Graph,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        let init = seed::random_balanced(g, rng);
-        self.refine_counted(g, init, rng, ws)
-    }
-}
-
-impl Refiner for BoundaryFm {
     fn refine_counted(
         &self,
         g: &Graph,
@@ -613,6 +588,8 @@ fn fm_pass<L: FmCells>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bisector::Bisector;
+    use crate::seed;
     use bisect_gen::special;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -2,13 +2,14 @@
 //!
 //! Grows side A as a breadth-first ball from a random start vertex
 //! until it holds half the vertices, optionally retrying several random
-//! roots and keeping the best. On "geometric" graphs (grids, ladders,
-//! paths) this is hard to beat; on expanders it is poor — a useful
-//! contrast to the local-search heuristics.
+//! roots, and rebalances the best by weight. On "geometric" graphs
+//! (grids, ladders, paths) this is hard to beat; on expanders it is
+//! poor — a useful contrast to the local-search heuristics.
 
 use bisect_graph::Graph;
 use rand::RngCore;
 
+use crate::balance;
 use crate::bisector::Bisector;
 use crate::partition::Bisection;
 use crate::seed;
@@ -76,7 +77,9 @@ impl Bisector for GreedyGrowth {
             }
         }
         // lint: allow(no-panic) — attempts is validated >= 1 at construction
-        (best.expect("attempts >= 1"), 0)
+        let mut best = best.expect("attempts >= 1");
+        balance::rebalance(g, &mut best, &[]);
+        (best, 0)
     }
 }
 

@@ -32,10 +32,9 @@
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
-use crate::bisector::{Bisector, Refiner};
+use crate::bisector::Refiner;
 use crate::gain::SortedBuckets;
 use crate::partition::{Bisection, Side};
-use crate::seed;
 use crate::workspace::Workspace;
 
 /// How each pass picks the pair with maximal `g_ab`.
@@ -292,23 +291,11 @@ fn best_pair_exhaustive(
     best.map(|(actual, _, a, _, b)| (actual, a, b))
 }
 
-impl Bisector for KernighanLin {
+impl Refiner for KernighanLin {
     fn name(&self) -> String {
         "KL".into()
     }
 
-    fn bisect_counted(
-        &self,
-        g: &Graph,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        let init = seed::random_balanced(g, rng);
-        self.refine_counted(g, init, rng, ws)
-    }
-}
-
-impl Refiner for KernighanLin {
     /// Runs passes until one yields no improvement (or the pass limit
     /// is hit). The work count is the number of passes that improved
     /// the cut — the quantity behind Observation 1's "it takes fewer
@@ -335,6 +322,8 @@ impl Refiner for KernighanLin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bisector::Bisector;
+    use crate::seed;
     use bisect_gen::special;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -88,12 +88,11 @@ use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
 use crate::balance::Tolerance;
-use crate::bisector::{Bisector, Refiner};
+use crate::bisector::Refiner;
 use crate::fm::{FmCells, Seeds};
 use crate::gain_cache::GainCache;
 use crate::netlist::{gain_term, NetlistBisection, NetlistGainCache};
 use crate::partition::Bisection;
-use crate::seed;
 use crate::workspace::Workspace;
 
 /// Parallel Fiduccia–Mattheyses refinement of a graph bisection.
@@ -155,23 +154,11 @@ impl ParallelFm {
     }
 }
 
-impl Bisector for ParallelFm {
+impl Refiner for ParallelFm {
     fn name(&self) -> String {
         "PFM".into()
     }
 
-    fn bisect_counted(
-        &self,
-        g: &Graph,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        let init = seed::random_balanced(g, rng);
-        self.refine_counted(g, init, rng, ws)
-    }
-}
-
-impl Refiner for ParallelFm {
     fn refine_counted(
         &self,
         g: &Graph,
@@ -779,7 +766,9 @@ pub(crate) fn round_resolved_by<L: ParCells>(
 mod tests {
     use super::*;
     use crate::balance;
+    use crate::bisector::Bisector;
     use crate::partition::Side;
+    use crate::seed;
     use bisect_gen::special;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -272,12 +272,13 @@ impl<L: Cells> Bisector<L> for Pipeline<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fm::FiducciaMattheyses;
+    use crate::fm::{BoundaryFm, FiducciaMattheyses};
     use crate::netlist::{NetlistFm, NetlistPipeline, ParallelCellMatching};
+    use crate::par_fm::ParallelFm;
     use crate::partition::Bisection;
     use bisect_gen::special;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn descriptor_names_match_the_tables() {
@@ -289,14 +290,50 @@ mod tests {
         assert_eq!(Pipeline::multilevel(KernighanLin::new()).name(), "ML-KL");
     }
 
+    /// A `Gnp(60)` sample at average degree 4 with vertex and edge
+    /// weights drawn from `1..=3`.
+    fn weighted_gnp() -> Graph {
+        let mut rng = StdRng::seed_from_u64(60);
+        let params = bisect_gen::gnp::GnpParams::with_average_degree(60, 4.0).unwrap();
+        let base = bisect_gen::gnp::sample(&mut rng, &params);
+        let mut b = bisect_graph::GraphBuilder::new(60);
+        for v in base.vertices() {
+            b.set_vertex_weight(v, rng.gen_range(1..=3u64)).unwrap();
+        }
+        for (u, v, _) in base.edges() {
+            b.add_weighted_edge(u, v, rng.gen_range(1..=3u64)).unwrap();
+        }
+        b.build()
+    }
+
+    /// `make()` bisected directly and as [`Pipeline::flat`] from the
+    /// same seeds: equal bisections, work counts and next draws.
+    fn assert_flat_is_the_bare_refiner<R: Refiner + Send + Sync + 'static>(
+        make: impl Fn() -> R,
+        g: &Graph,
+    ) {
+        let mut ws = Workspace::new();
+        for seed in 0..4 {
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let direct = make().bisect_counted(g, &mut a, &mut ws);
+            let flat = Pipeline::flat(make());
+            let piped = flat.bisect_counted(g, &mut b, &mut ws);
+            let name = flat.name();
+            assert_eq!(direct, piped, "{name}, seed {seed}");
+            assert!(direct.0.is_balanced(g), "{name}, seed {seed}");
+            assert_eq!(a.next_u64(), b.next_u64(), "{name}, seed {seed}");
+        }
+    }
+
     #[test]
     fn flat_pipeline_is_bit_identical_to_bare_refiner() {
-        let g = special::grid(8, 8);
-        let mut ws = Workspace::new();
-        let direct =
-            KernighanLin::new().bisect_counted(&g, &mut StdRng::seed_from_u64(42), &mut ws);
-        let piped = Pipeline::kl().bisect_counted(&g, &mut StdRng::seed_from_u64(42), &mut ws);
-        assert_eq!(direct, piped);
+        for g in [special::grid(8, 8), weighted_gnp()] {
+            assert_flat_is_the_bare_refiner(KernighanLin::new, &g);
+            assert_flat_is_the_bare_refiner(SimulatedAnnealing::quick, &g);
+            assert_flat_is_the_bare_refiner(FiducciaMattheyses::new, &g);
+            assert_flat_is_the_bare_refiner(BoundaryFm::new, &g);
+            assert_flat_is_the_bare_refiner(|| ParallelFm::new().with_threads(2), &g);
+        }
     }
 
     #[test]
@@ -379,22 +416,11 @@ mod tests {
     /// it is handed.
     struct LevelLog(Arc<std::sync::Mutex<Vec<usize>>>);
 
-    impl Bisector for LevelLog {
+    impl Refiner for LevelLog {
         fn name(&self) -> String {
             "log".into()
         }
 
-        fn bisect_counted(
-            &self,
-            g: &Graph,
-            rng: &mut dyn RngCore,
-            ws: &mut Workspace,
-        ) -> (Bisection, u64) {
-            self.refine_counted(g, crate::seed::random_balanced(g, rng), rng, ws)
-        }
-    }
-
-    impl Refiner for LevelLog {
         fn refine_counted(
             &self,
             g: &Graph,

@@ -21,6 +21,10 @@
 //! bisection found as the algorithm progresses" — the implementation
 //! does exactly that, and the paper's observation that this raises SA's
 //! time and storage cost relative to KL is visible in the benchmarks.
+//! Swaps keep side counts, not weights, so on weighted levels a swap
+//! run's best may be off balance. That is kept: the engine and the flat
+//! path of [`Refiner`] end with a rebalance, while recording only states
+//! within tolerance, as flips do, would change CSA's coarse results.
 //!
 //! # Hot-path engineering
 //!
@@ -75,9 +79,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 use crate::balance::Tolerance;
-use crate::bisector::{Bisector, Refiner};
+use crate::bisector::Refiner;
 use crate::partition::{rebalance, Bisection, Side};
-use crate::seed;
 use crate::workspace::Workspace;
 
 /// The SA move set.
@@ -965,23 +968,11 @@ impl SimulatedAnnealing {
     }
 }
 
-impl Bisector for SimulatedAnnealing {
+impl Refiner for SimulatedAnnealing {
     fn name(&self) -> String {
         "SA".into()
     }
 
-    fn bisect_counted(
-        &self,
-        g: &Graph,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        let init = seed::random_balanced(g, rng);
-        self.refine_counted(g, init, rng, ws)
-    }
-}
-
-impl Refiner for SimulatedAnnealing {
     fn refine_counted(
         &self,
         g: &Graph,
@@ -1035,6 +1026,7 @@ fn threshold(delta: i64, temperature: f64, table: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bisector::Bisector;
     use bisect_gen::special;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -1,7 +1,9 @@
 //! Initial bisections (starting configurations).
 //!
 //! The paper starts every heuristic "from two different randomly
-//! generated initial bisections" — [`random_balanced`]. Contracted
+//! generated initial bisections" — [`random_balanced`], by count, the
+//! start of every refiner's flat path, which ends by rebalancing by
+//! weight (see [`Refiner`](crate::bisector::Refiner)). Contracted
 //! graphs start from [`weight_balanced_random`] instead, so the
 //! projected bisection is vertex-balanced on the fine graph; the
 //! pipeline engine picks between the two by its coarsening depth.

@@ -150,9 +150,15 @@ impl<'r, R: Rng + ?Sized> PresentPairs<'r, R> {
     /// The sweep over the `C(n, 2)` pairs of `n ≥ 2` vertices with edge
     /// probability `0 < p < 1`.
     fn new(rng: &'r mut R, n: u64, p: f64) -> PresentPairs<'r, R> {
+        // Below about 1.1e-16, `1 − p` rounds to 1 and its logarithm to
+        // 0, which would make every skip 0 and every pair present.
+        // `ln_1p` keeps such a `p`; every other `p` keeps the bits of
+        // `ln(1 − p)`, and so its sample.
+        let q = 1.0 - p;
+        let log_q = if q == 1.0 { (-p).ln_1p() } else { q.ln() };
         PresentPairs {
             rng,
-            log_q: (1.0 - p).ln(),
+            log_q,
             total_pairs: n * (n - 1) / 2,
             position: 0,
             rows: RowCursor::new(n),
@@ -311,6 +317,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let g = sample(&mut rng, &GnpParams::new(20, 1.0).unwrap());
         assert_eq!(g.num_edges(), 20 * 19 / 2);
+    }
+
+    #[test]
+    fn p_below_the_rounding_of_one_minus_p_gives_no_edges() {
+        // `1 − 1e-17 == 1.0`: the skip must still be drawn from `p`.
+        let params = GnpParams::new(40, 1e-17).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(sample(&mut rng, &params).num_edges(), 0);
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(sample_streamed(&mut rng, &params).num_edges(), 0);
     }
 
     #[test]

@@ -3,16 +3,17 @@
 
 use bisect_core::bisector::{best_of, Bisector, RandomBisector};
 use bisect_core::exact::minimum_bisection;
-use bisect_core::fm::FiducciaMattheyses;
+use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
 use bisect_core::greedy::GreedyGrowth;
 use bisect_core::kl::KernighanLin;
+use bisect_core::par_fm::ParallelFm;
 use bisect_core::pipeline::Pipeline;
 use bisect_core::sa::SimulatedAnnealing;
 use bisect_core::spectral::SpectralBisector;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{g2set, gbreg, gnp, special};
-use bisect_graph::Graph;
-use rand::SeedableRng;
+use bisect_graph::{contraction, matching, Graph, GraphBuilder};
+use rand::{Rng, SeedableRng};
 
 fn all_algorithms() -> Vec<Box<dyn Bisector>> {
     vec![
@@ -20,6 +21,8 @@ fn all_algorithms() -> Vec<Box<dyn Bisector>> {
         Box::new(GreedyGrowth::new()),
         Box::new(KernighanLin::new()),
         Box::new(FiducciaMattheyses::new()),
+        Box::new(BoundaryFm::new()),
+        Box::new(ParallelFm::new()),
         Box::new(SimulatedAnnealing::quick()),
         Box::new(Pipeline::ckl()),
         Box::new(Pipeline::compacted(SimulatedAnnealing::quick())),
@@ -60,7 +63,33 @@ fn workloads() -> Vec<(String, Graph)> {
         "gbreg 80 d3".into(),
         gbreg::sample(&mut rng, &gbreg::GbregParams::new(80, 4, 3).unwrap()).unwrap(),
     ));
+    // Weighted vertices, as on a compacted level (§V): balance is by
+    // weight, which swaps of equal counts do not keep.
+    let weighted = weighted_gnp(120, 4.0, &mut rng);
+    let m = matching::random_maximal(&weighted, &mut rng);
+    let contracted = contraction::contract_matching(&weighted, &m)
+        .coarse()
+        .clone();
+    graphs.push(("weighted gnp 120 deg 4".into(), weighted));
+    graphs.push(("weighted gnp 120, contracted".into(), contracted));
     graphs
+}
+
+/// A `Gnp` sample at average degree `degree` with vertex and edge
+/// weights drawn from `1..=3`.
+fn weighted_gnp(n: usize, degree: f64, rng: &mut LaggedFibonacci) -> Graph {
+    let base = gnp::sample(
+        rng,
+        &gnp::GnpParams::with_average_degree(n, degree).unwrap(),
+    );
+    let mut b = GraphBuilder::new(n);
+    for v in base.vertices() {
+        b.set_vertex_weight(v, rng.gen_range(1..=3u64)).unwrap();
+    }
+    for (u, v, _) in base.edges() {
+        b.add_weighted_edge(u, v, rng.gen_range(1..=3u64)).unwrap();
+    }
+    b.build()
 }
 
 #[test]
@@ -71,10 +100,10 @@ fn every_algorithm_on_every_workload_is_valid() {
             let p = algo.bisect(&g, &mut rng);
             assert!(
                 p.is_balanced(&g),
-                "{} on {wname}: unbalanced ({} vs {})",
+                "{} on {wname}: unbalanced (weights {} vs {})",
                 algo.name(),
-                p.count(bisect_core::partition::Side::A),
-                p.count(bisect_core::partition::Side::B),
+                p.weight(bisect_core::partition::Side::A),
+                p.weight(bisect_core::partition::Side::B),
             );
             assert_eq!(
                 p.cut(),
