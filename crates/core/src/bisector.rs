@@ -8,6 +8,11 @@
 //! graph") — and bisects through one flat path. KL, SA and FM are
 //! refiners; compacted and multilevel algorithms, and the one-shot
 //! baselines (random, greedy, spectral, exact), are plain bisectors.
+//! A refiner's one required work method,
+//! [`Refiner::refine_projected_counted`], refines a start whose
+//! workspace gain cache is already exact, which is what the engine hands
+//! every level; [`Refiner::refine_counted`] builds that cache and calls
+//! it.
 //!
 //! [`best_of`] reproduces the paper's evaluation protocol: run from `k`
 //! independent random starts and keep the smallest cut ("all bisection
@@ -57,10 +62,12 @@ pub trait Bisector<L: Level = Graph> {
 }
 
 /// An algorithm that improves a supplied starting bisection of a graph
-/// (local search). [`Refiner::name`] and [`Refiner::refine_counted`]
-/// are required. Multilevel drivers call
-/// [`Refiner::refine_projected_counted`] at every level, which keeps
-/// the workspace gain cache exact across the call.
+/// (local search). [`Refiner::name`] and
+/// [`Refiner::refine_projected_counted`] are required, as for
+/// [`NetlistRefiner`](crate::netlist::NetlistRefiner): the engine builds
+/// the workspace gain cache once, for the coarsest start, projects it
+/// down the ladder, and hands every level's refiner a cache exact for
+/// its start. [`Refiner::refine_counted`] builds that cache itself.
 ///
 /// Every refiner is a [`Bisector`] through the engine's flat path, as
 /// [`Pipeline::flat`](crate::pipeline::Pipeline::flat) runs it: a
@@ -76,16 +83,20 @@ pub trait Refiner {
     /// together with the work count (see [`Bisector::bisect_counted`]).
     /// The returned bisection preserves balance (implementations keep
     /// the side sizes of `init` or restore balance before returning).
-    /// Scratch memory comes from `ws`; the implementation establishes
-    /// whatever gain-cache state it needs and leaves `ws.gain_cache`
-    /// unspecified.
+    /// Builds the workspace gain cache for `(g, init)`, then refines as
+    /// [`Refiner::refine_projected_counted`].
     fn refine_counted(
         &self,
         g: &Graph,
         init: Bisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
-    ) -> (Bisection, u64);
+    ) -> (Bisection, u64) {
+        if g.num_vertices() >= 2 {
+            ws.gain_cache.init(g, &init);
+        }
+        self.refine_projected_counted(g, init, rng, ws)
+    }
 
     /// [`Refiner::refine_counted`] with a fresh workspace and without
     /// the work count.
@@ -96,27 +107,20 @@ pub trait Refiner {
     /// As [`Refiner::refine_counted`], under the *projected-cache
     /// contract*: the caller guarantees `ws.gain_cache` is exact for
     /// `(g, init)` on entry, and the call leaves it exact for the
-    /// bisection it returns. Same result and work count as
-    /// `refine_counted`.
+    /// bisection it returns. Scratch memory comes from `ws`.
     ///
-    /// The default runs `refine_counted` and rebuilds the cache for the
-    /// result in O(V + E); KL and SA take it. The FM family
-    /// ([`crate::fm::FiducciaMattheyses`], [`crate::fm::BoundaryFm`],
-    /// [`crate::par_fm::ParallelFm`] in both modes) overrides it to
-    /// consume the entry cache and maintain it move by move instead.
+    /// The FM family ([`crate::fm::FiducciaMattheyses`],
+    /// [`crate::fm::BoundaryFm`], [`crate::par_fm::ParallelFm`] in both
+    /// modes) consumes the entry cache and maintains it move by move;
+    /// KL and SA do not read it, and rebuild it for their result in
+    /// O(V + E).
     fn refine_projected_counted(
         &self,
         g: &Graph,
         init: Bisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        let (refined, work) = self.refine_counted(g, init, rng, ws);
-        if g.num_vertices() >= 2 {
-            ws.gain_cache.init(g, &refined);
-        }
-        (refined, work)
-    }
+    ) -> (Bisection, u64);
 }
 
 /// The flat path (see [`Refiner`]), with the refiner's work count.

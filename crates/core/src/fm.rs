@@ -28,9 +28,9 @@
 //! `O(V)` — the multilevel win once coarsening has shrunk the cut region
 //! to a sliver of the graph. Each pass rewinds its work mirror by one
 //! flat copy of the committed bisection. All keep the workspace gain
-//! cache exact pass to pass, and all override the projected-cache entry
+//! cache exact pass to pass, and all implement the projected-cache entry
 //! ([`crate::bisector::Refiner::refine_projected_counted`] and its
-//! netlist twin) to consume the projected cache as it stands, so
+//! netlist twin) by consuming the projected cache as it stands, so
 //! uncoarsening ladders never rebuild their gain state per level.
 
 use bisect_graph::hypergraph::Netlist;
@@ -117,19 +117,6 @@ impl Refiner for FiducciaMattheyses {
         "FM".into()
     }
 
-    fn refine_counted(
-        &self,
-        g: &Graph,
-        init: Bisection,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        if g.num_vertices() >= 2 {
-            ws.gain_cache.init(g, &init);
-        }
-        self.refine_projected_counted(g, init, rng, ws)
-    }
-
     fn refine_projected_counted(
         &self,
         g: &Graph,
@@ -177,19 +164,6 @@ impl BoundaryFm {
 impl Refiner for BoundaryFm {
     fn name(&self) -> String {
         "BFM".into()
-    }
-
-    fn refine_counted(
-        &self,
-        g: &Graph,
-        init: Bisection,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        if g.num_vertices() >= 2 {
-            ws.gain_cache.init(g, &init);
-        }
-        self.refine_projected_counted(g, init, rng, ws)
     }
 
     fn refine_projected_counted(
@@ -720,28 +694,6 @@ mod tests {
                         .sum();
                     assert_eq!(ws.gain_cache().ext(v), ext, "{name} {seed}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn boundary_projected_entry_matches_plain_refine() {
-        // refine_projected_counted with an externally prepared cache
-        // must equal refine_counted (which builds its own).
-        let g = special::grid(8, 8);
-        let refiners: [&dyn Refiner; 2] = [&FiducciaMattheyses::new(), &BoundaryFm::new()];
-        for fm in refiners {
-            for seed in 0..5 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let init = seed::random_balanced(&g, &mut rng);
-                let mut ws_a = Workspace::new();
-                let (plain, passes_a) = fm.refine_counted(&g, init.clone(), &mut rng, &mut ws_a);
-                let mut ws_b = Workspace::new();
-                ws_b.gain_cache.init(&g, &init);
-                let (projected, passes_b) =
-                    fm.refine_projected_counted(&g, init, &mut rng, &mut ws_b);
-                assert_eq!(plain, projected, "{} {seed}", fm.name());
-                assert_eq!(passes_a, passes_b, "{} {seed}", fm.name());
             }
         }
     }

@@ -300,8 +300,10 @@ impl Refiner for KernighanLin {
     /// is hit). The work count is the number of passes that improved
     /// the cut — the quantity behind Observation 1's "it takes fewer
     /// passes for the algorithms to converge on degree 4 graphs". KL
-    /// draws no randomness, so `rng` is untouched.
-    fn refine_counted(
+    /// draws no randomness, so `rng` is untouched. Each pass rebuilds
+    /// the workspace gain cache and leaves it holding virtual-swap
+    /// gains, so it is rebuilt once more for the result.
+    fn refine_projected_counted(
         &self,
         g: &Graph,
         mut init: Bisection,
@@ -315,6 +317,7 @@ impl Refiner for KernighanLin {
             }
             productive += 1;
         }
+        ws.gain_cache.init(g, &init);
         (init, productive)
     }
 }

@@ -7,7 +7,9 @@
 //! [`bisect_graph::hypergraph::random_cell_matching`] (`Σ
 //! w(net)/(|net|−1)` over shared nets, ties to the lowest cell id),
 //! then a serial sweep matches the leftover cells across range
-//! boundaries, so the result is maximal.
+//! boundaries, so the result is maximal. The range loop is the graph
+//! matcher's own (`pipeline::coarsen::range_pairs`); only the partner
+//! rule differs.
 //!
 //! Like the graph-side scheme this draws **no randomness** and is
 //! deterministic at a fixed thread count but not across thread counts
@@ -19,6 +21,8 @@
 
 use bisect_graph::hypergraph::{ConnectivityScorer, Netlist};
 use bisect_graph::VertexId;
+
+use crate::pipeline::coarsen::{range_pairs, PartnerRule};
 
 /// Parallel maximal cell matching over contiguous cell ranges.
 ///
@@ -78,74 +82,25 @@ impl ParallelCellMatching {
         nl: &Netlist,
         skip: &[bool],
     ) -> Vec<(VertexId, VertexId)> {
-        range_cell_matching(nl, self.threads(), skip)
+        let n = nl.num_cells();
+        range_pairs(n, self.threads(), skip, || Connectivity {
+            nl,
+            scorer: ConnectivityScorer::new(n),
+        })
     }
 }
 
-/// The matching behind [`ParallelCellMatching`]: parallel in-range
-/// greedy phase (ascending cell order, both endpoints inside one range
-/// so disjoint ranges cannot conflict), then a serial ascending-order
-/// cleanup for cells whose only partners cross a range boundary.
-/// Maximal by construction. With a single range the cleanup is skipped:
-/// the in-range pass already saw every partner, so every cell it left
-/// unmatched has no unmatched neighbour and the cleanup would match
-/// nothing. Cells flagged in `skip` start out matched, so neither the
-/// visit nor the admit filter ever pairs them.
-fn range_cell_matching(nl: &Netlist, threads: usize, skip: &[bool]) -> Vec<(VertexId, VertexId)> {
-    let n = nl.num_cells();
-    if n == 0 {
-        return Vec::new();
+/// The connectivity rule of [`ParallelCellMatching`]: a
+/// [`ConnectivityScorer`] over `nl`.
+struct Connectivity<'a> {
+    nl: &'a Netlist,
+    scorer: ConnectivityScorer,
+}
+
+impl PartnerRule for Connectivity<'_> {
+    fn partner(&mut self, c: VertexId, admit: impl Fn(VertexId) -> bool) -> Option<VertexId> {
+        self.scorer.best_partner(self.nl, c, admit)
     }
-    let skipped = |c: usize| skip.get(c).copied().unwrap_or(false);
-    let t = threads.max(1).min(n);
-    let chunk = n.div_ceil(t);
-    let ranges = n.div_ceil(chunk);
-    let mut local: Vec<Vec<(VertexId, VertexId)>> = bisect_par::par_map_with(t, ranges, |k| {
-        let lo = k * chunk;
-        let hi = ((k + 1) * chunk).min(n);
-        let mut matched: Vec<bool> = (lo..hi).map(skipped).collect();
-        let mut pairs = Vec::new();
-        let mut scorer = ConnectivityScorer::new(n);
-        for c in lo..hi {
-            if matched[c - lo] {
-                continue;
-            }
-            let mate = scorer.best_partner(nl, c as VertexId, |p| {
-                let pi = p as usize;
-                pi >= lo && pi < hi && !matched[pi - lo]
-            });
-            if let Some(p) = mate {
-                matched[c - lo] = true;
-                matched[p as usize - lo] = true;
-                pairs.push((c as VertexId, p));
-            }
-        }
-        pairs
-    });
-    if ranges == 1 {
-        return local.pop().unwrap_or_default();
-    }
-    let mut taken: Vec<bool> = (0..n).map(skipped).collect();
-    let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-    for local_pairs in &local {
-        for &(a, b) in local_pairs {
-            taken[a as usize] = true;
-            taken[b as usize] = true;
-        }
-        pairs.extend_from_slice(local_pairs);
-    }
-    let mut scorer = ConnectivityScorer::new(n);
-    for c in 0..n {
-        if taken[c] {
-            continue;
-        }
-        if let Some(p) = scorer.best_partner(nl, c as VertexId, |p| !taken[p as usize]) {
-            taken[c] = true;
-            taken[p as usize] = true;
-            pairs.push((c as VertexId, p));
-        }
-    }
-    pairs
 }
 
 #[cfg(test)]
@@ -279,7 +234,7 @@ mod tests {
 
     /// The range protocol as it stood with the `BTreeMap` scorer, run
     /// serially and always with the cross-range cleanup — the oracle
-    /// for [`range_cell_matching`].
+    /// for [`ParallelCellMatching::matching`].
     fn reference_range_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)> {
         let n = nl.num_cells();
         if n == 0 {

@@ -314,9 +314,12 @@ impl NetlistBisection {
 /// (terminal-propagation anchors); an empty slice fixes nothing.
 ///
 /// Every refiner reads its gains from the workspace
-/// [`NetlistGainCache`], which the engine builds once at the coarsest
-/// level and projects down the ladder, so the one required method is
-/// [`NetlistRefiner::refine_projected_counted`].
+/// [`NetlistGainCache`], which the engine builds once for the coarsest
+/// start and projects down the ladder, so the one required refine
+/// method is [`NetlistRefiner::refine_projected_counted`], the only one
+/// the engine calls. The graph-side trait has the same shape, `fixed`
+/// aside: `name` and the projected entry required, `refine_counted`
+/// provided.
 pub trait NetlistRefiner {
     /// Human-readable name for reports.
     fn name(&self) -> String;

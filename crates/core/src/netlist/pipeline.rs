@@ -216,15 +216,10 @@ impl Level for Netlist {
         refiner: &(dyn NetlistRefiner + Send + Sync),
         fixed: &[bool],
         p: NetlistBisection,
-        projected: bool,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (NetlistBisection, u64) {
-        if projected {
-            refiner.refine_projected_counted(self, fixed, p, rng, ws)
-        } else {
-            refiner.refine_counted(self, fixed, p, rng, ws)
-        }
+        refiner.refine_projected_counted(self, fixed, p, rng, ws)
     }
 }
 

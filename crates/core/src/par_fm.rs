@@ -22,9 +22,9 @@
 //! [`crate::fm`] — guarantees the round ends balanced (if it started
 //! so) with a cut no larger than it started. Every applied or
 //! rolled-back move goes through the cache, so it stays exact round to
-//! round. `refine_counted` builds the cache once;
-//! [`Refiner::refine_projected_counted`] and its netlist twin consume
-//! the projected one.
+//! round. [`Refiner::refine_projected_counted`] and its netlist twin
+//! consume the cache they are handed; `refine_counted` builds it once
+//! first.
 //!
 //! Graphs and netlists differ in one step: how a worker updates the
 //! gains of its chunk when it virtually moves a cell against the frozen
@@ -157,19 +157,6 @@ impl ParallelFm {
 impl Refiner for ParallelFm {
     fn name(&self) -> String {
         "PFM".into()
-    }
-
-    fn refine_counted(
-        &self,
-        g: &Graph,
-        init: Bisection,
-        rng: &mut dyn RngCore,
-        ws: &mut Workspace,
-    ) -> (Bisection, u64) {
-        if g.num_vertices() >= 2 {
-            ws.gain_cache.init(g, &init);
-        }
-        self.refine_projected_counted(g, init, rng, ws)
     }
 
     fn refine_projected_counted(
@@ -929,31 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_mode_projected_entry_matches_plain_refine() {
-        let g = special::grid(8, 8);
-        let full = ParallelFm::new().with_threads(2);
-        for pfm in [full, full.with_boundary_seeds()] {
-            for seed in 0..5 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let init = seed::random_balanced(&g, &mut rng);
-                let mut ws_a = Workspace::new();
-                let (plain, rounds_a) = pfm.refine_counted(&g, init.clone(), &mut rng, &mut ws_a);
-                let mut ws_b = Workspace::new();
-                ws_b.gain_cache.init(&g, &init);
-                let (projected, rounds_b) =
-                    pfm.refine_projected_counted(&g, init, &mut rng, &mut ws_b);
-                assert_eq!(plain, projected, "{pfm:?} {seed}");
-                assert_eq!(rounds_a, rounds_b, "{pfm:?} {seed}");
-                assert_eq!(
-                    ws_a.take_proposals(),
-                    ws_b.take_proposals(),
-                    "{pfm:?} {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn weighted_graphs_respect_tolerance() {
         // Coarse graphs carry vertex weights; refinement must keep the
         // weighted imbalance within the largest vertex weight.
@@ -1014,6 +976,38 @@ mod tests {
             }
         }
         b.build()
+    }
+
+    #[test]
+    fn graph_and_two_pin_netlist_matchers_pair_alike() {
+        // One range loop serves both matchers; on 2-pin nets the
+        // connectivity score of a partner is the edge weight, so the
+        // heavy-edge and connectivity rules must pick the same pairs.
+        use crate::netlist::ParallelCellMatching;
+        use crate::pipeline::ParallelMatching;
+        use bisect_graph::{contraction, matching};
+
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = bisect_gen::gnp::GnpParams::with_average_degree(400, 3.0).unwrap();
+            let gnp = bisect_gen::gnp::sample(&mut rng, &params);
+            let m = matching::random_maximal(&gnp, &mut rng);
+            let level = contraction::contract_matching(&gnp, &m).coarse().clone();
+            let params = bisect_gen::gbreg::GbregParams::new(400, 16, 3).unwrap();
+            let gbreg = bisect_gen::gbreg::sample(&mut rng, &params).unwrap();
+            for (name, g) in [("gnp", &gnp), ("level", &level), ("gbreg", &gbreg)] {
+                let nl = two_pin_netlist(g);
+                for threads in 1..=3 {
+                    let graph = ParallelMatching::new().with_threads(threads).matching(g);
+                    let netlist = ParallelCellMatching::new()
+                        .with_threads(threads)
+                        .matching(&nl);
+                    let at = format!("{name} seed {seed} threads {threads}");
+                    assert!(!netlist.is_empty(), "{at}");
+                    assert_eq!(graph.pairs(), netlist.as_slice(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -146,7 +146,8 @@ impl ParallelMatching {
     /// before the stall guard: maximal, and a pure function of the
     /// graph and the thread count.
     pub fn matching(&self, g: &Graph) -> Matching {
-        range_matching(g, self.threads())
+        let n = g.num_vertices();
+        Matching::from_pairs(n, &range_pairs(n, self.threads(), &[], || g))
     }
 }
 
@@ -165,88 +166,110 @@ impl CoarsenScheme for ParallelMatching {
     }
 }
 
-/// The matching behind [`ParallelMatching`]: parallel in-range greedy
-/// phase, serial cross-range cleanup. Maximal by construction. With a
-/// single range the cleanup is skipped, as in the netlist
-/// `range_cell_matching`: the in-range pass already saw every neighbor,
-/// so the cleanup would match nothing.
+/// How [`range_pairs`] picks a cell's partner: the heaviest edge for
+/// graphs, the netlist's
+/// [`ConnectivityScorer`](bisect_graph::hypergraph::ConnectivityScorer)
+/// for netlists. A rule may keep scratch, so every range gets its own.
+pub(crate) trait PartnerRule {
+    /// The best partner of `c` among the cells `admit` accepts (ties to
+    /// the lowest id), or `None`.
+    fn partner(&mut self, c: VertexId, admit: impl Fn(VertexId) -> bool) -> Option<VertexId>;
+}
+
+/// The heavy-edge rule of [`ParallelMatching`]: the heaviest admissible
+/// neighbor, ties to the lowest id.
 ///
-/// Each vertex prefers its *heaviest* free edge (ties broken by lowest
-/// neighbor id) — the heavy-edge rule. On contracted graphs heavy
-/// edges mark clusters that earlier levels already merged, so
-/// following them keeps the coarsening inside natural communities
-/// instead of randomly welding across them; on unit-weight inputs the
-/// rule degrades to first-free-neighbor.
-fn range_matching(g: &Graph, threads: usize) -> Matching {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Matching::empty(0);
+/// On contracted graphs heavy edges mark clusters that earlier levels
+/// already merged, so following them keeps the coarsening inside
+/// natural communities instead of randomly welding across them; on
+/// unit-weight inputs the rule degrades to first-free-neighbor.
+impl PartnerRule for &Graph {
+    fn partner(&mut self, v: VertexId, admit: impl Fn(VertexId) -> bool) -> Option<VertexId> {
+        let g = *self;
+        let mut best: Option<(u64, VertexId)> = None;
+        for (u, w) in g.neighbors(v).iter().copied().zip(g.neighbor_weights(v)) {
+            if admit(u) && best.is_none_or(|(bw, bu)| (*w > bw) || (*w == bw && u < bu)) {
+                best = Some((*w, u));
+            }
+        }
+        best.map(|(_, u)| u)
     }
+}
+
+/// The matching behind both parallel matchers, [`ParallelMatching`]
+/// and [`ParallelCellMatching`](crate::netlist::ParallelCellMatching),
+/// on `n` cells: a parallel in-range greedy phase (ascending cell order
+/// within `threads` contiguous ranges, both endpoints inside one range,
+/// so disjoint ranges cannot conflict), then a serial ascending-order
+/// cleanup for cells whose only partners cross a range boundary.
+/// Maximal by construction. With a single range the cleanup is skipped:
+/// the in-range pass already saw every partner, so every cell it left
+/// unmatched has no unmatched neighbour and the cleanup would match
+/// nothing. Cells flagged in `skip` start out matched, so neither the
+/// visit nor the admit filter ever pairs them.
+///
+/// `rule` makes one [`PartnerRule`] per range and one for the cleanup.
+/// Dispatch is static, so the admit filter inlines into the rule's
+/// neighbor loop.
+pub(crate) fn range_pairs<R: PartnerRule>(
+    n: usize,
+    threads: usize,
+    skip: &[bool],
+    rule: impl Fn() -> R + Sync,
+) -> Vec<(VertexId, VertexId)> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let skipped = |c: usize| skip.get(c).copied().unwrap_or(false);
     let t = threads.max(1).min(n);
     let chunk = n.div_ceil(t);
     let ranges = n.div_ceil(chunk);
-    // Parallel phase: only pairs with both endpoints inside one range,
-    // so the disjoint ranges cannot produce conflicting pairs.
     let mut local: Vec<Vec<(VertexId, VertexId)>> = bisect_par::par_map_with(t, ranges, |k| {
         let lo = k * chunk;
         let hi = ((k + 1) * chunk).min(n);
-        let mut matched = vec![false; hi - lo];
+        let mut matched: Vec<bool> = (lo..hi).map(skipped).collect();
         let mut pairs = Vec::new();
-        for v in lo..hi {
-            if matched[v - lo] {
+        let mut rule = rule();
+        for c in lo..hi {
+            if matched[c - lo] {
                 continue;
             }
-            let mate = heaviest(g, v as VertexId, |u| {
-                let ui = u as usize;
-                ui >= lo && ui < hi && !matched[ui - lo]
+            let mate = rule.partner(c as VertexId, |p| {
+                let pi = p as usize;
+                pi >= lo && pi < hi && !matched[pi - lo]
             });
-            if let Some(u) = mate {
-                matched[v - lo] = true;
-                matched[u as usize - lo] = true;
-                pairs.push((v as VertexId, u));
+            if let Some(p) = mate {
+                matched[c - lo] = true;
+                matched[p as usize - lo] = true;
+                pairs.push((c as VertexId, p));
             }
         }
         pairs
     });
     if ranges == 1 {
-        return Matching::from_pairs(n, &local.pop().unwrap_or_default());
+        return local.pop().unwrap_or_default();
     }
-    // Serial cleanup: match the still-free vertices (whose only free
-    // neighbors cross a range boundary) in ascending id order.
-    let mut taken = vec![false; n];
+    let mut taken: Vec<bool> = (0..n).map(skipped).collect();
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
     for local_pairs in &local {
-        for &(u, v) in local_pairs {
-            taken[u as usize] = true;
-            taken[v as usize] = true;
+        for &(a, b) in local_pairs {
+            taken[a as usize] = true;
+            taken[b as usize] = true;
         }
         pairs.extend_from_slice(local_pairs);
     }
-    for v in 0..n {
-        if taken[v] {
+    let mut rule = rule();
+    for c in 0..n {
+        if taken[c] {
             continue;
         }
-        let mate = heaviest(g, v as VertexId, |u| !taken[u as usize]);
-        if let Some(u) = mate {
-            taken[v] = true;
-            taken[u as usize] = true;
-            pairs.push((v as VertexId, u));
+        if let Some(p) = rule.partner(c as VertexId, |p| !taken[p as usize]) {
+            taken[c] = true;
+            taken[p as usize] = true;
+            pairs.push((c as VertexId, p));
         }
     }
-    Matching::from_pairs(n, &pairs)
-}
-
-/// The heaviest admissible free neighbor of `v` (ties to the lowest
-/// id); `admit` filters the candidate ids (range membership / global
-/// freeness). Generic, so the filter inlines into the neighbor loop.
-fn heaviest(g: &Graph, v: VertexId, admit: impl Fn(VertexId) -> bool) -> Option<VertexId> {
-    let mut best: Option<(u64, VertexId)> = None;
-    for (u, w) in g.neighbors(v).iter().copied().zip(g.neighbor_weights(v)) {
-        if admit(u) && best.is_none_or(|(bw, bu)| (*w > bw) || (*w == bw && u < bu)) {
-            best = Some((*w, u));
-        }
-    }
-    best.map(|(_, u)| u)
+    pairs
 }
 
 #[cfg(test)]
@@ -302,10 +325,10 @@ mod tests {
     fn parallel_matching_is_maximal_and_deterministic() {
         let g = special::grid(9, 7);
         for threads in [1, 2, 4] {
-            let m = range_matching(&g, threads);
+            let m = ParallelMatching::new().with_threads(threads).matching(&g);
             assert!(m.is_maximal(&g), "threads {threads}");
             assert!(m.respects_graph(&g), "threads {threads}");
-            let again = range_matching(&g, threads);
+            let again = ParallelMatching::new().with_threads(threads).matching(&g);
             assert_eq!(m.pairs(), again.pairs(), "threads {threads}");
         }
     }
@@ -362,7 +385,7 @@ mod tests {
                 let mut g = input.clone();
                 let mut levels = 0;
                 loop {
-                    let m = range_matching(&g, threads);
+                    let m = ParallelMatching::new().with_threads(threads).matching(&g);
                     if m.is_empty() {
                         break;
                     }

@@ -8,8 +8,10 @@
 //! multilevel V-cycle is [`CoarsenDepth::ToSize`], and a plain heuristic
 //! from a random start is [`CoarsenDepth::Flat`]. The descriptor carries
 //! the depth, the coarsener and the refiners; the engine owns the
-//! ladder, the start, the gain cache built once at the coarsest level
-//! and projected down, rebalance, refine and the final guard. A level
+//! ladder, the start, the gain cache built once for the coarsest start
+//! and projected down, rebalance, refine and the final guard. Every
+//! level, the coarsest included, is refined through the refiner's one
+//! projected-cache entry (`refine_projected_counted`). A level
 //! kind supplies only what differs: its coarsen step, start rule, gain
 //! cache, projection and refiner call. Its weighted cells come from the
 //! crate's balance layer (`balance.rs`), through which the engine
@@ -129,14 +131,13 @@ mod level {
         /// gain cache.
         fn project(&self, c: &Contraction<Self>, p: &Self::Part, ws: &mut Workspace) -> Self::Part;
 
-        /// `refine_projected_counted` if `projected` (the cache is exact
-        /// for `p`), else `refine_counted`.
+        /// `refiner`'s `refine_projected_counted`: the gain cache is
+        /// exact for `p` on entry and on exit.
         fn refine(
             &self,
             refiner: &Self::Refiner,
             fixed: &[bool],
             p: Self::Part,
-            projected: bool,
             rng: &mut dyn RngCore,
             ws: &mut Workspace,
         ) -> (Self::Part, u64);
@@ -194,17 +195,15 @@ pub(crate) fn run<L: Cells>(
     let fallback = ladder.is_empty() && matches!(depth, CoarsenDepth::Levels(_));
     let init = level.start(depth, fallback, level_fixed, rng);
     fixed_flags(&mut flags, level.num_cells(), level_fixed);
-    let (mut current, mut work) = level.refine(coarsest, &flags, init, false, rng, ws);
-
-    // Uncoarsening. The gain cache is built once on the (small) coarsest
-    // level and projected through each step, so no level pays an
+    // The gain cache is built once, for the (small) coarsest start, and
+    // projected through each uncoarsening step, so no level pays an
     // O(V + E) rebuild; rebalancing rides the same cache, and every
-    // refiner leaves it exact for its result. A projection can miss
-    // balance by up to a coarse cell's weight (a matching leaves
-    // singletons), hence the rebalance.
-    if !ladder.is_empty() {
-        level.init_cache(&current, ws);
-    }
+    // refiner leaves it exact for its result.
+    level.init_cache(&init, ws);
+    let (mut current, mut work) = level.refine(coarsest, &flags, init, rng, ws);
+
+    // Uncoarsening. A projection can miss balance by up to a coarse
+    // cell's weight (a matching leaves singletons), hence the rebalance.
     for i in (0..ladder.len()).rev() {
         let (fine, fine_fixed) = ladder[..i]
             .last()
@@ -212,7 +211,7 @@ pub(crate) fn run<L: Cells>(
         fixed_flags(&mut flags, fine.num_cells(), fine_fixed);
         let mut projected = fine.project(&ladder[i].0, &current, ws);
         balance::rebalance_with_cache(fine, &mut projected, &flags, L::cache(ws), |_| {});
-        let (refined, stage) = fine.refine(refiner, &flags, projected, true, rng, ws);
+        let (refined, stage) = fine.refine(refiner, &flags, projected, rng, ws);
         current = refined;
         work += stage;
     }
@@ -302,15 +301,10 @@ impl Level for Graph {
         refiner: &(dyn Refiner + Send + Sync),
         _fixed: &[bool],
         p: Bisection,
-        projected: bool,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        if projected {
-            refiner.refine_projected_counted(self, p, rng, ws)
-        } else {
-            refiner.refine_counted(self, p, rng, ws)
-        }
+        refiner.refine_projected_counted(self, p, rng, ws)
     }
 }
 

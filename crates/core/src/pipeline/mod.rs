@@ -421,7 +421,7 @@ mod tests {
             "log".into()
         }
 
-        fn refine_counted(
+        fn refine_projected_counted(
             &self,
             g: &Graph,
             init: Bisection,

@@ -35,17 +35,18 @@
 //! 1. **A compact annealing state** (default [`ProposalEval::Cached`]) —
 //!    SA anneals on its own arrays in a [`Workspace`] arena, filled once
 //!    per run: `u32` offsets over interleaved `(neighbour, 2·weight)`
-//!    pairs, per-vertex gains maintained FM-style across accepted moves
-//!    (narrow `i32` when every swap delta fits, else `i64`), and its own
-//!    sides, cut and side weights. Gains are stored side-free, as each
-//!    vertex's pull toward side B, so an accepted move updates its
-//!    neighbours without reading their sides. A rejected proposal costs
-//!    O(1) array reads instead of O(deg); an accepted move walks one
-//!    contiguous adjacency slice. The state reaches the [`Bisection`] API
-//!    only when
-//!    the best cut improves and once at the end. The original
+//!    pairs, per-vertex `i32` gains maintained FM-style across accepted
+//!    moves, and its own sides, cut and side weights. Gains are stored
+//!    side-free, as each vertex's pull toward side B, so an accepted
+//!    move updates its neighbours without reading their sides. A
+//!    rejected proposal costs O(1) array reads instead of O(deg); an
+//!    accepted move walks one contiguous adjacency slice. The state
+//!    reaches the [`Bisection`] API only when the best cut improves and
+//!    once at the end. The original
 //!    recompute-per-proposal path survives as [`ProposalEval::Naive`],
-//!    and `tests/sa_equivalence.rs` pins the two bit-identical.
+//!    and `tests/sa_equivalence.rs` pins the two bit-identical. Graphs
+//!    the compact state cannot hold (`4 · max weighted degree` past
+//!    `i32::MAX`, or 2^32 adjacency entries) anneal on that path.
 //! 2. **Lazy shared-edge lookup** — a swap's delta is
 //!    `d0 + 2·w(a, b)` with `d0 = −(g_a + g_b)`. The shared edge can only
 //!    raise the delta, and the acceptance threshold never rises with it,
@@ -70,8 +71,6 @@
 //! bit-identical to versions that rejection-sampled pairs from all of
 //! V; the distribution is the same, the random stream is not
 //! (DESIGN.md §10).
-
-use std::ops::{Add, AddAssign, Neg, Sub, SubAssign};
 
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_graph::{EdgeWeight, Graph, VertexId, VertexWeight};
@@ -287,14 +286,13 @@ impl SimulatedAnnealing {
 }
 
 /// SA's scratch in the [`Workspace`]: the side member lists swap pairs
-/// are drawn from, the compact annealing state in both gain widths (a
-/// run fills one), the acceptance table and the best-so-far buffer.
+/// are drawn from, the compact annealing state, the acceptance table
+/// and the best-so-far buffer.
 /// Every buffer is refilled per run and keeps its capacity across runs.
 #[derive(Debug, Default)]
 pub(crate) struct SaArena {
     lists: SideLists,
-    narrow: Compact<i32>,
-    wide: Compact<i64>,
+    compact: Compact,
     exp: ExpTable,
     /// The best-so-far bisection, recycled between runs.
     pub(crate) best: Option<Bisection>,
@@ -362,48 +360,6 @@ impl SideLists {
     }
 }
 
-/// A gain width of [`Compact`]: `i32` when `4 · max weighted degree`
-/// fits it, else `i64`. Every swap delta is bounded by that product.
-trait SaGain:
-    Copy
-    + PartialOrd
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Neg<Output = Self>
-    + AddAssign
-    + SubAssign
-{
-    const ZERO: Self;
-    /// `x` in this width; the caller has checked that it fits.
-    fn of(x: i64) -> Self;
-    /// `self` as an `i64`.
-    fn wide(self) -> i64;
-}
-
-impl SaGain for i32 {
-    const ZERO: i32 = 0;
-    #[inline]
-    fn of(x: i64) -> i32 {
-        x as i32
-    }
-    #[inline]
-    fn wide(self) -> i64 {
-        self as i64
-    }
-}
-
-impl SaGain for i64 {
-    const ZERO: i64 = 0;
-    #[inline]
-    fn of(x: i64) -> i64 {
-        x
-    }
-    #[inline]
-    fn wide(self) -> i64 {
-        self
-    }
-}
-
 /// SA's own bisection of one graph: a copy of its adjacency, laid out
 /// for the annealing loop, with gains, sides, cut and side weights that
 /// SA maintains itself.
@@ -421,23 +377,25 @@ impl SaGain for i64 {
 /// `pull` is exact, and `cut`, `weights` and `side` describe the
 /// annealed bisection.
 #[derive(Debug, Default)]
-struct Compact<G> {
+struct Compact {
     /// `adj[off[v]..off[v + 1]]` is `v`'s adjacency.
     off: Vec<u32>,
     /// `(neighbour, 2 · edge weight)`, ascending by neighbour per
     /// vertex: the doubled weight is both a move's pull update and a
     /// swap's shared-edge term.
-    adj: Vec<(VertexId, G)>,
+    adj: Vec<(VertexId, i32)>,
     /// Each vertex's pull toward side B.
-    pull: Vec<G>,
+    pull: Vec<i32>,
     /// `false` = side A, as in [`Bisection::sides`].
     side: Vec<bool>,
     cut: EdgeWeight,
     weights: [VertexWeight; 2],
 }
 
-impl<G: SaGain> Compact<G> {
-    /// Rebuilds the state for bisection `p` of `g` in `O(V + E)`.
+impl Compact {
+    /// Rebuilds the state for bisection `p` of `g` in `O(V + E)`. The
+    /// caller has checked that `4 · max weighted degree` fits `i32`, so
+    /// every doubled weight, pull and swap delta does.
     fn fill(&mut self, g: &Graph, p: &Bisection) {
         let sides = p.sides();
         let n = g.num_vertices();
@@ -453,14 +411,14 @@ impl<G: SaGain> Compact<G> {
         for v in g.vertices() {
             let mut pull = 0i64;
             for (u, w) in g.neighbors_weighted(v) {
-                self.adj.push((u, G::of(2 * w as i64)));
+                self.adj.push((u, (2 * w) as i32));
                 pull += if sides[u as usize] {
                     w as i64
                 } else {
                     -(w as i64)
                 };
             }
-            self.pull.push(G::of(pull));
+            self.pull.push(pull as i32);
             self.off.push(self.adj.len() as u32);
         }
         self.side.clear();
@@ -471,18 +429,18 @@ impl<G: SaGain> Compact<G> {
 
     /// Twice the weight of edge `{a, b}`, zero when there is none.
     #[inline]
-    fn shared(&self, a: VertexId, b: VertexId) -> G {
+    fn shared(&self, a: VertexId, b: VertexId) -> i32 {
         let a = a as usize;
         let adj = &self.adj[self.off[a] as usize..self.off[a + 1] as usize];
         match adj.binary_search_by_key(&b, |&(u, _)| u) {
             Ok(i) => adj[i].1,
-            Err(_) => G::ZERO,
+            Err(_) => 0,
         }
     }
 
     /// The gain of moving `v`: its pull on side A, minus it on side B.
     #[inline]
-    fn gain(&self, v: VertexId) -> G {
+    fn gain(&self, v: VertexId) -> i32 {
         let pull = self.pull[v as usize];
         if self.side[v as usize] {
             -pull
@@ -500,7 +458,7 @@ impl<G: SaGain> Compact<G> {
     fn relocate(&mut self, g: &Graph, v: VertexId, lists: &mut SideLists) -> usize {
         let vi = v as usize;
         let from = self.side[vi];
-        self.cut = self.cut.wrapping_add_signed(-self.gain(v).wide());
+        self.cut = self.cut.wrapping_add_signed(-i64::from(self.gain(v)));
         let (lo, hi) = (self.off[vi] as usize, self.off[vi + 1] as usize);
         for &(u, w2) in &self.adj[lo..hi] {
             if from {
@@ -549,16 +507,16 @@ impl<G: SaGain> Compact<G> {
                     // a is on A and b on B, so g_a + g_b is
                     // pull[a] − pull[b].
                     let d0 = self.pull[b as usize] - self.pull[a as usize];
-                    let take = if table.lazy && d0 > G::ZERO {
+                    let take = if table.lazy && d0 > 0 {
                         let r = rng.gen::<f64>();
-                        r < threshold(d0.wide(), temperature, &table.values)
+                        r < threshold(i64::from(d0), temperature, &table.values)
                             && r < threshold(
-                                (d0 + self.shared(a, b)).wide(),
+                                i64::from(d0 + self.shared(a, b)),
                                 temperature,
                                 &table.values,
                             )
                     } else {
-                        let delta = (d0 + self.shared(a, b)).wide();
+                        let delta = i64::from(d0 + self.shared(a, b));
                         accept_with_table(delta, temperature, &table.values, rng)
                     };
                     if take {
@@ -584,7 +542,7 @@ impl<G: SaGain> Compact<G> {
                         self.weights,
                         g.vertex_weight(v),
                         self.side[v as usize],
-                        self.gain(v).wide(),
+                        i64::from(self.gain(v)),
                     );
                     if accept(delta, temperature, rng) {
                         out.walked += self.relocate(g, v, lists);
@@ -793,13 +751,13 @@ impl SaStats {
 /// Which state a run anneals on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Eval {
-    /// [`ProposalEval::Naive`], and graphs whose adjacency overflows
-    /// the compact state's `u32` offsets (bit-identical either way).
+    /// [`ProposalEval::Naive`], and graphs the compact state cannot
+    /// hold: adjacency that overflows its `u32` offsets, or a swap delta
+    /// bound (`4 · max weighted degree`) past its `i32` gains. Both
+    /// arms are bit-identical.
     Naive,
-    /// The compact state with `i32` gains.
-    Narrow,
-    /// The compact state with `i64` gains.
-    Wide,
+    /// The compact state.
+    Compact,
 }
 
 impl SimulatedAnnealing {
@@ -865,8 +823,7 @@ impl SimulatedAnnealing {
         rebalance(g, &mut best);
         let SaArena {
             lists,
-            narrow,
-            wide,
+            compact,
             exp,
             ..
         } = &mut ws.sa;
@@ -878,8 +835,8 @@ impl SimulatedAnnealing {
         stats.initial_temperature = temperature;
 
         // Swap deltas are bounded: |δ| = |g_a + g_b − 2δ_ab| ≤ 4·max
-        // weighted degree, which sizes the acceptance table and picks
-        // the gain width.
+        // weighted degree, which sizes the acceptance table and decides
+        // whether the compact state's `i32` gains can hold them.
         let max_wdeg = g
             .vertices()
             .map(|v| g.weighted_degree(v))
@@ -888,18 +845,13 @@ impl SimulatedAnnealing {
         let delta_bound = max_wdeg.saturating_mul(4);
         let eval = if self.proposal_eval == ProposalEval::Naive
             || u32::try_from(2 * g.num_edges()).is_err()
+            || delta_bound > i32::MAX as u64
         {
             Eval::Naive
-        } else if delta_bound <= i32::MAX as u64 {
-            Eval::Narrow
         } else {
-            Eval::Wide
+            compact.fill(g, &current);
+            Eval::Compact
         };
-        match eval {
-            Eval::Naive => {}
-            Eval::Narrow => narrow.fill(g, &current),
-            Eval::Wide => wide.fill(g, &current),
-        }
         let radius = (delta_bound as usize).min(EXP_TABLE_CAP);
         let covers = delta_bound <= EXP_TABLE_CAP as u64;
         let mut run = Run {
@@ -922,8 +874,7 @@ impl SimulatedAnnealing {
             // with the move kind and evaluation mode fixed.
             let sweep = match eval {
                 Eval::Naive => naive_sweep(g, &mut current, lists, &mut run, rng),
-                Eval::Narrow => narrow.sweep(g, lists, exp, &mut run, rng),
-                Eval::Wide => wide.sweep(g, lists, exp, &mut run, rng),
+                Eval::Compact => compact.sweep(g, lists, exp, &mut run, rng),
             };
             stats.proposals += sweep.proposals;
             stats.accepted += sweep.accepted;
@@ -944,10 +895,8 @@ impl SimulatedAnnealing {
             }
         }
         stats.final_temperature = temperature;
-        match eval {
-            Eval::Naive => {}
-            Eval::Narrow => narrow.write_into(&mut current, lists),
-            Eval::Wide => wide.write_into(&mut current, lists),
+        if eval == Eval::Compact {
+            compact.write_into(&mut current, lists);
         }
 
         // In flip mode the current state may beat `best` after
@@ -973,7 +922,9 @@ impl Refiner for SimulatedAnnealing {
         "SA".into()
     }
 
-    fn refine_counted(
+    /// SA anneals on its own state, so the workspace gain cache is
+    /// rebuilt for the result.
+    fn refine_projected_counted(
         &self,
         g: &Graph,
         init: Bisection,
@@ -981,6 +932,7 @@ impl Refiner for SimulatedAnnealing {
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
         let (p, stats) = self.refine_with_stats_in(g, init, rng, ws);
+        ws.gain_cache.init(g, &p);
         (p, stats.temperatures as u64)
     }
 }
@@ -1246,37 +1198,33 @@ mod tests {
     #[test]
     fn compact_state_tracks_moves_exactly() {
         // Gains, cut, side weights and lists stay exact for the
-        // bisection the same moves produce, at both gain widths.
-        fn check<G: SaGain + Default + std::fmt::Debug>(g: &Graph, seed: u64) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut p = crate::seed::weight_balanced_random(g, &mut rng);
-            let mut lists = SideLists::default();
-            lists.fill(p.sides());
-            let mut state = Compact::<G>::default();
-            state.fill(g, &p);
-            for _ in 0..60 {
-                let v = rng.gen_range(0..g.num_vertices()) as VertexId;
-                assert_eq!(state.relocate(g, v, &mut lists), g.degree(v));
-                p.move_vertex(g, v);
-            }
-            for v in g.vertices() {
-                assert_eq!(state.gain(v).wide(), p.gain(g, v), "gain of {v}");
-                let u = v.wrapping_add(1) % g.num_vertices() as VertexId;
-                let w = 2 * g.edge_weight(v, u).unwrap_or(0) as i64;
-                assert_eq!(state.shared(v, u).wide(), w, "edge {v}–{u}");
-            }
-            let mut written = crate::seed::random_balanced(g, &mut rng);
-            state.write_into(&mut written, &lists);
-            assert_eq!(written, p);
-            for s in [Side::A, Side::B] {
-                let list = &lists.lists[s.index()];
-                assert_eq!(list.len(), p.count(s));
-                assert!(list.iter().all(|&v| p.side(v) == s));
-            }
-        }
+        // bisection the same moves produce.
         let g = weighted_contracted(120, 9);
-        check::<i32>(&g, 1);
-        check::<i64>(&g, 2);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut p = crate::seed::weight_balanced_random(&g, &mut rng);
+        let mut lists = SideLists::default();
+        lists.fill(p.sides());
+        let mut state = Compact::default();
+        state.fill(&g, &p);
+        for _ in 0..60 {
+            let v = rng.gen_range(0..g.num_vertices()) as VertexId;
+            assert_eq!(state.relocate(&g, v, &mut lists), g.degree(v));
+            p.move_vertex(&g, v);
+        }
+        for v in g.vertices() {
+            assert_eq!(i64::from(state.gain(v)), p.gain(&g, v), "gain of {v}");
+            let u = v.wrapping_add(1) % g.num_vertices() as VertexId;
+            let w = 2 * g.edge_weight(v, u).unwrap_or(0) as i64;
+            assert_eq!(i64::from(state.shared(v, u)), w, "edge {v}–{u}");
+        }
+        let mut written = crate::seed::random_balanced(&g, &mut rng);
+        state.write_into(&mut written, &lists);
+        assert_eq!(written, p);
+        for s in [Side::A, Side::B] {
+            let list = &lists.lists[s.index()];
+            assert_eq!(list.len(), p.count(s));
+            assert!(list.iter().all(|&v| p.side(v) == s));
+        }
     }
 
     #[test]
@@ -1307,27 +1255,31 @@ mod tests {
             .clone()
     }
 
-    /// A cycle with chords whose edge weights put `4 · max weighted
-    /// degree` past `i32::MAX`, so SA runs its wide gains.
+    /// A cycle with chords whose edge weights near 2^30 put every
+    /// weighted degree past `i32::MAX`: too wide for the compact state's
+    /// gains, which would overflow, so `Cached` mode falls back to the
+    /// naive arm.
     fn heavy_cycle(n: usize) -> Graph {
         let mut b = bisect_graph::GraphBuilder::new(n);
         for v in 0..n {
-            let w = (1u64 << 28) + 3 * v as u64;
+            let w = (1u64 << 30) + 3 * v as u64;
             b.add_weighted_edge(v as VertexId, ((v + 1) % n) as VertexId, w)
                 .expect("valid edge");
             b.add_weighted_edge(v as VertexId, ((v + 5) % n) as VertexId, 7 + v as u64)
                 .expect("valid edge");
         }
         let g = b.build();
-        let max_wdeg = g.vertices().map(|v| g.weighted_degree(v)).max().unwrap();
-        assert!(4 * max_wdeg > i32::MAX as u64);
+        let min_wdeg = g.vertices().map(|v| g.weighted_degree(v)).min().unwrap();
+        assert!(min_wdeg > i32::MAX as u64);
         g
     }
 
     #[test]
-    fn cached_matches_naive_on_narrow_and_wide_gains() {
+    fn cached_matches_naive_on_compact_gains_and_the_wide_fallback() {
         // The in-crate copy of the equivalence proptests, so release
-        // builds (overflow checks off) run both widths too.
+        // builds (overflow checks off) run the compact state's `i32`
+        // gains too. The wide graph pins that its fallback is the
+        // naive arm, bit for bit.
         let narrow = weighted_contracted(200, 5);
         let wide = heavy_cycle(40);
         for g in [&narrow, &wide] {

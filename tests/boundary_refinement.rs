@@ -154,7 +154,9 @@ proptest! {
     /// that cache exact for the bisection it returns. FM runs twice: to
     /// a fixpoint, whose last pass moves nothing, and capped at one
     /// improving pass, which returns a bisection its pass-start cache
-    /// no longer describes.
+    /// no longer describes. The plain entry, `refine_counted` on a fresh
+    /// workspace, is that entry after a cache build: the same bisection,
+    /// work count, proposal count and next draw of the generator.
     #[test]
     fn every_refiner_leaves_the_projected_cache_exact(seed in 0u64..500, is_gnp in any::<bool>()) {
         let g = if is_gnp {
@@ -172,12 +174,28 @@ proptest! {
             Box::new(ParallelFm::new().with_threads(2).with_boundary_seeds()),
         ];
         for refiner in &refiners {
+            let who = refiner.name();
             let mut rng = LaggedFibonacci::seed_from_u64(seed ^ 0xCAC4E);
             let init = seed::random_balanced(&g, &mut rng);
+            let mut plain_rng = rng.clone();
             let mut ws = Workspace::new();
             ws.gain_cache_mut().init(&g, &init);
-            let (refined, _) = refiner.refine_projected_counted(&g, init, &mut rng, &mut ws);
-            assert_cache_exact(&g, &refined, ws.gain_cache(), &refiner.name())?;
+            let (refined, work) =
+                refiner.refine_projected_counted(&g, init.clone(), &mut rng, &mut ws);
+            assert_cache_exact(&g, &refined, ws.gain_cache(), &who)?;
+
+            let mut plain_ws = Workspace::new();
+            let (plain, plain_work) =
+                refiner.refine_counted(&g, init, &mut plain_rng, &mut plain_ws);
+            prop_assert_eq!(&plain, &refined, "{}: plain entry's bisection", &who);
+            prop_assert_eq!(plain_work, work, "{}: plain entry's work", &who);
+            prop_assert_eq!(
+                plain_ws.take_proposals(),
+                ws.take_proposals(),
+                "{}: plain entry's proposals",
+                &who
+            );
+            prop_assert_eq!(plain_rng.next_u64(), rng.next_u64(), "{}: next draw", &who);
         }
     }
 }

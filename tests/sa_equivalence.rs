@@ -6,8 +6,9 @@
 //! reference path that recomputes every gain from adjacency, for both
 //! move kinds, with calibrated and explicit starting temperatures, at
 //! every thread count — on unit-weight graphs, on weighted contracted
-//! levels, on graphs whose weights need the wide gain width, and at the
-//! edges of the acceptance test (zero, tiny and huge temperatures). A
+//! levels, on graphs whose weights are too wide for the compact state's
+//! `i32` gains (so `Cached` mode falls back to the naive arm), and at
+//! the edges of the acceptance test (zero, tiny and huge temperatures). A
 //! dyn-fallback pin additionally checks that an opaque rng (no
 //! [`rand::RngCore::as_any_mut`] override) takes the non-monomorphized
 //! loop and still reproduces the same results.
@@ -222,7 +223,9 @@ proptest! {
     }
 
     /// Edge weights near 2^28 put `4 · max weighted degree` past
-    /// `i32::MAX`, so the fast path anneals on its wide gains.
+    /// `i32::MAX`, too wide for the compact state's gains: `Cached` mode
+    /// anneals on the naive fallback, which must match `Naive` mode
+    /// bit for bit.
     #[test]
     fn cached_matches_naive_on_wide_gains(
         n in 20usize..=40,
@@ -239,8 +242,9 @@ proptest! {
         assert_runs_identical(&sa, &g, seed)?;
     }
 
-    /// The acceptance edges on unit-weight `Gbreg`, where the narrow
-    /// table covers every delta and the lazy lookup runs.
+    /// The acceptance edges on unit-weight `Gbreg`, where the compact
+    /// state runs, the table covers every delta and the lazy lookup
+    /// runs.
     #[test]
     fn cached_matches_naive_at_edge_temperatures(
         half in 10usize..=25,
