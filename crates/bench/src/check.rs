@@ -271,7 +271,6 @@ mod tests {
             total_time_s: 0.1,
             mean_passes: 3.0,
             proposals: 0.0,
-            proposals_per_sec: 0.0,
             hpwl: 0.0,
             graphs: 3,
         }
@@ -351,7 +350,6 @@ mod tests {
         let mut fast = record("500", "SA", 16.0);
         fast.total_time_s = 0.001;
         fast.proposals = 1.0e6;
-        fast.proposals_per_sec = 1.0e9;
         let current = report(vec![fast]);
         let c = compare(&current, &baseline, 0.0).unwrap();
         assert!(c.is_ok());

@@ -11,7 +11,6 @@ use crate::table::{fmt_cut, fmt_duration, fmt_percent, Table};
 
 pub mod analysis;
 pub mod huge;
-pub mod huge_netlist;
 pub mod observations;
 pub mod placement;
 pub mod random;
@@ -86,7 +85,7 @@ pub fn run(id: &str, profile: &Profile) -> Result<ExperimentResult, BenchError> 
         "placement" => placement::run(profile),
         "satune" => analysis::satune(profile),
         "huge" => huge::run(profile),
-        "huge-netlist" => huge_netlist::run(profile),
+        "huge-netlist" => huge::run_netlists(profile),
         other => Err(BenchError::UnknownExperiment { id: other.into() }),
     }
 }

@@ -189,7 +189,6 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
                 total_time_s: result.elapsed.as_secs_f64(),
                 mean_passes: result.work as f64,
                 proposals: 0.0,
-                proposals_per_sec: 0.0,
                 hpwl,
                 graphs: 1,
             });

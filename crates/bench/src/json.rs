@@ -30,9 +30,6 @@ pub struct BenchRecord {
     /// the SA family, candidate-pair gain evaluations for the KL
     /// family.
     pub proposals: f64,
-    /// Proposal throughput: `proposals / total_time_s` (0 when either
-    /// is zero). Timing-bearing — ignored by the regression checker.
-    pub proposals_per_sec: f64,
     /// Half-perimeter wirelength of the `placement` experiment's k-way
     /// result (region-center bounding boxes, weighted by net weight); 0
     /// for experiments without a placement objective and in records
@@ -42,32 +39,36 @@ pub struct BenchRecord {
     pub graphs: usize,
 }
 
+impl BenchRecord {
+    /// Proposal throughput: `proposals / total_time_s`, 0 when the time
+    /// is 0. Timing-bearing — ignored by the regression checker. The
+    /// report writes it as the `proposals_per_sec` key; parsing ignores
+    /// that key and derives it again.
+    pub fn proposals_per_sec(&self) -> f64 {
+        if self.total_time_s > 0.0 {
+            self.proposals / self.total_time_s
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Expands one averaged table row into its four per-algorithm records.
 pub(crate) fn quad_records(experiment: &str, setting: &str, avg: &QuadAverage) -> Vec<BenchRecord> {
     const ALGOS: [&str; 4] = ["SA", "CSA", "KL", "CKL"];
     ALGOS
         .iter()
         .enumerate()
-        .map(|(i, algo)| {
-            let total_time_s = avg.times[i].as_secs_f64();
-            let proposals = avg.proposals[i];
-            let proposals_per_sec = if total_time_s > 0.0 {
-                proposals / total_time_s
-            } else {
-                0.0
-            };
-            BenchRecord {
-                experiment: experiment.to_string(),
-                setting: setting.to_string(),
-                algorithm: algo.to_string(),
-                mean_cut: avg.cuts[i],
-                total_time_s,
-                mean_passes: avg.passes[i],
-                proposals,
-                proposals_per_sec,
-                hpwl: 0.0,
-                graphs: avg.count,
-            }
+        .map(|(i, algo)| BenchRecord {
+            experiment: experiment.to_string(),
+            setting: setting.to_string(),
+            algorithm: algo.to_string(),
+            mean_cut: avg.cuts[i],
+            total_time_s: avg.times[i].as_secs_f64(),
+            mean_passes: avg.passes[i],
+            proposals: avg.proposals[i],
+            hpwl: 0.0,
+            graphs: avg.count,
         })
         .collect()
 }
@@ -128,7 +129,7 @@ impl BenchReport {
             out.push_str(&format!("\"proposals\": {}, ", number(r.proposals)));
             out.push_str(&format!(
                 "\"proposals_per_sec\": {}, ",
-                number(r.proposals_per_sec)
+                number(r.proposals_per_sec())
             ));
             out.push_str(&format!("\"hpwl\": {}, ", number(r.hpwl)));
             out.push_str(&format!("\"graphs\": {}", r.graphs));
@@ -445,7 +446,6 @@ impl BenchReport {
                 total_time_s: rnum("total_time_s")?,
                 mean_passes: rnum("mean_passes")?,
                 proposals: ropt("proposals")?,
-                proposals_per_sec: ropt("proposals_per_sec")?,
                 hpwl: ropt("hpwl")?,
                 graphs: rnum("graphs")? as usize,
             });
@@ -572,11 +572,11 @@ mod tests {
         // (pair-gain evaluations) just like the SA family (swap
         // proposals); a zero count still reports zero throughput.
         assert_eq!(records[0].proposals, 3000.0);
-        assert_eq!(records[0].proposals_per_sec, 2000.0);
+        assert_eq!(records[0].proposals_per_sec(), 2000.0);
         assert_eq!(records[2].proposals, 600.0);
-        assert_eq!(records[2].proposals_per_sec, 400.0);
+        assert_eq!(records[2].proposals_per_sec(), 400.0);
         assert_eq!(records[3].proposals, 0.0);
-        assert_eq!(records[3].proposals_per_sec, 0.0);
+        assert_eq!(records[3].proposals_per_sec(), 0.0);
     }
 
     #[test]
@@ -589,7 +589,7 @@ mod tests {
         };
         let records = quad_records("gbreg", "n=0", &avg);
         assert_eq!(records[0].proposals, 500.0);
-        assert_eq!(records[0].proposals_per_sec, 0.0);
+        assert_eq!(records[0].proposals_per_sec(), 0.0);
     }
 
     #[test]
@@ -603,7 +603,7 @@ mod tests {
                                    "total_time_s": 0.5, "mean_passes": 10, "graphs": 1}]}"#;
         let report = BenchReport::from_json(doc).expect("old schema parses");
         assert_eq!(report.records[0].proposals, 0.0);
-        assert_eq!(report.records[0].proposals_per_sec, 0.0);
+        assert_eq!(report.records[0].proposals_per_sec(), 0.0);
     }
 
     #[test]
@@ -790,5 +790,44 @@ mod tests {
         assert!(err
             .to_string()
             .contains("record 0 field `mean_cut` is not a number"));
+    }
+
+    #[test]
+    fn committed_throughput_is_the_derived_one() {
+        // Every record the repository keeps stores `proposals_per_sec`
+        // as exactly `proposals / total_time_s`, so deriving it changes
+        // no written value.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut paths = vec![root.join("BENCH_results.json")];
+        for entry in std::fs::read_dir(root.join("results")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                paths.push(path);
+            }
+        }
+        let mut checked = 0;
+        for path in &paths {
+            let text = std::fs::read_to_string(path).unwrap();
+            let runs = match parse(&text).unwrap() {
+                JsonValue::Array(runs) => runs,
+                doc => vec![doc],
+            };
+            for run in &runs {
+                let stored = run.get("records").and_then(JsonValue::as_array).unwrap();
+                let parsed = BenchReport::from_value(run).unwrap().records;
+                assert_eq!(stored.len(), parsed.len());
+                for (raw, record) in stored.iter().zip(&parsed) {
+                    let written = raw.get("proposals_per_sec").and_then(JsonValue::as_number);
+                    assert_eq!(
+                        written,
+                        Some(record.proposals_per_sec()),
+                        "{}: {record:?}",
+                        path.display()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(paths.len() > 1 && checked > 0);
     }
 }

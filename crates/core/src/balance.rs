@@ -3,6 +3,8 @@
 //! pass, the random starts, and the two rebalances that restore balance
 //! after the paper's §V projection of a coarse bisection. The public
 //! names (`partition::rebalance`, `seed::random_balanced`, …) wrap it.
+//! A level kind implements [`Cells`] beside the engine's `Level`; the
+//! FM pass and the parallel round are written over it too.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -12,8 +14,10 @@ use bisect_graph::{Graph, VertexId, VertexWeight};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::fm::FmState;
 use crate::gain_cache::GainCache;
-use crate::netlist::{NetlistBisection, NetlistGainCache};
+use crate::netlist::{gain_term, NetlistBisection, NetlistGainCache};
+use crate::par_fm::{NetOverlay, ParallelScratch};
 use crate::partition::{Bisection, Side};
 use crate::pipeline::engine::Level;
 use crate::workspace::Workspace;
@@ -26,9 +30,13 @@ pub(crate) type RebalanceHeap = BinaryHeap<(i64, Reverse<VertexId>)>;
 /// [`Bisection`] and [`GainCache`], or [`Netlist`] with
 /// [`NetlistBisection`] and [`NetlistGainCache`]. Cells flagged in a
 /// `fixed: &[bool]` never move; missing flags count as free.
-pub(crate) trait Cells: Level {
+///
+/// Beyond the balance rules it serves [`crate::fm`]'s pass and
+/// [`crate::par_fm`]'s round: all but [`Cells::virtual_move`] and
+/// [`Cells::frozen_move`], where the kinds differ, is bookkeeping.
+pub(crate) trait Cells: Level<Part: Clone + Sync> + Sync {
     /// The level's gain cache.
-    type Cache;
+    type Cache: Sync;
 
     /// The workspace's gain cache for this kind of level.
     fn cache(ws: &mut Workspace) -> &mut Self::Cache;
@@ -50,6 +58,49 @@ pub(crate) trait Cells: Level {
     /// repeats and `c` itself.
     fn mates(&self, c: VertexId) -> impl Iterator<Item = VertexId> + '_;
     fn heap(cache: &mut Self::Cache) -> &mut RebalanceHeap;
+
+    /// The cache's cut-boundary list.
+    fn boundary(cache: &Self::Cache) -> &[VertexId];
+    /// The workspace's gain cache and work mirror for this kind of
+    /// level, split-borrowed with the locked flags and the FM arena.
+    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self>;
+    /// The bucket bound: the largest weighted degree, which bounds the
+    /// gain of every cell.
+    fn max_gain(&self) -> i64;
+    fn recompute_cut(&self, p: &Self::Part) -> u64;
+    fn copy_from(p: &mut Self::Part, from: &Self::Part);
+    /// Moves `c`, whose gain in `work` is `gain`, in the mirror `work`,
+    /// and reports each unlocked cell whose gain the move changes to
+    /// `visit`, with its side and the change.
+    fn virtual_move(
+        &self,
+        work: &mut Self::Part,
+        locked: &[bool],
+        c: VertexId,
+        gain: i64,
+        visit: impl FnMut(VertexId, Side, i64),
+    );
+
+    /// The position of `c` in the cache's boundary list, if listed.
+    fn boundary_index(cache: &Self::Cache, c: VertexId) -> Option<usize>;
+    /// The workspace's gain cache for this kind of level, split-borrowed
+    /// with the round's arena.
+    fn par_state(ws: &mut Workspace) -> (&mut Self::Cache, &mut ParallelScratch);
+    /// The number of nets a worker's overlay covers: none for graphs.
+    fn overlay_nets(&self) -> usize;
+    /// Virtually moves `c` off its side in `frozen`, given the worker's
+    /// earlier virtual moves in `overlay`, and reports each other cell
+    /// whose gain the move can change to `visit`, with the change for a
+    /// cell on `c`'s side and for one opposite. Cells the worker has not
+    /// moved sit on their `frozen` sides, so the caller picks the change
+    /// only for the cells it keeps.
+    fn frozen_move(
+        &self,
+        frozen: &Self::Part,
+        overlay: &mut NetOverlay,
+        c: VertexId,
+        visit: impl FnMut(VertexId, [i64; 2]),
+    );
 }
 
 /// The balance tolerances of a level. A bisection is balanced when its
@@ -321,6 +372,92 @@ impl Cells for Graph {
     fn heap(cache: &mut GainCache) -> &mut RebalanceHeap {
         &mut cache.rebalance_heap
     }
+
+    fn boundary(cache: &GainCache) -> &[VertexId] {
+        cache.boundary()
+    }
+
+    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self> {
+        (
+            &mut ws.gain_cache,
+            &mut ws.fm_work,
+            &mut ws.locked,
+            &mut ws.fm,
+        )
+    }
+
+    fn max_gain(&self) -> i64 {
+        self.vertices()
+            .map(|v| self.weighted_degree(v))
+            .max()
+            .unwrap_or(0)
+            .min(i64::MAX as u64) as i64
+    }
+
+    fn recompute_cut(&self, p: &Bisection) -> u64 {
+        p.recompute_cut(self)
+    }
+
+    fn copy_from(p: &mut Bisection, from: &Bisection) {
+        p.copy_from(from);
+    }
+
+    fn virtual_move(
+        &self,
+        work: &mut Bisection,
+        locked: &[bool],
+        v: VertexId,
+        gain: i64,
+        mut visit: impl FnMut(VertexId, Side, i64),
+    ) {
+        let side = work.side(v);
+        work.move_vertex_with_gain(self, v, gain);
+        for (u, w) in self.neighbors_weighted(v) {
+            if locked[u as usize] {
+                continue;
+            }
+            // v left `side`: for u still on `side` the edge became
+            // external (+2w); for u on the other side it became
+            // internal (−2w).
+            let u_side = work.side(u);
+            let delta = if u_side == side {
+                2 * w as i64
+            } else {
+                -2 * (w as i64)
+            };
+            visit(u, u_side, delta);
+        }
+    }
+
+    fn boundary_index(cache: &GainCache, v: VertexId) -> Option<usize> {
+        cache.boundary_index(v)
+    }
+
+    fn par_state(ws: &mut Workspace) -> (&mut GainCache, &mut ParallelScratch) {
+        (&mut ws.gain_cache, &mut ws.pfm)
+    }
+
+    fn overlay_nets(&self) -> usize {
+        0
+    }
+
+    // Inlined into the worker's loop, so the visit closure's captures
+    // stay in registers.
+    #[inline]
+    fn frozen_move(
+        &self,
+        _frozen: &Bisection,
+        _overlay: &mut NetOverlay,
+        v: VertexId,
+        mut visit: impl FnMut(VertexId, [i64; 2]),
+    ) {
+        for (u, w) in self.neighbors_weighted(v) {
+            // v left its snapshot side: for u on that side the edge
+            // became external (+2w), for u opposite it became internal
+            // (−2w).
+            visit(u, [2 * w as i64, -2 * (w as i64)]);
+        }
+    }
 }
 
 impl Cells for Netlist {
@@ -375,6 +512,124 @@ impl Cells for Netlist {
 
     fn heap(cache: &mut NetlistGainCache) -> &mut RebalanceHeap {
         &mut cache.rebalance_heap
+    }
+
+    fn boundary(cache: &NetlistGainCache) -> &[VertexId] {
+        cache.boundary()
+    }
+
+    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self> {
+        (
+            &mut ws.netlist_cache,
+            &mut ws.netlist_work,
+            &mut ws.locked,
+            &mut ws.fm,
+        )
+    }
+
+    fn max_gain(&self) -> i64 {
+        // Each incident net contributes a value in [−w(net), w(net)].
+        self.cells()
+            .map(|c| {
+                self.nets_of(c)
+                    .iter()
+                    .map(|&net| self.net_weight(net))
+                    .sum::<u64>()
+            })
+            .max()
+            .unwrap_or(0)
+            .min(i64::MAX as u64) as i64
+    }
+
+    fn recompute_cut(&self, p: &NetlistBisection) -> u64 {
+        p.recompute_cut(self)
+    }
+
+    fn copy_from(p: &mut NetlistBisection, from: &NetlistBisection) {
+        p.copy_from(from);
+    }
+
+    /// One walk over the nets of `c`: shift each net's pin counts in the
+    /// mirror, and from the pre-move counts derive the per-pin deltas
+    /// once per side, walking the pins only when some delta is nonzero.
+    /// `c` is locked, as are fixed and already moved cells, so the walk
+    /// skips all of them.
+    fn virtual_move(
+        &self,
+        work: &mut NetlistBisection,
+        locked: &[bool],
+        c: VertexId,
+        _gain: i64,
+        mut visit: impl FnMut(VertexId, Side, i64),
+    ) {
+        let side = work.side(c);
+        let s = side.index();
+        for &net in self.nets_of(c) {
+            let (my, other) = work.shift_pin(self, net, s);
+            let w = self.net_weight(net) as i64;
+            let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
+            let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
+            if ds == 0 && dt == 0 {
+                continue;
+            }
+            for &q in self.pins(net) {
+                if locked[q as usize] {
+                    continue;
+                }
+                let q_side = work.side(q);
+                let delta = if q_side == side { ds } else { dt };
+                if delta != 0 {
+                    visit(q, q_side, delta);
+                }
+            }
+        }
+        work.flip(self, c);
+    }
+
+    fn boundary_index(cache: &NetlistGainCache, c: VertexId) -> Option<usize> {
+        cache.boundary_index(c)
+    }
+
+    fn par_state(ws: &mut Workspace) -> (&mut NetlistGainCache, &mut ParallelScratch) {
+        (&mut ws.netlist_cache, &mut ws.pfm)
+    }
+
+    fn overlay_nets(&self) -> usize {
+        self.num_nets()
+    }
+
+    /// Each cell moves at most once per chunk, so the pre-move pin
+    /// counts of every net of `c` are the frozen counts plus the
+    /// overlay; the walk shifts them in the overlay and derives the
+    /// per-pin deltas once per side, with the [`gain_term`] algebra of
+    /// the serial pass.
+    #[inline]
+    fn frozen_move(
+        &self,
+        frozen: &NetlistBisection,
+        overlay: &mut NetOverlay,
+        c: VertexId,
+        mut visit: impl FnMut(VertexId, [i64; 2]),
+    ) {
+        let s = frozen.side(c).index();
+        for &net in self.nets_of(c) {
+            let mut counts = overlay.get(net, frozen);
+            let (my, other) = (counts[s], counts[1 - s]);
+            let w = self.net_weight(net) as i64;
+            counts[s] -= 1;
+            counts[1 - s] += 1;
+            overlay.set(net, counts);
+            let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
+            let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
+            if ds == 0 && dt == 0 {
+                continue;
+            }
+            for &q in self.pins(net) {
+                if q != c {
+                    visit(q, [ds, dt]);
+                }
+            }
+        }
     }
 }
 

@@ -12,13 +12,15 @@
 //! updated. After all moves, the best balanced prefix is applied if it
 //! improves the cut. Passes repeat to a fixpoint.
 //!
-//! The pass is written once, generic over the level, and serves
-//! [`FiducciaMattheyses`] and [`BoundaryFm`] here and
-//! [`crate::netlist::NetlistFm`] on netlists. Graphs and netlists
-//! differ only in how one move updates the gains of the cells it
-//! touches (`FmCells::virtual_move`): a ±2w walk over the neighbors of
-//! a vertex, or one walk over the nets of a cell that shifts their pin
-//! counts. A netlist's fixed cells stay locked for the whole refine.
+//! The pass is written once, generic over the level's `Cells`, and
+//! serves [`FiducciaMattheyses`] and [`BoundaryFm`] here and
+//! [`crate::netlist::NetlistFm`] on netlists; this module holds no
+//! per-kind code. Graphs and netlists differ only in how one move
+//! updates the gains of the cells it touches (`Cells::virtual_move`,
+//! implemented per kind in the balance layer): a ±2w walk over the
+//! neighbors of a vertex, or one walk over the nets of a cell that
+//! shifts their pin counts. A netlist's fixed cells stay locked for the
+//! whole refine.
 //!
 //! The refiners differ only in which cells seed the gain buckets. FM
 //! seeds every vertex in index order. BFM and netlist FM seed only the
@@ -33,15 +35,12 @@
 //! netlist twin) by consuming the projected cache as it stands, so
 //! uncoarsening ladders never rebuild their gain state per level.
 
-use bisect_graph::hypergraph::Netlist;
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
 use crate::balance::{Cells, Tolerance};
 use crate::bisector::Refiner;
 use crate::gain::GainBuckets;
-use crate::gain_cache::GainCache;
-use crate::netlist::{gain_term, NetlistBisection, NetlistGainCache};
 use crate::partition::{Bisection, Side};
 use crate::pipeline::engine::Level;
 use crate::workspace::Workspace;
@@ -210,178 +209,19 @@ pub(crate) struct FmArena {
 
 /// The gain cache, work mirror, locked flags and [`FmArena`] of a
 /// workspace, borrowed together by an FM refine.
-type FmState<'a, L> = (
+pub(crate) type FmState<'a, L> = (
     &'a mut <L as Cells>::Cache,
     &'a mut Option<<L as Level>::Part>,
     &'a mut Vec<bool>,
     &'a mut FmArena,
 );
 
-/// What the FM pass needs of a level beyond its [`Cells`]. Everything
-/// but [`FmCells::virtual_move`] is bookkeeping; that one step is where
-/// graphs and netlists differ.
-pub(crate) trait FmCells: Cells<Part: Clone> {
-    /// The cache's cut-boundary list.
-    fn boundary(cache: &Self::Cache) -> &[VertexId];
-    /// The workspace's gain cache and work mirror for this kind of
-    /// level, split-borrowed with the locked flags and the FM arena.
-    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self>;
-    /// The bucket bound: the largest weighted degree, which bounds the
-    /// gain of every cell.
-    fn max_gain(&self) -> i64;
-    fn recompute_cut(&self, p: &Self::Part) -> u64;
-    fn copy_from(p: &mut Self::Part, from: &Self::Part);
-    /// Moves `c`, whose gain in `work` is `gain`, in the mirror `work`,
-    /// and reports each unlocked cell whose gain the move changes to
-    /// `visit`, with its side and the change.
-    fn virtual_move(
-        &self,
-        work: &mut Self::Part,
-        locked: &[bool],
-        c: VertexId,
-        gain: i64,
-        visit: impl FnMut(VertexId, Side, i64),
-    );
-}
-
-impl FmCells for Graph {
-    fn boundary(cache: &GainCache) -> &[VertexId] {
-        cache.boundary()
-    }
-
-    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self> {
-        (
-            &mut ws.gain_cache,
-            &mut ws.fm_work,
-            &mut ws.locked,
-            &mut ws.fm,
-        )
-    }
-
-    fn max_gain(&self) -> i64 {
-        self.vertices()
-            .map(|v| self.weighted_degree(v))
-            .max()
-            .unwrap_or(0)
-            .min(i64::MAX as u64) as i64
-    }
-
-    fn recompute_cut(&self, p: &Bisection) -> u64 {
-        p.recompute_cut(self)
-    }
-
-    fn copy_from(p: &mut Bisection, from: &Bisection) {
-        p.copy_from(from);
-    }
-
-    fn virtual_move(
-        &self,
-        work: &mut Bisection,
-        locked: &[bool],
-        v: VertexId,
-        gain: i64,
-        mut visit: impl FnMut(VertexId, Side, i64),
-    ) {
-        let side = work.side(v);
-        work.move_vertex_with_gain(self, v, gain);
-        for (u, w) in self.neighbors_weighted(v) {
-            if locked[u as usize] {
-                continue;
-            }
-            // v left `side`: for u still on `side` the edge became
-            // external (+2w); for u on the other side it became
-            // internal (−2w).
-            let u_side = work.side(u);
-            let delta = if u_side == side {
-                2 * w as i64
-            } else {
-                -2 * (w as i64)
-            };
-            visit(u, u_side, delta);
-        }
-    }
-}
-
-impl FmCells for Netlist {
-    fn boundary(cache: &NetlistGainCache) -> &[VertexId] {
-        cache.boundary()
-    }
-
-    fn fm_state(ws: &mut Workspace) -> FmState<'_, Self> {
-        (
-            &mut ws.netlist_cache,
-            &mut ws.netlist_work,
-            &mut ws.locked,
-            &mut ws.fm,
-        )
-    }
-
-    fn max_gain(&self) -> i64 {
-        // Each incident net contributes a value in [−w(net), w(net)].
-        self.cells()
-            .map(|c| {
-                self.nets_of(c)
-                    .iter()
-                    .map(|&net| self.net_weight(net))
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0)
-            .min(i64::MAX as u64) as i64
-    }
-
-    fn recompute_cut(&self, p: &NetlistBisection) -> u64 {
-        p.recompute_cut(self)
-    }
-
-    fn copy_from(p: &mut NetlistBisection, from: &NetlistBisection) {
-        p.copy_from(from);
-    }
-
-    /// One walk over the nets of `c`: shift each net's pin counts in the
-    /// mirror, and from the pre-move counts derive the per-pin deltas
-    /// once per side, walking the pins only when some delta is nonzero.
-    /// `c` is locked, as are fixed and already moved cells, so the walk
-    /// skips all of them.
-    fn virtual_move(
-        &self,
-        work: &mut NetlistBisection,
-        locked: &[bool],
-        c: VertexId,
-        _gain: i64,
-        mut visit: impl FnMut(VertexId, Side, i64),
-    ) {
-        let side = work.side(c);
-        let s = side.index();
-        for &net in self.nets_of(c) {
-            let (my, other) = work.shift_pin(self, net, s);
-            let w = self.net_weight(net) as i64;
-            let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
-            let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
-            if ds == 0 && dt == 0 {
-                continue;
-            }
-            for &q in self.pins(net) {
-                if locked[q as usize] {
-                    continue;
-                }
-                let q_side = work.side(q);
-                let delta = if q_side == side { ds } else { dt };
-                if delta != 0 {
-                    visit(q, q_side, delta);
-                }
-            }
-        }
-        work.flip(self, c);
-    }
-}
-
 /// Runs up to `max_passes` passes to a fixpoint assuming the workspace
 /// gain cache is exact for `(level, p)`; leaves it exact for the refined
 /// `p`. Returns the number of productive passes. Cells flagged in
 /// `fixed` never move: they stay locked in `ws.locked` for the whole
 /// call, and are unlocked again on exit.
-pub(crate) fn refine_with_cache<L: FmCells>(
+pub(crate) fn refine_with_cache<L: Cells>(
     level: &L,
     fixed: &[bool],
     p: &mut L::Part,
@@ -412,7 +252,7 @@ pub(crate) fn refine_with_cache<L: FmCells>(
 /// Per-refine O(cells) setup: bucket reset, work mirror, locked/touched
 /// clearing. Returns the level's balance [`Tolerance`]; each pass
 /// afterwards touches only what it seeds and reaches.
-fn prepare<L: FmCells>(level: &L, p: &L::Part, ws: &mut Workspace) -> Tolerance {
+fn prepare<L: Cells>(level: &L, p: &L::Part, ws: &mut Workspace) -> Tolerance {
     let n = level.num_cells();
     let max_gain = level.max_gain();
     let (_, work, locked, fm) = L::fm_state(ws);
@@ -434,13 +274,13 @@ fn prepare<L: FmCells>(level: &L, p: &L::Part, ws: &mut Workspace) -> Tolerance 
 /// `(level, p)`, the work mirror equals `p`, the buckets are empty,
 /// `ws.locked` flags exactly the fixed cells, and nothing is touched.
 ///
-/// Each tentative move is one [`FmCells::virtual_move`] of the mirror.
+/// Each tentative move is one [`Cells::virtual_move`] of the mirror.
 /// The committed prefix is then applied to `p` through the cache, and
 /// the mirror is rewound by one copy of `p`.
 // lint: allow(no-panic) — pass-loop expects: prepare populated the work
 // mirror before any pass, and `choice` is Some only when that bucket had
 // a peek.
-fn fm_pass<L: FmCells>(
+fn fm_pass<L: Cells>(
     level: &L,
     p: &mut L::Part,
     ws: &mut Workspace,

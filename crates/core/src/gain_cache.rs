@@ -29,9 +29,7 @@ use crate::partition::Bisection;
 /// set.
 ///
 /// Invariants, established by [`GainCache::init`] (or
-/// [`GainCache::project`]) and maintained by [`GainCache::record_move`]
-/// (void after [`GainCache::gains_mut`] hands the arena to a caller,
-/// until the next `init`):
+/// [`GainCache::project`]) and maintained by [`GainCache::record_move`]:
 ///
 /// * `gain(v) == p.gain(g, v)` for every vertex — gains are *exact*
 ///   integers, never approximations, so cached and recomputed proposal
@@ -250,15 +248,6 @@ impl GainCache {
     #[inline]
     pub fn gains(&self) -> &[i64] {
         &self.gains
-    }
-
-    /// Mutable access to the gain arena, for passes (KL) that evolve
-    /// *virtual* gains as vertices lock. This transfers the arena to
-    /// the caller: cache invariants (gains, external degrees, boundary)
-    /// are void until the next [`GainCache::init`].
-    #[inline]
-    pub fn gains_mut(&mut self) -> &mut [i64] {
-        &mut self.gains
     }
 
     /// Updates the cache for `v` moving to the other side, in

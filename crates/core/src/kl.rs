@@ -15,6 +15,11 @@
 //! pass limit is hit). One pass never increases the cut, and side sizes
 //! are preserved exactly — swaps are balanced by construction.
 //!
+//! Step 1 copies the gains from the workspace gain cache, and step 3
+//! commits each swap as two cached moves, so the cache stays exact and
+//! the projected-cache entry never rebuilds it; only the public
+//! [`KernighanLin::pass_in`] builds it first.
+//!
 //! Pair selection is the expensive step. Both strategies make
 //! **identical selections** (ties broken the same way), so they produce
 //! identical cut trajectories; they differ only in cost, which the
@@ -32,6 +37,7 @@
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
+use crate::balance::Cells;
 use crate::bisector::Refiner;
 use crate::gain::SortedBuckets;
 use crate::partition::{Bisection, Side};
@@ -111,20 +117,28 @@ impl KernighanLin {
     ///
     /// Every scratch array comes from `ws`: once the workspace has
     /// warmed up to the graph's size, the pass performs no heap
-    /// allocations.
+    /// allocations. The workspace gain cache is rebuilt for `p` on
+    /// entry and left exact for the refined `p`.
     pub fn pass_in(&self, g: &Graph, p: &mut Bisection, ws: &mut Workspace) -> u64 {
+        ws.gain_cache.init(g, p);
+        self.pass(g, p, ws)
+    }
+
+    /// One pass on a workspace gain cache that is exact for `(g, p)`;
+    /// leaves it exact for the refined `p`.
+    fn pass(&self, g: &Graph, p: &mut Bisection, ws: &mut Workspace) -> u64 {
         let n = g.num_vertices();
         let k_max = p.count(Side::A).min(p.count(Side::B));
         if k_max == 0 {
             return 0;
         }
 
-        // Per-vertex gains start from the shared cache arena — the same
-        // O(V + E) initialization FM maintains incrementally — and then
-        // evolve as virtual-swap gains while pairs lock (the cache is
-        // rebuilt by each consumer's next `init`).
-        ws.gain_cache.init(g, p);
-        let gains = ws.gain_cache.gains_mut();
+        // Per-vertex gains start as a copy of the exact cache and then
+        // evolve as virtual-swap gains while pairs lock; the cache
+        // itself sees only the committed swaps.
+        let gains = &mut ws.kl_gains;
+        gains.clear();
+        gains.extend_from_slice(ws.gain_cache.gains());
         ws.locked.clear();
         ws.locked.resize(n, false);
         // Incremental selection keeps per-side candidate buckets in the
@@ -217,7 +231,8 @@ impl KernighanLin {
         }
         let cut_before = p.cut();
         for &(a, b) in &ws.sequence[..=best_idx] {
-            p.swap(g, a, b);
+            g.cached_move(p, &mut ws.gain_cache, a);
+            g.cached_move(p, &mut ws.gain_cache, b);
         }
         debug_assert_eq!(p.cut(), p.recompute_cut(g));
         debug_assert_eq!(cut_before - p.cut(), best_gain as u64);
@@ -300,9 +315,9 @@ impl Refiner for KernighanLin {
     /// is hit). The work count is the number of passes that improved
     /// the cut — the quantity behind Observation 1's "it takes fewer
     /// passes for the algorithms to converge on degree 4 graphs". KL
-    /// draws no randomness, so `rng` is untouched. Each pass rebuilds
-    /// the workspace gain cache and leaves it holding virtual-swap
-    /// gains, so it is rebuilt once more for the result.
+    /// draws no randomness, so `rng` is untouched. Each pass reads its
+    /// starting gains from the workspace gain cache and commits its
+    /// swaps through it, so the cache stays exact pass to pass.
     fn refine_projected_counted(
         &self,
         g: &Graph,
@@ -312,12 +327,11 @@ impl Refiner for KernighanLin {
     ) -> (Bisection, u64) {
         let mut productive = 0;
         for _ in 0..self.max_passes {
-            if self.pass_in(g, &mut init, ws) == 0 {
+            if self.pass(g, &mut init, ws) == 0 {
                 break;
             }
             productive += 1;
         }
-        ws.gain_cache.init(g, &init);
         (init, productive)
     }
 }
@@ -326,6 +340,7 @@ impl Refiner for KernighanLin {
 mod tests {
     use super::*;
     use crate::bisector::Bisector;
+    use crate::gain_cache::GainCache;
     use crate::seed;
     use bisect_gen::special;
     use rand::rngs::StdRng;
@@ -349,6 +364,41 @@ mod tests {
             assert_eq!(before - p.cut(), improvement);
             assert!(p.cut() <= before);
             assert_eq!(p.cut(), p.recompute_cut(&g));
+        }
+    }
+
+    #[test]
+    fn pass_in_rebuilds_a_stale_cache_and_leaves_it_exact() {
+        let g = special::grid(7, 6);
+        let kl = KernighanLin::new();
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let start = seed::random_balanced(&g, &mut rng);
+            let other = seed::random_balanced(&g, &mut rng);
+            let mut fresh = start.clone();
+            let fresh_gain = kl.pass_in(&g, &mut fresh, &mut Workspace::new());
+            // A workspace whose cache describes another bisection.
+            let mut ws = Workspace::new();
+            ws.gain_cache.init(&g, &other);
+            let mut p = start;
+            assert_eq!(kl.pass_in(&g, &mut p, &mut ws), fresh_gain, "seed {seed}");
+            assert_eq!(p, fresh, "seed {seed}");
+            let mut rebuilt = GainCache::default();
+            rebuilt.init(&g, &p);
+            let boundary = |cache: &GainCache| {
+                let mut b = cache.boundary().to_vec();
+                b.sort_unstable();
+                b
+            };
+            for v in g.vertices() {
+                assert_eq!(
+                    ws.gain_cache.gain(v),
+                    rebuilt.gain(v),
+                    "seed {seed}: gain {v}"
+                );
+                assert_eq!(ws.gain_cache.ext(v), rebuilt.ext(v), "seed {seed}: ext {v}");
+            }
+            assert_eq!(boundary(&ws.gain_cache), boundary(&rebuilt), "seed {seed}");
         }
     }
 

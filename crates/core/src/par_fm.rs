@@ -26,15 +26,17 @@
 //! consume the cache they are handed; `refine_counted` builds it once
 //! first.
 //!
-//! Graphs and netlists differ in one step: how a worker updates the
-//! gains of its chunk when it virtually moves a cell against the frozen
-//! snapshot (`ParCells::frozen_move`). A graph walks the neighbours of
-//! the vertex (±2w per edge); a netlist walks the nets of the cell,
-//! shifting their pin counts in the worker's epoch-stamped overlay and
-//! deriving deltas with the serial pass's `gain_term`. Phase 2 is the
-//! one policy difference, kept off for graphs until their golden rows
-//! are re-pinned. Every buffer lives in one workspace arena, so a
-//! warmed-up round allocates nothing.
+//! The round is written over the level's `Cells` and holds no per-kind
+//! code. Graphs and netlists differ in one step: how a worker updates
+//! the gains of its chunk when it virtually moves a cell against the
+//! frozen snapshot (`Cells::frozen_move`, implemented per kind in the
+//! balance layer). A graph walks the neighbours of the vertex (±2w per
+//! edge); a netlist walks the nets of the cell, shifting their pin
+//! counts in the worker's epoch-stamped overlay and deriving deltas
+//! with the serial pass's `gain_term`. Phase 2 is the one policy
+//! difference, kept off for graphs until their golden rows are
+//! re-pinned. Every buffer lives in one workspace arena, so a warmed-up
+//! round allocates nothing.
 //!
 //! # Determinism contract
 //!
@@ -83,15 +85,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use bisect_graph::hypergraph::{NetId, Netlist};
+use bisect_graph::hypergraph::NetId;
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
-use crate::balance::Tolerance;
+use crate::balance::{Cells, Tolerance};
 use crate::bisector::Refiner;
-use crate::fm::{FmCells, Seeds};
-use crate::gain_cache::GainCache;
-use crate::netlist::{gain_term, NetlistBisection, NetlistGainCache};
+use crate::fm::Seeds;
+use crate::netlist::NetlistBisection;
 use crate::partition::Bisection;
 use crate::workspace::Workspace;
 
@@ -199,112 +200,6 @@ pub(crate) struct Rounds {
     pub(crate) pair: bool,
 }
 
-/// What the parallel round needs of a level beyond [`FmCells`].
-/// Everything but [`ParCells::frozen_move`] is bookkeeping; that one
-/// step is where graphs and netlists differ.
-pub(crate) trait ParCells: FmCells<Part: Sync, Cache: Sync> + Sync {
-    /// The position of `c` in the cache's boundary list, if listed.
-    fn boundary_index(cache: &Self::Cache, c: VertexId) -> Option<usize>;
-    /// The workspace's gain cache for this kind of level, split-borrowed
-    /// with the round's arena.
-    fn par_state(ws: &mut Workspace) -> (&mut Self::Cache, &mut ParallelScratch);
-    /// The number of nets a worker's overlay covers: none for graphs.
-    fn overlay_nets(&self) -> usize;
-    /// Virtually moves `c` off its side in `frozen`, given the worker's
-    /// earlier virtual moves in `overlay`, and reports each other cell
-    /// whose gain the move can change to `visit`, with the change for a
-    /// cell on `c`'s side and for one opposite. Cells the worker has not
-    /// moved sit on their `frozen` sides, so the caller picks the change
-    /// only for the cells it keeps.
-    fn frozen_move(
-        &self,
-        frozen: &Self::Part,
-        overlay: &mut NetOverlay,
-        c: VertexId,
-        visit: impl FnMut(VertexId, [i64; 2]),
-    );
-}
-
-impl ParCells for Graph {
-    fn boundary_index(cache: &GainCache, v: VertexId) -> Option<usize> {
-        cache.boundary_index(v)
-    }
-
-    fn par_state(ws: &mut Workspace) -> (&mut GainCache, &mut ParallelScratch) {
-        (&mut ws.gain_cache, &mut ws.pfm)
-    }
-
-    fn overlay_nets(&self) -> usize {
-        0
-    }
-
-    // Inlined into the worker's loop, so the visit closure's captures
-    // stay in registers.
-    #[inline]
-    fn frozen_move(
-        &self,
-        _frozen: &Bisection,
-        _overlay: &mut NetOverlay,
-        v: VertexId,
-        mut visit: impl FnMut(VertexId, [i64; 2]),
-    ) {
-        for (u, w) in self.neighbors_weighted(v) {
-            // v left its snapshot side: for u on that side the edge
-            // became external (+2w), for u opposite it became internal
-            // (−2w).
-            visit(u, [2 * w as i64, -2 * (w as i64)]);
-        }
-    }
-}
-
-impl ParCells for Netlist {
-    fn boundary_index(cache: &NetlistGainCache, c: VertexId) -> Option<usize> {
-        cache.boundary_index(c)
-    }
-
-    fn par_state(ws: &mut Workspace) -> (&mut NetlistGainCache, &mut ParallelScratch) {
-        (&mut ws.netlist_cache, &mut ws.pfm)
-    }
-
-    fn overlay_nets(&self) -> usize {
-        self.num_nets()
-    }
-
-    /// Each cell moves at most once per chunk, so the pre-move pin
-    /// counts of every net of `c` are the frozen counts plus the
-    /// overlay; the walk shifts them in the overlay and derives the
-    /// per-pin deltas once per side, with the [`gain_term`] algebra of
-    /// the serial pass.
-    #[inline]
-    fn frozen_move(
-        &self,
-        frozen: &NetlistBisection,
-        overlay: &mut NetOverlay,
-        c: VertexId,
-        mut visit: impl FnMut(VertexId, [i64; 2]),
-    ) {
-        let s = frozen.side(c).index();
-        for &net in self.nets_of(c) {
-            let mut counts = overlay.get(net, frozen);
-            let (my, other) = (counts[s], counts[1 - s]);
-            let w = self.net_weight(net) as i64;
-            counts[s] -= 1;
-            counts[1 - s] += 1;
-            overlay.set(net, counts);
-            let ds = gain_term(my - 1, other + 1, w) - gain_term(my, other, w);
-            let dt = gain_term(other + 1, my - 1, w) - gain_term(other, my, w);
-            if ds == 0 && dt == 0 {
-                continue;
-            }
-            for &q in self.pins(net) {
-                if q != c {
-                    visit(q, [ds, dt]);
-                }
-            }
-        }
-    }
-}
-
 /// The round's workspace arena, shared by graphs and netlists: one
 /// [`ChunkScratch`] per worker plus the serial merge and resolve
 /// buffers, all reused round to round and call to call.
@@ -363,7 +258,7 @@ impl NetOverlay {
 
     /// The virtual pin counts of `net`.
     #[inline]
-    fn get(&self, net: NetId, frozen: &NetlistBisection) -> [u32; 2] {
+    pub(crate) fn get(&self, net: NetId, frozen: &NetlistBisection) -> [u32; 2] {
         let n = net as usize;
         if self.stamp[n] == self.epoch {
             self.counts[n]
@@ -373,7 +268,7 @@ impl NetOverlay {
     }
 
     #[inline]
-    fn set(&mut self, net: NetId, counts: [u32; 2]) {
+    pub(crate) fn set(&mut self, net: NetId, counts: [u32; 2]) {
         let n = net as usize;
         self.counts[n] = counts;
         self.stamp[n] = self.epoch;
@@ -387,7 +282,7 @@ impl NetOverlay {
 /// that cannot move" in the module docs). Cells flagged in `fixed`
 /// never move. Adds every gain evaluation to the workspace's proposal
 /// count and returns the number of productive rounds.
-pub(crate) fn run_rounds<L: ParCells>(
+pub(crate) fn run_rounds<L: Cells>(
     level: &L,
     fixed: &[bool],
     p: &mut L::Part,
@@ -417,7 +312,7 @@ pub(crate) fn run_rounds<L: ParCells>(
 /// One propose/resolve round of a refiner running `plan`. Returns
 /// `(cut improvement, gain evaluations)`; an improvement of zero means
 /// the round applied nothing and the refiner is done.
-pub(crate) fn round<L: ParCells>(
+pub(crate) fn round<L: Cells>(
     level: &L,
     fixed: &[bool],
     p: &mut L::Part,
@@ -445,7 +340,7 @@ pub(crate) fn round<L: ParCells>(
 /// against the snapshot `p` and merges their proposals into
 /// `scratch.all` in resolve order. Returns the workers' gain
 /// evaluations, or `None` when there is nothing to chunk.
-fn propose_all<L: ParCells>(
+fn propose_all<L: Cells>(
     level: &L,
     fixed: &[bool],
     p: &L::Part,
@@ -489,13 +384,13 @@ fn propose_all<L: ParCells>(
 /// Greedy positive-gain sweep over the chunk positions `range` against
 /// the frozen bisection, with starting gains served straight from the
 /// exact cache. In-chunk gains are maintained as the worker's own
-/// virtual moves land ([`ParCells::frozen_move`], lazy-deletion
+/// virtual moves land ([`Cells::frozen_move`], lazy-deletion
 /// max-heap keyed by `(gain, Reverse(cell))`); out-of-chunk cells stay
 /// frozen at their snapshot sides. Fixed cells never move and never
 /// receive delta updates; every other cell moves at most once. Leaves
 /// the moves in `out.proposals` and the gain evaluations — one per
 /// starting gain and one per delta update — in `out.evals`.
-fn propose<L: ParCells>(
+fn propose<L: Cells>(
     level: &L,
     frozen: &L::Part,
     cache: &L::Cache,
@@ -594,7 +489,7 @@ fn propose<L: ParCells>(
 /// a resolve without pairing does, so pairing never ends a round above
 /// the cut it reaches without. Each cell moves at most once; the cost
 /// stays O(proposals). Returns `(cut improvement, gain evaluations)`.
-fn resolve<L: ParCells>(
+fn resolve<L: Cells>(
     level: &L,
     p: &mut L::Part,
     cache: &mut L::Cache,
@@ -686,7 +581,7 @@ impl ResolveScratch {
 
     /// Moves `c` through the cache and keeps the prefix if it ends
     /// within `base` at a new best cut.
-    pub(crate) fn apply<L: FmCells>(
+    pub(crate) fn apply<L: Cells>(
         &mut self,
         level: &L,
         p: &mut L::Part,
@@ -705,7 +600,7 @@ impl ResolveScratch {
 
     /// Rolls back to the best balanced prefix (possibly empty). Each
     /// cell moved at most once, so moving it back restores its side.
-    pub(crate) fn rollback<L: FmCells>(&self, level: &L, p: &mut L::Part, cache: &mut L::Cache) {
+    pub(crate) fn rollback<L: Cells>(&self, level: &L, p: &mut L::Part, cache: &mut L::Cache) {
         for &c in self.applied[self.best_len..].iter().rev() {
             level.cached_move(p, cache, c);
         }
@@ -728,7 +623,7 @@ impl ParallelScratch {
 /// [`round`] with `resolve` in place of the shared resolve, so tests
 /// can hold the shared one to an independent oracle.
 #[cfg(test)]
-pub(crate) fn round_resolved_by<L: ParCells>(
+pub(crate) fn round_resolved_by<L: Cells>(
     level: &L,
     fixed: &[bool],
     p: &mut L::Part,
@@ -757,6 +652,7 @@ mod tests {
     use crate::partition::Side;
     use crate::seed;
     use bisect_gen::special;
+    use bisect_graph::hypergraph::Netlist;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1064,7 +960,7 @@ mod tests {
     }
 
     /// The sides and cut of `p`, for comparing bisections of either kind.
-    fn part_state<L: ParCells>(level: &L, p: &L::Part) -> (Vec<Side>, u64) {
+    fn part_state<L: Cells>(level: &L, p: &L::Part) -> (Vec<Side>, u64) {
         let sides = (0..level.num_cells() as VertexId)
             .map(|c| L::side(p, c))
             .collect();
@@ -1072,7 +968,7 @@ mod tests {
     }
 
     /// Every cached gain and the boundary list, in order.
-    fn cache_state<L: ParCells>(level: &L, ws: &mut Workspace) -> (Vec<i64>, Vec<VertexId>) {
+    fn cache_state<L: Cells>(level: &L, ws: &mut Workspace) -> (Vec<i64>, Vec<VertexId>) {
         let (cache, _) = L::par_state(ws);
         let gains = (0..level.num_cells() as VertexId)
             .map(|c| L::cached_gain(cache, c))
@@ -1085,7 +981,7 @@ mod tests {
     /// for every plan, that the unguarded round moves nothing and leaves
     /// the gain cache as a fresh init builds it, and that `run_rounds`
     /// skips it. Returns the evaluations the skipped rounds would spend.
-    fn assert_rounds_past_the_bound_are_idle<L: ParCells>(
+    fn assert_rounds_past_the_bound_are_idle<L: Cells>(
         level: &L,
         fixed: &[bool],
         seed: u64,
@@ -1182,7 +1078,7 @@ mod tests {
 
     /// Runs a round and `run_rounds` on `level` from `sides`, which sit
     /// exactly `2 · pass` apart, and checks both reach cut 0 balanced.
-    fn assert_round_from_the_bound_improves<L: ParCells>(level: &L, sides: &[bool]) {
+    fn assert_round_from_the_bound_improves<L: Cells>(level: &L, sides: &[bool]) {
         let tol = Tolerance::of(level);
         let start = level.part(sides.to_vec());
         let [a, b] = L::side_weights(&start);

@@ -39,6 +39,9 @@ pub struct Workspace {
     pub(crate) gain_cache: GainCache,
     /// Per-vertex locked flags (KL and FM passes).
     pub(crate) locked: Vec<bool>,
+    /// Virtual-swap gains of the current KL pass, copied from the gain
+    /// cache at its start.
+    pub(crate) kl_gains: Vec<i64>,
     /// Per-side ordered candidate buckets (KL incremental selection).
     pub(crate) kl_sides: [SortedBuckets; 2],
     /// Pair sequence of the current KL pass.

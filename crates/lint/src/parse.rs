@@ -185,9 +185,12 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
     let mut out = ParsedFile::default();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut depth = 0usize;
-    // `fn` items whose signature has started but whose body `{` has
-    // not yet been seen: (fn index, brace depth of the enclosing scope).
-    let mut pending_fn: Option<usize> = None;
+    // The `fn` item whose signature has started but whose body `{` has
+    // not yet been seen, with the bracket nesting at its `fn`.
+    let mut pending_fn: Option<(usize, usize)> = None;
+    // Open `(` and `[` brackets: a `;` inside them (`[i64; 2]` in a
+    // parameter type) does not end a signature.
+    let mut nest = 0usize;
     let mut pending_mod: Option<String> = None;
     let mut pending_impl: Option<(Option<String>, Vec<String>)> = None;
 
@@ -199,10 +202,17 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
             continue;
         }
         let text = file.tok(i);
+        if t.kind == TokenKind::Punct {
+            match text {
+                "(" | "[" => nest += 1,
+                ")" | "]" => nest = nest.saturating_sub(1),
+                _ => {}
+            }
+        }
         match (t.kind, text) {
             (TokenKind::Punct, "{") => {
                 depth += 1;
-                let kind = if let Some(fn_idx) = pending_fn.take() {
+                let kind = if let Some((fn_idx, _)) = pending_fn.take() {
                     ScopeKind::Fn { fn_idx }
                 } else if let Some(name) = pending_mod.take() {
                     ScopeKind::Module(name)
@@ -228,8 +238,11 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
             (TokenKind::Punct, ";") => {
                 // `fn f(…);` (trait method declaration) or `mod m;`:
                 // the pending item has no body in this file.
-                if let Some(fn_idx) = pending_fn.take() {
-                    out.fns[fn_idx].line_range.1 = t.line;
+                if let Some((fn_idx, at)) = pending_fn {
+                    if at == nest {
+                        out.fns[fn_idx].line_range.1 = t.line;
+                        pending_fn = None;
+                    }
                 }
                 pending_mod = None;
             }
@@ -311,7 +324,7 @@ pub fn parse(file: &SourceFile) -> ParsedFile {
                             calls: Vec::new(),
                             effects: Vec::new(),
                         });
-                        pending_fn = Some(fn_idx);
+                        pending_fn = Some((fn_idx, nest));
                         i = n + 1;
                         continue;
                     }
@@ -778,6 +791,30 @@ mod inner {
         assert_eq!(fn_named(&p, "method").self_type.as_deref(), Some("Foo"));
         assert_eq!(fn_named(&p, "clone").self_type.as_deref(), Some("Foo"));
         assert_eq!(fn_named(&p, "nested").module, vec!["inner"]);
+    }
+
+    #[test]
+    fn an_array_type_in_a_signature_does_not_end_it() {
+        let src = r#"
+trait T {
+    fn declared(&self, visit: impl FnMut([i64; 2]));
+}
+impl T for S {
+    fn declared(&self, mut visit: impl FnMut([i64; 2])) {
+        visit([0; 2]);
+        helper();
+    }
+}
+"#;
+        let p = parsed(src);
+        let body = p
+            .fns
+            .iter()
+            .find(|f| f.self_type.as_deref() == Some("S"))
+            .expect("the impl fn");
+        let targets: Vec<_> = body.calls.iter().map(|c| &c.target).collect();
+        assert!(targets.contains(&&CallTarget::Free("helper".into())));
+        assert_eq!(body.line_range, (6, 9));
     }
 
     #[test]
