@@ -339,16 +339,18 @@ mod tests {
 
     /// The `"parallel"` rows of `tests/pipeline_equivalence.rs`'s
     /// netlist pins as the single-sweep resolve left them: `(cells,
-    /// fixed cells, cut, work, side fingerprint)`.
+    /// fixed cells, cut, work, side fingerprint)`. The rows with fixed
+    /// cells on 3, 600 and 5,000 cells were re-pinned, from this oracle,
+    /// when the fixed cells became the netlist's last two.
     const SINGLE_SWEEP_PINS: &[(usize, usize, u64, u64, u64)] = &[
         (2, 0, 3, 0, 0x82f2407b4e8902a),
         (2, 2, 3, 0, 0x82f2407b4e8902a),
         (3, 0, 3, 0, 0xd0aa6418672cf911),
-        (3, 2, 4, 0, 0xd0a6fb18672a10cf),
+        (3, 2, 3, 1, 0xea9ca41875dc4d4a),
         (600, 0, 76, 5, 0x9091ad15d4844e5),
-        (600, 2, 24, 7, 0x35e8780274b87b5d),
+        (600, 2, 54, 6, 0x6b38a943019951ad),
         (5000, 0, 237, 24, 0xbaca1d8e78b6c469),
-        (5000, 2, 243, 22, 0x55293d8bc331f4d),
+        (5000, 2, 232, 22, 0x56b68a35eb72ac9b),
     ];
 
     #[test]
@@ -371,7 +373,7 @@ mod tests {
                 &params,
             );
             let last = (cells - 1) as VertexId;
-            for fixed in [&[][..], &[(0, Side::A), (last, Side::B)][..]] {
+            for fixed in [&[][..], &[(last - 1, Side::A), (last, Side::B)][..]] {
                 let mut rng = StdRng::seed_from_u64(cells as u64);
                 let (b, work) =
                     pipeline.bisect_fixed_counted(&nl, fixed, &mut rng, &mut Workspace::new());

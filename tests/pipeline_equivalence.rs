@@ -6,6 +6,17 @@
 //! keep the best-of-starts protocol bit-identical at every thread
 //! count on random `Gbreg`/`Gnp` instances, so nothing can drift
 //! silently.
+//!
+//! Every pin that fixes netlist cells fixes the netlist's *last* cells,
+//! as recursive placement does with its two anchors. The rows that fix
+//! cells were re-pinned when fixed cells became the netlist's trailing
+//! cells, and only those: the fixed `NETLIST_PINS` rows on 3, 600 and
+//! 5,000 cells now fix the last two cells instead of the first and the
+//! last, the three netlist start pins with fixed cells fix the last two
+//! or three, and the fixed rows of the weighted rebalance, NetFM and
+//! PNetFM pins fix the last `k` cells, `k` being the count of the same
+//! 10% draws that once flagged scattered cells. Every random draw and
+//! every row without fixed cells kept its value.
 
 use bisect_bench::profile::Profile;
 use bisect_bench::runner::run_best_of_sides;
@@ -357,26 +368,26 @@ const NETLIST_PINS: &[NetlistPin] = &[
     ("compacted", 3, 0, 3, 0, 0xea9ca41875dc4d4a),
     ("multilevel", 3, 0, 3, 0, 0xd0aa6418672cf911),
     ("parallel", 3, 0, 3, 0, 0xd0aa6418672cf911),
-    ("flat", 3, 2, 4, 0, 0xd0a6fb18672a10cf),
-    ("compacted", 3, 2, 4, 0, 0xd0a6fb18672a10cf),
-    ("multilevel", 3, 2, 4, 0, 0xd0a6fb18672a10cf),
-    ("parallel", 3, 2, 4, 0, 0xd0a6fb18672a10cf),
+    ("flat", 3, 2, 3, 1, 0xea9ca41875dc4d4a),
+    ("compacted", 3, 2, 3, 1, 0xea9ca41875dc4d4a),
+    ("multilevel", 3, 2, 3, 1, 0xea9ca41875dc4d4a),
+    ("parallel", 3, 2, 3, 1, 0xea9ca41875dc4d4a),
     ("flat", 600, 0, 50, 5, 0x1b5db8e97956196b),
     ("compacted", 600, 0, 21, 4, 0x4d7755ab277daa23),
     ("multilevel", 600, 0, 22, 3, 0x759329a489edfedb),
     ("parallel", 600, 0, 75, 5, 0x8d4961d7a629f5bf),
-    ("flat", 600, 2, 20, 6, 0x67e8250df2c569d),
-    ("compacted", 600, 2, 22, 4, 0x7c26487b86c5923),
-    ("multilevel", 600, 2, 21, 7, 0xda0ff9512b38754b),
-    ("parallel", 600, 2, 24, 6, 0x35e8780274b87b5d),
+    ("flat", 600, 2, 23, 4, 0xe818c182ff5a280d),
+    ("compacted", 600, 2, 21, 2, 0x109b627bd14eda9),
+    ("multilevel", 600, 2, 21, 8, 0x9f5bb10dbc2b37bd),
+    ("parallel", 600, 2, 52, 5, 0xd23ea33aaccecc05),
     ("flat", 5000, 0, 656, 4, 0x544760b15f9e7a6d),
     ("compacted", 5000, 0, 227, 11, 0x33a00e5ec7e6cf91),
     ("multilevel", 5000, 0, 220, 11, 0xdc84c8d2d45c1815),
     ("parallel", 5000, 0, 236, 12, 0x3805437235c12545),
-    ("flat", 5000, 2, 405, 6, 0xbb41ae076022067),
-    ("compacted", 5000, 2, 222, 7, 0x222a62ff9ec92a9b),
-    ("multilevel", 5000, 2, 232, 12, 0x79127687321f3507),
-    ("parallel", 5000, 2, 246, 12, 0xecb6fcef5b203557),
+    ("flat", 5000, 2, 226, 10, 0x911cc45fa0d5043d),
+    ("compacted", 5000, 2, 219, 9, 0xc3cc1b7b445f059b),
+    ("multilevel", 5000, 2, 220, 12, 0xd40410abc1428c1d),
+    ("parallel", 5000, 2, 242, 12, 0x47aa99a454fe788d),
 ];
 
 #[test]
@@ -399,7 +410,7 @@ fn golden_netlist_pipelines_on_rent_netlists() {
     for cells in [2usize, 3, 600, 5_000] {
         let nl = rent_netlist(cells, 0x4E7 + cells as u64);
         let last = (cells - 1) as VertexId;
-        for fixed in [&[][..], &[(0, Side::A), (last, Side::B)][..]] {
+        for fixed in [&[][..], &[(last - 1, Side::A), (last, Side::B)][..]] {
             for (name, p) in &pipelines {
                 let mut rng = StdRng::seed_from_u64(cells as u64);
                 let (b, work) = p.bisect_fixed_counted(&nl, fixed, &mut rng, &mut Workspace::new());
@@ -518,7 +529,7 @@ fn netlist_start_pin(
 #[test]
 fn golden_flat_netlist_start_with_and_without_fixed_cells() {
     let nl = rent_netlist(300, 0x5747);
-    let fixed = [(0, Side::A), (299, Side::B)];
+    let fixed = [(298, Side::A), (299, Side::B)];
     let p = NetlistPipeline::flat_fm();
     let actual = [
         netlist_start_pin(&p, &nl, &[], 7),
@@ -526,7 +537,7 @@ fn golden_flat_netlist_start_with_and_without_fixed_cells() {
     ];
     assert_eq!(
         actual,
-        [(38, 4, 0x24ba83190276b587), (15, 5, 0xac1ecb05fc8cb311)],
+        [(38, 4, 0x24ba83190276b587), (15, 3, 0x11d67991d45b9399)],
         "{actual:?}"
     );
 }
@@ -537,7 +548,7 @@ fn golden_compacted_start_on_a_netless_netlist() {
     // takes the §V fallback to the plain heuristic; with them it keeps
     // the fixed-aware weight-balanced start.
     let nl = bisect_graph::hypergraph::NetlistBuilder::new(8).build();
-    let fixed = [(1, Side::B), (6, Side::A)];
+    let fixed = [(6, Side::B), (7, Side::A)];
     let p = NetlistPipeline::compacted_fm();
     let actual = [
         netlist_start_pin(&p, &nl, &[], 3),
@@ -545,7 +556,7 @@ fn golden_compacted_start_on_a_netless_netlist() {
     ];
     assert_eq!(
         actual,
-        [(0, 0, 0xbf7bb3530de7b57), (0, 0, 0x7bc204bd5d0057ad)],
+        [(0, 0, 0xbf7bb3530de7b57), (0, 0, 0x5a9ad412732a8b3f)],
         "{actual:?}"
     );
 }
@@ -553,13 +564,13 @@ fn golden_compacted_start_on_a_netless_netlist() {
 #[test]
 fn golden_parallel_matching_netlist_ladder_with_fixed_cells() {
     let nl = rent_netlist(600, 0x6006);
-    let fixed = [(0, Side::A), (300, Side::B), (599, Side::B)];
+    let fixed = [(597, Side::A), (598, Side::B), (599, Side::B)];
     let p = NetlistPipeline::multilevel_fm_to(6)
         .expect("6 >= 2")
         .with_coarsener(ParallelCellMatching::new().with_threads(2))
         .with_coarsest(NetlistFm::new());
     let actual = netlist_start_pin(&p, &nl, &fixed, 11);
-    assert_eq!(actual, (25, 3, 0xdd0f1e06953de11d), "{actual:?}");
+    assert_eq!(actual, (25, 6, 0xdd0f1e06953de11d), "{actual:?}");
 }
 
 #[test]
@@ -619,6 +630,13 @@ fn weighted_rent(cells: usize, max_weight: u64, seed: u64) -> Netlist {
             .expect("pins in range");
     }
     b.build()
+}
+
+/// Fixed-cell flags for the last `k` of `cells` cells, with `k` the
+/// number of hits in `cells` draws of a 10% coin.
+fn trailing(cells: usize, rng: &mut StdRng) -> Vec<bool> {
+    let k = (0..cells).filter(|_| rng.gen_bool(0.1)).count();
+    (0..cells).map(|c| c >= cells - k).collect()
 }
 
 /// A start far out of balance: each cell lands on side B with
@@ -739,7 +757,7 @@ fn golden_netlist_rebalances_from_lopsided_starts() {
         for lean in [0.7, 0.1] {
             let start = NetlistBisection::from_sides(&nl, lopsided(cells, lean, &mut rng)).unwrap();
             assert!(!start.is_balanced(&nl), "case {i}");
-            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_bool(0.1)).collect();
+            let fixed = trailing(cells, &mut rng);
             for fixed in [&[][..], &fixed[..]] {
                 let mut plain = start.clone();
                 rebalance_fixed(&nl, &mut plain, fixed);
@@ -774,25 +792,25 @@ fn golden_netlist_rebalances_from_lopsided_starts() {
         actual,
         [
             (99, 43, 0x322cba2541c57a25),
-            (108, 43, 0x4a57dac45c6650e3),
+            (99, 43, 0xbf4c8c7ff4af81e5),
             (34, 87, 0x8825798a66166331),
-            (68, 87, 0x6a71742f019304c9),
+            (34, 87, 0x8825798a66166331),
             (145, 66, 0x52918f52951fd6e9),
-            (158, 66, 0x5ff09670d3c3e837),
+            (151, 66, 0x194a898b21717c79),
             (83, 121, 0x669167552054fc06),
-            (131, 121, 0x7e7ca0972d3e0508),
+            (82, 121, 0xc0e501fb95252c4),
             (254, 69, 0x83a656506ac0f377),
-            (265, 66, 0x899dc68f9943a828),
+            (254, 69, 0x83a656506ac0f377),
             (75, 164, 0x79cfa59b8e6ccd98),
-            (142, 170, 0xaa223e71f0022d5a),
+            (73, 165, 0x3e1ad379ed636c9),
             (26, 16, 0x521c9b5520c28749),
-            (29, 15, 0x120592c44249cabe),
+            (28, 16, 0x46e8cce9b4ae984d),
             (15, 26, 0xbd0213a394e6734e),
-            (16, 25, 0x68f3ffc6ab631561),
+            (15, 25, 0x4e14b90d0312f717),
             (28, 35, 0x965929665b419802),
-            (35, 34, 0x4e509b846bcfd477),
+            (33, 31, 0x83bb50734eff2dc4),
             (27, 43, 0xd1fbcf79809d6d52),
-            (34, 43, 0x1c1403d3696a1fc0),
+            (28, 42, 0xe8989bffe2f0bfc5),
         ],
         "{actual:#x?}"
     );
@@ -951,7 +969,7 @@ fn golden_netlist_fm_on_weighted_rent_netlists() {
         for seed in 1..=3u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let init = weight_balanced_random(&nl, &mut rng);
-            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_bool(0.1)).collect();
+            let fixed = trailing(cells, &mut rng);
             for fixed in [&[][..], &fixed[..]] {
                 let (p, passes) = NetlistFm::new().refine_counted(
                     &nl,
@@ -973,17 +991,17 @@ fn golden_netlist_fm_on_weighted_rent_netlists() {
         actual,
         [
             (32, 4, 0x5b3e7d8951ae034e),
-            (133, 3, 0xcb357ce1cc92eec5),
+            (71, 6, 0x51382e4b54920b59),
             (25, 6, 0x31d50a0571e66d93),
-            (119, 3, 0x47811f6ada274c2b),
+            (76, 2, 0x775e382c9410c21),
             (26, 4, 0x1d06e635f816eba1),
-            (114, 4, 0x282adc306b01933),
+            (122, 3, 0xf1e1bbd994d73fd5),
             (23, 3, 0x2600a7a86fcb22b1),
-            (95, 2, 0x4a5eac7aaaf049cd),
+            (44, 4, 0x485b0a527823f080),
             (18, 5, 0xf88048f120d994b9),
-            (66, 3, 0x6f8026367dc88045),
+            (44, 3, 0x249cbf820a2c06ff),
             (25, 3, 0x54a80ef1fa1b4351),
-            (69, 2, 0xe8dfbcac1e04a64c),
+            (52, 3, 0xc491be5bf6ceb0d3),
         ],
         "{actual:#x?}"
     );
@@ -1074,7 +1092,7 @@ fn golden_parallel_fm_refiners_on_weighted_levels() {
             for seed in 1..=3u64 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let init = weight_balanced_random(&nl, &mut rng);
-                let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_bool(0.1)).collect();
+                let fixed = trailing(cells, &mut rng);
                 for fixed in [&[][..], &fixed[..]] {
                     let at = format!("{cells} cells threads {threads} seed {seed}");
                     ws.take_proposals();
@@ -1169,39 +1187,39 @@ const PARALLEL_PINS: &[ParallelPin] = &[
     (851, 4, 0xc092bda829748fc1, None),
     (851, 4, 0xc092bda829748fc1, Some(1538)),
     (368, 2, 0xbc2ac36501ca448, Some(4202)),
-    (318, 4, 0x611c6be555fa0001, Some(5475)),
+    (334, 3, 0xa30a27b780e9da17, Some(4920)),
     (243, 5, 0x4783603ba83e4dd3, Some(5125)),
-    (265, 4, 0xdc110e0c49192b04, Some(4141)),
+    (296, 6, 0x91ff74dff243d012, Some(5997)),
     (153, 5, 0xf74fbd66facc65ac, Some(4106)),
-    (286, 3, 0x55d43c8294c4265d, Some(3321)),
+    (261, 5, 0x1cb266f530638003, Some(4955)),
     (328, 4, 0xd66a79045b77d9cb, Some(6016)),
-    (301, 4, 0x7ba3ab162f408451, Some(5019)),
+    (315, 3, 0x476b3d1e06074fc0, Some(4642)),
     (260, 4, 0x14c4f8f9f7a4cee7, Some(4147)),
-    (294, 4, 0x17f5feb4512b21a8, Some(4219)),
+    (297, 5, 0x9b3d57689441d183, Some(4911)),
     (187, 6, 0xd9f49d236b0338e3, Some(4213)),
-    (287, 3, 0x21143f61f7db4a74, Some(3169)),
+    (221, 5, 0xeab90f93e6101326, Some(4081)),
     (317, 4, 0x612683588f3a696f, Some(5541)),
-    (298, 4, 0x96a6ca3e7cebb292, Some(4726)),
+    (304, 4, 0x950e158e1d432809, Some(5008)),
     (169, 6, 0xcbe6c8139410c13f, Some(4106)),
-    (218, 6, 0xba31f3eba095bd53, Some(4206)),
+    (205, 6, 0x4155cb5bfcb1ad22, Some(4213)),
     (175, 6, 0xc00160ddf7a9728a, Some(4017)),
-    (258, 4, 0xb72b77621fe89a9a, Some(3531)),
+    (205, 7, 0x7305f33b6c07d8b1, Some(5042)),
     (140, 2, 0x3d616ec3e2b4ce5c, Some(2079)),
-    (134, 4, 0x1640ec658fb66e3c, Some(2214)),
+    (135, 4, 0x556cc19bd53baa59, Some(2697)),
     (174, 1, 0xbee672bf987edc93, Some(1449)),
-    (183, 1, 0xa16651f3ed4a54a8, Some(1335)),
+    (181, 1, 0xae120fd8b5bc2a29, Some(1411)),
     (85, 3, 0x19d0a4610e8b44d7, Some(1776)),
-    (116, 3, 0x75ae8ad48608fb9a, Some(1631)),
+    (98, 3, 0xb23451e4ed9d5f94, Some(1750)),
     (136, 2, 0x7765c684d3dcd3d7, Some(1901)),
-    (133, 4, 0x1e4b0745c35d1f93, Some(2171)),
+    (143, 3, 0x844db2e34f98ed63, Some(2210)),
     (167, 2, 0x9d6a322225b1f008, Some(1902)),
-    (183, 1, 0xa16651f3ed4a54a8, Some(1288)),
+    (181, 1, 0xae120fd8b5bc2a29, Some(1366)),
     (85, 3, 0xdb1326d7b2912f04, Some(1713)),
-    (120, 2, 0x1e778bf1a76c2b62, Some(1251)),
+    (94, 3, 0x5ca6759611c7b3d, Some(1652)),
     (135, 2, 0x5d712e15955157d9, Some(1874)),
-    (139, 4, 0xf4ebf5a7897f9801, Some(2102)),
+    (139, 4, 0x67158fc569bfd531, Some(2412)),
     (167, 1, 0x24a986d30d16a048, Some(1364)),
-    (177, 1, 0x9c3846eda957e4e6, Some(1255)),
+    (171, 1, 0xe9edc3db8aa57172, Some(1330)),
     (87, 3, 0x37bcbaf253488480, Some(1660)),
-    (114, 3, 0x160f49dfc9c5863e, Some(1522)),
+    (95, 3, 0xe045f41ff0a22b6, Some(1582)),
 ];
