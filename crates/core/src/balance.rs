@@ -28,8 +28,9 @@ pub(crate) type RebalanceHeap = BinaryHeap<(i64, Reverse<VertexId>)>;
 
 /// A level's weighted cells, bisection and gain cache: [`Graph`] with
 /// [`Bisection`] and [`GainCache`], or [`Netlist`] with
-/// [`NetlistBisection`] and [`NetlistGainCache`]. Cells flagged in a
-/// `fixed: &[bool]` never move; missing flags count as free.
+/// [`NetlistBisection`] and [`NetlistGainCache`]. A `fixed: &[Side]`
+/// pins the level's last `fixed.len()` cells, cell `n − k + i` on side
+/// `fixed[i]`: they never move (empty: none).
 ///
 /// Beyond the balance rules it serves [`crate::fm`]'s pass and
 /// [`crate::par_fm`]'s round: all but [`Cells::virtual_move`] and
@@ -190,27 +191,29 @@ pub(crate) fn count_balanced<L: Cells, R: Rng + ?Sized>(level: &L, rng: &mut R) 
     level.part(side)
 }
 
-/// A random weight-balanced bisection: each `(cell, side)` of `fixed`
-/// is placed first (duplicates count once), then the other cells, in
-/// random order, each join the currently lighter side.
+/// The number of cells of `level` that may move when the last
+/// `fixed.len()` are fixed: cell `c` is fixed when `c >= mobile`.
+pub(crate) fn mobile<L: Cells>(level: &L, fixed: &[Side]) -> VertexId {
+    level.num_cells().saturating_sub(fixed.len()) as VertexId
+}
+
+/// A random weight-balanced bisection: the fixed cells are placed on
+/// their sides first, then the other cells, in random order, each join
+/// the currently lighter side.
 pub(crate) fn weight_balanced<L: Cells, R: Rng + ?Sized>(
     level: &L,
-    fixed: &[(VertexId, Side)],
+    fixed: &[Side],
     rng: &mut R,
 ) -> L::Part {
     let n = level.num_cells();
+    let mobile = mobile(level, fixed);
     let mut side = vec![false; n];
-    let mut pinned = vec![false; n];
     let mut weights = [0 as VertexWeight; 2];
-    for &(c, s) in fixed {
-        if !std::mem::replace(&mut pinned[c as usize], true) {
-            side[c as usize] = s == Side::B;
-            weights[s.index()] += level.cell_weight(c);
-        }
+    for (c, &s) in (mobile..n as VertexId).zip(fixed) {
+        side[c as usize] = s == Side::B;
+        weights[s.index()] += level.cell_weight(c);
     }
-    let mut free: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&c| !pinned[c as usize])
-        .collect();
+    let mut free: Vec<VertexId> = (0..mobile).collect();
     free.shuffle(rng);
     for &c in &free {
         let target = usize::from(weights[1] < weights[0]);
@@ -221,18 +224,17 @@ pub(crate) fn weight_balanced<L: Cells, R: Rng + ?Sized>(
 }
 
 /// Whether `c` may move off the `heavy` side to shrink `imbalance`: it
-/// is free, on that side, and lighter than the imbalance.
+/// is free (below `mobile`), on that side, and lighter than the
+/// imbalance.
 fn eligible<L: Cells>(
     level: &L,
     p: &L::Part,
-    fixed: &[bool],
+    mobile: VertexId,
     c: VertexId,
     imbalance: VertexWeight,
     heavy: Side,
 ) -> bool {
-    L::side(p, c) == heavy
-        && !fixed.get(c as usize).copied().unwrap_or(false)
-        && level.cell_weight(c) < imbalance
+    c < mobile && L::side(p, c) == heavy && level.cell_weight(c) < imbalance
 }
 
 /// Moves minimum-damage cells off the heavier side until `p` is
@@ -241,15 +243,16 @@ fn eligible<L: Cells>(
 /// cells can leave no cell eligible: weights are at least 1, so past
 /// the tolerance every cell is lighter than the imbalance (weighted
 /// levels) or the imbalance is at least 2 (unit weights).
-pub(crate) fn rebalance<L: Cells>(level: &L, p: &mut L::Part, fixed: &[bool]) {
+pub(crate) fn rebalance<L: Cells>(level: &L, p: &mut L::Part, fixed: &[Side]) {
     let tolerance = Tolerance::of(level).base;
+    let mobile = mobile(level, fixed);
     loop {
         let (imbalance, heavy) = heavy_side::<L>(p);
         if imbalance <= tolerance {
             break;
         }
-        let pick = (0..level.num_cells() as VertexId)
-            .filter(|&c| eligible(level, p, fixed, c, imbalance, heavy))
+        let pick = (0..mobile)
+            .filter(|&c| eligible(level, p, mobile, c, imbalance, heavy))
             .max_by_key(|&c| (level.gain(p, c), Reverse(c)));
         let Some(c) = pick else {
             break;
@@ -268,11 +271,12 @@ pub(crate) fn rebalance<L: Cells>(level: &L, p: &mut L::Part, fixed: &[bool]) {
 pub(crate) fn rebalance_with_cache<L: Cells>(
     level: &L,
     p: &mut L::Part,
-    fixed: &[bool],
+    fixed: &[Side],
     cache: &mut L::Cache,
     mut on_move: impl FnMut(VertexId),
 ) {
     let tolerance = Tolerance::of(level).base;
+    let mobile = mobile(level, fixed);
     let mut heap = std::mem::take(L::heap(cache));
     // Invariant: every eligible cell of the `built_for` side has an
     // entry carrying its current cached gain. Entries go stale when the
@@ -290,15 +294,15 @@ pub(crate) fn rebalance_with_cache<L: Cells>(
             // lands balanced: the tolerance is the largest weight).
             heap.clear();
             heap.extend(
-                (0..level.num_cells() as VertexId)
-                    .filter(|&c| eligible(level, p, fixed, c, imbalance, heavy))
+                (0..mobile)
+                    .filter(|&c| eligible(level, p, mobile, c, imbalance, heavy))
                     .map(|c| (L::cached_gain(cache, c), Reverse(c))),
             );
             built_for = Some(heavy);
         }
         let mut pick = None;
         while let Some((gain, Reverse(c))) = heap.pop() {
-            if gain == L::cached_gain(cache, c) && eligible(level, p, fixed, c, imbalance, heavy) {
+            if gain == L::cached_gain(cache, c) && eligible(level, p, mobile, c, imbalance, heavy) {
                 pick = Some(c);
                 break;
             }
@@ -310,7 +314,7 @@ pub(crate) fn rebalance_with_cache<L: Cells>(
         on_move(c);
         let imbalance = heavy_side::<L>(p).0;
         for q in level.mates(c) {
-            if eligible(level, p, fixed, q, imbalance, heavy) {
+            if eligible(level, p, mobile, q, imbalance, heavy) {
                 heap.push((L::cached_gain(cache, q), Reverse(q)));
             }
         }
@@ -650,10 +654,11 @@ mod tests {
     fn rebalance_with_cache_scan<L: Cells>(
         level: &L,
         p: &mut L::Part,
-        fixed: &[bool],
+        fixed: &[Side],
         cache: &mut L::Cache,
     ) -> Vec<VertexId> {
         let tolerance = Tolerance::of(level).base;
+        let mobile = mobile(level, fixed);
         let mut moves = Vec::new();
         loop {
             let [a, b] = L::side_weights(p);
@@ -664,9 +669,7 @@ mod tests {
             let heavy = if a > b { Side::A } else { Side::B };
             let candidate = (0..level.num_cells() as VertexId)
                 .filter(|&c| {
-                    L::side(p, c) == heavy
-                        && !fixed.get(c as usize).copied().unwrap_or(false)
-                        && level.cell_weight(c) < imbalance
+                    L::side(p, c) == heavy && c < mobile && level.cell_weight(c) < imbalance
                 })
                 .max_by_key(|&c| (L::cached_gain(cache, c), Reverse(c)));
             let Some(c) = candidate else {
@@ -684,7 +687,7 @@ mod tests {
     fn assert_heap_moves_like_the_scan<L: Cells>(
         level: &L,
         start: &L::Part,
-        fixed: &[bool],
+        fixed: &[Side],
         heap_cache: &mut L::Cache,
         init: impl Fn(&mut L::Cache, &L::Part),
     ) -> (usize, bool)
@@ -717,6 +720,13 @@ mod tests {
         };
         let flipped = signed(start) != signed(&heap) && signed(&heap).is_ne();
         (heap_moves.len(), flipped)
+    }
+
+    /// The sides of the last `k` cells of `level` in `p`: the fixed
+    /// cells that keep `p`'s sides.
+    fn trailing_sides<L: Cells>(level: &L, p: &L::Part, k: usize) -> Vec<Side> {
+        let n = level.num_cells() as VertexId;
+        (n - k as VertexId..n).map(|c| L::side(p, c)).collect()
     }
 
     /// `nl` with cell weights drawn from `1..=max_weight` and net
@@ -776,11 +786,12 @@ mod tests {
                 0 | 1 => base,
                 _ => reweighted(&base, [2, 9][trial % 8 / 4], &mut rng),
             };
-            // A lopsided start with ~10% of the cells fixed.
+            // A lopsided start with its last ~10% of the cells fixed.
             let lean = rng.gen_range(0.6..1.0);
             let sides: Vec<bool> = (0..cells).map(|_| rng.gen_bool(lean)).collect();
-            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_bool(0.1)).collect();
+            let k = (0..cells).filter(|_| rng.gen_bool(0.1)).count();
             let start = NetlistBisection::from_sides(&nl, sides).unwrap();
+            let fixed = trailing_sides(&nl, &start, k);
             let (m, f) =
                 assert_heap_moves_like_the_scan(&nl, &start, &fixed, &mut netlist_cache, |c, p| {
                     c.init(&nl, p)
@@ -792,8 +803,9 @@ mod tests {
             let g = contracted_graph(cells, 1 + trial % 2, &mut rng);
             let n = g.num_vertices();
             let sides: Vec<bool> = (0..n).map(|_| rng.gen_bool(lean)).collect();
-            let fixed: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.1)).collect();
+            let k = (0..n).filter(|_| rng.gen_bool(0.1)).count();
             let start = Bisection::from_sides(&g, sides).unwrap();
+            let fixed = trailing_sides(&g, &start, k);
             let (m, f) =
                 assert_heap_moves_like_the_scan(&g, &start, &fixed, &mut graph_cache, |c, p| {
                     c.init(&g, p)
@@ -846,11 +858,10 @@ mod tests {
             b.add_net(net).unwrap();
         }
         let nl = b.build();
-        let fixed = [(0, Side::B), (3, Side::A), (0, Side::B)];
         for seed in 0..8 {
-            let p = weight_balanced(&nl, &fixed, &mut StdRng::seed_from_u64(seed));
-            assert_eq!(p.side(0), Side::B, "seed {seed}");
-            assert_eq!(p.side(3), Side::A, "seed {seed}");
+            let p = weight_balanced(&nl, &[Side::B, Side::A], &mut StdRng::seed_from_u64(seed));
+            assert_eq!(p.side(4), Side::B, "seed {seed}");
+            assert_eq!(p.side(5), Side::A, "seed {seed}");
             assert!(p.is_balanced(&nl), "seed {seed}");
             assert_eq!(p.cut(), p.recompute_cut(&nl));
         }

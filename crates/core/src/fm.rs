@@ -19,8 +19,8 @@
 //! updates the gains of the cells it touches (`Cells::virtual_move`,
 //! implemented per kind in the balance layer): a ±2w walk over the
 //! neighbors of a vertex, or one walk over the nets of a cell that
-//! shifts their pin counts. A netlist's fixed cells stay locked for the
-//! whole refine.
+//! shifts their pin counts. A netlist's fixed cells, its last
+//! `fixed.len()`, stay locked for the whole refine.
 //!
 //! The refiners differ only in which cells seed the gain buckets. FM
 //! seeds every vertex in index order. BFM and netlist FM seed only the
@@ -38,7 +38,7 @@
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
-use crate::balance::{Cells, Tolerance};
+use crate::balance::{self, Cells, Tolerance};
 use crate::bisector::Refiner;
 use crate::gain::GainBuckets;
 use crate::partition::{Bisection, Side};
@@ -218,12 +218,12 @@ pub(crate) type FmState<'a, L> = (
 
 /// Runs up to `max_passes` passes to a fixpoint assuming the workspace
 /// gain cache is exact for `(level, p)`; leaves it exact for the refined
-/// `p`. Returns the number of productive passes. Cells flagged in
-/// `fixed` never move: they stay locked in `ws.locked` for the whole
-/// call, and are unlocked again on exit.
+/// `p`. Returns the number of productive passes. The last
+/// `fixed.len()` cells never move: they stay locked in `ws.locked` for
+/// the whole call, and are unlocked again on exit.
 pub(crate) fn refine_with_cache<L: Cells>(
     level: &L,
-    fixed: &[bool],
+    fixed: &[Side],
     p: &mut L::Part,
     ws: &mut Workspace,
     max_passes: usize,
@@ -233,9 +233,8 @@ pub(crate) fn refine_with_cache<L: Cells>(
         return 0;
     }
     let tol = prepare(level, p, ws);
-    for (locked, &f) in ws.locked.iter_mut().zip(fixed) {
-        *locked |= f;
-    }
+    let mobile = balance::mobile(level, fixed) as usize;
+    ws.locked[mobile..].fill(true);
     let mut productive = 0u64;
     for _ in 0..max_passes {
         if fm_pass(level, p, ws, tol, seeds) == 0 {
@@ -243,9 +242,7 @@ pub(crate) fn refine_with_cache<L: Cells>(
         }
         productive += 1;
     }
-    for (locked, &f) in ws.locked.iter_mut().zip(fixed) {
-        *locked &= !f;
-    }
+    ws.locked[mobile..].fill(false);
     productive
 }
 

@@ -72,16 +72,12 @@ impl ParallelCellMatching {
     /// [`bisect_graph::hypergraph::contract_cells`] (or its
     /// scratch-reusing `contract_cells_into` variant) directly.
     pub fn matching(&self, nl: &Netlist) -> Vec<(VertexId, VertexId)> {
-        self.matching_skipping(nl, &[])
+        self.matching_skipping(nl, 0)
     }
 
-    /// As [`ParallelCellMatching::matching`], leaving every cell flagged
-    /// in `skip` unmatched (an empty slice skips nothing).
-    pub(crate) fn matching_skipping(
-        &self,
-        nl: &Netlist,
-        skip: &[bool],
-    ) -> Vec<(VertexId, VertexId)> {
+    /// As [`ParallelCellMatching::matching`], leaving the last `skip`
+    /// cells unmatched.
+    pub(crate) fn matching_skipping(&self, nl: &Netlist, skip: usize) -> Vec<(VertexId, VertexId)> {
         let n = nl.num_cells();
         range_pairs(n, self.threads(), skip, || Connectivity {
             nl,

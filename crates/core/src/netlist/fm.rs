@@ -1,8 +1,8 @@
 //! Fiduccia-Mattheyses refinement on netlists — the 1982 algorithm in
 //! its native habitat. [`NetlistFm`] runs the one FM pass of
 //! [`crate::fm`], boundary-seeded and workspace-resident like
-//! [`crate::fm::BoundaryFm`], with the cells flagged fixed locked for
-//! the whole refine.
+//! [`crate::fm::BoundaryFm`], with the fixed cells (the netlist's last
+//! `fixed.len()`) locked for the whole refine.
 //!
 //! The netlist's own step, the virtual move (one walk over the moved
 //! cell's nets), sits in [`crate::fm`] next to the graph's. An interior
@@ -13,6 +13,7 @@ use bisect_graph::hypergraph::Netlist;
 use rand::RngCore;
 
 use crate::fm::{self, Seeds};
+use crate::partition::Side;
 use crate::workspace::Workspace;
 
 use super::{NetlistBisection, NetlistRefiner};
@@ -75,7 +76,7 @@ impl NetlistRefiner for NetlistFm {
     fn refine_projected_counted(
         &self,
         nl: &Netlist,
-        fixed: &[bool],
+        fixed: &[Side],
         mut init: NetlistBisection,
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
@@ -211,13 +212,13 @@ mod tests {
         let nl = two_clusters();
         let fm = NetlistFm::new();
         let mut ws = Workspace::new();
-        // Adversarial start: the fixed cells open on the "wrong" sides.
+        // Adversarial start: the fixed cells 4 and 5 split their cluster.
         let init =
             NetlistBisection::from_sides(&nl, vec![false, true, false, true, false, true]).unwrap();
-        let fixed = vec![true, false, false, false, false, true];
         let mut rng = StdRng::seed_from_u64(1);
+        let fixed = [Side::A, Side::B];
         let (refined, _) = fm.refine_counted(&nl, &fixed, init.clone(), &mut rng, &mut ws);
-        assert_eq!(refined.side(0), init.side(0));
+        assert_eq!(refined.side(4), init.side(4));
         assert_eq!(refined.side(5), init.side(5));
         assert!(refined.cut() <= init.cut());
     }
@@ -238,14 +239,14 @@ mod tests {
         for seed in 0..6 {
             let mut rng = StdRng::seed_from_u64(seed);
             let init = NetlistBisection::random_balanced(&nl, &mut rng);
-            // Every fifth cell fixed; a short slice leaves the tail movable.
-            let fixed: Vec<bool> = (0..36).map(|c| c % 5 == seed as usize % 5).collect();
+            // The last 4 to 9 cells fixed where the start has them.
+            let fixed: Vec<Side> = (36 - seed as u32..40).map(|c| init.side(c)).collect();
             let (p, passes) = fm.refine_counted(&nl, &fixed, init.clone(), &mut rng, &mut ws);
             assert!(passes > 0, "seed {seed}: the refine must move something");
             assert!(ws.locked.iter().all(|&l| !l), "seed {seed}");
             assert_eq!(ws.netlist_work.as_ref(), Some(&p), "seed {seed}");
-            for (c, _) in fixed.iter().enumerate().filter(|(_, &f)| f) {
-                assert_eq!(p.side(c as u32), init.side(c as u32), "seed {seed}");
+            for c in 36 - seed as u32..40 {
+                assert_eq!(p.side(c), init.side(c), "seed {seed}");
             }
         }
     }

@@ -6,7 +6,9 @@
 //! bisected recursively in lockstep: the cells assigned to a region
 //! are bisected again between its two halves. Each sub-bisection runs
 //! with *terminal propagation* (Dunlop & Kernighan, 1985): two fixed
-//! anchor cells — one per half — join the subproblem, and every net
+//! anchor cells — one per half — join the subproblem as its last two
+//! cells, the fixed-cell form [`NetlistPipeline::bisect_fixed_counted`]
+//! takes, and every net
 //! with pins outside the subproblem gains the anchor nearer those
 //! external pins' mean position. Cuts that would separate a cell from
 //! its external net-mates are thereby penalized in the FM gains, which
@@ -291,8 +293,8 @@ pub fn recursive_placement_counted(
         let (r0, r1) = rect.split();
         let m = cells.len();
         // Sub-netlist: the subproblem's cells (locally renumbered) plus
-        // two weight-1 anchor cells, `m` fixed to side A / region `r0`
-        // and `m + 1` to side B / region `r1`.
+        // two weight-1 anchor cells, the last two, `m` fixed to side A /
+        // region `r0` and `m + 1` to side B / region `r1`.
         for (i, &c) in cells.iter().enumerate() {
             local[c as usize] = i as u32;
         }
@@ -353,7 +355,7 @@ pub fn recursive_placement_counted(
         }
         seen_nets.clear();
         let sub = builder.build();
-        let anchors = [(m as u32, Side::A), (m as u32 + 1, Side::B)];
+        let anchors = [Side::A, Side::B];
         let (bisection, stage) = pipeline.bisect_fixed_counted(&sub, &anchors, rng, ws);
         work += stage;
 

@@ -310,8 +310,10 @@ impl NetlistBisection {
 /// A refinement algorithm on netlist bisections, mirroring the
 /// graph-side [`crate::bisector::Refiner`] so the
 /// [`NetlistPipeline`] engine can drive any implementation through its
-/// uncoarsening ladder. `fixed` flags cells that must never move
-/// (terminal-propagation anchors); an empty slice fixes nothing.
+/// uncoarsening ladder. `fixed` holds the sides of the netlist's last
+/// `fixed.len()` cells, which must never move (terminal-propagation
+/// anchors); an empty slice fixes nothing. A refiner reads only its
+/// length and leaves the fixed cells where its start has them.
 ///
 /// Every refiner reads its gains from the workspace
 /// [`NetlistGainCache`], which the engine builds once for the coarsest
@@ -325,14 +327,14 @@ pub trait NetlistRefiner {
     fn name(&self) -> String;
 
     /// Improves `init`, drawing every scratch buffer from `ws`; returns
-    /// the refined bisection and the number of productive passes. Cells
-    /// flagged in `fixed` stay on their side. Builds the workspace gain
+    /// the refined bisection and the number of productive passes. The
+    /// fixed cells stay on their side. Builds the workspace gain
     /// cache for `(nl, init)`, then refines as
     /// [`NetlistRefiner::refine_projected_counted`].
     fn refine_counted(
         &self,
         nl: &Netlist,
-        fixed: &[bool],
+        fixed: &[Side],
         init: NetlistBisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
@@ -351,16 +353,16 @@ pub trait NetlistRefiner {
     fn refine_projected_counted(
         &self,
         nl: &Netlist,
-        fixed: &[bool],
+        fixed: &[Side],
         init: NetlistBisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (NetlistBisection, u64);
 }
 
-/// [`crate::partition::rebalance`] for netlists. Cells flagged in
-/// `fixed` are never moved; missing entries count as movable.
-pub fn rebalance_fixed(nl: &Netlist, p: &mut NetlistBisection, fixed: &[bool]) {
+/// [`crate::partition::rebalance`] for netlists. The last
+/// `fixed.len()` cells are never moved.
+pub fn rebalance_fixed(nl: &Netlist, p: &mut NetlistBisection, fixed: &[Side]) {
     balance::rebalance(nl, p, fixed);
 }
 
@@ -370,7 +372,7 @@ pub fn rebalance_fixed(nl: &Netlist, p: &mut NetlistBisection, fixed: &[bool]) {
 pub fn rebalance_with_cache(
     nl: &Netlist,
     p: &mut NetlistBisection,
-    fixed: &[bool],
+    fixed: &[Side],
     cache: &mut NetlistGainCache,
 ) {
     balance::rebalance_with_cache(nl, p, fixed, cache, |_| {});
@@ -521,13 +523,12 @@ mod tests {
     #[test]
     fn rebalance_fixed_respects_pins() {
         let nl = two_clusters();
-        // Everything on side A; cells 0 and 1 are pinned there.
+        // Everything on side A; cells 4 and 5 are pinned there.
         let mut p = NetlistBisection::from_sides(&nl, vec![false; 6]).unwrap();
-        let fixed = vec![true, true, false, false, false, false];
-        rebalance_fixed(&nl, &mut p, &fixed);
+        rebalance_fixed(&nl, &mut p, &[Side::A, Side::A]);
         assert!(p.is_balanced(&nl));
-        assert_eq!(p.side(0), Side::A);
-        assert_eq!(p.side(1), Side::A);
+        assert_eq!(p.side(4), Side::A);
+        assert_eq!(p.side(5), Side::A);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use rand::RngCore;
 
 use crate::fm::Seeds;
 use crate::par_fm::{run_rounds, Rounds};
+use crate::partition::Side;
 use crate::workspace::Workspace;
 
 #[cfg(doc)]
@@ -104,7 +105,7 @@ impl NetlistRefiner for ParallelNetlistFm {
     fn refine_projected_counted(
         &self,
         nl: &Netlist,
-        fixed: &[bool],
+        fixed: &[Side],
         mut init: NetlistBisection,
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
@@ -121,7 +122,6 @@ mod tests {
     use super::*;
     use crate::balance::Tolerance;
     use crate::par_fm::{round, round_resolved_by, ResolveScratch, MAX_ROUNDS};
-    use crate::partition::Side;
     use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
     use bisect_gen::netlist::{self, RentNetlistParams};
     use bisect_gen::rng::LaggedFibonacci;
@@ -169,7 +169,7 @@ mod tests {
     fn run_round(
         pfm: &ParallelNetlistFm,
         nl: &Netlist,
-        fixed: &[bool],
+        fixed: &[Side],
         p: &mut NetlistBisection,
         ws: &mut Workspace,
         resolver: Resolver,
@@ -200,7 +200,7 @@ mod tests {
         fn refine_projected_counted(
             &self,
             nl: &Netlist,
-            fixed: &[bool],
+            fixed: &[Side],
             mut init: NetlistBisection,
             _rng: &mut dyn RngCore,
             ws: &mut Workspace,
@@ -224,7 +224,7 @@ mod tests {
     /// One round from `init` with a fresh workspace.
     fn one_round(
         nl: &Netlist,
-        fixed: &[bool],
+        fixed: &[Side],
         init: &NetlistBisection,
         threads: usize,
         resolver: Resolver,
@@ -235,6 +235,13 @@ mod tests {
         let pfm = ParallelNetlistFm::new().with_threads(threads);
         run_round(&pfm, nl, fixed, &mut p, &mut ws, resolver);
         (p, ws)
+    }
+
+    /// The sides of the last `k` cells in `p`: the fixed cells that
+    /// keep their start sides.
+    fn trailing_sides(p: &NetlistBisection, k: usize) -> Vec<Side> {
+        let n = p.sides().len() as VertexId;
+        (n - k as VertexId..n).map(|c| p.side(c)).collect()
     }
 
     /// Whether `cache` holds what a fresh `init` for `(nl, p)` would:
@@ -268,13 +275,14 @@ mod tests {
         ) {
             let nl = weighted_netlist(cells, 3 * cells / 2, max_weight, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xd0);
-            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_range(0..100) < fixed_percent).collect();
+            let k = (0..cells).filter(|_| rng.gen_range(0..100) < fixed_percent).count();
             // A count-balanced start leaves weighted cells out of tolerance.
             let init = if count_balanced_start == 1 {
                 NetlistBisection::random_balanced(&nl, &mut rng)
             } else {
                 weight_balanced_random(&nl, &mut rng)
             };
+            let fixed = trailing_sides(&init, k);
             for threads in [1usize, 2, 4] {
                 let (sweep, _) = one_round(&nl, &fixed, &init, threads, Resolver::SingleSweep);
                 let (paired, ws) = one_round(&nl, &fixed, &init, threads, Resolver::Paired);
@@ -282,7 +290,7 @@ mod tests {
                 if sweep.is_balanced(&nl) {
                     prop_assert!(paired.is_balanced(&nl), "threads {}", threads);
                 }
-                for c in nl.cells().filter(|&c| fixed[c as usize]) {
+                for c in (cells - k) as VertexId..cells as VertexId {
                     prop_assert_eq!(paired.side(c), init.side(c));
                 }
                 prop_assert!(matches_fresh_init(&ws.netlist_cache, &nl, &paired));
@@ -299,8 +307,9 @@ mod tests {
         for trial in 0..24u64 {
             let cells = rng.gen_range(8..=200usize);
             let nl = weighted_netlist(cells, 3 * cells / 2, 1 + trial % 3, trial);
-            let fixed: Vec<bool> = (0..cells).map(|_| rng.gen_range(0..100) < 10).collect();
+            let k = (0..cells).filter(|_| rng.gen_range(0..100) < 10).count();
             let init = weight_balanced_random(&nl, &mut rng);
+            let fixed = trailing_sides(&init, k);
             for threads in [1usize, 2, 3] {
                 let at = format!("trial {trial} threads {threads}");
                 let (sweep, _) = one_round(&nl, &fixed, &init, threads, Resolver::SingleSweep);
@@ -372,8 +381,7 @@ mod tests {
                 &mut LaggedFibonacci::seed_from_u64(0x4E7 + cells as u64),
                 &params,
             );
-            let last = (cells - 1) as VertexId;
-            for fixed in [&[][..], &[(last - 1, Side::A), (last, Side::B)][..]] {
+            for fixed in [&[][..], &[Side::A, Side::B][..]] {
                 let mut rng = StdRng::seed_from_u64(cells as u64);
                 let (b, work) =
                     pipeline.bisect_fixed_counted(&nl, fixed, &mut rng, &mut Workspace::new());
@@ -548,14 +556,14 @@ mod tests {
     fn respects_fixed_cells() {
         let nl = two_clusters();
         let pfm = ParallelNetlistFm::new().with_threads(2);
-        // Adversarial start: fixed cells open on the "wrong" sides.
+        // Adversarial start: the fixed cells 4 and 5 split their cluster.
         let init =
             NetlistBisection::from_sides(&nl, vec![false, true, false, true, false, true]).unwrap();
-        let fixed = vec![true, false, false, false, false, true];
         let mut rng = StdRng::seed_from_u64(1);
         let mut ws = Workspace::new();
+        let fixed = [Side::A, Side::B];
         let (p, _) = pfm.refine_counted(&nl, &fixed, init.clone(), &mut rng, &mut ws);
-        assert_eq!(p.side(0), init.side(0));
+        assert_eq!(p.side(4), init.side(4));
         assert_eq!(p.side(5), init.side(5));
         assert!(p.cut() <= init.cut());
     }

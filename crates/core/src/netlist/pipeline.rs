@@ -8,11 +8,12 @@
 //! [`NetlistPipeline::with_coarsener`], the rng-free
 //! [`ParallelCellMatching`] behind its 5% stall guard.
 //!
-//! Netlists may pin *fixed cells* to a side: they never match, never
-//! move, and survive every coarsening level as singletons.
+//! Netlists may pin their last `k` cells to sides as *fixed cells*:
+//! they never match, never move, and stay the last `k` cells, as
+//! singletons, at every coarsening level.
 //! [`super::recursive_placement`] uses this for terminal propagation,
-//! fixing one anchor cell per side whose nets bias the gains of cells
-//! connected outside the current subproblem.
+//! appending one anchor cell per side whose nets bias the gains of
+//! cells connected outside the current subproblem.
 
 use std::sync::Arc;
 
@@ -20,7 +21,6 @@ use bisect_graph::hypergraph::{
     contract_cells_into, random_cell_matching_with_skip, Netlist, NetlistContraction,
     NetlistContractionScratch,
 };
-use bisect_graph::VertexId;
 use rand::RngCore;
 
 use crate::balance::{self, Cells};
@@ -59,8 +59,8 @@ use super::{NetlistBisection, NetlistFm, NetlistRefiner, ParallelCellMatching};
 pub type NetlistPipeline = Pipeline<Netlist>;
 
 impl NetlistPipeline {
-    /// Coarsens with `matcher` instead of the random skip-aware
-    /// matcher. It draws no randomness, honours fixed cells, and stops
+    /// Coarsens with `matcher` instead of the random matcher. It draws
+    /// no randomness, leaves the fixed cells unmatched, and stops
     /// the ladder at the first level its pairs would shrink by less
     /// than 5%: sparse netlists carry cells that can never match.
     pub fn with_coarsener(mut self, matcher: ParallelCellMatching) -> NetlistPipeline {
@@ -101,35 +101,28 @@ impl NetlistPipeline {
     }
 
     /// As [`Bisector::bisect_counted`](crate::bisector::Bisector::bisect_counted),
-    /// with cells pinned to sides: each `(cell, side)` pair is excluded
-    /// from matching and movement at every level, so the returned
-    /// bisection honors every assignment. Duplicate pairs must agree.
+    /// with the last `k = fixed.len()` cells pinned: cell `n − k + i`
+    /// stays on side `fixed[i]`. The fixed cells are excluded from
+    /// matching and movement at every level, so the returned bisection
+    /// puts each on its side.
     ///
     /// # Panics
     ///
-    /// Panics if a fixed cell is out of range or assigned both sides.
+    /// Panics if `fixed` is longer than the netlist has cells.
     pub fn bisect_fixed_counted(
         &self,
         nl: &Netlist,
-        fixed: &[(VertexId, Side)],
+        fixed: &[Side],
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (NetlistBisection, u64) {
         let n = nl.num_cells();
-        let mut fixed = fixed.to_vec();
-        fixed.sort_unstable_by_key(|&(c, _)| c);
-        fixed.dedup();
-        if let Some(&(c, _)) = fixed.last() {
-            assert!(
-                (c as usize) < n,
-                "fixed cell {c} out of range for {n} cells"
-            );
-        }
-        for pair in fixed.windows(2) {
-            let c = pair[0].0;
-            assert!(c != pair[1].0, "cell {c} fixed to both sides");
-        }
-        engine::run(self, nl, &fixed, rng, ws)
+        assert!(
+            fixed.len() <= n,
+            "{} fixed cells for {n} cells",
+            fixed.len()
+        );
+        engine::run(self, nl, fixed, rng, ws)
     }
 }
 
@@ -163,20 +156,20 @@ impl Level for Netlist {
     fn coarsen(
         &self,
         coarsener: Option<&ParallelCellMatching>,
-        skip: &[bool],
+        fixed: &[Side],
         scratch: &mut NetlistContractionScratch,
         rng: &mut dyn RngCore,
     ) -> Option<NetlistContraction> {
         let pairs = match coarsener {
             Some(matcher) => {
-                let pairs = matcher.matching_skipping(self, skip);
+                let pairs = matcher.matching_skipping(self, fixed.len());
                 let cells = self.num_cells();
                 if !shrinks_enough(cells, cells - pairs.len()) {
                     return None;
                 }
                 pairs
             }
-            None => random_cell_matching_with_skip(self, skip, rng),
+            None => random_cell_matching_with_skip(self, fixed.len(), rng),
         };
         (!pairs.is_empty()).then(|| contract_cells_into(self, &pairs, scratch))
     }
@@ -185,7 +178,7 @@ impl Level for Netlist {
         &self,
         _depth: CoarsenDepth,
         fallback: bool,
-        fixed: &[(VertexId, Side)],
+        fixed: &[Side],
         rng: &mut dyn RngCore,
     ) -> NetlistBisection {
         if fallback && fixed.is_empty() {
@@ -214,7 +207,7 @@ impl Level for Netlist {
     fn refine(
         &self,
         refiner: &(dyn NetlistRefiner + Send + Sync),
-        fixed: &[bool],
+        fixed: &[Side],
         p: NetlistBisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
@@ -389,7 +382,7 @@ mod tests {
     #[test]
     fn fixed_cells_stay_put_through_every_depth() {
         let nl = random_netlist(40, 50, 4);
-        let fixed = [(0u32, Side::A), (7u32, Side::B), (13u32, Side::B)];
+        let fixed = [Side::A, Side::B, Side::B];
         for p in [
             NetlistPipeline::flat_fm(),
             NetlistPipeline::compacted_fm(),
@@ -402,7 +395,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut ws = Workspace::new();
                 let (b, _) = p.bisect_fixed_counted(&nl, &fixed, &mut rng, &mut ws);
-                for &(c, s) in &fixed {
+                for (c, &s) in (37..).zip(&fixed) {
                     assert_eq!(b.side(c), s, "{} seed {seed} cell {c}", p.name());
                 }
                 assert_eq!(b.cut(), b.recompute_cut(&nl), "{} seed {seed}", p.name());
@@ -422,7 +415,7 @@ mod tests {
         fn refine_projected_counted(
             &self,
             nl: &Netlist,
-            _fixed: &[bool],
+            _fixed: &[Side],
             init: NetlistBisection,
             _rng: &mut dyn RngCore,
             _ws: &mut Workspace,
@@ -453,29 +446,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn fixed_out_of_range_rejected() {
+    #[should_panic(expected = "7 fixed cells for 6 cells")]
+    fn more_fixed_cells_than_cells_rejected() {
         let nl = two_clusters();
         let mut rng = StdRng::seed_from_u64(1);
         let _ = NetlistPipeline::flat_fm().bisect_fixed_counted(
             &nl,
-            &[(99, Side::A)],
+            &[Side::A; 7],
             &mut rng,
             &mut Workspace::new(),
         );
     }
 
     #[test]
-    #[should_panic(expected = "both sides")]
-    fn conflicting_fixed_sides_rejected() {
-        let nl = two_clusters();
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = NetlistPipeline::flat_fm().bisect_fixed_counted(
-            &nl,
-            &[(2, Side::A), (2, Side::B)],
-            &mut rng,
-            &mut Workspace::new(),
-        );
+    fn an_all_fixed_netlist_keeps_the_given_sides() {
+        let nl = random_netlist(12, 20, 3);
+        let fixed: Vec<Side> = (0..12)
+            .map(|c| if c % 3 == 0 { Side::B } else { Side::A })
+            .collect();
+        for p in [
+            NetlistPipeline::flat_fm(),
+            NetlistPipeline::compacted_fm(),
+            NetlistPipeline::multilevel_fm_to(4).unwrap(),
+            NetlistPipeline::multilevel_fm_to(4)
+                .unwrap()
+                .with_coarsener(ParallelCellMatching::new().with_threads(2)),
+        ] {
+            let mut rng = StdRng::seed_from_u64(2);
+            let (b, work) = p.bisect_fixed_counted(&nl, &fixed, &mut rng, &mut Workspace::new());
+            let sides: Vec<Side> = nl.cells().map(|c| b.side(c)).collect();
+            assert_eq!(sides, fixed, "{}", p.name());
+            assert_eq!(work, 0, "{}", p.name());
+            assert_eq!(b.cut(), b.recompute_cut(&nl), "{}", p.name());
+        }
     }
 
     #[test]

@@ -89,11 +89,11 @@ use bisect_graph::hypergraph::NetId;
 use bisect_graph::{Graph, VertexId};
 use rand::RngCore;
 
-use crate::balance::{Cells, Tolerance};
+use crate::balance::{self, Cells, Tolerance};
 use crate::bisector::Refiner;
 use crate::fm::Seeds;
 use crate::netlist::NetlistBisection;
-use crate::partition::Bisection;
+use crate::partition::{Bisection, Side};
 use crate::workspace::Workspace;
 
 /// Parallel Fiduccia–Mattheyses refinement of a graph bisection.
@@ -279,12 +279,12 @@ impl NetOverlay {
 /// cut, assuming the level's workspace gain cache is exact for
 /// `(level, p)`; leaves it exact for the refined `p`. Returns before a
 /// round whose sides are too far apart for any move to fit (see "Rounds
-/// that cannot move" in the module docs). Cells flagged in `fixed`
+/// that cannot move" in the module docs). The last `fixed.len()` cells
 /// never move. Adds every gain evaluation to the workspace's proposal
 /// count and returns the number of productive rounds.
 pub(crate) fn run_rounds<L: Cells>(
     level: &L,
-    fixed: &[bool],
+    fixed: &[Side],
     p: &mut L::Part,
     ws: &mut Workspace,
     plan: Rounds,
@@ -314,7 +314,7 @@ pub(crate) fn run_rounds<L: Cells>(
 /// the round applied nothing and the refiner is done.
 pub(crate) fn round<L: Cells>(
     level: &L,
-    fixed: &[bool],
+    fixed: &[Side],
     p: &mut L::Part,
     ws: &mut Workspace,
     tol: Tolerance,
@@ -342,7 +342,7 @@ pub(crate) fn round<L: Cells>(
 /// evaluations, or `None` when there is nothing to chunk.
 fn propose_all<L: Cells>(
     level: &L,
-    fixed: &[bool],
+    fixed: &[Side],
     p: &L::Part,
     cache: &L::Cache,
     scratch: &mut ParallelScratch,
@@ -355,6 +355,7 @@ fn propose_all<L: Cells>(
     if m == 0 {
         return None;
     }
+    let mobile = balance::mobile(level, fixed);
     let t = plan.threads.max(1).min(m);
     let chunk = m.div_ceil(t);
     let ranges = m.div_ceil(chunk);
@@ -365,7 +366,7 @@ fn propose_all<L: Cells>(
     // them in chunk order regardless of scheduling.
     bisect_par::par_for_each_mut(t, &mut scratch.chunks[..ranges], |k, worker| {
         let range = k * chunk..((k + 1) * chunk).min(m);
-        propose(level, p, cache, fixed, plan.seeds, range, worker);
+        propose(level, p, cache, mobile, plan.seeds, range, worker);
     });
     let mut evals: u64 = 0;
     scratch.all.clear();
@@ -386,15 +387,16 @@ fn propose_all<L: Cells>(
 /// exact cache. In-chunk gains are maintained as the worker's own
 /// virtual moves land ([`Cells::frozen_move`], lazy-deletion
 /// max-heap keyed by `(gain, Reverse(cell))`); out-of-chunk cells stay
-/// frozen at their snapshot sides. Fixed cells never move and never
-/// receive delta updates; every other cell moves at most once. Leaves
+/// frozen at their snapshot sides. Fixed cells (from `mobile` on) never
+/// move and never receive delta updates; every other cell moves at most
+/// once. Leaves
 /// the moves in `out.proposals` and the gain evaluations — one per
 /// starting gain and one per delta update — in `out.evals`.
 fn propose<L: Cells>(
     level: &L,
     frozen: &L::Part,
     cache: &L::Cache,
-    fixed: &[bool],
+    mobile: VertexId,
     seeds: Seeds,
     range: Range<usize>,
     out: &mut ChunkScratch,
@@ -422,7 +424,7 @@ fn propose<L: Cells>(
         };
         let gain = L::cached_gain(cache, c);
         out.gains.push(gain);
-        if fixed.get(c as usize).copied().unwrap_or(false) {
+        if c >= mobile {
             out.locked[i] = true;
         } else if gain > 0 {
             out.heap.push((gain, Reverse(c)));
@@ -625,7 +627,7 @@ impl ParallelScratch {
 #[cfg(test)]
 pub(crate) fn round_resolved_by<L: Cells>(
     level: &L,
-    fixed: &[bool],
+    fixed: &[Side],
     p: &mut L::Part,
     ws: &mut Workspace,
     plan: Rounds,
@@ -647,9 +649,7 @@ pub(crate) fn round_resolved_by<L: Cells>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance;
     use crate::bisector::Bisector;
-    use crate::partition::Side;
     use crate::seed;
     use bisect_gen::special;
     use bisect_graph::hypergraph::Netlist;
@@ -983,7 +983,7 @@ mod tests {
     /// skips it. Returns the evaluations the skipped rounds would spend.
     fn assert_rounds_past_the_bound_are_idle<L: Cells>(
         level: &L,
-        fixed: &[bool],
+        fixed: &[Side],
         seed: u64,
     ) -> u64 {
         use rand::Rng;
@@ -1058,17 +1058,20 @@ mod tests {
             let unit_rent = contracted_rent(300, 0, seed);
             let weighted_rent = contracted_rent(600, 2, seed);
             for fixed_percent in [0, 10] {
-                let mut flags = |n: usize| -> Vec<bool> {
-                    (0..n)
-                        .map(|_| rng.gen_range(0..100) < fixed_percent)
-                        .collect()
+                // The last ~`fixed_percent`% of the cells are fixed; a
+                // round reads only how many.
+                let mut fixed_tail = |n: usize| -> Vec<Side> {
+                    let k = (0..n)
+                        .filter(|_| rng.gen_range(0..100) < fixed_percent)
+                        .count();
+                    vec![Side::A; k]
                 };
                 for g in [&unit_gnp, &weighted_gnp] {
-                    let fixed = flags(g.num_vertices());
+                    let fixed = fixed_tail(g.num_vertices());
                     wasted += assert_rounds_past_the_bound_are_idle(g, &fixed, seed);
                 }
                 for nl in [&unit_rent, &weighted_rent] {
-                    let fixed = flags(nl.num_cells());
+                    let fixed = fixed_tail(nl.num_cells());
                     wasted += assert_rounds_past_the_bound_are_idle(nl, &fixed, seed);
                 }
             }

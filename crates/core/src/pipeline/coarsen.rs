@@ -147,7 +147,7 @@ impl ParallelMatching {
     /// graph and the thread count.
     pub fn matching(&self, g: &Graph) -> Matching {
         let n = g.num_vertices();
-        Matching::from_pairs(n, &range_pairs(n, self.threads(), &[], || g))
+        Matching::from_pairs(n, &range_pairs(n, self.threads(), 0, || g))
     }
 }
 
@@ -205,7 +205,7 @@ impl PartnerRule for &Graph {
 /// Maximal by construction. With a single range the cleanup is skipped:
 /// the in-range pass already saw every partner, so every cell it left
 /// unmatched has no unmatched neighbour and the cleanup would match
-/// nothing. Cells flagged in `skip` start out matched, so neither the
+/// nothing. The last `skip` cells start out matched, so neither the
 /// visit nor the admit filter ever pairs them.
 ///
 /// `rule` makes one [`PartnerRule`] per range and one for the cleanup.
@@ -214,13 +214,14 @@ impl PartnerRule for &Graph {
 pub(crate) fn range_pairs<R: PartnerRule>(
     n: usize,
     threads: usize,
-    skip: &[bool],
+    skip: usize,
     rule: impl Fn() -> R + Sync,
 ) -> Vec<(VertexId, VertexId)> {
     if n == 0 {
         return Vec::new();
     }
-    let skipped = |c: usize| skip.get(c).copied().unwrap_or(false);
+    let mobile = n.saturating_sub(skip);
+    let skipped = |c: usize| c >= mobile;
     let t = threads.max(1).min(n);
     let chunk = n.div_ceil(t);
     let ranges = n.div_ceil(chunk);

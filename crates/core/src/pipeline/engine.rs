@@ -28,13 +28,18 @@
 //! plain heuristic); every other graph start is weight-balanced, since
 //! count balance of a contracted graph does not project to vertex
 //! balance. Netlists draw the count-balanced start only in that fallback
-//! with nothing fixed, and the fixed-aware weight-balanced start
-//! everywhere else, `Flat` included.
+//! with nothing fixed, and everywhere else, `Flat` included, the
+//! weight-balanced start that puts the fixed cells on their sides first.
+//!
+//! Fixed cells (netlists only) are the input's last `k` cells, cell
+//! `n − k + i` on side `fixed[i]`. The coarseners leave them unmatched
+//! and contraction numbers them last again, so the one `fixed` slice
+//! describes every level, and each per-cell test is `c >= n − k`.
 
 use std::sync::Arc;
 
 use bisect_graph::contraction::Contraction;
-use bisect_graph::{Graph, VertexId};
+use bisect_graph::Graph;
 use rand::RngCore;
 
 use crate::balance::{self, Cells};
@@ -80,12 +85,13 @@ pub(crate) use level::{Level, LevelRefiner};
 /// and refiner, but this module is private: no other crate can name or
 /// implement them, or call their methods.
 mod level {
-    use super::{Arc, CoarsenDepth, Contraction, RngCore, Side, VertexId, Workspace};
+    use super::{Arc, CoarsenDepth, Contraction, RngCore, Side, Workspace};
 
     /// A kind of level the engine bisects, [`Graph`](bisect_graph::Graph)
     /// or [`Netlist`](bisect_graph::hypergraph::Netlist): what differs
-    /// between the two beyond their weighted cells. Cells flagged in a
-    /// `fixed: &[bool]` never move (empty: none).
+    /// between the two beyond their weighted cells. A `fixed: &[Side]`
+    /// pins the level's last `fixed.len()` cells, cell `n − k + i` on
+    /// side `fixed[i]` (empty: none).
     pub trait Level: Sized {
         /// The level's bisection.
         type Part;
@@ -105,12 +111,12 @@ mod level {
         fn coarsener_name(c: Option<&Self::Coarsener>) -> &'static str;
 
         /// Contracts one level with `coarsener` (`None`: the random
-        /// matcher), leaving the cells flagged in `skip` unmatched, or
-        /// returns `None` to stop the ladder.
+        /// matcher), leaving the fixed cells unmatched, or returns
+        /// `None` to stop the ladder.
         fn coarsen(
             &self,
             coarsener: Option<&Self::Coarsener>,
-            skip: &[bool],
+            fixed: &[Side],
             scratch: &mut Self::Scratch,
             rng: &mut dyn RngCore,
         ) -> Option<Contraction<Self>>;
@@ -121,7 +127,7 @@ mod level {
             &self,
             depth: CoarsenDepth,
             fallback: bool,
-            fixed: &[(VertexId, Side)],
+            fixed: &[Side],
             rng: &mut dyn RngCore,
         ) -> Self::Part;
 
@@ -136,7 +142,7 @@ mod level {
         fn refine(
             &self,
             refiner: &Self::Refiner,
-            fixed: &[bool],
+            fixed: &[Side],
             p: Self::Part,
             rng: &mut dyn RngCore,
             ws: &mut Workspace,
@@ -152,85 +158,61 @@ mod level {
     }
 }
 
-/// Runs `pipeline` on `input` with the cells of `fixed` (sorted,
-/// deduplicated, in range) pinned: they are never matched or moved.
+/// Runs `pipeline` on `input` with its last `fixed.len()` cells pinned,
+/// cell `n − k + i` on side `fixed[i]`: they are never matched or moved.
 /// Returns the bisection and the summed work of every refinement (see
 /// [`Bisector::bisect_counted`](crate::bisector::Bisector::bisect_counted)).
 pub(crate) fn run<L: Cells>(
     pipeline: &Pipeline<L>,
     input: &L,
-    fixed: &[(VertexId, Side)],
+    fixed: &[Side],
     rng: &mut dyn RngCore,
     ws: &mut Workspace,
 ) -> (L::Part, u64) {
     let depth = pipeline.depth;
     let refiner = pipeline.refiner.as_ref();
     let coarsest = pipeline.coarsest.as_deref().unwrap_or(refiner);
-    // Coarsening ladder, finest first; each step carries the fixed cells
-    // of its coarse level (empty when nothing is fixed). The coarsener
-    // never matches a fixed cell, so each one survives as a singleton
-    // and maps through unambiguously.
-    let mut ladder: Vec<(Contraction<L>, Vec<_>)> = Vec::new();
-    let mut flags: Vec<bool> = Vec::new();
+    // Coarsening ladder, finest first. The coarsener never matches a
+    // fixed cell, and contraction numbers coarse cells in order of their
+    // lowest fine cell, so the fixed cells stay the last cells, in
+    // order, and `fixed` describes every level.
+    let mut ladder: Vec<Contraction<L>> = Vec::new();
     let mut scratch = L::Scratch::default();
     loop {
-        let (level, level_fixed) = ladder
-            .last()
-            .map_or((input, fixed), |(c, f)| (c.coarse(), f));
+        let level = ladder.last().map_or(input, |c| c.coarse());
         if !depth.wants_more(ladder.len(), level.num_cells()) {
             break;
         }
-        fixed_flags(&mut flags, level.num_cells(), level_fixed);
         let coarsener = pipeline.coarsener.as_ref();
-        let Some(c) = level.coarsen(coarsener, &flags, &mut scratch, rng) else {
+        let Some(c) = level.coarsen(coarsener, fixed, &mut scratch, rng) else {
             break;
         };
-        let next = level_fixed.iter().map(|&(v, s)| (c.map(v), s)).collect();
-        ladder.push((c, next));
+        ladder.push(c);
     }
 
-    let (level, level_fixed) = ladder
-        .last()
-        .map_or((input, fixed), |(c, f)| (c.coarse(), f));
+    let level = ladder.last().map_or(input, |c| c.coarse());
     let fallback = ladder.is_empty() && matches!(depth, CoarsenDepth::Levels(_));
-    let init = level.start(depth, fallback, level_fixed, rng);
-    fixed_flags(&mut flags, level.num_cells(), level_fixed);
+    let init = level.start(depth, fallback, fixed, rng);
     // The gain cache is built once, for the (small) coarsest start, and
     // projected through each uncoarsening step, so no level pays an
     // O(V + E) rebuild; rebalancing rides the same cache, and every
     // refiner leaves it exact for its result.
     level.init_cache(&init, ws);
-    let (mut current, mut work) = level.refine(coarsest, &flags, init, rng, ws);
+    let (mut current, mut work) = level.refine(coarsest, fixed, init, rng, ws);
 
     // Uncoarsening. A projection can miss balance by up to a coarse
     // cell's weight (a matching leaves singletons), hence the rebalance.
     for i in (0..ladder.len()).rev() {
-        let (fine, fine_fixed) = ladder[..i]
-            .last()
-            .map_or((input, fixed), |(c, f)| (c.coarse(), f));
-        fixed_flags(&mut flags, fine.num_cells(), fine_fixed);
-        let mut projected = fine.project(&ladder[i].0, &current, ws);
-        balance::rebalance_with_cache(fine, &mut projected, &flags, L::cache(ws), |_| {});
-        let (refined, stage) = fine.refine(refiner, &flags, projected, rng, ws);
+        let fine = ladder[..i].last().map_or(input, |c| c.coarse());
+        let mut projected = fine.project(&ladder[i], &current, ws);
+        balance::rebalance_with_cache(fine, &mut projected, fixed, L::cache(ws), |_| {});
+        let (refined, stage) = fine.refine(refiner, fixed, projected, rng, ws);
         current = refined;
         work += stage;
     }
-    // The final guard, should refinement leave balance off. `flags` now
-    // describes the input level.
-    balance::rebalance(input, &mut current, &flags);
+    // The final guard, should refinement leave balance off.
+    balance::rebalance(input, &mut current, fixed);
     (current, work)
-}
-
-/// Rebuilds `flags` as the per-cell "fixed" flags of a `cells`-cell
-/// level, leaving it empty (fixing nothing) when nothing is pinned.
-fn fixed_flags(flags: &mut Vec<bool>, cells: usize, fixed: &[(VertexId, Side)]) {
-    flags.clear();
-    if !fixed.is_empty() {
-        flags.resize(cells, false);
-        for &(c, _) in fixed {
-            flags[c as usize] = true;
-        }
-    }
 }
 
 impl<R: Refiner + Send + Sync + 'static> LevelRefiner<Graph> for R {
@@ -260,7 +242,7 @@ impl Level for Graph {
     fn coarsen(
         &self,
         coarsener: Option<&Arc<dyn CoarsenScheme>>,
-        _skip: &[bool],
+        _fixed: &[Side],
         _scratch: &mut (),
         rng: &mut dyn RngCore,
     ) -> Option<Contraction> {
@@ -272,7 +254,7 @@ impl Level for Graph {
         &self,
         depth: CoarsenDepth,
         fallback: bool,
-        _fixed: &[(VertexId, Side)],
+        _fixed: &[Side],
         rng: &mut dyn RngCore,
     ) -> Bisection {
         if fallback || depth == CoarsenDepth::Flat {
@@ -299,7 +281,7 @@ impl Level for Graph {
     fn refine(
         &self,
         refiner: &(dyn Refiner + Send + Sync),
-        _fixed: &[bool],
+        _fixed: &[Side],
         p: Bisection,
         rng: &mut dyn RngCore,
         ws: &mut Workspace,

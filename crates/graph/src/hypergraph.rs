@@ -227,7 +227,9 @@ impl NetlistContraction {
 /// pins are dropped, and nets that become *identical* pin sets are
 /// merged with summed weights — the standard hypergraph coarsening step
 /// (the paper's compaction, §V, in its netlist form). Coarse nets come
-/// out in lexicographic pin-set order.
+/// out in lexicographic pin-set order. Coarse cells are numbered in
+/// order of their lowest fine cell, so when `pairs` avoid the last `k`
+/// fine cells, fine cell `n − k + i` becomes coarse cell `N − k + i`.
 ///
 /// A one-shot call of [`contract_cells_into`] with fresh scratch.
 ///
@@ -526,23 +528,24 @@ pub fn random_cell_matching<R: rand::Rng + ?Sized>(
     nl: &Netlist,
     rng: &mut R,
 ) -> Vec<(VertexId, VertexId)> {
-    random_cell_matching_with_skip(nl, &[], rng)
+    random_cell_matching_with_skip(nl, 0, rng)
 }
 
-/// As [`random_cell_matching`], but cells flagged in `skip` are never
-/// matched — neither visited nor offered as partners. An empty `skip`
-/// slice skips nothing; a shorter-than-`num_cells` slice treats missing
-/// entries as `false`. Multilevel pipelines use this to keep *fixed*
-/// cells (terminal-propagation anchors) as singleton coarse cells so
-/// their side constraint survives every coarsening level.
+/// As [`random_cell_matching`], but the last `skip` cells are never
+/// matched — neither visited nor offered as partners (all of them if
+/// `skip` exceeds the cell count). Multilevel pipelines use this to
+/// keep *fixed* cells (terminal-propagation anchors) as singleton
+/// coarse cells: [`contract_cells`] then numbers them last again, so
+/// they stay the trailing cells at every coarsening level.
 pub fn random_cell_matching_with_skip<R: rand::Rng + ?Sized>(
     nl: &Netlist,
-    skip: &[bool],
+    skip: usize,
     rng: &mut R,
 ) -> Vec<(VertexId, VertexId)> {
     use rand::seq::SliceRandom;
     let n = nl.num_cells();
-    let skipped = |c: VertexId| skip.get(c as usize).copied().unwrap_or(false);
+    let mobile = n.saturating_sub(skip);
+    let skipped = |c: VertexId| c as usize >= mobile;
     let mut order: Vec<VertexId> = (0..n as VertexId).collect();
     order.shuffle(rng);
     let mut matched = vec![false; n];
@@ -909,19 +912,19 @@ mod tests {
     fn skip_matching_never_touches_skipped_cells() {
         use rand::SeedableRng;
         let nl = wide_netlist();
-        let mut skip = vec![false; nl.num_cells()];
-        for c in [0usize, 7, 13, 30, 59] {
-            skip[c] = true;
-        }
+        let mobile = (nl.num_cells() - 5) as VertexId;
         for seed in 0..8 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let pairs = random_cell_matching_with_skip(&nl, &skip, &mut rng);
+            let pairs = random_cell_matching_with_skip(&nl, 5, &mut rng);
             assert!(!pairs.is_empty());
             for &(a, b) in &pairs {
-                assert!(!skip[a as usize], "skipped cell {a} was matched");
-                assert!(!skip[b as usize], "skipped cell {b} was matched");
+                assert!(a < mobile, "skipped cell {a} was matched");
+                assert!(b < mobile, "skipped cell {b} was matched");
             }
         }
+        let all =
+            random_cell_matching_with_skip(&nl, 1000, &mut rand::rngs::StdRng::seed_from_u64(0));
+        assert!(all.is_empty());
     }
 
     #[test]
@@ -929,7 +932,7 @@ mod tests {
         use rand::SeedableRng;
         let nl = wide_netlist();
         let a = random_cell_matching(&nl, &mut rand::rngs::StdRng::seed_from_u64(3));
-        let b = random_cell_matching_with_skip(&nl, &[], &mut rand::rngs::StdRng::seed_from_u64(3));
+        let b = random_cell_matching_with_skip(&nl, 0, &mut rand::rngs::StdRng::seed_from_u64(3));
         assert_eq!(a, b);
     }
 
@@ -1087,11 +1090,12 @@ mod tests {
     /// kept as the oracle for [`random_cell_matching_with_skip`].
     fn reference_cell_matching(
         nl: &Netlist,
-        skip: &[bool],
+        skip: usize,
         rng: &mut rand::rngs::StdRng,
     ) -> Vec<(VertexId, VertexId)> {
         use rand::seq::SliceRandom;
-        let skipped = |c: VertexId| skip.get(c as usize).copied().unwrap_or(false);
+        let mobile = nl.num_cells().saturating_sub(skip);
+        let skipped = |c: VertexId| c as usize >= mobile;
         let mut order: Vec<VertexId> = nl.cells().collect();
         order.shuffle(rng);
         let mut matched = vec![false; nl.num_cells()];
@@ -1149,8 +1153,9 @@ mod tests {
     /// Runs a matching ladder through the dense scorer and the
     /// counting-sort contraction (one scratch for the whole ladder) and
     /// asserts pairs, coarse netlists and maps equal the `BTreeMap`
-    /// oracles' at every level. Returns the number of levels.
-    fn assert_ladder_matches_oracles(nl: &Netlist, skip_every: usize, seed: u64) -> usize {
+    /// oracles' at every level, leaving the last `skip` cells of each
+    /// level unmatched. Returns the number of levels.
+    fn assert_ladder_matches_oracles(nl: &Netlist, skip: usize, seed: u64) -> usize {
         use rand::SeedableRng;
         let mut rng_fast = rand::rngs::StdRng::seed_from_u64(seed);
         let mut rng_ref = rand::rngs::StdRng::seed_from_u64(seed);
@@ -1158,13 +1163,10 @@ mod tests {
         let mut cur = nl.clone();
         let mut levels = 0;
         loop {
-            let skip: Vec<bool> = (0..cur.num_cells())
-                .map(|c| skip_every > 0 && c % skip_every == 0)
-                .collect();
-            let pairs = random_cell_matching_with_skip(&cur, &skip, &mut rng_fast);
+            let pairs = random_cell_matching_with_skip(&cur, skip, &mut rng_fast);
             assert_eq!(
                 pairs,
-                reference_cell_matching(&cur, &skip, &mut rng_ref),
+                reference_cell_matching(&cur, skip, &mut rng_ref),
                 "seed {seed} level {levels}"
             );
             if pairs.is_empty() {
@@ -1183,8 +1185,8 @@ mod tests {
     fn dense_scorer_and_counting_sort_match_btreemap_oracles() {
         for seed in 0..12u64 {
             let nl = random_weighted_netlist(80, 120, 6, seed);
-            for skip_every in [0, 7] {
-                assert!(assert_ladder_matches_oracles(&nl, skip_every, seed) > 0);
+            for skip in [0, 7] {
+                assert!(assert_ladder_matches_oracles(&nl, skip, seed) > 0);
             }
         }
     }
@@ -1331,6 +1333,34 @@ mod tests {
         ) {
             let nl = random_component_netlist(cells, nets, components, seed);
             proptest::prop_assert_eq!(bfs_cell_order(&nl), reference_bfs_cell_order(&nl));
+        }
+
+        /// Pairs that avoid the last `k` cells leave them the last `k`
+        /// coarse cells, in order: a pipeline hands one fixed-cell
+        /// suffix to every level of its ladder on this.
+        #[test]
+        fn contraction_keeps_unpaired_trailing_cells_last(
+            cells in 1usize..60,
+            nets in 0usize..90,
+            k in 0usize..8,
+            paired_percent in 0usize..=100,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let nl = random_weighted_netlist(cells, nets, 5, seed);
+            let k = k.min(cells);
+            let mut free: Vec<VertexId> = (0..(cells - k) as VertexId).collect();
+            free.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            let paired = free.len() / 2 * paired_percent / 100;
+            let pairs: Vec<_> = free.chunks(2).take(paired).map(|p| (p[0], p[1])).collect();
+            let c = contract_cells_into(&nl, &pairs, &mut NetlistContractionScratch::new());
+            let coarse = c.coarse().num_cells();
+            proptest::prop_assert_eq!(coarse, cells - paired);
+            for i in 0..k {
+                let fine = (cells - k + i) as VertexId;
+                proptest::prop_assert_eq!(c.map(fine), (coarse - k + i) as VertexId);
+            }
         }
     }
 

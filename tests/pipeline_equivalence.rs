@@ -409,14 +409,13 @@ fn golden_netlist_pipelines_on_rent_netlists() {
     let mut actual: Vec<NetlistPin> = Vec::new();
     for cells in [2usize, 3, 600, 5_000] {
         let nl = rent_netlist(cells, 0x4E7 + cells as u64);
-        let last = (cells - 1) as VertexId;
-        for fixed in [&[][..], &[(last - 1, Side::A), (last, Side::B)][..]] {
+        for fixed in [&[][..], &[Side::A, Side::B][..]] {
             for (name, p) in &pipelines {
                 let mut rng = StdRng::seed_from_u64(cells as u64);
                 let (b, work) = p.bisect_fixed_counted(&nl, fixed, &mut rng, &mut Workspace::new());
                 assert!(b.is_balanced(&nl), "{} on {cells} cells", p.name());
                 assert_eq!(b.cut(), b.recompute_cut(&nl), "{}", p.name());
-                for &(c, s) in fixed {
+                for (c, &s) in fixed_cells(&nl, fixed) {
                     assert_eq!(b.side(c), s, "{} moved fixed cell {c}", p.name());
                 }
                 actual.push((
@@ -508,19 +507,19 @@ fn edgeless_compaction_equals_the_bare_refiner() {
     assert_edgeless_compaction_is_the_bare_refiner(BoundaryFm::new());
 }
 
+/// The fixed cells of `nl`, its last `fixed.len()`, with their sides.
+fn fixed_cells<'a>(nl: &Netlist, fixed: &'a [Side]) -> impl Iterator<Item = (VertexId, &'a Side)> {
+    ((nl.num_cells() - fixed.len()) as VertexId..).zip(fixed)
+}
+
 /// Runs `p` on `nl` with `fixed` from a fresh workspace and checks the
 /// result before pinning it.
-fn netlist_start_pin(
-    p: &NetlistPipeline,
-    nl: &Netlist,
-    fixed: &[(VertexId, Side)],
-    seed: u64,
-) -> StartPin {
+fn netlist_start_pin(p: &NetlistPipeline, nl: &Netlist, fixed: &[Side], seed: u64) -> StartPin {
     let mut rng = StdRng::seed_from_u64(seed);
     let (b, work) = p.bisect_fixed_counted(nl, fixed, &mut rng, &mut Workspace::new());
     assert!(b.is_balanced(nl), "{}", p.name());
     assert_eq!(b.cut(), b.recompute_cut(nl), "{}", p.name());
-    for &(c, s) in fixed {
+    for (c, &s) in fixed_cells(nl, fixed) {
         assert_eq!(b.side(c), s, "{} moved fixed cell {c}", p.name());
     }
     (b.cut(), work, sides_fingerprint(b.sides()))
@@ -529,7 +528,7 @@ fn netlist_start_pin(
 #[test]
 fn golden_flat_netlist_start_with_and_without_fixed_cells() {
     let nl = rent_netlist(300, 0x5747);
-    let fixed = [(298, Side::A), (299, Side::B)];
+    let fixed = [Side::A, Side::B];
     let p = NetlistPipeline::flat_fm();
     let actual = [
         netlist_start_pin(&p, &nl, &[], 7),
@@ -548,7 +547,7 @@ fn golden_compacted_start_on_a_netless_netlist() {
     // takes the §V fallback to the plain heuristic; with them it keeps
     // the fixed-aware weight-balanced start.
     let nl = bisect_graph::hypergraph::NetlistBuilder::new(8).build();
-    let fixed = [(6, Side::B), (7, Side::A)];
+    let fixed = [Side::B, Side::A];
     let p = NetlistPipeline::compacted_fm();
     let actual = [
         netlist_start_pin(&p, &nl, &[], 3),
@@ -564,7 +563,7 @@ fn golden_compacted_start_on_a_netless_netlist() {
 #[test]
 fn golden_parallel_matching_netlist_ladder_with_fixed_cells() {
     let nl = rent_netlist(600, 0x6006);
-    let fixed = [(597, Side::A), (598, Side::B), (599, Side::B)];
+    let fixed = [Side::A, Side::B, Side::B];
     let p = NetlistPipeline::multilevel_fm_to(6)
         .expect("6 >= 2")
         .with_coarsener(ParallelCellMatching::new().with_threads(2))
@@ -632,11 +631,13 @@ fn weighted_rent(cells: usize, max_weight: u64, seed: u64) -> Netlist {
     b.build()
 }
 
-/// Fixed-cell flags for the last `k` of `cells` cells, with `k` the
-/// number of hits in `cells` draws of a 10% coin.
-fn trailing(cells: usize, rng: &mut StdRng) -> Vec<bool> {
+/// The sides `p` gives its last `k` cells, with `k` the number of hits
+/// in one draw of a 10% coin per cell: fixed cells that keep `p`'s
+/// sides.
+fn trailing(p: &NetlistBisection, rng: &mut StdRng) -> Vec<Side> {
+    let cells = p.sides().len();
     let k = (0..cells).filter(|_| rng.gen_bool(0.1)).count();
-    (0..cells).map(|c| c >= cells - k).collect()
+    (cells - k..cells).map(|c| p.side(c as VertexId)).collect()
 }
 
 /// A start far out of balance: each cell lands on side B with
@@ -757,7 +758,7 @@ fn golden_netlist_rebalances_from_lopsided_starts() {
         for lean in [0.7, 0.1] {
             let start = NetlistBisection::from_sides(&nl, lopsided(cells, lean, &mut rng)).unwrap();
             assert!(!start.is_balanced(&nl), "case {i}");
-            let fixed = trailing(cells, &mut rng);
+            let fixed = trailing(&start, &mut rng);
             for fixed in [&[][..], &fixed[..]] {
                 let mut plain = start.clone();
                 rebalance_fixed(&nl, &mut plain, fixed);
@@ -769,7 +770,7 @@ fn golden_netlist_rebalances_from_lopsided_starts() {
                 assert_eq!(plain.cut(), plain.recompute_cut(&nl), "case {i}");
                 for c in nl.cells() {
                     assert_eq!(cache.gain(c), cached.gain(&nl, c), "case {i}");
-                    if fixed.get(c as usize) == Some(&true) {
+                    if c as usize >= cells - fixed.len() {
                         assert_eq!(plain.side(c), start.side(c), "case {i} moved {c}");
                     }
                 }
@@ -969,7 +970,7 @@ fn golden_netlist_fm_on_weighted_rent_netlists() {
         for seed in 1..=3u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let init = weight_balanced_random(&nl, &mut rng);
-            let fixed = trailing(cells, &mut rng);
+            let fixed = trailing(&init, &mut rng);
             for fixed in [&[][..], &fixed[..]] {
                 let (p, passes) = NetlistFm::new().refine_counted(
                     &nl,
@@ -980,7 +981,7 @@ fn golden_netlist_fm_on_weighted_rent_netlists() {
                 );
                 assert!(p.is_balanced(&nl), "seed {seed}");
                 assert_eq!(p.cut(), p.recompute_cut(&nl), "seed {seed}");
-                for c in nl.cells().filter(|&c| fixed.get(c as usize) == Some(&true)) {
+                for (c, _) in fixed_cells(&nl, fixed) {
                     assert_eq!(p.side(c), init.side(c), "seed {seed} moved {c}");
                 }
                 actual.push((p.cut(), passes, sides_fingerprint(p.sides())));
@@ -1092,7 +1093,7 @@ fn golden_parallel_fm_refiners_on_weighted_levels() {
             for seed in 1..=3u64 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let init = weight_balanced_random(&nl, &mut rng);
-                let fixed = trailing(cells, &mut rng);
+                let fixed = trailing(&init, &mut rng);
                 for fixed in [&[][..], &fixed[..]] {
                     let at = format!("{cells} cells threads {threads} seed {seed}");
                     ws.take_proposals();
@@ -1109,7 +1110,7 @@ fn golden_parallel_fm_refiners_on_weighted_levels() {
                     assert!(p.is_balanced(&nl), "{at}");
                     assert_eq!(p.cut(), p.recompute_cut(&nl), "{at}");
                     assert!(p.cut() <= init.cut(), "{at}");
-                    for c in nl.cells().filter(|&c| fixed.get(c as usize) == Some(&true)) {
+                    for (c, _) in fixed_cells(&nl, fixed) {
                         assert_eq!(p.side(c), init.side(c), "{at} moved {c}");
                     }
                     let fp = sides_fingerprint(p.sides());
